@@ -4,10 +4,11 @@ The uniform-load path applies an (n, k) code built from a real
 Vandermonde generator: the source matrix splits into k equal blocks,
 every worker receives one coded block, and any k finished workers
 suffice to solve for the block products.  The heterogeneous-load path
-instantiates per-worker random dense code rows over all output
-coordinates, so decoding needs only enough received rows, whichever
-workers they came from; realized rank is checked before solving rather
-than assumed.  ``simulate_round`` ties both to a platform offer:
+gives each worker random dense code rows over all output coordinates,
+so decoding needs only enough received rows, whichever workers they
+came from; rows are drawn only for the workers the decode uses, and
+the realized conditioning is checked before solving rather than
+assumed.  ``simulate_round`` ties both to a platform offer:
 workers join by best response, times are sampled from their runtime
 model, the platform decodes at the earliest decodable prefix of
 finishers and pays the announced rewards.
@@ -20,12 +21,13 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy.linalg import blas, lapack
 
 from .errors import ConfigurationError, InfeasibleError, NumericalError
 from .game import best_response
 from .mechanisms import Mechanism
 from .runtime import SCHEME_MDS
-from .workers import Population, sample_time
+from .workers import Population, sample_time, sample_times
 
 __all__ = [
     "CodedTask",
@@ -109,6 +111,11 @@ def vandermonde_generator(n: int, k: int) -> np.ndarray:
 
 def _spot_check_generator(generator: np.ndarray, n: int, k: int):
     """Probe a few random k-row subsystems for numerical singularity."""
+    if not np.all(np.isfinite(generator)):
+        raise NumericalError(
+            f"the ({n}, {k}) generator has non-finite entries; its node "
+            "powers overflow"
+        )
     rng = np.random.default_rng(np.random.SeedSequence([n, k]))
     seen = set()
     for _ in range(_SPOT_CHECKS):
@@ -189,6 +196,10 @@ def mds_decode(
         return None
     chosen = list(results)[: task.threshold]
     subsystem = task.generator[chosen]
+    if not np.all(np.isfinite(subsystem)):
+        raise NumericalError(
+            f"the code rows of workers {chosen} have non-finite entries"
+        )
     cond = np.linalg.cond(subsystem)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise NumericalError(
@@ -205,6 +216,35 @@ def mds_decode(
         stacked.append(block)
     products = np.linalg.solve(subsystem, np.stack(stacked))
     return products.reshape(-1)[: task.source_rows]
+
+
+def _decode_received(code: np.ndarray, received: np.ndarray) -> np.ndarray:
+    """Solve the consistent system ``code @ y = received`` for ``y``.
+
+    ``code`` has at least as many rows as unknowns, and its leading
+    square block determines ``y`` whenever it is nonsingular, so only
+    that block is LU-factored, in place: ``code`` is overwritten.  An
+    exactly singular factor or a condition estimate beyond the guard
+    raises NumericalError rather than return a wrong decode.
+    """
+    unknowns = code.shape[1]
+    # The transposed leading block is a Fortran-ordered view, which
+    # LAPACK factors without a copy; ``trans=1`` solves with its
+    # transpose, the block itself.
+    square = code[:unknowns].T
+    norm = lapack.dlange("1", square)
+    lu, piv, info = lapack.dgetrf(square, overwrite_a=1)
+    rcond = 0.0
+    if info == 0:
+        rcond, info = lapack.dgecon(lu, norm, norm="1")
+    if info != 0 or not rcond * _COND_LIMIT >= 1.0:
+        raise NumericalError(
+            "realized coded rows are rank-deficient or ill-conditioned "
+            f"(reciprocal condition estimate {rcond:.3g}); the round "
+            "cannot decode"
+        )
+    decoded, _ = lapack.dgetrs(lu, piv, received[:unknowns], trans=1)
+    return decoded
 
 
 def integerize_loads(loads: Sequence[float]) -> list[int]:
@@ -242,9 +282,9 @@ def simulate_round(
     the round ends at the threshold-th finisher; under heterogeneous
     loads each worker's assigned rows are rounded to whole rows and the
     round ends once finished workers cover the output dimension, with
-    realized rank verified before decoding.  Workers are paid the
-    announced reward of their reported type; a worker rounded down to
-    zero rows is paid but does not compute.
+    the realized code's conditioning verified before decoding.  Workers
+    are paid the announced reward of their reported type; a worker
+    rounded down to zero rows is paid but does not compute.
     """
     source = np.asarray(A, dtype=float)
     vector = np.asarray(x, dtype=float)
@@ -309,42 +349,28 @@ def simulate_round(
             raise InfeasibleError(
                 f"participators cover {sum(int_loads)} rows, need {rows}"
             )
-        code_rows = [
-            rng.standard_normal((load, rows)) if load else None
-            for load in int_loads
-        ]
-        racing = [w for w in range(n_workers) if int_loads[w] > 0]
-        times = np.array(
-            [
-                sample_time(
-                    pop.member(type_of[w])[0], float(int_loads[w]), rng
-                )
-                for w in racing
-            ]
+        loads = np.array(int_loads)
+        racing = np.flatnonzero(loads)
+        members = [pop.member(m)[0] for m in participants]
+        counts = [t.count for t in members]
+        startup = np.repeat([t.startup for t in members], counts)
+        speed = np.repeat([t.speed for t in members], counts)
+        times = sample_times(
+            (startup[racing], speed[racing]), loads[racing], rng
         )
         order = np.argsort(times, kind="stable")
-        contributors = []
-        covered = 0
-        runtime = math.inf
-        for pos in order:
-            w = racing[pos]
-            contributors.append(w)
-            covered += int_loads[w]
-            if covered >= rows:
-                runtime = float(times[pos])
-                break
-        stacked_code = np.vstack([code_rows[w] for w in contributors])
-        received = np.concatenate(
-            [(code_rows[w] @ source) @ vector for w in contributors]
-        )
-        decoded, _, rank, _ = np.linalg.lstsq(
-            stacked_code, received, rcond=None
-        )
-        if rank < rows:
-            raise NumericalError(
-                "realized coded rows are rank-deficient; the round cannot "
-                "decode"
-            )
+        covered = np.cumsum(loads[racing][order])
+        realized = int(np.searchsorted(covered, rows)) + 1
+        contributors = racing[order[:realized]].tolist()
+        runtime = float(times[order[realized - 1]])
+        # Only the contributors' rows are ever received, so only they are
+        # drawn, in finish order.
+        code = rng.standard_normal((int(covered[realized - 1]), rows))
+        # Encoded with SciPy's BLAS, the library the decode factors with:
+        # NumPy and SciPy wheels each bundle an OpenBLAS, and the threads
+        # one leaves spinning after a product slow the other's next call.
+        received = blas.dgemm(1.0, code.T, source, trans_a=1) @ vector
+        decoded = _decode_received(code, received)
 
     finish_order = tuple(
         (int(racing[pos]), float(times[pos])) for pos in order

@@ -181,9 +181,25 @@ def sample_time(worker: WorkerType, load: float, rng: np.random.Generator) -> fl
 
 
 def sample_times(
-    worker: WorkerType, load: float, rng: np.random.Generator, size: int
+    worker: WorkerType | tuple[np.ndarray, np.ndarray],
+    load: float | np.ndarray,
+    rng: np.random.Generator,
+    size: int | None = None,
 ) -> np.ndarray:
-    """Vectorized form of :func:`sample_time` returning ``size`` draws."""
-    if not load > 0:
-        raise ValueError(f"load must be positive, got {load}")
-    return load * (worker.startup + rng.standard_exponential(size) / worker.speed)
+    """Vectorized form of :func:`sample_time`.
+
+    ``worker`` is one type, or a ``(startup, speed)`` pair of arrays
+    for workers of mixed types.  Loads, startups and speeds broadcast
+    together; ``size`` draws that many times instead, and defaults to
+    their broadcast shape.
+    """
+    if isinstance(worker, WorkerType):
+        startup, speed = worker.startup, worker.speed
+    else:
+        startup, speed = worker
+    load = np.asarray(load, dtype=float)
+    if not np.all(load > 0):
+        raise ValueError(f"loads must be positive, got {load}")
+    if size is None:
+        size = np.broadcast_shapes(load.shape, np.shape(startup), np.shape(speed))
+    return load * (startup + rng.standard_exponential(size) / speed)

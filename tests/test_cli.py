@@ -216,6 +216,22 @@ class TestSimulate:
         )
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_overflowing_uniform_code_exits_3(self, tmp_path, capsys):
+        # The catalog's first three cost rates on one shared runtime, 140
+        # workers each: 420 participators overflow the polynomial code.
+        path = tmp_path / "anchor.cfg"
+        path.write_text(
+            "1.0 50.0 0.012 140\n"
+            "7.0 50.0 0.012 140\n"
+            "8.0 50.0 0.012 140\n"
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(
+                ["simulate", "--scenario", "cost-only", "--config", str(path)]
+            )
+        assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
+
 
 class TestEncodeDemo:
     def test_walkthrough(self, capsys):

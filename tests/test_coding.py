@@ -30,6 +30,8 @@ from coded_incentives import (
     solve_cost_only,
     vandermonde_generator,
 )
+from coded_incentives.coding import _COND_LIMIT, _decode_received
+from coded_incentives.experiments import DEFAULT_TYPE_PARAMS
 
 
 class TestVandermondeGenerator:
@@ -252,6 +254,18 @@ class TestSimulateRoundHetero:
         assert outcome.runtime == max(finish[w] for w in outcome.contributors)
         assert outcome.realized_k == len(outcome.contributors)
 
+    def test_contributors_are_shortest_covering_prefix(self):
+        _, mech, _, _, outcome = self._setup()
+        loads = integerize_loads(
+            [mech.assignment.loads[m] for _, m in outcome.worker_types]
+        )
+        ordered = [w for w, _ in outcome.finish_order]
+        k = outcome.realized_k
+        assert list(outcome.contributors) == ordered[:k]
+        covered = sum(loads[w] for w in outcome.contributors)
+        assert covered >= 53
+        assert covered - loads[outcome.contributors[-1]] < 53
+
     def test_deterministic_per_seed(self):
         pop, mech, A, x, outcome = self._setup(seed=5)
         repeat = simulate_round(mech, pop, A, x, 5)
@@ -298,6 +312,44 @@ class TestSimulateRoundHetero:
             simulate_round(mech, pop, A, np.ones(3), 0)
         with pytest.raises(ValueError):
             simulate_round(mech, pop, np.ones((10, 2)), np.ones(2), 0)
+
+
+class TestDecodeReceived:
+    def _system(self, rows, unknowns, seed=3):
+        rng = np.random.default_rng(seed)
+        code = rng.standard_normal((rows, unknowns))
+        product = rng.standard_normal(unknowns)
+        return code, code @ product, product
+
+    @pytest.mark.parametrize("rows", [40, 43])
+    def test_exact_cover_and_overshoot_decode(self, rows):
+        code, received, product = self._system(rows, 40)
+        decoded = _decode_received(code, received)
+        assert np.max(np.abs(decoded - product)) <= 1e-8
+
+    def test_duplicated_row_rejected(self):
+        code, _, product = self._system(40, 40)
+        code[17] = code[5]
+        with pytest.raises(NumericalError):
+            _decode_received(code, code @ product)
+
+    @staticmethod
+    def _conditioned(cond):
+        rng = np.random.default_rng(4)
+        left, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        right, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        return (left * np.geomspace(1.0, 1.0 / cond, 40)) @ right
+
+    def test_condition_beyond_limit_rejected(self):
+        code = self._conditioned(100.0 * _COND_LIMIT)
+        assert np.linalg.cond(code) > _COND_LIMIT
+        with pytest.raises(NumericalError):
+            _decode_received(code, code @ np.ones(40))
+
+    def test_condition_within_limit_decodes(self):
+        code = self._conditioned(1e-3 * _COND_LIMIT)
+        decoded = _decode_received(code.copy(), code @ np.ones(40))
+        assert np.max(np.abs(decoded - 1.0)) <= 1e-3
 
 
 class TestSimulateRoundMds:
@@ -355,6 +407,23 @@ class TestSimulateRoundMds:
         x = np.ones(2)
         with pytest.raises(ConfigurationError):
             simulate_round(stripped, pop, A, x, 0)
+
+    def test_overflowing_generator_is_a_numerical_error(self):
+        # Catalog cost rates on one shared runtime, 40 workers per type:
+        # 240 participators and threshold 145, where node powers overflow.
+        types = [
+            WorkerType(id=i + 1, cost_rate=cost, speed=50.0, startup=0.012, count=40)
+            for i, (cost, _, _) in enumerate(DEFAULT_TYPE_PARAMS)
+        ]
+        cfg = PlatformConfig(gamma_time=2000.0, gamma_pay=1.0, total_rows=1000.0)
+        mech = solve_cost_only(types, cfg)
+        assert 40 * len(mech.targeted) == 240
+        assert mech.recovery_threshold == 145
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError):
+                simulate_round(
+                    mech, build_population(types), np.ones((1000, 2)), np.ones(2), 0
+                )
 
     def test_long_run_cost_matches_expectation(self):
         # Equal-load coded rounds with integer block sizes realize the

@@ -154,6 +154,25 @@ class TestSampling:
         many = sample_times(w, 3.0, np.random.default_rng(99), 1)
         assert one == many[0]
 
+    def test_mixed_types_match_sequential_scalar_draws(self):
+        fast = _worker(speed=5.0, startup=0.4)
+        slow = _worker(speed=2.0, startup=1.0)
+        kinds = [fast, slow, slow, fast]
+        loads = np.array([3.0, 1.0, 7.0, 2.0])
+        startup = np.array([w.startup for w in kinds])
+        speed = np.array([w.speed for w in kinds])
+        rng = np.random.default_rng(5)
+        expected = [sample_time(w, load, rng) for w, load in zip(kinds, loads)]
+        draws = sample_times((startup, speed), loads, np.random.default_rng(5))
+        assert draws.tolist() == expected
+
+    def test_array_loads_broadcast_against_one_type(self):
+        w = _worker(speed=5.0, startup=0.4)
+        loads = np.array([1.0, 4.0, 9.0])
+        draws = sample_times(w, loads, np.random.default_rng(3))
+        expected = sample_times(w, 1.0, np.random.default_rng(3), 3) * loads
+        assert np.array_equal(draws, expected)
+
     def test_rejects_nonpositive_load(self):
         w = _worker()
         rng = np.random.default_rng(0)
@@ -161,3 +180,5 @@ class TestSampling:
             sample_time(w, 0.0, rng)
         with pytest.raises(ValueError):
             sample_times(w, -1.0, rng, 5)
+        with pytest.raises(ValueError):
+            sample_times(w, np.array([2.0, 0.0]), rng)
