@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import blas, lapack
 
 from .errors import ConfigurationError, InfeasibleError, NumericalError
 from .game import best_response
@@ -43,6 +42,11 @@ __all__ = [
 
 _COND_LIMIT = 1e12
 _SPOT_CHECKS = 5
+# Fixed Gaussian probe vectors the heterogeneous decode solves alongside
+# the received results to estimate the inverse's norm; they come from
+# their own stream, so a round's realisation does not depend on them.
+_PROBES = 4
+_PROBE_SEED = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,28 +227,35 @@ def _decode_received(code: np.ndarray, received: np.ndarray) -> np.ndarray:
 
     ``code`` has at least as many rows as unknowns, and its leading
     square block determines ``y`` whenever it is nonsingular, so only
-    that block is LU-factored, in place: ``code`` is overwritten.  An
-    exactly singular factor or a condition estimate beyond the guard
-    raises NumericalError rather than return a wrong decode.
+    that block is LU-factored.  The same factorization solves a few
+    fixed Gaussian probes z, and since E|B^-1 z|^2 = |B^-1|_F^2 for a
+    square block B, |B|_F times the root mean square of |B^-1 z|
+    estimates the Frobenius condition number, which is at least the
+    2-norm one.  An exactly singular block or an estimate beyond the
+    guard raises NumericalError rather than return a wrong decode.
     """
     unknowns = code.shape[1]
-    # The transposed leading block is a Fortran-ordered view, which
-    # LAPACK factors without a copy; ``trans=1`` solves with its
-    # transpose, the block itself.
-    square = code[:unknowns].T
-    norm = lapack.dlange("1", square)
-    lu, piv, info = lapack.dgetrf(square, overwrite_a=1)
-    rcond = 0.0
-    if info == 0:
-        rcond, info = lapack.dgecon(lu, norm, norm="1")
-    if info != 0 or not rcond * _COND_LIMIT >= 1.0:
+    square = code[:unknowns]
+    probes = np.random.default_rng(_PROBE_SEED).standard_normal(
+        (unknowns, _PROBES)
+    )
+    try:
+        solved = np.linalg.solve(
+            square, np.column_stack([received[:unknowns], probes])
+        )
+    except np.linalg.LinAlgError:
+        cond = math.inf
+    else:
+        # A nearly singular block overflows here; inf or NaN fails the guard.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean_square = np.mean(np.sum(solved[:, 1:] ** 2, axis=0))
+            cond = float(np.linalg.norm(square)) * math.sqrt(mean_square)
+    if not cond <= _COND_LIMIT:
         raise NumericalError(
             "realized coded rows are rank-deficient or ill-conditioned "
-            f"(reciprocal condition estimate {rcond:.3g}); the round "
-            "cannot decode"
+            f"(condition estimate {cond:.3g}); the round cannot decode"
         )
-    decoded, _ = lapack.dgetrs(lu, piv, received[:unknowns], trans=1)
-    return decoded
+    return solved[:, 0]
 
 
 def integerize_loads(loads: Sequence[float]) -> list[int]:
@@ -366,10 +377,11 @@ def simulate_round(
         # Only the contributors' rows are ever received, so only they are
         # drawn, in finish order.
         code = rng.standard_normal((int(covered[realized - 1]), rows))
-        # Encoded with SciPy's BLAS, the library the decode factors with:
-        # NumPy and SciPy wheels each bundle an OpenBLAS, and the threads
-        # one leaves spinning after a product slow the other's next call.
-        received = blas.dgemm(1.0, code.T, source, trans_a=1) @ vector
+        # All of the round's linear algebra runs on NumPy's BLAS: NumPy and
+        # SciPy wheels each bundle an OpenBLAS, and the threads one leaves
+        # spinning after a call slow the other's next call by a varying
+        # amount.
+        received = (code @ source) @ vector
         decoded = _decode_received(code, received)
 
     finish_order = tuple(
