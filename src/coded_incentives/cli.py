@@ -41,7 +41,6 @@ from .experiments import (
 from .game import verify_ir_ic
 from .mechanisms import (
     Mechanism,
-    PlatformConfig,
     solve_complete,
     solve_cost_only,
     solve_incomplete,
@@ -160,11 +159,7 @@ def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
 def _solve_for(
     scenario: str, spec: ExperimentSpec
 ) -> tuple[Mechanism, Population]:
-    cfg = PlatformConfig(
-        gamma_time=spec.gamma_time,
-        gamma_pay=spec.gamma_pay,
-        total_rows=spec.total_rows,
-    )
+    cfg = spec.platform_config()
     pop = spec.population
     if scenario == "complete":
         return solve_complete(pop, cfg), pop

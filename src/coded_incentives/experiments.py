@@ -16,11 +16,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, InfeasibleError
+from .errors import ConfigurationError
 from .game import best_response
 from .mechanisms import (
-    Mechanism,
     PlatformConfig,
+    _hetero_costs,
+    _private_offers,
     solve_complete,
     solve_incomplete,
 )
@@ -176,6 +177,14 @@ class ExperimentSpec:
             if abs(math.fsum(probs) - 1.0) > 1e-9:
                 raise ConfigurationError("probabilities must sum to 1")
 
+    def platform_config(self) -> PlatformConfig:
+        """The platform valuations and workload the solvers take."""
+        return PlatformConfig(
+            gamma_time=self.gamma_time,
+            gamma_pay=self.gamma_pay,
+            total_rows=self.total_rows,
+        )
+
     def weights(self) -> tuple[float, ...]:
         if self.type_probabilities is not None:
             return self.type_probabilities
@@ -270,21 +279,13 @@ class ResultTable:
         return "\n".join(lines) + "\n"
 
 
-def _config(spec: ExperimentSpec) -> PlatformConfig:
-    return PlatformConfig(
-        gamma_time=spec.gamma_time,
-        gamma_pay=spec.gamma_pay,
-        total_rows=spec.total_rows,
-    )
-
-
 def _population_at(spec: ExperimentSpec, total: int) -> Population:
     return spec.population.with_counts(apportion(total, spec.weights()))
 
 
 def run_fig4(spec: ExperimentSpec) -> ResultTable:
     """Targeted type counts under both information scenarios, per N."""
-    cfg = _config(spec)
+    cfg = spec.platform_config()
     rows = []
     for total in spec.n_sweep:
         pop = _population_at(spec, total)
@@ -305,7 +306,7 @@ def run_fig4(spec: ExperimentSpec) -> ResultTable:
 def run_fig5(spec: ExperimentSpec) -> ResultTable:
     """Expected platform cost under both information scenarios and the
     cost of hiding, per N."""
-    cfg = _config(spec)
+    cfg = spec.platform_config()
     rows = []
     for total in spec.n_sweep:
         pop = _population_at(spec, total)
@@ -326,7 +327,7 @@ def run_fig6(spec: ExperimentSpec) -> ResultTable:
 
     Types that decline are reported at payoff zero.
     """
-    cfg = _config(spec)
+    cfg = spec.platform_config()
     columns = ["N"] + [f"payoff_type_{m}" for m in spec.population.ids]
     rows = []
     for total in spec.n_sweep:
@@ -346,28 +347,6 @@ def run_fig6(spec: ExperimentSpec) -> ResultTable:
     )
 
 
-def _committed_cost(
-    mech: Mechanism,
-    pop: Population,
-    realized_counts: np.ndarray,
-    cfg: PlatformConfig,
-) -> float:
-    """Platform cost of honoring a committed offer on realized
-    headcounts: runtime from the realized targeted throughput, payments
-    at the announced per-type rewards."""
-    group = math.fsum(
-        realized_counts[m - 1] * pop.member(m)[1].throughput
-        for m in mech.targeted
-    )
-    if group <= 0:
-        raise InfeasibleError("no targeted workers realized in this draw")
-    runtime = cfg.total_rows / group
-    payment = math.fsum(
-        realized_counts[m - 1] * mech.rewards[m] for m in mech.targeted
-    )
-    return cfg.gamma_time * runtime + cfg.gamma_pay * payment
-
-
 def run_fig7(spec: ExperimentSpec) -> ResultTable:
     """Cost penalty when only the type distribution is known, per N.
 
@@ -375,32 +354,42 @@ def run_fig7(spec: ExperimentSpec) -> ResultTable:
     each replicate samples realized headcounts, prices the committed
     offer on them, and compares against the offer it would have built
     knowing the realization.  Reported as mean gap with its standard
-    error.
+    error.  All replicates of a point are priced in one batched pass.
     """
-    cfg = _config(spec)
-    size = spec.population.size
+    cfg = spec.platform_config()
+    _, costs, throughputs, ratios = spec.population.arrays()
     if spec.type_probabilities is None:
-        probs = np.full(size, 1.0 / size)
+        probs = np.full(spec.population.size, 1.0 / spec.population.size)
     else:
         probs = np.asarray(spec.type_probabilities, dtype=float)
     rows = []
     for total in spec.n_sweep:
         committed = solve_incomplete(_population_at(spec, total), cfg)
-        gaps = np.empty(spec.replications)
-        committed_costs = np.empty(spec.replications)
-        informed_costs = np.empty(spec.replications)
-        for rep in range(spec.replications):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([spec.seed, total, rep])
+        realized = np.array(
+            [
+                np.random.default_rng(
+                    np.random.SeedSequence([spec.seed, total, rep])
+                ).multinomial(total, probs)
+                for rep in range(spec.replications)
+            ],
+            dtype=float,
+        )
+        committed_costs = np.array(
+            _hetero_costs(
+                realized,
+                np.full(spec.replications, committed.threshold_type),
+                [committed.rewards[m] for m in spec.population.ids],
+                throughputs,
+                cfg,
             )
-            realized = rng.multinomial(total, probs)
-            committed_costs[rep] = _committed_cost(
-                committed, spec.population, realized, cfg
-            )
-            informed_costs[rep] = solve_incomplete(
-                spec.population.with_counts(realized.tolist()), cfg
-            ).expected_cost
-            gaps[rep] = committed_costs[rep] - informed_costs[rep]
+        )
+        thresholds, _, rewards = _private_offers(
+            realized, costs, throughputs, ratios, cfg
+        )
+        informed_costs = np.array(
+            _hetero_costs(realized, thresholds, rewards, throughputs, cfg)
+        )
+        gaps = committed_costs - informed_costs
         stderr = (
             float(np.std(gaps, ddof=1) / math.sqrt(spec.replications))
             if spec.replications > 1
@@ -430,7 +419,7 @@ def run_fig7(spec: ExperimentSpec) -> ResultTable:
 
 def run_custom(spec: ExperimentSpec) -> ResultTable:
     """Combined deterministic sweep: targeted counts, costs, and gap."""
-    cfg = _config(spec)
+    cfg = spec.platform_config()
     rows = []
     for total in spec.n_sweep:
         pop = _population_at(spec, total)

@@ -23,7 +23,7 @@ for the complete-information threshold rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -147,7 +147,7 @@ def solve_complete(pop: Population, cfg: PlatformConfig) -> Mechanism:
     _require_paying_config(cfg)
     if pop.total == 0:
         raise InfeasibleError("population has no workers")
-    _, costs, throughputs, ratios, cum_cost, cum_thru = _prefix_sums(pop)
+    counts, costs, throughputs, ratios, cum_cost, cum_thru = _prefix_sums(pop)
     threshold = 0
     for n in range(1, pop.size + 1):
         if cum_thru[n - 1] <= 0:
@@ -166,22 +166,21 @@ def solve_complete(pop: Population, cfg: PlatformConfig) -> Mechanism:
         )
     targeted = tuple(range(1, threshold + 1))
     runtime = expected_runtime_hetero(pop, targeted, cfg.total_rows).expected_runtime
-    rewards = {
-        m: (float(costs[m - 1] * runtime) if m <= threshold else 0.0)
-        for m in pop.ids
-    }
-    assignment = assign_loads_hetero(pop, targeted, cfg.total_rows)
-    mech = Mechanism(
+    rewards = [
+        float(costs[m - 1] * runtime) if m <= threshold else 0.0 for m in pop.ids
+    ]
+    return Mechanism(
         scenario=SCENARIO_COMPLETE,
         targeted=targeted,
         threshold_type=threshold,
-        rewards=rewards,
-        assignment=assignment,
+        rewards=dict(zip(pop.ids, rewards)),
+        assignment=assign_loads_hetero(pop, targeted, cfg.total_rows),
         expected_runtime=runtime,
-        expected_cost=0.0,
+        expected_cost=_hetero_costs(
+            counts[None, :], np.array([threshold]), rewards, throughputs, cfg
+        )[0],
         config=cfg,
     )
-    return _with_cost(mech, pop, cfg)
 
 
 def brute_force_complete(
@@ -236,41 +235,96 @@ def solve_incomplete(pop: Population, cfg: PlatformConfig) -> Mechanism:
     rent and types beyond the boundary cannot cover their costs.
     """
     _require_paying_config(cfg)
-    if pop.total == 0:
-        raise InfeasibleError("population has no workers")
-    _, costs, throughputs, ratios, _, cum_thru = _prefix_sums(pop)
-    best_value = math.inf
-    threshold = 0
-    for n in range(1, pop.size + 1):
-        if cum_thru[n - 1] <= 0:
-            continue
-        value = cfg.gamma_time / cum_thru[n - 1] + cfg.gamma_pay * ratios[n - 1]
-        if value < best_value:
-            best_value = value
-            threshold = n
+    counts, costs, throughputs, ratios = pop.arrays()
+    thresholds, runtimes, rewards = _private_offers(
+        counts[None, :], costs, throughputs, ratios, cfg
+    )
+    threshold = int(thresholds[0])
     targeted = tuple(range(1, threshold + 1))
-    runtime = expected_runtime_hetero(pop, targeted, cfg.total_rows).expected_runtime
-    # Rewards proportional to throughput, grouped so the boundary type's
-    # reward equals its cost bit-exactly and its payoff is exactly zero.
-    boundary_pay = costs[threshold - 1] * runtime
-    rewards = {
-        m: float(
-            (throughputs[m - 1] / throughputs[threshold - 1]) * boundary_pay
-        )
-        for m in pop.ids
-    }
-    assignment = assign_loads_hetero(pop, targeted, cfg.total_rows)
-    mech = Mechanism(
+    return Mechanism(
         scenario=SCENARIO_INCOMPLETE,
         targeted=targeted,
         threshold_type=threshold,
-        rewards=rewards,
-        assignment=assignment,
-        expected_runtime=runtime,
-        expected_cost=0.0,
+        rewards=dict(zip(pop.ids, rewards[0].tolist())),
+        assignment=assign_loads_hetero(pop, targeted, cfg.total_rows),
+        expected_runtime=runtimes[0],
+        expected_cost=_hetero_costs(
+            counts[None, :], thresholds, rewards, throughputs, cfg
+        )[0],
         config=cfg,
     )
-    return _with_cost(mech, pop, cfg)
+
+
+def _private_offers(
+    counts: np.ndarray,
+    costs: np.ndarray,
+    throughputs: np.ndarray,
+    ratios: np.ndarray,
+    cfg: PlatformConfig,
+) -> tuple[np.ndarray, list[float], np.ndarray]:
+    """Private-cost offer for each row of an ``(R, M)`` counts matrix:
+    threshold types, expected runtimes, and ``(R, M)`` per-type rewards.
+
+    The threshold minimizes ``gamma_time / cumsum(counts * throughput)
+    + gamma_pay * ratio`` over the populated prefixes; ``argmin`` takes
+    the first minimum, so ties go to the shorter prefix.
+    """
+    cum_thru = (counts * throughputs).cumsum(axis=1)
+    if not min(cum_thru[:, -1].tolist()) > 0:
+        raise InfeasibleError("population has no workers")
+    per_thru = np.divide(
+        cfg.gamma_time,
+        cum_thru,
+        out=np.full_like(cum_thru, np.inf),
+        where=cum_thru > 0,
+    )
+    thresholds = (per_thru + cfg.gamma_pay * ratios).argmin(axis=1) + 1
+    runtimes = _hetero_runtimes(counts, thresholds, throughputs, cfg)
+    # Rewards proportional to throughput, grouped so the boundary type's
+    # reward equals its cost bit-exactly and its payoff is exactly zero.
+    boundary = thresholds - 1
+    boundary_pay = costs[boundary] * np.array(runtimes)
+    rewards = (throughputs / throughputs[boundary][:, None]) * boundary_pay[:, None]
+    return thresholds, runtimes, rewards
+
+
+def _prefix_fsums(values: np.ndarray, thresholds: np.ndarray) -> list[float]:
+    """Correctly rounded sum of each row's first ``threshold`` entries."""
+    return [
+        math.fsum(row[:t]) for row, t in zip(values.tolist(), thresholds.tolist())
+    ]
+
+
+def _hetero_runtimes(
+    counts: np.ndarray,
+    thresholds: np.ndarray,
+    throughputs: np.ndarray,
+    cfg: PlatformConfig,
+) -> list[float]:
+    """Expected runtime of each row's targeted prefix ``1..threshold``:
+    rows over the prefix's total throughput."""
+    groups = _prefix_fsums(counts * throughputs, thresholds)
+    if not min(groups) > 0:
+        raise InfeasibleError("targeted set has no workers")
+    return [cfg.total_rows / group for group in groups]
+
+
+def _hetero_costs(
+    counts: np.ndarray,
+    thresholds: np.ndarray,
+    rewards: np.ndarray | list[float],
+    throughputs: np.ndarray,
+    cfg: PlatformConfig,
+) -> list[float]:
+    """Platform cost of each counts row when its targeted prefix
+    ``1..threshold`` is paid the per-type ``rewards`` (one row for all,
+    or one row each) and finishes in the prefix's expected runtime."""
+    runtimes = _hetero_runtimes(counts, thresholds, throughputs, cfg)
+    payments = _prefix_fsums(counts * rewards, thresholds)
+    return [
+        cfg.gamma_time * runtime + cfg.gamma_pay * payment
+        for runtime, payment in zip(runtimes, payments)
+    ]
 
 
 def solve_cost_only(
@@ -355,7 +409,7 @@ def solve_cost_only(
         config=cfg,
         recovery_threshold=recovery,
     )
-    return _with_cost(mech, pop, cfg)
+    return replace(mech, expected_cost=platform_cost(mech, pop, cfg))
 
 
 def platform_cost(
@@ -399,14 +453,18 @@ def platform_cost(
                     "must finish"
                 )
             runtime = estimate.approx_runtime
-    else:
-        runtime = expected_runtime_hetero(
-            pop, mech.targeted, cfg.total_rows
-        ).expected_runtime
-    payment = math.fsum(
-        pop.member(m)[0].count * mech.rewards[m] for m in mech.targeted
-    )
-    return cfg.gamma_time * runtime + cfg.gamma_pay * payment
+        payment = math.fsum(
+            pop.member(m)[0].count * mech.rewards[m] for m in mech.targeted
+        )
+        return cfg.gamma_time * runtime + cfg.gamma_pay * payment
+    counts, _, throughputs, _ = pop.arrays()
+    return _hetero_costs(
+        counts[None, :],
+        np.array([mech.threshold_type]),
+        [mech.rewards.get(m, 0.0) for m in pop.ids],
+        throughputs,
+        cfg,
+    )[0]
 
 
 def order_reward_schedule(
@@ -425,18 +483,3 @@ def order_reward_schedule(
             f"rank probabilities must sum to 1, got {total!r}"
         )
     return {rank: expected_reward for rank in order_probs}
-
-
-def _with_cost(mech: Mechanism, pop: Population, cfg: PlatformConfig) -> Mechanism:
-    cost = platform_cost(mech, pop, cfg)
-    return Mechanism(
-        scenario=mech.scenario,
-        targeted=mech.targeted,
-        threshold_type=mech.threshold_type,
-        rewards=mech.rewards,
-        assignment=mech.assignment,
-        expected_runtime=mech.expected_runtime,
-        expected_cost=cost,
-        config=cfg,
-        recovery_threshold=mech.recovery_threshold,
-    )

@@ -10,6 +10,7 @@ from coded_incentives import (
     DEFAULT_TYPE_PARAMS,
     ConfigurationError,
     ExperimentSpec,
+    InfeasibleError,
     ResultTable,
     apportion,
     build_population,
@@ -259,6 +260,12 @@ class TestSweeps:
         for _, gap_mean, _, committed, informed in table.rows:
             assert gap_mean == pytest.approx(committed - informed, rel=1e-9)
 
+    def test_fig7_committed_prefix_without_workers_is_infeasible(self):
+        # One worker: the committed offer targets type 1 alone, and most
+        # draws realize that worker in another type.
+        with pytest.raises(InfeasibleError):
+            run_fig7(_small_spec(name="fig7", n_sweep=(1,), replications=20))
+
     def test_fig7_single_replication_has_zero_stderr(self):
         table = run_fig7(_small_spec(name="fig7", n_sweep=(300,), replications=1))
         assert table.column("gap_stderr") == [0.0]
@@ -292,6 +299,77 @@ class TestSweeps:
         rebuilt = ExperimentSpec.from_metadata(table.metadata)
         again = run_fig5(rebuilt)
         assert again.rows == table.rows
+
+
+# float.hex of every run_fig7 row for n_sweep=(100, 1400, 5000),
+# replications=50, seed=7, recorded from the per-replicate scalar
+# implementation (one solve_incomplete per realized draw).
+_FIG7_SKEWED = (0.05, 0.15, 0.1, 0.2, 0.05, 0.1, 0.1, 0.05, 0.1, 0.1)
+_FIG7_GOLDEN = {
+    None: (
+        (
+            "0x1.9000000000000p+6",
+            "-0x1.75a2a043b98a4p+2",
+            "0x1.6ad8f19c8349cp+3",
+            "0x1.680610c4cf48fp+11",
+            "0x1.68c0e214f125bp+11",
+        ),
+        (
+            "0x1.5e00000000000p+10",
+            "-0x1.2f299fe3d27a1p+2",
+            "0x1.3003de8ae0384p+1",
+            "0x1.3c409930a5d90p+9",
+            "0x1.3e9eec706d7dfp+9",
+        ),
+        (
+            "0x1.3880000000000p+12",
+            "0x1.6c594283964b8p-3",
+            "0x1.417a82e8dd3f9p-2",
+            "0x1.f9183c3dac648p+7",
+            "0x1.f8bd25ed0b7eep+7",
+        ),
+    ),
+    _FIG7_SKEWED: (
+        (
+            "0x1.9000000000000p+6",
+            "-0x1.0b502d0c36d1fp+2",
+            "0x1.7b4b989b0c3a1p+3",
+            "0x1.72c5197b05894p+11",
+            "0x1.734ac1918ba4dp+11",
+        ),
+        (
+            "0x1.5e00000000000p+10",
+            "-0x1.72a50d4515a7bp+2",
+            "0x1.1fd25761649b9p+1",
+            "0x1.3bdd1e9736061p+9",
+            "0x1.3ec268b1c0315p+9",
+        ),
+        (
+            "0x1.3880000000000p+12",
+            "0x1.0cbd0beea035ap+3",
+            "0x1.564c3530bb077p+1",
+            "0x1.c38b219b741d4p+8",
+            "0x1.bb25393bff1bap+8",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "probabilities", [None, _FIG7_SKEWED], ids=["uniform", "skewed"]
+)
+def test_fig7_rows_match_recorded_bits(probabilities):
+    spec = ExperimentSpec(
+        name="fig7",
+        n_sweep=(100, 1400, 5000),
+        replications=50,
+        seed=7,
+        type_probabilities=probabilities,
+    )
+    rows = tuple(
+        tuple(value.hex() for value in row) for row in run_fig7(spec).rows
+    )
+    assert rows == _FIG7_GOLDEN[probabilities]
 
 
 class TestLoadConfig:

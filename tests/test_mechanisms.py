@@ -6,17 +6,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coded_incentives import (
     SCENARIO_COMPLETE,
     SCENARIO_COST_ONLY,
     SCENARIO_INCOMPLETE,
     ConfigurationError,
+    InfeasibleError,
     Mechanism,
     PlatformConfig,
     WorkerType,
     brute_force_complete,
     build_population,
+    default_population,
     expected_runtime_mds,
     mds_alpha,
     order_reward_schedule,
@@ -25,6 +29,7 @@ from coded_incentives import (
     solve_cost_only,
     solve_incomplete,
 )
+from coded_incentives.mechanisms import _hetero_costs, _private_offers
 from conftest import random_cost_only_instance, random_hetero_instance
 
 
@@ -212,6 +217,83 @@ class TestSolveIncomplete:
         cfg = PlatformConfig(gamma_time=10.0, gamma_pay=0.0, total_rows=100.0)
         with pytest.raises(ConfigurationError):
             solve_incomplete(benchmark_population, cfg)
+
+
+
+def _count_rows(size: int):
+    """Headcount rows with zero-count types and a run of leading empty
+    types, never entirely empty."""
+    row = st.tuples(
+        st.integers(min_value=0, max_value=size - 1),
+        st.lists(
+            st.one_of(st.just(0), st.integers(min_value=0, max_value=400)),
+            min_size=size,
+            max_size=size,
+        ),
+    ).map(lambda pair: [0] * pair[0] + pair[1][pair[0]:])
+    return row.filter(any)
+
+
+class TestBatchedPrivateOffers:
+    """The batched private-cost rule and cost evaluator price every
+    counts row bit for bit as the scalar solver does."""
+
+    POP = default_population(1400)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(_count_rows(10), min_size=1, max_size=6),
+        gamma_time=st.floats(min_value=0.0, max_value=1e4),
+        gamma_pay=st.floats(min_value=0.01, max_value=10.0),
+        total_rows=st.floats(min_value=1.0, max_value=5000.0),
+    )
+    def test_rows_match_scalar_solver(self, rows, gamma_time, gamma_pay, total_rows):
+        cfg = PlatformConfig(gamma_time, gamma_pay, total_rows)
+        _, costs, throughputs, ratios = self.POP.arrays()
+        counts = np.array(rows, dtype=float)
+        thresholds, runtimes, rewards = _private_offers(
+            counts, costs, throughputs, ratios, cfg
+        )
+        informed = _hetero_costs(counts, thresholds, rewards, throughputs, cfg)
+        committed = solve_incomplete(self.POP, cfg)
+        for i, row in enumerate(rows):
+            pop = self.POP.with_counts(row)
+            mech = solve_incomplete(pop, cfg)
+            assert int(thresholds[i]) == mech.threshold_type
+            assert float(runtimes[i]).hex() == mech.expected_runtime.hex()
+            assert float(informed[i]).hex() == mech.expected_cost.hex()
+            assert rewards[i].tolist() == [mech.rewards[m] for m in pop.ids]
+            try:
+                expected = platform_cost(committed, pop, cfg)
+            except InfeasibleError:
+                expected = None
+            try:
+                priced = _hetero_costs(
+                    counts[i : i + 1],
+                    np.array([committed.threshold_type]),
+                    np.array([committed.rewards[m] for m in pop.ids]),
+                    throughputs,
+                    cfg,
+                )
+            except InfeasibleError:
+                priced = None
+            assert (expected is None) == (priced is None)
+            if priced is not None:
+                assert float(priced[0]).hex() == expected.hex()
+
+    def test_row_without_workers_is_infeasible(self, benchmark_config):
+        _, costs, throughputs, ratios = self.POP.arrays()
+        counts = np.array([[140.0] * 10, [0.0] * 10])
+        with pytest.raises(InfeasibleError):
+            _private_offers(counts, costs, throughputs, ratios, benchmark_config)
+
+    def test_empty_targeted_prefix_is_infeasible(self, benchmark_config):
+        _, _, throughputs, _ = self.POP.arrays()
+        counts = np.array([[0.0, 0.0] + [140.0] * 8])
+        with pytest.raises(InfeasibleError):
+            _hetero_costs(
+                counts, np.array([2]), np.ones(10), throughputs, benchmark_config
+            )
 
 
 class TestSolveCostOnly:
