@@ -383,11 +383,11 @@ def run_fig7(spec: ExperimentSpec) -> ResultTable:
                 cfg,
             )
         )
-        thresholds, _, rewards = _private_offers(
+        thresholds, runtimes, rewards = _private_offers(
             realized, costs, throughputs, ratios, cfg
         )
         informed_costs = np.array(
-            _hetero_costs(realized, thresholds, rewards, throughputs, cfg)
+            _hetero_costs(realized, thresholds, rewards, throughputs, cfg, runtimes)
         )
         gaps = committed_costs - informed_costs
         stderr = (

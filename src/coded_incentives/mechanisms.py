@@ -29,13 +29,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InfeasibleError
-from .numerics import mds_alpha
+from .numerics import mds_alpha, row_fsums
 from .runtime import (
     SCHEME_MDS,
     LoadAssignment,
     assign_loads_hetero,
     expected_runtime_hetero,
     expected_runtime_mds,
+    expected_runtimes_hetero,
 )
 from .workers import Population, WorkerType, build_population
 
@@ -177,7 +178,7 @@ def solve_complete(pop: Population, cfg: PlatformConfig) -> Mechanism:
         assignment=assign_loads_hetero(pop, targeted, cfg.total_rows),
         expected_runtime=runtime,
         expected_cost=_hetero_costs(
-            counts[None, :], np.array([threshold]), rewards, throughputs, cfg
+            counts[None, :], np.array([threshold]), rewards, throughputs, cfg, [runtime]
         )[0],
         config=cfg,
     )
@@ -249,7 +250,7 @@ def solve_incomplete(pop: Population, cfg: PlatformConfig) -> Mechanism:
         assignment=assign_loads_hetero(pop, targeted, cfg.total_rows),
         expected_runtime=runtimes[0],
         expected_cost=_hetero_costs(
-            counts[None, :], thresholds, rewards, throughputs, cfg
+            counts[None, :], thresholds, rewards, throughputs, cfg, runtimes
         )[0],
         config=cfg,
     )
@@ -269,7 +270,8 @@ def _private_offers(
     + gamma_pay * ratio`` over the populated prefixes; ``argmin`` takes
     the first minimum, so ties go to the shorter prefix.
     """
-    cum_thru = (counts * throughputs).cumsum(axis=1)
+    rates = counts * throughputs
+    cum_thru = rates.cumsum(axis=1)
     if not min(cum_thru[:, -1].tolist()) > 0:
         raise InfeasibleError("population has no workers")
     per_thru = np.divide(
@@ -279,7 +281,9 @@ def _private_offers(
         where=cum_thru > 0,
     )
     thresholds = (per_thru + cfg.gamma_pay * ratios).argmin(axis=1) + 1
-    runtimes = _hetero_runtimes(counts, thresholds, throughputs, cfg)
+    runtimes = expected_runtimes_hetero(
+        rates.tolist(), _prefix_mask(thresholds, counts.shape[1]), cfg.total_rows
+    )
     # Rewards proportional to throughput, grouped so the boundary type's
     # reward equals its cost bit-exactly and its payoff is exactly zero.
     boundary = thresholds - 1
@@ -288,25 +292,9 @@ def _private_offers(
     return thresholds, runtimes, rewards
 
 
-def _prefix_fsums(values: np.ndarray, thresholds: np.ndarray) -> list[float]:
-    """Correctly rounded sum of each row's first ``threshold`` entries."""
-    return [
-        math.fsum(row[:t]) for row, t in zip(values.tolist(), thresholds.tolist())
-    ]
-
-
-def _hetero_runtimes(
-    counts: np.ndarray,
-    thresholds: np.ndarray,
-    throughputs: np.ndarray,
-    cfg: PlatformConfig,
-) -> list[float]:
-    """Expected runtime of each row's targeted prefix ``1..threshold``:
-    rows over the prefix's total throughput."""
-    groups = _prefix_fsums(counts * throughputs, thresholds)
-    if not min(groups) > 0:
-        raise InfeasibleError("targeted set has no workers")
-    return [cfg.total_rows / group for group in groups]
+def _prefix_mask(thresholds: np.ndarray, size: int) -> list[list[bool]]:
+    """``(R, size)`` mask of each row's targeted prefix ``1..threshold``."""
+    return (np.arange(size) < thresholds[:, None]).tolist()
 
 
 def _hetero_costs(
@@ -315,12 +303,20 @@ def _hetero_costs(
     rewards: np.ndarray | list[float],
     throughputs: np.ndarray,
     cfg: PlatformConfig,
+    runtimes: list[float] | None = None,
 ) -> list[float]:
     """Platform cost of each counts row when its targeted prefix
     ``1..threshold`` is paid the per-type ``rewards`` (one row for all,
-    or one row each) and finishes in the prefix's expected runtime."""
-    runtimes = _hetero_runtimes(counts, thresholds, throughputs, cfg)
-    payments = _prefix_fsums(counts * rewards, thresholds)
+    or one row each) and finishes in the prefix's expected runtime.
+
+    ``runtimes`` passes those runtimes when the caller already has them.
+    """
+    targeted = _prefix_mask(thresholds, counts.shape[1])
+    if runtimes is None:
+        runtimes = expected_runtimes_hetero(
+            (counts * throughputs).tolist(), targeted, cfg.total_rows
+        )
+    payments = row_fsums((counts * rewards).tolist(), targeted)
     return [
         cfg.gamma_time * runtime + cfg.gamma_pay * payment
         for runtime, payment in zip(runtimes, payments)

@@ -9,6 +9,8 @@ Three quantities recur in the runtime and mechanism formulas:
   on ``[-1/e, 0)``, needed for the optimal recovery-threshold fraction.
 * ``harmonic``: exact partial sums of the harmonic series, which give
   the expectation of exponential order statistics.
+
+``row_fsums`` adds masked rows exactly rounded for the batched totals.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import compress
+from typing import Sequence
 
 from scipy.optimize import brentq
 from scipy.special import lambertw as _scipy_lambertw
@@ -29,6 +33,7 @@ __all__ = [
     "lambert_w_minus1",
     "mds_alpha",
     "harmonic",
+    "row_fsums",
 ]
 
 
@@ -162,3 +167,11 @@ def harmonic(n: int) -> float:
     if n != int(n) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n}")
     return math.fsum(1.0 / i for i in range(1, int(n) + 1))
+
+
+def row_fsums(
+    values: Sequence[Sequence[float]], mask: Sequence[Sequence[bool]]
+) -> list[float]:
+    """Correctly rounded sum of each row's masked entries, for ``(R, M)``
+    nested lists ``values`` and ``mask``."""
+    return [math.fsum(compress(row, keep)) for row, keep in zip(values, mask)]

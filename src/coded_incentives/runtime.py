@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import InfeasibleError
-from .numerics import harmonic
+from .numerics import harmonic, row_fsums
 from .workers import Population
 
 __all__ = [
@@ -33,6 +33,8 @@ __all__ = [
     "assign_loads_hetero",
     "expected_runtime_hetero",
     "expected_runtime_mds",
+    "expected_runtimes_hetero",
+    "group_throughputs",
     "monte_carlo_runtime",
 ]
 
@@ -109,13 +111,40 @@ def _targeted_tuple(pop: Population, targeted: Iterable[int]) -> tuple[int, ...]
     return ids
 
 
-def _group_throughput(pop: Population, targeted: tuple[int, ...]) -> float:
-    total = math.fsum(
-        pop.member(m)[0].count * pop.member(m)[1].throughput for m in targeted
-    )
-    if not total > 0:
+def group_throughputs(
+    rates: Sequence[Sequence[float]], targeted: Sequence[Sequence[bool]]
+) -> list[float]:
+    """Correctly rounded total throughput of each row's targeted types.
+
+    ``rates`` (headcount times throughput per type) and the boolean
+    ``targeted`` are ``(R, M)`` nested lists.  Raises
+    :class:`InfeasibleError` when a row's targeted types have no workers.
+    """
+    groups = row_fsums(rates, targeted)
+    if not min(groups) > 0:
         raise InfeasibleError("targeted set has no workers")
-    return total
+    return groups
+
+
+def expected_runtimes_hetero(
+    rates: Sequence[Sequence[float]], targeted: Sequence[Sequence[bool]], rows: float
+) -> list[float]:
+    """Analytic expected overall runtime of each row of
+    :func:`group_throughputs` under the heterogeneous assignment: rows
+    over the row's targeted throughput."""
+    if not rows > 0:
+        raise ValueError(f"rows must be positive, got {rows}")
+    return [rows / group for group in group_throughputs(rates, targeted)]
+
+
+def _population_row(
+    pop: Population, ids: tuple[int, ...]
+) -> tuple[list[list[float]], list[list[bool]]]:
+    """``pop``'s per-type throughputs and targeted mask as one row."""
+    targeted = [False] * pop.size
+    for m in ids:
+        targeted[m - 1] = True
+    return [[t.count * p.throughput for t, p in pop.types]], [targeted]
 
 
 def assign_loads_hetero(
@@ -126,7 +155,7 @@ def assign_loads_hetero(
     if not rows > 0:
         raise ValueError(f"rows must be positive, got {rows}")
     ids = _targeted_tuple(pop, targeted)
-    group = _group_throughput(pop, ids)
+    group = group_throughputs(*_population_row(pop, ids))[0]
     loads = {m: rows / (pop.member(m)[1].row_time * group) for m in ids}
     return LoadAssignment(loads=loads, total_rows=float(rows), scheme=SCHEME_HETERO)
 
@@ -136,11 +165,9 @@ def expected_runtime_hetero(
 ) -> RuntimeEstimate:
     """Analytic expected overall runtime under the heterogeneous
     assignment: rows over total targeted throughput."""
-    if not rows > 0:
-        raise ValueError(f"rows must be positive, got {rows}")
     ids = _targeted_tuple(pop, targeted)
-    group = _group_throughput(pop, ids)
-    return RuntimeEstimate(expected_runtime=rows / group, method="analytic")
+    runtime = expected_runtimes_hetero(*_population_row(pop, ids), rows)[0]
+    return RuntimeEstimate(expected_runtime=runtime, method="analytic")
 
 
 def expected_runtime_mds(

@@ -86,3 +86,45 @@ def order_statistic_mc(
     times = load * (a + rng.standard_exponential((reps, n)) / mu)
     kth = np.partition(times, k - 1, axis=1)[:, k - 1]
     return float(kth.mean()), float(kth.std(ddof=1) / math.sqrt(reps))
+
+
+def prefix_cost_oracle(pop, threshold: int, rewards, cfg) -> float | None:
+    """Platform cost of paying ``pop``'s prefix ``1..threshold`` the
+    per-type ``rewards`` (indexed by id - 1), with runtime rows over the
+    prefix's summed throughput; None when the prefix has no workers."""
+    members = [pop.member(m) for m in range(1, threshold + 1)]
+    group = math.fsum(t.count * p.throughput for t, p in members)
+    if not group > 0:
+        return None
+    runtime = cfg.total_rows / group
+    payment = math.fsum(t.count * rewards[t.id - 1] for t, _ in members)
+    return cfg.gamma_time * runtime + cfg.gamma_pay * payment
+
+
+def private_offer_oracle(pop, cfg) -> tuple[int, float, list[float], float]:
+    """Private-cost offer by a plain scan: the first prefix with the
+    smallest ``gamma_time / prefix throughput + gamma_pay * boundary
+    ratio``, throughput-proportional rewards that pay the boundary type
+    its cost, and that offer's platform cost.
+
+    Returns ``(threshold, runtime, rewards, cost)``.
+    """
+    members = [pop.member(m) for m in pop.ids]
+    best, threshold, prefix = math.inf, 0, 0.0
+    for n, (worker, profile) in enumerate(members, start=1):
+        prefix += worker.count * profile.throughput
+        if prefix <= 0:
+            continue
+        value = cfg.gamma_time / prefix + cfg.gamma_pay * profile.ratio
+        if value < best:
+            best, threshold = value, n
+    boundary, boundary_profile = members[threshold - 1]
+    runtime = cfg.total_rows / math.fsum(
+        t.count * p.throughput for t, p in members[:threshold]
+    )
+    boundary_pay = boundary.cost_rate * runtime
+    rewards = [
+        (p.throughput / boundary_profile.throughput) * boundary_pay
+        for _, p in members
+    ]
+    return threshold, runtime, rewards, prefix_cost_oracle(pop, threshold, rewards, cfg)

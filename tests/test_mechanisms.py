@@ -31,6 +31,7 @@ from coded_incentives import (
 )
 from coded_incentives.mechanisms import _hetero_costs, _private_offers
 from conftest import random_cost_only_instance, random_hetero_instance
+from oracles import prefix_cost_oracle, private_offer_oracle
 
 
 class TestPlatformConfig:
@@ -236,7 +237,8 @@ def _count_rows(size: int):
 
 class TestBatchedPrivateOffers:
     """The batched private-cost rule and cost evaluator price every
-    counts row bit for bit as the scalar solver does."""
+    counts row bit for bit as a plain scalar scan does, and as the
+    scalar solver does."""
 
     POP = default_population(1400)
 
@@ -247,7 +249,7 @@ class TestBatchedPrivateOffers:
         gamma_pay=st.floats(min_value=0.01, max_value=10.0),
         total_rows=st.floats(min_value=1.0, max_value=5000.0),
     )
-    def test_rows_match_scalar_solver(self, rows, gamma_time, gamma_pay, total_rows):
+    def test_rows_match_scalar_oracle(self, rows, gamma_time, gamma_pay, total_rows):
         cfg = PlatformConfig(gamma_time, gamma_pay, total_rows)
         _, costs, throughputs, ratios = self.POP.arrays()
         counts = np.array(rows, dtype=float)
@@ -256,30 +258,52 @@ class TestBatchedPrivateOffers:
         )
         informed = _hetero_costs(counts, thresholds, rewards, throughputs, cfg)
         committed = solve_incomplete(self.POP, cfg)
+        committed_rewards = [committed.rewards[m] for m in self.POP.ids]
         for i, row in enumerate(rows):
             pop = self.POP.with_counts(row)
+            threshold, runtime, oracle_rewards, cost = private_offer_oracle(pop, cfg)
+            assert int(thresholds[i]) == threshold
+            assert float(runtimes[i]).hex() == runtime.hex()
+            assert rewards[i].tolist() == oracle_rewards
+            assert float(informed[i]).hex() == cost.hex()
             mech = solve_incomplete(pop, cfg)
-            assert int(thresholds[i]) == mech.threshold_type
-            assert float(runtimes[i]).hex() == mech.expected_runtime.hex()
-            assert float(informed[i]).hex() == mech.expected_cost.hex()
-            assert rewards[i].tolist() == [mech.rewards[m] for m in pop.ids]
-            try:
-                expected = platform_cost(committed, pop, cfg)
-            except InfeasibleError:
-                expected = None
+            assert mech.threshold_type == threshold
+            assert mech.expected_cost.hex() == cost.hex()
+            expected = prefix_cost_oracle(
+                pop, committed.threshold_type, committed_rewards, cfg
+            )
             try:
                 priced = _hetero_costs(
                     counts[i : i + 1],
                     np.array([committed.threshold_type]),
-                    np.array([committed.rewards[m] for m in pop.ids]),
+                    np.array(committed_rewards),
                     throughputs,
                     cfg,
-                )
+                )[0]
             except InfeasibleError:
                 priced = None
             assert (expected is None) == (priced is None)
             if priced is not None:
-                assert float(priced[0]).hex() == expected.hex()
+                assert float(priced).hex() == expected.hex()
+                assert platform_cost(committed, pop, cfg).hex() == expected.hex()
+
+    def test_tied_prefixes_resolve_to_the_shorter(self):
+        # Type 2 copies type 1 and has no workers, so prefixes 1 and 2
+        # reach the same objective value exactly.
+        types = [
+            WorkerType(id=1, cost_rate=1.0, speed=50.0, startup=0.012, count=40),
+            WorkerType(id=2, cost_rate=1.0, speed=50.0, startup=0.012, count=0),
+            WorkerType(id=3, cost_rate=7.0, speed=100.0, startup=0.024, count=40),
+        ]
+        pop = build_population(types)
+        cfg = PlatformConfig(gamma_time=1.0, gamma_pay=1.0, total_rows=100.0)
+        _, costs, throughputs, ratios = pop.arrays()
+        thresholds, _, _ = _private_offers(
+            np.array([[40.0, 0.0, 40.0]]), costs, throughputs, ratios, cfg
+        )
+        assert private_offer_oracle(pop, cfg)[0] == 1
+        assert thresholds.tolist() == [1]
+        assert solve_incomplete(pop, cfg).threshold_type == 1
 
     def test_row_without_workers_is_infeasible(self, benchmark_config):
         _, costs, throughputs, ratios = self.POP.arrays()
