@@ -58,7 +58,6 @@ from .mechanisms import (
     SCENARIO_INCOMPLETE,
     Mechanism,
     PlatformConfig,
-    brute_force_complete,
     order_reward_schedule,
     platform_cost,
     solve_complete,
@@ -133,7 +132,6 @@ __all__ = [
     "PlatformConfig",
     "Mechanism",
     "solve_complete",
-    "brute_force_complete",
     "solve_incomplete",
     "solve_cost_only",
     "platform_cost",

@@ -17,9 +17,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
+# No sweep calls ``best_response``, ``solve_complete`` or
+# ``solve_incomplete``; they stay imported because perfbench's traced
+# runs wrap them by name in this module.
 from .game import best_response
 from .mechanisms import (
     PlatformConfig,
+    _complete_offers,
     _hetero_costs,
     _private_offers,
     solve_complete,
@@ -29,6 +33,7 @@ from .workers import (
     Population,
     WorkerType,
     build_population,
+    derive_profile,
     population_order,
 )
 
@@ -88,21 +93,31 @@ def apportion(total: int, weights: Sequence[float]) -> list[int]:
     then the largest fractional parts absorb the shortfall, ties going
     to the lower index.  The result always sums to ``total``.
     """
-    if not isinstance(total, int) or total < 0:
-        raise ValueError(f"total must be a nonnegative integer, got {total!r}")
+    return [int(c) for c in _apportion_rows([total], weights)[0].tolist()]
+
+
+def _apportion_rows(totals: Sequence[int], weights: Sequence[float]) -> np.ndarray:
+    """:func:`apportion` of every total at once, as a ``(P, M)`` float
+    counts matrix with one row per total."""
+    if any(not isinstance(t, int) or t < 0 for t in totals):
+        raise ValueError(f"totals must be nonnegative integers, got {totals!r}")
     values = [float(v) for v in weights]
     if not values or any(v < 0 or not math.isfinite(v) for v in values):
         raise ValueError("weights must be nonnegative and finite")
     scale = math.fsum(values)
     if scale <= 0:
         raise ValueError("weights must not all be zero")
-    quotas = [total * v / scale for v in values]
-    base = [math.floor(q) for q in quotas]
-    deficit = total - sum(base)
-    order = sorted(range(len(values)), key=lambda i: (base[i] - quotas[i], i))
-    for i in order[:deficit]:
-        base[i] += 1
-    return base
+    totals = np.array(totals, dtype=float)
+    quotas = totals[:, None] * np.array(values) / scale
+    base = np.floor(quotas)
+    deficit = totals - base.sum(axis=1)
+    # Each bin's rank in a stable sort of the remainders, which puts ties
+    # at the lower index first.  The inverse permutation is sorted stably
+    # too: NumPy's default integer sort would page in another sort kernel,
+    # about 0.25 MB of resident memory.
+    order = np.argsort(base - quotas, axis=1, kind="stable")
+    ranks = order.argsort(axis=1, kind="stable")
+    return base + (ranks < deficit[:, None])
 
 
 def default_worker_types(counts: Sequence[int] | None = None) -> list[WorkerType]:
@@ -157,10 +172,10 @@ class ExperimentSpec:
         object.__setattr__(self, "n_sweep", tuple(int(n) for n in self.n_sweep))
         if not self.n_sweep or any(n < 1 for n in self.n_sweep):
             raise ConfigurationError("sweep must list positive worker counts")
-        if self.gamma_time < 0 or self.gamma_pay < 0:
-            raise ConfigurationError("valuation weights must be nonnegative")
-        if not self.total_rows > 0:
-            raise ConfigurationError("total_rows must be positive")
+        if not (0 <= self.gamma_time < math.inf and 0 <= self.gamma_pay < math.inf):
+            raise ConfigurationError("valuation weights must be nonnegative and finite")
+        if not 0 < self.total_rows < math.inf:
+            raise ConfigurationError("total_rows must be positive and finite")
         if not isinstance(self.replications, int) or self.replications < 1:
             raise ConfigurationError("replications must be a positive integer")
         if not isinstance(self.seed, int) or self.seed < 0:
@@ -172,8 +187,8 @@ class ExperimentSpec:
                 raise ConfigurationError(
                     f"{self.population.size} types but {len(probs)} probabilities"
                 )
-            if any(p < 0 for p in probs):
-                raise ConfigurationError("probabilities must be nonnegative")
+            if any(not (0 <= p < math.inf) for p in probs):
+                raise ConfigurationError("probabilities must be nonnegative and finite")
             if abs(math.fsum(probs) - 1.0) > 1e-9:
                 raise ConfigurationError("probabilities must sum to 1")
 
@@ -279,71 +294,91 @@ class ResultTable:
         return "\n".join(lines) + "\n"
 
 
-def _population_at(spec: ExperimentSpec, total: int) -> Population:
-    return spec.population.with_counts(apportion(total, spec.weights()))
+_SWEEP_COLUMNS = (
+    "N",
+    "targeted_complete",
+    "targeted_incomplete",
+    "cost_complete",
+    "cost_incomplete",
+    "gap",
+)
+
+
+def _sweep_offers(spec: ExperimentSpec, rules: Sequence) -> tuple:
+    """The sweep's counts matrix, one apportioned row per N, and each
+    batched rule's thresholds, runtimes and rewards on all of its rows."""
+    counts = _apportion_rows(spec.n_sweep, spec.weights())
+    _, costs, throughputs, ratios = spec.population.arrays()
+    cfg = spec.platform_config()
+    return counts, [rule(counts, costs, throughputs, ratios, cfg) for rule in rules]
+
+
+def _sweep_table(spec: ExperimentSpec, columns: Sequence[str]) -> ResultTable:
+    """The selected columns of the deterministic sweep: the complete-
+    and private-cost offers priced on every point in one batched pass."""
+    counts, offers = _sweep_offers(spec, (_complete_offers, _private_offers))
+    _, _, throughputs, _ = spec.population.arrays()
+    cfg = spec.platform_config()
+    table: dict[str, list[float]] = {"N": [float(n) for n in spec.n_sweep]}
+    for scenario, (thresholds, runtimes, rewards) in zip(
+        ("complete", "incomplete"), offers
+    ):
+        table[f"targeted_{scenario}"] = thresholds.astype(float).tolist()
+        table[f"cost_{scenario}"] = _hetero_costs(
+            counts, thresholds, rewards, throughputs, cfg, runtimes
+        )
+    table["gap"] = [
+        incomplete - complete
+        for complete, incomplete in zip(
+            table["cost_complete"], table["cost_incomplete"]
+        )
+    ]
+    return ResultTable(
+        columns=tuple(columns),
+        rows=tuple(zip(*(table[name] for name in columns))),
+        metadata=spec.to_metadata(),
+    )
 
 
 def run_fig4(spec: ExperimentSpec) -> ResultTable:
     """Targeted type counts under both information scenarios, per N."""
-    cfg = spec.platform_config()
-    rows = []
-    for total in spec.n_sweep:
-        pop = _population_at(spec, total)
-        rows.append(
-            (
-                float(total),
-                float(solve_complete(pop, cfg).threshold_type),
-                float(solve_incomplete(pop, cfg).threshold_type),
-            )
-        )
-    return ResultTable(
-        columns=("N", "targeted_complete", "targeted_incomplete"),
-        rows=tuple(rows),
-        metadata=spec.to_metadata(),
-    )
+    return _sweep_table(spec, _SWEEP_COLUMNS[:3])
 
 
 def run_fig5(spec: ExperimentSpec) -> ResultTable:
     """Expected platform cost under both information scenarios and the
     cost of hiding, per N."""
-    cfg = spec.platform_config()
-    rows = []
-    for total in spec.n_sweep:
-        pop = _population_at(spec, total)
-        complete = solve_complete(pop, cfg).expected_cost
-        incomplete = solve_incomplete(pop, cfg).expected_cost
-        rows.append(
-            (float(total), complete, incomplete, incomplete - complete)
-        )
-    return ResultTable(
-        columns=("N", "cost_complete", "cost_incomplete", "gap"),
-        rows=tuple(rows),
-        metadata=spec.to_metadata(),
-    )
+    return _sweep_table(spec, ("N",) + _SWEEP_COLUMNS[3:])
 
 
 def run_fig6(spec: ExperimentSpec) -> ResultTable:
     """Per-type expected payoffs under the private-cost offer, per N.
 
-    Types that decline are reported at payoff zero.
+    Each type's payoff is its best response, as
+    :func:`~coded_incentives.game.best_response` finds it: the best
+    reward among the targeted types of its runtime class, minus its
+    cost over the offer's runtime.  Types with no such report, or whose
+    best payoff is negative, decline and are reported at payoff zero.
     """
-    cfg = spec.platform_config()
-    columns = ["N"] + [f"payoff_type_{m}" for m in spec.population.ids]
-    rows = []
-    for total in spec.n_sweep:
-        pop = _population_at(spec, total)
-        mech = solve_incomplete(pop, cfg)
-        rows.append(
-            tuple(
-                [float(total)]
-                + [
-                    best_response(m, mech, pop).expected_payoff
-                    for m in pop.ids
-                ]
-            )
-        )
+    pop = spec.population
+    _, [(thresholds, runtimes, rewards)] = _sweep_offers(spec, [_private_offers])
+    offered = np.where(np.arange(pop.size) < thresholds[:, None], rewards, -np.inf)
+    classes: dict[tuple[float, float], list[int]] = {}
+    for worker, _ in pop.types:
+        classes.setdefault((worker.speed, worker.startup), []).append(worker.id - 1)
+    best = np.empty_like(offered)
+    for members in classes.values():
+        best[:, members] = offered[:, members].max(axis=1, keepdims=True)
+    _, costs, _, _ = pop.arrays()
+    payoffs = best - costs * np.array(runtimes)[:, None]
+    payoffs = np.where(payoffs >= 0, payoffs, 0.0)
     return ResultTable(
-        columns=tuple(columns), rows=tuple(rows), metadata=spec.to_metadata()
+        columns=("N",) + tuple(f"payoff_type_{m}" for m in pop.ids),
+        rows=tuple(
+            (float(total), *row)
+            for total, row in zip(spec.n_sweep, payoffs.tolist())
+        ),
+        metadata=spec.to_metadata(),
     )
 
 
@@ -362,9 +397,13 @@ def run_fig7(spec: ExperimentSpec) -> ResultTable:
         probs = np.full(spec.population.size, 1.0 / spec.population.size)
     else:
         probs = np.asarray(spec.type_probabilities, dtype=float)
+    _, [(committed_thresholds, _, committed_rewards)] = _sweep_offers(
+        spec, [_private_offers]
+    )
     rows = []
-    for total in spec.n_sweep:
-        committed = solve_incomplete(_population_at(spec, total), cfg)
+    for total, committed_threshold, committed_reward in zip(
+        spec.n_sweep, committed_thresholds, committed_rewards
+    ):
         realized = np.array(
             [
                 np.random.default_rng(
@@ -377,8 +416,8 @@ def run_fig7(spec: ExperimentSpec) -> ResultTable:
         committed_costs = np.array(
             _hetero_costs(
                 realized,
-                np.full(spec.replications, committed.threshold_type),
-                [committed.rewards[m] for m in spec.population.ids],
+                np.full(spec.replications, committed_threshold),
+                committed_reward,
                 throughputs,
                 cfg,
             )
@@ -419,34 +458,7 @@ def run_fig7(spec: ExperimentSpec) -> ResultTable:
 
 def run_custom(spec: ExperimentSpec) -> ResultTable:
     """Combined deterministic sweep: targeted counts, costs, and gap."""
-    cfg = spec.platform_config()
-    rows = []
-    for total in spec.n_sweep:
-        pop = _population_at(spec, total)
-        com = solve_complete(pop, cfg)
-        inc = solve_incomplete(pop, cfg)
-        rows.append(
-            (
-                float(total),
-                float(com.threshold_type),
-                float(inc.threshold_type),
-                com.expected_cost,
-                inc.expected_cost,
-                inc.expected_cost - com.expected_cost,
-            )
-        )
-    return ResultTable(
-        columns=(
-            "N",
-            "targeted_complete",
-            "targeted_incomplete",
-            "cost_complete",
-            "cost_incomplete",
-            "gap",
-        ),
-        rows=tuple(rows),
-        metadata=spec.to_metadata(),
-    )
+    return _sweep_table(spec, _SWEEP_COLUMNS)
 
 
 def run_experiment(spec: ExperimentSpec) -> ResultTable:
@@ -482,6 +494,8 @@ def load_config(path: str) -> ExperimentSpec:
     or probabilities (comma-separated, aligned with the population
     rows).  `#` starts a comment.  Omitted settings fall back to the
     defaults; an omitted population falls back to the bundled catalog.
+    Numbers must be finite, and a population row whose performance
+    profile cannot be derived is an error naming its file and line.
     """
     raw_types: list[WorkerType] = []
     raw_probs: list[float] | None = None
@@ -525,16 +539,16 @@ def load_config(path: str) -> ExperimentSpec:
                         f"`cost speed startup count`"
                     )
                 try:
-                    raw_types.append(
-                        WorkerType(
-                            id=len(raw_types) + 1,
-                            cost_rate=float(tokens[0]),
-                            speed=float(tokens[1]),
-                            startup=float(tokens[2]),
-                            count=int(tokens[3]),
-                        )
+                    worker = WorkerType(
+                        id=len(raw_types) + 1,
+                        cost_rate=float(tokens[0]),
+                        speed=float(tokens[1]),
+                        startup=float(tokens[2]),
+                        count=int(tokens[3]),
                     )
-                except ValueError as exc:
+                    derive_profile(worker)
+                    raw_types.append(worker)
+                except (ValueError, ArithmeticError) as exc:
                     raise ConfigurationError(
                         f"{path}:{line_no}: {exc}"
                     ) from exc

@@ -16,8 +16,9 @@ combinatorial selection to a threshold index:
   loads, a uniform reward, and a recovery threshold set to a fixed
   fraction of the participator count.
 
-``brute_force_complete`` enumerates every nonempty subset as an oracle
-for the complete-information threshold rule.
+The two heterogeneous rules are written once over ``(R, M)`` counts
+matrices, one row per headcount vector; the scalar solvers are their
+one-row views.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ import numpy as np
 
 from .errors import ConfigurationError, InfeasibleError
 from .numerics import mds_alpha, row_fsums
+# No solver calls ``expected_runtime_hetero``; it stays imported because
+# perfbench's traced runs wrap it by name in this module.
 from .runtime import (
     SCHEME_MDS,
     LoadAssignment,
@@ -47,7 +50,6 @@ __all__ = [
     "PlatformConfig",
     "Mechanism",
     "solve_complete",
-    "brute_force_complete",
     "solve_incomplete",
     "solve_cost_only",
     "platform_cost",
@@ -57,8 +59,6 @@ __all__ = [
 SCENARIO_COMPLETE = "complete-hetero"
 SCENARIO_INCOMPLETE = "incomplete-hetero"
 SCENARIO_COST_ONLY = "incomplete-cost-only"
-
-_BRUTE_FORCE_LIMIT = 20
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,12 +77,18 @@ class PlatformConfig:
     total_rows: float
 
     def __post_init__(self):
-        if self.gamma_time < 0:
-            raise ValueError(f"gamma_time must be nonnegative, got {self.gamma_time}")
-        if self.gamma_pay < 0:
-            raise ValueError(f"gamma_pay must be nonnegative, got {self.gamma_pay}")
-        if not self.total_rows > 0:
-            raise ValueError(f"total_rows must be positive, got {self.total_rows}")
+        if not 0 <= self.gamma_time < math.inf:
+            raise ValueError(
+                f"gamma_time must be nonnegative and finite, got {self.gamma_time}"
+            )
+        if not 0 <= self.gamma_pay < math.inf:
+            raise ValueError(
+                f"gamma_pay must be nonnegative and finite, got {self.gamma_pay}"
+            )
+        if not 0 < self.total_rows < math.inf:
+            raise ValueError(
+                f"total_rows must be positive and finite, got {self.total_rows}"
+            )
 
 
 @dataclass(frozen=True)
@@ -126,18 +132,6 @@ def _require_paying_config(cfg: PlatformConfig):
         )
 
 
-def _prefix_sums(pop: Population):
-    counts, costs, throughputs, ratios = pop.arrays()
-    return (
-        counts,
-        costs,
-        throughputs,
-        ratios,
-        np.cumsum(counts * costs),
-        np.cumsum(counts * throughputs),
-    )
-
-
 def solve_complete(pop: Population, cfg: PlatformConfig) -> Mechanism:
     """Optimal offer when the platform observes every worker's cost.
 
@@ -145,85 +139,7 @@ def solve_complete(pop: Population, cfg: PlatformConfig) -> Mechanism:
     stays below the prefix's cost-per-throughput level, then pays each
     targeted type exactly its expected round cost, leaving zero payoff.
     """
-    _require_paying_config(cfg)
-    if pop.total == 0:
-        raise InfeasibleError("population has no workers")
-    counts, costs, throughputs, ratios, cum_cost, cum_thru = _prefix_sums(pop)
-    threshold = 0
-    for n in range(1, pop.size + 1):
-        if cum_thru[n - 1] <= 0:
-            continue
-        bound = (cfg.gamma_time + cfg.gamma_pay * cum_cost[n - 1]) / (
-            cfg.gamma_pay * cum_thru[n - 1]
-        )
-        if ratios[n - 1] <= bound:
-            threshold = n
-    if threshold == 0:
-        # The first populated prefix always satisfies its own inequality
-        # up to rounding (it reduces to gamma_time >= 0), so this only
-        # guards against one-ulp misses when gamma_time is zero.
-        threshold = next(
-            n for n in range(1, pop.size + 1) if cum_thru[n - 1] > 0
-        )
-    targeted = tuple(range(1, threshold + 1))
-    runtime = expected_runtime_hetero(pop, targeted, cfg.total_rows).expected_runtime
-    rewards = [
-        float(costs[m - 1] * runtime) if m <= threshold else 0.0 for m in pop.ids
-    ]
-    return Mechanism(
-        scenario=SCENARIO_COMPLETE,
-        targeted=targeted,
-        threshold_type=threshold,
-        rewards=dict(zip(pop.ids, rewards)),
-        assignment=assign_loads_hetero(pop, targeted, cfg.total_rows),
-        expected_runtime=runtime,
-        expected_cost=_hetero_costs(
-            counts[None, :], np.array([threshold]), rewards, throughputs, cfg, [runtime]
-        )[0],
-        config=cfg,
-    )
-
-
-def brute_force_complete(
-    pop: Population, cfg: PlatformConfig
-) -> tuple[tuple[int, ...], float]:
-    """Exhaustive complete-information selection oracle.
-
-    Evaluates the platform objective over every nonempty subset of
-    types and returns the cheapest (ties resolve to the
-    lexicographically smallest id tuple).  Guarded to small type counts
-    because the enumeration is exponential.
-    """
-    _require_paying_config(cfg)
-    m_count = pop.size
-    if m_count > _BRUTE_FORCE_LIMIT:
-        raise ConfigurationError(
-            f"brute force limited to {_BRUTE_FORCE_LIMIT} types, got {m_count}"
-        )
-    counts, costs, throughputs, _, _, _ = _prefix_sums(pop)
-    weighted_cost = counts * costs
-    weighted_thru = counts * throughputs
-    masks = np.arange(1, 2**m_count, dtype=np.int64)
-    membership = (masks[:, None] >> np.arange(m_count)) & 1
-    subset_cost = membership @ weighted_cost
-    subset_thru = membership @ weighted_thru
-    with np.errstate(divide="ignore"):
-        objective = np.where(
-            subset_thru > 0,
-            (cfg.gamma_time + cfg.gamma_pay * subset_cost)
-            * cfg.total_rows
-            / subset_thru,
-            np.inf,
-        )
-    best = float(np.min(objective))
-    if not math.isfinite(best):
-        raise InfeasibleError("population has no workers")
-    tied = np.nonzero(objective == best)[0]
-    subsets = [
-        tuple(int(i) + 1 for i in range(m_count) if membership[j, i])
-        for j in tied
-    ]
-    return min(subsets), best
+    return _hetero_mechanism(SCENARIO_COMPLETE, _complete_offers, pop, cfg)
 
 
 def solve_incomplete(pop: Population, cfg: PlatformConfig) -> Mechanism:
@@ -235,15 +151,22 @@ def solve_incomplete(pop: Population, cfg: PlatformConfig) -> Mechanism:
     exactly zero.  Interior targeted types keep a positive information
     rent and types beyond the boundary cannot cover their costs.
     """
-    _require_paying_config(cfg)
+    return _hetero_mechanism(SCENARIO_INCOMPLETE, _private_offers, pop, cfg)
+
+
+def _hetero_mechanism(
+    scenario: str, rule, pop: Population, cfg: PlatformConfig
+) -> Mechanism:
+    """The offer the batched ``rule`` (:func:`_complete_offers` or
+    :func:`_private_offers`) makes for ``pop``'s headcounts as one row."""
     counts, costs, throughputs, ratios = pop.arrays()
-    thresholds, runtimes, rewards = _private_offers(
+    thresholds, runtimes, rewards = rule(
         counts[None, :], costs, throughputs, ratios, cfg
     )
     threshold = int(thresholds[0])
     targeted = tuple(range(1, threshold + 1))
     return Mechanism(
-        scenario=SCENARIO_INCOMPLETE,
+        scenario=scenario,
         targeted=targeted,
         threshold_type=threshold,
         rewards=dict(zip(pop.ids, rewards[0].tolist())),
@@ -254,6 +177,49 @@ def solve_incomplete(pop: Population, cfg: PlatformConfig) -> Mechanism:
         )[0],
         config=cfg,
     )
+
+
+def _complete_offers(
+    counts: np.ndarray,
+    costs: np.ndarray,
+    throughputs: np.ndarray,
+    ratios: np.ndarray,
+    cfg: PlatformConfig,
+) -> tuple[np.ndarray, list[float], np.ndarray]:
+    """Complete-information offer for each row of an ``(R, M)`` counts
+    matrix: threshold types, expected runtimes, and ``(R, M)`` per-type
+    rewards (each targeted type's cost, zero beyond the threshold).
+
+    The threshold is the largest populated prefix whose boundary ratio
+    is at most ``(gamma_time + gamma_pay * prefix cost) / (gamma_pay *
+    prefix throughput)``.
+    """
+    _require_paying_config(cfg)
+    rates = counts * throughputs
+    cum_thru = rates.cumsum(axis=1)
+    populated = cum_thru > 0
+    if not populated[:, -1].all():
+        raise InfeasibleError("population has no workers")
+    bound = np.divide(
+        cfg.gamma_time + cfg.gamma_pay * (counts * costs).cumsum(axis=1),
+        cfg.gamma_pay * cum_thru,
+        out=np.full_like(cum_thru, -np.inf),
+        where=populated,
+    )
+    holds = ratios <= bound
+    # The first populated prefix always satisfies its own inequality up
+    # to rounding (it reduces to gamma_time >= 0), so the fallback to it
+    # only guards against one-ulp misses when gamma_time is zero.
+    size = counts.shape[1]
+    thresholds = np.where(
+        holds.any(axis=1),
+        size - holds[:, ::-1].argmax(axis=1),
+        populated.argmax(axis=1) + 1,
+    )
+    targeted = _prefix_mask(thresholds, size)
+    runtimes = expected_runtimes_hetero(rates.tolist(), targeted, cfg.total_rows)
+    rewards = np.where(targeted, costs * np.array(runtimes)[:, None], 0.0)
+    return thresholds, runtimes, rewards
 
 
 def _private_offers(
@@ -270,6 +236,7 @@ def _private_offers(
     + gamma_pay * ratio`` over the populated prefixes; ``argmin`` takes
     the first minimum, so ties go to the shorter prefix.
     """
+    _require_paying_config(cfg)
     rates = counts * throughputs
     cum_thru = rates.cumsum(axis=1)
     if not min(cum_thru[:, -1].tolist()) > 0:
@@ -351,7 +318,7 @@ def solve_cost_only(
     pop = build_population(types)
     if pop.total == 0:
         raise InfeasibleError("population has no workers")
-    counts, costs, _, _, _, _ = _prefix_sums(pop)
+    counts, costs, _, _ = pop.arrays()
     cum_counts = np.cumsum(counts)
     best_value = math.inf
     threshold = 0

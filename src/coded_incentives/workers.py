@@ -10,6 +10,7 @@ types with ids relabeled in sorted order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -42,12 +43,16 @@ class WorkerType:
     count: int
 
     def __post_init__(self):
-        if not self.cost_rate > 0:
-            raise ValueError(f"cost_rate must be positive, got {self.cost_rate}")
-        if not self.speed > 0:
-            raise ValueError(f"speed must be positive, got {self.speed}")
-        if not self.startup > 0:
-            raise ValueError(f"startup must be positive, got {self.startup}")
+        if not 0 < self.cost_rate < math.inf:
+            raise ValueError(
+                f"cost_rate must be positive and finite, got {self.cost_rate}"
+            )
+        if not 0 < self.speed < math.inf:
+            raise ValueError(f"speed must be positive and finite, got {self.speed}")
+        if not 0 < self.startup < math.inf:
+            raise ValueError(
+                f"startup must be positive and finite, got {self.startup}"
+            )
         if self.count != int(self.count) or self.count < 0:
             raise ValueError(f"count must be a nonnegative integer, got {self.count}")
 

@@ -12,6 +12,10 @@ import math
 
 import numpy as np
 
+from coded_incentives.errors import ConfigurationError, InfeasibleError
+
+BRUTE_FORCE_LIMIT = 20
+
 
 def bisect(func, lo: float, hi: float, iterations: int = 200) -> float:
     """Plain midpoint bisection; assumes a sign change on [lo, hi]."""
@@ -128,3 +132,94 @@ def private_offer_oracle(pop, cfg) -> tuple[int, float, list[float], float]:
         for _, p in members
     ]
     return threshold, runtime, rewards, prefix_cost_oracle(pop, threshold, rewards, cfg)
+
+
+def brute_force_complete(pop, cfg) -> tuple[tuple[int, ...], float]:
+    """Exhaustive complete-information selection oracle.
+
+    Evaluates the platform objective over every nonempty subset of
+    types and returns the cheapest (ties resolve to the
+    lexicographically smallest id tuple).  Guarded to small type counts
+    because the enumeration is exponential.
+    """
+    if not cfg.gamma_pay > 0:
+        raise ConfigurationError(
+            "solvers require a positive payment valuation gamma_pay"
+        )
+    m_count = pop.size
+    if m_count > BRUTE_FORCE_LIMIT:
+        raise ConfigurationError(
+            f"brute force limited to {BRUTE_FORCE_LIMIT} types, got {m_count}"
+        )
+    counts, costs, throughputs, _ = pop.arrays()
+    weighted_cost = counts * costs
+    weighted_thru = counts * throughputs
+    masks = np.arange(1, 2**m_count, dtype=np.int64)
+    membership = (masks[:, None] >> np.arange(m_count)) & 1
+    subset_cost = membership @ weighted_cost
+    subset_thru = membership @ weighted_thru
+    with np.errstate(divide="ignore"):
+        objective = np.where(
+            subset_thru > 0,
+            (cfg.gamma_time + cfg.gamma_pay * subset_cost)
+            * cfg.total_rows
+            / subset_thru,
+            np.inf,
+        )
+    best = float(np.min(objective))
+    if not math.isfinite(best):
+        raise InfeasibleError("population has no workers")
+    tied = np.nonzero(objective == best)[0]
+    subsets = [
+        tuple(int(i) + 1 for i in range(m_count) if membership[j, i])
+        for j in tied
+    ]
+    return min(subsets), best
+
+
+def complete_offer_oracle(pop, cfg) -> tuple[int, float, list[float], float]:
+    """Complete-information offer by a plain scan: the last prefix whose
+    boundary ratio is at most ``(gamma_time + gamma_pay * prefix cost) /
+    (gamma_pay * prefix throughput)``, else the first populated prefix;
+    each targeted type paid its cost over the prefix's runtime, every
+    other type nothing; and that offer's platform cost.
+
+    Returns ``(threshold, runtime, rewards, cost)``.
+    """
+    members = [pop.member(m) for m in pop.ids]
+    threshold, first, cum_cost, cum_thru = 0, 0, 0.0, 0.0
+    for n, (worker, profile) in enumerate(members, start=1):
+        cum_cost += worker.count * worker.cost_rate
+        cum_thru += worker.count * profile.throughput
+        if cum_thru <= 0:
+            continue
+        first = first or n
+        bound = (cfg.gamma_time + cfg.gamma_pay * cum_cost) / (
+            cfg.gamma_pay * cum_thru
+        )
+        if profile.ratio <= bound:
+            threshold = n
+    threshold = threshold or first
+    runtime = cfg.total_rows / math.fsum(
+        t.count * p.throughput for t, p in members[:threshold]
+    )
+    rewards = [
+        t.cost_rate * runtime if n <= threshold else 0.0
+        for n, (t, _) in enumerate(members, start=1)
+    ]
+    return threshold, runtime, rewards, prefix_cost_oracle(pop, threshold, rewards, cfg)
+
+
+def apportion_oracle(total: int, weights) -> list[int]:
+    """Largest-remainder apportionment, one total at a time: floors of
+    the quotas, then the largest remainders (ties to the lower index)
+    absorb the shortfall."""
+    values = [float(v) for v in weights]
+    scale = math.fsum(values)
+    quotas = [total * v / scale for v in values]
+    base = [math.floor(q) for q in quotas]
+    deficit = total - sum(base)
+    order = sorted(range(len(values)), key=lambda i: (base[i] - quotas[i], i))
+    for i in order[:deficit]:
+        base[i] += 1
+    return base

@@ -17,7 +17,6 @@ from coded_incentives import (
     ExperimentSpec,
     PlatformConfig,
     assign_loads_hetero,
-    brute_force_complete,
     build_population,
     default_population,
     expected_runtime_hetero,
@@ -36,7 +35,12 @@ from coded_incentives import (
     verify_ir_ic,
 )
 from conftest import random_cost_only_instance, random_hetero_instance
-from oracles import lambda_oracle, order_statistic_mc, w_minus1_oracle
+from oracles import (
+    brute_force_complete,
+    lambda_oracle,
+    order_statistic_mc,
+    w_minus1_oracle,
+)
 
 
 def _report(num: int, text: str, ok: bool) -> None:

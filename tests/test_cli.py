@@ -101,6 +101,40 @@ class TestSolve:
         assert "targeted types" in text
 
 
+class TestNonFiniteConfig:
+    @pytest.mark.parametrize(
+        "setting", ["gamma_time = nan", "gamma_time = inf", "total_rows = inf"]
+    )
+    @pytest.mark.parametrize("argv", [["solve"], ["experiment", "fig5"]])
+    def test_setting_exits_2(self, tmp_path, capsys, setting, argv):
+        path = tmp_path / "bad.cfg"
+        path.write_text(setting + "\n")
+        assert main([*argv, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "configuration error" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "1.0 inf 0.012 10",
+            "1.0 50.0 nan 10",
+            "nan 50.0 0.012 10",
+            # Profiles that cannot be derived: the row time underflows,
+            # or the throughput does.
+            "1.0 1e-300 1e-300 10",
+            "1.0 1e300 1e300 10",
+        ],
+    )
+    def test_population_row_exits_2_with_location(self, tmp_path, capsys, row):
+        path = tmp_path / "bad.cfg"
+        path.write_text("1.0 50.0 0.012 10\n" + row + "\n")
+        assert main(["solve", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert f"{path}:2" in err
+
+
 class TestVerify:
     def test_reports_compliance(self, hetero_cfg, capsys):
         assert main(["verify", "--config", hetero_cfg]) == 0

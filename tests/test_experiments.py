@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coded_incentives import (
     DEFAULT_TYPE_PARAMS,
@@ -24,7 +28,11 @@ from coded_incentives import (
     run_fig6,
     run_fig7,
     WorkerType,
+    best_response,
+    solve_incomplete,
 )
+from coded_incentives.experiments import _apportion_rows
+from oracles import apportion_oracle
 
 
 class TestApportion:
@@ -54,6 +62,28 @@ class TestApportion:
             apportion(5, [0.0, 0.0])
         with pytest.raises(ValueError):
             apportion(5, [-1.0, 2.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        totals=st.lists(
+            st.integers(min_value=0, max_value=10_000), min_size=1, max_size=8
+        ),
+        weights=st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.just(1.0),
+                st.floats(min_value=0.0, max_value=1e3),
+            ),
+            min_size=1,
+            max_size=12,
+        ).filter(lambda w: sum(w) > 0),
+    )
+    def test_rows_match_scalar_oracle(self, totals, weights):
+        counts = _apportion_rows(totals, weights)
+        assert counts.shape == (len(totals), len(weights))
+        for total, row in zip(totals, counts.tolist()):
+            assert row == apportion_oracle(total, weights)
+            assert apportion(total, weights) == apportion_oracle(total, weights)
 
 
 class TestDefaultCatalog:
@@ -109,6 +139,19 @@ class TestExperimentSpec:
             ExperimentSpec(replications=0)
         with pytest.raises(ConfigurationError):
             ExperimentSpec(seed=-1)
+
+    @pytest.mark.parametrize(
+        "field", ["gamma_time", "gamma_pay", "total_rows"]
+    )
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            ExperimentSpec(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite_probability(self, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            ExperimentSpec(type_probabilities=(value,) + (0.1,) * 9)
 
     def test_probability_validation(self):
         with pytest.raises(ConfigurationError):
@@ -370,6 +413,81 @@ def test_fig7_rows_match_recorded_bits(probabilities):
         tuple(value.hex() for value in row) for row in run_fig7(spec).rows
     )
     assert rows == _FIG7_GOLDEN[probabilities]
+
+
+# float.hex of every row of the four deterministic sweeps at
+# n_sweep=(1, 2, 3, 7, 13, 100, 1400, 5000), uniform and _FIG7_SKEWED
+# probabilities, recorded from the per-point scalar implementation (one
+# solve_complete and solve_incomplete per point, best_response per type).
+_SWEEP_GOLDEN = json.loads(
+    (Path(__file__).parent / "sweep_bits.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("name", ["fig4", "fig5", "fig6", "custom"])
+def test_sweep_rows_match_recorded_bits(name):
+    for label, probabilities in (("uniform", None), ("skewed", _FIG7_SKEWED)):
+        spec = ExperimentSpec(
+            name=name,
+            n_sweep=(1, 2, 3, 7, 13, 100, 1400, 5000),
+            type_probabilities=probabilities,
+        )
+        rows = [
+            " ".join(value.hex() for value in row)
+            for row in run_experiment(spec).rows
+        ]
+        assert rows == _SWEEP_GOLDEN[name][label], label
+
+
+# (cost, speed, startup) per type, type probabilities and gamma_time of
+# populations whose types share runtime classes.
+_SHARED_CLASSES = {
+    # Three runtime classes of two cost rates each.
+    "three-classes": (
+        [
+            (cost, speed, startup)
+            for speed, startup in ((50.0, 0.012), (100.0, 0.024), (10.0, 0.031))
+            for cost in (1.0, 4.0)
+        ],
+        (0.05, 0.3, 0.1, 0.25, 0.2, 0.1),
+        300.0,
+    ),
+    # Type 3 shares type 1's runtime class and, up to rounding, the
+    # boundary type 2's ratio: untargeted, it gains about 1e-13 at N=1 by
+    # claiming type 1's identity.
+    "rounding-claim": (
+        [
+            (7.952339288062252, 345.273482739136, 0.0559023961105897),
+            (9.031947307823318, 245.31721373392392, 0.0535448382388531),
+            (9.194885328927498, 345.273482739136, 0.0559023961105897),
+        ],
+        (0.04974811218074341, 0.6828464761403216, 0.267405411678935),
+        1213.7423433644344,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SHARED_CLASSES))
+def test_fig6_payoffs_follow_best_response_with_shared_runtime_classes(case):
+    params, probabilities, gamma_time = _SHARED_CLASSES[case]
+    raw = [
+        WorkerType(id=0, cost_rate=cost, speed=speed, startup=startup, count=1)
+        for cost, speed, startup in params
+    ]
+    spec = ExperimentSpec(
+        name="fig6",
+        population=build_population(raw),
+        gamma_time=gamma_time,
+        n_sweep=(1, 2, 3, 5, 8, 40, 300, 2000),
+        type_probabilities=probabilities,
+    )
+    cfg = spec.platform_config()
+    table = run_fig6(spec)
+    for total, row in zip(spec.n_sweep, table.rows):
+        pop = spec.population.with_counts(apportion(total, spec.weights()))
+        mech = solve_incomplete(pop, cfg)
+        expected = [best_response(m, mech, pop).expected_payoff for m in pop.ids]
+        assert [v.hex() for v in row[1:]] == [v.hex() for v in expected]
 
 
 class TestLoadConfig:

@@ -18,7 +18,6 @@ from coded_incentives import (
     Mechanism,
     PlatformConfig,
     WorkerType,
-    brute_force_complete,
     build_population,
     default_population,
     expected_runtime_mds,
@@ -29,9 +28,18 @@ from coded_incentives import (
     solve_cost_only,
     solve_incomplete,
 )
-from coded_incentives.mechanisms import _hetero_costs, _private_offers
+from coded_incentives.mechanisms import (
+    _complete_offers,
+    _hetero_costs,
+    _private_offers,
+)
 from conftest import random_cost_only_instance, random_hetero_instance
-from oracles import prefix_cost_oracle, private_offer_oracle
+from oracles import (
+    brute_force_complete,
+    complete_offer_oracle,
+    prefix_cost_oracle,
+    private_offer_oracle,
+)
 
 
 class TestPlatformConfig:
@@ -42,6 +50,16 @@ class TestPlatformConfig:
             PlatformConfig(gamma_time=1.0, gamma_pay=-1.0, total_rows=10.0)
         with pytest.raises(ValueError):
             PlatformConfig(gamma_time=1.0, gamma_pay=1.0, total_rows=0.0)
+
+    @pytest.mark.parametrize(
+        "field", ["gamma_time", "gamma_pay", "total_rows"]
+    )
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite(self, field, value):
+        values = dict(gamma_time=1.0, gamma_pay=1.0, total_rows=10.0)
+        values[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            PlatformConfig(**values)
 
     def test_zero_valuations_constructible(self):
         cfg = PlatformConfig(gamma_time=0.0, gamma_pay=0.0, total_rows=10.0)
@@ -317,6 +335,71 @@ class TestBatchedPrivateOffers:
         with pytest.raises(InfeasibleError):
             _hetero_costs(
                 counts, np.array([2]), np.ones(10), throughputs, benchmark_config
+            )
+
+
+class TestBatchedCompleteOffers:
+    """The batched complete-information rule prices every counts row bit
+    for bit as a plain scalar scan does, and as the scalar solver does."""
+
+    POP = default_population(1400)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(_count_rows(10), min_size=1, max_size=6),
+        gamma_time=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e4)),
+        gamma_pay=st.floats(min_value=0.01, max_value=10.0),
+        total_rows=st.floats(min_value=1.0, max_value=5000.0),
+    )
+    def test_rows_match_scalar_oracle(self, rows, gamma_time, gamma_pay, total_rows):
+        cfg = PlatformConfig(gamma_time, gamma_pay, total_rows)
+        _, costs, throughputs, ratios = self.POP.arrays()
+        counts = np.array(rows, dtype=float)
+        thresholds, runtimes, rewards = _complete_offers(
+            counts, costs, throughputs, ratios, cfg
+        )
+        priced = _hetero_costs(counts, thresholds, rewards, throughputs, cfg)
+        for i, row in enumerate(rows):
+            pop = self.POP.with_counts(row)
+            threshold, runtime, oracle_rewards, cost = complete_offer_oracle(pop, cfg)
+            assert int(thresholds[i]) == threshold
+            assert float(runtimes[i]).hex() == runtime.hex()
+            assert [v.hex() for v in rewards[i].tolist()] == [
+                v.hex() for v in oracle_rewards
+            ]
+            assert float(priced[i]).hex() == cost.hex()
+            mech = solve_complete(pop, cfg)
+            assert mech.threshold_type == threshold
+            assert mech.expected_runtime.hex() == runtime.hex()
+            assert [mech.rewards[m] for m in pop.ids] == oracle_rewards
+            assert mech.expected_cost.hex() == cost.hex()
+
+    def test_bound_met_with_equality_targets_the_longer_prefix(self):
+        # Twin types at gamma_time = 0: prefix 2's bound is the shared
+        # ratio exactly, so the largest prefix meeting it is 2.
+        twin = WorkerType(id=0, cost_rate=3.0, speed=20.0, startup=0.05, count=1)
+        pop = build_population([twin, twin])
+        cfg = PlatformConfig(gamma_time=0.0, gamma_pay=1.0, total_rows=100.0)
+        _, costs, throughputs, ratios = pop.arrays()
+        thresholds, _, _ = _complete_offers(
+            np.array([[1.0, 1.0]]), costs, throughputs, ratios, cfg
+        )
+        assert complete_offer_oracle(pop, cfg)[0] == 2
+        assert thresholds.tolist() == [2]
+        assert solve_complete(pop, cfg).threshold_type == 2
+
+    def test_row_without_workers_is_infeasible(self, benchmark_config):
+        _, costs, throughputs, ratios = self.POP.arrays()
+        counts = np.array([[140.0] * 10, [0.0] * 10])
+        with pytest.raises(InfeasibleError):
+            _complete_offers(counts, costs, throughputs, ratios, benchmark_config)
+
+    def test_requires_positive_payment_weight(self):
+        _, costs, throughputs, ratios = self.POP.arrays()
+        cfg = PlatformConfig(gamma_time=10.0, gamma_pay=0.0, total_rows=100.0)
+        with pytest.raises(ConfigurationError):
+            _complete_offers(
+                np.full((2, 10), 140.0), costs, throughputs, ratios, cfg
             )
 
 

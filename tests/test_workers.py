@@ -25,6 +25,12 @@ def _worker(cost=1.0, speed=10.0, startup=0.05, count=3, id=0):
 
 
 class TestWorkerType:
+    @pytest.mark.parametrize("field", ["cost", "speed", "startup"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            _worker(**{field: value})
+
     def test_field_validation(self):
         with pytest.raises(ValueError):
             _worker(cost=0.0)
