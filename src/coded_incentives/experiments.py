@@ -17,10 +17,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-# No sweep calls ``best_response``, ``solve_complete`` or
-# ``solve_incomplete``; they stay imported because perfbench's traced
-# runs wrap them by name in this module.
-from .game import best_response
+# No sweep calls ``best_response`` or ``solve_complete``; they stay
+# imported because perfbench's traced runs wrap them by name here.
+from .game import _best_payoffs, best_response
 from .mechanisms import (
     PlatformConfig,
     _complete_offers,
@@ -112,11 +111,10 @@ def _apportion_rows(totals: Sequence[int], weights: Sequence[float]) -> np.ndarr
     base = np.floor(quotas)
     deficit = totals - base.sum(axis=1)
     # Each bin's rank in a stable sort of the remainders, which puts ties
-    # at the lower index first.  The inverse permutation is sorted stably
-    # too: NumPy's default integer sort would page in another sort kernel,
-    # about 0.25 MB of resident memory.
+    # at the lower index first.
     order = np.argsort(base - quotas, axis=1, kind="stable")
-    ranks = order.argsort(axis=1, kind="stable")
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(len(values)), axis=1)
     return base + (ranks < deficit[:, None])
 
 
@@ -304,25 +302,18 @@ _SWEEP_COLUMNS = (
 )
 
 
-def _sweep_offers(spec: ExperimentSpec, rules: Sequence) -> tuple:
-    """The sweep's counts matrix, one apportioned row per N, and each
-    batched rule's thresholds, runtimes and rewards on all of its rows."""
-    counts = _apportion_rows(spec.n_sweep, spec.weights())
-    _, costs, throughputs, ratios = spec.population.arrays()
-    cfg = spec.platform_config()
-    return counts, [rule(counts, costs, throughputs, ratios, cfg) for rule in rules]
-
-
 def _sweep_table(spec: ExperimentSpec, columns: Sequence[str]) -> ResultTable:
     """The selected columns of the deterministic sweep: the complete-
     and private-cost offers priced on every point in one batched pass."""
-    counts, offers = _sweep_offers(spec, (_complete_offers, _private_offers))
-    _, _, throughputs, _ = spec.population.arrays()
+    counts = _apportion_rows(spec.n_sweep, spec.weights())
+    _, costs, throughputs, ratios = spec.population.arrays()
     cfg = spec.platform_config()
     table: dict[str, list[float]] = {"N": [float(n) for n in spec.n_sweep]}
-    for scenario, (thresholds, runtimes, rewards) in zip(
-        ("complete", "incomplete"), offers
+    for scenario, rule in (
+        ("complete", _complete_offers),
+        ("incomplete", _private_offers),
     ):
+        thresholds, runtimes, rewards = rule(counts, costs, throughputs, ratios, cfg)
         table[f"targeted_{scenario}"] = thresholds.astype(float).tolist()
         table[f"cost_{scenario}"] = _hetero_costs(
             counts, thresholds, rewards, throughputs, cfg, runtimes
@@ -352,26 +343,16 @@ def run_fig5(spec: ExperimentSpec) -> ResultTable:
 
 
 def run_fig6(spec: ExperimentSpec) -> ResultTable:
-    """Per-type expected payoffs under the private-cost offer, per N.
-
-    Each type's payoff is its best response, as
-    :func:`~coded_incentives.game.best_response` finds it: the best
-    reward among the targeted types of its runtime class, minus its
-    cost over the offer's runtime.  Types with no such report, or whose
-    best payoff is negative, decline and are reported at payoff zero.
-    """
+    """Per-type expected payoffs under the private-cost offer, per N:
+    each type's best response, with types that decline reported at
+    payoff zero."""
     pop = spec.population
-    _, [(thresholds, runtimes, rewards)] = _sweep_offers(spec, [_private_offers])
-    offered = np.where(np.arange(pop.size) < thresholds[:, None], rewards, -np.inf)
-    classes: dict[tuple[float, float], list[int]] = {}
-    for worker, _ in pop.types:
-        classes.setdefault((worker.speed, worker.startup), []).append(worker.id - 1)
-    best = np.empty_like(offered)
-    for members in classes.values():
-        best[:, members] = offered[:, members].max(axis=1, keepdims=True)
-    _, costs, _, _ = pop.arrays()
-    payoffs = best - costs * np.array(runtimes)[:, None]
-    payoffs = np.where(payoffs >= 0, payoffs, 0.0)
+    _, costs, throughputs, ratios = pop.arrays()
+    counts = _apportion_rows(spec.n_sweep, spec.weights())
+    offers = _private_offers(
+        counts, costs, throughputs, ratios, spec.platform_config()
+    )
+    payoffs = _best_payoffs(*offers, pop)
     return ResultTable(
         columns=("N",) + tuple(f"payoff_type_{m}" for m in pop.ids),
         rows=tuple(
@@ -397,13 +378,11 @@ def run_fig7(spec: ExperimentSpec) -> ResultTable:
         probs = np.full(spec.population.size, 1.0 / spec.population.size)
     else:
         probs = np.asarray(spec.type_probabilities, dtype=float)
-    _, [(committed_thresholds, _, committed_rewards)] = _sweep_offers(
-        spec, [_private_offers]
-    )
     rows = []
-    for total, committed_threshold, committed_reward in zip(
-        spec.n_sweep, committed_thresholds, committed_rewards
-    ):
+    for total in spec.n_sweep:
+        committed = solve_incomplete(
+            spec.population.with_counts(apportion(total, spec.weights())), cfg
+        )
         realized = np.array(
             [
                 np.random.default_rng(
@@ -416,8 +395,8 @@ def run_fig7(spec: ExperimentSpec) -> ResultTable:
         committed_costs = np.array(
             _hetero_costs(
                 realized,
-                np.full(spec.replications, committed_threshold),
-                committed_reward,
+                np.full(spec.replications, committed.threshold_type),
+                [committed.rewards[m] for m in spec.population.ids],
                 throughputs,
                 cfg,
             )

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .mechanisms import SCENARIO_COMPLETE, Mechanism
 from .workers import Population
 
@@ -123,16 +125,20 @@ def worker_payoff(
     return reward - true_worker.cost_rate * mech.expected_runtime
 
 
-def _same_runtime_class(pop: Population, first: int, second: int) -> bool:
-    a, _ = pop.member(first)
-    b, _ = pop.member(second)
-    return a.speed == b.speed and a.startup == b.startup
+def _runtime_classes(pop: Population) -> list[list[int]]:
+    """Type ids grouped by identical runtime parameters (speed and
+    startup): the identities a worker can claim undetected."""
+    classes: dict[tuple[float, float], list[int]] = {}
+    for worker, _ in pop.types:
+        classes.setdefault((worker.speed, worker.startup), []).append(worker.id)
+    return list(classes.values())
 
 
 def _feasible_reports(mech: Mechanism, pop: Population, true_m: int) -> list[int]:
     if mech.scenario == SCENARIO_COMPLETE:
         return [true_m] if true_m in mech.targeted else []
-    return [m for m in mech.targeted if _same_runtime_class(pop, true_m, m)]
+    claimable = next(ids for ids in _runtime_classes(pop) if true_m in ids)
+    return [m for m in mech.targeted if m in claimable]
 
 
 def best_response(true_m: int, mech: Mechanism, pop: Population) -> WorkerDecision:
@@ -171,6 +177,31 @@ def best_response(true_m: int, mech: Mechanism, pop: Population) -> WorkerDecisi
         reported_type=best_report,
         expected_payoff=best_value,
     )
+
+
+def _best_payoffs(
+    thresholds: np.ndarray,
+    runtimes: list[float],
+    rewards: np.ndarray,
+    pop: Population,
+) -> np.ndarray:
+    """:func:`best_response`'s payoff for every type under each row of
+    batched private-cost offers, as a ``(P, M)`` array.
+
+    Row ``p`` targets the first ``thresholds[p]`` types at
+    ``rewards[p]`` with expected runtime ``runtimes[p]``.  A type's best
+    report is the largest reward among the targeted types of its
+    runtime class; it declines at payoff zero when there is none or
+    when its payoff is negative.
+    """
+    offered = np.where(np.arange(pop.size) < thresholds[:, None], rewards, -np.inf)
+    best = np.empty_like(offered)
+    for ids in _runtime_classes(pop):
+        columns = [m - 1 for m in ids]
+        best[:, columns] = offered[:, columns].max(axis=1, keepdims=True)
+    _, costs, _, _ = pop.arrays()
+    payoffs = best - costs * np.array(runtimes)[:, None]
+    return np.where(payoffs >= 0, payoffs, 0.0)
 
 
 def verify_ir_ic(mech: Mechanism, pop: Population) -> ComplianceReport:

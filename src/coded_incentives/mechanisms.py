@@ -194,12 +194,8 @@ def _complete_offers(
     is at most ``(gamma_time + gamma_pay * prefix cost) / (gamma_pay *
     prefix throughput)``.
     """
-    _require_paying_config(cfg)
-    rates = counts * throughputs
-    cum_thru = rates.cumsum(axis=1)
+    rates, cum_thru = _prefix_throughputs(counts, throughputs, cfg)
     populated = cum_thru > 0
-    if not populated[:, -1].all():
-        raise InfeasibleError("population has no workers")
     bound = np.divide(
         cfg.gamma_time + cfg.gamma_pay * (counts * costs).cumsum(axis=1),
         cfg.gamma_pay * cum_thru,
@@ -236,11 +232,7 @@ def _private_offers(
     + gamma_pay * ratio`` over the populated prefixes; ``argmin`` takes
     the first minimum, so ties go to the shorter prefix.
     """
-    _require_paying_config(cfg)
-    rates = counts * throughputs
-    cum_thru = rates.cumsum(axis=1)
-    if not min(cum_thru[:, -1].tolist()) > 0:
-        raise InfeasibleError("population has no workers")
+    rates, cum_thru = _prefix_throughputs(counts, throughputs, cfg)
     per_thru = np.divide(
         cfg.gamma_time,
         cum_thru,
@@ -257,6 +249,20 @@ def _private_offers(
     boundary_pay = costs[boundary] * np.array(runtimes)
     rewards = (throughputs / throughputs[boundary][:, None]) * boundary_pay[:, None]
     return thresholds, runtimes, rewards
+
+
+def _prefix_throughputs(
+    counts: np.ndarray, throughputs: np.ndarray, cfg: PlatformConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-type and cumulative prefix throughput of each counts row, the
+    inputs both batched rules start from; a row without workers has no
+    feasible offer."""
+    _require_paying_config(cfg)
+    rates = counts * throughputs
+    cum_thru = rates.cumsum(axis=1)
+    if not min(cum_thru[:, -1].tolist()) > 0:
+        raise InfeasibleError("population has no workers")
+    return rates, cum_thru
 
 
 def _prefix_mask(thresholds: np.ndarray, size: int) -> list[list[bool]]:

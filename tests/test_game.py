@@ -20,6 +20,8 @@ from coded_incentives import (
     verify_ir_ic,
     worker_payoff,
 )
+from coded_incentives.game import _best_payoffs
+from coded_incentives.mechanisms import _private_offers
 from conftest import random_cost_only_instance, random_hetero_instance
 
 
@@ -137,6 +139,24 @@ class TestBestResponse:
                 else:
                     assert decision.participate
                     assert decision.expected_payoff == best
+
+    def test_batched_payoffs_match_best_response(self):
+        rng = np.random.default_rng(889)
+        for _ in range(25):
+            pop, cfg = random_hetero_instance(rng, max_types=6)
+            counts = rng.integers(0, 4, size=(6, pop.size)).astype(float)
+            counts[:, -1] += 1.0
+            _, costs, throughputs, ratios = pop.arrays()
+            offers = _private_offers(counts, costs, throughputs, ratios, cfg)
+            for row, payoffs in zip(counts, _best_payoffs(*offers, pop)):
+                at_row = pop.with_counts(row)
+                mech = solve_incomplete(at_row, cfg)
+                expected = [
+                    best_response(m, mech, at_row).expected_payoff for m in pop.ids
+                ]
+                assert [v.hex() for v in payoffs.tolist()] == [
+                    v.hex() for v in expected
+                ]
 
     def test_tie_prefers_truthful_report(self):
         pop = _two_class_population()
