@@ -58,7 +58,6 @@ from .mechanisms import (
     SCENARIO_INCOMPLETE,
     Mechanism,
     PlatformConfig,
-    order_reward_schedule,
     platform_cost,
     solve_complete,
     solve_cost_only,
@@ -135,7 +134,6 @@ __all__ = [
     "solve_incomplete",
     "solve_cost_only",
     "platform_cost",
-    "order_reward_schedule",
     "WorkerDecision",
     "ComplianceReport",
     "worker_payoff",

@@ -18,14 +18,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, InfeasibleError, NumericalError
 from .game import best_response
 from .mechanisms import Mechanism
+from .numerics import _largest_remainder
 from .runtime import SCHEME_MDS
+# No round calls ``sample_time``; it stays imported because perfbench's
+# traced runs wrap it by name in this module.
 from .workers import Population, sample_time, sample_times
 
 __all__ = [
@@ -265,18 +268,11 @@ def integerize_loads(loads: Sequence[float]) -> list[int]:
     fractional parts one extra row each (ties to the lower index), so
     no coverage is lost to rounding.
     """
-    values = [float(v) for v in loads]
-    if any(not math.isfinite(v) or v < 0 for v in values):
+    values = np.array(loads, dtype=float)
+    if not np.all(np.isfinite(values) & (values >= 0)):
         raise ValueError("loads must be finite and nonnegative")
-    base = [math.floor(v) for v in values]
-    deficit = math.ceil(math.fsum(values)) - sum(base)
-    if deficit > 0:
-        by_remainder = sorted(
-            range(len(values)), key=lambda i: (base[i] - values[i], i)
-        )
-        for i in by_remainder[:deficit]:
-            base[i] += 1
-    return base
+    total = math.ceil(math.fsum(values.tolist()))
+    return [int(v) for v in _largest_remainder(values, total).tolist()]
 
 
 def simulate_round(
@@ -318,10 +314,12 @@ def simulate_round(
     )
     if not participants:
         raise InfeasibleError("no worker participates in this round")
-    type_of: list[int] = []
-    for m in participants:
-        type_of.extend([m] * pop.member(m)[0].count)
+    members = [pop.member(m)[0] for m in participants]
+    counts = [t.count for t in members]
+    type_of = np.repeat(participants, counts).tolist()
     n_workers = len(type_of)
+    startup = np.repeat([t.startup for t in members], counts)
+    speed = np.repeat([t.speed for t in members], counts)
 
     if mech.assignment.scheme == SCHEME_MDS:
         threshold = mech.recovery_threshold
@@ -335,45 +333,34 @@ def simulate_round(
                 f"threshold {threshold}"
             )
         task = mds_encode(source, n_workers, threshold)
-        racing = list(range(n_workers))
-        times = np.array(
-            [
-                sample_time(pop.member(m)[0], float(task.block_rows), rng)
-                for m in type_of
-            ]
-        )
-        order = np.argsort(times, kind="stable")
-        contributors = [int(w) for w in order[:threshold]]
-        runtime = float(times[order[threshold - 1]])
-        results = {w: task.shards[w] @ vector for w in contributors}
-        decoded = mds_decode(task, results)
+        loads = np.full(n_workers, task.block_rows)
+        need = threshold * task.block_rows
     else:
         missing = [m for m in participants if m not in mech.assignment.loads]
         if missing:
             raise InfeasibleError(
                 f"no load assigned to participating types {missing}"
             )
-        int_loads = integerize_loads(
-            [mech.assignment.loads[m] for m in type_of]
+        loads = np.array(
+            integerize_loads([mech.assignment.loads[m] for m in type_of])
         )
-        if sum(int_loads) < rows:
+        if loads.sum() < rows:
             raise InfeasibleError(
-                f"participators cover {sum(int_loads)} rows, need {rows}"
+                f"participators cover {loads.sum()} rows, need {rows}"
             )
-        loads = np.array(int_loads)
-        racing = np.flatnonzero(loads)
-        members = [pop.member(m)[0] for m in participants]
-        counts = [t.count for t in members]
-        startup = np.repeat([t.startup for t in members], counts)
-        speed = np.repeat([t.speed for t in members], counts)
-        times = sample_times(
-            (startup[racing], speed[racing]), loads[racing], rng
-        )
-        order = np.argsort(times, kind="stable")
-        covered = np.cumsum(loads[racing][order])
-        realized = int(np.searchsorted(covered, rows)) + 1
-        contributors = racing[order[:realized]].tolist()
-        runtime = float(times[order[realized - 1]])
+        need = rows
+    # Workers with rows race until the finished ones hold the rows needed.
+    racing = np.flatnonzero(loads)
+    times = sample_times((startup[racing], speed[racing]), loads[racing], rng)
+    order = np.argsort(times, kind="stable")
+    covered = np.cumsum(loads[racing][order])
+    realized = int(np.searchsorted(covered, need)) + 1
+    contributors = racing[order[:realized]].tolist()
+    runtime = float(times[order[realized - 1]])
+    if mech.assignment.scheme == SCHEME_MDS:
+        results = {w: task.shards[w] @ vector for w in contributors}
+        decoded = mds_decode(task, results)
+    else:
         # Only the contributors' rows are ever received, so only they are
         # drawn, in finish order.
         code = rng.standard_normal((int(covered[realized - 1]), rows))
@@ -414,8 +401,9 @@ def simulate_round(
     )
 
 
-def _read_numbers(path: str) -> list[float]:
-    tokens: list[float] = []
+def _text_lines(path: str) -> Iterator[tuple[int, str]]:
+    """``(line number, text)`` of each line of a text file that is not
+    blank once its `#` comment is stripped."""
     try:
         handle = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -423,15 +411,20 @@ def _read_numbers(path: str) -> list[float]:
     with handle:
         for line_no, line in enumerate(handle, start=1):
             text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            for piece in text.split():
-                try:
-                    tokens.append(float(piece))
-                except ValueError as exc:
-                    raise ConfigurationError(
-                        f"{path}:{line_no}: invalid number {piece!r}"
-                    ) from exc
+            if text:
+                yield line_no, text
+
+
+def _read_numbers(path: str) -> list[float]:
+    tokens: list[float] = []
+    for line_no, text in _text_lines(path):
+        for piece in text.split():
+            try:
+                tokens.append(float(piece))
+            except ValueError as exc:
+                raise ConfigurationError(
+                    f"{path}:{line_no}: invalid number {piece!r}"
+                ) from exc
     return tokens
 
 

@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .coding import _text_lines
 from .errors import ConfigurationError
 # No sweep calls ``best_response`` or ``solve_complete``; they stay
 # imported because perfbench's traced runs wrap them by name here.
@@ -28,6 +29,7 @@ from .mechanisms import (
     solve_complete,
     solve_incomplete,
 )
+from .numerics import _largest_remainder
 from .workers import (
     Population,
     WorkerType,
@@ -107,15 +109,7 @@ def _apportion_rows(totals: Sequence[int], weights: Sequence[float]) -> np.ndarr
     if scale <= 0:
         raise ValueError("weights must not all be zero")
     totals = np.array(totals, dtype=float)
-    quotas = totals[:, None] * np.array(values) / scale
-    base = np.floor(quotas)
-    deficit = totals - base.sum(axis=1)
-    # Each bin's rank in a stable sort of the remainders, which puts ties
-    # at the lower index first.
-    order = np.argsort(base - quotas, axis=1, kind="stable")
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(len(values)), axis=1)
-    return base + (ranks < deficit[:, None])
+    return _largest_remainder(totals[:, None] * np.array(values) / scale, totals)
 
 
 def default_worker_types(counts: Sequence[int] | None = None) -> list[WorkerType]:
@@ -479,58 +473,50 @@ def load_config(path: str) -> ExperimentSpec:
     raw_types: list[WorkerType] = []
     raw_probs: list[float] | None = None
     settings: dict[str, object] = {}
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read {path}: {exc}") from exc
-    with handle:
-        for line_no, line in enumerate(handle, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" in text:
-                key, _, value = text.partition("=")
-                key = key.strip().lower().replace("-", "_")
-                value = value.strip()
-                if key not in _SETTING_KEYS:
-                    raise ConfigurationError(
-                        f"{path}:{line_no}: unknown setting {key!r} "
-                        f"(expected one of {', '.join(_SETTING_KEYS)})"
-                    )
-                try:
-                    if key in ("gamma_time", "gamma_pay", "total_rows"):
-                        settings[key] = float(value)
-                    elif key in ("replications", "seed"):
-                        settings[key] = int(value)
-                    elif key == "sweep":
-                        settings["n_sweep"] = _parse_sweep(value)
-                    else:
-                        raw_probs = [float(p) for p in value.split(",")]
-                except ValueError as exc:
-                    raise ConfigurationError(
-                        f"{path}:{line_no}: {exc}"
-                    ) from exc
-            else:
-                tokens = text.split()
-                if len(tokens) != 4:
-                    raise ConfigurationError(
-                        f"{path}:{line_no}: population rows need "
-                        f"`cost speed startup count`"
-                    )
-                try:
-                    worker = WorkerType(
-                        id=len(raw_types) + 1,
-                        cost_rate=float(tokens[0]),
-                        speed=float(tokens[1]),
-                        startup=float(tokens[2]),
-                        count=int(tokens[3]),
-                    )
-                    derive_profile(worker)
-                    raw_types.append(worker)
-                except (ValueError, ArithmeticError) as exc:
-                    raise ConfigurationError(
-                        f"{path}:{line_no}: {exc}"
-                    ) from exc
+    for line_no, text in _text_lines(path):
+        if "=" in text:
+            key, _, value = text.partition("=")
+            key = key.strip().lower().replace("-", "_")
+            value = value.strip()
+            if key not in _SETTING_KEYS:
+                raise ConfigurationError(
+                    f"{path}:{line_no}: unknown setting {key!r} "
+                    f"(expected one of {', '.join(_SETTING_KEYS)})"
+                )
+            try:
+                if key in ("gamma_time", "gamma_pay", "total_rows"):
+                    settings[key] = float(value)
+                elif key in ("replications", "seed"):
+                    settings[key] = int(value)
+                elif key == "sweep":
+                    settings["n_sweep"] = _parse_sweep(value)
+                else:
+                    raw_probs = [float(p) for p in value.split(",")]
+            except ValueError as exc:
+                raise ConfigurationError(
+                    f"{path}:{line_no}: {exc}"
+                ) from exc
+        else:
+            tokens = text.split()
+            if len(tokens) != 4:
+                raise ConfigurationError(
+                    f"{path}:{line_no}: population rows need "
+                    f"`cost speed startup count`"
+                )
+            try:
+                worker = WorkerType(
+                    id=len(raw_types) + 1,
+                    cost_rate=float(tokens[0]),
+                    speed=float(tokens[1]),
+                    startup=float(tokens[2]),
+                    count=int(tokens[3]),
+                )
+                derive_profile(worker)
+                raw_types.append(worker)
+            except (ValueError, ArithmeticError) as exc:
+                raise ConfigurationError(
+                    f"{path}:{line_no}: {exc}"
+                ) from exc
     if not raw_types:
         raw_types = default_worker_types()
     if raw_probs is not None:

@@ -13,6 +13,7 @@ compatibility).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,20 +151,11 @@ def best_response(true_m: int, mech: Mechanism, pop: Population) -> WorkerDecisi
     zero payoff is accepted.
     """
     pop.member(true_m)
-    feasible = _feasible_reports(mech, pop, true_m)
-    if not feasible:
-        return WorkerDecision(
-            type_id=true_m,
-            participate=False,
-            reported_type=true_m,
-            expected_payoff=0.0,
-        )
-    payoffs = {m: worker_payoff(true_m, m, mech, pop) for m in feasible}
-    best_value = max(payoffs.values())
-    if payoffs.get(true_m) == best_value:
-        best_report = true_m
-    else:
-        best_report = min(m for m, p in payoffs.items() if p == best_value)
+    payoffs = {
+        m: worker_payoff(true_m, m, mech, pop)
+        for m in _feasible_reports(mech, pop, true_m)
+    }
+    best_value = max(payoffs.values(), default=-math.inf)
     if best_value < 0:
         return WorkerDecision(
             type_id=true_m,
@@ -171,6 +163,10 @@ def best_response(true_m: int, mech: Mechanism, pop: Population) -> WorkerDecisi
             reported_type=true_m,
             expected_payoff=0.0,
         )
+    if payoffs.get(true_m) == best_value:
+        best_report = true_m
+    else:
+        best_report = min(m for m, p in payoffs.items() if p == best_value)
     return WorkerDecision(
         type_id=true_m,
         participate=True,
@@ -227,20 +223,16 @@ def verify_ir_ic(mech: Mechanism, pop: Population) -> ComplianceReport:
         else:
             baseline = 0.0
         tol = _REL_TOL * (1.0 + abs(baseline))
-        for reported in _feasible_reports(mech, pop, m):
-            if reported == m:
-                continue
-            gain = worker_payoff(m, reported, mech, pop) - baseline
-            if gain > tol:
-                ic.append((m, reported, gain))
-        if mech.scenario == SCENARIO_COMPLETE:
-            continue
-        for reported in pop.ids:
-            if reported == m:
-                continue
-            gain = worker_payoff(m, reported, mech, pop) - baseline
-            if gain > tol:
-                unrestricted.append((m, reported, gain))
+        scans = [(_feasible_reports(mech, pop, m), ic)]
+        if mech.scenario != SCENARIO_COMPLETE:
+            scans.append((pop.ids, unrestricted))
+        for reports, violations in scans:
+            for reported in reports:
+                if reported == m:
+                    continue
+                gain = worker_payoff(m, reported, mech, pop) - baseline
+                if gain > tol:
+                    violations.append((m, reported, gain))
     return ComplianceReport(
         ir_violations=tuple(ir),
         ic_violations=tuple(ic),

@@ -53,7 +53,6 @@ __all__ = [
     "solve_incomplete",
     "solve_cost_only",
     "platform_cost",
-    "order_reward_schedule",
 ]
 
 SCENARIO_COMPLETE = "complete-hetero"
@@ -326,17 +325,15 @@ def solve_cost_only(
         raise InfeasibleError("population has no workers")
     counts, costs, _, _ = pop.arrays()
     cum_counts = np.cumsum(counts)
-    best_value = math.inf
-    threshold = 0
-    for n in range(1, pop.size + 1):
-        if cum_counts[n - 1] <= 0:
-            continue
-        value = (
-            cfg.gamma_time + cfg.gamma_pay * costs[n - 1] * cum_counts[n - 1]
-        ) / cum_counts[n - 1]
-        if value < best_value:
-            best_value = value
-            threshold = n
+    # Per-participator cost of each populated prefix; ``argmin`` takes
+    # the first minimum, so ties go to the shorter prefix.
+    per_worker = np.divide(
+        cfg.gamma_time + cfg.gamma_pay * costs * cum_counts,
+        cum_counts,
+        out=np.full_like(cum_counts, np.inf),
+        where=cum_counts > 0,
+    )
+    threshold = int(per_worker.argmin()) + 1
     targeted = tuple(range(1, threshold + 1))
     participators = int(cum_counts[threshold - 1])
     speed = pop.member(1)[0].speed
@@ -434,21 +431,3 @@ def platform_cost(
         throughputs,
         cfg,
     )[0]
-
-
-def order_reward_schedule(
-    expected_reward: float, order_probs: Mapping[int, float]
-) -> dict[int, float]:
-    """Constant per-rank schedule realizing one expected reward.
-
-    Given finish-rank probabilities that sum to one, paying the same
-    amount at every rank reproduces the expected reward exactly.
-    """
-    if expected_reward < 0:
-        raise ValueError("expected_reward must be nonnegative")
-    total = math.fsum(order_probs.values())
-    if abs(total - 1.0) > 1e-9:
-        raise ConfigurationError(
-            f"rank probabilities must sum to 1, got {total!r}"
-        )
-    return {rank: expected_reward for rank in order_probs}

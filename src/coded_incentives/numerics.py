@@ -10,7 +10,7 @@ Three quantities recur in the runtime and mechanism formulas:
 * ``harmonic``: exact partial sums of the harmonic series, which give
   the expectation of exponential order statistics.
 
-``row_fsums`` adds masked rows exactly rounded for the batched totals.
+``row_fsums`` and ``_largest_remainder`` sum and round batched rows.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Sequence
 
+import numpy as np
 from scipy.optimize import brentq
 from scipy.special import lambertw as _scipy_lambertw
 
@@ -175,3 +176,15 @@ def row_fsums(
     """Correctly rounded sum of each row's masked entries, for ``(R, M)``
     nested lists ``values`` and ``mask``."""
     return [math.fsum(compress(row, keep)) for row, keep in zip(values, mask)]
+
+
+def _largest_remainder(values: np.ndarray, totals: np.ndarray | int) -> np.ndarray:
+    """Round each row of ``values`` to whole numbers summing to its
+    ``totals`` entry: floors, then one more for each of the largest
+    remainders, ranked by a stable sort so ties go to the lower index."""
+    base = np.floor(values)
+    order = np.argsort(base - values, axis=-1, kind="stable")
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(values.shape[-1]), axis=-1)
+    deficit = np.asarray(totals) - base.sum(axis=-1)
+    return base + (ranks < deficit[..., None])

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InfeasibleError
 from .numerics import harmonic, row_fsums
-from .workers import Population
+from .workers import Population, sample_times
 
 __all__ = [
     "SCHEME_HETERO",
@@ -227,12 +227,11 @@ def monte_carlo_runtime(
     if not active:
         raise InfeasibleError("no workers in the targeted set")
 
-    worker_loads = np.concatenate(
-        [np.full(t.count, load) for _, t, load in active]
-    )
-    type_positions = np.concatenate(
-        [np.full(t.count, j, dtype=np.intp) for j, (_, t, _) in enumerate(active)]
-    )
+    counts = [t.count for _, t, _ in active]
+    worker_loads = np.repeat([load for _, _, load in active], counts)
+    type_positions = np.repeat(np.arange(len(active)), counts)
+    startup = np.repeat([t.startup for _, t, _ in active], counts)
+    speed = np.repeat([t.speed for _, t, _ in active], counts)
     n_total = worker_loads.size
     target = rows * (1.0 - ROW_SLACK)
     if float(worker_loads.sum()) < target:
@@ -245,12 +244,7 @@ def monte_carlo_runtime(
     rank_counts = np.zeros(n_total * len(active), dtype=np.int64)
     for rep in range(reps):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), rep]))
-        times = np.concatenate(
-            [
-                load * (t.startup + rng.standard_exponential(t.count) / t.speed)
-                for _, t, load in active
-            ]
-        )
+        times = sample_times((startup, speed), worker_loads, rng)
         order = np.argsort(times, kind="stable")
         covered = np.cumsum(worker_loads[order])
         stop = int(np.argmax(covered >= target))

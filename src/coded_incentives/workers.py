@@ -134,8 +134,20 @@ def derive_profile(
     """Compute the derived performance metrics of one worker type."""
     row_time = solve_lambda(worker.speed, worker.startup, tol)
     throughput = worker.speed / (1.0 + worker.speed * row_time)
+    if not throughput > 0:
+        raise ValueError(f"throughput underflows to zero for {worker}")
     return PerformanceProfile(
         row_time=row_time, throughput=throughput, ratio=worker.cost_rate / throughput
+    )
+
+
+def _ranked_profiles(
+    raw: Sequence[WorkerType], tol: Tolerance
+) -> list[tuple[int, PerformanceProfile]]:
+    """Input positions and derived profiles in the id order assigned."""
+    profiles = [derive_profile(t, tol) for t in raw]
+    return sorted(
+        enumerate(profiles), key=lambda item: (item[1].ratio, raw[item[0]].cost_rate)
     )
 
 
@@ -147,11 +159,7 @@ def population_order(
     Useful for carrying per-type side data (for example sampling
     probabilities) through the relabeling.
     """
-    profiles = [derive_profile(t, tol) for t in raw]
-    return sorted(
-        range(len(raw)),
-        key=lambda i: (profiles[i].ratio, raw[i].cost_rate),
-    )
+    return [i for i, _ in _ranked_profiles(raw, tol)]
 
 
 def build_population(
@@ -166,23 +174,17 @@ def build_population(
     entries = list(raw)
     if not entries:
         raise ConfigurationError("population must contain at least one type")
-    order = population_order(entries, tol)
-    relabeled = tuple(
-        (replace(entries[j], id=i), derive_profile(entries[j], tol))
-        for i, j in enumerate(order, start=1)
+    return Population(
+        tuple(
+            (replace(entries[j], id=i), profile)
+            for i, (j, profile) in enumerate(_ranked_profiles(entries, tol), start=1)
+        )
     )
-    return Population(relabeled)
 
 
 def sample_time(worker: WorkerType, load: float, rng: np.random.Generator) -> float:
-    """Draw one completion time for ``load`` assigned rows.
-
-    The draw is ``load * (startup + E / speed)`` with ``E`` a unit-rate
-    exponential, so the support starts at ``startup * load``.
-    """
-    if not load > 0:
-        raise ValueError(f"load must be positive, got {load}")
-    return load * (worker.startup + rng.standard_exponential() / worker.speed)
+    """One draw of :func:`sample_times` for ``load`` assigned rows."""
+    return float(sample_times(worker, load, rng))
 
 
 def sample_times(
@@ -191,8 +193,10 @@ def sample_times(
     rng: np.random.Generator,
     size: int | None = None,
 ) -> np.ndarray:
-    """Vectorized form of :func:`sample_time`.
+    """Draw completion times for ``load`` assigned rows.
 
+    Each draw is ``load * (startup + E / speed)`` with ``E`` a unit-rate
+    exponential, so the support starts at ``startup * load``.
     ``worker`` is one type, or a ``(startup, speed)`` pair of arrays
     for workers of mixed types.  Loads, startups and speeds broadcast
     together; ``size`` draws that many times instead, and defaults to

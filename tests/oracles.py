@@ -223,3 +223,41 @@ def apportion_oracle(total: int, weights) -> list[int]:
     for i in order[:deficit]:
         base[i] += 1
     return base
+
+
+def integerize_oracle(loads) -> list[int]:
+    """Whole-row rounding by a plain sort: floors, then the largest
+    fractional parts (ties to the lower index) take one more row each
+    until the total is the ceiling of the fractional total."""
+    values = [float(v) for v in loads]
+    if any(not math.isfinite(v) or v < 0 for v in values):
+        raise ValueError("loads must be finite and nonnegative")
+    base = [math.floor(v) for v in values]
+    deficit = math.ceil(math.fsum(values)) - sum(base)
+    if deficit > 0:
+        by_remainder = sorted(
+            range(len(values)), key=lambda i: (base[i] - values[i], i)
+        )
+        for i in by_remainder[:deficit]:
+            base[i] += 1
+    return base
+
+
+def cost_only_threshold_oracle(pop, cfg) -> int:
+    """Cost-only threshold type by a plain prefix scan: the first
+    populated prefix with the least ``(gamma_time + gamma_pay * boundary
+    cost * prefix count) / prefix count``."""
+    counts, costs, _, _ = pop.arrays()
+    cum_counts = np.cumsum(counts)
+    best_value = math.inf
+    threshold = 0
+    for n in range(1, pop.size + 1):
+        if cum_counts[n - 1] <= 0:
+            continue
+        value = (
+            cfg.gamma_time + cfg.gamma_pay * costs[n - 1] * cum_counts[n - 1]
+        ) / cum_counts[n - 1]
+        if value < best_value:
+            best_value = value
+            threshold = n
+    return threshold

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from coded_incentives import (
@@ -32,6 +34,7 @@ from coded_incentives import (
 )
 from coded_incentives.coding import _COND_LIMIT, _decode_received
 from coded_incentives.experiments import DEFAULT_TYPE_PARAMS
+from oracles import integerize_oracle
 
 
 class TestVandermondeGenerator:
@@ -173,6 +176,23 @@ class TestIntegerizeLoads:
             integerize_loads([-0.1])
         with pytest.raises(ValueError):
             integerize_loads([math.inf])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
+                # Quarters make exact remainder ties common.
+                st.integers(0, 40).map(lambda q: q / 4),
+                st.just(0.0),
+            ),
+            max_size=15,
+        )
+    )
+    @example([0.5, 0.5, 0.5, 0.5, 0.5])
+    @example([0.0, 2.25, 0.0, 1.25, 0.25])
+    def test_matches_scalar_oracle(self, loads):
+        assert integerize_loads(loads) == integerize_oracle(loads)
 
 
 def _hetero_offer(pop, loads, rows, rewards, gamma_time=3.0, gamma_pay=2.0):
@@ -353,6 +373,46 @@ class TestDecodeReceived:
 
 
 class TestSimulateRoundMds:
+    def test_seeded_realization_is_pinned(self):
+        # float.hex of a cost-only round at seed 17 (ten workers, k = 8).
+        types = [
+            WorkerType(id=1, cost_rate=1.0, speed=2.0, startup=1.0, count=10)
+        ]
+        cfg = PlatformConfig(gamma_time=5.0, gamma_pay=1.0, total_rows=12.0)
+        mech = solve_cost_only(types, cfg)
+        rng = np.random.default_rng(0)
+        A = rng.standard_normal((12, 2))
+        x = rng.standard_normal(2)
+        outcome = simulate_round(mech, build_population(types), A, x, 17)
+        assert [(w, t.hex()) for w, t in outcome.finish_order] == [
+            (9, "0x1.04cb13a5f8a4ep+1"),
+            (1, "0x1.059d717fa2fe0p+1"),
+            (6, "0x1.2332e964bf6e8p+1"),
+            (4, "0x1.2cee15e12f61ep+1"),
+            (2, "0x1.31edab8020437p+1"),
+            (7, "0x1.332957a4f8b83p+1"),
+            (3, "0x1.436af49db71fcp+1"),
+            (5, "0x1.527db4120596ap+1"),
+            (0, "0x1.c8607f5b6085ep+1"),
+            (8, "0x1.cffc45be272dap+1"),
+        ]
+        assert outcome.contributors == (9, 1, 6, 4, 2, 7, 3, 5)
+        assert outcome.runtime.hex() == "0x1.527db4120596ap+1"
+        assert [v.hex() for v in outcome.decoded.tolist()] == [
+            "0x1.9e68a740eb4ccp-4",
+            "0x1.2d4b3dbbaadfbp-1",
+            "-0x1.ccc42119d1f46p-2",
+            "0x1.4464c18bd1bc8p+0",
+            "-0x1.82711476bef4bp-1",
+            "-0x1.1e52b490aaabcp-1",
+            "-0x1.0f82566346abdp+1",
+            "-0x1.31c9cdaf9085cp+0",
+            "-0x1.0afc8686379f0p-1",
+            "0x1.e12ec640f1e29p-2",
+            "0x1.9443647308d1ap-7",
+            "-0x1.22c8acf25920bp-1",
+        ]
+
     def _mechanism(self, count=10, rows=56.0):
         types = [
             WorkerType(id=1, cost_rate=1.0, speed=2.0, startup=1.0, count=count)

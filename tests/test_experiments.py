@@ -207,6 +207,12 @@ class TestExperimentSpec:
         with pytest.raises(ConfigurationError):
             ExperimentSpec.from_metadata(meta)
 
+    def test_underflowing_throughput_metadata_rejected(self):
+        meta = ExperimentSpec().to_metadata()
+        meta["population"] = "1.0,1e300,1e300,5"
+        with pytest.raises(ConfigurationError, match="underflows"):
+            ExperimentSpec.from_metadata(meta)
+
 
 class TestResultTable:
     def _table(self):

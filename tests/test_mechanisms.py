@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coded_incentives import (
@@ -22,7 +22,6 @@ from coded_incentives import (
     default_population,
     expected_runtime_mds,
     mds_alpha,
-    order_reward_schedule,
     platform_cost,
     solve_complete,
     solve_cost_only,
@@ -37,6 +36,7 @@ from conftest import random_cost_only_instance, random_hetero_instance
 from oracles import (
     brute_force_complete,
     complete_offer_oracle,
+    cost_only_threshold_oracle,
     prefix_cost_oracle,
     private_offer_oracle,
 )
@@ -421,6 +421,45 @@ class TestSolveCostOnly:
         assert mech.threshold_type == int(np.argmin(values)) + 1
         assert mech.scenario == SCENARIO_COST_ONLY
 
+    @staticmethod
+    def _shared_runtime(rates, counts):
+        return [
+            WorkerType(id=i + 1, cost_rate=c, speed=2.0, startup=1.0, count=n)
+            for i, (c, n) in enumerate(zip(rates, counts))
+        ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                # A few shared cost rates make exact value ties common.
+                st.one_of(
+                    st.sampled_from([0.5, 1.0, 3.0]), st.floats(0.1, 30.0)
+                ),
+                st.one_of(st.just(0), st.integers(0, 60)),
+            ),
+            min_size=1,
+            max_size=8,
+        ).filter(lambda pairs: any(n for _, n in pairs)),
+        gamma_time=st.one_of(st.just(0.0), st.floats(0.0, 1e4)),
+        gamma_pay=st.floats(0.1, 10.0),
+    )
+    # Leading empty types; an empty type tying its cheaper neighbour.
+    @example(
+        pairs=[(0.5, 0), (0.5, 0), (1.0, 4), (3.0, 9)],
+        gamma_time=50.0,
+        gamma_pay=1.0,
+    )
+    @example(
+        pairs=[(1.0, 3), (1.0, 0), (3.0, 2)], gamma_time=0.0, gamma_pay=1.0
+    )
+    def test_threshold_matches_scalar_oracle(self, pairs, gamma_time, gamma_pay):
+        types = self._shared_runtime(*zip(*pairs))
+        cfg = PlatformConfig(gamma_time, gamma_pay, total_rows=100.0)
+        mech = solve_cost_only(types, cfg)
+        oracle = cost_only_threshold_oracle(build_population(types), cfg)
+        assert mech.threshold_type == oracle
+
     def test_recovery_threshold_is_best_rounding(self):
         rng = np.random.default_rng(99)
         for _ in range(25):
@@ -543,21 +582,3 @@ class TestPlatformCost:
         assert value == pytest.approx(
             benchmark_config.gamma_time * mech.expected_runtime
         )
-
-
-class TestOrderRewardSchedule:
-    def test_constant_schedule(self):
-        schedule = order_reward_schedule(5.0, {1: 0.25, 2: 0.5, 3: 0.25})
-        assert schedule == {1: 5.0, 2: 5.0, 3: 5.0}
-
-    def test_expected_value_preserved(self):
-        probs = {1: 0.1, 2: 0.3, 3: 0.6}
-        schedule = order_reward_schedule(7.5, probs)
-        expected = math.fsum(schedule[r] * p for r, p in probs.items())
-        assert expected == pytest.approx(7.5, rel=1e-12)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            order_reward_schedule(-1.0, {1: 1.0})
-        with pytest.raises(ConfigurationError):
-            order_reward_schedule(1.0, {1: 0.4, 2: 0.4})

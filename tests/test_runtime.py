@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -13,11 +14,14 @@ from coded_incentives import (
     InfeasibleError,
     LoadAssignment,
     WorkerType,
+    PlatformConfig,
     assign_loads_hetero,
     build_population,
+    default_population,
     expected_runtime_hetero,
     expected_runtime_mds,
     monte_carlo_runtime,
+    solve_incomplete,
 )
 from oracles import harmonic_oracle, order_statistic_mc
 
@@ -172,6 +176,36 @@ class TestLoadAssignmentValidation:
 
 
 class TestMonteCarloRuntime:
+    def test_seeded_estimate_is_pinned(self):
+        # The private-cost offer on the default 1400-worker catalog,
+        # 200 replicates from seed 3.
+        pop = default_population(1400)
+        cfg = PlatformConfig(gamma_time=2000.0, gamma_pay=1.0, total_rows=1000.0)
+        mech = solve_incomplete(pop, cfg)
+        est = monte_carlo_runtime(
+            pop, mech.assignment, mech.targeted, 1000.0, reps=200, seed=3
+        )
+        assert est.expected_runtime.hex() == "0x1.e7c223a74a2c5p-4"
+        assert est.stderr.hex() == "0x1.061dfa458dd04p-12"
+        assert {k: p.hex() for k, p in est.realized_k_distribution.items()} == {
+            319: "0x1.47ae147ae147bp-6",
+            320: "0x1.5c28f5c28f5c3p-4",
+            321: "0x1.47ae147ae147bp-4",
+            322: "0x1.a3d70a3d70a3dp-3",
+            323: "0x1.eb851eb851eb8p-3",
+            324: "0x1.851eb851eb852p-3",
+            325: "0x1.d70a3d70a3d71p-4",
+            326: "0x1.eb851eb851eb8p-5",
+            327: "0x1.47ae147ae147bp-8",
+        }
+        assert sorted(est.finish_order_probs) == [1, 2, 3]
+        digest = hashlib.sha256()
+        for m in (1, 2, 3):
+            digest.update(est.finish_order_probs[m].astype("<f8").tobytes())
+        assert digest.hexdigest() == (
+            "b6fe20a99eaa5b5705917ef143790cf499afa94d3f511c92cc7d903c7e76cf8d"
+        )
+
     def test_matches_analytic_hetero(self):
         pop = _pop()
         rows = 1000.0

@@ -99,6 +99,12 @@ class TestBuildPopulation:
         with pytest.raises(ConfigurationError):
             build_population([])
 
+    def test_underflowing_throughput_is_a_value_error(self):
+        # speed * row_time overflows, so the throughput rounds to zero.
+        huge = _worker(speed=1e300, startup=1e300)
+        with pytest.raises(ValueError, match="underflows"):
+            build_population([_worker(), huge])
+
     def test_constructor_enforces_invariants(self):
         w1 = _worker(cost=10.0, id=1)
         w2 = _worker(cost=1.0, id=2)
