@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 
@@ -22,6 +23,7 @@ from coded_incentives import (
     PlatformConfig,
     WorkerType,
     build_population,
+    default_population,
     integerize_loads,
     mds_decode,
     mds_encode,
@@ -30,6 +32,7 @@ from coded_incentives import (
     read_vector,
     simulate_round,
     solve_cost_only,
+    solve_incomplete,
     vandermonde_generator,
 )
 from coded_incentives.coding import _COND_LIMIT, _decode_received
@@ -332,6 +335,81 @@ class TestSimulateRoundHetero:
             simulate_round(mech, pop, A, np.ones(3), 0)
         with pytest.raises(ValueError):
             simulate_round(mech, pop, np.ones((10, 2)), np.ones(2), 0)
+
+
+def _anchor_round():
+    """The paper's anchor offer: 1400 catalog workers, a 1000-row task."""
+    pop = default_population(1400)
+    cfg = PlatformConfig(gamma_time=2000.0, gamma_pay=1.0, total_rows=1000.0)
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((1000, 4))
+    x = rng.standard_normal(4)
+    return solve_incomplete(pop, cfg), pop, A, x
+
+
+class TestSeededRoundPinned:
+    """What a seeded heterogeneous round realizes besides its decode.
+
+    Finish times are drawn before anything the code or the decode
+    draws, so the race, the contributors, the runtime and the costs of
+    a seeded round must not move when the code or the decode changes;
+    only ``decoded`` and ``max_error`` may.
+    """
+
+    @staticmethod
+    def _fingerprint(outcome):
+        text = "\n".join(
+            [
+                " ".join(f"{w}:{t.hex()}" for w, t in outcome.finish_order),
+                " ".join(map(str, outcome.contributors)),
+                outcome.runtime.hex(),
+                " ".join(
+                    f"{w}:{p.hex()}" for w, p in sorted(outcome.payments.items())
+                ),
+                outcome.platform_cost_realized.hex(),
+            ]
+        )
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    @pytest.mark.parametrize(
+        "seed, runtime, cost, digest",
+        [
+            (1, "0x1.f6e59dbf0c326p-4", "0x1.409c8a3c3f78dp+9",
+             "4f1eb3c27b4e22032dcfb917381c9eeba5e9a318554317253f030f083c923302"),
+            (2, "0x1.f9aa377bae654p-4", "0x1.414989c4cd124p+9",
+             "18edd3f1e39525f42aecb8100dceeb06353fed62c1bae948a71e433e0983916b"),
+            (3, "0x1.0d64bc9f0c22bp-3", "0x1.495fab52c3eb7p+9",
+             "9cac77629486f33825c92b96fba3fb6675b8c26ed3b5eaad31584af0c74c9c08"),
+        ],
+    )
+    def test_anchor_round(self, seed, runtime, cost, digest):
+        mech, pop, A, x = _anchor_round()
+        outcome = simulate_round(mech, pop, A, x, seed)
+        assert outcome.runtime.hex() == runtime
+        assert outcome.platform_cost_realized.hex() == cost
+        assert self._fingerprint(outcome) == digest
+
+    @pytest.mark.parametrize(
+        "seed, runtime, cost, digest",
+        [
+            (5, "0x1.3dd99a09357adp-2", "0x1.d4c3b98cce1bap+14",
+             "3e41846f76d6c37008fb3ac07e34ba3271ba74a4aadbabee74b837fa25afe9c1"),
+            (6, "0x1.9839067a3d47fp-3", "0x1.d4c2645589b76p+14",
+             "2b7fe990cd761ca2e7bbd0e79a729556b6f0c27ea5c68947de7b42c649fa437c"),
+            (7, "0x1.97eca9b96ac78p-2", "0x1.d4c4c7c5fd2c4p+14",
+             "c5ec493343ba8059db23b0bd434b70e605b45a30cb08afba742604abc68ad666"),
+        ],
+    )
+    def test_two_type_round(self, seed, runtime, cost, digest):
+        pop = _two_type_population()
+        rng = np.random.default_rng(1)
+        A = rng.standard_normal((53, 2))
+        x = rng.standard_normal(2)
+        mech = _hetero_offer(pop, {1: 5.2, 2: 0.2}, 53, {1: 1000.0, 2: 1000.0})
+        outcome = simulate_round(mech, pop, A, x, seed)
+        assert outcome.runtime.hex() == runtime
+        assert outcome.platform_cost_realized.hex() == cost
+        assert self._fingerprint(outcome) == digest
 
 
 class TestDecodeReceived:
