@@ -4,14 +4,16 @@ The uniform-load path applies an (n, k) code built from a real
 Vandermonde generator: the source matrix splits into k equal blocks,
 every worker receives one coded block, and any k finished workers
 suffice to solve for the block products.  The heterogeneous-load path
-gives each worker random dense code rows over all output coordinates,
-so decoding needs only enough received rows, whichever workers they
-came from; rows are drawn only for the workers the decode uses, and
-the realized conditioning is checked before solving rather than
-assumed.  ``simulate_round`` ties both to a platform offer:
-workers join by best response, times are sampled from their runtime
-model, the platform decodes at the earliest decodable prefix of
-finishers and pays the announced rewards.
+uses a systematic code: of the round's ``sum(loads)`` coded rows, one
+per output coordinate is a plain copy of that source row and the rest
+are random dense parity rows, dealt to the workers after one seeded
+shuffle.  The systematic rows that arrive are entries of the product
+as they are; only the entries that did not arrive are solved for, from
+as many received parity rows, with the realized conditioning checked
+before the result is returned rather than assumed.  ``simulate_round``
+ties both to a platform offer: workers join by best response, times
+are sampled from their runtime model, the platform decodes at the
+earliest decodable prefix of finishers and pays the announced rewards.
 """
 
 from __future__ import annotations
@@ -43,7 +45,12 @@ __all__ = [
     "read_vector",
 ]
 
+# Condition guard of the uniform (Vandermonde) path.
 _COND_LIMIT = 1e12
+# A heterogeneous round promises max|decoded - Ax| <= 1e-8 * max(1, |Ax|_inf).
+# An LU solve errs by about eps times the block's condition number, so a
+# block whose condition estimate exceeds 1e-8 / eps could miss that promise.
+_DECODE_COND_LIMIT = 1e-8 / np.finfo(float).eps
 _SPOT_CHECKS = 5
 # Fixed Gaussian probe vectors the heterogeneous decode solves alongside
 # the received results to estimate the inverse's norm; they come from
@@ -225,27 +232,23 @@ def mds_decode(
     return products.reshape(-1)[: task.source_rows]
 
 
-def _decode_received(code: np.ndarray, received: np.ndarray) -> np.ndarray:
-    """Solve the consistent system ``code @ y = received`` for ``y``.
+def _decode_received(square: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the square system ``square @ y = rhs`` for ``y``.
 
-    ``code`` has at least as many rows as unknowns, and its leading
-    square block determines ``y`` whenever it is nonsingular, so only
-    that block is LU-factored.  The same factorization solves a few
-    fixed Gaussian probes z, and since E|B^-1 z|^2 = |B^-1|_F^2 for a
-    square block B, |B|_F times the root mean square of |B^-1 z|
-    estimates the Frobenius condition number, which is at least the
-    2-norm one.  An exactly singular block or an estimate beyond the
-    guard raises NumericalError rather than return a wrong decode.
+    The LU factorization of ``square`` also solves a few fixed Gaussian
+    probes z, and since E|B^-1 z|^2 = |B^-1|_F^2 for a square B, |B|_F
+    times the root mean square of |B^-1 z| estimates the Frobenius
+    condition number, which is at least the 2-norm one.  An exactly
+    singular block, or an estimate beyond ``_DECODE_COND_LIMIT`` (a
+    block whose solve could miss the round's 1e-8 accuracy), raises
+    NumericalError rather than return a wrong decode.
     """
-    unknowns = code.shape[1]
-    square = code[:unknowns]
+    unknowns = square.shape[0]
     probes = np.random.default_rng(_PROBE_SEED).standard_normal(
         (unknowns, _PROBES)
     )
     try:
-        solved = np.linalg.solve(
-            square, np.column_stack([received[:unknowns], probes])
-        )
+        solved = np.linalg.solve(square, np.column_stack([rhs, probes]))
     except np.linalg.LinAlgError:
         cond = math.inf
     else:
@@ -253,12 +256,26 @@ def _decode_received(code: np.ndarray, received: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             mean_square = np.mean(np.sum(solved[:, 1:] ** 2, axis=0))
             cond = float(np.linalg.norm(square)) * math.sqrt(mean_square)
-    if not cond <= _COND_LIMIT:
+    if not cond <= _DECODE_COND_LIMIT:
         raise NumericalError(
-            "realized coded rows are rank-deficient or ill-conditioned "
+            "realized parity rows are rank-deficient or ill-conditioned "
             f"(condition estimate {cond:.3g}); the round cannot decode"
         )
     return solved[:, 0]
+
+
+def _held_slots(
+    slots: np.ndarray, loads: np.ndarray, workers: Sequence[int]
+) -> np.ndarray:
+    """The coded slots ``workers`` hold, worker by worker in that order.
+
+    Slots are dealt in load order: with ``ends = cumsum(loads)``, worker
+    w holds ``slots[ends[w] - loads[w]:ends[w]]``.
+    """
+    ends = np.cumsum(loads)
+    lengths = loads[workers]
+    first = np.repeat(ends[workers] - np.cumsum(lengths), lengths)
+    return slots[first + np.arange(lengths.sum())]
 
 
 def integerize_loads(loads: Sequence[float]) -> list[int]:
@@ -288,10 +305,16 @@ def simulate_round(
     uniform-load coded scheme every participant computes one shard and
     the round ends at the threshold-th finisher; under heterogeneous
     loads each worker's assigned rows are rounded to whole rows and the
-    round ends once finished workers cover the output dimension, with
-    the realized code's conditioning verified before decoding.  Workers
-    are paid the announced reward of their reported type; a worker
-    rounded down to zero rows is paid but does not compute.
+    round ends once finished workers hold as many coded rows as the
+    output has entries.  Those rows are systematic copies of source
+    rows or Gaussian parity rows, shuffled over the workers; arrived
+    systematic rows fill their entries, and the u missing entries are
+    solved from the first u received parity rows, a u-by-u system whose
+    conditioning is verified first.  Finish times are drawn before the
+    shuffle and the parity rows, so the race, its contributors and the
+    costs of a seeded round do not depend on the code.  Workers are paid
+    the announced reward of their reported type; a worker rounded down
+    to zero rows is paid but does not compute.
     """
     source = np.asarray(A, dtype=float)
     vector = np.asarray(x, dtype=float)
@@ -361,15 +384,32 @@ def simulate_round(
         results = {w: task.shards[w] @ vector for w in contributors}
         decoded = mds_decode(task, results)
     else:
-        # Only the contributors' rows are ever received, so only they are
-        # drawn, in finish order.
-        code = rng.standard_normal((int(covered[realized - 1]), rows))
-        # All of the round's linear algebra runs on NumPy's BLAS: NumPy and
-        # SciPy wheels each bundle an OpenBLAS, and the threads one leaves
-        # spinning after a call slow the other's next call by a varying
-        # amount.
-        received = (code @ source) @ vector
-        decoded = _decode_received(code, received)
+        # Slot i < rows of the sum(loads) coded slots is systematic (its
+        # worker computes A[i]·x); the rest are Gaussian parity rows.  The
+        # shuffle is drawn after the finish times, so it cannot move them.
+        held = _held_slots(
+            rng.permutation(int(loads.sum())), loads, contributors
+        )
+        arrived = held[held < rows]
+        decoded = np.empty(rows)
+        decoded[arrived] = source[arrived] @ vector
+        known = np.zeros(rows, dtype=bool)
+        known[arrived] = True
+        unknowns = rows - arrived.size
+        if unknowns:
+            # The contributors hold rows coded slots, so at least as many
+            # parity slots as missing entries; the first of them are the
+            # only parity rows the decode reads, so only they are drawn.
+            # All of the round's linear algebra runs on NumPy's BLAS: NumPy
+            # and SciPy wheels each bundle an OpenBLAS, and the threads one
+            # leaves spinning after a call slow the other's next call by a
+            # varying amount.
+            parity = rng.standard_normal((unknowns, rows))
+            received = (parity @ source) @ vector
+            decoded[~known] = _decode_received(
+                parity[:, ~known],
+                received - parity[:, known] @ decoded[known],
+            )
 
     finish_order = tuple(
         (int(racing[pos]), float(times[pos])) for pos in order

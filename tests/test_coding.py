@@ -8,10 +8,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from coded_incentives import coding
 from coded_incentives import (
     SCHEME_HETERO,
     SCHEME_MDS,
@@ -35,7 +36,12 @@ from coded_incentives import (
     solve_incomplete,
     vandermonde_generator,
 )
-from coded_incentives.coding import _COND_LIMIT, _decode_received
+from coded_incentives.coding import (
+    _COND_LIMIT,
+    _DECODE_COND_LIMIT,
+    _decode_received,
+    _held_slots,
+)
 from coded_incentives.experiments import DEFAULT_TYPE_PARAMS
 from oracles import integerize_oracle
 
@@ -412,6 +418,109 @@ class TestSeededRoundPinned:
         assert self._fingerprint(outcome) == digest
 
 
+def _record_held(monkeypatch):
+    """Record each round's dealt slots, loads and the slots it received."""
+    calls = []
+
+    def held(slots, loads, workers):
+        received = _held_slots(slots, loads, workers)
+        calls.append((slots, loads, received))
+        return received
+
+    monkeypatch.setattr(coding, "_held_slots", held)
+    return calls
+
+
+class _PlantedGenerator(np.random.Generator):
+    """Draws of two or more 53-column rows make the second row equal to
+    the first up to 1e-8, so a round's parity block is ill-conditioned."""
+
+    def standard_normal(self, size=None, *args, **kwargs):
+        out = super().standard_normal(size, *args, **kwargs)
+        if isinstance(size, tuple) and size[1:] == (53,) and size[0] >= 2:
+            out[1] = out[0] + 1e-8 * out[1]
+        return out
+
+
+class TestSystematicDecode:
+    def test_exact_cover_needs_no_parity(self, monkeypatch):
+        # Loads 6, 6, 6, 5, ..., 5 for type 1 and 0 for type 2 sum to
+        # exactly 53 rows: every slot is systematic and nothing is solved.
+        def no_solve(square, rhs):
+            raise AssertionError("an exact cover has no missing entry")
+
+        monkeypatch.setattr(coding, "_decode_received", no_solve)
+        calls = _record_held(monkeypatch)
+        pop = _two_type_population()
+        rng = np.random.default_rng(1)
+        A = rng.standard_normal((53, 2))
+        x = rng.standard_normal(2)
+        mech = _hetero_offer(pop, {1: 5.2, 2: 0.2}, 53, {1: 1000.0, 2: 1000.0})
+        for seed in range(5):
+            outcome = simulate_round(mech, pop, A, x, seed)
+            _, loads, received = calls[-1]
+            assert loads.sum() == 53
+            assert sorted(received.tolist()) == list(range(53))
+            racing = sorted(w for w, _ in outcome.finish_order)
+            assert sorted(outcome.contributors) == racing
+            assert outcome.max_error <= 1e-12
+
+    def test_anchor_spreads_systematic_slots_over_types(self, monkeypatch):
+        calls = _record_held(monkeypatch)
+        mech, pop, A, x = _anchor_round()
+        outcome = simulate_round(mech, pop, A, x, 1)
+        (slots, loads, _), = calls
+        type_of = np.array([m for _, m in outcome.worker_types])
+        assert len(outcome.participants) == 3
+        for m in outcome.participants:
+            with_rows = np.flatnonzero((type_of == m) & (loads > 0))
+            assert with_rows.size
+            assert np.any(_held_slots(slots, loads, with_rows) < 1000)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_decode_within_promised_accuracy(self, data):
+        load1 = data.draw(st.floats(0.01, 8.0), label="type-1 load")
+        load2 = data.draw(st.floats(0.01, 8.0), label="type-2 load")
+        # Ten type-1 and five type-2 workers hold at least this many rows.
+        capacity = int(10 * load1 + 5 * load2)
+        assume(capacity >= 1)
+        rows = data.draw(st.integers(1, capacity), label="rows")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        pop = _two_type_population()
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((rows, 3))
+        x = rng.standard_normal(3)
+        mech = _hetero_offer(
+            pop, {1: load1, 2: load2}, rows, {1: 1000.0, 2: 1000.0}
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            calls = _record_held(patch)
+            outcome = simulate_round(mech, pop, A, x, seed)
+        (_, _, received), = calls
+        missing = rows - int(np.sum(received < rows))
+        assert int(np.sum(received >= rows)) >= missing
+        scale = max(1.0, float(np.max(np.abs(A @ x))))
+        assert outcome.max_error <= 1e-8 * scale
+
+    def test_ill_conditioned_parity_block_rejected(self, monkeypatch):
+        pop = _two_type_population()
+        rng = np.random.default_rng(1)
+        A = rng.standard_normal((53, 2))
+        x = rng.standard_normal(2)
+        mech = _hetero_offer(pop, {1: 8.0, 2: 0.2}, 53, {1: 1000.0, 2: 1000.0})
+        assert simulate_round(mech, pop, A, x, 5).max_error <= 1e-8
+        # The planted block's condition number is about 1e9: within the
+        # uniform path's limit but beyond what 1e-8 accuracy allows.
+        monkeypatch.setattr(
+            np.random,
+            "default_rng",
+            lambda seed=None: _PlantedGenerator(np.random.PCG64(seed)),
+        )
+        with pytest.raises(NumericalError):
+            simulate_round(mech, pop, A, x, 5)
+
+
 class TestDecodeReceived:
     def _system(self, rows, unknowns, seed=3):
         rng = np.random.default_rng(seed)
@@ -421,8 +530,10 @@ class TestDecodeReceived:
 
     @pytest.mark.parametrize("rows", [40, 43])
     def test_exact_cover_and_overshoot_decode(self, rows):
+        # Holding more parity rows than unknowns, a round solves with the
+        # leading square block.
         code, received, product = self._system(rows, 40)
-        decoded = _decode_received(code, received)
+        decoded = _decode_received(code[:40], received[:40])
         assert np.max(np.abs(decoded - product)) <= 1e-8
 
     def test_duplicated_row_rejected(self):
@@ -439,13 +550,14 @@ class TestDecodeReceived:
         return (left * np.geomspace(1.0, 1.0 / cond, 40)) @ right
 
     def test_condition_beyond_limit_rejected(self):
-        code = self._conditioned(100.0 * _COND_LIMIT)
-        assert np.linalg.cond(code) > _COND_LIMIT
+        # Beyond the accuracy-tied limit, though within the uniform path's.
+        code = self._conditioned(100.0 * _DECODE_COND_LIMIT)
+        assert _DECODE_COND_LIMIT < np.linalg.cond(code) < _COND_LIMIT
         with pytest.raises(NumericalError):
             _decode_received(code, code @ np.ones(40))
 
     def test_condition_within_limit_decodes(self):
-        code = self._conditioned(1e-3 * _COND_LIMIT)
+        code = self._conditioned(1e-3 * _DECODE_COND_LIMIT)
         decoded = _decode_received(code.copy(), code @ np.ones(40))
         assert np.max(np.abs(decoded - 1.0)) <= 1e-3
 
