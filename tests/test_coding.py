@@ -602,6 +602,48 @@ class TestSimulateRoundMds:
             "0x1.9443647308d1ap-7",
             "-0x1.22c8acf25920bp-1",
         ]
+        assert {w: p.hex() for w, p in outcome.payments.items()} == dict.fromkeys(
+            range(10), "0x1.5080d0a3e1349p+1"
+        )
+        assert outcome.platform_cost_realized.hex() == "0x1.3c17caac0e7fep+5"
+
+    def test_seeded_realization_with_25_workers_is_pinned(self):
+        # A cost-only round at seed 1 with 25 workers and k = 11.  The race
+        # digest covers the finish order, contributors, runtime, payments
+        # and cost (``TestSeededRoundPinned._fingerprint``).
+        types = [
+            WorkerType(id=1, cost_rate=1.0, speed=2.0, startup=0.1, count=25)
+        ]
+        cfg = PlatformConfig(gamma_time=5.0, gamma_pay=1.0, total_rows=12.0)
+        mech = solve_cost_only(types, cfg)
+        assert mech.recovery_threshold == 11
+        rng = np.random.default_rng(0)
+        A = rng.standard_normal((12, 2))
+        x = rng.standard_normal(2)
+        outcome = simulate_round(mech, build_population(types), A, x, 1)
+        assert TestSeededRoundPinned._fingerprint(outcome) == (
+            "437fa3ab2f081b7ff5243f0db73dcb1402010bcb2f44e418f466f4e0022acd49"
+        )
+        assert outcome.contributors == (8, 4, 15, 13, 11, 1, 3, 17, 6, 7, 18)
+        assert outcome.runtime.hex() == "0x1.c708f2b9811c2p-1"
+        assert {w: p.hex() for w, p in outcome.payments.items()} == dict.fromkeys(
+            range(25), "0x1.af562d857bbedp-2"
+        )
+        assert outcome.platform_cost_realized.hex() == "0x1.df2e1f6a4105ep+3"
+        assert [v.hex() for v in outcome.decoded.tolist()] == [
+            "0x1.9e68a740e6ebep-4",
+            "0x1.2d4b3dbbab5acp-1",
+            "-0x1.ccc42119bfce6p-2",
+            "0x1.4464c18bcc291p+0",
+            "-0x1.827114771c4f6p-1",
+            "-0x1.1e52b4901e56cp-1",
+            "-0x1.0f825662a98a9p+1",
+            "-0x1.31c9cdb19f0fap+0",
+            "-0x1.0afc86915a3e2p-1",
+            "0x1.e12ec6686caf2p-2",
+            "0x1.94436d08972aap-7",
+            "-0x1.22c8ad3122d00p-1",
+        ]
 
     def _mechanism(self, count=10, rows=56.0):
         types = [
