@@ -21,7 +21,6 @@ from .coding import (
     read_matrix,
     read_vector,
     simulate_round,
-    vandermonde_generator,
 )
 from .errors import (
     ConfigurationError,
@@ -141,7 +140,6 @@ __all__ = [
     "verify_ir_ic",
     "CodedTask",
     "SimOutcome",
-    "vandermonde_generator",
     "mds_encode",
     "mds_decode",
     "integerize_loads",

@@ -1,19 +1,22 @@
 """Erasure-coded matrix-vector tasks and end-to-end round simulation.
 
-The uniform-load path applies an (n, k) code built from a real
-Vandermonde generator: the source matrix splits into k equal blocks,
-every worker receives one coded block, and any k finished workers
-suffice to solve for the block products.  The heterogeneous-load path
-uses a systematic code: of the round's ``sum(loads)`` coded rows, one
-per output coordinate is a plain copy of that source row and the rest
-are random dense parity rows, dealt to the workers after one seeded
-shuffle.  The systematic rows that arrive are entries of the product
-as they are; only the entries that did not arrive are solved for, from
-as many received parity rows, with the realized conditioning checked
-before the result is returned rather than assumed.  ``simulate_round``
-ties both to a platform offer: workers join by best response, times
-are sampled from their runtime model, the platform decodes at the
-earliest decodable prefix of finishers and pays the announced rewards.
+A round uses one systematic code whatever its scheme: of the round's
+``sum(loads)`` coded rows, one per output coordinate is a plain copy
+of that source row and the rest are random dense parity rows, dealt to
+the workers after one seeded shuffle.  The systematic rows that arrive
+are entries of the product as they are; only the entries that did not
+arrive are solved for, from as many received parity rows, with the
+realized conditioning checked before the result is returned rather
+than assumed.  The scheme sets only the loads and the stopping rule:
+equal loads of ``ceil(rows / k)`` rows up to the k-th finisher under
+the uniform scheme, the offer's rounded loads up to the first
+finishers covering the output under heterogeneous loads.
+``simulate_round`` ties the code to a platform offer: workers join by
+best response, times are sampled from their runtime model, the
+platform decodes at the earliest decodable prefix of finishers and
+pays the announced rewards.  ``mds_encode`` and ``mds_decode`` are the
+block-code form of the same idea: k equal blocks, a caller's (n, k)
+generator, and any k coded blocks solved for the block products.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .workers import Population, sample_time, sample_times
 __all__ = [
     "CodedTask",
     "SimOutcome",
-    "vandermonde_generator",
     "mds_encode",
     "mds_decode",
     "integerize_loads",
@@ -45,16 +47,14 @@ __all__ = [
     "read_vector",
 ]
 
-# Condition guard of the uniform (Vandermonde) path.
-_COND_LIMIT = 1e12
-# A heterogeneous round promises max|decoded - Ax| <= 1e-8 * max(1, |Ax|_inf).
+# A round promises max|decoded - Ax| <= 1e-8 * max(1, |Ax|_inf).
 # An LU solve errs by about eps times the block's condition number, so a
 # block whose condition estimate exceeds 1e-8 / eps could miss that promise.
 _DECODE_COND_LIMIT = 1e-8 / np.finfo(float).eps
 _SPOT_CHECKS = 5
-# Fixed Gaussian probe vectors the heterogeneous decode solves alongside
-# the received results to estimate the inverse's norm; they come from
-# their own stream, so a round's realisation does not depend on them.
+# Fixed Gaussian probe vectors the decode solves alongside the received
+# results to estimate the inverse's norm; they come from their own
+# stream, so a round's realisation does not depend on them.
 _PROBES = 4
 _PROBE_SEED = 0
 
@@ -106,30 +106,8 @@ class SimOutcome:
     platform_cost_realized: float
 
 
-def vandermonde_generator(n: int, k: int) -> np.ndarray:
-    """Column-normalized real Vandermonde encoding matrix on nodes 1..n.
-
-    Any k of the n rows form an invertible system.  Normalizing each
-    column keeps entries at comparable magnitude as node powers grow;
-    it rescales the recovered unknowns consistently and leaves the
-    decoded result unchanged.
-    """
-    if not (isinstance(n, int) and isinstance(k, int)):
-        raise ValueError("participant and threshold counts must be integers")
-    if not 1 <= k <= n:
-        raise ValueError(f"threshold must satisfy 1 <= k <= n, got k={k}, n={n}")
-    nodes = np.arange(1.0, n + 1.0)
-    matrix = nodes[:, None] ** np.arange(k)[None, :]
-    return matrix / np.linalg.norm(matrix, axis=0)
-
-
 def _spot_check_generator(generator: np.ndarray, n: int, k: int):
     """Probe a few random k-row subsystems for numerical singularity."""
-    if not np.all(np.isfinite(generator)):
-        raise NumericalError(
-            f"the ({n}, {k}) generator has non-finite entries; its node "
-            "powers overflow"
-        )
     rng = np.random.default_rng(np.random.SeedSequence([n, k]))
     seen = set()
     for _ in range(_SPOT_CHECKS):
@@ -137,26 +115,21 @@ def _spot_check_generator(generator: np.ndarray, n: int, k: int):
         if subset in seen:
             continue
         seen.add(subset)
-        cond = np.linalg.cond(generator[list(subset)])
-        if not np.isfinite(cond) or cond > _COND_LIMIT:
-            raise NumericalError(
-                f"generator rows {subset} are numerically singular "
-                f"(condition {cond:.3g})"
-            )
+        _decode_received(generator[list(subset)], np.zeros(k))
 
 
 def mds_encode(
     A: np.ndarray,
     n: int,
     k: int,
-    generator: np.ndarray | None = None,
+    generator: np.ndarray,
 ) -> CodedTask:
-    """Split a matrix into k blocks and produce n coded shards.
+    """Split a matrix into k blocks and code them into n shards.
 
-    The default generator is the node-1..n Vandermonde matrix; a custom
-    (n, k) generator may be supplied, in which case random k-subsets
-    are spot-checked for invertibility.  Rows are zero-padded to a
-    multiple of k and the padding is recorded on the task.
+    Shard i is ``sum_j generator[i, j] * block_j``.  Random k-row
+    subsets of the (n, k) generator are spot-checked by the decode's
+    guard.  Rows are zero-padded to a multiple of k and the padding is
+    recorded on the task.
     """
     source = np.asarray(A, dtype=float)
     if source.ndim != 2 or source.size == 0:
@@ -165,14 +138,9 @@ def mds_encode(
         raise ValueError("participant and threshold counts must be integers")
     if not 1 <= k <= n:
         raise ValueError(f"threshold must satisfy 1 <= k <= n, got k={k}, n={n}")
-    if generator is None:
-        gen = vandermonde_generator(n, k)
-    else:
-        gen = np.asarray(generator, dtype=float)
-        if gen.shape != (n, k):
-            raise ValueError(
-                f"generator must have shape {(n, k)}, got {gen.shape}"
-            )
+    gen = np.asarray(generator, dtype=float)
+    if gen.shape != (n, k):
+        raise ValueError(f"generator must have shape {(n, k)}, got {gen.shape}")
     _spot_check_generator(gen, n, k)
     rows, cols = source.shape
     padding = (-rows) % k
@@ -209,17 +177,6 @@ def mds_decode(
     if len(results) < task.threshold:
         return None
     chosen = list(results)[: task.threshold]
-    subsystem = task.generator[chosen]
-    if not np.all(np.isfinite(subsystem)):
-        raise NumericalError(
-            f"the code rows of workers {chosen} have non-finite entries"
-        )
-    cond = np.linalg.cond(subsystem)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise NumericalError(
-            f"results from workers {chosen} are too ill-conditioned to "
-            f"decode (condition {cond:.3g})"
-        )
     stacked = []
     for index in chosen:
         block = np.asarray(results[index], dtype=float)
@@ -228,12 +185,13 @@ def mds_decode(
                 f"worker {index} result must have {task.block_rows} entries"
             )
         stacked.append(block)
-    products = np.linalg.solve(subsystem, np.stack(stacked))
+    products = _decode_received(task.generator[chosen], np.stack(stacked))
     return products.reshape(-1)[: task.source_rows]
 
 
 def _decode_received(square: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the square system ``square @ y = rhs`` for ``y``.
+    """Solve the square system ``square @ y = rhs`` for ``y``; ``rhs`` is
+    a vector or a matrix of right-hand sides.
 
     The LU factorization of ``square`` also solves a few fixed Gaussian
     probes z, and since E|B^-1 z|^2 = |B^-1|_F^2 for a square B, |B|_F
@@ -244,6 +202,7 @@ def _decode_received(square: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     NumericalError rather than return a wrong decode.
     """
     unknowns = square.shape[0]
+    width = rhs.size // unknowns
     probes = np.random.default_rng(_PROBE_SEED).standard_normal(
         (unknowns, _PROBES)
     )
@@ -254,14 +213,14 @@ def _decode_received(square: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     else:
         # A nearly singular block overflows here; inf or NaN fails the guard.
         with np.errstate(over="ignore", invalid="ignore"):
-            mean_square = np.mean(np.sum(solved[:, 1:] ** 2, axis=0))
+            mean_square = np.mean(np.sum(solved[:, width:] ** 2, axis=0))
             cond = float(np.linalg.norm(square)) * math.sqrt(mean_square)
     if not cond <= _DECODE_COND_LIMIT:
         raise NumericalError(
-            "realized parity rows are rank-deficient or ill-conditioned "
-            f"(condition estimate {cond:.3g}); the round cannot decode"
+            "the coded rows to decode from are rank-deficient or "
+            f"ill-conditioned (condition estimate {cond:.3g})"
         )
-    return solved[:, 0]
+    return solved[:, :width].reshape(rhs.shape)
 
 
 def _held_slots(
@@ -301,20 +260,22 @@ def simulate_round(
 ) -> SimOutcome:
     """Play one full computation round under a platform offer.
 
-    Participation follows each type's best response.  Under the
-    uniform-load coded scheme every participant computes one shard and
-    the round ends at the threshold-th finisher; under heterogeneous
-    loads each worker's assigned rows are rounded to whole rows and the
-    round ends once finished workers hold as many coded rows as the
-    output has entries.  Those rows are systematic copies of source
-    rows or Gaussian parity rows, shuffled over the workers; arrived
-    systematic rows fill their entries, and the u missing entries are
-    solved from the first u received parity rows, a u-by-u system whose
-    conditioning is verified first.  Finish times are drawn before the
-    shuffle and the parity rows, so the race, its contributors and the
-    costs of a seeded round do not depend on the code.  Workers are paid
-    the announced reward of their reported type; a worker rounded down
-    to zero rows is paid but does not compute.
+    Participation follows each type's best response.  The scheme sets
+    only the loads and the stopping rule: under the uniform scheme with
+    recovery threshold k every participant computes ``ceil(rows / k)``
+    coded rows and the round ends at the k-th finisher; under
+    heterogeneous loads each worker's assigned rows are rounded to whole
+    rows and the round ends once finished workers hold as many coded
+    rows as the output has entries.  Either way the contributors hold at
+    least ``rows`` coded rows.  Those rows are systematic copies of
+    source rows or Gaussian parity rows, shuffled over the workers;
+    arrived systematic rows fill their entries, and the u missing
+    entries are solved from the first u received parity rows, a u-by-u
+    system whose conditioning is verified first.  Finish times are drawn
+    before the shuffle and the parity rows, so the race, its
+    contributors and the costs of a seeded round do not depend on the
+    code.  Workers are paid the announced reward of their reported type;
+    a worker rounded down to zero rows is paid but does not compute.
     """
     source = np.asarray(A, dtype=float)
     vector = np.asarray(x, dtype=float)
@@ -345,19 +306,15 @@ def simulate_round(
     speed = np.repeat([t.speed for t in members], counts)
 
     if mech.assignment.scheme == SCHEME_MDS:
-        threshold = mech.recovery_threshold
-        if threshold is None:
-            raise ConfigurationError(
-                "uniform coded offers must carry a recovery threshold"
-            )
+        threshold = mech.assignment.recovery_threshold
         if n_workers < threshold:
             raise InfeasibleError(
                 f"{n_workers} participators cannot reach the recovery "
                 f"threshold {threshold}"
             )
-        task = mds_encode(source, n_workers, threshold)
-        loads = np.full(n_workers, task.block_rows)
-        need = threshold * task.block_rows
+        block_rows = -(-rows // threshold)  # ceil(rows / threshold)
+        loads = np.full(n_workers, block_rows)
+        need = threshold * block_rows
     else:
         missing = [m for m in participants if m not in mech.assignment.loads]
         if missing:
@@ -380,36 +337,29 @@ def simulate_round(
     realized = int(np.searchsorted(covered, need)) + 1
     contributors = racing[order[:realized]].tolist()
     runtime = float(times[order[realized - 1]])
-    if mech.assignment.scheme == SCHEME_MDS:
-        results = {w: task.shards[w] @ vector for w in contributors}
-        decoded = mds_decode(task, results)
-    else:
-        # Slot i < rows of the sum(loads) coded slots is systematic (its
-        # worker computes A[i]·x); the rest are Gaussian parity rows.  The
-        # shuffle is drawn after the finish times, so it cannot move them.
-        held = _held_slots(
-            rng.permutation(int(loads.sum())), loads, contributors
+    # Slot i < rows of the sum(loads) coded slots is systematic (its
+    # worker computes A[i]·x); the rest are Gaussian parity rows.  The
+    # shuffle is drawn after the finish times, so it cannot move them.
+    held = _held_slots(rng.permutation(int(loads.sum())), loads, contributors)
+    arrived = held[held < rows]
+    decoded = np.empty(rows)
+    decoded[arrived] = source[arrived] @ vector
+    known = np.zeros(rows, dtype=bool)
+    known[arrived] = True
+    unknowns = rows - arrived.size
+    if unknowns:
+        # The contributors hold at least rows coded slots, so at least as
+        # many parity slots as missing entries; the first of them are the
+        # only parity rows the decode reads, so only they are drawn.  All
+        # of the round's linear algebra runs on NumPy's BLAS: NumPy and
+        # SciPy wheels each bundle an OpenBLAS, and the threads one leaves
+        # spinning after a call slow the other's next call by a varying
+        # amount.
+        parity = rng.standard_normal((unknowns, rows))
+        received = (parity @ source) @ vector
+        decoded[~known] = _decode_received(
+            parity[:, ~known], received - parity[:, known] @ decoded[known]
         )
-        arrived = held[held < rows]
-        decoded = np.empty(rows)
-        decoded[arrived] = source[arrived] @ vector
-        known = np.zeros(rows, dtype=bool)
-        known[arrived] = True
-        unknowns = rows - arrived.size
-        if unknowns:
-            # The contributors hold rows coded slots, so at least as many
-            # parity slots as missing entries; the first of them are the
-            # only parity rows the decode reads, so only they are drawn.
-            # All of the round's linear algebra runs on NumPy's BLAS: NumPy
-            # and SciPy wheels each bundle an OpenBLAS, and the threads one
-            # leaves spinning after a call slow the other's next call by a
-            # varying amount.
-            parity = rng.standard_normal((unknowns, rows))
-            received = (parity @ source) @ vector
-            decoded[~known] = _decode_received(
-                parity[:, ~known],
-                received - parity[:, known] @ decoded[known],
-            )
 
     finish_order = tuple(
         (int(racing[pos]), float(times[pos])) for pos in order

@@ -109,7 +109,11 @@ class Mechanism:
     expected_runtime: float
     expected_cost: float
     config: PlatformConfig
-    recovery_threshold: int | None = None
+
+    @property
+    def recovery_threshold(self) -> int | None:
+        """The uniform scheme's recovery threshold k (None for others)."""
+        return self.assignment.recovery_threshold
 
     def __post_init__(self):
         if self.scenario not in (
@@ -373,7 +377,6 @@ def solve_cost_only(
         expected_runtime=worker_runtime,
         expected_cost=0.0,
         config=cfg,
-        recovery_threshold=recovery,
     )
     return replace(mech, expected_cost=platform_cost(mech, pop, cfg))
 

@@ -24,6 +24,31 @@ def benchmark_config() -> PlatformConfig:
     return PlatformConfig(gamma_time=2000.0, gamma_pay=1.0, total_rows=1000.0)
 
 
+@pytest.fixture()
+def plant_ill_conditioned_parity(monkeypatch):
+    """``plant(columns)`` makes every later ``np.random.default_rng``
+    generator's draw of two or more rows of ``columns`` entries set the
+    second row to the first up to 1e-8, so a round over a ``columns``-row
+    matrix gets a parity block of condition number about 1e9."""
+
+    def plant(columns: int):
+        class Planted(np.random.Generator):
+            def standard_normal(self, size=None, *args, **kwargs):
+                out = super().standard_normal(size, *args, **kwargs)
+                shape = size if isinstance(size, tuple) else ()
+                if shape[1:] == (columns,) and shape[0] >= 2:
+                    out[1] = out[0] + 1e-8 * out[1]
+                return out
+
+        monkeypatch.setattr(
+            np.random,
+            "default_rng",
+            lambda seed=None: Planted(np.random.PCG64(seed)),
+        )
+
+    return plant
+
+
 def random_hetero_instance(
     rng: np.random.Generator, max_types: int = 12
 ) -> tuple[Population, PlatformConfig]:

@@ -235,36 +235,40 @@ class TestSimulate:
         assert main(["simulate", "--config", hetero_cfg, "--reps", "0"]) == 2
         capsys.readouterr()
 
-    def test_ill_conditioned_code_exits_3(self, tmp_path, capsys):
-        # Forty shared-runtime workers push the polynomial code matrix
-        # past the conditioning guard.
-        path = tmp_path / "big.cfg"
-        path.write_text(
-            "1.0 2.0 1.0 40\n"
-            "gamma_time = 20\n"
-            "total_rows = 120\n"
-        )
+    def test_ill_conditioned_code_exits_3(
+        self, cost_only_cfg, plant_ill_conditioned_parity, capsys
+    ):
+        # Two nearly equal parity rows make the 56-row round's decode block
+        # ill-conditioned beyond the guard.
+        plant_ill_conditioned_parity(56)
         assert (
-            main(["simulate", "--scenario", "cost-only", "--config", str(path)])
+            main(["simulate", "--scenario", "cost-only", "--config", cost_only_cfg])
             == 3
         )
         assert "numerical failure" in capsys.readouterr().err
 
-    def test_overflowing_uniform_code_exits_3(self, tmp_path, capsys):
+    def test_paper_anchor_cost_only_round_decodes(self, tmp_path, capsys):
         # The catalog's first three cost rates on one shared runtime, 140
-        # workers each: 420 participators overflow the polynomial code.
+        # workers each: 420 participators and the default 1000 rows.
         path = tmp_path / "anchor.cfg"
         path.write_text(
             "1.0 50.0 0.012 140\n"
             "7.0 50.0 0.012 140\n"
             "8.0 50.0 0.012 140\n"
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(
-                ["simulate", "--scenario", "cost-only", "--config", str(path)]
-            )
-        assert code == 3
-        assert "numerical failure" in capsys.readouterr().err
+        assert main(
+            ["simulate", "--scenario", "cost-only", "--config", str(path),
+             "--reps", "5"]
+        ) == 0
+        rounds = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("round ")
+        ]
+        assert len(rounds) == 5
+        for line in rounds:
+            assert "used 254 of 420 workers" in line
+            error = float(line.split("decode error ")[1].split(",")[0])
+            assert error <= 1e-8
 
 
 class TestEncodeDemo:
