@@ -62,14 +62,7 @@ from .mechanisms import (
     solve_cost_only,
     solve_incomplete,
 )
-from .numerics import (
-    DEFAULT_TOLERANCE,
-    Tolerance,
-    harmonic,
-    lambert_w_minus1,
-    mds_alpha,
-    solve_lambda,
-)
+from .numerics import harmonic, mds_alpha, solve_lambda
 from .runtime import (
     SCHEME_HETERO,
     SCHEME_MDS,
@@ -102,10 +95,7 @@ __all__ = [
     "InfeasibleError",
     "NumericalError",
     "IterationError",
-    "Tolerance",
-    "DEFAULT_TOLERANCE",
     "solve_lambda",
-    "lambert_w_minus1",
     "mds_alpha",
     "harmonic",
     "WorkerType",

@@ -303,6 +303,16 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         text = commands[args.command](args)
+        if not text.endswith("\n"):
+            text += "\n"
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            except OSError as exc:
+                raise ConfigurationError(f"cannot write {args.out}: {exc}") from exc
+        else:
+            print(text, end="")
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -312,11 +322,6 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text, end="" if text.endswith("\n") else "\n")
     return 0
 
 

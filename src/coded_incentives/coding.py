@@ -395,14 +395,14 @@ def _text_lines(path: str) -> Iterator[tuple[int, str]]:
     """``(line number, text)`` of each line of a text file that is not
     blank once its `#` comment is stripped."""
     try:
-        handle = open(path, "r", encoding="utf-8")
-    except OSError as exc:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read {path}: {exc}") from exc
-    with handle:
-        for line_no, line in enumerate(handle, start=1):
-            text = line.split("#", 1)[0].strip()
-            if text:
-                yield line_no, text
+    for line_no, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if text:
+            yield line_no, text
 
 
 def _read_numbers(path: str) -> list[float]:

@@ -307,10 +307,15 @@ def solve_cost_only(
     All types share one runtime distribution, so the selection metric
     reduces to the cost rate.  The platform uses uniform coded loads
     ``rows / k`` with recovery threshold ``k`` set to the optimal
-    fraction of the participator count (rounded to the cheaper of floor
-    and ceil under the exact runtime), and pays every type one uniform
-    reward that leaves the boundary cost type at exactly zero payoff
-    under the logarithmic runtime form the reward is built from.
+    fraction :func:`mds_alpha` of the participator count (rounded to
+    the cheaper of floor and ceil under the exact runtime).  Every type
+    gets one uniform reward: the boundary type's cost rate times the
+    load ``rows / k`` times the shared row time ``lam`` of
+    :func:`solve_lambda`.  This load times ``lam`` is the logarithmic
+    runtime form ``(rows / k) * (a - log1p(-alpha) / mu)``, because
+    ``-log1p(-alpha) = log1p(mu*lam) = mu*(lam - a)`` is the speed
+    equation, so the reward leaves the boundary type at exactly zero
+    payoff under that form.
     """
     _require_paying_config(cfg)
     types = list(types)
@@ -340,8 +345,8 @@ def solve_cost_only(
     threshold = int(per_worker.argmin()) + 1
     targeted = tuple(range(1, threshold + 1))
     participators = int(cum_counts[threshold - 1])
-    speed = pop.member(1)[0].speed
-    startup = pop.member(1)[0].startup
+    worker, profile = pop.member(1)
+    speed, startup = worker.speed, worker.startup
     alpha = mds_alpha(speed, startup)
     fractional_k = alpha * participators
 
@@ -357,9 +362,7 @@ def solve_cost_only(
         }
     )
     recovery = min(candidates, key=exact_runtime)
-    worker_runtime = (cfg.total_rows / recovery) * (
-        startup - math.log1p(-alpha) / speed
-    )
+    worker_runtime = (cfg.total_rows / recovery) * profile.row_time
     reward = float(costs[threshold - 1] * worker_runtime)
     rewards = {m: reward for m in pop.ids}
     assignment = LoadAssignment(
@@ -381,21 +384,13 @@ def solve_cost_only(
     return replace(mech, expected_cost=platform_cost(mech, pop, cfg))
 
 
-def platform_cost(
-    mech: Mechanism,
-    pop: Population,
-    cfg: PlatformConfig,
-    runtime_model: str = "exact",
-) -> float:
+def platform_cost(mech: Mechanism, pop: Population, cfg: PlatformConfig) -> float:
     """Re-evaluate the platform objective from first principles.
 
     Runtime valuation times the scenario's expected runtime plus
     payment valuation times the total expected payment to targeted
-    workers.  For the cost-only scenario ``runtime_model`` selects the
-    exact harmonic runtime (default) or the logarithmic approximation.
+    workers.  The cost-only scenario uses the exact harmonic runtime.
     """
-    if runtime_model not in ("exact", "approx"):
-        raise ValueError(f"unknown runtime_model {runtime_model!r}")
     known = set(pop.ids)
     if any(m not in known for m in mech.targeted):
         raise ConfigurationError("mechanism targets types absent from population")
@@ -411,17 +406,9 @@ def platform_cost(
             )
         speed = pop.member(mech.targeted[0])[0].speed
         startup = pop.member(mech.targeted[0])[0].startup
-        estimate = expected_runtime_mds(
+        runtime = expected_runtime_mds(
             participators, mech.recovery_threshold, cfg.total_rows, speed, startup
-        )
-        runtime = estimate.expected_runtime
-        if runtime_model == "approx":
-            if estimate.approx_runtime is None:
-                raise NotImplementedError(
-                    "logarithmic runtime undefined when every participator "
-                    "must finish"
-                )
-            runtime = estimate.approx_runtime
+        ).expected_runtime
         payment = math.fsum(
             pop.member(m)[0].count * mech.rewards[m] for m in mech.targeted
         )

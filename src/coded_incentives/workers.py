@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .numerics import DEFAULT_TOLERANCE, Tolerance, solve_lambda
+from .numerics import solve_lambda
 
 __all__ = [
     "WorkerType",
@@ -128,11 +128,9 @@ class Population:
         return counts, costs, throughputs, ratios
 
 
-def derive_profile(
-    worker: WorkerType, tol: Tolerance = DEFAULT_TOLERANCE
-) -> PerformanceProfile:
+def derive_profile(worker: WorkerType) -> PerformanceProfile:
     """Compute the derived performance metrics of one worker type."""
-    row_time = solve_lambda(worker.speed, worker.startup, tol)
+    row_time = solve_lambda(worker.speed, worker.startup)
     throughput = worker.speed / (1.0 + worker.speed * row_time)
     if not throughput > 0:
         raise ValueError(f"throughput underflows to zero for {worker}")
@@ -142,29 +140,25 @@ def derive_profile(
 
 
 def _ranked_profiles(
-    raw: Sequence[WorkerType], tol: Tolerance
+    raw: Sequence[WorkerType],
 ) -> list[tuple[int, PerformanceProfile]]:
     """Input positions and derived profiles in the id order assigned."""
-    profiles = [derive_profile(t, tol) for t in raw]
+    profiles = [derive_profile(t) for t in raw]
     return sorted(
         enumerate(profiles), key=lambda item: (item[1].ratio, raw[item[0]].cost_rate)
     )
 
 
-def population_order(
-    raw: Sequence[WorkerType], tol: Tolerance = DEFAULT_TOLERANCE
-) -> list[int]:
+def population_order(raw: Sequence[WorkerType]) -> list[int]:
     """Input positions in the id order :func:`build_population` assigns.
 
     Useful for carrying per-type side data (for example sampling
     probabilities) through the relabeling.
     """
-    return [i for i, _ in _ranked_profiles(raw, tol)]
+    return [i for i, _ in _ranked_profiles(raw)]
 
 
-def build_population(
-    raw: Iterable[WorkerType], tol: Tolerance = DEFAULT_TOLERANCE
-) -> Population:
+def build_population(raw: Iterable[WorkerType]) -> Population:
     """Derive profiles, sort by cost-performance ratio ascending, and
     relabel ids 1..M.
 
@@ -177,7 +171,7 @@ def build_population(
     return Population(
         tuple(
             (replace(entries[j], id=i), profile)
-            for i, (j, profile) in enumerate(_ranked_profiles(entries, tol), start=1)
+            for i, (j, profile) in enumerate(_ranked_profiles(entries), start=1)
         )
     )
 

@@ -21,7 +21,7 @@ from coded_incentives import (
     default_population,
     expected_runtime_hetero,
     expected_runtime_mds,
-    lambert_w_minus1,
+    mds_alpha,
     mds_decode,
     mds_encode,
     monte_carlo_runtime,
@@ -341,19 +341,21 @@ def test_c11_scalar_solvers_match_bisection_oracles():
         fast = solve_lambda(mu, a)
         slow = lambda_oracle(mu, a)
         worst_lambda = max(worst_lambda, abs(fast - slow) / abs(slow))
-    worst_w = 0.0
+    # The recovery fraction read off the row-time root against the
+    # Lambert-W closed form 1 + 1/W_-1(-exp(-a*mu - 1)).
+    worst_alpha = 0.0
     for _ in range(10_000):
-        x = -math.exp(-float(rng.uniform(1.001, 40.0)))
-        fast = lambert_w_minus1(x)
-        slow = w_minus1_oracle(x)
-        worst_w = max(worst_w, abs(fast - slow) / abs(slow))
-    ok = worst_lambda <= 1e-9 and worst_w <= 1e-9
+        a = float(rng.uniform(1.001, 40.0)) - 1.0
+        fast = mds_alpha(1.0, a)
+        slow = 1.0 + 1.0 / w_minus1_oracle(-math.exp(-a - 1.0))
+        worst_alpha = max(worst_alpha, abs(fast - slow) / abs(slow))
+    ok = worst_lambda <= 1e-9 and worst_alpha <= 1e-9
     _report(
         11,
-        f"row-time and branch-function solvers match bisection oracles "
-        f"on 1e4 inputs each (worst rel err {worst_lambda:.2e} / "
-        f"{worst_w:.2e})",
+        f"row-time solver and the recovery fraction match bisection "
+        f"oracles on 1e4 inputs each (worst rel err {worst_lambda:.2e} / "
+        f"{worst_alpha:.2e})",
         ok,
     )
     assert worst_lambda <= 1e-9
-    assert worst_w <= 1e-9
+    assert worst_alpha <= 1e-9

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
+import re
 import subprocess
 
 import numpy as np
 import pytest
 
-from coded_incentives import read_matrix
+from coded_incentives import mds_alpha, read_matrix
 from coded_incentives.cli import build_parser, main
 
 
@@ -76,6 +78,18 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "configuration error" in err
 
+    @pytest.mark.parametrize("speed", [735.0, 744.0, 1000.0])
+    def test_cost_only_at_large_startup_times_speed(self, tmp_path, capsys, speed):
+        # At these startup*speed products the recovery fraction is within
+        # 2e-3 of 1 and exp(-startup*speed - 1) is subnormal or zero.
+        path = tmp_path / "fast.cfg"
+        path.write_text(f"1.0 {speed} 1.0 100\ngamma_time = 20\n")
+        assert main(["solve", "--scenario", "cost-only", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        k = int(re.search(r"recovery threshold: (\d+)", out).group(1))
+        fractional_k = mds_alpha(speed, 1.0) * 100
+        assert k in (math.floor(fractional_k), math.ceil(fractional_k))
+
     def test_missing_config_exits_2(self, capsys):
         assert main(["solve", "--config", "/nonexistent.cfg"]) == 2
         capsys.readouterr()
@@ -99,6 +113,26 @@ class TestSolve:
         text = out_path.read_text()
         assert text.endswith("\n")
         assert "targeted types" in text
+
+    def test_unwritable_out_exits_2(self, hetero_cfg, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "offer.txt"
+        assert main(["solve", "--config", hetero_cfg, "--out", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"configuration error: cannot write {out_path}")
+        assert captured.out == ""
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("option", ["--config", "--matrix", "--vector"])
+    def test_exits_2_naming_the_file(self, hetero_cfg, tmp_path, capsys, option):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("2 # caf\xe9\n1.0 2.0\n".encode("latin-1"))
+        argv = ["simulate", "--config", hetero_cfg, option, str(path)]
+        if option == "--config":
+            argv = ["simulate", "--config", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot read {path}")
 
 
 class TestNonFiniteConfig:

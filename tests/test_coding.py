@@ -570,7 +570,7 @@ class TestSimulateRoundMds:
         assert outcome.contributors == (9, 1, 6, 4, 2, 7, 3, 5)
         assert outcome.runtime.hex() == "0x1.527db4120596ap+1"
         assert {w: p.hex() for w, p in outcome.payments.items()} == dict.fromkeys(
-            range(10), "0x1.5080d0a3e1349p+1"
+            range(10), "0x1.5080d0a3e1348p+1"
         )
         assert outcome.platform_cost_realized.hex() == "0x1.3c17caac0e7fep+5"
         assert [v.hex() for v in outcome.decoded.tolist()] == [

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coded_incentives import (
+    DEFAULT_TYPE_PARAMS,
     SCENARIO_COMPLETE,
     SCENARIO_COST_ONLY,
     SCENARIO_INCOMPLETE,
@@ -495,6 +496,26 @@ class TestSolveCostOnly:
         boundary_cost = self._types()[mech.threshold_type - 1].cost_rate
         assert reward == boundary_cost * mech.expected_runtime
 
+    @pytest.mark.parametrize(
+        "speed, startup", [row[1:] for row in DEFAULT_TYPE_PARAMS]
+    )
+    def test_worker_runtime_is_load_times_row_time(self, speed, startup):
+        types = [
+            WorkerType(
+                id=i + 1, cost_rate=c, speed=speed, startup=startup, count=n
+            )
+            for i, (c, n) in enumerate(((1.0, 30), (4.0, 50), (9.0, 20)))
+        ]
+        cfg = PlatformConfig(gamma_time=500.0, gamma_pay=1.0, total_rows=1000.0)
+        mech = solve_cost_only(types, cfg)
+        load = cfg.total_rows / mech.recovery_threshold
+        row_time = build_population(types).member(1)[1].row_time
+        assert mech.expected_runtime == load * row_time
+        # The logarithmic runtime form of the same quantity.
+        alpha = mds_alpha(speed, startup)
+        log_form = load * (startup - math.log1p(-alpha) / speed)
+        assert abs(mech.expected_runtime - log_form) <= 4 * math.ulp(log_form)
+
     def test_uniform_loads(self):
         cfg = PlatformConfig(gamma_time=50.0, gamma_pay=1.0, total_rows=100.0)
         mech = solve_cost_only(self._types(), cfg)
@@ -539,34 +560,15 @@ class TestPlatformCost:
         cfg = PlatformConfig(gamma_time=50.0, gamma_pay=1.0, total_rows=100.0)
         mech = solve_cost_only(types, cfg)
         pop = build_population(types)
-        exact = platform_cost(mech, pop, cfg, runtime_model="exact")
-        assert mech.expected_cost == exact
-        if mech.recovery_threshold < pop.total:
-            approx = platform_cost(mech, pop, cfg, runtime_model="approx")
-            assert approx != exact
-            assert approx == pytest.approx(exact, rel=0.2)
-
-    def test_approx_undefined_at_full_threshold(self):
-        # One worker forces k = n = 1 where the logarithmic runtime
-        # diverges.
-        types = [
-            WorkerType(id=1, cost_rate=1.0, speed=1.0, startup=5.0, count=1)
-        ]
-        cfg = PlatformConfig(gamma_time=50.0, gamma_pay=1.0, total_rows=100.0)
-        mech = solve_cost_only(types, cfg)
-        pop = build_population(types)
-        assert mech.recovery_threshold == 1
-        with pytest.raises(NotImplementedError):
-            platform_cost(mech, pop, cfg, runtime_model="approx")
-
-    def test_unknown_model_rejected(
-        self, benchmark_population, benchmark_config
-    ):
-        mech = solve_complete(benchmark_population, benchmark_config)
-        with pytest.raises(ValueError):
-            platform_cost(
-                mech, benchmark_population, benchmark_config, runtime_model="bogus"
-            )
+        assert mech.expected_cost == platform_cost(mech, pop, cfg)
+        assert mech.recovery_threshold < pop.total
+        estimate = expected_runtime_mds(
+            pop.total, mech.recovery_threshold, cfg.total_rows, 2.0, 1.0
+        )
+        assert estimate.approx_runtime != estimate.expected_runtime
+        assert estimate.approx_runtime == pytest.approx(
+            estimate.expected_runtime, rel=0.2
+        )
 
     def test_gamma_pay_zero_cost_evaluation(
         self, benchmark_population, benchmark_config

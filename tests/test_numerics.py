@@ -9,22 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coded_incentives import (
-    DEFAULT_TOLERANCE,
-    NumericalError,
-    Tolerance,
-    harmonic,
-    lambert_w_minus1,
-    mds_alpha,
-    solve_lambda,
-)
-from oracles import (
-    alpha_objective,
-    alpha_oracle,
-    harmonic_oracle,
-    lambda_oracle,
-    w_minus1_oracle,
-)
+from coded_incentives import harmonic, mds_alpha, solve_lambda
+from oracles import alpha_objective, alpha_oracle, harmonic_oracle, lambda_oracle
 
 BENCHMARK_PARAMS = (
     (50.0, 0.012),
@@ -86,32 +72,6 @@ class TestSolveLambda:
         assert abs(residual) <= 1e-9 * (1.0 + mu * lam)
 
 
-class TestLambertLowerBranch:
-    def test_inverse_identity(self):
-        rng = np.random.default_rng(202)
-        for _ in range(200):
-            x = -math.exp(-float(rng.uniform(1.001, 40.0)))
-            w = lambert_w_minus1(x)
-            assert w <= -1.0
-            assert w * math.exp(w) == pytest.approx(x, rel=1e-9)
-
-    def test_branch_point_exact(self):
-        assert lambert_w_minus1(-1.0 / math.e) == -1.0
-
-    def test_matches_bisection_oracle(self):
-        rng = np.random.default_rng(303)
-        for _ in range(200):
-            x = -math.exp(-float(rng.uniform(1.001, 40.0)))
-            assert lambert_w_minus1(x) == pytest.approx(
-                w_minus1_oracle(x), rel=1e-9
-            )
-
-    def test_rejects_out_of_domain(self):
-        for x in (0.0, 0.5, -1.0, -0.5):
-            with pytest.raises(NumericalError):
-                lambert_w_minus1(x)
-
-
 class TestMdsAlpha:
     def test_in_unit_interval(self):
         for mu, a in BENCHMARK_PARAMS:
@@ -123,6 +83,18 @@ class TestMdsAlpha:
         # alpha / (mu * (1 - alpha)) = a + log(1/(1 - alpha)) / mu.
         for mu, a in BENCHMARK_PARAMS:
             alpha = mds_alpha(mu, a)
+            left = alpha / (mu * (1.0 - alpha))
+            right = a - math.log1p(-alpha) / mu
+            assert left == pytest.approx(right, rel=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e-10, 735.0, 744.0, 1000.0, 5000.0])
+    def test_first_order_condition_at_extreme_scales(self, scale):
+        # A tiny a*mu puts alpha near 0; a large one puts it near 1 and
+        # makes exp(-a*mu - 1) subnormal or zero.
+        for mu in (1.0, scale):
+            a = scale / mu
+            alpha = mds_alpha(mu, a)
+            assert 0.0 < alpha < 1.0
             left = alpha / (mu * (1.0 - alpha))
             right = a - math.log1p(-alpha) / mu
             assert left == pytest.approx(right, rel=1e-9)
@@ -154,20 +126,3 @@ class TestHarmonic:
     def test_rejects_non_integer(self):
         with pytest.raises(ValueError):
             harmonic(2.5)
-
-
-class TestTolerance:
-    def test_defaults(self):
-        assert DEFAULT_TOLERANCE.abs_tol == 1e-12
-        assert DEFAULT_TOLERANCE.max_iter == 200
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Tolerance(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            Tolerance(max_iter=0)
-
-    def test_custom_tolerance_accepted(self):
-        loose = Tolerance(abs_tol=1e-6, max_iter=80)
-        lam = solve_lambda(50.0, 0.012, loose)
-        assert lam == pytest.approx(solve_lambda(50.0, 0.012), rel=1e-6)
