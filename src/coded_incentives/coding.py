@@ -283,6 +283,8 @@ def simulate_round(
         raise ValueError("matrix must be two-dimensional and nonempty")
     if vector.shape != (source.shape[1],):
         raise ValueError("vector length must match the matrix column count")
+    if not (np.isfinite(source).all() and np.isfinite(vector).all()):
+        raise ValueError("matrix and vector entries must be finite")
     rows = source.shape[0]
     if rows != mech.config.total_rows:
         raise ValueError(
@@ -292,18 +294,16 @@ def simulate_round(
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     decisions = {m: best_response(m, mech, pop) for m in pop.ids}
     participants = tuple(
-        m
-        for m in pop.ids
-        if decisions[m].participate and pop.member(m)[0].count > 0
+        m for m in pop.ids if decisions[m].participate and pop.counts[m - 1] > 0
     )
     if not participants:
         raise InfeasibleError("no worker participates in this round")
-    members = [pop.member(m)[0] for m in participants]
-    counts = [t.count for t in members]
+    index = np.array(participants) - 1
+    counts = pop.counts[index].astype(int)
     type_of = np.repeat(participants, counts).tolist()
     n_workers = len(type_of)
-    startup = np.repeat([t.startup for t in members], counts)
-    speed = np.repeat([t.speed for t in members], counts)
+    startup = np.repeat(pop.startup[index], counts)
+    speed = np.repeat(pop.speed[index], counts)
 
     if mech.assignment.scheme == SCHEME_MDS:
         threshold = mech.assignment.recovery_threshold
@@ -343,23 +343,27 @@ def simulate_round(
     held = _held_slots(rng.permutation(int(loads.sum())), loads, contributors)
     arrived = held[held < rows]
     decoded = np.empty(rows)
-    decoded[arrived] = source[arrived] @ vector
     known = np.zeros(rows, dtype=bool)
     known[arrived] = True
     unknowns = rows - arrived.size
-    if unknowns:
-        # The contributors hold at least rows coded slots, so at least as
-        # many parity slots as missing entries; the first of them are the
-        # only parity rows the decode reads, so only they are drawn.  All
-        # of the round's linear algebra runs on NumPy's BLAS: NumPy and
-        # SciPy wheels each bundle an OpenBLAS, and the threads one leaves
-        # spinning after a call slow the other's next call by a varying
-        # amount.
-        parity = rng.standard_normal((unknowns, rows))
-        received = (parity @ source) @ vector
-        decoded[~known] = _decode_received(
-            parity[:, ~known], received - parity[:, known] @ decoded[known]
-        )
+    # Finite input can still overflow here; the decode is checked below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        decoded[arrived] = source[arrived] @ vector
+        if unknowns:
+            # The contributors hold at least rows coded slots, so at least
+            # as many parity slots as missing entries; the first of them
+            # are the only parity rows the decode reads, so only they are
+            # drawn.  All of the round's linear algebra runs on NumPy's
+            # BLAS: NumPy and SciPy wheels each bundle an OpenBLAS, and the
+            # threads one leaves spinning after a call slow the other's
+            # next call by a varying amount.
+            parity = rng.standard_normal((unknowns, rows))
+            received = (parity @ source) @ vector
+            decoded[~known] = _decode_received(
+                parity[:, ~known], received - parity[:, known] @ decoded[known]
+            )
+    if not np.isfinite(decoded).all():
+        raise NumericalError("the product overflows, so the decode is not finite")
 
     finish_order = tuple(
         (int(racing[pos]), float(times[pos])) for pos in order
@@ -368,9 +372,9 @@ def simulate_round(
         w: float(mech.rewards.get(decisions[type_of[w]].reported_type, 0.0))
         for w in range(n_workers)
     }
+    cost_rates = pop.cost_rate.tolist()
     worker_payoffs = {
-        w: payments[w] - pop.member(type_of[w])[0].cost_rate * runtime
-        for w in range(n_workers)
+        w: payments[w] - cost_rates[type_of[w] - 1] * runtime for w in range(n_workers)
     }
     cost = mech.config.gamma_time * runtime + mech.config.gamma_pay * math.fsum(
         payments.values()
@@ -410,11 +414,14 @@ def _read_numbers(path: str) -> list[float]:
     for line_no, text in _text_lines(path):
         for piece in text.split():
             try:
-                tokens.append(float(piece))
-            except ValueError as exc:
+                value = float(piece)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
                 raise ConfigurationError(
-                    f"{path}:{line_no}: invalid number {piece!r}"
-                ) from exc
+                    f"{path}:{line_no}: {piece!r} is not a finite number"
+                )
+            tokens.append(value)
     return tokens
 
 

@@ -200,12 +200,14 @@ class ExperimentSpec:
     def to_metadata(self) -> dict[str, str]:
         """Metadata echo from which :meth:`from_metadata` rebuilds this
         spec bit-exactly (floats serialized via repr)."""
+        pop = self.population
+        columns = (pop.cost_rate, pop.speed, pop.startup, pop.counts.astype(int))
         return {
             "name": self.name,
             "version": _VERSION,
             "population": ";".join(
-                f"{t.cost_rate!r},{t.speed!r},{t.startup!r},{t.count}"
-                for t, _ in self.population.types
+                f"{cost!r},{speed!r},{startup!r},{count}"
+                for cost, speed, startup, count in zip(*(c.tolist() for c in columns))
             ),
             "gamma_time": repr(self.gamma_time),
             "gamma_pay": repr(self.gamma_pay),
@@ -300,17 +302,17 @@ def _sweep_table(spec: ExperimentSpec, columns: Sequence[str]) -> ResultTable:
     """The selected columns of the deterministic sweep: the complete-
     and private-cost offers priced on every point in one batched pass."""
     counts = _apportion_rows(spec.n_sweep, spec.weights())
-    _, costs, throughputs, ratios = spec.population.arrays()
+    pop = spec.population
     cfg = spec.platform_config()
     table: dict[str, list[float]] = {"N": [float(n) for n in spec.n_sweep]}
     for scenario, rule in (
         ("complete", _complete_offers),
         ("incomplete", _private_offers),
     ):
-        thresholds, runtimes, rewards = rule(counts, costs, throughputs, ratios, cfg)
+        thresholds, runtimes, rewards = rule(counts, pop, cfg)
         table[f"targeted_{scenario}"] = thresholds.astype(float).tolist()
         table[f"cost_{scenario}"] = _hetero_costs(
-            counts, thresholds, rewards, throughputs, cfg, runtimes
+            counts, thresholds, rewards, pop, cfg, runtimes
         )
     table["gap"] = [
         incomplete - complete
@@ -341,11 +343,8 @@ def run_fig6(spec: ExperimentSpec) -> ResultTable:
     each type's best response, with types that decline reported at
     payoff zero."""
     pop = spec.population
-    _, costs, throughputs, ratios = pop.arrays()
     counts = _apportion_rows(spec.n_sweep, spec.weights())
-    offers = _private_offers(
-        counts, costs, throughputs, ratios, spec.platform_config()
-    )
+    offers = _private_offers(counts, pop, spec.platform_config())
     payoffs = _best_payoffs(*offers, pop)
     return ResultTable(
         columns=("N",) + tuple(f"payoff_type_{m}" for m in pop.ids),
@@ -367,15 +366,15 @@ def run_fig7(spec: ExperimentSpec) -> ResultTable:
     error.  All replicates of a point are priced in one batched pass.
     """
     cfg = spec.platform_config()
-    _, costs, throughputs, ratios = spec.population.arrays()
+    pop = spec.population
     if spec.type_probabilities is None:
-        probs = np.full(spec.population.size, 1.0 / spec.population.size)
+        probs = np.full(pop.size, 1.0 / pop.size)
     else:
         probs = np.asarray(spec.type_probabilities, dtype=float)
     rows = []
     for total in spec.n_sweep:
         committed = solve_incomplete(
-            spec.population.with_counts(apportion(total, spec.weights())), cfg
+            pop.with_counts(apportion(total, spec.weights())), cfg
         )
         realized = np.array(
             [
@@ -390,16 +389,14 @@ def run_fig7(spec: ExperimentSpec) -> ResultTable:
             _hetero_costs(
                 realized,
                 np.full(spec.replications, committed.threshold_type),
-                [committed.rewards[m] for m in spec.population.ids],
-                throughputs,
+                [committed.rewards[m] for m in pop.ids],
+                pop,
                 cfg,
             )
         )
-        thresholds, runtimes, rewards = _private_offers(
-            realized, costs, throughputs, ratios, cfg
-        )
+        thresholds, runtimes, rewards = _private_offers(realized, pop, cfg)
         informed_costs = np.array(
-            _hetero_costs(realized, thresholds, rewards, throughputs, cfg, runtimes)
+            _hetero_costs(realized, thresholds, rewards, pop, cfg, runtimes)
         )
         gaps = committed_costs - informed_costs
         stderr = (

@@ -118,20 +118,20 @@ def worker_payoff(
     worker parameters, so the complete-information scenario only
     accepts truthful reports.
     """
-    true_worker, _ = pop.member(true_m)
-    pop.member(reported)
+    if not (1 <= true_m <= pop.size and 1 <= reported <= pop.size):
+        raise ValueError(f"unknown type id among {true_m}, {reported}")
     if mech.scenario == SCENARIO_COMPLETE and reported != true_m:
         raise ValueError("misreporting is not possible under complete information")
     reward = mech.rewards.get(reported, 0.0)
-    return reward - true_worker.cost_rate * mech.expected_runtime
+    return reward - pop.cost_rate.item(true_m - 1) * mech.expected_runtime
 
 
 def _runtime_classes(pop: Population) -> list[list[int]]:
     """Type ids grouped by identical runtime parameters (speed and
     startup): the identities a worker can claim undetected."""
     classes: dict[tuple[float, float], list[int]] = {}
-    for worker, _ in pop.types:
-        classes.setdefault((worker.speed, worker.startup), []).append(worker.id)
+    for m, key in enumerate(zip(pop.speed.tolist(), pop.startup.tolist()), 1):
+        classes.setdefault(key, []).append(m)
     return list(classes.values())
 
 
@@ -150,7 +150,8 @@ def best_response(true_m: int, mech: Mechanism, pop: Population) -> WorkerDecisi
     negative, declines and keeps payoff zero.  Participation at exactly
     zero payoff is accepted.
     """
-    pop.member(true_m)
+    if not 1 <= true_m <= pop.size:
+        raise ValueError(f"unknown type id {true_m}")
     payoffs = {
         m: worker_payoff(true_m, m, mech, pop)
         for m in _feasible_reports(mech, pop, true_m)
@@ -195,8 +196,7 @@ def _best_payoffs(
     for ids in _runtime_classes(pop):
         columns = [m - 1 for m in ids]
         best[:, columns] = offered[:, columns].max(axis=1, keepdims=True)
-    _, costs, _, _ = pop.arrays()
-    payoffs = best - costs * np.array(runtimes)[:, None]
+    payoffs = best - pop.cost_rate * np.array(runtimes)[:, None]
     return np.where(payoffs >= 0, payoffs, 0.0)
 
 
@@ -218,7 +218,7 @@ def verify_ir_ic(mech: Mechanism, pop: Population) -> ComplianceReport:
         if payoff < -_REL_TOL * (1.0 + abs(payoff)):
             ir.append((m, payoff))
     for m in pop.ids:
-        if m in mech.targeted:
+        if m <= mech.threshold_type:
             baseline = worker_payoff(m, m, mech, pop)
         else:
             baseline = 0.0

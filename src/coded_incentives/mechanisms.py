@@ -102,13 +102,17 @@ class Mechanism:
     """
 
     scenario: str
-    targeted: tuple[int, ...]
     threshold_type: int
     rewards: Mapping[int, float]
     assignment: LoadAssignment
     expected_runtime: float
     expected_cost: float
     config: PlatformConfig
+
+    @property
+    def targeted(self) -> tuple[int, ...]:
+        """The targeted type ids, the prefix ``1..threshold_type``."""
+        return tuple(range(1, self.threshold_type + 1))
 
     @property
     def recovery_threshold(self) -> int | None:
@@ -122,8 +126,6 @@ class Mechanism:
             SCENARIO_COST_ONLY,
         ):
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        if self.targeted != tuple(range(1, self.threshold_type + 1)):
-            raise ValueError("targeted set must be the prefix 1..threshold_type")
         if any(p < 0 for p in self.rewards.values()):
             raise ValueError("rewards must be nonnegative")
 
@@ -162,50 +164,41 @@ def _hetero_mechanism(
 ) -> Mechanism:
     """The offer the batched ``rule`` (:func:`_complete_offers` or
     :func:`_private_offers`) makes for ``pop``'s headcounts as one row."""
-    counts, costs, throughputs, ratios = pop.arrays()
-    thresholds, runtimes, rewards = rule(
-        counts[None, :], costs, throughputs, ratios, cfg
-    )
+    counts = pop.counts[None, :]
+    thresholds, runtimes, rewards = rule(counts, pop, cfg)
     threshold = int(thresholds[0])
-    targeted = tuple(range(1, threshold + 1))
     return Mechanism(
         scenario=scenario,
-        targeted=targeted,
         threshold_type=threshold,
         rewards=dict(zip(pop.ids, rewards[0].tolist())),
-        assignment=assign_loads_hetero(pop, targeted, cfg.total_rows),
+        assignment=assign_loads_hetero(pop, range(1, threshold + 1), cfg.total_rows),
         expected_runtime=runtimes[0],
-        expected_cost=_hetero_costs(
-            counts[None, :], thresholds, rewards, throughputs, cfg, runtimes
-        )[0],
+        expected_cost=_hetero_costs(counts, thresholds, rewards, pop, cfg, runtimes)[0],
         config=cfg,
     )
 
 
 def _complete_offers(
-    counts: np.ndarray,
-    costs: np.ndarray,
-    throughputs: np.ndarray,
-    ratios: np.ndarray,
-    cfg: PlatformConfig,
+    counts: np.ndarray, pop: Population, cfg: PlatformConfig
 ) -> tuple[np.ndarray, list[float], np.ndarray]:
     """Complete-information offer for each row of an ``(R, M)`` counts
-    matrix: threshold types, expected runtimes, and ``(R, M)`` per-type
-    rewards (each targeted type's cost, zero beyond the threshold).
+    matrix over ``pop``'s types: threshold types, expected runtimes, and
+    ``(R, M)`` per-type rewards (each targeted type's cost, zero beyond
+    the threshold).
 
     The threshold is the largest populated prefix whose boundary ratio
     is at most ``(gamma_time + gamma_pay * prefix cost) / (gamma_pay *
     prefix throughput)``.
     """
-    rates, cum_thru = _prefix_throughputs(counts, throughputs, cfg)
+    rates, cum_thru = _prefix_throughputs(counts, pop, cfg)
     populated = cum_thru > 0
     bound = np.divide(
-        cfg.gamma_time + cfg.gamma_pay * (counts * costs).cumsum(axis=1),
+        cfg.gamma_time + cfg.gamma_pay * (counts * pop.cost_rate).cumsum(axis=1),
         cfg.gamma_pay * cum_thru,
         out=np.full_like(cum_thru, -np.inf),
         where=populated,
     )
-    holds = ratios <= bound
+    holds = pop.ratio <= bound
     # The first populated prefix always satisfies its own inequality up
     # to rounding (it reduces to gamma_time >= 0), so the fallback to it
     # only guards against one-ulp misses when gamma_time is zero.
@@ -217,51 +210,49 @@ def _complete_offers(
     )
     targeted = _prefix_mask(thresholds, size)
     runtimes = expected_runtimes_hetero(rates.tolist(), targeted, cfg.total_rows)
-    rewards = np.where(targeted, costs * np.array(runtimes)[:, None], 0.0)
+    rewards = np.where(targeted, pop.cost_rate * np.array(runtimes)[:, None], 0.0)
     return thresholds, runtimes, rewards
 
 
 def _private_offers(
-    counts: np.ndarray,
-    costs: np.ndarray,
-    throughputs: np.ndarray,
-    ratios: np.ndarray,
-    cfg: PlatformConfig,
+    counts: np.ndarray, pop: Population, cfg: PlatformConfig
 ) -> tuple[np.ndarray, list[float], np.ndarray]:
-    """Private-cost offer for each row of an ``(R, M)`` counts matrix:
-    threshold types, expected runtimes, and ``(R, M)`` per-type rewards.
+    """Private-cost offer for each row of an ``(R, M)`` counts matrix
+    over ``pop``'s types: threshold types, expected runtimes, and
+    ``(R, M)`` per-type rewards.
 
     The threshold minimizes ``gamma_time / cumsum(counts * throughput)
     + gamma_pay * ratio`` over the populated prefixes; ``argmin`` takes
     the first minimum, so ties go to the shorter prefix.
     """
-    rates, cum_thru = _prefix_throughputs(counts, throughputs, cfg)
+    rates, cum_thru = _prefix_throughputs(counts, pop, cfg)
     per_thru = np.divide(
         cfg.gamma_time,
         cum_thru,
         out=np.full_like(cum_thru, np.inf),
         where=cum_thru > 0,
     )
-    thresholds = (per_thru + cfg.gamma_pay * ratios).argmin(axis=1) + 1
+    thresholds = (per_thru + cfg.gamma_pay * pop.ratio).argmin(axis=1) + 1
     runtimes = expected_runtimes_hetero(
         rates.tolist(), _prefix_mask(thresholds, counts.shape[1]), cfg.total_rows
     )
     # Rewards proportional to throughput, grouped so the boundary type's
     # reward equals its cost bit-exactly and its payoff is exactly zero.
     boundary = thresholds - 1
-    boundary_pay = costs[boundary] * np.array(runtimes)
+    boundary_pay = pop.cost_rate[boundary] * np.array(runtimes)
+    throughputs = pop.throughput
     rewards = (throughputs / throughputs[boundary][:, None]) * boundary_pay[:, None]
     return thresholds, runtimes, rewards
 
 
 def _prefix_throughputs(
-    counts: np.ndarray, throughputs: np.ndarray, cfg: PlatformConfig
+    counts: np.ndarray, pop: Population, cfg: PlatformConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-type and cumulative prefix throughput of each counts row, the
     inputs both batched rules start from; a row without workers has no
     feasible offer."""
     _require_paying_config(cfg)
-    rates = counts * throughputs
+    rates = counts * pop.throughput
     cum_thru = rates.cumsum(axis=1)
     if not min(cum_thru[:, -1].tolist()) > 0:
         raise InfeasibleError("population has no workers")
@@ -277,7 +268,7 @@ def _hetero_costs(
     counts: np.ndarray,
     thresholds: np.ndarray,
     rewards: np.ndarray | list[float],
-    throughputs: np.ndarray,
+    pop: Population,
     cfg: PlatformConfig,
     runtimes: list[float] | None = None,
 ) -> list[float]:
@@ -290,7 +281,7 @@ def _hetero_costs(
     targeted = _prefix_mask(thresholds, counts.shape[1])
     if runtimes is None:
         runtimes = expected_runtimes_hetero(
-            (counts * throughputs).tolist(), targeted, cfg.total_rows
+            (counts * pop.throughput).tolist(), targeted, cfg.total_rows
         )
     payments = row_fsums((counts * rewards).tolist(), targeted)
     return [
@@ -318,35 +309,25 @@ def solve_cost_only(
     payoff under that form.
     """
     _require_paying_config(cfg)
-    types = list(types)
-    if not types:
-        raise ConfigurationError("cost-only solver needs at least one type")
-    speeds = [t.speed for t in types]
-    startups = [t.startup for t in types]
-    if max(speeds) - min(speeds) > 1e-12 * max(speeds) or max(startups) - min(
-        startups
-    ) > 1e-12 * max(startups):
+    pop = build_population(types)
+    if any(np.ptp(c) > 1e-12 * c.max() for c in (pop.speed, pop.startup)):
         raise ConfigurationError(
             "cost-only solver requires all types to share speed and startup"
         )
-    pop = build_population(types)
     if pop.total == 0:
         raise InfeasibleError("population has no workers")
-    counts, costs, _, _ = pop.arrays()
-    cum_counts = np.cumsum(counts)
+    cum_counts = np.cumsum(pop.counts)
     # Per-participator cost of each populated prefix; ``argmin`` takes
     # the first minimum, so ties go to the shorter prefix.
     per_worker = np.divide(
-        cfg.gamma_time + cfg.gamma_pay * costs * cum_counts,
+        cfg.gamma_time + cfg.gamma_pay * pop.cost_rate * cum_counts,
         cum_counts,
         out=np.full_like(cum_counts, np.inf),
         where=cum_counts > 0,
     )
     threshold = int(per_worker.argmin()) + 1
-    targeted = tuple(range(1, threshold + 1))
     participators = int(cum_counts[threshold - 1])
-    worker, profile = pop.member(1)
-    speed, startup = worker.speed, worker.startup
+    speed, startup = float(pop.speed[0]), float(pop.startup[0])
     alpha = mds_alpha(speed, startup)
     fractional_k = alpha * participators
 
@@ -362,18 +343,17 @@ def solve_cost_only(
         }
     )
     recovery = min(candidates, key=exact_runtime)
-    worker_runtime = (cfg.total_rows / recovery) * profile.row_time
-    reward = float(costs[threshold - 1] * worker_runtime)
+    worker_runtime = (cfg.total_rows / recovery) * float(pop.row_time[0])
+    reward = float(pop.cost_rate[threshold - 1] * worker_runtime)
     rewards = {m: reward for m in pop.ids}
     assignment = LoadAssignment(
-        loads={m: cfg.total_rows / recovery for m in targeted},
+        loads={m: cfg.total_rows / recovery for m in range(1, threshold + 1)},
         total_rows=cfg.total_rows,
         scheme=SCHEME_MDS,
         recovery_threshold=recovery,
     )
     mech = Mechanism(
         scenario=SCENARIO_COST_ONLY,
-        targeted=targeted,
         threshold_type=threshold,
         rewards=rewards,
         assignment=assignment,
@@ -391,33 +371,29 @@ def platform_cost(mech: Mechanism, pop: Population, cfg: PlatformConfig) -> floa
     payment valuation times the total expected payment to targeted
     workers.  The cost-only scenario uses the exact harmonic runtime.
     """
-    known = set(pop.ids)
-    if any(m not in known for m in mech.targeted):
+    if mech.threshold_type > pop.size:
         raise ConfigurationError("mechanism targets types absent from population")
     if any(m not in mech.rewards for m in mech.targeted):
         raise ConfigurationError("mechanism lacks rewards for targeted types")
     if mech.scenario == SCENARIO_COST_ONLY:
         if mech.recovery_threshold is None:
             raise ConfigurationError("cost-only mechanism lacks recovery threshold")
-        participators = sum(pop.member(m)[0].count for m in mech.targeted)
+        counts = pop.counts[: mech.threshold_type].tolist()
+        participators = int(sum(counts))
         if participators < mech.recovery_threshold:
             raise InfeasibleError(
                 "fewer participators than the recovery threshold"
             )
-        speed = pop.member(mech.targeted[0])[0].speed
-        startup = pop.member(mech.targeted[0])[0].startup
+        speed, startup = float(pop.speed[0]), float(pop.startup[0])
         runtime = expected_runtime_mds(
             participators, mech.recovery_threshold, cfg.total_rows, speed, startup
         ).expected_runtime
-        payment = math.fsum(
-            pop.member(m)[0].count * mech.rewards[m] for m in mech.targeted
-        )
+        payment = math.fsum(c * mech.rewards[m] for m, c in enumerate(counts, 1))
         return cfg.gamma_time * runtime + cfg.gamma_pay * payment
-    counts, _, throughputs, _ = pop.arrays()
     return _hetero_costs(
-        counts[None, :],
+        pop.counts[None, :],
         np.array([mech.threshold_type]),
         [mech.rewards.get(m, 0.0) for m in pop.ids],
-        throughputs,
+        pop,
         cfg,
     )[0]

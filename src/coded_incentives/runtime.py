@@ -104,8 +104,7 @@ def _targeted_tuple(pop: Population, targeted: Iterable[int]) -> tuple[int, ...]
     ids = tuple(sorted(set(int(m) for m in targeted)))
     if not ids:
         raise InfeasibleError("targeted set must not be empty")
-    known = set(pop.ids)
-    unknown = [m for m in ids if m not in known]
+    unknown = [m for m in ids if not 1 <= m <= pop.size]
     if unknown:
         raise InfeasibleError(f"unknown type ids in targeted set: {unknown}")
     return ids
@@ -141,10 +140,7 @@ def _population_row(
     pop: Population, ids: tuple[int, ...]
 ) -> tuple[list[list[float]], list[list[bool]]]:
     """``pop``'s per-type throughputs and targeted mask as one row."""
-    targeted = [False] * pop.size
-    for m in ids:
-        targeted[m - 1] = True
-    return [[t.count * p.throughput for t, p in pop.types]], [targeted]
+    return [(pop.counts * pop.throughput).tolist()], [[m in ids for m in pop.ids]]
 
 
 def assign_loads_hetero(
@@ -156,7 +152,8 @@ def assign_loads_hetero(
         raise ValueError(f"rows must be positive, got {rows}")
     ids = _targeted_tuple(pop, targeted)
     group = group_throughputs(*_population_row(pop, ids))[0]
-    loads = {m: rows / (pop.member(m)[1].row_time * group) for m in ids}
+    row_times = pop.row_time.tolist()
+    loads = {m: rows / (row_times[m - 1] * group) for m in ids}
     return LoadAssignment(loads=loads, total_rows=float(rows), scheme=SCHEME_HETERO)
 
 
@@ -219,19 +216,16 @@ def monte_carlo_runtime(
     missing = [m for m in ids if m not in assignment.loads]
     if missing:
         raise InfeasibleError(f"assignment missing loads for types: {missing}")
-    active = [
-        (m, pop.member(m)[0], assignment.loads[m])
-        for m in ids
-        if pop.member(m)[0].count > 0
-    ]
+    active = [m for m in ids if pop.counts[m - 1] > 0]
     if not active:
         raise InfeasibleError("no workers in the targeted set")
 
-    counts = [t.count for _, t, _ in active]
-    worker_loads = np.repeat([load for _, _, load in active], counts)
+    index = np.array(active) - 1
+    counts = pop.counts[index].astype(int)
+    worker_loads = np.repeat([assignment.loads[m] for m in active], counts)
     type_positions = np.repeat(np.arange(len(active)), counts)
-    startup = np.repeat([t.startup for _, t, _ in active], counts)
-    speed = np.repeat([t.speed for _, t, _ in active], counts)
+    startup = np.repeat(pop.startup[index], counts)
+    speed = np.repeat(pop.speed[index], counts)
     n_total = worker_loads.size
     target = rows * (1.0 - ROW_SLACK)
     if float(worker_loads.sum()) < target:
@@ -256,10 +250,7 @@ def monte_carlo_runtime(
         )
 
     counts_by_rank = rank_counts.reshape(n_total, len(active)).astype(float)
-    probs = {
-        m: counts_by_rank[:, j] / (reps * t.count)
-        for j, (m, t, _) in enumerate(active)
-    }
+    probs = {m: counts_by_rank[:, j] / (reps * counts[j]) for j, m in enumerate(active)}
     k_hist = np.bincount(realized) / reps
     k_distribution = {k: float(p) for k, p in enumerate(k_hist) if p > 0}
     stderr = None

@@ -4,14 +4,15 @@ A worker type bundles a cost rate, an average per-row speed, a per-row
 start-up time, and a headcount.  Its derived profile carries the root
 ``row_time`` of the speed equation, the effective throughput
 ``speed / (1 + speed * row_time)``, and the cost-performance ``ratio``
-used to rank types.  A population is the ratio-sorted collection of
-types with ids relabeled in sorted order.
+used to rank types.  A population holds the types ratio-sorted, as
+seven aligned read-only columns (the four inputs and the three derived
+metrics) in which type id m sits at position m - 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -70,62 +71,85 @@ class PerformanceProfile:
             raise ValueError("profile entries must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Population:
-    """Ratio-sorted worker types with their profiles.
+    """Ratio-sorted worker types as aligned, read-only columns.
 
-    Construct through :func:`build_population`; the constructor only
-    validates the sorted-and-relabeled invariant.
+    Type id m sits at position m - 1 of every column: headcount, cost
+    rate, speed and start-up time, then the profile's row time,
+    throughput and ratio.  :meth:`member` and :attr:`types` are scalar
+    views built from the columns.  Construct through
+    :func:`build_population`; the constructor copies each column and
+    checks that there is at least one type, that the columns align,
+    that counts are nonnegative integers and that ratios ascend.
     """
 
-    types: tuple[tuple[WorkerType, PerformanceProfile], ...]
+    counts: np.ndarray
+    cost_rate: np.ndarray
+    speed: np.ndarray
+    startup: np.ndarray
+    row_time: np.ndarray
+    throughput: np.ndarray
+    ratio: np.ndarray
 
     def __post_init__(self):
-        if not self.types:
+        columns = [np.array(getattr(self, name), dtype=float) for name in _COLUMNS]
+        for name, column in zip(_COLUMNS, columns):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        if {c.shape for c in columns} != {(columns[0].size,)}:
+            raise ValueError("population columns must be aligned 1-D arrays")
+        if not self.ratio.size:
             raise ConfigurationError("population must contain at least one type")
-        ratios = [p.ratio for _, p in self.types]
-        if any(r2 < r1 for r1, r2 in zip(ratios, ratios[1:])):
+        counts = self.counts
+        whole = (counts == np.floor(counts)) & (counts < np.inf)
+        if not np.all(whole & (counts >= 0)):
+            raise ValueError(f"counts must be nonnegative integers, got {counts}")
+        if np.any(self.ratio[1:] < self.ratio[:-1]):
             raise ValueError("population types must be sorted by ratio")
-        if [t.id for t, _ in self.types] != list(range(1, len(self.types) + 1)):
-            raise ValueError("population ids must be relabeled 1..M in sorted order")
+
+    def __eq__(self, other):
+        if not isinstance(other, Population):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in _COLUMNS
+        )
 
     @property
     def size(self) -> int:
-        return len(self.types)
+        return self.ratio.size
 
     @property
     def total(self) -> int:
-        return sum(t.count for t, _ in self.types)
+        return int(self.counts.sum())
 
     @property
     def ids(self) -> tuple[int, ...]:
-        return tuple(t.id for t, _ in self.types)
+        return tuple(range(1, self.size + 1))
+
+    @property
+    def types(self) -> tuple[tuple[WorkerType, PerformanceProfile], ...]:
+        """Every type as a ``(WorkerType, PerformanceProfile)`` pair."""
+        return tuple(self.member(m) for m in self.ids)
 
     def member(self, type_id: int) -> tuple[WorkerType, PerformanceProfile]:
-        if not 1 <= type_id <= len(self.types):
+        """Type ``type_id`` as a ``(WorkerType, PerformanceProfile)`` pair."""
+        if not 1 <= type_id <= self.size:
             raise ValueError(f"unknown type id {type_id}")
-        return self.types[type_id - 1]
+        count, *inputs, row_time, throughput, ratio = (
+            getattr(self, name)[type_id - 1].item() for name in _COLUMNS
+        )
+        return WorkerType(type_id, *inputs, int(count)), PerformanceProfile(
+            row_time, throughput, ratio
+        )
 
     def with_counts(self, counts: Sequence[int]) -> "Population":
         """Same types and profiles with replaced headcounts."""
-        if len(counts) != len(self.types):
-            raise ValueError(
-                f"expected {len(self.types)} counts, got {len(counts)}"
-            )
-        return Population(
-            tuple(
-                (replace(t, count=int(c)), p)
-                for (t, p), c in zip(self.types, counts)
-            )
-        )
+        return replace(self, counts=counts)
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Counts, cost rates, throughputs, and ratios as aligned arrays."""
-        counts = np.array([t.count for t, _ in self.types], dtype=float)
-        costs = np.array([t.cost_rate for t, _ in self.types], dtype=float)
-        throughputs = np.array([p.throughput for _, p in self.types], dtype=float)
-        ratios = np.array([p.ratio for _, p in self.types], dtype=float)
-        return counts, costs, throughputs, ratios
+
+_COLUMNS = tuple(f.name for f in fields(Population))
 
 
 def derive_profile(worker: WorkerType) -> PerformanceProfile:
@@ -139,14 +163,20 @@ def derive_profile(worker: WorkerType) -> PerformanceProfile:
     )
 
 
-def _ranked_profiles(
-    raw: Sequence[WorkerType],
-) -> list[tuple[int, PerformanceProfile]]:
-    """Input positions and derived profiles in the id order assigned."""
+def _ranked_columns(raw: Sequence[WorkerType]) -> tuple[np.ndarray, np.ndarray]:
+    """The id order assigned to ``raw`` (input positions) and the
+    population's seven columns in input order, one per row."""
     profiles = [derive_profile(t) for t in raw]
-    return sorted(
-        enumerate(profiles), key=lambda item: (item[1].ratio, raw[item[0]].cost_rate)
-    )
+    columns = np.array(
+        [
+            (t.count, t.cost_rate, t.speed, t.startup)
+            + (p.row_time, p.throughput, p.ratio)
+            for t, p in zip(raw, profiles)
+        ],
+        dtype=float,
+    ).reshape(len(raw), len(_COLUMNS)).T
+    # Stable, last key first: by ratio, then cost rate, then input order.
+    return np.lexsort((columns[1], columns[6])), columns
 
 
 def population_order(raw: Sequence[WorkerType]) -> list[int]:
@@ -155,12 +185,12 @@ def population_order(raw: Sequence[WorkerType]) -> list[int]:
     Useful for carrying per-type side data (for example sampling
     probabilities) through the relabeling.
     """
-    return [i for i, _ in _ranked_profiles(raw)]
+    return _ranked_columns(raw)[0].tolist()
 
 
 def build_population(raw: Iterable[WorkerType]) -> Population:
     """Derive profiles, sort by cost-performance ratio ascending, and
-    relabel ids 1..M.
+    number the types 1..M in that order.
 
     Equal ratios fall back to the lower cost rate first; remaining ties
     keep input order.
@@ -168,12 +198,8 @@ def build_population(raw: Iterable[WorkerType]) -> Population:
     entries = list(raw)
     if not entries:
         raise ConfigurationError("population must contain at least one type")
-    return Population(
-        tuple(
-            (replace(entries[j], id=i), profile)
-            for i, (j, profile) in enumerate(_ranked_profiles(entries), start=1)
-        )
-    )
+    order, columns = _ranked_columns(entries)
+    return Population(*columns[:, order])
 
 
 def sample_time(worker: WorkerType, load: float, rng: np.random.Generator) -> float:

@@ -9,10 +9,12 @@ not tautology.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from coded_incentives.errors import ConfigurationError, InfeasibleError
+from coded_incentives.workers import derive_profile
 
 BRUTE_FORCE_LIMIT = 20
 
@@ -57,6 +59,22 @@ def w_minus1_oracle(x: float) -> float:
     while residual(lo) < 0:
         lo *= 2.0
     return bisect(residual, lo, -1.0)
+
+
+def population_records_oracle(raw):
+    """Input positions in id order, and the ``(WorkerType,
+    PerformanceProfile)`` pairs with ids relabeled 1..M, by a plain sort
+    on ``(ratio, cost rate)`` that keeps input order on full ties: the
+    record form a population had before it was held as columns."""
+    entries = list(raw)
+    ranked = sorted(
+        enumerate(derive_profile(t) for t in entries),
+        key=lambda item: (item[1].ratio, entries[item[0]].cost_rate),
+    )
+    return [j for j, _ in ranked], tuple(
+        (replace(entries[j], id=i), profile)
+        for i, (j, profile) in enumerate(ranked, start=1)
+    )
 
 
 def harmonic_oracle(n: int) -> float:
@@ -151,9 +169,8 @@ def brute_force_complete(pop, cfg) -> tuple[tuple[int, ...], float]:
         raise ConfigurationError(
             f"brute force limited to {BRUTE_FORCE_LIMIT} types, got {m_count}"
         )
-    counts, costs, throughputs, _ = pop.arrays()
-    weighted_cost = counts * costs
-    weighted_thru = counts * throughputs
+    weighted_cost = pop.counts * pop.cost_rate
+    weighted_thru = pop.counts * pop.throughput
     masks = np.arange(1, 2**m_count, dtype=np.int64)
     membership = (masks[:, None] >> np.arange(m_count)) & 1
     subset_cost = membership @ weighted_cost
@@ -247,8 +264,8 @@ def cost_only_threshold_oracle(pop, cfg) -> int:
     """Cost-only threshold type by a plain prefix scan: the first
     populated prefix with the least ``(gamma_time + gamma_pay * boundary
     cost * prefix count) / prefix count``."""
-    counts, costs, _, _ = pop.arrays()
-    cum_counts = np.cumsum(counts)
+    costs = pop.cost_rate
+    cum_counts = np.cumsum(pop.counts)
     best_value = math.inf
     threshold = 0
     for n in range(1, pop.size + 1):

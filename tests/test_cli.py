@@ -250,6 +250,29 @@ class TestSimulate:
         )
         assert "matrix has 2 rows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_matrix_entry_exits_2(self, hetero_cfg, tmp_path, capsys, bad):
+        m_path = tmp_path / "m.txt"
+        m_path.write_text("60 2\n" + "1.5 -0.5\n" * 7 + f"{bad} 2\n" + "1 2\n" * 52)
+        argv = ["simulate", "--config", hetero_cfg, "--matrix", str(m_path)]
+        assert main(argv) == 2
+        assert f"m.txt:9: '{bad}' is not a finite number" in capsys.readouterr().err
+
+    def test_non_finite_vector_entry_exits_2(self, hetero_cfg, tmp_path, capsys):
+        v_path = tmp_path / "v.txt"
+        v_path.write_text("2\n0.5 inf\n")
+        assert main(["simulate", "--config", hetero_cfg, "--vector", str(v_path)]) == 2
+        assert "v.txt:2: 'inf' is not a finite number" in capsys.readouterr().err
+
+    def test_overflowing_product_exits_3(self, hetero_cfg, tmp_path, capsys):
+        m_path = tmp_path / "m.txt"
+        m_path.write_text("60 2\n" + "1e308 1e308\n" * 60)
+        v_path = tmp_path / "v.txt"
+        v_path.write_text("2\n1 1\n")
+        argv = ["simulate", "--config", hetero_cfg, "--matrix", str(m_path)]
+        assert main(argv + ["--vector", str(v_path)]) == 3
+        assert "decode is not finite" in capsys.readouterr().err
+
     def test_vector_length_mismatch_exits_2(self, hetero_cfg, tmp_path, capsys):
         v_path = tmp_path / "v.txt"
         v_path.write_text("3\n1 2 3\n")

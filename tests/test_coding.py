@@ -198,11 +198,9 @@ def _hetero_offer(pop, loads, rows, rewards, gamma_time=3.0, gamma_pay=2.0):
     assignment = LoadAssignment(
         loads=loads, total_rows=float(rows), scheme=SCHEME_HETERO
     )
-    targeted = tuple(sorted(loads))
     return Mechanism(
         scenario="incomplete-hetero",
-        targeted=targeted,
-        threshold_type=max(targeted),
+        threshold_type=max(loads),
         rewards=rewards,
         assignment=assignment,
         expected_runtime=1.0,
@@ -328,6 +326,23 @@ class TestSimulateRoundHetero:
             simulate_round(mech, pop, A, np.ones(3), 0)
         with pytest.raises(ValueError):
             simulate_round(mech, pop, np.ones((10, 2)), np.ones(2), 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        pop, mech, A, x, _ = self._setup()
+        bad_A, bad_x = A.copy(), x.copy()
+        bad_A[7, 0] = bad
+        bad_x[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            simulate_round(mech, pop, bad_A, x, 0)
+        with pytest.raises(ValueError, match="finite"):
+            simulate_round(mech, pop, A, bad_x, 0)
+
+    def test_overflowing_product_is_a_numerical_error(self):
+        # Every entry is finite, but each row's product 2e308 overflows.
+        pop, mech, A, _, _ = self._setup()
+        with pytest.raises(NumericalError, match="not finite"):
+            simulate_round(mech, pop, np.full_like(A, 1e308), np.ones(2), 0)
 
 
 def _anchor_round():
@@ -807,3 +822,18 @@ class TestMatrixVectorIO:
             read_vector(str(short))
         with pytest.raises(ConfigurationError):
             read_vector(str(tmp_path / "absent.txt"))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e309"])
+    def test_non_finite_entries_name_file_and_line(self, tmp_path, bad):
+        matrix = tmp_path / "m.txt"
+        matrix.write_text(f"2 2\n1 2\n3 {bad}\n")
+        with pytest.raises(ConfigurationError, match=r"m\.txt:3: .* not a finite"):
+            read_matrix(str(matrix))
+        vector = tmp_path / "v.txt"
+        vector.write_text(f"# header next\n2\n{bad} 1\n")
+        with pytest.raises(ConfigurationError, match=r"v\.txt:3: .* not a finite"):
+            read_vector(str(vector))
+        header = tmp_path / "h.txt"
+        header.write_text(f"{bad} 2\n1 2\n")
+        with pytest.raises(ConfigurationError, match=r"h\.txt:1: "):
+            read_matrix(str(header))

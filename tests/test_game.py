@@ -37,15 +37,13 @@ def _two_class_population():
     )
 
 
-def _offer(pop, rewards, scenario, cfg=None, targeted=None):
+def _offer(pop, rewards, scenario, cfg=None):
     cfg = cfg or PlatformConfig(gamma_time=100.0, gamma_pay=1.0, total_rows=500.0)
-    targeted = targeted or pop.ids
-    assignment = assign_loads_hetero(pop, targeted, cfg.total_rows)
-    runtime = expected_runtime_hetero(pop, targeted, cfg.total_rows).expected_runtime
+    assignment = assign_loads_hetero(pop, pop.ids, cfg.total_rows)
+    runtime = expected_runtime_hetero(pop, pop.ids, cfg.total_rows).expected_runtime
     return Mechanism(
         scenario=scenario,
-        targeted=tuple(targeted),
-        threshold_type=max(targeted),
+        threshold_type=pop.size,
         rewards=rewards,
         assignment=assignment,
         expected_runtime=runtime,
@@ -146,8 +144,7 @@ class TestBestResponse:
             pop, cfg = random_hetero_instance(rng, max_types=6)
             counts = rng.integers(0, 4, size=(6, pop.size)).astype(float)
             counts[:, -1] += 1.0
-            _, costs, throughputs, ratios = pop.arrays()
-            offers = _private_offers(counts, costs, throughputs, ratios, cfg)
+            offers = _private_offers(counts, pop, cfg)
             for row, payoffs in zip(counts, _best_payoffs(*offers, pop)):
                 at_row = pop.with_counts(row)
                 mech = solve_incomplete(at_row, cfg)

@@ -68,20 +68,6 @@ class TestPlatformConfig:
 
 
 class TestMechanismInvariants:
-    def test_targeted_must_be_prefix(self, benchmark_population, benchmark_config):
-        mech = solve_complete(benchmark_population, benchmark_config)
-        with pytest.raises(ValueError):
-            Mechanism(
-                scenario=mech.scenario,
-                targeted=(1, 3),
-                threshold_type=3,
-                rewards=mech.rewards,
-                assignment=mech.assignment,
-                expected_runtime=mech.expected_runtime,
-                expected_cost=mech.expected_cost,
-                config=mech.config,
-            )
-
     def test_rewards_nonnegative(self, benchmark_population, benchmark_config):
         mech = solve_complete(benchmark_population, benchmark_config)
         bad = dict(mech.rewards)
@@ -89,7 +75,6 @@ class TestMechanismInvariants:
         with pytest.raises(ValueError):
             Mechanism(
                 scenario=mech.scenario,
-                targeted=mech.targeted,
                 threshold_type=mech.threshold_type,
                 rewards=bad,
                 assignment=mech.assignment,
@@ -205,11 +190,11 @@ class TestSolveIncomplete:
         # Expected cost collapses to rows * min over prefixes of
         # (gamma_time / prefix throughput + gamma_pay * boundary ratio).
         mech = solve_incomplete(benchmark_population, benchmark_config)
-        counts, _, throughputs, ratios = benchmark_population.arrays()
-        cum_thru = np.cumsum(counts * throughputs)
+        pop = benchmark_population
+        cum_thru = np.cumsum(pop.counts * pop.throughput)
         values = (
             benchmark_config.gamma_time / cum_thru
-            + benchmark_config.gamma_pay * ratios
+            + benchmark_config.gamma_pay * pop.ratio
         )
         assert mech.expected_cost == pytest.approx(
             benchmark_config.total_rows * float(values.min()), rel=1e-9
@@ -220,10 +205,9 @@ class TestSolveIncomplete:
         for _ in range(20):
             pop, cfg = random_hetero_instance(rng, max_types=6)
             mech = solve_incomplete(pop, cfg)
-            counts, _, throughputs, ratios = pop.arrays()
-            cum_thru = np.cumsum(counts * throughputs)
+            cum_thru = np.cumsum(pop.counts * pop.throughput)
             values = [
-                cfg.gamma_time / cum_thru[n - 1] + cfg.gamma_pay * ratios[n - 1]
+                cfg.gamma_time / cum_thru[n - 1] + cfg.gamma_pay * pop.ratio[n - 1]
                 for n in range(1, pop.size + 1)
                 if cum_thru[n - 1] > 0
             ]
@@ -270,12 +254,9 @@ class TestBatchedPrivateOffers:
     )
     def test_rows_match_scalar_oracle(self, rows, gamma_time, gamma_pay, total_rows):
         cfg = PlatformConfig(gamma_time, gamma_pay, total_rows)
-        _, costs, throughputs, ratios = self.POP.arrays()
         counts = np.array(rows, dtype=float)
-        thresholds, runtimes, rewards = _private_offers(
-            counts, costs, throughputs, ratios, cfg
-        )
-        informed = _hetero_costs(counts, thresholds, rewards, throughputs, cfg)
+        thresholds, runtimes, rewards = _private_offers(counts, self.POP, cfg)
+        informed = _hetero_costs(counts, thresholds, rewards, self.POP, cfg)
         committed = solve_incomplete(self.POP, cfg)
         committed_rewards = [committed.rewards[m] for m in self.POP.ids]
         for i, row in enumerate(rows):
@@ -296,7 +277,7 @@ class TestBatchedPrivateOffers:
                     counts[i : i + 1],
                     np.array([committed.threshold_type]),
                     np.array(committed_rewards),
-                    throughputs,
+                    self.POP,
                     cfg,
                 )[0]
             except InfeasibleError:
@@ -316,26 +297,21 @@ class TestBatchedPrivateOffers:
         ]
         pop = build_population(types)
         cfg = PlatformConfig(gamma_time=1.0, gamma_pay=1.0, total_rows=100.0)
-        _, costs, throughputs, ratios = pop.arrays()
-        thresholds, _, _ = _private_offers(
-            np.array([[40.0, 0.0, 40.0]]), costs, throughputs, ratios, cfg
-        )
+        thresholds, _, _ = _private_offers(np.array([[40.0, 0.0, 40.0]]), pop, cfg)
         assert private_offer_oracle(pop, cfg)[0] == 1
         assert thresholds.tolist() == [1]
         assert solve_incomplete(pop, cfg).threshold_type == 1
 
     def test_row_without_workers_is_infeasible(self, benchmark_config):
-        _, costs, throughputs, ratios = self.POP.arrays()
         counts = np.array([[140.0] * 10, [0.0] * 10])
         with pytest.raises(InfeasibleError):
-            _private_offers(counts, costs, throughputs, ratios, benchmark_config)
+            _private_offers(counts, self.POP, benchmark_config)
 
     def test_empty_targeted_prefix_is_infeasible(self, benchmark_config):
-        _, _, throughputs, _ = self.POP.arrays()
         counts = np.array([[0.0, 0.0] + [140.0] * 8])
         with pytest.raises(InfeasibleError):
             _hetero_costs(
-                counts, np.array([2]), np.ones(10), throughputs, benchmark_config
+                counts, np.array([2]), np.ones(10), self.POP, benchmark_config
             )
 
 
@@ -354,12 +330,9 @@ class TestBatchedCompleteOffers:
     )
     def test_rows_match_scalar_oracle(self, rows, gamma_time, gamma_pay, total_rows):
         cfg = PlatformConfig(gamma_time, gamma_pay, total_rows)
-        _, costs, throughputs, ratios = self.POP.arrays()
         counts = np.array(rows, dtype=float)
-        thresholds, runtimes, rewards = _complete_offers(
-            counts, costs, throughputs, ratios, cfg
-        )
-        priced = _hetero_costs(counts, thresholds, rewards, throughputs, cfg)
+        thresholds, runtimes, rewards = _complete_offers(counts, self.POP, cfg)
+        priced = _hetero_costs(counts, thresholds, rewards, self.POP, cfg)
         for i, row in enumerate(rows):
             pop = self.POP.with_counts(row)
             threshold, runtime, oracle_rewards, cost = complete_offer_oracle(pop, cfg)
@@ -381,27 +354,20 @@ class TestBatchedCompleteOffers:
         twin = WorkerType(id=0, cost_rate=3.0, speed=20.0, startup=0.05, count=1)
         pop = build_population([twin, twin])
         cfg = PlatformConfig(gamma_time=0.0, gamma_pay=1.0, total_rows=100.0)
-        _, costs, throughputs, ratios = pop.arrays()
-        thresholds, _, _ = _complete_offers(
-            np.array([[1.0, 1.0]]), costs, throughputs, ratios, cfg
-        )
+        thresholds, _, _ = _complete_offers(np.array([[1.0, 1.0]]), pop, cfg)
         assert complete_offer_oracle(pop, cfg)[0] == 2
         assert thresholds.tolist() == [2]
         assert solve_complete(pop, cfg).threshold_type == 2
 
     def test_row_without_workers_is_infeasible(self, benchmark_config):
-        _, costs, throughputs, ratios = self.POP.arrays()
         counts = np.array([[140.0] * 10, [0.0] * 10])
         with pytest.raises(InfeasibleError):
-            _complete_offers(counts, costs, throughputs, ratios, benchmark_config)
+            _complete_offers(counts, self.POP, benchmark_config)
 
     def test_requires_positive_payment_weight(self):
-        _, costs, throughputs, ratios = self.POP.arrays()
         cfg = PlatformConfig(gamma_time=10.0, gamma_pay=0.0, total_rows=100.0)
         with pytest.raises(ConfigurationError):
-            _complete_offers(
-                np.full((2, 10), 140.0), costs, throughputs, ratios, cfg
-            )
+            _complete_offers(np.full((2, 10), 140.0), self.POP, cfg)
 
 
 class TestSolveCostOnly:

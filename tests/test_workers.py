@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coded_incentives import (
     ConfigurationError,
@@ -17,6 +20,18 @@ from coded_incentives import (
     sample_time,
     sample_times,
     solve_lambda,
+)
+
+from oracles import population_records_oracle
+
+COLUMNS = (
+    "counts",
+    "cost_rate",
+    "speed",
+    "startup",
+    "row_time",
+    "throughput",
+    "ratio",
 )
 
 
@@ -70,8 +85,7 @@ class TestBuildPopulation:
         ]
         pop = build_population(raw)
         assert pop.ids == (1, 2, 3)
-        _, _, _, ratios = pop.arrays()
-        assert list(ratios) == sorted(ratios)
+        assert pop.ratio.tolist() == sorted(pop.ratio.tolist())
 
     def test_population_order_matches_relabeling(self):
         raw = [
@@ -106,13 +120,29 @@ class TestBuildPopulation:
             build_population([_worker(), huge])
 
     def test_constructor_enforces_invariants(self):
-        w1 = _worker(cost=10.0, id=1)
-        w2 = _worker(cost=1.0, id=2)
-        p1, p2 = derive_profile(w1), derive_profile(w2)
-        with pytest.raises(ValueError):
-            Population(((w1, p1), (w2, p2)))
-        with pytest.raises(ValueError):
-            Population(((replace_id(w2, 5), p2), (replace_id(w1, 6), p1)))
+        pop = build_population([_worker(cost=1.0), _worker(cost=10.0)])
+        columns = {name: getattr(pop, name) for name in COLUMNS}
+        assert Population(**columns) == pop
+        with pytest.raises(ValueError, match="sorted"):
+            Population(**{**columns, "ratio": columns["ratio"][::-1]})
+        with pytest.raises(ValueError, match="aligned"):
+            Population(**{**columns, "speed": columns["speed"][:1]})
+        with pytest.raises(ValueError, match="aligned"):
+            Population(**{**columns, "counts": np.ones((2, 1))})
+        with pytest.raises(ConfigurationError):
+            Population(**{name: [] for name in COLUMNS})
+
+    def test_columns_are_read_only_copies(self):
+        source = np.array([4.0, 6.0])
+        pop = build_population([_worker(cost=1.0), _worker(cost=2.0)])
+        pop = pop.with_counts(source)
+        source[0] = 9.0
+        assert pop.counts.tolist() == [4.0, 6.0]
+        for name in COLUMNS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(pop, name)[0] = 1.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(pop, name, np.ones(2))
 
     def test_member_and_totals(self):
         pop = build_population(
@@ -138,11 +168,42 @@ class TestBuildPopulation:
         with pytest.raises(ValueError):
             pop.with_counts([1])
 
+    @pytest.mark.parametrize("bad", [2.5, -1.0, math.nan, math.inf])
+    def test_with_counts_rejects_non_integer_counts(self, bad):
+        pop = build_population([_worker(cost=1.0), _worker(cost=2.0)])
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            pop.with_counts([bad, 1])
 
-def replace_id(worker: WorkerType, new_id: int) -> WorkerType:
-    from dataclasses import replace
-
-    return replace(worker, id=new_id)
+    # Scaling speed by s, startup by 1/s and cost by s (s a power of two)
+    # scales the throughput by s exactly, so the ratio ties exactly and
+    # only the cost rate breaks the tie; repeated draws tie completely
+    # and keep input order.
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([1.0, 3.0, 7.0]),
+                st.sampled_from([10.0, 50.0, 200.0]),
+                st.sampled_from([0.012, 0.05, 0.123]),
+                st.integers(min_value=0, max_value=5),
+                st.sampled_from([0.5, 1.0, 2.0]),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_columns_match_record_oracle(self, entries):
+        raw = [
+            _worker(cost=cost * s, speed=speed * s, startup=startup / s, count=n)
+            for cost, speed, startup, n, s in entries
+        ]
+        order, records = population_records_oracle(raw)
+        pop = build_population(raw)
+        assert population_order(raw) == order
+        assert pop.ids == tuple(t.id for t, _ in records)
+        assert pop.total == sum(t.count for t, _ in records)
+        assert repr(pop.types) == repr(records)
+        assert [repr(pop.member(m)) for m in pop.ids] == [repr(r) for r in records]
 
 
 class TestSampling:
