@@ -41,8 +41,8 @@ from .experiments import (
 from .game import verify_ir_ic
 from .mechanisms import (
     Mechanism,
+    _cost_only_offer,
     solve_complete,
-    solve_cost_only,
     solve_incomplete,
 )
 from .workers import Population
@@ -156,16 +156,13 @@ def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
     return replace(spec, **overrides) if overrides else spec
 
 
-def _solve_for(
-    scenario: str, spec: ExperimentSpec
-) -> tuple[Mechanism, Population]:
+def _solve_for(scenario: str, spec: ExperimentSpec) -> Mechanism:
     cfg = spec.platform_config()
-    pop = spec.population
     if scenario == "complete":
-        return solve_complete(pop, cfg), pop
+        return solve_complete(spec.population, cfg)
     if scenario == "incomplete":
-        return solve_incomplete(pop, cfg), pop
-    return solve_cost_only([t for t, _ in pop.types], cfg), pop
+        return solve_incomplete(spec.population, cfg)
+    return _cost_only_offer(spec.population, cfg)
 
 
 def _format_mechanism(mech: Mechanism, pop: Population) -> str:
@@ -192,14 +189,12 @@ def _format_mechanism(mech: Mechanism, pop: Population) -> str:
 
 def cmd_solve(args: argparse.Namespace) -> str:
     spec = _load_spec(args)
-    mech, pop = _solve_for(args.scenario, spec)
-    return _format_mechanism(mech, pop)
+    return _format_mechanism(_solve_for(args.scenario, spec), spec.population)
 
 
 def cmd_verify(args: argparse.Namespace) -> str:
     spec = _load_spec(args)
-    mech, pop = _solve_for(args.scenario, spec)
-    report = verify_ir_ic(mech, pop)
+    report = verify_ir_ic(_solve_for(args.scenario, spec), spec.population)
     table = ["kind,true_type,reported_type,value"]
     table.extend(
         f"{kind},{true_id},{reported},{format(value, '.17g')}"
@@ -210,7 +205,7 @@ def cmd_verify(args: argparse.Namespace) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> str:
     spec = _load_spec(args)
-    mech, pop = _solve_for(args.scenario, spec)
+    mech = _solve_for(args.scenario, spec)
     rows = int(spec.total_rows)
     if rows != spec.total_rows:
         raise ConfigurationError(
@@ -241,7 +236,9 @@ def cmd_simulate(args: argparse.Namespace) -> str:
     lines = []
     costs = []
     for i in range(reps):
-        outcome = simulate_round(mech, pop, matrix, vector, seed=spec.seed + i)
+        outcome = simulate_round(
+            mech, spec.population, matrix, vector, seed=spec.seed + i
+        )
         costs.append(outcome.platform_cost_realized)
         lines.append(
             f"round {i}: runtime {outcome.runtime:.6g}, used "

@@ -31,7 +31,7 @@ from .errors import ConfigurationError, InfeasibleError, NumericalError
 from .game import best_response
 from .mechanisms import Mechanism
 from .numerics import _largest_remainder
-from .runtime import SCHEME_MDS
+from .runtime import SCHEME_MDS, _race
 # No round calls ``sample_time``; it stays imported because perfbench's
 # traced runs wrap it by name in this module.
 from .workers import Population, sample_time, sample_times
@@ -332,9 +332,7 @@ def simulate_round(
     # Workers with rows race until the finished ones hold the rows needed.
     racing = np.flatnonzero(loads)
     times = sample_times((startup[racing], speed[racing]), loads[racing], rng)
-    order = np.argsort(times, kind="stable")
-    covered = np.cumsum(loads[racing][order])
-    realized = int(np.searchsorted(covered, need)) + 1
+    order, realized = _race(times, loads[racing], need)
     contributors = racing[order[:realized]].tolist()
     runtime = float(times[order[realized - 1]])
     # Slot i < rows of the sum(loads) coded slots is systematic (its

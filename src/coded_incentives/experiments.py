@@ -24,7 +24,7 @@ from .game import _best_payoffs, best_response
 from .mechanisms import (
     PlatformConfig,
     _complete_offers,
-    _hetero_costs,
+    _prefix_costs,
     _private_offers,
     solve_complete,
     solve_incomplete,
@@ -311,7 +311,7 @@ def _sweep_table(spec: ExperimentSpec, columns: Sequence[str]) -> ResultTable:
     ):
         thresholds, runtimes, rewards = rule(counts, pop, cfg)
         table[f"targeted_{scenario}"] = thresholds.astype(float).tolist()
-        table[f"cost_{scenario}"] = _hetero_costs(
+        table[f"cost_{scenario}"] = _prefix_costs(
             counts, thresholds, rewards, pop, cfg, runtimes
         )
     table["gap"] = [
@@ -386,7 +386,7 @@ def run_fig7(spec: ExperimentSpec) -> ResultTable:
             dtype=float,
         )
         committed_costs = np.array(
-            _hetero_costs(
+            _prefix_costs(
                 realized,
                 np.full(spec.replications, committed.threshold_type),
                 [committed.rewards[m] for m in pop.ids],
@@ -396,7 +396,7 @@ def run_fig7(spec: ExperimentSpec) -> ResultTable:
         )
         thresholds, runtimes, rewards = _private_offers(realized, pop, cfg)
         informed_costs = np.array(
-            _hetero_costs(realized, thresholds, rewards, pop, cfg, runtimes)
+            _prefix_costs(realized, thresholds, rewards, pop, cfg, runtimes)
         )
         gaps = committed_costs - informed_costs
         stderr = (

@@ -24,7 +24,7 @@ one-row views.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -173,7 +173,7 @@ def _hetero_mechanism(
         rewards=dict(zip(pop.ids, rewards[0].tolist())),
         assignment=assign_loads_hetero(pop, range(1, threshold + 1), cfg.total_rows),
         expected_runtime=runtimes[0],
-        expected_cost=_hetero_costs(counts, thresholds, rewards, pop, cfg, runtimes)[0],
+        expected_cost=_prefix_costs(counts, thresholds, rewards, pop, cfg, runtimes)[0],
         config=cfg,
     )
 
@@ -264,7 +264,7 @@ def _prefix_mask(thresholds: np.ndarray, size: int) -> list[list[bool]]:
     return (np.arange(size) < thresholds[:, None]).tolist()
 
 
-def _hetero_costs(
+def _prefix_costs(
     counts: np.ndarray,
     thresholds: np.ndarray,
     rewards: np.ndarray | list[float],
@@ -276,7 +276,9 @@ def _hetero_costs(
     ``1..threshold`` is paid the per-type ``rewards`` (one row for all,
     or one row each) and finishes in the prefix's expected runtime.
 
-    ``runtimes`` passes those runtimes when the caller already has them.
+    ``runtimes`` passes those runtimes when the caller already has them;
+    omitted, they are the heterogeneous assignment's.  The cost-only
+    scenario always passes its exact harmonic runtime.
     """
     targeted = _prefix_mask(thresholds, counts.shape[1])
     if runtimes is None:
@@ -308,8 +310,14 @@ def solve_cost_only(
     equation, so the reward leaves the boundary type at exactly zero
     payoff under that form.
     """
+    # Takes records because perfbench/workloads.py and perfbench/baseline.py
+    # call it with them; the CLI passes its population to _cost_only_offer.
+    return _cost_only_offer(build_population(types), cfg)
+
+
+def _cost_only_offer(pop: Population, cfg: PlatformConfig) -> Mechanism:
+    """:func:`solve_cost_only` on an already built population."""
     _require_paying_config(cfg)
-    pop = build_population(types)
     if any(np.ptp(c) > 1e-12 * c.max() for c in (pop.speed, pop.startup)):
         raise ConfigurationError(
             "cost-only solver requires all types to share speed and startup"
@@ -328,40 +336,41 @@ def solve_cost_only(
     threshold = int(per_worker.argmin()) + 1
     participators = int(cum_counts[threshold - 1])
     speed, startup = float(pop.speed[0]), float(pop.startup[0])
-    alpha = mds_alpha(speed, startup)
-    fractional_k = alpha * participators
-
-    def exact_runtime(k: int) -> float:
-        return expected_runtime_mds(
+    fractional_k = mds_alpha(speed, startup) * participators
+    # Exact runtime of the floor and ceil thresholds; ties go to the floor.
+    exact = {
+        k: expected_runtime_mds(
             participators, k, cfg.total_rows, speed, startup
         ).expected_runtime
-
-    candidates = sorted(
-        {
-            min(max(int(math.floor(fractional_k)), 1), participators),
-            min(max(int(math.ceil(fractional_k)), 1), participators),
-        }
-    )
-    recovery = min(candidates, key=exact_runtime)
+        for k in sorted(
+            min(max(int(rounded(fractional_k)), 1), participators)
+            for rounded in (math.floor, math.ceil)
+        )
+    }
+    recovery = min(exact, key=exact.__getitem__)
     worker_runtime = (cfg.total_rows / recovery) * float(pop.row_time[0])
     reward = float(pop.cost_rate[threshold - 1] * worker_runtime)
-    rewards = {m: reward for m in pop.ids}
-    assignment = LoadAssignment(
-        loads={m: cfg.total_rows / recovery for m in range(1, threshold + 1)},
-        total_rows=cfg.total_rows,
-        scheme=SCHEME_MDS,
-        recovery_threshold=recovery,
-    )
-    mech = Mechanism(
+    return Mechanism(
         scenario=SCENARIO_COST_ONLY,
         threshold_type=threshold,
-        rewards=rewards,
-        assignment=assignment,
+        rewards={m: reward for m in pop.ids},
+        assignment=LoadAssignment(
+            loads={m: cfg.total_rows / recovery for m in range(1, threshold + 1)},
+            total_rows=cfg.total_rows,
+            scheme=SCHEME_MDS,
+            recovery_threshold=recovery,
+        ),
         expected_runtime=worker_runtime,
-        expected_cost=0.0,
+        expected_cost=_prefix_costs(
+            pop.counts[None, :],
+            np.array([threshold]),
+            [reward] * pop.size,
+            pop,
+            cfg,
+            [exact[recovery]],
+        )[0],
         config=cfg,
     )
-    return replace(mech, expected_cost=platform_cost(mech, pop, cfg))
 
 
 def platform_cost(mech: Mechanism, pop: Population, cfg: PlatformConfig) -> float:
@@ -375,25 +384,26 @@ def platform_cost(mech: Mechanism, pop: Population, cfg: PlatformConfig) -> floa
         raise ConfigurationError("mechanism targets types absent from population")
     if any(m not in mech.rewards for m in mech.targeted):
         raise ConfigurationError("mechanism lacks rewards for targeted types")
+    runtimes = None
     if mech.scenario == SCENARIO_COST_ONLY:
         if mech.recovery_threshold is None:
             raise ConfigurationError("cost-only mechanism lacks recovery threshold")
-        counts = pop.counts[: mech.threshold_type].tolist()
-        participators = int(sum(counts))
+        participators = int(sum(pop.counts[: mech.threshold_type].tolist()))
         if participators < mech.recovery_threshold:
             raise InfeasibleError(
                 "fewer participators than the recovery threshold"
             )
         speed, startup = float(pop.speed[0]), float(pop.startup[0])
-        runtime = expected_runtime_mds(
-            participators, mech.recovery_threshold, cfg.total_rows, speed, startup
-        ).expected_runtime
-        payment = math.fsum(c * mech.rewards[m] for m, c in enumerate(counts, 1))
-        return cfg.gamma_time * runtime + cfg.gamma_pay * payment
-    return _hetero_costs(
+        runtimes = [
+            expected_runtime_mds(
+                participators, mech.recovery_threshold, cfg.total_rows, speed, startup
+            ).expected_runtime
+        ]
+    return _prefix_costs(
         pop.counts[None, :],
         np.array([mech.threshold_type]),
         [mech.rewards.get(m, 0.0) for m in pop.ids],
         pop,
         cfg,
+        runtimes,
     )[0]

@@ -87,7 +87,6 @@ class RuntimeEstimate:
     expected_runtime: float
     method: str
     stderr: float | None = None
-    approx_runtime: float | None = None
     finish_order_probs: Mapping[int, np.ndarray] | None = field(
         default=None, repr=False
     )
@@ -174,9 +173,7 @@ def expected_runtime_mds(
     each loaded with ``rows / k``.
 
     The exact value uses harmonic numbers,
-    ``(rows/k) * (a + (H_n - H_{n-k}) / mu)``.  ``approx_runtime``
-    carries the large-n logarithmic variant and is None at ``k = n``
-    where that form diverges.
+    ``(rows/k) * (a + (H_n - H_{n-k}) / mu)``.
     """
     if n != int(n) or k != int(k) or k < 1 or k > n:
         raise ValueError(f"need integers 1 <= k <= n, got n={n}, k={k}")
@@ -184,12 +181,16 @@ def expected_runtime_mds(
         raise ValueError("rows and mu must be positive, a nonnegative")
     n, k = int(n), int(k)
     exact = (rows / k) * (a + (harmonic(n) - harmonic(n - k)) / mu)
-    approx = None
-    if k < n:
-        approx = (rows / k) * (a + math.log(n / (n - k)) / mu)
-    return RuntimeEstimate(
-        expected_runtime=exact, method="analytic", approx_runtime=approx
-    )
+    return RuntimeEstimate(expected_runtime=exact, method="analytic")
+
+
+def _race(
+    times: np.ndarray, loads: np.ndarray, need: float
+) -> tuple[np.ndarray, int]:
+    """Finish order of one round's workers (ties by index) and how many
+    of the first finishers hold ``need`` rows; ``loads`` are positive."""
+    order = np.argsort(times, kind="stable")
+    return order, int(np.searchsorted(np.cumsum(loads[order]), need)) + 1
 
 
 def monte_carlo_runtime(
@@ -239,11 +240,9 @@ def monte_carlo_runtime(
     for rep in range(reps):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), rep]))
         times = sample_times((startup, speed), worker_loads, rng)
-        order = np.argsort(times, kind="stable")
-        covered = np.cumsum(worker_loads[order])
-        stop = int(np.argmax(covered >= target))
-        runtimes[rep] = times[order[stop]]
-        realized[rep] = stop + 1
+        order, used = _race(times, worker_loads, target)
+        runtimes[rep] = times[order[used - 1]]
+        realized[rep] = used
         rank_counts += np.bincount(
             np.arange(n_total) * len(active) + type_positions[order],
             minlength=rank_counts.size,

@@ -204,31 +204,25 @@ def build_population(raw: Iterable[WorkerType]) -> Population:
 
 def sample_time(worker: WorkerType, load: float, rng: np.random.Generator) -> float:
     """One draw of :func:`sample_times` for ``load`` assigned rows."""
-    return float(sample_times(worker, load, rng))
+    return float(sample_times((worker.startup, worker.speed), load, rng))
 
 
 def sample_times(
-    worker: WorkerType | tuple[np.ndarray, np.ndarray],
+    worker: tuple[np.ndarray, np.ndarray],
     load: float | np.ndarray,
     rng: np.random.Generator,
-    size: int | None = None,
 ) -> np.ndarray:
     """Draw completion times for ``load`` assigned rows.
 
     Each draw is ``load * (startup + E / speed)`` with ``E`` a unit-rate
     exponential, so the support starts at ``startup * load``.
-    ``worker`` is one type, or a ``(startup, speed)`` pair of arrays
-    for workers of mixed types.  Loads, startups and speeds broadcast
-    together; ``size`` draws that many times instead, and defaults to
-    their broadcast shape.
+    ``worker`` is a ``(startup, speed)`` pair, scalars or arrays for
+    workers of mixed types; loads, startups and speeds broadcast
+    together, one draw per entry of their broadcast shape.
     """
-    if isinstance(worker, WorkerType):
-        startup, speed = worker.startup, worker.speed
-    else:
-        startup, speed = worker
+    startup, speed = worker
     load = np.asarray(load, dtype=float)
     if not np.all(load > 0):
         raise ValueError(f"loads must be positive, got {load}")
-    if size is None:
-        size = np.broadcast_shapes(load.shape, np.shape(startup), np.shape(speed))
+    size = np.broadcast_shapes(load.shape, np.shape(startup), np.shape(speed))
     return load * (startup + rng.standard_exponential(size) / speed)

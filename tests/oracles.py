@@ -81,6 +81,12 @@ def harmonic_oracle(n: int) -> float:
     return sum(1.0 / i for i in range(1, n + 1))
 
 
+def mds_log_runtime_oracle(n: int, k: int, rows: float, mu: float, a: float) -> float:
+    """Large-n logarithmic form of the k-th of n finishers' expected
+    runtime, ``(rows/k) * (a + log(n / (n - k)) / mu)``, for ``k < n``."""
+    return (rows / k) * (a + math.log(n / (n - k)) / mu)
+
+
 def alpha_objective(alpha: float, mu: float, a: float) -> float:
     """Per-fraction runtime factor the recovery fraction minimizes."""
     return (a - math.log1p(-alpha) / mu) / alpha

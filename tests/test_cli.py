@@ -28,6 +28,19 @@ SMALL_COST_ONLY = (
     "total_rows = 56\n"
 )
 
+# ``solve --scenario cost-only`` on SMALL_COST_ONLY.
+COST_ONLY_SOLVE = """\
+scenario: incomplete-cost-only
+targeted types: 1
+expected round runtime: 19.6294
+expected platform cost: 504.176
+recovery threshold: 5
+
+type   count      cost        reward        load
+   1       6         1       19.6294        11.2
+   2       4         4       19.6294           -
+"""
+
 
 @pytest.fixture()
 def hetero_cfg(tmp_path):
@@ -69,9 +82,7 @@ class TestSolve:
 
     def test_cost_only_with_shared_runtime(self, cost_only_cfg, capsys):
         assert main(["solve", "--scenario", "cost-only", "--config", cost_only_cfg]) == 0
-        out = capsys.readouterr().out
-        assert "scenario: incomplete-cost-only" in out
-        assert "recovery threshold:" in out
+        assert capsys.readouterr().out == COST_ONLY_SOLVE
 
     def test_cost_only_rejects_mixed_runtime(self, capsys):
         assert main(["solve", "--scenario", "cost-only"]) == 2
@@ -179,6 +190,15 @@ class TestVerify:
     def test_complete_scenario(self, hetero_cfg, capsys):
         assert main(["verify", "--scenario", "complete", "--config", hetero_cfg]) == 0
         capsys.readouterr()
+
+    def test_cost_only_text(self, cost_only_cfg, capsys):
+        argv = ["verify", "--scenario", "cost-only", "--config", cost_only_cfg]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            "offer is individually rational and incentive compatible\n"
+            "\n"
+            "kind,true_type,reported_type,value\n"
+        )
 
 
 class TestSimulate:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from coded_incentives import (
 )
 from coded_incentives.mechanisms import (
     _complete_offers,
-    _hetero_costs,
+    _prefix_costs,
     _private_offers,
 )
 from conftest import random_cost_only_instance, random_hetero_instance
@@ -38,8 +40,15 @@ from oracles import (
     brute_force_complete,
     complete_offer_oracle,
     cost_only_threshold_oracle,
+    mds_log_runtime_oracle,
     prefix_cost_oracle,
     private_offer_oracle,
+)
+
+# Cost-only offers recorded before the solver read the population
+# columns; see TestSolveCostOnly.test_offers_match_recorded_bits.
+_COST_ONLY_GOLDEN = json.loads(
+    (Path(__file__).parent / "cost_only_bits.json").read_text(encoding="utf-8")
 )
 
 
@@ -256,7 +265,7 @@ class TestBatchedPrivateOffers:
         cfg = PlatformConfig(gamma_time, gamma_pay, total_rows)
         counts = np.array(rows, dtype=float)
         thresholds, runtimes, rewards = _private_offers(counts, self.POP, cfg)
-        informed = _hetero_costs(counts, thresholds, rewards, self.POP, cfg)
+        informed = _prefix_costs(counts, thresholds, rewards, self.POP, cfg)
         committed = solve_incomplete(self.POP, cfg)
         committed_rewards = [committed.rewards[m] for m in self.POP.ids]
         for i, row in enumerate(rows):
@@ -273,7 +282,7 @@ class TestBatchedPrivateOffers:
                 pop, committed.threshold_type, committed_rewards, cfg
             )
             try:
-                priced = _hetero_costs(
+                priced = _prefix_costs(
                     counts[i : i + 1],
                     np.array([committed.threshold_type]),
                     np.array(committed_rewards),
@@ -310,7 +319,7 @@ class TestBatchedPrivateOffers:
     def test_empty_targeted_prefix_is_infeasible(self, benchmark_config):
         counts = np.array([[0.0, 0.0] + [140.0] * 8])
         with pytest.raises(InfeasibleError):
-            _hetero_costs(
+            _prefix_costs(
                 counts, np.array([2]), np.ones(10), self.POP, benchmark_config
             )
 
@@ -332,7 +341,7 @@ class TestBatchedCompleteOffers:
         cfg = PlatformConfig(gamma_time, gamma_pay, total_rows)
         counts = np.array(rows, dtype=float)
         thresholds, runtimes, rewards = _complete_offers(counts, self.POP, cfg)
-        priced = _hetero_costs(counts, thresholds, rewards, self.POP, cfg)
+        priced = _prefix_costs(counts, thresholds, rewards, self.POP, cfg)
         for i, row in enumerate(rows):
             pop = self.POP.with_counts(row)
             threshold, runtime, oracle_rewards, cost = complete_offer_oracle(pop, cfg)
@@ -482,6 +491,31 @@ class TestSolveCostOnly:
         log_form = load * (startup - math.log1p(-alpha) / speed)
         assert abs(mech.expected_runtime - log_form) <= 4 * math.ulp(log_form)
 
+    @pytest.mark.parametrize("profile", DEFAULT_TYPE_PARAMS[:5])
+    def test_offers_match_recorded_bits(self, profile):
+        # float.hex of threshold type, k, expected runtime, reward,
+        # expected cost and platform_cost at N = 100..5000, the catalog's
+        # ten cost rates sharing one (speed, startup) pair, N/10 each.
+        _, speed, startup = profile
+        cfg = PlatformConfig(gamma_time=5000.0, gamma_pay=1.0, total_rows=1000.0)
+        rows = []
+        for n in range(100, 5001, 100):
+            types = [
+                WorkerType(i + 1, cost, speed, startup, n // 10)
+                for i, (cost, _, _) in enumerate(DEFAULT_TYPE_PARAMS)
+            ]
+            mech = solve_cost_only(types, cfg)
+            values = (
+                mech.threshold_type,
+                mech.recovery_threshold,
+                mech.expected_runtime,
+                mech.rewards[1],
+                mech.expected_cost,
+                platform_cost(mech, build_population(types), cfg),
+            )
+            rows.append(" ".join(float(v).hex() for v in values))
+        assert rows == _COST_ONLY_GOLDEN[f"{speed!r} {startup!r}"]
+
     def test_uniform_loads(self):
         cfg = PlatformConfig(gamma_time=50.0, gamma_pay=1.0, total_rows=100.0)
         mech = solve_cost_only(self._types(), cfg)
@@ -528,13 +562,11 @@ class TestPlatformCost:
         pop = build_population(types)
         assert mech.expected_cost == platform_cost(mech, pop, cfg)
         assert mech.recovery_threshold < pop.total
-        estimate = expected_runtime_mds(
-            pop.total, mech.recovery_threshold, cfg.total_rows, 2.0, 1.0
-        )
-        assert estimate.approx_runtime != estimate.expected_runtime
-        assert estimate.approx_runtime == pytest.approx(
-            estimate.expected_runtime, rel=0.2
-        )
+        args = (pop.total, mech.recovery_threshold, cfg.total_rows, 2.0, 1.0)
+        exact = expected_runtime_mds(*args).expected_runtime
+        approx = mds_log_runtime_oracle(*args)
+        assert approx != exact
+        assert approx == pytest.approx(exact, rel=0.2)
 
     def test_gamma_pay_zero_cost_evaluation(
         self, benchmark_population, benchmark_config

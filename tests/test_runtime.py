@@ -120,12 +120,6 @@ class TestExpectedRuntimeMds:
             )
             assert estimate.expected_runtime == pytest.approx(exact, rel=1e-12)
 
-    def test_approx_uses_log_and_vanishes_at_full_threshold(self):
-        estimate = expected_runtime_mds(10, 7, 900.0, 2.0, 1.0)
-        expected = (900.0 / 7) * (1.0 + math.log(10.0 / 3.0) / 2.0)
-        assert estimate.approx_runtime == pytest.approx(expected, rel=1e-12)
-        assert expected_runtime_mds(10, 10, 900.0, 2.0, 1.0).approx_runtime is None
-
     def test_validation(self):
         with pytest.raises(ValueError):
             expected_runtime_mds(5, 0, 100.0, 1.0, 0.1)

@@ -210,13 +210,13 @@ class TestSampling:
     def test_support_lower_bound(self):
         w = _worker(speed=5.0, startup=0.4)
         rng = np.random.default_rng(7)
-        draws = sample_times(w, 12.0, rng, 2000)
+        draws = sample_times((w.startup, w.speed), np.full(2000, 12.0), rng)
         assert np.all(draws >= 12.0 * 0.4)
 
     def test_mean_matches_model(self):
         w = _worker(speed=5.0, startup=0.4)
         rng = np.random.default_rng(8)
-        draws = sample_times(w, 10.0, rng, 200_000)
+        draws = sample_times((w.startup, w.speed), np.full(200_000, 10.0), rng)
         expected = 10.0 * (0.4 + 1.0 / 5.0)
         stderr = float(np.std(draws)) / math.sqrt(draws.size)
         assert abs(float(np.mean(draws)) - expected) < 4.0 * stderr
@@ -224,7 +224,7 @@ class TestSampling:
     def test_scalar_and_vector_agree_in_distribution(self):
         w = _worker(speed=2.0, startup=1.0)
         one = sample_time(w, 3.0, np.random.default_rng(99))
-        many = sample_times(w, 3.0, np.random.default_rng(99), 1)
+        many = sample_times((w.startup, w.speed), [3.0], np.random.default_rng(99))
         assert one == many[0]
 
     def test_mixed_types_match_sequential_scalar_draws(self):
@@ -242,8 +242,9 @@ class TestSampling:
     def test_array_loads_broadcast_against_one_type(self):
         w = _worker(speed=5.0, startup=0.4)
         loads = np.array([1.0, 4.0, 9.0])
-        draws = sample_times(w, loads, np.random.default_rng(3))
-        expected = sample_times(w, 1.0, np.random.default_rng(3), 3) * loads
+        pair = (w.startup, w.speed)
+        draws = sample_times(pair, loads, np.random.default_rng(3))
+        expected = sample_times(pair, np.ones(3), np.random.default_rng(3)) * loads
         assert np.array_equal(draws, expected)
 
     def test_rejects_nonpositive_load(self):
@@ -252,6 +253,6 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_time(w, 0.0, rng)
         with pytest.raises(ValueError):
-            sample_times(w, -1.0, rng, 5)
+            sample_times((w.startup, w.speed), np.full(5, -1.0), rng)
         with pytest.raises(ValueError):
-            sample_times(w, np.array([2.0, 0.0]), rng)
+            sample_times((w.startup, w.speed), np.array([2.0, 0.0]), rng)
