@@ -164,10 +164,10 @@ class ExperimentSpec:
         object.__setattr__(self, "n_sweep", tuple(int(n) for n in self.n_sweep))
         if not self.n_sweep or any(n < 1 for n in self.n_sweep):
             raise ConfigurationError("sweep must list positive worker counts")
-        if not (0 <= self.gamma_time < math.inf and 0 <= self.gamma_pay < math.inf):
-            raise ConfigurationError("valuation weights must be nonnegative and finite")
-        if not 0 < self.total_rows < math.inf:
-            raise ConfigurationError("total_rows must be positive and finite")
+        try:
+            self.platform_config()
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from exc
         if not isinstance(self.replications, int) or self.replications < 1:
             raise ConfigurationError("replications must be a positive integer")
         if not isinstance(self.seed, int) or self.seed < 0:

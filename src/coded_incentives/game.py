@@ -13,7 +13,6 @@ compatibility).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,20 +125,42 @@ def worker_payoff(
     return reward - pop.cost_rate.item(true_m - 1) * mech.expected_runtime
 
 
-def _runtime_classes(pop: Population) -> list[list[int]]:
-    """Type ids grouped by identical runtime parameters (speed and
-    startup): the identities a worker can claim undetected."""
-    classes: dict[tuple[float, float], list[int]] = {}
-    for m, key in enumerate(zip(pop.speed.tolist(), pop.startup.tolist()), 1):
-        classes.setdefault(key, []).append(m)
-    return list(classes.values())
+def _report_table(
+    thresholds: np.ndarray,
+    runtimes: list[float],
+    rewards: np.ndarray,
+    pop: Population,
+    complete: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Payoff and feasibility of every report under each row of batched
+    offers: two ``(R, T, M)`` arrays over offer rows, true types and
+    claimed identities.
+
+    Row ``r`` targets the first ``thresholds[r]`` types at ``rewards[r]``
+    with expected runtime ``runtimes[r]``.  Claiming a targeted identity
+    is feasible for the type itself and, unless information is
+    complete, for every type with the same speed and startup.
+    """
+    runtimes = np.asarray(runtimes, dtype=float)[:, None, None]
+    payoffs = rewards[:, None, :] - pop.cost_rate[:, None] * runtimes
+    if complete:
+        claimable = np.eye(pop.size, dtype=bool)
+    else:
+        claimable = (pop.speed[:, None] == pop.speed) & (
+            pop.startup[:, None] == pop.startup
+        )
+    targeted = np.arange(pop.size) < np.asarray(thresholds)[:, None]
+    return payoffs, claimable & targeted[:, None, :]
 
 
-def _feasible_reports(mech: Mechanism, pop: Population, true_m: int) -> list[int]:
-    if mech.scenario == SCENARIO_COMPLETE:
-        return [true_m] if true_m in mech.targeted else []
-    claimable = next(ids for ids in _runtime_classes(pop) if true_m in ids)
-    return [m for m in mech.targeted if m in claimable]
+def _offer_table(mech: Mechanism, pop: Population) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_report_table` for ``mech`` as one row, as ``(T, M)``."""
+    rewards = np.array([[mech.rewards.get(m, 0.0) for m in pop.ids]], dtype=float)
+    complete = mech.scenario == SCENARIO_COMPLETE
+    payoffs, feasible = _report_table(
+        [mech.threshold_type], [mech.expected_runtime], rewards, pop, complete
+    )
+    return payoffs[0], feasible[0]
 
 
 def best_response(true_m: int, mech: Mechanism, pop: Population) -> WorkerDecision:
@@ -152,27 +173,19 @@ def best_response(true_m: int, mech: Mechanism, pop: Population) -> WorkerDecisi
     """
     if not 1 <= true_m <= pop.size:
         raise ValueError(f"unknown type id {true_m}")
-    payoffs = {
-        m: worker_payoff(true_m, m, mech, pop)
-        for m in _feasible_reports(mech, pop, true_m)
-    }
-    best_value = max(payoffs.values(), default=-math.inf)
-    if best_value < 0:
-        return WorkerDecision(
-            type_id=true_m,
-            participate=False,
-            reported_type=true_m,
-            expected_payoff=0.0,
-        )
-    if payoffs.get(true_m) == best_value:
-        best_report = true_m
+    payoffs, feasible = (table[true_m - 1] for table in _offer_table(mech, pop))
+    best_value = payoffs[feasible].max(initial=-np.inf).item()
+    participate = best_value >= 0
+    best = feasible & (payoffs == best_value)
+    if participate and not best[true_m - 1]:
+        reported = int(np.argmax(best)) + 1
     else:
-        best_report = min(m for m, p in payoffs.items() if p == best_value)
+        reported = true_m
     return WorkerDecision(
         type_id=true_m,
-        participate=True,
-        reported_type=best_report,
-        expected_payoff=best_value,
+        participate=participate,
+        reported_type=reported,
+        expected_payoff=best_value if participate else 0.0,
     )
 
 
@@ -183,21 +196,10 @@ def _best_payoffs(
     pop: Population,
 ) -> np.ndarray:
     """:func:`best_response`'s payoff for every type under each row of
-    batched private-cost offers, as a ``(P, M)`` array.
-
-    Row ``p`` targets the first ``thresholds[p]`` types at
-    ``rewards[p]`` with expected runtime ``runtimes[p]``.  A type's best
-    report is the largest reward among the targeted types of its
-    runtime class; it declines at payoff zero when there is none or
-    when its payoff is negative.
-    """
-    offered = np.where(np.arange(pop.size) < thresholds[:, None], rewards, -np.inf)
-    best = np.empty_like(offered)
-    for ids in _runtime_classes(pop):
-        columns = [m - 1 for m in ids]
-        best[:, columns] = offered[:, columns].max(axis=1, keepdims=True)
-    payoffs = best - pop.cost_rate * np.array(runtimes)[:, None]
-    return np.where(payoffs >= 0, payoffs, 0.0)
+    batched private-cost offers (see :func:`_report_table`), ``(R, M)``."""
+    payoffs, feasible = _report_table(thresholds, runtimes, rewards, pop, False)
+    best = np.where(feasible, payoffs, -np.inf).max(axis=2)
+    return np.where(best >= 0, best, 0.0)
 
 
 def verify_ir_ic(mech: Mechanism, pop: Population) -> ComplianceReport:
@@ -210,31 +212,26 @@ def verify_ir_ic(mech: Mechanism, pop: Population) -> ComplianceReport:
     treated as ties, not violations.  The unrestricted diagnostic
     repeats the incentive scan across every identity pair.
     """
-    ir: list[tuple[int, float]] = []
-    ic: list[tuple[int, int, float]] = []
-    unrestricted: list[tuple[int, int, float]] = []
-    for m in mech.targeted:
-        payoff = worker_payoff(m, m, mech, pop)
-        if payoff < -_REL_TOL * (1.0 + abs(payoff)):
-            ir.append((m, payoff))
-    for m in pop.ids:
-        if m <= mech.threshold_type:
-            baseline = worker_payoff(m, m, mech, pop)
-        else:
-            baseline = 0.0
-        tol = _REL_TOL * (1.0 + abs(baseline))
-        scans = [(_feasible_reports(mech, pop, m), ic)]
-        if mech.scenario != SCENARIO_COMPLETE:
-            scans.append((pop.ids, unrestricted))
-        for reports, violations in scans:
-            for reported in reports:
-                if reported == m:
-                    continue
-                gain = worker_payoff(m, reported, mech, pop) - baseline
-                if gain > tol:
-                    violations.append((m, reported, gain))
+    payoffs, feasible = _offer_table(mech, pop)
+    honest = payoffs.diagonal()
+    targeted = np.arange(pop.size) < mech.threshold_type
+    baseline = np.where(targeted, honest, 0.0)
+    tol = _REL_TOL * (1.0 + np.abs(baseline))
+    gains = payoffs - baseline[:, None]
+    profitable = (gains > tol[:, None]) & ~np.eye(pop.size, dtype=bool)
+
+    def violations(mask):
+        true, claimed = np.nonzero(mask)
+        return tuple(
+            (t + 1, j + 1, gains[t, j].item())
+            for t, j in zip(true.tolist(), claimed.tolist())
+        )
+
+    ir = np.flatnonzero(targeted & (honest < -tol)).tolist()
     return ComplianceReport(
-        ir_violations=tuple(ir),
-        ic_violations=tuple(ic),
-        unrestricted_ic_violations=tuple(unrestricted),
+        ir_violations=tuple((t + 1, honest[t].item()) for t in ir),
+        ic_violations=violations(profitable & feasible),
+        unrestricted_ic_violations=(
+            () if mech.scenario == SCENARIO_COMPLETE else violations(profitable)
+        ),
     )

@@ -126,8 +126,10 @@ class Mechanism:
             SCENARIO_COST_ONLY,
         ):
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        if any(p < 0 for p in self.rewards.values()):
-            raise ValueError("rewards must be nonnegative")
+        if not all(0 <= p < math.inf for p in self.rewards.values()):
+            raise ValueError("rewards must be nonnegative and finite")
+        if not 0 < self.expected_runtime < math.inf:
+            raise ValueError("expected_runtime must be positive and finite")
 
 
 def _require_paying_config(cfg: PlatformConfig):

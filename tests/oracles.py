@@ -284,3 +284,72 @@ def cost_only_threshold_oracle(pop, cfg) -> int:
             best_value = value
             threshold = n
     return threshold
+
+
+def _payoff_oracle(true_m: int, reported: int, mech, pop) -> float:
+    """A worker of type ``true_m``'s payoff reporting ``reported``: that
+    identity's reward minus the true cost of working the round."""
+    cost = pop.member(true_m)[0].cost_rate
+    return mech.rewards.get(reported, 0.0) - cost * mech.expected_runtime
+
+
+def feasible_reports_oracle(true_m: int, mech, pop) -> list[int]:
+    """Targeted identities ``true_m`` can claim: only its own under
+    complete information, else any type with its speed and startup."""
+    worker, _ = pop.member(true_m)
+    if mech.scenario == "complete-hetero":
+        return [true_m] if true_m in mech.targeted else []
+    return [
+        m
+        for m in mech.targeted
+        if (pop.member(m)[0].speed, pop.member(m)[0].startup)
+        == (worker.speed, worker.startup)
+    ]
+
+
+def best_response_oracle(true_m: int, mech, pop) -> tuple[int, bool, int, float]:
+    """``(type id, participate, reported type, payoff)`` by enumerating
+    the feasible reports: decline at zero when there is none or the best
+    payoff is negative, else report honestly if that is a best report,
+    else the smallest best id."""
+    payoffs = {
+        m: _payoff_oracle(true_m, m, mech, pop)
+        for m in feasible_reports_oracle(true_m, mech, pop)
+    }
+    best_value = max(payoffs.values(), default=-math.inf)
+    if best_value < 0:
+        return true_m, False, true_m, 0.0
+    if payoffs.get(true_m) == best_value:
+        return true_m, True, true_m, best_value
+    best_report = min(m for m, p in payoffs.items() if p == best_value)
+    return true_m, True, best_report, best_value
+
+
+def compliance_rows_oracle(
+    mech, pop, rel_tol: float = 1e-9
+) -> list[tuple[str, int, int, float]]:
+    """IR and IC violations as ``ComplianceReport.to_rows`` lists them,
+    by nested loops: negative honest payoffs of targeted types, then
+    feasible misreports gaining over the honest payoff (zero outside the
+    targeted set), then the same scan over every identity pair unless
+    information is complete.  Gains within ``rel_tol`` of the payoff
+    scale are ties."""
+    ir, ic, unrestricted = [], [], []
+    for m in mech.targeted:
+        payoff = _payoff_oracle(m, m, mech, pop)
+        if payoff < -rel_tol * (1.0 + abs(payoff)):
+            ir.append(("individual-rationality", m, m, payoff))
+    for m in pop.ids:
+        baseline = _payoff_oracle(m, m, mech, pop) if m in mech.targeted else 0.0
+        tol = rel_tol * (1.0 + abs(baseline))
+        scans = [(feasible_reports_oracle(m, mech, pop), ic, "incentive")]
+        if mech.scenario != "complete-hetero":
+            scans.append((pop.ids, unrestricted, "unrestricted-incentive"))
+        for reports, violations, kind in scans:
+            for reported in reports:
+                if reported == m:
+                    continue
+                gain = _payoff_oracle(m, reported, mech, pop) - baseline
+                if gain > tol:
+                    violations.append((kind, m, reported, gain))
+    return ir + ic + unrestricted

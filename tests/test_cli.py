@@ -41,6 +41,13 @@ type   count      cost        reward        load
    2       4         4       19.6294           -
 """
 
+# ``verify`` on an offer with no violation, not even a diagnostic one.
+TRUTHFUL_VERIFY = """\
+offer is individually rational and incentive compatible
+
+kind,true_type,reported_type,value
+"""
+
 
 @pytest.fixture()
 def hetero_cfg(tmp_path):
@@ -189,16 +196,12 @@ class TestVerify:
 
     def test_complete_scenario(self, hetero_cfg, capsys):
         assert main(["verify", "--scenario", "complete", "--config", hetero_cfg]) == 0
-        capsys.readouterr()
+        assert capsys.readouterr().out == TRUTHFUL_VERIFY
 
     def test_cost_only_text(self, cost_only_cfg, capsys):
         argv = ["verify", "--scenario", "cost-only", "--config", cost_only_cfg]
         assert main(argv) == 0
-        assert capsys.readouterr().out == (
-            "offer is individually rational and incentive compatible\n"
-            "\n"
-            "kind,true_type,reported_type,value\n"
-        )
+        assert capsys.readouterr().out == TRUTHFUL_VERIFY
 
 
 class TestSimulate:

@@ -28,11 +28,10 @@ from coded_incentives import (
     run_fig6,
     run_fig7,
     WorkerType,
-    best_response,
     solve_incomplete,
 )
 from coded_incentives.experiments import _apportion_rows
-from oracles import apportion_oracle
+from oracles import apportion_oracle, best_response_oracle
 
 
 class TestApportion:
@@ -492,7 +491,7 @@ def test_fig6_payoffs_follow_best_response_with_shared_runtime_classes(case):
     for total, row in zip(spec.n_sweep, table.rows):
         pop = spec.population.with_counts(apportion(total, spec.weights()))
         mech = solve_incomplete(pop, cfg)
-        expected = [best_response(m, mech, pop).expected_payoff for m in pop.ids]
+        expected = [best_response_oracle(m, mech, pop)[3] for m in pop.ids]
         assert [v.hex() for v in row[1:]] == [v.hex() for v in expected]
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from coded_incentives import (
 from coded_incentives.game import _best_payoffs
 from coded_incentives.mechanisms import _private_offers
 from conftest import random_cost_only_instance, random_hetero_instance
+from oracles import best_response_oracle, compliance_rows_oracle
 
 
 def _two_class_population():
@@ -149,7 +152,7 @@ class TestBestResponse:
                 at_row = pop.with_counts(row)
                 mech = solve_incomplete(at_row, cfg)
                 expected = [
-                    best_response(m, mech, at_row).expected_payoff for m in pop.ids
+                    best_response_oracle(m, mech, at_row)[3] for m in pop.ids
                 ]
                 assert [v.hex() for v in payoffs.tolist()] == [
                     v.hex() for v in expected
@@ -259,3 +262,63 @@ class TestVerifyIrIc:
         )
         assert report.truthful
         assert report.to_rows() == []
+
+
+def _scaled_rewards(mech, rng):
+    """``mech`` with every reward scaled by its own factor in [0.5, 1.5),
+    so that misreports and violations occur."""
+    scale = rng.uniform(0.5, 1.5, size=len(mech.rewards)).tolist()
+    rewards = {m: r * s for (m, r), s in zip(mech.rewards.items(), scale)}
+    return replace(mech, rewards=rewards)
+
+
+def _oracle_instances(rng):
+    for n in range(50):
+        pop, cfg = random_hetero_instance(rng, max_types=6)
+        if n >= 40:
+            # Odd ids take type 1's speed and even ids its startup, so
+            # many pairs share one runtime parameter but not the other.
+            first, _ = pop.member(1)
+            pop = build_population(
+                replace(t, speed=first.speed)
+                if t.id % 2
+                else replace(t, startup=first.startup)
+                for t, _ in pop.types
+            )
+        for solver in (solve_complete, solve_incomplete):
+            yield solver(pop, cfg), pop
+    for _ in range(15):
+        types, cfg = random_cost_only_instance(rng, max_workers=100)
+        yield solve_cost_only(types, cfg), build_population(types)
+
+
+def _bits(values):
+    # A NumPy scalar stays unconverted and so differs from any Python float.
+    return tuple(v.hex() if type(v) is float else v for v in values)
+
+
+@pytest.mark.parametrize("scaled", [False, True])
+def test_decisions_and_violations_match_scalar_oracle(scaled):
+    rng = np.random.default_rng(890)
+    misreports = violations = 0
+    for mech, pop in _oracle_instances(rng):
+        if scaled:
+            mech = _scaled_rewards(mech, rng)
+        for m in pop.ids:
+            decision = best_response(m, mech, pop)
+            assert _bits(
+                (
+                    decision.type_id,
+                    decision.participate,
+                    decision.reported_type,
+                    decision.expected_payoff,
+                )
+            ) == _bits(best_response_oracle(m, mech, pop))
+            misreports += decision.reported_type != m
+        rows = verify_ir_ic(mech, pop).to_rows()
+        assert [_bits(row) for row in rows] == [
+            _bits(row) for row in compliance_rows_oracle(mech, pop)
+        ]
+        violations += len(rows)
+    if scaled:
+        assert misreports and violations

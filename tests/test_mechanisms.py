@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,28 @@ class TestPlatformConfig:
 
 
 class TestMechanismInvariants:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("reward", math.nan),
+            ("reward", math.inf),
+            ("expected_runtime", math.nan),
+            ("expected_runtime", math.inf),
+            ("expected_runtime", -1.0),
+            ("expected_runtime", 0.0),
+        ],
+    )
+    def test_rejects_values_outside_their_range(
+        self, benchmark_population, benchmark_config, field, value
+    ):
+        mech = solve_incomplete(benchmark_population, benchmark_config)
+        if field == "reward":
+            changes = {"rewards": {**mech.rewards, 2: value}}
+        else:
+            changes = {field: value}
+        with pytest.raises(ValueError, match="finite"):
+            replace(mech, **changes)
+
     def test_rewards_nonnegative(self, benchmark_population, benchmark_config):
         mech = solve_complete(benchmark_population, benchmark_config)
         bad = dict(mech.rewards)
