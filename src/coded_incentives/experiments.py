@@ -363,7 +363,8 @@ def run_fig7(spec: ExperimentSpec) -> ResultTable:
     each replicate samples realized headcounts, prices the committed
     offer on them, and compares against the offer it would have built
     knowing the realization.  Reported as mean gap with its standard
-    error.  All replicates of a point are priced in one batched pass.
+    error.  A point's replicates are the rows of one multinomial draw on
+    ``SeedSequence([seed, N])``, all priced in one batched pass.
     """
     cfg = spec.platform_config()
     pop = spec.population
@@ -376,15 +377,9 @@ def run_fig7(spec: ExperimentSpec) -> ResultTable:
         committed = solve_incomplete(
             pop.with_counts(apportion(total, spec.weights())), cfg
         )
-        realized = np.array(
-            [
-                np.random.default_rng(
-                    np.random.SeedSequence([spec.seed, total, rep])
-                ).multinomial(total, probs)
-                for rep in range(spec.replications)
-            ],
-            dtype=float,
-        )
+        realized = np.random.default_rng(
+            np.random.SeedSequence([spec.seed, total])
+        ).multinomial(total, probs, size=spec.replications).astype(float)
         committed_costs = np.array(
             _prefix_costs(
                 realized,

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, InfeasibleError
+from .errors import ConfigurationError, InfeasibleError, NumericalError
 from .numerics import mds_alpha, row_fsums
 # No solver calls ``expected_runtime_hetero``; it stays imported because
 # perfbench's traced runs wrap it by name in this module.
@@ -168,6 +168,8 @@ def _hetero_mechanism(
     :func:`_private_offers`) makes for ``pop``'s headcounts as one row."""
     counts = pop.counts[None, :]
     thresholds, runtimes, rewards = rule(counts, pop, cfg)
+    if not np.isfinite([runtimes[0], *rewards[0]]).all():
+        raise NumericalError("offer runtime or rewards overflow")
     threshold = int(thresholds[0])
     return Mechanism(
         scenario=scenario,
@@ -351,7 +353,9 @@ def _cost_only_offer(pop: Population, cfg: PlatformConfig) -> Mechanism:
     }
     recovery = min(exact, key=exact.__getitem__)
     worker_runtime = (cfg.total_rows / recovery) * float(pop.row_time[0])
-    reward = float(pop.cost_rate[threshold - 1] * worker_runtime)
+    reward = float(pop.cost_rate[threshold - 1]) * worker_runtime
+    if not math.isfinite(reward):
+        raise NumericalError("offer runtime or rewards overflow")
     return Mechanism(
         scenario=SCENARIO_COST_ONLY,
         threshold_type=threshold,

@@ -187,6 +187,28 @@ class TestNonFiniteConfig:
         assert f"{path}:2" in err
 
 
+class TestOverflowingOffer:
+    # Finite inputs whose offer overflows: near-zero throughputs put the
+    # runtime and rewards beyond the float range, and a huge cost rate
+    # times the cost-only runtime gives an infinite reward.
+    CONFIGS = {
+        "incomplete": "1.0 1e-300 1.0 1\n2.0 1e-300 1.0 1\ntotal_rows = 1e10\n",
+        "complete": "1.0 1e-300 1.0 1\n2.0 1e-300 1.0 1\ntotal_rows = 1e10\n",
+        "cost-only": "1e300 1.0 1.0 1\ntotal_rows = 1e300\n",
+    }
+
+    @pytest.mark.parametrize("scenario", list(CONFIGS))
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_exits_3(self, tmp_path, capsys, command, scenario):
+        path = tmp_path / "overflow.cfg"
+        path.write_text(self.CONFIGS[scenario])
+        argv = [command, "--scenario", scenario, "--config", str(path)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert "numerical failure: offer runtime or rewards overflow" in captured.err
+        assert captured.out == ""
+
+
 class TestVerify:
     def test_reports_compliance(self, hetero_cfg, capsys):
         assert main(["verify", "--config", hetero_cfg]) == 0

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +32,9 @@ from coded_incentives import (
     WorkerType,
     solve_incomplete,
 )
+from coded_incentives import experiments
 from coded_incentives.experiments import _apportion_rows
+from coded_incentives.mechanisms import _prefix_costs, _private_offers
 from oracles import apportion_oracle, best_response_oracle
 
 
@@ -350,54 +354,55 @@ class TestSweeps:
 
 
 # float.hex of every run_fig7 row for n_sweep=(100, 1400, 5000),
-# replications=50, seed=7, recorded from the per-replicate scalar
-# implementation (one solve_incomplete per realized draw).
+# replications=50, seed=7, recorded from the single-stream draw: each
+# point's 50 headcount vectors are the rows of one
+# multinomial(N, probabilities, size=50) on SeedSequence([seed, N]).
 _FIG7_SKEWED = (0.05, 0.15, 0.1, 0.2, 0.05, 0.1, 0.1, 0.05, 0.1, 0.1)
 _FIG7_GOLDEN = {
     None: (
         (
             "0x1.9000000000000p+6",
-            "-0x1.75a2a043b98a4p+2",
-            "0x1.6ad8f19c8349cp+3",
-            "0x1.680610c4cf48fp+11",
-            "0x1.68c0e214f125bp+11",
+            "0x1.78f1559cf7d48p+4",
+            "0x1.89fc24f0398b3p+3",
+            "0x1.65913615aee8ep+11",
+            "0x1.629f536a74f93p+11",
         ),
         (
             "0x1.5e00000000000p+10",
-            "-0x1.2f299fe3d27a1p+2",
-            "0x1.3003de8ae0384p+1",
-            "0x1.3c409930a5d90p+9",
-            "0x1.3e9eec706d7dfp+9",
+            "-0x1.76f8895d8edbdp+1",
+            "0x1.353eeaa8f7148p+1",
+            "0x1.3c9b97034adc0p+9",
+            "0x1.3e128f8ca86aep+9",
         ),
         (
             "0x1.3880000000000p+12",
-            "0x1.6c594283964b8p-3",
-            "0x1.417a82e8dd3f9p-2",
-            "0x1.f9183c3dac648p+7",
-            "0x1.f8bd25ed0b7eep+7",
+            "-0x1.1b9cc0ddb381fp-1",
+            "0x1.1e26d7661681dp-2",
+            "0x1.fd6a375a751bcp+7",
+            "0x1.fe85d41b52cf6p+7",
         ),
     ),
     _FIG7_SKEWED: (
         (
             "0x1.9000000000000p+6",
-            "-0x1.0b502d0c36d1fp+2",
-            "0x1.7b4b989b0c3a1p+3",
-            "0x1.72c5197b05894p+11",
-            "0x1.734ac1918ba4dp+11",
+            "0x1.aa30e8f3aeadap+4",
+            "0x1.851f1ea389b4fp+3",
+            "0x1.6fba8242c9917p+11",
+            "0x1.6c662070e2341p+11",
         ),
         (
             "0x1.5e00000000000p+10",
-            "-0x1.72a50d4515a7bp+2",
-            "0x1.1fd25761649b9p+1",
-            "0x1.3bdd1e9736061p+9",
-            "0x1.3ec268b1c0315p+9",
+            "-0x1.267335edb28f1p+1",
+            "0x1.371d6c920d0e3p+1",
+            "0x1.3c926ffc0a2dfp+9",
+            "0x1.3db8e331f7e08p+9",
         ),
         (
             "0x1.3880000000000p+12",
-            "0x1.0cbd0beea035ap+3",
-            "0x1.564c3530bb077p+1",
-            "0x1.c38b219b741d4p+8",
-            "0x1.bb25393bff1bap+8",
+            "0x1.b8e2062fa9bd6p+2",
+            "0x1.224e649f54badp+1",
+            "0x1.c30e039665f83p+8",
+            "0x1.bc2a7b7da7513p+8",
         ),
     ),
 }
@@ -418,6 +423,64 @@ def test_fig7_rows_match_recorded_bits(probabilities):
         tuple(value.hex() for value in row) for row in run_fig7(spec).rows
     )
     assert rows == _FIG7_GOLDEN[probabilities]
+
+
+def _fig7_pricing(monkeypatch, spec):
+    """Per point of ``spec``: the realized counts matrix ``run_fig7``
+    prices and the committed and informed cost rows it prices them at,
+    captured from its batched calls."""
+    counts_seen, costs_seen = [], []
+
+    def private_offers(counts, *args):
+        counts_seen.append(counts)
+        return _private_offers(counts, *args)
+
+    def prefix_costs(*args):
+        costs_seen.append(_prefix_costs(*args))
+        return costs_seen[-1]
+
+    monkeypatch.setattr(experiments, "_private_offers", private_offers)
+    monkeypatch.setattr(experiments, "_prefix_costs", prefix_costs)
+    run_fig7(spec)
+    monkeypatch.undo()
+    return list(zip(counts_seen, costs_seen[0::2], costs_seen[1::2]))
+
+
+def test_fig7_replicates_are_prefixes_of_a_larger_run(monkeypatch):
+    spec = ExperimentSpec(
+        name="fig7",
+        n_sweep=(100, 1400),
+        replications=200,
+        seed=7,
+        type_probabilities=_FIG7_SKEWED,
+    )
+    full = _fig7_pricing(monkeypatch, spec)
+    assert [counts.shape for counts, _, _ in full] == [(200, 10)] * 2
+    for reps in (1, 37):
+        part = _fig7_pricing(monkeypatch, replace(spec, replications=reps))
+        for got, whole in zip(part, full, strict=True):
+            assert np.array_equal(got[0], whole[0][:reps])
+            assert got[1:] == tuple(costs[:reps] for costs in whole[1:])
+
+
+def test_fig7_point_rows_do_not_depend_on_the_sweep(monkeypatch):
+    spec = ExperimentSpec(
+        name="fig7", n_sweep=(5000, 100, 2300, 1400), replications=50, seed=3
+    )
+    generators, numpy_default_rng = [], np.random.default_rng
+
+    def default_rng(seed):
+        generators.append(seed)
+        return numpy_default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    table = run_fig7(spec)
+    # One stream per point, not one per replicate.
+    assert len(generators) == len(spec.n_sweep)
+    monkeypatch.undo()
+    for row in table.rows:
+        alone = run_fig7(replace(spec, n_sweep=(int(row[0]),))).rows[0]
+        assert [v.hex() for v in alone] == [v.hex() for v in row]
 
 
 # float.hex of every row of the four deterministic sweeps at
