@@ -79,7 +79,6 @@ from .workers import (
     WorkerType,
     build_population,
     derive_profile,
-    population_order,
     sample_time,
     sample_times,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "PerformanceProfile",
     "Population",
     "derive_profile",
-    "population_order",
     "build_population",
     "sample_time",
     "sample_times",

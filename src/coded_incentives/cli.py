@@ -212,22 +212,10 @@ def cmd_simulate(args: argparse.Namespace) -> str:
             "simulation requires an integer total row count"
         )
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 1]))
-    if args.matrix:
-        matrix = read_matrix(args.matrix)
-        if matrix.shape[0] != rows:
-            raise ConfigurationError(
-                f"matrix has {matrix.shape[0]} rows, configuration says "
-                f"{rows}"
-            )
-    else:
-        matrix = rng.standard_normal((rows, 4))
+    # simulate_round checks the matrix and vector shapes against the offer.
+    matrix = read_matrix(args.matrix) if args.matrix else rng.standard_normal((rows, 4))
     if args.vector:
         vector = read_vector(args.vector)
-        if vector.shape != (matrix.shape[1],):
-            raise ConfigurationError(
-                f"vector length {vector.shape[0]} does not match the "
-                f"matrix column count {matrix.shape[1]}"
-            )
     else:
         vector = rng.standard_normal(matrix.shape[1])
     reps = args.reps if args.reps is not None else 1

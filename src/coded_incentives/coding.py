@@ -280,14 +280,14 @@ def simulate_round(
     source = np.asarray(A, dtype=float)
     vector = np.asarray(x, dtype=float)
     if source.ndim != 2 or source.size == 0:
-        raise ValueError("matrix must be two-dimensional and nonempty")
+        raise ConfigurationError("matrix must be two-dimensional and nonempty")
     if vector.shape != (source.shape[1],):
-        raise ValueError("vector length must match the matrix column count")
+        raise ConfigurationError("vector length must match the matrix column count")
     if not (np.isfinite(source).all() and np.isfinite(vector).all()):
-        raise ValueError("matrix and vector entries must be finite")
+        raise ConfigurationError("matrix and vector entries must be finite")
     rows = source.shape[0]
     if rows != mech.config.total_rows:
-        raise ValueError(
+        raise ConfigurationError(
             f"matrix has {rows} rows but the offer covers "
             f"{mech.config.total_rows}"
         )
@@ -423,39 +423,31 @@ def _read_numbers(path: str) -> list[float]:
     return tokens
 
 
-def read_matrix(path: str) -> np.ndarray:
-    """Read a dense matrix from text: a `rows cols` header line, then
-    row-major entries; `#` starts a comment."""
+def _read_array(path: str, shape_len: int) -> np.ndarray:
+    """Read a dense array from text: a header line of ``shape_len``
+    positive integers, its shape, then its entries in row-major order;
+    `#` starts a comment."""
     tokens = _read_numbers(path)
-    if len(tokens) < 2:
-        raise ConfigurationError(f"{path}: missing matrix header")
-    rows, cols = tokens[0], tokens[1]
-    if rows != int(rows) or cols != int(cols) or rows < 1 or cols < 1:
+    shape = tokens[:shape_len]
+    if len(shape) < shape_len or any(n != int(n) or n < 1 for n in shape):
         raise ConfigurationError(
-            f"{path}: header must be two positive integers"
+            f"{path}: the header must give the shape as {shape_len} "
+            "positive integer(s)"
         )
-    rows, cols = int(rows), int(cols)
-    body = tokens[2:]
-    if len(body) != rows * cols:
+    shape = tuple(int(n) for n in shape)
+    body = tokens[shape_len:]
+    if len(body) != math.prod(shape):
         raise ConfigurationError(
-            f"{path}: expected {rows * cols} entries, found {len(body)}"
+            f"{path}: expected {math.prod(shape)} entries, found {len(body)}"
         )
-    return np.array(body).reshape(rows, cols)
+    return np.array(body).reshape(shape)
+
+
+def read_matrix(path: str) -> np.ndarray:
+    """Read a dense matrix: a `rows cols` header, then row-major entries."""
+    return _read_array(path, 2)
 
 
 def read_vector(path: str) -> np.ndarray:
-    """Read a dense vector from text: a length header line, then
-    entries; `#` starts a comment."""
-    tokens = _read_numbers(path)
-    if not tokens:
-        raise ConfigurationError(f"{path}: missing vector header")
-    length = tokens[0]
-    if length != int(length) or length < 1:
-        raise ConfigurationError(f"{path}: header must be a positive integer")
-    length = int(length)
-    body = tokens[1:]
-    if len(body) != length:
-        raise ConfigurationError(
-            f"{path}: expected {length} entries, found {len(body)}"
-        )
-    return np.array(body)
+    """Read a dense vector: a `length` header, then its entries."""
+    return _read_array(path, 1)

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .coding import _text_lines
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalError
 # No sweep calls ``best_response`` or ``solve_complete``; they stay
 # imported because perfbench's traced runs wrap them by name here.
 from .game import _best_payoffs, best_response
@@ -31,11 +31,12 @@ from .mechanisms import (
 )
 from .numerics import _largest_remainder
 from .workers import (
+    PerformanceProfile,
     Population,
     WorkerType,
+    _ranked_population,
     build_population,
     derive_profile,
-    population_order,
 )
 
 __all__ = [
@@ -76,15 +77,43 @@ DEFAULT_TYPE_PARAMS: tuple[tuple[float, float, float], ...] = (
 
 EXPERIMENT_NAMES = ("fig4", "fig5", "fig6", "fig7", "custom")
 
-_SETTING_KEYS = (
-    "gamma_time",
-    "gamma_pay",
-    "total_rows",
-    "sweep",
-    "replications",
-    "seed",
-    "probabilities",
-)
+
+def _parse_sweep(value: str) -> tuple[int, ...]:
+    if ":" in value:
+        parts = value.split(":")
+        if len(parts) != 3:
+            raise ValueError("sweep ranges use start:stop:step")
+        start, stop, step = (int(p) for p in parts)
+        if step < 1:
+            raise ValueError("sweep step must be positive")
+        return tuple(range(start, stop + 1, step))
+    return tuple(int(p) for p in value.split(","))
+
+
+# Every setting once, as config files and CSV metadata spell it:
+# key -> (ExperimentSpec field, parser of its text, writer of its value).
+_SETTINGS = {
+    "gamma_time": ("gamma_time", float, repr),
+    "gamma_pay": ("gamma_pay", float, repr),
+    "total_rows": ("total_rows", float, repr),
+    "sweep": ("n_sweep", _parse_sweep, lambda sweep: ",".join(map(str, sweep))),
+    "replications": ("replications", int, str),
+    "seed": ("seed", int, str),
+    "probabilities": (
+        "type_probabilities",
+        lambda text: None if text == "uniform" else tuple(map(float, text.split(","))),
+        lambda probs: "uniform" if probs is None else ",".join(map(repr, probs)),
+    ),
+}
+
+
+def _worker_row(type_id: int, fields: Sequence) -> WorkerType:
+    """The worker type of one `cost speed startup count` population row:
+    a config line's tokens, a metadata entry's fields or a catalog entry."""
+    if len(fields) != 4:
+        raise ValueError("population rows need `cost speed startup count`")
+    cost, speed, startup, count = fields
+    return WorkerType(type_id, float(cost), float(speed), float(startup), int(count))
 
 
 def apportion(total: int, weights: Sequence[float]) -> list[int]:
@@ -121,12 +150,8 @@ def default_worker_types(counts: Sequence[int] | None = None) -> list[WorkerType
             f"expected {len(DEFAULT_TYPE_PARAMS)} counts, got {len(counts)}"
         )
     return [
-        WorkerType(
-            id=i + 1, cost_rate=c, speed=mu, startup=a, count=int(count)
-        )
-        for i, ((c, mu, a), count) in enumerate(
-            zip(DEFAULT_TYPE_PARAMS, counts)
-        )
+        _worker_row(i + 1, (*params, count))
+        for i, (params, count) in enumerate(zip(DEFAULT_TYPE_PARAMS, counts))
     ]
 
 
@@ -206,52 +231,25 @@ class ExperimentSpec:
             "name": self.name,
             "version": _VERSION,
             "population": ";".join(
-                f"{cost!r},{speed!r},{startup!r},{count}"
-                for cost, speed, startup, count in zip(*(c.tolist() for c in columns))
+                ",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))
             ),
-            "gamma_time": repr(self.gamma_time),
-            "gamma_pay": repr(self.gamma_pay),
-            "total_rows": repr(self.total_rows),
-            "sweep": ",".join(str(n) for n in self.n_sweep),
-            "replications": str(self.replications),
-            "seed": str(self.seed),
-            "probabilities": (
-                "uniform"
-                if self.type_probabilities is None
-                else ",".join(repr(p) for p in self.type_probabilities)
-            ),
+            **{
+                key: write(getattr(self, attr))
+                for key, (attr, _, write) in _SETTINGS.items()
+            },
         }
 
     @classmethod
     def from_metadata(cls, meta: Mapping[str, str]) -> "ExperimentSpec":
         try:
-            raw = []
-            for i, chunk in enumerate(meta["population"].split(";")):
-                cost, speed, startup, count = chunk.split(",")
-                raw.append(
-                    WorkerType(
-                        id=i + 1,
-                        cost_rate=float(cost),
-                        speed=float(speed),
-                        startup=float(startup),
-                        count=int(count),
-                    )
-                )
-            probs_text = meta["probabilities"]
+            rows = [
+                _worker_row(i + 1, chunk.split(","))
+                for i, chunk in enumerate(meta["population"].split(";"))
+            ]
             return cls(
                 name=meta["name"],
-                population=build_population(raw),
-                gamma_time=float(meta["gamma_time"]),
-                gamma_pay=float(meta["gamma_pay"]),
-                total_rows=float(meta["total_rows"]),
-                n_sweep=tuple(int(n) for n in meta["sweep"].split(",")),
-                replications=int(meta["replications"]),
-                seed=int(meta["seed"]),
-                type_probabilities=(
-                    None
-                    if probs_text == "uniform"
-                    else tuple(float(p) for p in probs_text.split(","))
-                ),
+                population=build_population(rows),
+                **{attr: parse(meta[k]) for k, (attr, parse, _) in _SETTINGS.items()},
             )
         except (KeyError, ValueError) as exc:
             raise ConfigurationError(f"invalid metadata: {exc}") from exc
@@ -259,7 +257,10 @@ class ExperimentSpec:
 
 @dataclass(frozen=True, eq=False)
 class ResultTable:
-    """Rectangular sweep results plus the metadata to re-run them."""
+    """Rectangular sweep results plus the metadata to re-run them.
+
+    Every value is finite: a non-finite one raises NumericalError.
+    """
 
     columns: tuple[str, ...]
     rows: tuple[tuple[float, ...], ...]
@@ -269,6 +270,8 @@ class ResultTable:
         for row in self.rows:
             if len(row) != len(self.columns):
                 raise ValueError("every row must match the column count")
+            if not all(map(math.isfinite, row)):
+                raise NumericalError("a sweep value overflows to a non-finite number")
 
     def column(self, name: str) -> list[float]:
         if name not in self.columns:
@@ -393,21 +396,23 @@ def run_fig7(spec: ExperimentSpec) -> ResultTable:
         informed_costs = np.array(
             _prefix_costs(realized, thresholds, rewards, pop, cfg, runtimes)
         )
-        gaps = committed_costs - informed_costs
-        stderr = (
-            float(np.std(gaps, ddof=1) / math.sqrt(spec.replications))
-            if spec.replications > 1
-            else 0.0
-        )
-        rows.append(
-            (
-                float(total),
-                float(np.mean(gaps)),
-                stderr,
-                float(np.mean(committed_costs)),
-                float(np.mean(informed_costs)),
+        # An overflowing statistic is left to the result table's check.
+        with np.errstate(all="ignore"):
+            gaps = committed_costs - informed_costs
+            stderr = (
+                float(np.std(gaps, ddof=1) / math.sqrt(spec.replications))
+                if spec.replications > 1
+                else 0.0
             )
-        )
+            rows.append(
+                (
+                    float(total),
+                    float(np.mean(gaps)),
+                    stderr,
+                    float(np.mean(committed_costs)),
+                    float(np.mean(informed_costs)),
+                )
+            )
     return ResultTable(
         columns=(
             "N",
@@ -438,18 +443,6 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     return runners[spec.name](spec)
 
 
-def _parse_sweep(value: str) -> tuple[int, ...]:
-    if ":" in value:
-        parts = value.split(":")
-        if len(parts) != 3:
-            raise ValueError("sweep ranges use start:stop:step")
-        start, stop, step = (int(p) for p in parts)
-        if step < 1:
-            raise ValueError("sweep step must be positive")
-        return tuple(range(start, stop + 1, step))
-    return tuple(int(p) for p in value.split(","))
-
-
 def load_config(path: str) -> ExperimentSpec:
     """Parse an experiment configuration file.
 
@@ -457,66 +450,39 @@ def load_config(path: str) -> ExperimentSpec:
     `key = value` lines set gamma_time, gamma_pay, total_rows, sweep
     (either `start:stop:step` or comma-separated), replications, seed,
     or probabilities (comma-separated, aligned with the population
-    rows).  `#` starts a comment.  Omitted settings fall back to the
-    defaults; an omitted population falls back to the bundled catalog.
-    Numbers must be finite, and a population row whose performance
-    profile cannot be derived is an error naming its file and line.
+    rows, or `uniform`), parsed as CSV metadata is.  `#` starts a
+    comment.  Omitted settings fall back to the defaults; an omitted
+    population falls back to the bundled catalog.  Numbers must be
+    finite, and a population row whose performance profile cannot be
+    derived is an error naming its file and line.
     """
-    raw_types: list[WorkerType] = []
-    raw_probs: list[float] | None = None
+    rows: list[tuple[WorkerType, PerformanceProfile]] = []
     settings: dict[str, object] = {}
     for line_no, text in _text_lines(path):
-        if "=" in text:
-            key, _, value = text.partition("=")
-            key = key.strip().lower().replace("-", "_")
-            value = value.strip()
-            if key not in _SETTING_KEYS:
-                raise ConfigurationError(
-                    f"{path}:{line_no}: unknown setting {key!r} "
-                    f"(expected one of {', '.join(_SETTING_KEYS)})"
-                )
-            try:
-                if key in ("gamma_time", "gamma_pay", "total_rows"):
-                    settings[key] = float(value)
-                elif key in ("replications", "seed"):
-                    settings[key] = int(value)
-                elif key == "sweep":
-                    settings["n_sweep"] = _parse_sweep(value)
-                else:
-                    raw_probs = [float(p) for p in value.split(",")]
-            except ValueError as exc:
-                raise ConfigurationError(
-                    f"{path}:{line_no}: {exc}"
-                ) from exc
-        else:
-            tokens = text.split()
-            if len(tokens) != 4:
-                raise ConfigurationError(
-                    f"{path}:{line_no}: population rows need "
-                    f"`cost speed startup count`"
-                )
-            try:
-                worker = WorkerType(
-                    id=len(raw_types) + 1,
-                    cost_rate=float(tokens[0]),
-                    speed=float(tokens[1]),
-                    startup=float(tokens[2]),
-                    count=int(tokens[3]),
-                )
-                derive_profile(worker)
-                raw_types.append(worker)
-            except (ValueError, ArithmeticError) as exc:
-                raise ConfigurationError(
-                    f"{path}:{line_no}: {exc}"
-                ) from exc
-    if not raw_types:
-        raw_types = default_worker_types()
-    if raw_probs is not None:
-        if len(raw_probs) != len(raw_types):
+        key, setting, value = text.partition("=")
+        key = key.strip().lower().replace("-", "_")
+        if setting and key not in _SETTINGS:
             raise ConfigurationError(
-                f"{path}: {len(raw_types)} population rows but "
-                f"{len(raw_probs)} probabilities"
+                f"{path}:{line_no}: unknown setting {key!r} "
+                f"(expected one of {', '.join(_SETTINGS)})"
             )
-        order = population_order(raw_types)
-        settings["type_probabilities"] = tuple(raw_probs[i] for i in order)
-    return ExperimentSpec(population=build_population(raw_types), **settings)
+        try:
+            if setting:
+                attr, parse, _ = _SETTINGS[key]
+                settings[attr] = parse(value.strip())
+            else:
+                worker = _worker_row(len(rows) + 1, text.split())
+                rows.append((worker, derive_profile(worker)))
+        except (ValueError, ArithmeticError) as exc:
+            raise ConfigurationError(f"{path}:{line_no}: {exc}") from exc
+    if not rows:
+        rows = [(worker, derive_profile(worker)) for worker in default_worker_types()]
+    order, population = _ranked_population(*zip(*rows))
+    probs = settings.get("type_probabilities")
+    if probs is not None:
+        if len(probs) != len(rows):
+            raise ConfigurationError(
+                f"{path}: {len(rows)} population rows but {len(probs)} probabilities"
+            )
+        settings["type_probabilities"] = tuple(probs[i] for i in order)
+    return ExperimentSpec(population=population, **settings)

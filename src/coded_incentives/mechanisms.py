@@ -168,8 +168,6 @@ def _hetero_mechanism(
     :func:`_private_offers`) makes for ``pop``'s headcounts as one row."""
     counts = pop.counts[None, :]
     thresholds, runtimes, rewards = rule(counts, pop, cfg)
-    if not np.isfinite([runtimes[0], *rewards[0]]).all():
-        raise NumericalError("offer runtime or rewards overflow")
     threshold = int(thresholds[0])
     return Mechanism(
         scenario=scenario,
@@ -192,16 +190,20 @@ def _complete_offers(
 
     The threshold is the largest populated prefix whose boundary ratio
     is at most ``(gamma_time + gamma_pay * prefix cost) / (gamma_pay *
-    prefix throughput)``.
+    prefix throughput)``; a populated prefix whose bound overflows
+    raises NumericalError.
     """
     rates, cum_thru = _prefix_throughputs(counts, pop, cfg)
     populated = cum_thru > 0
-    bound = np.divide(
-        cfg.gamma_time + cfg.gamma_pay * (counts * pop.cost_rate).cumsum(axis=1),
-        cfg.gamma_pay * cum_thru,
-        out=np.full_like(cum_thru, -np.inf),
-        where=populated,
-    )
+    with np.errstate(all="ignore"):
+        bound = np.divide(
+            cfg.gamma_time + cfg.gamma_pay * (counts * pop.cost_rate).cumsum(axis=1),
+            cfg.gamma_pay * cum_thru,
+            out=np.full_like(cum_thru, -np.inf),
+            where=populated,
+        )
+    if not np.isfinite(bound[populated]).all():
+        raise NumericalError("the complete-information prefix bound overflows")
     holds = pop.ratio <= bound
     # The first populated prefix always satisfies its own inequality up
     # to rounding (it reduces to gamma_time >= 0), so the fallback to it
@@ -214,8 +216,9 @@ def _complete_offers(
     )
     targeted = _prefix_mask(thresholds, size)
     runtimes = expected_runtimes_hetero(rates.tolist(), targeted, cfg.total_rows)
-    rewards = np.where(targeted, pop.cost_rate * np.array(runtimes)[:, None], 0.0)
-    return thresholds, runtimes, rewards
+    with np.errstate(all="ignore"):
+        rewards = np.where(targeted, pop.cost_rate * np.array(runtimes)[:, None], 0.0)
+    return _finite_offers(thresholds, runtimes, rewards)
 
 
 def _private_offers(
@@ -230,22 +233,33 @@ def _private_offers(
     the first minimum, so ties go to the shorter prefix.
     """
     rates, cum_thru = _prefix_throughputs(counts, pop, cfg)
-    per_thru = np.divide(
-        cfg.gamma_time,
-        cum_thru,
-        out=np.full_like(cum_thru, np.inf),
-        where=cum_thru > 0,
-    )
-    thresholds = (per_thru + cfg.gamma_pay * pop.ratio).argmin(axis=1) + 1
-    runtimes = expected_runtimes_hetero(
-        rates.tolist(), _prefix_mask(thresholds, counts.shape[1]), cfg.total_rows
-    )
-    # Rewards proportional to throughput, grouped so the boundary type's
-    # reward equals its cost bit-exactly and its payoff is exactly zero.
-    boundary = thresholds - 1
-    boundary_pay = pop.cost_rate[boundary] * np.array(runtimes)
-    throughputs = pop.throughput
-    rewards = (throughputs / throughputs[boundary][:, None]) * boundary_pay[:, None]
+    with np.errstate(all="ignore"):
+        per_thru = np.divide(
+            cfg.gamma_time,
+            cum_thru,
+            out=np.full_like(cum_thru, np.inf),
+            where=cum_thru > 0,
+        )
+        thresholds = (per_thru + cfg.gamma_pay * pop.ratio).argmin(axis=1) + 1
+        runtimes = expected_runtimes_hetero(
+            rates.tolist(), _prefix_mask(thresholds, counts.shape[1]), cfg.total_rows
+        )
+        # Rewards proportional to throughput, grouped so the boundary type's
+        # reward equals its cost bit-exactly and its payoff is exactly zero.
+        boundary = thresholds - 1
+        boundary_pay = pop.cost_rate[boundary] * np.array(runtimes)
+        throughputs = pop.throughput
+        rewards = (throughputs / throughputs[boundary][:, None]) * boundary_pay[:, None]
+    return _finite_offers(thresholds, runtimes, rewards)
+
+
+def _finite_offers(
+    thresholds: np.ndarray, runtimes: list[float], rewards: np.ndarray
+) -> tuple[np.ndarray, list[float], np.ndarray]:
+    """Both rules' offers, once their runtimes and rewards are checked
+    finite: an overflowing offer raises NumericalError."""
+    if not (all(map(math.isfinite, runtimes)) and np.isfinite(rewards).all()):
+        raise NumericalError("offer runtime or rewards overflow")
     return thresholds, runtimes, rewards
 
 
@@ -282,18 +296,27 @@ def _prefix_costs(
 
     ``runtimes`` passes those runtimes when the caller already has them;
     omitted, they are the heterogeneous assignment's.  The cost-only
-    scenario always passes its exact harmonic runtime.
+    scenario always passes its exact harmonic runtime.  A cost beyond
+    the float range raises NumericalError.
     """
     targeted = _prefix_mask(thresholds, counts.shape[1])
     if runtimes is None:
         runtimes = expected_runtimes_hetero(
             (counts * pop.throughput).tolist(), targeted, cfg.total_rows
         )
-    payments = row_fsums((counts * rewards).tolist(), targeted)
-    return [
+    with np.errstate(over="ignore"):
+        paid = (counts * rewards).tolist()
+    try:
+        payments = row_fsums(paid, targeted)
+    except OverflowError:  # math.fsum's intermediate overflow
+        payments = [math.inf]
+    costs = [
         cfg.gamma_time * runtime + cfg.gamma_pay * payment
         for runtime, payment in zip(runtimes, payments)
     ]
+    if not all(map(math.isfinite, costs)):
+        raise NumericalError("the offer's platform cost overflows")
+    return costs
 
 
 def solve_cost_only(

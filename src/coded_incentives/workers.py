@@ -25,7 +25,6 @@ __all__ = [
     "PerformanceProfile",
     "Population",
     "derive_profile",
-    "population_order",
     "build_population",
     "sample_time",
     "sample_times",
@@ -163,10 +162,11 @@ def derive_profile(worker: WorkerType) -> PerformanceProfile:
     )
 
 
-def _ranked_columns(raw: Sequence[WorkerType]) -> tuple[np.ndarray, np.ndarray]:
-    """The id order assigned to ``raw`` (input positions) and the
-    population's seven columns in input order, one per row."""
-    profiles = [derive_profile(t) for t in raw]
+def _ranked_population(
+    raw: Sequence[WorkerType], profiles: Sequence[PerformanceProfile]
+) -> tuple[np.ndarray, Population]:
+    """The population of the types ``raw`` with their derived
+    ``profiles``, and the id order it assigns them (input positions)."""
     columns = np.array(
         [
             (t.count, t.cost_rate, t.speed, t.startup)
@@ -176,16 +176,8 @@ def _ranked_columns(raw: Sequence[WorkerType]) -> tuple[np.ndarray, np.ndarray]:
         dtype=float,
     ).reshape(len(raw), len(_COLUMNS)).T
     # Stable, last key first: by ratio, then cost rate, then input order.
-    return np.lexsort((columns[1], columns[6])), columns
-
-
-def population_order(raw: Sequence[WorkerType]) -> list[int]:
-    """Input positions in the id order :func:`build_population` assigns.
-
-    Useful for carrying per-type side data (for example sampling
-    probabilities) through the relabeling.
-    """
-    return _ranked_columns(raw)[0].tolist()
+    order = np.lexsort((columns[1], columns[6]))
+    return order, Population(*columns[:, order])
 
 
 def build_population(raw: Iterable[WorkerType]) -> Population:
@@ -196,10 +188,7 @@ def build_population(raw: Iterable[WorkerType]) -> Population:
     keep input order.
     """
     entries = list(raw)
-    if not entries:
-        raise ConfigurationError("population must contain at least one type")
-    order, columns = _ranked_columns(entries)
-    return Population(*columns[:, order])
+    return _ranked_population(entries, [derive_profile(t) for t in entries])[1]
 
 
 def sample_time(worker: WorkerType, load: float, rng: np.random.Generator) -> float:

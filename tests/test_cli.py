@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 import subprocess
@@ -47,6 +48,40 @@ offer is individually rational and incentive compatible
 
 kind,true_type,reported_type,value
 """
+
+
+# Four types listed out of ratio order, every setting spelled out, and
+# probabilities that must travel with their types through the relabeling.
+POOL = (
+    "# cost speed startup count\n"
+    "9.0 40.0 0.123 5\n"
+    "1.0 50.0 0.012 8\n"
+    "3.0 10.0 0.031 6\n"
+    "5.0 20.0 0.081 7\n"
+    "gamma_time = 300\n"
+    "gamma-pay = 1.5\n"
+    "total_rows = 60\n"
+    "sweep = 20:80:30\n"
+    "replications = 5\n"
+    "seed = 4\n"
+    "probabilities = 0.1, 0.4, 0.3, 0.2\n"
+)
+
+
+def _pool_argv(command: str, tmp_path) -> list[str]:
+    """``command`` on POOL, with a 60x3 ``--matrix`` file and a
+    ``--vector`` file for ``simulate``."""
+    cfg = tmp_path / "pool.cfg"
+    cfg.write_text(POOL)
+    argv = command.split() + ["--config", str(cfg)]
+    if command.startswith("simulate"):
+        matrix = np.random.default_rng(5).standard_normal((60, 3))
+        m_path, v_path = tmp_path / "m.txt", tmp_path / "v.txt"
+        rows = (" ".join(map(repr, row)) for row in matrix.tolist())
+        m_path.write_text("60 3\n" + "\n".join(rows) + "\n")
+        v_path.write_text("3  # length\n0.5 -1.25\n2.0\n")
+        argv += ["--matrix", str(m_path), "--vector", str(v_path)]
+    return argv
 
 
 @pytest.fixture()
@@ -209,6 +244,109 @@ class TestOverflowingOffer:
         assert captured.out == ""
 
 
+    @pytest.mark.parametrize("name", ["fig4", "fig5", "fig6", "fig7", "custom"])
+    def test_sweeps_exit_3(self, tmp_path, capsys, name):
+        path = tmp_path / "overflow.cfg"
+        path.write_text(self.CONFIGS["incomplete"])
+        assert main(["experiment", name, "--config", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert "numerical failure: offer runtime or rewards overflow" in captured.err
+        assert captured.out == ""
+
+
+class TestOverflowingBound:
+    # Finite offers, but the complete-information bound's payment sum
+    # 100 * 1e306 + 100 * 2e306 overflows, which once selected type 2.
+    CONFIG = "1e306 50 0.012 100\n2e306 60 0.02 100\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--scenario", "complete"],
+            ["verify", "--scenario", "complete"],
+            ["experiment", "fig4"],
+            ["experiment", "fig5"],
+            ["experiment", "custom"],
+        ],
+    )
+    def test_exits_3(self, tmp_path, capsys, argv):
+        path = tmp_path / "bound.cfg"
+        path.write_text(self.CONFIG + "sweep = 200\n")
+        assert main(argv + ["--config", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert "prefix bound overflows" in captured.err
+        assert captured.out == ""
+
+    def test_private_cost_offer_is_unaffected(self, tmp_path, capsys):
+        path = tmp_path / "bound.cfg"
+        path.write_text(self.CONFIG)
+        assert main(["solve", "--config", str(path)]) == 0
+        assert "targeted types: 1\n" in capsys.readouterr().out
+
+
+class TestOverflowingCost:
+    # Finite rewards, but 100 workers times a reward near 5e306 overflows
+    # the offer's payment sum.
+    CONFIG = "1e307 50 0.012 100\n2e307 60 0.02 100\nsweep = 100\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["solve"], ["verify"], ["simulate"], ["experiment", "fig7"]]
+    )
+    def test_exits_3(self, tmp_path, capsys, argv):
+        path = tmp_path / "cost.cfg"
+        path.write_text(self.CONFIG)
+        assert main(argv + ["--config", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert "numerical failure: the offer's platform cost overflows" in captured.err
+        assert captured.out == ""
+
+
+class TestOverflowingStatistic:
+    # Every offer and cost is finite, but the spread of fig7's gaps
+    # (about 1e300 each) overflows when squared.
+    CONFIG = "1e300 50 0.012 10\n1e300 60 0.02 10\nsweep = 100,200\n"
+
+    def test_fig7_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "stat.cfg"
+        path.write_text(self.CONFIG)
+        assert main(["experiment", "fig7", "--config", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert "numerical failure: a sweep value overflows" in captured.err
+        assert captured.out == ""
+
+    def test_finite_sweeps_still_print(self, tmp_path, capsys):
+        path = tmp_path / "stat.cfg"
+        path.write_text(self.CONFIG)
+        assert main(["experiment", "fig5", "--config", str(path)]) == 0
+        assert "N,cost_complete,cost_incomplete,gap" in capsys.readouterr().out
+
+
+class TestConfigDrivenOutputsPinned:
+    """sha256 of each command's output on POOL, recorded before the
+    settings table, the one row builder and the one array reader took
+    over from separate readers, which had to produce the same bytes.
+    The `# version` metadata line and the decode error, whose last
+    digits depend on the BLAS build, are masked."""
+
+    DIGESTS = {
+        "solve": "aa0af4f88dd7ef04e779f519618027596eedb62f24f93994ba56eb3d5053d787",
+        "verify": "6e6d7992bbbd9d0829b24f7e5d75973221ea938f08174f86a190bd8c6aa92cbc",
+        "simulate --reps 2": "f4e3e19ea83dc62afb38f4c1fc66d1e1d9ee72ebc56ca026e5c8950161a05065",
+        "experiment fig4": "55293a3852b6b5d329bc856e34c99303e32f7345e4a41fb88c279d2bbaf2dd9b",
+        "experiment fig5": "752beec457ebbb612a0b61d81c5128813f8f79f6ee1fe039a0bfac0f43c08242",
+        "experiment fig6": "5cc4321d358cc004c6bac3d45d86c9eebff77bf8934409e6c006c0caecd97386",
+        "experiment fig7": "9bc7dbe92d00aa9b7abfd99bbae2f2f1225d31fb818bf12f6c2689986ce87999",
+        "experiment custom": "575f30725921414d588f1ef464c1fd3711d22d211b3d2bf76a07aa17e12c43e7",
+    }
+
+    @pytest.mark.parametrize("command", list(DIGESTS))
+    def test_digest(self, tmp_path, capsys, command):
+        assert main(_pool_argv(command, tmp_path)) == 0
+        out = re.sub(r"(?m)^# version = .*\n", "", capsys.readouterr().out)
+        out = re.sub(r"decode error [^,]+", "decode error -", out)
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[command]
+
+
 class TestVerify:
     def test_reports_compliance(self, hetero_cfg, capsys):
         assert main(["verify", "--config", hetero_cfg]) == 0
@@ -293,7 +431,7 @@ class TestSimulate:
             main(["simulate", "--config", hetero_cfg, "--matrix", str(m_path)])
             == 2
         )
-        assert "matrix has 2 rows" in capsys.readouterr().err
+        assert "matrix has 2 rows but the offer covers 60" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_matrix_entry_exits_2(self, hetero_cfg, tmp_path, capsys, bad):

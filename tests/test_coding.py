@@ -322,9 +322,9 @@ class TestSimulateRoundHetero:
 
     def test_shape_validation(self):
         pop, mech, A, x, _ = self._setup()
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="vector length"):
             simulate_round(mech, pop, A, np.ones(3), 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="matrix has 10 rows"):
             simulate_round(mech, pop, np.ones((10, 2)), np.ones(2), 0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -333,9 +333,9 @@ class TestSimulateRoundHetero:
         bad_A, bad_x = A.copy(), x.copy()
         bad_A[7, 0] = bad
         bad_x[1] = bad
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ConfigurationError, match="finite"):
             simulate_round(mech, pop, bad_A, x, 0)
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ConfigurationError, match="finite"):
             simulate_round(mech, pop, A, bad_x, 0)
 
     def test_overflowing_product_is_a_numerical_error(self):
@@ -814,6 +814,16 @@ class TestMatrixVectorIO:
         empty.write_text("# nothing\n")
         with pytest.raises(ConfigurationError):
             read_matrix(str(empty))
+
+    @pytest.mark.parametrize(
+        "reader, header",
+        [(read_matrix, "2 1.5"), (read_vector, "0"), (read_matrix, "")],
+    )
+    def test_header_is_the_shape(self, tmp_path, reader, header):
+        path = tmp_path / "a.txt"
+        path.write_text(f"# shape first\n{header}\n")
+        with pytest.raises(ConfigurationError, match="a.txt: the header must give"):
+            reader(str(path))
 
     def test_vector_errors(self, tmp_path):
         short = tmp_path / "v.txt"

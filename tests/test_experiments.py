@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,10 +18,12 @@ from coded_incentives import (
     ConfigurationError,
     ExperimentSpec,
     InfeasibleError,
+    NumericalError,
     ResultTable,
     apportion,
     build_population,
     default_population,
+    derive_profile,
     default_worker_types,
     load_config,
     run_custom,
@@ -32,7 +35,7 @@ from coded_incentives import (
     WorkerType,
     solve_incomplete,
 )
-from coded_incentives import experiments
+from coded_incentives import experiments, workers
 from coded_incentives.experiments import _apportion_rows
 from coded_incentives.mechanisms import _prefix_costs, _private_offers
 from oracles import apportion_oracle, best_response_oracle
@@ -236,6 +239,13 @@ class TestResultTable:
         with pytest.raises(ValueError):
             ResultTable(
                 columns=("N", "value"), rows=((1.0,),), metadata={}
+            )
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value_is_a_numerical_error(self, bad):
+        with pytest.raises(NumericalError, match="non-finite"):
+            ResultTable(
+                columns=("N", "value"), rows=((1.0, 2.0), (2.0, bad)), metadata={}
             )
 
     def test_csv_layout_and_precision(self):
@@ -558,7 +568,76 @@ def test_fig6_payoffs_follow_best_response_with_shared_runtime_classes(case):
         assert [v.hex() for v in row[1:]] == [v.hex() for v in expected]
 
 
+# Two types already in ratio order, so probabilities keep their order.
+_TWO_TYPES = "1.0 50.0 0.012 10\n3.0 10.0 0.031 10\n"
+
+# One text per setting, read alike as a config line and a metadata value.
+_SETTING_TEXTS = {
+    "gamma_time": "1500.25",
+    "gamma_pay": "0.3",
+    "total_rows": "640",
+    "sweep": "100,300,150",
+    "replications": "7",
+    "seed": "11",
+    "probabilities": "0.25,0.75",
+}
+
+
 class TestLoadConfig:
+    @pytest.mark.parametrize("key", list(_SETTING_TEXTS))
+    def test_setting_reads_alike_from_config_and_metadata(self, tmp_path, key):
+        base, path = tmp_path / "base.cfg", tmp_path / "exp.cfg"
+        base.write_text(_TWO_TYPES)
+        path.write_text(_TWO_TYPES + f"{key} = {_SETTING_TEXTS[key]}\n")
+        meta = load_config(str(base)).to_metadata()
+        meta[key] = _SETTING_TEXTS[key]
+        from_config = load_config(str(path))
+        assert from_config != load_config(str(base))
+        assert ExperimentSpec.from_metadata(meta) == from_config
+
+    def test_uniform_and_ranges_read_in_both(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text(
+            "probabilities = 0.5,0.5\nprobabilities = uniform\nsweep = 2:6:2\n"
+        )
+        spec = load_config(str(path))
+        assert spec.type_probabilities is None
+        meta = spec.to_metadata()
+        assert meta["probabilities"] == "uniform"
+        meta["sweep"] = "2:6:2"
+        assert ExperimentSpec.from_metadata(meta) == spec
+
+    def test_derives_each_row_once(self, tmp_path, monkeypatch):
+        derived = []
+
+        def counting(worker):
+            derived.append(worker.cost_rate)
+            return derive_profile(worker)
+
+        monkeypatch.setattr(experiments, "derive_profile", counting)
+        monkeypatch.setattr(workers, "derive_profile", counting)
+        path = tmp_path / "exp.cfg"
+        path.write_text(
+            "9.0 10.0 0.05 10\n" + _TWO_TYPES + "probabilities = 0.2,0.3,0.5\n"
+        )
+        spec = load_config(str(path))
+        assert derived == [9.0, 1.0, 3.0]
+        assert spec.type_probabilities == (0.3, 0.5, 0.2)
+
+    def test_readme_example_config(self, tmp_path):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split("### Configuration files")[1]
+        block = section.split("```")[1]
+        # Every documented key, commented out or not, is a setting.
+        documented = re.findall(r"(?m)^#?\s*(\w+)\s*=", block)
+        assert sorted(documented) == sorted(experiments._SETTINGS)
+        path = tmp_path / "readme.cfg"
+        path.write_text(block.replace("# probabilities", "probabilities"))
+        spec = load_config(str(path))
+        assert spec.population.size == 2
+        assert spec.n_sweep == tuple(range(100, 5001, 100))
+        assert spec.type_probabilities == (0.5, 0.5)
+
     def test_full_file(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text(

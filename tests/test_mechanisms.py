@@ -20,6 +20,7 @@ from coded_incentives import (
     ConfigurationError,
     InfeasibleError,
     Mechanism,
+    NumericalError,
     PlatformConfig,
     WorkerType,
     build_population,
@@ -396,6 +397,24 @@ class TestBatchedCompleteOffers:
         with pytest.raises(InfeasibleError):
             _complete_offers(counts, self.POP, benchmark_config)
 
+    def test_overflowing_bound_is_a_numerical_error(self, benchmark_config):
+        # Prefix 2's payment sum 100 * 1e306 + 100 * 2e306 overflows.  At
+        # 1e-300 of those costs only type 1 is targeted, so the infinite
+        # bound, which every ratio meets, would wrongly admit type 2.
+        def population(scale):
+            return build_population(
+                WorkerType(0, cost * scale, speed, startup, 100)
+                for cost, speed, startup in ((1e306, 50.0, 0.012), (2e306, 60.0, 0.02))
+            )
+
+        assert solve_complete(population(1e-300), benchmark_config).targeted == (1,)
+        with pytest.raises(NumericalError, match="prefix bound overflows"):
+            solve_complete(population(1.0), benchmark_config)
+        with pytest.raises(NumericalError, match="prefix bound overflows"):
+            _complete_offers(np.full((2, 2), 100.0), population(1.0), benchmark_config)
+        # The private-cost rule has no such bound and still prices the offer.
+        assert solve_incomplete(population(1.0), benchmark_config).targeted == (1,)
+
     def test_requires_positive_payment_weight(self):
         cfg = PlatformConfig(gamma_time=10.0, gamma_pay=0.0, total_rows=100.0)
         with pytest.raises(ConfigurationError):
@@ -567,6 +586,21 @@ class TestSolveCostOnly:
 
 
 class TestPlatformCost:
+    @pytest.mark.parametrize(
+        "count, reward",
+        # Each payment overflows, or only their correctly rounded sum does.
+        [(100.0, 5e306), (1.0, 1e308)],
+    )
+    def test_overflowing_cost_is_a_numerical_error(
+        self, benchmark_config, count, reward
+    ):
+        pop = build_population(
+            [WorkerType(0, 1.0, 50.0, 0.012, 1), WorkerType(0, 2.0, 60.0, 0.02, 1)]
+        )
+        counts = np.full((1, 2), count)
+        with pytest.raises(NumericalError, match="platform cost overflows"):
+            _prefix_costs(counts, np.array([2]), [reward] * 2, pop, benchmark_config)
+
     def test_solver_costs_are_reproducible(
         self, benchmark_population, benchmark_config
     ):

@@ -16,12 +16,12 @@ from coded_incentives import (
     WorkerType,
     build_population,
     derive_profile,
-    population_order,
     sample_time,
     sample_times,
     solve_lambda,
 )
 
+from coded_incentives.workers import _ranked_population
 from oracles import population_records_oracle
 
 COLUMNS = (
@@ -87,15 +87,15 @@ class TestBuildPopulation:
         assert pop.ids == (1, 2, 3)
         assert pop.ratio.tolist() == sorted(pop.ratio.tolist())
 
-    def test_population_order_matches_relabeling(self):
+    def test_ranked_order_matches_relabeling(self):
         raw = [
             _worker(cost=9.0, speed=40.0, startup=0.123, count=4),
             _worker(cost=1.0, speed=50.0, startup=0.012, count=7),
             _worker(cost=5.0, speed=20.0, startup=0.081, count=2),
         ]
-        order = population_order(raw)
-        pop = build_population(raw)
-        for new_id, src in enumerate(order, start=1):
+        order, pop = _ranked_population(raw, [derive_profile(t) for t in raw])
+        assert pop == build_population(raw)
+        for new_id, src in enumerate(order.tolist(), start=1):
             worker, _ = pop.member(new_id)
             assert worker.cost_rate == raw[src].cost_rate
             assert worker.count == raw[src].count
@@ -199,7 +199,8 @@ class TestBuildPopulation:
         ]
         order, records = population_records_oracle(raw)
         pop = build_population(raw)
-        assert population_order(raw) == order
+        profiles = [derive_profile(t) for t in raw]
+        assert _ranked_population(raw, profiles)[0].tolist() == order
         assert pop.ids == tuple(t.id for t, _ in records)
         assert pop.total == sum(t.count for t, _ in records)
         assert repr(pop.types) == repr(records)
