@@ -300,8 +300,8 @@ def simulate_round(
         raise InfeasibleError("no worker participates in this round")
     index = np.array(participants) - 1
     counts = pop.counts[index].astype(int)
-    type_of = np.repeat(participants, counts).tolist()
-    n_workers = len(type_of)
+    worker_types = np.repeat(participants, counts)
+    n_workers = worker_types.size
     startup = np.repeat(pop.startup[index], counts)
     speed = np.repeat(pop.speed[index], counts)
 
@@ -321,9 +321,8 @@ def simulate_round(
             raise InfeasibleError(
                 f"no load assigned to participating types {missing}"
             )
-        loads = np.array(
-            integerize_loads([mech.assignment.loads[m] for m in type_of])
-        )
+        type_loads = [mech.assignment.loads[m] for m in participants]
+        loads = np.array(integerize_loads(np.repeat(type_loads, counts)))
         if loads.sum() < rows:
             raise InfeasibleError(
                 f"participators cover {loads.sum()} rows, need {rows}"
@@ -363,32 +362,29 @@ def simulate_round(
     if not np.isfinite(decoded).all():
         raise NumericalError("the product overflows, so the decode is not finite")
 
-    finish_order = tuple(
-        (int(racing[pos]), float(times[pos])) for pos in order
+    # Each worker is paid the reward of its type's report and bears its
+    # type's cost over the round, so both are computed once per type.
+    type_pay = np.array(
+        [mech.rewards.get(decisions[m].reported_type, 0.0) for m in participants],
+        dtype=float,
     )
-    payments = {
-        w: float(mech.rewards.get(decisions[type_of[w]].reported_type, 0.0))
-        for w in range(n_workers)
-    }
-    cost_rates = pop.cost_rate.tolist()
-    worker_payoffs = {
-        w: payments[w] - cost_rates[type_of[w] - 1] * runtime for w in range(n_workers)
-    }
+    payments = np.repeat(type_pay, counts).tolist()
+    payoffs = np.repeat(type_pay - pop.cost_rate[index] * runtime, counts)
     cost = mech.config.gamma_time * runtime + mech.config.gamma_pay * math.fsum(
-        payments.values()
+        payments
     )
     return SimOutcome(
         scheme=mech.assignment.scheme,
         participants=participants,
-        worker_types=tuple((w, type_of[w]) for w in range(n_workers)),
-        finish_order=finish_order,
+        worker_types=tuple(enumerate(worker_types.tolist())),
+        finish_order=tuple(zip(racing[order].tolist(), times[order].tolist())),
         contributors=tuple(contributors),
         realized_k=len(contributors),
         runtime=runtime,
         decoded=decoded,
         max_error=float(np.max(np.abs(decoded - source @ vector))),
-        payments=payments,
-        worker_payoffs=worker_payoffs,
+        payments=dict(enumerate(payments)),
+        worker_payoffs=dict(enumerate(payoffs.tolist())),
         platform_cost_realized=cost,
     )
 

@@ -214,8 +214,8 @@ def _complete_offers(
         size - holds[:, ::-1].argmax(axis=1),
         populated.argmax(axis=1) + 1,
     )
-    targeted = _prefix_mask(thresholds, size)
-    runtimes = expected_runtimes_hetero(rates.tolist(), targeted, cfg.total_rows)
+    targeted = np.arange(size) < thresholds[:, None]
+    runtimes = expected_runtimes_hetero(rates.tolist(), thresholds, cfg.total_rows)
     with np.errstate(all="ignore"):
         rewards = np.where(targeted, pop.cost_rate * np.array(runtimes)[:, None], 0.0)
     return _finite_offers(thresholds, runtimes, rewards)
@@ -241,9 +241,7 @@ def _private_offers(
             where=cum_thru > 0,
         )
         thresholds = (per_thru + cfg.gamma_pay * pop.ratio).argmin(axis=1) + 1
-        runtimes = expected_runtimes_hetero(
-            rates.tolist(), _prefix_mask(thresholds, counts.shape[1]), cfg.total_rows
-        )
+        runtimes = expected_runtimes_hetero(rates.tolist(), thresholds, cfg.total_rows)
         # Rewards proportional to throughput, grouped so the boundary type's
         # reward equals its cost bit-exactly and its payoff is exactly zero.
         boundary = thresholds - 1
@@ -268,18 +266,18 @@ def _prefix_throughputs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-type and cumulative prefix throughput of each counts row, the
     inputs both batched rules start from; a row without workers has no
-    feasible offer."""
+    feasible offer, and a row whose total throughput overflows raises
+    NumericalError."""
     _require_paying_config(cfg)
-    rates = counts * pop.throughput
-    cum_thru = rates.cumsum(axis=1)
-    if not min(cum_thru[:, -1].tolist()) > 0:
+    with np.errstate(over="ignore"):
+        rates = counts * pop.throughput
+        cum_thru = rates.cumsum(axis=1)
+    totals = cum_thru[:, -1].tolist()
+    if not min(totals) > 0:
         raise InfeasibleError("population has no workers")
+    if not all(map(math.isfinite, totals)):
+        raise NumericalError("the population's total throughput overflows")
     return rates, cum_thru
-
-
-def _prefix_mask(thresholds: np.ndarray, size: int) -> list[list[bool]]:
-    """``(R, size)`` mask of each row's targeted prefix ``1..threshold``."""
-    return (np.arange(size) < thresholds[:, None]).tolist()
 
 
 def _prefix_costs(
@@ -299,15 +297,14 @@ def _prefix_costs(
     scenario always passes its exact harmonic runtime.  A cost beyond
     the float range raises NumericalError.
     """
-    targeted = _prefix_mask(thresholds, counts.shape[1])
     if runtimes is None:
         runtimes = expected_runtimes_hetero(
-            (counts * pop.throughput).tolist(), targeted, cfg.total_rows
+            (counts * pop.throughput).tolist(), thresholds, cfg.total_rows
         )
     with np.errstate(over="ignore"):
         paid = (counts * rewards).tolist()
     try:
-        payments = row_fsums(paid, targeted)
+        payments = row_fsums(paid, thresholds)
     except OverflowError:  # math.fsum's intermediate overflow
         payments = [math.inf]
     costs = [

@@ -8,8 +8,8 @@ Three quantities recur in the runtime and mechanism formulas:
   the only solver of that equation in the package.
 * ``mds_alpha``: the optimal recovery-threshold fraction, read off the
   same root as ``mu*lam / (1 + mu*lam)``.
-* ``harmonic``: exact partial sums of the harmonic series, which give
-  the expectation of exponential order statistics.
+* ``harmonic``: partial sums of the harmonic series, which give the
+  expectation of exponential order statistics.
 
 ``row_fsums`` and ``_largest_remainder`` sum and round batched rows.
 """
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -119,18 +118,24 @@ def mds_alpha(mu: float, a: float) -> float:
 
 @functools.lru_cache(maxsize=65536)
 def harmonic(n: int) -> float:
-    """Partial sum of the harmonic series, ``H_0 = 0``."""
+    """Partial sum of the harmonic series, ``H_0 = 0``: the correctly
+    rounded sum up to ``2**20`` terms, beyond that ``log(n) + gamma +
+    1/(2n) - 1/(12n^2)`` with ``gamma`` Euler's constant, which agrees
+    with the sum to an ulp there and takes constant time."""
     if n != int(n) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n}")
-    return math.fsum(1.0 / i for i in range(1, int(n) + 1))
+    n = int(n)
+    if n > 2**20:
+        return math.log(n) + np.euler_gamma + 1 / (2 * n) - 1 / (12 * n * n)
+    return math.fsum(1.0 / i for i in range(1, n + 1))
 
 
 def row_fsums(
-    values: Sequence[Sequence[float]], mask: Sequence[Sequence[bool]]
+    values: Sequence[Sequence[float]], lengths: Sequence[int]
 ) -> list[float]:
-    """Correctly rounded sum of each row's masked entries, for ``(R, M)``
-    nested lists ``values`` and ``mask``."""
-    return [math.fsum(compress(row, keep)) for row, keep in zip(values, mask)]
+    """Correctly rounded sum of the first ``lengths[r]`` entries of each
+    row ``r`` of the ``(R, M)`` nested list ``values``."""
+    return [math.fsum(row[:n]) for row, n in zip(values, lengths)]
 
 
 def _largest_remainder(values: np.ndarray, totals: np.ndarray | int) -> np.ndarray:

@@ -110,36 +110,30 @@ def _targeted_tuple(pop: Population, targeted: Iterable[int]) -> tuple[int, ...]
 
 
 def group_throughputs(
-    rates: Sequence[Sequence[float]], targeted: Sequence[Sequence[bool]]
+    rates: Sequence[Sequence[float]], lengths: Sequence[int]
 ) -> list[float]:
-    """Correctly rounded total throughput of each row's targeted types.
+    """Correctly rounded total throughput of each row's targeted prefix.
 
-    ``rates`` (headcount times throughput per type) and the boolean
-    ``targeted`` are ``(R, M)`` nested lists.  Raises
-    :class:`InfeasibleError` when a row's targeted types have no workers.
+    ``rates`` (headcount times throughput per type) is an ``(R, M)``
+    nested list, and row r targets its first ``lengths[r]`` types.
+    Raises :class:`InfeasibleError` when a row's targeted types have no
+    workers.
     """
-    groups = row_fsums(rates, targeted)
+    groups = row_fsums(rates, lengths)
     if not min(groups) > 0:
         raise InfeasibleError("targeted set has no workers")
     return groups
 
 
 def expected_runtimes_hetero(
-    rates: Sequence[Sequence[float]], targeted: Sequence[Sequence[bool]], rows: float
+    rates: Sequence[Sequence[float]], lengths: Sequence[int], rows: float
 ) -> list[float]:
     """Analytic expected overall runtime of each row of
     :func:`group_throughputs` under the heterogeneous assignment: rows
     over the row's targeted throughput."""
     if not rows > 0:
         raise ValueError(f"rows must be positive, got {rows}")
-    return [rows / group for group in group_throughputs(rates, targeted)]
-
-
-def _population_row(
-    pop: Population, ids: tuple[int, ...]
-) -> tuple[list[list[float]], list[list[bool]]]:
-    """``pop``'s per-type throughputs and targeted mask as one row."""
-    return [(pop.counts * pop.throughput).tolist()], [[m in ids for m in pop.ids]]
+    return [rows / group for group in group_throughputs(rates, lengths)]
 
 
 def assign_loads_hetero(
@@ -150,7 +144,8 @@ def assign_loads_hetero(
     if not rows > 0:
         raise ValueError(f"rows must be positive, got {rows}")
     ids = _targeted_tuple(pop, targeted)
-    group = group_throughputs(*_population_row(pop, ids))[0]
+    rates = (pop.counts * pop.throughput)[np.array(ids) - 1].tolist()
+    group = group_throughputs([rates], [len(ids)])[0]
     row_times = pop.row_time.tolist()
     loads = {m: rows / (row_times[m - 1] * group) for m in ids}
     return LoadAssignment(loads=loads, total_rows=float(rows), scheme=SCHEME_HETERO)
@@ -162,7 +157,8 @@ def expected_runtime_hetero(
     """Analytic expected overall runtime under the heterogeneous
     assignment: rows over total targeted throughput."""
     ids = _targeted_tuple(pop, targeted)
-    runtime = expected_runtimes_hetero(*_population_row(pop, ids), rows)[0]
+    rates = (pop.counts * pop.throughput)[np.array(ids) - 1].tolist()
+    runtime = expected_runtimes_hetero([rates], [len(ids)], rows)[0]
     return RuntimeEstimate(expected_runtime=runtime, method="analytic")
 
 

@@ -6,6 +6,7 @@ import hashlib
 import math
 import re
 import subprocess
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,14 @@ class TestSolve:
         fractional_k = mds_alpha(speed, 1.0) * 100
         assert k in (math.floor(fractional_k), math.ceil(fractional_k))
 
+    def test_cost_only_with_a_billion_workers_per_type(self, tmp_path, capsys):
+        # The exact runtime reads harmonic numbers near 1e9, which must
+        # not take a billion-term sum each.
+        path = tmp_path / "billion.cfg"
+        path.write_text("1.0 50 0.012 1000000000\n2.0 50 0.012 1000000000\n")
+        assert main(["solve", "--scenario", "cost-only", "--config", str(path)]) == 0
+        assert "recovery threshold: " in capsys.readouterr().out
+
     def test_missing_config_exits_2(self, capsys):
         assert main(["solve", "--config", "/nonexistent.cfg"]) == 2
         capsys.readouterr()
@@ -243,6 +252,24 @@ class TestOverflowingOffer:
         assert "numerical failure: offer runtime or rewards overflow" in captured.err
         assert captured.out == ""
 
+    # 1e9 workers of throughput ~3e299 each: every offer's group
+    # throughput overflows, a typed numerical failure with no warning.
+    THROUGHPUT = "1.0 1e300 1e-300 1000000000\n2.0 1e300 1e-300 1000000000\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve"], ["solve", "--scenario", "complete"], ["verify"], ["simulate"]],
+    )
+    def test_overflowing_throughput_exits_3(self, tmp_path, capsys, argv):
+        path = tmp_path / "throughput.cfg"
+        path.write_text(self.THROUGHPUT)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv + ["--config", str(path)]) == 3
+        assert not caught
+        captured = capsys.readouterr()
+        assert "numerical failure" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("name", ["fig4", "fig5", "fig6", "fig7", "custom"])
     def test_sweeps_exit_3(self, tmp_path, capsys, name):
@@ -325,12 +352,16 @@ class TestConfigDrivenOutputsPinned:
     """sha256 of each command's output on POOL, recorded before the
     settings table, the one row builder and the one array reader took
     over from separate readers, which had to produce the same bytes.
+    The complete-information digests were recorded before group
+    throughputs were summed by prefix length instead of by mask.
     The `# version` metadata line and the decode error, whose last
     digits depend on the BLAS build, are masked."""
 
     DIGESTS = {
         "solve": "aa0af4f88dd7ef04e779f519618027596eedb62f24f93994ba56eb3d5053d787",
         "verify": "6e6d7992bbbd9d0829b24f7e5d75973221ea938f08174f86a190bd8c6aa92cbc",
+        "solve --scenario complete": "3c417a1db6e524141a358e7f6a1fdb7b26184c0b6b4401de0644b73f4f79fa9c",
+        "verify --scenario complete": "6e6d7992bbbd9d0829b24f7e5d75973221ea938f08174f86a190bd8c6aa92cbc",
         "simulate --reps 2": "f4e3e19ea83dc62afb38f4c1fc66d1e1d9ee72ebc56ca026e5c8950161a05065",
         "experiment fig4": "55293a3852b6b5d329bc856e34c99303e32f7345e4a41fb88c279d2bbaf2dd9b",
         "experiment fig5": "752beec457ebbb612a0b61d81c5128813f8f79f6ee1fe039a0bfac0f43c08242",

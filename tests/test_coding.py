@@ -361,7 +361,8 @@ class TestSeededRoundPinned:
     Finish times are drawn before anything the code or the decode
     draws, so the race, the contributors, the runtime and the costs of
     a seeded round must not move when the code or the decode changes;
-    only ``decoded`` and ``max_error`` may.
+    only ``decoded`` and ``max_error`` may.  The fingerprint also holds
+    the participating types, each worker's type and payoff.
     """
 
     @staticmethod
@@ -375,6 +376,12 @@ class TestSeededRoundPinned:
                     f"{w}:{p.hex()}" for w, p in sorted(outcome.payments.items())
                 ),
                 outcome.platform_cost_realized.hex(),
+                " ".join(map(str, outcome.participants)),
+                " ".join(f"{w}:{t}" for w, t in outcome.worker_types),
+                " ".join(
+                    f"{w}:{p.hex()}"
+                    for w, p in sorted(outcome.worker_payoffs.items())
+                ),
             ]
         )
         return hashlib.sha256(text.encode()).hexdigest()
@@ -383,11 +390,11 @@ class TestSeededRoundPinned:
         "seed, runtime, cost, digest",
         [
             (1, "0x1.f6e59dbf0c326p-4", "0x1.409c8a3c3f78dp+9",
-             "4f1eb3c27b4e22032dcfb917381c9eeba5e9a318554317253f030f083c923302"),
+             "1d093526b0e0e1c0fac7bc5d268f9ff370155edd20298220f1bbfac73577aee0"),
             (2, "0x1.f9aa377bae654p-4", "0x1.414989c4cd124p+9",
-             "18edd3f1e39525f42aecb8100dceeb06353fed62c1bae948a71e433e0983916b"),
+             "57d4582ba62a43fd3150274d40342568626bb9e95abd87d7be0cec6a348dcadf"),
             (3, "0x1.0d64bc9f0c22bp-3", "0x1.495fab52c3eb7p+9",
-             "9cac77629486f33825c92b96fba3fb6675b8c26ed3b5eaad31584af0c74c9c08"),
+             "9c3922ae89f8a0ef2d66bdc645cdda7bc8ef4c544324b5b797e242b479eaeb10"),
         ],
     )
     def test_anchor_round(self, seed, runtime, cost, digest):
@@ -401,11 +408,11 @@ class TestSeededRoundPinned:
         "seed, runtime, cost, digest",
         [
             (5, "0x1.3dd99a09357adp-2", "0x1.d4c3b98cce1bap+14",
-             "3e41846f76d6c37008fb3ac07e34ba3271ba74a4aadbabee74b837fa25afe9c1"),
+             "ce8e8f4ea5634d4af069a88156922481387846f5c22541de80ecefa860e68641"),
             (6, "0x1.9839067a3d47fp-3", "0x1.d4c2645589b76p+14",
-             "2b7fe990cd761ca2e7bbd0e79a729556b6f0c27ea5c68947de7b42c649fa437c"),
+             "5c7596d6648e50558aff3458a5b3bfd5bb6af36d935e3fd80c573575cce9fbd6"),
             (7, "0x1.97eca9b96ac78p-2", "0x1.d4c4c7c5fd2c4p+14",
-             "c5ec493343ba8059db23b0bd434b70e605b45a30cb08afba742604abc68ad666"),
+             "e2ac485bfab4708aa48994ff5c56483b85f8db941bfc3f35493f17a4517ce550"),
         ],
     )
     def test_two_type_round(self, seed, runtime, cost, digest):
@@ -605,8 +612,9 @@ class TestSimulateRoundMds:
 
     def test_seeded_realization_with_25_workers_is_pinned(self):
         # A cost-only round at seed 1 with 25 workers and k = 11.  The race
-        # digest covers the finish order, contributors, runtime, payments
-        # and cost (``TestSeededRoundPinned._fingerprint``).
+        # digest covers the finish order, contributors, runtime, payments,
+        # cost, participants, worker types and payoffs
+        # (``TestSeededRoundPinned._fingerprint``).
         types = [
             WorkerType(id=1, cost_rate=1.0, speed=2.0, startup=0.1, count=25)
         ]
@@ -618,7 +626,7 @@ class TestSimulateRoundMds:
         x = rng.standard_normal(2)
         outcome = simulate_round(mech, build_population(types), A, x, 1)
         assert TestSeededRoundPinned._fingerprint(outcome) == (
-            "437fa3ab2f081b7ff5243f0db73dcb1402010bcb2f44e418f466f4e0022acd49"
+            "a4f7fc826f7bbf802cffd45c2bb33a67a644b49b1f04f0f8dbbaeaf35ed48c5a"
         )
         assert outcome.contributors == (8, 4, 15, 13, 11, 1, 3, 17, 6, 7, 18)
         assert outcome.runtime.hex() == "0x1.c708f2b9811c2p-1"

@@ -119,6 +119,14 @@ class TestHarmonic:
         for n in (0, 1, 2, 10, 137, 5000):
             assert harmonic(n) == pytest.approx(harmonic_oracle(n), rel=1e-12)
 
+    def test_asymptotic_tail_matches_exact_sum(self):
+        # Past 2**20 terms the expansion replaces the sum; at the first
+        # such n it must agree with the correctly rounded sum.
+        n = 2**20 + 1
+        exact = math.fsum(1.0 / i for i in range(1, n + 1))
+        assert abs(harmonic(n) - exact) <= 2 * math.ulp(exact)
+        assert harmonic(n - 1) < harmonic(n) < harmonic(10**12)
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             harmonic(-1)
