@@ -2,15 +2,17 @@
 
 A round uses one systematic code whatever its scheme: of the round's
 ``sum(loads)`` coded rows, one per output coordinate is a plain copy
-of that source row and the rest are random dense parity rows, dealt to
-the workers after one seeded shuffle.  The systematic rows that arrive
-are entries of the product as they are; only the entries that did not
-arrive are solved for, from as many received parity rows, with the
-realized conditioning checked before the result is returned rather
-than assumed.  The scheme sets only the loads and the stopping rule:
-equal loads of ``ceil(rows / k)`` rows up to the k-th finisher under
-the uniform scheme, the offer's rounded loads up to the first
-finishers covering the output under heterogeneous loads.
+of that source row and the rest are dense parity rows with entries
+uniform on (-1, 1), dealt to the workers after one seeded shuffle.  The
+systematic rows that arrive are entries of the product as they are;
+only the entries that did not arrive are solved for, from as many
+received parity rows, or by least squares from every received parity
+row when that square block is refused, with the realized conditioning
+checked before the result is returned rather than assumed.  The scheme
+sets only the loads and the stopping rule: equal loads of
+``ceil(rows / k)`` rows up to the k-th finisher under the uniform
+scheme, the offer's rounded loads up to the first finishers covering
+the output under heterogeneous loads.
 ``simulate_round`` ties the code to a platform offer: workers join by
 best response, times are sampled from their runtime model, the
 platform decodes at the earliest decodable prefix of finishers and
@@ -223,6 +225,33 @@ def _decode_received(square: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return solved[:, :width].reshape(rhs.shape)
 
 
+def _decode_least_squares(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the tall consistent system ``system @ y = rhs`` by least
+    squares.
+
+    The condition number is the ratio of the extreme singular values
+    ``lstsq`` returns.  One beyond ``_DECODE_COND_LIMIT``, or a residual
+    beyond 1e-8 times the largest right-hand side (at least 1), raises
+    NumericalError rather than return a wrong decode.
+    """
+    try:
+        solved, _, _, singular = np.linalg.lstsq(system, rhs, rcond=None)
+    except np.linalg.LinAlgError:
+        cond = residual = math.inf
+    else:
+        smallest = float(singular[-1])
+        cond = float(singular[0]) / smallest if smallest > 0 else math.inf
+        residual = float(np.max(np.abs(system @ solved - rhs)))
+    scale = max(1.0, float(np.max(np.abs(rhs))))
+    if not (cond <= _DECODE_COND_LIMIT and residual <= 1e-8 * scale):
+        raise NumericalError(
+            "the coded rows to decode from are rank-deficient, "
+            f"ill-conditioned or inconsistent (condition {cond:.3g}, "
+            f"residual {residual:.3g})"
+        )
+    return solved
+
+
 def _held_slots(
     slots: np.ndarray, loads: np.ndarray, workers: Sequence[int]
 ) -> np.ndarray:
@@ -268,14 +297,17 @@ def simulate_round(
     rows and the round ends once finished workers hold as many coded
     rows as the output has entries.  Either way the contributors hold at
     least ``rows`` coded rows.  Those rows are systematic copies of
-    source rows or Gaussian parity rows, shuffled over the workers;
-    arrived systematic rows fill their entries, and the u missing
-    entries are solved from the first u received parity rows, a u-by-u
-    system whose conditioning is verified first.  Finish times are drawn
-    before the shuffle and the parity rows, so the race, its
-    contributors and the costs of a seeded round do not depend on the
-    code.  Workers are paid the announced reward of their reported type;
-    a worker rounded down to zero rows is paid but does not compute.
+    source rows or parity rows with entries uniform on (-1, 1), shuffled
+    over the workers; arrived systematic rows fill their entries, and
+    the u missing entries are solved from the first u received parity
+    rows, a u-by-u system whose conditioning is verified first.  If that
+    block is refused and p > u parity rows arrived, the remaining p - u
+    are drawn and the p-by-u system is solved by least squares, checked
+    the same way.  Finish times are drawn before the shuffle and the
+    parity rows, so the race, its contributors and the costs of a seeded
+    round do not depend on the code.  Workers are paid the announced
+    reward of their reported type; a worker rounded down to zero rows is
+    paid but does not compute.
     """
     source = np.asarray(A, dtype=float)
     vector = np.asarray(x, dtype=float)
@@ -335,7 +367,7 @@ def simulate_round(
     contributors = racing[order[:realized]].tolist()
     runtime = float(times[order[realized - 1]])
     # Slot i < rows of the sum(loads) coded slots is systematic (its
-    # worker computes A[i]·x); the rest are Gaussian parity rows.  The
+    # worker computes A[i]·x); the rest are parity rows.  The
     # shuffle is drawn after the finish times, so it cannot move them.
     held = _held_slots(rng.permutation(int(loads.sum())), loads, contributors)
     arrived = held[held < rows]
@@ -343,22 +375,34 @@ def simulate_round(
     known = np.zeros(rows, dtype=bool)
     known[arrived] = True
     unknowns = rows - arrived.size
+    parity_rows = held.size - arrived.size
     # Finite input can still overflow here; the decode is checked below.
     with np.errstate(over="ignore", invalid="ignore"):
         decoded[arrived] = source[arrived] @ vector
         if unknowns:
             # The contributors hold at least rows coded slots, so at least
-            # as many parity slots as missing entries; the first of them
-            # are the only parity rows the decode reads, so only they are
-            # drawn.  All of the round's linear algebra runs on NumPy's
-            # BLAS: NumPy and SciPy wheels each bundle an OpenBLAS, and the
-            # threads one leaves spinning after a call slow the other's
-            # next call by a varying amount.
-            parity = rng.standard_normal((unknowns, rows))
-            received = (parity @ source) @ vector
-            decoded[~known] = _decode_received(
-                parity[:, ~known], received - parity[:, known] @ decoded[known]
-            )
+            # as many parity slots as missing entries.  The square decode
+            # reads only the first of them, so the rest are drawn only if
+            # it is refused.  All of the round's linear algebra runs on
+            # NumPy's BLAS: NumPy and SciPy wheels each bundle an OpenBLAS,
+            # and the threads one leaves spinning after a call slow the
+            # other's next call by a varying amount.
+            def system(parity):
+                # The missing entries' columns, and the received results
+                # less the arrived entries' share.
+                received = (parity @ source) @ vector
+                return parity[:, ~known], received - parity[:, known] @ decoded[known]
+
+            parity = rng.uniform(-1.0, 1.0, (unknowns, rows))
+            try:
+                decoded[~known] = _decode_received(*system(parity))
+            except NumericalError:
+                if parity_rows == unknowns:
+                    raise
+                extra = rng.uniform(-1.0, 1.0, (parity_rows - unknowns, rows))
+                decoded[~known] = _decode_least_squares(
+                    *system(np.vstack([parity, extra]))
+                )
     if not np.isfinite(decoded).all():
         raise NumericalError("the product overflows, so the decode is not finite")
 

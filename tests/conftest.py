@@ -27,17 +27,26 @@ def benchmark_config() -> PlatformConfig:
 @pytest.fixture()
 def plant_ill_conditioned_parity(monkeypatch):
     """``plant(columns)`` makes every later ``np.random.default_rng``
-    generator's draw of two or more rows of ``columns`` entries set the
-    second row to the first up to 1e-8, so a round over a ``columns``-row
-    matrix gets a parity block of condition number about 1e9."""
+    generator set each row it draws from ``uniform`` with ``columns``
+    entries, after the first such row, to that first row up to 1e-8.  A
+    round over a ``columns``-row matrix then gets parity rows within
+    1e-8 of one row, in its square block and in the rows its
+    least-squares fallback draws, a system of condition number about
+    1e9 whichever of them the decode reads."""
 
     def plant(columns: int):
         class Planted(np.random.Generator):
-            def standard_normal(self, size=None, *args, **kwargs):
-                out = super().standard_normal(size, *args, **kwargs)
+            first = None
+
+            def uniform(self, low=0.0, high=1.0, size=None):
+                out = super().uniform(low, high, size)
                 shape = size if isinstance(size, tuple) else ()
-                if shape[1:] == (columns,) and shape[0] >= 2:
-                    out[1] = out[0] + 1e-8 * out[1]
+                if shape[1:] == (columns,):
+                    if self.first is None:
+                        self.first = out[0].copy()
+                        out[1:] = self.first + 1e-8 * out[1:]
+                    else:
+                        out[:] = self.first + 1e-8 * out
                 return out
 
         monkeypatch.setattr(

@@ -509,8 +509,8 @@ class TestSimulate:
     def test_ill_conditioned_code_exits_3(
         self, cost_only_cfg, plant_ill_conditioned_parity, capsys
     ):
-        # Two nearly equal parity rows make the 56-row round's decode block
-        # ill-conditioned beyond the guard.
+        # Parity rows planted within 1e-8 of one row make the 56-row
+        # round's decode ill-conditioned beyond the guard.
         plant_ill_conditioned_parity(56)
         assert (
             main(["simulate", "--scenario", "cost-only", "--config", cost_only_cfg])

@@ -37,6 +37,7 @@ from coded_incentives import (
 )
 from coded_incentives.coding import (
     _DECODE_COND_LIMIT,
+    _decode_least_squares,
     _decode_received,
     _held_slots,
 )
@@ -501,6 +502,27 @@ class TestSystematicDecode:
         scale = max(1.0, float(np.max(np.abs(A @ x))))
         assert outcome.max_error <= 1e-8 * scale
 
+    def test_small_blocks_never_refused(self, monkeypatch):
+        # Loads 5.3 and 0.6 round to 56 slots for 53 rows, so a round
+        # solves for at most 3 missing entries, often from exactly as
+        # many parity rows.  A uniform (-1, 1) block is never exactly
+        # singular; a 2x2 block of +-1 entries is singular half the time.
+        calls = _record_held(monkeypatch)
+        pop = _two_type_population()
+        rng = np.random.default_rng(1)
+        A = rng.standard_normal((53, 2))
+        x = rng.standard_normal(2)
+        scale = max(1.0, float(np.max(np.abs(A @ x))))
+        mech = _hetero_offer(pop, {1: 5.3, 2: 0.6}, 53, {1: 1000.0, 2: 1000.0})
+        for seed in range(2000):
+            assert simulate_round(mech, pop, A, x, seed).max_error <= 1e-8 * scale
+        shapes = {
+            (53 - int(np.sum(received < 53)), int(np.sum(received >= 53)))
+            for _, _, received in calls
+        }
+        assert {missing for missing, _ in shapes} == {0, 1, 2, 3}
+        assert {(2, 2), (3, 3)} <= shapes
+
     def test_ill_conditioned_parity_block_rejected(
         self, plant_ill_conditioned_parity
     ):
@@ -515,6 +537,51 @@ class TestSystematicDecode:
         plant_ill_conditioned_parity(53)
         with pytest.raises(NumericalError):
             simulate_round(mech, pop, A, x, 5)
+
+
+class TestLeastSquaresFallback:
+    """Anchor rounds whose square parity block the guard refuses."""
+
+    @staticmethod
+    def _record_decodes(monkeypatch):
+        refused, solved = [], []
+        square, tall = coding._decode_received, coding._decode_least_squares
+
+        def recording_square(system, rhs):
+            try:
+                return square(system, rhs)
+            except NumericalError:
+                refused.append(system.shape)
+                raise
+
+        def recording_tall(system, rhs):
+            solved.append(system.shape)
+            return tall(system, rhs)
+
+        monkeypatch.setattr(coding, "_decode_received", recording_square)
+        monkeypatch.setattr(coding, "_decode_least_squares", recording_tall)
+        return refused, solved
+
+    def test_refused_block_decodes_from_every_parity_row(self, monkeypatch):
+        # At seed 119060 the 249 missing entries' square block is beyond
+        # the guard, but 251 parity rows arrived.
+        refused, solved = self._record_decodes(monkeypatch)
+        mech, pop, A, x = _anchor_round()
+        outcome = simulate_round(mech, pop, A, x, 119060)
+        assert refused == [(249, 249)]
+        assert solved == [(251, 249)]
+        scale = max(1.0, float(np.max(np.abs(A @ x))))
+        assert outcome.max_error <= 1e-8 * scale
+
+    def test_no_extra_parity_row_still_refused(self, monkeypatch):
+        # At seed 119975 exactly 258 parity rows arrived for 258 missing
+        # entries, so no other row can stand in.
+        refused, solved = self._record_decodes(monkeypatch)
+        mech, pop, A, x = _anchor_round()
+        with pytest.raises(NumericalError):
+            simulate_round(mech, pop, A, x, 119975)
+        assert refused == [(258, 258)]
+        assert solved == []
 
 
 class TestDecodeReceived:
@@ -565,6 +632,23 @@ class TestDecodeReceived:
         assert np.max(np.abs(decoded - 1.0)) <= 1e-3
 
 
+    def test_least_squares_decodes_tall_system(self):
+        code, received, product = self._system(43, 40)
+        decoded = _decode_least_squares(code, received)
+        assert np.max(np.abs(decoded - product)) <= 1e-8
+
+    @pytest.mark.parametrize("bad", ["duplicated column", math.nan, math.inf])
+    def test_least_squares_refuses(self, bad):
+        code, received, product = self._system(43, 40)
+        if bad == "duplicated column":
+            code[:, 17] = code[:, 5]
+            received = code @ product
+        else:
+            received[3] = bad
+        with pytest.raises(NumericalError):
+            _decode_least_squares(code, received)
+
+
 class TestSimulateRoundMds:
     def test_seeded_realization_is_pinned(self):
         # float.hex of a cost-only round at seed 17 (ten workers, k = 8).
@@ -598,14 +682,14 @@ class TestSimulateRoundMds:
         assert [v.hex() for v in outcome.decoded.tolist()] == [
             "0x1.9e68a740e9457p-4",
             "0x1.2d4b3dbbaad8fp-1",
-            "-0x1.ccc42119ccef4p-2",
+            "-0x1.ccc42119ccee9p-2",
             "0x1.4464c18bd1e66p+0",
             "-0x1.82711476cc1d4p-1",
             "-0x1.1e52b490aca19p-1",
             "-0x1.0f8256633ccd4p+1",
             "-0x1.31c9cdaf8d573p+0",
             "-0x1.0afc86867e2f7p-1",
-            "0x1.e12ec640da810p-2",
+            "0x1.e12ec640da807p-2",
             "0x1.944364859daa8p-7",
             "-0x1.22c8acf24d065p-1",
         ]
@@ -635,17 +719,17 @@ class TestSimulateRoundMds:
         )
         assert outcome.platform_cost_realized.hex() == "0x1.df2e1f6a4105ep+3"
         assert [v.hex() for v in outcome.decoded.tolist()] == [
-            "0x1.9e68a740e9487p-4",
-            "0x1.2d4b3dbbaad8cp-1",
-            "-0x1.ccc42119ccedfp-2",
+            "0x1.9e68a740e943bp-4",
+            "0x1.2d4b3dbbaad93p-1",
+            "-0x1.ccc42119ccedep-2",
             "0x1.4464c18bd1e66p+0",
-            "-0x1.82711476cc1d7p-1",
-            "-0x1.1e52b490aca1dp-1",
+            "-0x1.82711476cc1d1p-1",
+            "-0x1.1e52b490aca15p-1",
             "-0x1.0f8256633ccd4p+1",
             "-0x1.31c9cdaf8d573p+0",
-            "-0x1.0afc86867e2f2p-1",
-            "0x1.e12ec640da80ap-2",
-            "0x1.944364859dbd9p-7",
+            "-0x1.0afc86867e2f5p-1",
+            "0x1.e12ec640da80ep-2",
+            "0x1.944364859db54p-7",
             "-0x1.22c8acf24d065p-1",
         ]
 
