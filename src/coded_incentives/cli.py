@@ -58,6 +58,10 @@ def build_parser() -> argparse.ArgumentParser:
             "for distributed machine-learning platforms."
         ),
     )
+    out_help = "write output to this file instead of stdout"
+    # Options every subcommand but encode-demo reads; solve and verify
+    # draw nothing at random and accept --seed only so that one command
+    # line can carry it to every subcommand.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--config",
@@ -69,14 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     common.add_argument(
-        "--seed", type=int, default=None, help="base random seed"
+        "--seed", type=int, help="base random seed (unused by solve and verify)"
     )
-    common.add_argument(
-        "--reps", type=int, default=None, help="replication count"
-    )
-    common.add_argument(
-        "--out", help="write output to this file instead of stdout"
-    )
+    common.add_argument("--out", help=out_help)
     scenario = argparse.ArgumentParser(add_help=False)
     scenario.add_argument(
         "--scenario",
@@ -104,6 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common, scenario],
         help="play seeded computation rounds end to end (default 1)",
     )
+    sim.add_argument("--reps", type=int, help="number of rounds (default 1)")
     sim.add_argument(
         "--matrix",
         help=(
@@ -118,19 +118,20 @@ def build_parser() -> argparse.ArgumentParser:
             "seeded random vector is generated"
         ),
     )
-    sub.add_parser(
+    demo = sub.add_parser(
         "encode-demo",
-        parents=[common],
         help=(
             "walk through a (3, 2) coded matrix-vector product with one "
             "straggler"
         ),
     )
+    demo.add_argument("--out", help=out_help)
     exp = sub.add_parser(
         "experiment",
         parents=[common],
         help="run a worker-count sweep and emit CSV",
     )
+    exp.add_argument("--reps", type=int, help="replications per fig7 point")
     exp.add_argument(
         "name",
         choices=EXPERIMENT_NAMES,
@@ -151,7 +152,7 @@ def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
         overrides["name"] = name
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.reps is not None:
+    if getattr(args, "reps", None) is not None:
         overrides["replications"] = args.reps
     return replace(spec, **overrides) if overrides else spec
 

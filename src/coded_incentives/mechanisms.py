@@ -363,9 +363,7 @@ def _cost_only_offer(pop: Population, cfg: PlatformConfig) -> Mechanism:
     fractional_k = mds_alpha(speed, startup) * participators
     # Exact runtime of the floor and ceil thresholds; ties go to the floor.
     exact = {
-        k: expected_runtime_mds(
-            participators, k, cfg.total_rows, speed, startup
-        ).expected_runtime
+        k: expected_runtime_mds(participators, k, cfg.total_rows, speed, startup)
         for k in sorted(
             min(max(int(rounded(fractional_k)), 1), participators)
             for rounded in (math.floor, math.ceil)
@@ -423,7 +421,7 @@ def platform_cost(mech: Mechanism, pop: Population, cfg: PlatformConfig) -> floa
         runtimes = [
             expected_runtime_mds(
                 participators, mech.recovery_threshold, cfg.total_rows, speed, startup
-            ).expected_runtime
+            )
         ]
     return _prefix_costs(
         pop.counts[None, :],

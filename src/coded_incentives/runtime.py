@@ -7,21 +7,21 @@ is total rows over total effective throughput.  Homogeneous workers
 under an (n, k) uniform code all receive ``rows / k`` and the exact
 expected runtime of the k-th finisher follows from harmonic numbers.
 
-The Monte Carlo estimator simulates rounds directly: it samples every
-participating worker's completion time, accumulates rows in finish
-order until the workload is covered, and records the finishing time,
-the contributor count, and per-rank finish statistics.
+Both analytic runtimes are plain floats.  The Monte Carlo estimator
+simulates rounds directly: it samples every participating worker's
+completion time, accumulates rows in finish order until the workload
+is covered, and records the finishing time and the contributor count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleError
+from .errors import InfeasibleError, NumericalError
 from .numerics import harmonic, row_fsums
 from .workers import Population, sample_times
 
@@ -76,27 +76,16 @@ class LoadAssignment:
 
 @dataclass(frozen=True)
 class RuntimeEstimate:
-    """Expected overall runtime with optional Monte Carlo diagnostics.
+    """Monte Carlo estimate of the expected overall runtime.
 
-    ``finish_order_probs`` maps a type id to an array over finish ranks
-    (index j-1 holds the probability that one worker of that type is
-    the j-th finisher).  ``realized_k_distribution`` is the normalized
-    histogram of how many finishers were needed to cover the workload.
+    ``stderr`` is the standard error of the mean (None for a single
+    replicate).  ``realized_k_distribution`` is the normalized histogram
+    of how many finishers were needed to cover the workload.
     """
 
     expected_runtime: float
-    method: str
-    stderr: float | None = None
-    finish_order_probs: Mapping[int, np.ndarray] | None = field(
-        default=None, repr=False
-    )
-    realized_k_distribution: Mapping[int, float] | None = None
-
-    def __post_init__(self):
-        if not self.expected_runtime > 0:
-            raise ValueError("expected_runtime must be positive")
-        if self.method not in ("analytic", "monte-carlo"):
-            raise ValueError(f"unknown method {self.method!r}")
+    stderr: float | None
+    realized_k_distribution: Mapping[int, float]
 
 
 def _targeted_tuple(pop: Population, targeted: Iterable[int]) -> tuple[int, ...]:
@@ -136,16 +125,31 @@ def expected_runtimes_hetero(
     return [rows / group for group in group_throughputs(rates, lengths)]
 
 
+def _targeted_throughput(
+    pop: Population, targeted: Iterable[int], rows: float
+) -> tuple[tuple[int, ...], float]:
+    """Sorted targeted ids and their total throughput, for the one-row
+    views below; a total that overflows raises NumericalError."""
+    if not rows > 0:
+        raise ValueError(f"rows must be positive, got {rows}")
+    ids = _targeted_tuple(pop, targeted)
+    with np.errstate(over="ignore"):
+        rates = (pop.counts * pop.throughput)[np.array(ids) - 1].tolist()
+    try:
+        group = group_throughputs([rates], [len(ids)])[0]
+    except OverflowError:  # math.fsum of finite rates past the float range
+        group = math.inf
+    if not math.isfinite(group):
+        raise NumericalError("the targeted group throughput overflows")
+    return ids, group
+
+
 def assign_loads_hetero(
     pop: Population, targeted: Iterable[int], rows: float
 ) -> LoadAssignment:
     """Loads that minimize expected overall runtime for heterogeneous
     workers: ``rows / (row_time * total targeted throughput)``."""
-    if not rows > 0:
-        raise ValueError(f"rows must be positive, got {rows}")
-    ids = _targeted_tuple(pop, targeted)
-    rates = (pop.counts * pop.throughput)[np.array(ids) - 1].tolist()
-    group = group_throughputs([rates], [len(ids)])[0]
+    ids, group = _targeted_throughput(pop, targeted, rows)
     row_times = pop.row_time.tolist()
     loads = {m: rows / (row_times[m - 1] * group) for m in ids}
     return LoadAssignment(loads=loads, total_rows=float(rows), scheme=SCHEME_HETERO)
@@ -153,18 +157,15 @@ def assign_loads_hetero(
 
 def expected_runtime_hetero(
     pop: Population, targeted: Iterable[int], rows: float
-) -> RuntimeEstimate:
+) -> float:
     """Analytic expected overall runtime under the heterogeneous
     assignment: rows over total targeted throughput."""
-    ids = _targeted_tuple(pop, targeted)
-    rates = (pop.counts * pop.throughput)[np.array(ids) - 1].tolist()
-    runtime = expected_runtimes_hetero([rates], [len(ids)], rows)[0]
-    return RuntimeEstimate(expected_runtime=runtime, method="analytic")
+    return rows / _targeted_throughput(pop, targeted, rows)[1]
 
 
 def expected_runtime_mds(
     n: int, k: int, rows: float, mu: float, a: float
-) -> RuntimeEstimate:
+) -> float:
     """Exact expected runtime of the k-th of n homogeneous finishers,
     each loaded with ``rows / k``.
 
@@ -176,8 +177,7 @@ def expected_runtime_mds(
     if not rows > 0 or not mu > 0 or a < 0:
         raise ValueError("rows and mu must be positive, a nonnegative")
     n, k = int(n), int(k)
-    exact = (rows / k) * (a + (harmonic(n) - harmonic(n - k)) / mu)
-    return RuntimeEstimate(expected_runtime=exact, method="analytic")
+    return (rows / k) * (a + (harmonic(n) - harmonic(n - k)) / mu)
 
 
 def _race(
@@ -220,10 +220,8 @@ def monte_carlo_runtime(
     index = np.array(active) - 1
     counts = pop.counts[index].astype(int)
     worker_loads = np.repeat([assignment.loads[m] for m in active], counts)
-    type_positions = np.repeat(np.arange(len(active)), counts)
     startup = np.repeat(pop.startup[index], counts)
     speed = np.repeat(pop.speed[index], counts)
-    n_total = worker_loads.size
     target = rows * (1.0 - ROW_SLACK)
     if float(worker_loads.sum()) < target:
         raise InfeasibleError(
@@ -232,20 +230,13 @@ def monte_carlo_runtime(
 
     runtimes = np.empty(reps)
     realized = np.empty(reps, dtype=np.intp)
-    rank_counts = np.zeros(n_total * len(active), dtype=np.int64)
     for rep in range(reps):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), rep]))
         times = sample_times((startup, speed), worker_loads, rng)
         order, used = _race(times, worker_loads, target)
         runtimes[rep] = times[order[used - 1]]
         realized[rep] = used
-        rank_counts += np.bincount(
-            np.arange(n_total) * len(active) + type_positions[order],
-            minlength=rank_counts.size,
-        )
 
-    counts_by_rank = rank_counts.reshape(n_total, len(active)).astype(float)
-    probs = {m: counts_by_rank[:, j] / (reps * counts[j]) for j, m in enumerate(active)}
     k_hist = np.bincount(realized) / reps
     k_distribution = {k: float(p) for k, p in enumerate(k_hist) if p > 0}
     stderr = None
@@ -253,8 +244,6 @@ def monte_carlo_runtime(
         stderr = float(runtimes.std(ddof=1) / math.sqrt(reps))
     return RuntimeEstimate(
         expected_runtime=float(runtimes.mean()),
-        method="monte-carlo",
         stderr=stderr,
-        finish_order_probs=probs,
         realized_k_distribution=k_distribution,
     )

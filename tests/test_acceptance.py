@@ -101,7 +101,7 @@ def test_c03_order_statistic_runtime_matches_simulation():
     worst = 0.0
     ok = True
     for n, k in ((5, 3), (10, 7), (50, 25), (100, 60)):
-        exact = expected_runtime_mds(n, k, rows, mu, a).expected_runtime
+        exact = expected_runtime_mds(n, k, rows, mu, a)
         mean, stderr = order_statistic_mc(
             n, k, rows / k, mu, a, reps=100_000, seed=777_000 + 10 * n + k
         )
@@ -122,7 +122,7 @@ def test_c04_group_throughput_runtime_at_scale():
     pop = default_population(5000)
     rows = 1000.0
     targeted = pop.ids
-    analytic = expected_runtime_hetero(pop, targeted, rows).expected_runtime
+    analytic = expected_runtime_hetero(pop, targeted, rows)
     assignment = assign_loads_hetero(pop, targeted, rows)
     estimate = monte_carlo_runtime(
         pop, assignment, targeted, rows, reps=200, seed=20260815
@@ -282,7 +282,7 @@ def test_c09_recovery_threshold_near_integer_grid_optimum():
         def cost_at(k: int) -> float:
             runtime = expected_runtime_mds(
                 participators, k, cfg.total_rows, speed, startup
-            ).expected_runtime
+            )
             return weight * runtime
 
         grid_min = min(cost_at(k) for k in range(1, participators + 1))

@@ -110,6 +110,23 @@ class TestParser:
             build_parser().parse_args(["experiment", "fig9"])
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--reps", "3"],
+            ["verify", "--reps", "3"],
+            ["encode-demo", "--config", "pool.cfg"],
+            ["encode-demo", "--seed", "3"],
+            ["encode-demo", "--reps", "3"],
+        ],
+        ids=" ".join,
+    )
+    def test_option_the_command_does_not_read_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestSolve:
     def test_incomplete_default(self, capsys):
@@ -542,12 +559,36 @@ class TestSimulate:
             assert error <= 1e-8
 
 
+# ``encode-demo``'s output, byte for byte.
+ENCODE_DEMO = """\
+coded matrix-vector demo: 3 workers, any 2 suffice
+
+a 4x2 matrix splits into 2 blocks of 2 rows:
+  worker 0 gets the top block,
+  worker 1 gets the bottom block,
+  worker 2 gets the sum of both blocks.
+
+worker 1 finishes: [11. 15.]
+worker 2 finishes: [14. 22.]
+worker 0 straggles, and its result is never needed:
+subtracting worker 1's block from worker 2's recovers the top block.
+
+decoded product:    [ 3.  7. 11. 15.]
+direct computation: [ 3.  7. 11. 15.]
+agreement: True
+"""
+
+
 class TestEncodeDemo:
     def test_walkthrough(self, capsys):
         assert main(["encode-demo"]) == 0
-        out = capsys.readouterr().out
-        assert "any 2 suffice" in out
-        assert "agreement: True" in out
+        assert capsys.readouterr().out == ENCODE_DEMO
+
+    def test_out_file(self, tmp_path, capsys):
+        path = tmp_path / "demo.txt"
+        assert main(["encode-demo", "--out", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_text(encoding="utf-8") == ENCODE_DEMO
 
 
 class TestExperiment:

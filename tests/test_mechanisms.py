@@ -498,7 +498,7 @@ class TestSolveCostOnly:
             def runtime(k):
                 return expected_runtime_mds(
                     participators, k, cfg.total_rows, speed, startup
-                ).expected_runtime
+                )
 
             assert runtime(mech.recovery_threshold) == min(
                 runtime(floor_k), runtime(ceil_k)
@@ -620,7 +620,7 @@ class TestPlatformCost:
         assert mech.expected_cost == platform_cost(mech, pop, cfg)
         assert mech.recovery_threshold < pop.total
         args = (pop.total, mech.recovery_threshold, cfg.total_rows, 2.0, 1.0)
-        exact = expected_runtime_mds(*args).expected_runtime
+        exact = expected_runtime_mds(*args)
         approx = mds_log_runtime_oracle(*args)
         assert approx != exact
         assert approx == pytest.approx(exact, rel=0.2)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import math
 
 import numpy as np
@@ -13,6 +12,7 @@ from coded_incentives import (
     SCHEME_MDS,
     InfeasibleError,
     LoadAssignment,
+    NumericalError,
     WorkerType,
     PlatformConfig,
     assign_loads_hetero,
@@ -58,7 +58,7 @@ class TestAssignLoadsHetero:
         pop = _pop()
         rows = 777.0
         assignment = assign_loads_hetero(pop, (1, 2, 3), rows)
-        runtime = expected_runtime_hetero(pop, (1, 2, 3), rows).expected_runtime
+        runtime = expected_runtime_hetero(pop, (1, 2, 3), rows)
         for m, load in assignment.loads.items():
             assert load * pop.member(m)[1].row_time == pytest.approx(
                 runtime, rel=1e-12
@@ -96,29 +96,45 @@ class TestExpectedRuntimeHetero:
     def test_rows_over_group_throughput(self):
         pop = _pop()
         targeted = (1, 3)
-        estimate = expected_runtime_hetero(pop, targeted, 1000.0)
+        runtime = expected_runtime_hetero(pop, targeted, 1000.0)
         group = math.fsum(
             pop.member(m)[0].count * pop.member(m)[1].throughput for m in targeted
         )
-        assert estimate.expected_runtime == pytest.approx(1000.0 / group)
-        assert estimate.method == "analytic"
+        assert runtime == pytest.approx(1000.0 / group)
 
     def test_linear_in_rows(self):
         pop = _pop()
-        one = expected_runtime_hetero(pop, (1, 2, 3), 100.0).expected_runtime
-        ten = expected_runtime_hetero(pop, (1, 2, 3), 1000.0).expected_runtime
+        one = expected_runtime_hetero(pop, (1, 2, 3), 100.0)
+        ten = expected_runtime_hetero(pop, (1, 2, 3), 1000.0)
         assert ten == pytest.approx(10.0 * one, rel=1e-12)
+
+
+@pytest.mark.parametrize("view", [assign_loads_hetero, expected_runtime_hetero])
+@pytest.mark.parametrize("count", [1e9, 5e8])
+def test_overflowing_group_throughput_is_numerical_error(view, count):
+    # Each type's throughput is about 3.2e299: at 1e9 workers per type the
+    # per-type rates overflow to inf, at 5e8 they are finite (1.6e308) but
+    # their sum is not.  Both must end in NumericalError; the suite turns
+    # a RuntimeWarning into an error, so no overflow warning may escape.
+    pop = build_population(
+        [
+            WorkerType(id=0, cost_rate=1.0, speed=1e300, startup=1e-300, count=count)
+            for _ in range(2)
+        ]
+    )
+    with pytest.raises(NumericalError):
+        view(pop, [1, 2], 1000.0)
 
 
 class TestExpectedRuntimeMds:
     def test_exact_harmonic_form(self):
         rows, mu, a = 900.0, 2.0, 1.0
         for n, k in ((5, 3), (10, 7), (12, 12), (50, 25)):
-            estimate = expected_runtime_mds(n, k, rows, mu, a)
+            runtime = expected_runtime_mds(n, k, rows, mu, a)
             exact = (rows / k) * (
                 a + (harmonic_oracle(n) - harmonic_oracle(n - k)) / mu
             )
-            assert estimate.expected_runtime == pytest.approx(exact, rel=1e-12)
+            assert runtime == pytest.approx(exact, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -132,11 +148,11 @@ class TestExpectedRuntimeMds:
 
     def test_matches_independent_order_statistic_simulation(self):
         n, k, rows, mu, a = 8, 5, 400.0, 3.0, 0.2
-        estimate = expected_runtime_mds(n, k, rows, mu, a)
+        runtime = expected_runtime_mds(n, k, rows, mu, a)
         mean, stderr = order_statistic_mc(
             n, k, rows / k, mu, a, reps=200_000, seed=424242
         )
-        assert abs(estimate.expected_runtime - mean) <= 4.0 * stderr
+        assert abs(runtime - mean) <= 4.0 * stderr
 
 
 class TestLoadAssignmentValidation:
@@ -192,22 +208,14 @@ class TestMonteCarloRuntime:
             326: "0x1.eb851eb851eb8p-5",
             327: "0x1.47ae147ae147bp-8",
         }
-        assert sorted(est.finish_order_probs) == [1, 2, 3]
-        digest = hashlib.sha256()
-        for m in (1, 2, 3):
-            digest.update(est.finish_order_probs[m].astype("<f8").tobytes())
-        assert digest.hexdigest() == (
-            "b6fe20a99eaa5b5705917ef143790cf499afa94d3f511c92cc7d903c7e76cf8d"
-        )
 
     def test_matches_analytic_hetero(self):
         pop = _pop()
         rows = 1000.0
         targeted = (1, 2, 3)
         assignment = assign_loads_hetero(pop, targeted, rows)
-        analytic = expected_runtime_hetero(pop, targeted, rows).expected_runtime
+        analytic = expected_runtime_hetero(pop, targeted, rows)
         estimate = monte_carlo_runtime(pop, assignment, targeted, rows, 4000, 31)
-        assert estimate.method == "monte-carlo"
         assert estimate.stderr is not None
         assert abs(estimate.expected_runtime - analytic) <= max(
             4.0 * estimate.stderr, 0.05 * analytic
@@ -224,7 +232,7 @@ class TestMonteCarloRuntime:
             scheme=SCHEME_MDS,
             recovery_threshold=k,
         )
-        exact = expected_runtime_mds(n, k, rows, mu, a).expected_runtime
+        exact = expected_runtime_mds(n, k, rows, mu, a)
         estimate = monte_carlo_runtime(pop, assignment, (1,), rows, 20_000, 5)
         assert abs(estimate.expected_runtime - exact) <= 4.0 * estimate.stderr
 
@@ -245,18 +253,6 @@ class TestMonteCarloRuntime:
         longer = monte_carlo_runtime(pop, assignment, (1,), 300.0, 2, 12)
         assert short.stderr is None
         assert longer.stderr is not None
-
-    def test_finish_order_probs_normalized(self):
-        pop = _pop()
-        targeted = (1, 2, 3)
-        assignment = assign_loads_hetero(pop, targeted, 800.0)
-        estimate = monte_carlo_runtime(pop, assignment, targeted, 800.0, 300, 77)
-        n_total = sum(pop.member(m)[0].count for m in targeted)
-        for m in targeted:
-            probs = estimate.finish_order_probs[m]
-            assert probs.shape == (n_total,)
-            # Each worker of the type finishes at exactly one rank.
-            assert float(probs.sum()) == pytest.approx(1.0, rel=1e-12)
 
     def test_realized_k_distribution_sums_to_one(self):
         pop = _pop()
