@@ -383,10 +383,7 @@ def simulate_round(
             # The contributors hold at least rows coded slots, so at least
             # as many parity slots as missing entries.  The square decode
             # reads only the first of them, so the rest are drawn only if
-            # it is refused.  All of the round's linear algebra runs on
-            # NumPy's BLAS: NumPy and SciPy wheels each bundle an OpenBLAS,
-            # and the threads one leaves spinning after a call slow the
-            # other's next call by a varying amount.
+            # it is refused.  The package uses only NumPy's BLAS.
             def system(parity):
                 # The missing entries' columns, and the received results
                 # less the arrived entries' share.

@@ -12,6 +12,8 @@ Three quantities recur in the runtime and mechanism formulas:
   expectation of exponential order statistics.
 
 ``row_fsums`` and ``_largest_remainder`` sum and round batched rows.
+The root search is Brent's method in pure Python, so the package needs
+only NumPy.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import IterationError
 
@@ -34,9 +35,57 @@ __all__ = [
 
 
 # Convergence budget of ``solve_lambda``: the residual bound relative
-# to the root's scale, and brentq's iteration cap.
+# to the root's scale, and the root search's iteration cap.
 _ABS_TOL = 1e-12
 _MAX_ITER = 200
+
+
+def _brent(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int):
+    """Root of ``f`` in ``[xa, xb]`` by Brent's method (Brent 1973, ch. 4),
+    step for step as SciPy's ``brentq``, so it returns the same double
+    and the same ``converged`` flag as ``(x, converged)``.  Where the C
+    code divides by zero it gets an infinite or NaN step and bisects;
+    so does this port."""
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0 or fcur == 0:
+        return (xpre if fpre == 0 else xcur), True
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        # Nonzero values differ in sign exactly when their signbits do.
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur, True
+        stry = math.inf
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                pass
+        bound = 3 * abs(sbis) - delta
+        if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+            spre, scur = scur, stry  # good short step
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    return xcur, False
 
 
 @functools.lru_cache(maxsize=65536)
@@ -44,7 +93,7 @@ def _solve_lambda_cached(mu: float, a: float) -> float:
     # Work in the shifted variable w = mu*lam - a*mu > 0, where the
     # defining equation becomes expm1(w) - w = a*mu.  The left side is
     # zero at w = 0 and strictly increasing, so the positive root is
-    # unique and brentq gets a guaranteed bracket.
+    # unique and the root search gets a guaranteed bracket.
     target = a * mu
 
     def residual(w: float) -> float:
@@ -62,13 +111,10 @@ def _solve_lambda_cached(mu: float, a: float) -> float:
             )
 
     try:
-        w, info = brentq(
-            residual, 0.0, hi, maxiter=_MAX_ITER, xtol=1e-15, rtol=8.9e-16,
-            full_output=True, disp=False,
-        )
-    except Exception as exc:  # pragma: no cover - brentq raises only on misuse
+        w, converged = _brent(residual, 0.0, hi, 1e-15, 8.9e-16, _MAX_ITER)
+    except ValueError as exc:  # pragma: no cover - the bracket changes sign
         raise IterationError(f"root search failed for mu={mu}, a={a}") from exc
-    if not info.converged:
+    if not converged:
         raise IterationError(
             f"no convergence within {_MAX_ITER} iterations for mu={mu}, a={a}",
             best=(target + w) / mu,

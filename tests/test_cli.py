@@ -3,16 +3,30 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
+import os
 import re
 import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coded_incentives
 from coded_incentives import mds_alpha, read_matrix
 from coded_incentives.cli import build_parser, main
+
+# Runs this checkout's package in a fresh interpreter, installed or not.
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        [str(Path(coded_incentives.__file__).parents[1])]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ),
+}
 
 
 SMALL_HETERO = (
@@ -646,7 +660,46 @@ class TestExperiment:
         assert "# replications = 3" in out
 
 
+# Imports the package, lists the SciPy modules that import loaded, then
+# blocks SciPy and runs ``solve`` and ``verify``.
+WITHOUT_SCIPY = """
+import contextlib, io, json, sys
+import coded_incentives
+from coded_incentives.cli import main
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+sys.modules["scipy"] = None
+runs = []
+for argv in (["solve"], ["verify"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append([main(argv), out.getvalue()])
+print(json.dumps({"loaded": loaded, "runs": runs}))
+"""
+
+
+class TestWithoutScipy:
+    def test_solve_and_verify_run_without_scipy(self, capsys):
+        child = subprocess.run(
+            [sys.executable, "-c", WITHOUT_SCIPY],
+            capture_output=True, text=True, timeout=120, env=CHILD_ENV,
+        )
+        assert child.returncode == 0, child.stderr
+        record = json.loads(child.stdout)
+        assert record["loaded"] == []
+        for argv, (code, text) in zip((["solve"], ["verify"]), record["runs"]):
+            assert main(argv) == 0
+            assert (code, text) == (0, capsys.readouterr().out)
+
+
 class TestConsoleScript:
+    def test_python_m(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "coded_incentives", "encode-demo"],
+            capture_output=True, text=True, timeout=120, env=CHILD_ENV,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "agreement: True" in result.stdout
+
     def test_installed_entry_point(self):
         result = subprocess.run(
             ["coded-incentives", "encode-demo"],

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coded_incentives import harmonic, mds_alpha, solve_lambda
+from coded_incentives import IterationError, harmonic, mds_alpha, solve_lambda
+from coded_incentives import numerics
 from oracles import alpha_objective, alpha_oracle, harmonic_oracle, lambda_oracle
 
 BENCHMARK_PARAMS = (
@@ -70,6 +71,70 @@ class TestSolveLambda:
         assert lam > a
         residual = math.exp(mu * (lam - a)) - mu * lam - 1.0
         assert abs(residual) <= 1e-9 * (1.0 + mu * lam)
+
+
+def _bracketed_residual(mu: float, a: float):
+    """``solve_lambda``'s residual in ``w = mu*(lam - a)`` and its
+    doubling bracket's upper end."""
+    target = a * mu
+
+    def residual(w: float) -> float:
+        try:
+            return math.expm1(w) - w - target
+        except OverflowError:
+            return math.inf
+
+    hi = 1.0
+    while residual(hi) <= 0.0:
+        hi *= 2.0
+    return residual, hi
+
+
+class TestBrentPort:
+    def test_matches_scipy_brentq_bit_for_bit(self):
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        rng = np.random.default_rng(18)
+        mus = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), 20_000))
+        starts = np.exp(rng.uniform(math.log(1e-8), math.log(1e4), 20_000))
+        for mu, a in zip(mus.tolist(), starts.tolist()):
+            residual, hi = _bracketed_residual(mu, a)
+            # A 3-iteration cap also pins the iterate of a search cut short.
+            for cap in (numerics._MAX_ITER, 3):
+                w, converged = numerics._brent(residual, 0.0, hi, 1e-15, 8.9e-16, cap)
+                ref, info = brentq(
+                    residual, 0.0, hi, maxiter=cap, xtol=1e-15, rtol=8.9e-16,
+                    full_output=True, disp=False,
+                )
+                assert (w, converged) == (ref, info.converged), (mu, a, cap)
+
+    def test_matches_scipy_brentq_on_flat_and_steep_roots(self):
+        # Coarse tolerances make the step-size floor delta decide steps.
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        rng = np.random.default_rng(19)
+        for _ in range(100):
+            r = float(rng.uniform(-3.0, 3.0))
+            lo, hi = r - float(rng.uniform(0.1, 5.0)), r + float(rng.uniform(0.1, 5.0))
+            functions = (
+                lambda x: (x - r) ** 5,
+                lambda x: math.tanh(20.0 * (x - r)),
+                lambda x: math.copysign(abs(x - r) ** 0.2, x - r),
+            )
+            for f in functions:
+                for xtol in (1e-12, 1e-6, 1e-3, 1e-1):
+                    for cap in (2, 10, 100):
+                        ref, info = brentq(
+                            f, lo, hi, maxiter=cap, xtol=xtol, rtol=8.9e-16,
+                            full_output=True, disp=False,
+                        )
+                        got = numerics._brent(f, lo, hi, xtol, 8.9e-16, cap)
+                        assert got == (ref, info.converged), (r, lo, hi, xtol, cap)
+
+    def test_iteration_cap_raises_with_finite_best(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_MAX_ITER", 1)
+        numerics._solve_lambda_cached.cache_clear()
+        with pytest.raises(IterationError, match="no convergence within 1 ") as info:
+            solve_lambda(50.0, 0.012)
+        assert math.isfinite(info.value.best)
 
 
 class TestMdsAlpha:
