@@ -11,8 +11,8 @@ Subcommands:
   product that tolerates one straggler.
 * ``experiment``: run a sweep over total worker counts and emit CSV.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 infeasible instance.
+Exit codes: 0 success, 2 configuration error or too little memory,
+3 numerical failure, 4 infeasible instance.
 """
 
 from __future__ import annotations
@@ -308,6 +308,10 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        message = f"not enough memory for this run ({exc})"
+        print(f"configuration error: {message}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -9,7 +9,6 @@ re-run bit-exactly.
 
 from __future__ import annotations
 
-import importlib.metadata
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -55,11 +54,6 @@ __all__ = [
     "run_custom",
     "run_experiment",
 ]
-
-try:
-    _VERSION = importlib.metadata.version("coded-incentives")
-except importlib.metadata.PackageNotFoundError:
-    _VERSION = "0+unknown"
 
 # Default worker catalog: (cost rate, speed, startup) per type.
 DEFAULT_TYPE_PARAMS: tuple[tuple[float, float, float], ...] = (
@@ -225,11 +219,13 @@ class ExperimentSpec:
     def to_metadata(self) -> dict[str, str]:
         """Metadata echo from which :meth:`from_metadata` rebuilds this
         spec bit-exactly (floats serialized via repr)."""
+        from . import __version__  # the package defines it after importing us
+
         pop = self.population
         columns = (pop.cost_rate, pop.speed, pop.startup, pop.counts.astype(int))
         return {
             "name": self.name,
-            "version": _VERSION,
+            "version": __version__,
             "population": ";".join(
                 ",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))
             ),

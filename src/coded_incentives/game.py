@@ -110,8 +110,8 @@ def worker_payoff(
     true_m: int, reported: int, mech: Mechanism, pop: Population
 ) -> float:
     """Expected payoff of a worker of type ``true_m`` reporting
-    ``reported``: the reported identity's reward minus the true cost of
-    working for the round.
+    ``reported``: entry ``reported`` of ``true_m``'s row of the offer's
+    payoff table (see :func:`_report_table`).
 
     Misreporting is impossible when the platform already observes all
     worker parameters, so the complete-information scenario only
@@ -121,8 +121,8 @@ def worker_payoff(
         raise ValueError(f"unknown type id among {true_m}, {reported}")
     if mech.scenario == SCENARIO_COMPLETE and reported != true_m:
         raise ValueError("misreporting is not possible under complete information")
-    reward = mech.rewards.get(reported, 0.0)
-    return reward - pop.cost_rate.item(true_m - 1) * mech.expected_runtime
+    payoffs, _ = _offer_table(mech, pop, slice(true_m - 1, true_m))
+    return payoffs[0, reported - 1].item()
 
 
 def _report_table(
@@ -131,10 +131,11 @@ def _report_table(
     rewards: np.ndarray,
     pop: Population,
     complete: bool,
+    true: slice = slice(None),
 ) -> tuple[np.ndarray, np.ndarray]:
     """Payoff and feasibility of every report under each row of batched
-    offers: two ``(R, T, M)`` arrays over offer rows, true types and
-    claimed identities.
+    offers: two ``(R, T, M)`` arrays over offer rows, the true types
+    ``pop.ids[true]`` (all of them by default) and claimed identities.
 
     Row ``r`` targets the first ``thresholds[r]`` types at ``rewards[r]``
     with expected runtime ``runtimes[r]``.  Claiming a targeted identity
@@ -142,23 +143,25 @@ def _report_table(
     complete, for every type with the same speed and startup.
     """
     runtimes = np.asarray(runtimes, dtype=float)[:, None, None]
-    payoffs = rewards[:, None, :] - pop.cost_rate[:, None] * runtimes
+    payoffs = rewards[:, None, :] - pop.cost_rate[true, None] * runtimes
     if complete:
-        claimable = np.eye(pop.size, dtype=bool)
+        claimable = np.arange(pop.size)[true, None] == np.arange(pop.size)
     else:
-        claimable = (pop.speed[:, None] == pop.speed) & (
-            pop.startup[:, None] == pop.startup
+        claimable = (pop.speed[true, None] == pop.speed) & (
+            pop.startup[true, None] == pop.startup
         )
     targeted = np.arange(pop.size) < np.asarray(thresholds)[:, None]
     return payoffs, claimable & targeted[:, None, :]
 
 
-def _offer_table(mech: Mechanism, pop: Population) -> tuple[np.ndarray, np.ndarray]:
+def _offer_table(
+    mech: Mechanism, pop: Population, true: slice = slice(None)
+) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_report_table` for ``mech`` as one row, as ``(T, M)``."""
     rewards = np.array([[mech.rewards.get(m, 0.0) for m in pop.ids]], dtype=float)
     complete = mech.scenario == SCENARIO_COMPLETE
     payoffs, feasible = _report_table(
-        [mech.threshold_type], [mech.expected_runtime], rewards, pop, complete
+        [mech.threshold_type], [mech.expected_runtime], rewards, pop, complete, true
     )
     return payoffs[0], feasible[0]
 
@@ -173,7 +176,8 @@ def best_response(true_m: int, mech: Mechanism, pop: Population) -> WorkerDecisi
     """
     if not 1 <= true_m <= pop.size:
         raise ValueError(f"unknown type id {true_m}")
-    payoffs, feasible = (table[true_m - 1] for table in _offer_table(mech, pop))
+    row = slice(true_m - 1, true_m)
+    payoffs, feasible = (table[0] for table in _offer_table(mech, pop, row))
     best_value = payoffs[feasible].max(initial=-np.inf).item()
     participate = best_value >= 0
     best = feasible & (payoffs == best_value)

@@ -36,6 +36,7 @@ from .numerics import mds_alpha, row_fsums
 from .runtime import (
     SCHEME_MDS,
     LoadAssignment,
+    _checked_groups,
     assign_loads_hetero,
     expected_runtime_hetero,
     expected_runtime_mds,
@@ -193,7 +194,7 @@ def _complete_offers(
     prefix throughput)``; a populated prefix whose bound overflows
     raises NumericalError.
     """
-    rates, cum_thru = _prefix_throughputs(counts, pop, cfg)
+    cum_thru = _prefix_throughputs(counts, pop, cfg)
     populated = cum_thru > 0
     with np.errstate(all="ignore"):
         bound = np.divide(
@@ -215,7 +216,7 @@ def _complete_offers(
         populated.argmax(axis=1) + 1,
     )
     targeted = np.arange(size) < thresholds[:, None]
-    runtimes = expected_runtimes_hetero(rates.tolist(), thresholds, cfg.total_rows)
+    runtimes = expected_runtimes_hetero(counts, pop, thresholds, cfg.total_rows)
     with np.errstate(all="ignore"):
         rewards = np.where(targeted, pop.cost_rate * np.array(runtimes)[:, None], 0.0)
     return _finite_offers(thresholds, runtimes, rewards)
@@ -232,7 +233,7 @@ def _private_offers(
     + gamma_pay * ratio`` over the populated prefixes; ``argmin`` takes
     the first minimum, so ties go to the shorter prefix.
     """
-    rates, cum_thru = _prefix_throughputs(counts, pop, cfg)
+    cum_thru = _prefix_throughputs(counts, pop, cfg)
     with np.errstate(all="ignore"):
         per_thru = np.divide(
             cfg.gamma_time,
@@ -241,7 +242,7 @@ def _private_offers(
             where=cum_thru > 0,
         )
         thresholds = (per_thru + cfg.gamma_pay * pop.ratio).argmin(axis=1) + 1
-        runtimes = expected_runtimes_hetero(rates.tolist(), thresholds, cfg.total_rows)
+        runtimes = expected_runtimes_hetero(counts, pop, thresholds, cfg.total_rows)
         # Rewards proportional to throughput, grouped so the boundary type's
         # reward equals its cost bit-exactly and its payoff is exactly zero.
         boundary = thresholds - 1
@@ -263,21 +264,15 @@ def _finite_offers(
 
 def _prefix_throughputs(
     counts: np.ndarray, pop: Population, cfg: PlatformConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-type and cumulative prefix throughput of each counts row, the
-    inputs both batched rules start from; a row without workers has no
-    feasible offer, and a row whose total throughput overflows raises
-    NumericalError."""
+) -> np.ndarray:
+    """Cumulative prefix throughput of each counts row, the input both
+    batched rules start from; a row whose whole population has no
+    workers or overflows has no offer (see :func:`_checked_groups`)."""
     _require_paying_config(cfg)
     with np.errstate(over="ignore"):
-        rates = counts * pop.throughput
-        cum_thru = rates.cumsum(axis=1)
-    totals = cum_thru[:, -1].tolist()
-    if not min(totals) > 0:
-        raise InfeasibleError("population has no workers")
-    if not all(map(math.isfinite, totals)):
-        raise NumericalError("the population's total throughput overflows")
-    return rates, cum_thru
+        cum_thru = (counts * pop.throughput).cumsum(axis=1)
+    _checked_groups(cum_thru[:, -1].tolist())
+    return cum_thru
 
 
 def _prefix_costs(
@@ -298,9 +293,7 @@ def _prefix_costs(
     the float range raises NumericalError.
     """
     if runtimes is None:
-        runtimes = expected_runtimes_hetero(
-            (counts * pop.throughput).tolist(), thresholds, cfg.total_rows
-        )
+        runtimes = expected_runtimes_hetero(counts, pop, thresholds, cfg.total_rows)
     with np.errstate(over="ignore"):
         paid = (counts * rewards).tolist()
     try:

@@ -34,7 +34,6 @@ __all__ = [
     "expected_runtime_hetero",
     "expected_runtime_mds",
     "expected_runtimes_hetero",
-    "group_throughputs",
     "monte_carlo_runtime",
 ]
 
@@ -72,6 +71,8 @@ class LoadAssignment:
                 abs(load - uniform) > 1e-9 * uniform for load in self.loads.values()
             ):
                 raise ValueError("uniform scheme requires equal loads rows/k")
+        elif self.recovery_threshold is not None:
+            raise ValueError("only the uniform scheme has a recovery threshold")
 
 
 @dataclass(frozen=True)
@@ -98,50 +99,52 @@ def _targeted_tuple(pop: Population, targeted: Iterable[int]) -> tuple[int, ...]
     return ids
 
 
-def group_throughputs(
-    rates: Sequence[Sequence[float]], lengths: Sequence[int]
+def _group_throughputs(
+    counts: np.ndarray, pop: Population, lengths: Sequence[int]
 ) -> list[float]:
-    """Correctly rounded total throughput of each row's targeted prefix.
+    """Correctly rounded total throughput (headcount times throughput
+    per type) of each ``(R, M)`` counts row's first ``lengths[r]``
+    types over ``pop``'s types, checked by :func:`_checked_groups`."""
+    with np.errstate(over="ignore"):
+        rates = (counts * pop.throughput).tolist()
+    try:
+        groups = row_fsums(rates, lengths)
+    except OverflowError:  # math.fsum of finite rates past the float range
+        groups = [math.inf]
+    return _checked_groups(groups)
 
-    ``rates`` (headcount times throughput per type) is an ``(R, M)``
-    nested list, and row r targets its first ``lengths[r]`` types.
-    Raises :class:`InfeasibleError` when a row's targeted types have no
-    workers.
-    """
-    groups = row_fsums(rates, lengths)
+
+def _checked_groups(groups: list[float]) -> list[float]:
+    """``groups``, the one check on group throughputs: a group without
+    workers raises InfeasibleError, one that overflows NumericalError."""
     if not min(groups) > 0:
         raise InfeasibleError("targeted set has no workers")
+    if not all(map(math.isfinite, groups)):
+        raise NumericalError("the targeted group throughput overflows")
     return groups
 
 
 def expected_runtimes_hetero(
-    rates: Sequence[Sequence[float]], lengths: Sequence[int], rows: float
+    counts: np.ndarray, pop: Population, lengths: Sequence[int], rows: float
 ) -> list[float]:
     """Analytic expected overall runtime of each row of
-    :func:`group_throughputs` under the heterogeneous assignment: rows
+    :func:`_group_throughputs` under the heterogeneous assignment: rows
     over the row's targeted throughput."""
     if not rows > 0:
         raise ValueError(f"rows must be positive, got {rows}")
-    return [rows / group for group in group_throughputs(rates, lengths)]
+    return [rows / group for group in _group_throughputs(counts, pop, lengths)]
 
 
 def _targeted_throughput(
     pop: Population, targeted: Iterable[int], rows: float
 ) -> tuple[tuple[int, ...], float]:
-    """Sorted targeted ids and their total throughput, for the one-row
-    views below; a total that overflows raises NumericalError."""
+    """Sorted targeted ids and their group throughput for the one-row views
+    below: the counts row with other types zeroed, summed to the last id."""
     if not rows > 0:
         raise ValueError(f"rows must be positive, got {rows}")
     ids = _targeted_tuple(pop, targeted)
-    with np.errstate(over="ignore"):
-        rates = (pop.counts * pop.throughput)[np.array(ids) - 1].tolist()
-    try:
-        group = group_throughputs([rates], [len(ids)])[0]
-    except OverflowError:  # math.fsum of finite rates past the float range
-        group = math.inf
-    if not math.isfinite(group):
-        raise NumericalError("the targeted group throughput overflows")
-    return ids, group
+    counts = pop.counts * np.bincount(ids, minlength=pop.size + 1)[1:]
+    return ids, _group_throughputs(counts[None, :], pop, [ids[-1]])[0]
 
 
 def assign_loads_hetero(

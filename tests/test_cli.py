@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import coded_incentives
-from coded_incentives import mds_alpha, read_matrix
+from coded_incentives import cli, mds_alpha, read_matrix
 from coded_incentives.cli import build_parser, main
 
 # Runs this checkout's package in a fresh interpreter, installed or not.
@@ -377,6 +377,28 @@ class TestOverflowingStatistic:
         path.write_text(self.CONFIG)
         assert main(["experiment", "fig5", "--config", str(path)]) == 0
         assert "N,cost_complete,cost_incomplete,gap" in capsys.readouterr().out
+
+
+class TestOutOfMemory:
+    # A run too large for memory (a simulate matrix of 1e12 rows, a fig7
+    # point of 1e9 replicates) is a configuration error.  The stand-ins
+    # raise MemoryError as NumPy does, without allocating anything.
+    @pytest.mark.parametrize(
+        "name, argv",
+        [("run_experiment", ["experiment", "fig7"]), ("simulate_round", ["simulate"])],
+    )
+    def test_exits_2(self, monkeypatch, capsys, name, argv):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(cli, name, exhausted)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "configuration error: not enough memory for this run "
+            "(Unable to allocate 7.28 TiB for an array)\n"
+        )
+        assert captured.out == ""
 
 
 class TestConfigDrivenOutputsPinned:

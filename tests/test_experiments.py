@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coded_incentives
 from coded_incentives import (
     DEFAULT_TYPE_PARAMS,
     ConfigurationError,
@@ -201,6 +202,11 @@ class TestExperimentSpec:
         spec = ExperimentSpec(population=pop, n_sweep=(10, 20))
         rebuilt = ExperimentSpec.from_metadata(spec.to_metadata())
         assert rebuilt == spec
+
+    def test_csv_version_is_the_package_version(self):
+        table = run_experiment(ExperimentSpec(name="fig4", n_sweep=(100,)))
+        assert table.metadata["version"] == coded_incentives.__version__
+        assert f"# version = {coded_incentives.__version__}\n" in table.to_csv()
 
     def test_bad_metadata_rejected(self):
         spec = ExperimentSpec()

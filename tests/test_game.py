@@ -22,6 +22,7 @@ from coded_incentives import (
     verify_ir_ic,
     worker_payoff,
 )
+from coded_incentives import game, simulate_round
 from coded_incentives.game import _best_payoffs
 from coded_incentives.mechanisms import _private_offers
 from conftest import random_cost_only_instance, random_hetero_instance
@@ -322,3 +323,79 @@ def test_decisions_and_violations_match_scalar_oracle(scaled):
         violations += len(rows)
     if scaled:
         assert misreports and violations
+
+
+def _many_types(rng, size=300, classes=30):
+    """A seeded population of ``size`` types whose speed and startup
+    come from ``classes`` shared pairs (one pair when ``classes`` is 1),
+    with zero to five workers each."""
+    pairs = [
+        (float(rng.uniform(5.0, 500.0)), float(rng.uniform(0.005, 0.2)))
+        for _ in range(classes)
+    ]
+    return build_population(
+        WorkerType(
+            id=0,
+            cost_rate=float(rng.uniform(0.5, 25.0)),
+            speed=pairs[j][0],
+            startup=pairs[j][1],
+            count=int(rng.integers(0, 6)),
+        )
+        for j in rng.integers(0, classes, size).tolist()
+    )
+
+
+class TestManyTypes:
+    """Rounds and best responses over a population of hundreds of types,
+    where building a type's row alone matters."""
+
+    CFG = PlatformConfig(gamma_time=5000.0, gamma_pay=1.0, total_rows=500.0)
+
+    @classmethod
+    def _offer(cls, scenario):
+        rng = np.random.default_rng(300)
+        if scenario == "cost-only":
+            pop = _many_types(rng, classes=1)
+            return solve_cost_only([t for t, _ in pop.types], cls.CFG), pop
+        pop = _many_types(rng)
+        solver = solve_complete if scenario == "complete" else solve_incomplete
+        return solver(pop, cls.CFG), pop
+
+    @pytest.mark.parametrize("scenario", ["complete", "incomplete", "cost-only"])
+    def test_best_response_matches_oracle_bit_for_bit(self, scenario):
+        mech, pop = self._offer(scenario)
+        assert pop.size >= 300 and 1 < mech.threshold_type < pop.size
+        # Scaled rewards make same-class misreports profitable.
+        scaled = _scaled_rewards(mech, np.random.default_rng(301))
+        misreports = 0
+        for offer in (mech, scaled):
+            for m in pop.ids:
+                decision = best_response(m, offer, pop)
+                assert _bits(
+                    (
+                        decision.type_id,
+                        decision.participate,
+                        decision.reported_type,
+                        decision.expected_payoff,
+                    )
+                ) == _bits(best_response_oracle(m, offer, pop))
+                misreports += decision.reported_type != m
+        assert misreports or scenario == "complete"
+
+    def test_round_tabulates_one_true_type_per_table(self, monkeypatch):
+        mech, pop = self._offer("incomplete")
+        shapes = []
+
+        def spy(*args, **kwargs):
+            payoffs, feasible = report_table(*args, **kwargs)
+            shapes.append((payoffs.shape, feasible.shape))
+            return payoffs, feasible
+
+        report_table = game._report_table
+        monkeypatch.setattr(game, "_report_table", spy)
+        rng = np.random.default_rng(302)
+        simulate_round(
+            mech, pop, rng.standard_normal((500, 3)), rng.standard_normal(3), seed=0
+        )
+        assert len(shapes) == pop.size
+        assert all(p == f == (1, 1, pop.size) for p, f in shapes)

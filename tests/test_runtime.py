@@ -178,6 +178,15 @@ class TestLoadAssignmentValidation:
         )
         assert ok.recovery_threshold == 2
 
+    def test_hetero_scheme_has_no_recovery_threshold(self):
+        with pytest.raises(ValueError, match="only the uniform scheme"):
+            LoadAssignment(
+                loads={1: 5.0, 2: 5.0},
+                total_rows=10.0,
+                scheme=SCHEME_HETERO,
+                recovery_threshold=7,
+            )
+
     def test_positive_loads_required(self):
         with pytest.raises(ValueError):
             LoadAssignment(loads={1: 0.0}, total_rows=10.0, scheme=SCHEME_HETERO)
