@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 configuration error or too little memory,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from statistics import fmean
@@ -144,6 +145,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses across calls, built on first use."""
+    return build_parser()
+
+
 def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
     spec = load_config(args.config) if args.config else ExperimentSpec()
     overrides: dict[str, object] = {}
@@ -152,7 +159,8 @@ def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
         overrides["name"] = name
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "reps", None) is not None:
+    # simulate reads --reps as its round count, not as replications.
+    if args.command == "experiment" and args.reps is not None:
         overrides["replications"] = args.reps
     return replace(spec, **overrides) if overrides else spec
 
@@ -205,6 +213,9 @@ def cmd_verify(args: argparse.Namespace) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> str:
+    reps = args.reps if args.reps is not None else 1
+    if reps < 1:
+        raise ConfigurationError("simulate needs at least one round")
     spec = _load_spec(args)
     mech = _solve_for(args.scenario, spec)
     rows = int(spec.total_rows)
@@ -219,9 +230,6 @@ def cmd_simulate(args: argparse.Namespace) -> str:
         vector = read_vector(args.vector)
     else:
         vector = rng.standard_normal(matrix.shape[1])
-    reps = args.reps if args.reps is not None else 1
-    if reps < 1:
-        raise ConfigurationError("simulate needs at least one round")
     lines = []
     costs = []
     for i in range(reps):
@@ -278,8 +286,7 @@ def cmd_experiment(args: argparse.Namespace) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     commands = {
         "solve": cmd_solve,
         "verify": cmd_verify,

@@ -9,6 +9,7 @@ re-run bit-exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -155,6 +156,13 @@ def default_population(total: int = 1400) -> Population:
     return build_population(default_worker_types(counts))
 
 
+@functools.cache
+def _default_catalog() -> Population:
+    """The 1400-worker catalog every default spec shares: a population
+    is frozen and its columns are read-only."""
+    return default_population(1400)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Everything needed to run a sweep reproducibly.
@@ -166,9 +174,7 @@ class ExperimentSpec:
     """
 
     name: str = "custom"
-    population: Population = field(
-        default_factory=lambda: default_population(1400)
-    )
+    population: Population = field(default_factory=_default_catalog)
     gamma_time: float = 2000.0
     gamma_pay: float = 1.0
     total_rows: float = 1000.0

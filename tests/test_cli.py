@@ -142,6 +142,41 @@ class TestParser:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+class TestSharedParser:
+    """``main`` parses every call with one parser; nothing one call
+    parses may reach the next."""
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_scenario_falls_back_to_its_default(self, capsys):
+        assert main(["solve", "--scenario", "complete"]) == 0
+        assert capsys.readouterr().out.startswith("scenario: complete-hetero\n")
+        assert main(["solve"]) == 0
+        assert capsys.readouterr().out.startswith("scenario: incomplete-hetero\n")
+
+    def test_reps_falls_back_to_the_spec(self, capsys):
+        assert main(["experiment", "fig7", "--reps", "2"]) == 0
+        assert "# replications = 2\n" in capsys.readouterr().out
+        assert main(["experiment", "fig4"]) == 0
+        assert "# replications = 200\n" in capsys.readouterr().out
+
+    def test_rejected_command_line_leaves_the_next_one_intact(
+        self, monkeypatch, capsys
+    ):
+        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+        monkeypatch.syspath_prepend(str(perfbench))
+        from workloads import REFERENCE, same_output
+
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "fig9"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["verify"]) == 0
+        expected = (REFERENCE / "verify.txt").read_text(encoding="utf-8")
+        assert same_output(capsys.readouterr().out, expected)
+
+
 class TestSolve:
     def test_incomplete_default(self, capsys):
         assert main(["solve"]) == 0
@@ -556,8 +591,13 @@ class TestSimulate:
         assert "integer total row count" in capsys.readouterr().err
 
     def test_zero_reps_exits_2(self, hetero_cfg, capsys):
-        assert main(["simulate", "--config", hetero_cfg, "--reps", "0"]) == 2
-        capsys.readouterr()
+        # --reps is simulate's round count; fig7's replications setting
+        # is left alone, so the round check is the one that reports.
+        for reps in ("0", "-1"):
+            assert main(["simulate", "--config", hetero_cfg, "--reps", reps]) == 2
+            assert capsys.readouterr().err == (
+                "configuration error: simulate needs at least one round\n"
+            )
 
     def test_ill_conditioned_code_exits_3(
         self, cost_only_cfg, plant_ill_conditioned_parity, capsys
@@ -658,6 +698,13 @@ class TestExperiment:
         out = capsys.readouterr().out
         assert "N,targeted_complete,targeted_incomplete," in out
         assert out.endswith("\n")
+
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_nonpositive_reps_exits_2(self, capsys, reps):
+        assert main(["experiment", "fig7", "--reps", reps]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: replications must be a positive integer\n"
+        )
 
     def test_seed_and_reps_override_metadata(self, tmp_path, capsys):
         path = tmp_path / "sweep.cfg"

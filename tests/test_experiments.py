@@ -114,6 +114,19 @@ class TestDefaultCatalog:
         assert sum(counts) == 1404
         assert set(counts) == {140, 141}
 
+    def test_default_specs_share_one_read_only_catalog(self, tmp_path):
+        shared = ExperimentSpec().population
+        assert ExperimentSpec().population is shared
+        assert shared == default_population(1400)
+        with pytest.raises(ValueError):
+            shared.counts[0] = 1.0
+        path = tmp_path / "catalog.cfg"
+        path.write_text("seed = 3\n")
+        assert load_config(str(path)).population is not shared
+        # The shared catalog is no cache of default_population(total).
+        with pytest.raises(ValueError):
+            default_population(1400.0)
+
     def test_custom_counts(self):
         types = default_worker_types([1] * 10)
         assert [t.count for t in types] == [1] * 10
