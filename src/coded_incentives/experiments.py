@@ -30,6 +30,7 @@ from .mechanisms import (
     solve_incomplete,
 )
 from .numerics import _largest_remainder
+from .runtime import expected_runtimes_hetero
 from .workers import (
     PerformanceProfile,
     Population,
@@ -286,10 +287,8 @@ class ResultTable:
         row at 17 significant digits."""
         lines = [f"# {key} = {value}" for key, value in self.metadata.items()]
         lines.append(",".join(self.columns))
-        lines.extend(
-            ",".join(format(value, ".17g") for value in row)
-            for row in self.rows
-        )
+        template = ",".join(["%.17g"] * len(self.columns))
+        lines.extend(template % row for row in self.rows)
         return "\n".join(lines) + "\n"
 
 
@@ -385,16 +384,28 @@ def run_fig7(spec: ExperimentSpec) -> ResultTable:
         realized = np.random.default_rng(
             np.random.SeedSequence([spec.seed, total])
         ).multinomial(total, probs, size=spec.replications).astype(float)
+        thresholds, runtimes, rewards = _private_offers(realized, pop, cfg)
+        # A replicate whose informed threshold is the committed one already
+        # has the committed prefix's runtime.  Only the others are priced
+        # anew; they include every empty committed prefix, since the
+        # informed prefix always has workers.
+        committed_thresholds = np.full(spec.replications, committed.threshold_type)
+        committed_runtimes = np.array(runtimes)
+        moved = np.flatnonzero(thresholds != committed.threshold_type)
+        if moved.size:
+            committed_runtimes[moved] = expected_runtimes_hetero(
+                realized[moved], pop, committed_thresholds[moved], cfg.total_rows
+            )
         committed_costs = np.array(
             _prefix_costs(
                 realized,
-                np.full(spec.replications, committed.threshold_type),
+                committed_thresholds,
                 [committed.rewards[m] for m in pop.ids],
                 pop,
                 cfg,
+                committed_runtimes.tolist(),
             )
         )
-        thresholds, runtimes, rewards = _private_offers(realized, pop, cfg)
         informed_costs = np.array(
             _prefix_costs(realized, thresholds, rewards, pop, cfg, runtimes)
         )

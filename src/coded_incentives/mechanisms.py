@@ -295,7 +295,7 @@ def _prefix_costs(
     if runtimes is None:
         runtimes = expected_runtimes_hetero(counts, pop, thresholds, cfg.total_rows)
     with np.errstate(over="ignore"):
-        paid = (counts * rewards).tolist()
+        paid = counts * rewards
     try:
         payments = row_fsums(paid, thresholds)
     except OverflowError:  # math.fsum's intermediate overflow

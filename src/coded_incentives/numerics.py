@@ -11,7 +11,9 @@ Three quantities recur in the runtime and mechanism formulas:
 * ``harmonic``: partial sums of the harmonic series, which give the
   expectation of exponential order statistics.
 
-``row_fsums`` and ``_largest_remainder`` sum and round batched rows.
+``row_fsums`` sums each row of a batched array up to its own length,
+cutting the rows to their prefixes so that only ``math.fsum`` loops in
+Python, and ``_largest_remainder`` rounds batched rows.
 The root search is Brent's method in pure Python, so the package needs
 only NumPy.
 """
@@ -176,12 +178,22 @@ def harmonic(n: int) -> float:
     return math.fsum(1.0 / i for i in range(1, n + 1))
 
 
-def row_fsums(
-    values: Sequence[Sequence[float]], lengths: Sequence[int]
-) -> list[float]:
+def row_fsums(values: np.ndarray, lengths: Sequence[int]) -> list[float]:
     """Correctly rounded sum of the first ``lengths[r]`` entries of each
-    row ``r`` of the ``(R, M)`` nested list ``values``."""
-    return [math.fsum(row[:n]) for row, n in zip(values, lengths)]
+    row ``r`` of the ``(R, M)`` array ``values``.
+
+    The rows are cut to the longest prefix and each row's entries past
+    its own length become ``-0.0``, so one ``math.fsum`` per row does
+    all the per-row work.  The padding is exact: ``x + -0.0`` is ``x``
+    for every ``x``, ``-0.0`` included, and ``math.fsum`` still raises
+    ``OverflowError`` when a row's finite terms sum past the float
+    range.  Entries past a row's length, NaN and infinities included,
+    never reach its sum.
+    """
+    lengths = np.asarray(lengths)
+    width = int(lengths.max(initial=0))
+    head = np.where(np.arange(width) < lengths[:, None], values[:, :width], -0.0)
+    return list(map(math.fsum, head.tolist()))
 
 
 def _largest_remainder(values: np.ndarray, totals: np.ndarray | int) -> np.ndarray:

@@ -106,7 +106,7 @@ def _group_throughputs(
     per type) of each ``(R, M)`` counts row's first ``lengths[r]``
     types over ``pop``'s types, checked by :func:`_checked_groups`."""
     with np.errstate(over="ignore"):
-        rates = (counts * pop.throughput).tolist()
+        rates = counts * pop.throughput
     try:
         groups = row_fsums(rates, lengths)
     except OverflowError:  # math.fsum of finite rates past the float range

@@ -94,8 +94,10 @@ class Population:
     def __post_init__(self):
         columns = [np.array(getattr(self, name), dtype=float) for name in _COLUMNS]
         for name, column in zip(_COLUMNS, columns):
+            # A view of a read-only array cannot be made writeable again;
+            # the owning copy itself could be.
             column.flags.writeable = False
-            object.__setattr__(self, name, column)
+            object.__setattr__(self, name, column.view())
         if {c.shape for c in columns} != {(columns[0].size,)}:
             raise ValueError("population columns must be aligned 1-D arrays")
         if not self.ratio.size:

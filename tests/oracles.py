@@ -116,6 +116,12 @@ def order_statistic_mc(
     return float(kth.mean()), float(kth.std(ddof=1) / math.sqrt(reps))
 
 
+def row_fsums_oracle(values: np.ndarray, lengths) -> list[float]:
+    """Correctly rounded sum of each row's first ``lengths[r]`` entries,
+    one slice and one ``math.fsum`` per row."""
+    return [math.fsum(row[:n]) for row, n in zip(values.tolist(), lengths)]
+
+
 def prefix_cost_oracle(pop, threshold: int, rewards, cfg) -> float | None:
     """Platform cost of paying ``pop``'s prefix ``1..threshold`` the
     per-type ``rewards`` (indexed by id - 1), with runtime rows over the

@@ -120,6 +120,10 @@ class TestDefaultCatalog:
         assert shared == default_population(1400)
         with pytest.raises(ValueError):
             shared.counts[0] = 1.0
+        # No caller can make a shared column writeable again.
+        for name in workers._COLUMNS:
+            with pytest.raises(ValueError):
+                getattr(shared, name).flags.writeable = True
         path = tmp_path / "catalog.cfg"
         path.write_text("seed = 3\n")
         assert load_config(str(path)).population is not shared
@@ -266,6 +270,21 @@ class TestResultTable:
             ResultTable(
                 columns=("N", "value"), rows=((1.0, 2.0), (2.0, bad)), metadata={}
             )
+
+    @pytest.mark.parametrize("width", [1, 2, 7])
+    def test_csv_rows_match_per_value_formatting(self, width):
+        values = [-0.0, 5e-324, 1e308, 0.1, 1.0 / 3.0, 0.0, 100.0, -7.0, 2.0**53]
+        rows = tuple(
+            tuple(values[(start + j) % len(values)] for j in range(width))
+            for start in range(len(values))
+        )
+        table = ResultTable(
+            columns=tuple(f"c{j}" for j in range(width)), rows=rows, metadata={}
+        )
+        body = table.to_csv().split("\n")[1:-1]
+        assert body == [
+            ",".join(format(value, ".17g") for value in row) for row in rows
+        ]
 
     def test_csv_layout_and_precision(self):
         table = ResultTable(
@@ -473,6 +492,26 @@ def _fig7_pricing(monkeypatch, spec):
     run_fig7(spec)
     monkeypatch.undo()
     return list(zip(counts_seen, costs_seen[0::2], costs_seen[1::2]))
+
+
+def test_fig7_committed_costs_reuse_only_matching_runtimes(monkeypatch):
+    # At N = 2100 the committed offer targets type 1, and 42 of the 200
+    # informed offers target a longer prefix: both kinds of replicate
+    # must price as the committed offer priced on its own.
+    spec = ExperimentSpec(name="fig7", n_sweep=(2100,))
+    pop, cfg = spec.population, spec.platform_config()
+    [(realized, committed_costs, _)] = _fig7_pricing(monkeypatch, spec)
+    committed = solve_incomplete(pop.with_counts(apportion(2100, spec.weights())), cfg)
+    moved = _private_offers(realized, pop, cfg)[0] != committed.threshold_type
+    assert 0 < moved.sum() < spec.replications
+    alone = _prefix_costs(
+        realized,
+        np.full(spec.replications, committed.threshold_type),
+        [committed.rewards[m] for m in pop.ids],
+        pop,
+        cfg,
+    )
+    assert [c.hex() for c in committed_costs] == [c.hex() for c in alone]
 
 
 def test_fig7_replicates_are_prefixes_of_a_larger_run(monkeypatch):

@@ -9,9 +9,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coded_incentives import IterationError, harmonic, mds_alpha, solve_lambda
+from coded_incentives import (
+    IterationError,
+    NumericalError,
+    PlatformConfig,
+    WorkerType,
+    build_population,
+    harmonic,
+    mds_alpha,
+    solve_lambda,
+)
 from coded_incentives import numerics
-from oracles import alpha_objective, alpha_oracle, harmonic_oracle, lambda_oracle
+from coded_incentives.mechanisms import _prefix_costs
+from coded_incentives.runtime import _group_throughputs
+from oracles import (
+    alpha_objective,
+    alpha_oracle,
+    harmonic_oracle,
+    lambda_oracle,
+    row_fsums_oracle,
+)
 
 BENCHMARK_PARAMS = (
     (50.0, 0.012),
@@ -199,3 +216,77 @@ class TestHarmonic:
     def test_rejects_non_integer(self):
         with pytest.raises(ValueError):
             harmonic(2.5)
+
+
+def _signed_magnitudes(rng, shape):
+    """Random signs times magnitudes log-uniform over 1e-300..1e300."""
+    signs = rng.choice([-1.0, 1.0], size=shape)
+    return signs * 10.0 ** rng.uniform(-300, 300, size=shape)
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestRowFsums:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 10), (200, 1), (200, 10), (7, 1000)])
+    def test_mixed_and_equal_lengths_match_the_slice_loop(self, shape):
+        rows, width = shape
+        rng = np.random.default_rng(shape)
+        values = _signed_magnitudes(rng, shape)
+        mixed = rng.integers(1, width + 1, size=rows)
+        # Every equal length up to 12 columns; twelve spread over 1..M beyond.
+        equal = np.unique(np.linspace(1, width, min(width, 12)).astype(int))
+        for lengths in [mixed, *(np.full(rows, n) for n in equal)]:
+            assert _bits(numerics.row_fsums(values, lengths)) == _bits(
+                row_fsums_oracle(values, lengths)
+            )
+
+    def test_entries_past_a_row_length_are_ignored(self):
+        rng = np.random.default_rng(21)
+        values = _signed_magnitudes(rng, (200, 10))
+        lengths = rng.integers(1, 10, size=200)
+        past = np.arange(10) >= lengths[:, None]
+        values[past] = rng.choice([np.inf, -np.inf, np.nan], size=past.sum())
+        # A negative-zero prefix stays whatever zeros pad it.
+        values[0, : lengths[0]] = -0.0
+        got = numerics.row_fsums(values, lengths)
+        assert all(map(math.isfinite, got))
+        assert _bits(got) == _bits(row_fsums_oracle(values, lengths))
+
+    def test_finite_overflow_raises_like_the_slice_loop(self):
+        values = np.array([[1.0, 2.0, 3.0], [1e308, 1e308, -1e308]])
+        lengths = [2, 3]
+        with pytest.raises(OverflowError):
+            row_fsums_oracle(values, lengths)
+        with pytest.raises(OverflowError):
+            numerics.row_fsums(values, lengths)
+        # Cut before the second 1e308, the same row sums.
+        assert numerics.row_fsums(values, [2, 1]) == [3.0, 1e308]
+
+    def test_batched_group_throughputs_overflow_is_numerical_error(self):
+        # Each type's throughput is about 3.2e299, so 5e8 workers give
+        # finite per-type rates (1.6e308) whose sum is not.
+        pop = build_population(
+            [
+                WorkerType(id=0, cost_rate=1.0, speed=1e300, startup=1e-300, count=1)
+                for _ in range(2)
+            ]
+        )
+        counts = np.array([[1.0, 1.0], [5e8, 5e8]])
+        assert math.isfinite(_group_throughputs(counts, pop, [2, 1])[1])
+        with pytest.raises(NumericalError, match="throughput overflows"):
+            _group_throughputs(counts, pop, [2, 2])
+
+    def test_batched_prefix_costs_overflow_is_numerical_error(self):
+        pop = build_population(
+            [WorkerType(0, 1.0, 50.0, 0.012, 1), WorkerType(0, 2.0, 60.0, 0.02, 1)]
+        )
+        cfg = PlatformConfig(gamma_time=50.0, gamma_pay=1.0, total_rows=100.0)
+        counts = np.ones((2, 2))
+        rewards = [1e308, 1e308]
+        assert all(
+            map(math.isfinite, _prefix_costs(counts, np.array([1, 1]), rewards, pop, cfg))
+        )
+        with pytest.raises(NumericalError, match="platform cost overflows"):
+            _prefix_costs(counts, np.array([1, 2]), rewards, pop, cfg)

@@ -141,6 +141,8 @@ class TestBuildPopulation:
         for name in COLUMNS:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(pop, name)[0] = 1.0
+            with pytest.raises(ValueError):
+                getattr(pop, name).flags.writeable = True
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(pop, name, np.ones(2))
 
