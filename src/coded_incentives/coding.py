@@ -59,6 +59,9 @@ _SPOT_CHECKS = 5
 # stream, so a round's realisation does not depend on them.
 _PROBES = 4
 _PROBE_SEED = 0
+# Parity rows drawn and reduced at a time.  A round holds one block of
+# full-width rows (0.5 MB at 1,000 rows) rather than all of them.
+_PARITY_BLOCK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,6 +269,15 @@ def _held_slots(
     return slots[first + np.arange(lengths.sum())]
 
 
+def _whole_rows(loads: Sequence[float]) -> np.ndarray:
+    """``integerize_loads`` as an array of whole-number floats."""
+    values = np.array(loads, dtype=float)
+    if not np.all(np.isfinite(values) & (values >= 0)):
+        raise ValueError("loads must be finite and nonnegative")
+    total = math.ceil(math.fsum(values.tolist()))
+    return _largest_remainder(values, total)
+
+
 def integerize_loads(loads: Sequence[float]) -> list[int]:
     """Round fractional row loads to whole rows.
 
@@ -273,11 +285,45 @@ def integerize_loads(loads: Sequence[float]) -> list[int]:
     fractional parts one extra row each (ties to the lower index), so
     no coverage is lost to rounding.
     """
-    values = np.array(loads, dtype=float)
-    if not np.all(np.isfinite(values) & (values >= 0)):
-        raise ValueError("loads must be finite and nonnegative")
-    total = math.ceil(math.fsum(values.tolist()))
-    return [int(v) for v in _largest_remainder(values, total).tolist()]
+    return [int(v) for v in _whole_rows(loads).tolist()]
+
+
+def _parity_system(
+    rng: np.random.Generator,
+    count: int,
+    source: np.ndarray,
+    vector: np.ndarray,
+    known: np.ndarray,
+    decoded: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``count`` parity rows and return their share of the decode:
+    the rows' entries in the missing (not ``known``) columns, and their
+    received results ``(row @ source) @ vector`` less the known entries'
+    share ``row[known] @ decoded[known]``.
+
+    The rows are drawn ``_PARITY_BLOCK`` at a time into one reused
+    block, so a round never holds all of them at full width.  Filling a
+    block with ``random`` and scaling it by ``2 * r - 1`` reproduces
+    ``rng.uniform(-1, 1)`` bit for bit from the same stream position.
+    """
+    missing = np.flatnonzero(~known)
+    share = decoded[known]
+    square = np.empty((count, missing.size))
+    rhs = np.empty(count)
+    block = np.empty((min(count, _PARITY_BLOCK), known.size))
+    for start in range(0, count, _PARITY_BLOCK):
+        stop = min(start + _PARITY_BLOCK, count)
+        parity = block[: stop - start]
+        rng.random(out=parity)
+        parity *= 2.0
+        parity -= 1.0
+        # mode="clip" writes straight into ``out``; the indices are valid.
+        np.take(parity, missing, axis=1, out=square[start:stop], mode="clip")
+        # The mask gather is column-major, and BLAS sums a column-major
+        # product in its own order: a one-block draw matches a one-shot
+        # draw bit for bit only through the same gather.
+        rhs[start:stop] = (parity @ source) @ vector - parity[:, known] @ share
+    return square, rhs
 
 
 def simulate_round(
@@ -354,7 +400,7 @@ def simulate_round(
                 f"no load assigned to participating types {missing}"
             )
         type_loads = [mech.assignment.loads[m] for m in participants]
-        loads = np.array(integerize_loads(np.repeat(type_loads, counts)))
+        loads = _whole_rows(np.repeat(type_loads, counts)).astype(int)
         if loads.sum() < rows:
             raise InfeasibleError(
                 f"participators cover {loads.sum()} rows, need {rows}"
@@ -384,21 +430,19 @@ def simulate_round(
             # as many parity slots as missing entries.  The square decode
             # reads only the first of them, so the rest are drawn only if
             # it is refused.  The package uses only NumPy's BLAS.
-            def system(parity):
-                # The missing entries' columns, and the received results
-                # less the arrived entries' share.
-                received = (parity @ source) @ vector
-                return parity[:, ~known], received - parity[:, known] @ decoded[known]
+            def system(count):
+                return _parity_system(rng, count, source, vector, known, decoded)
 
-            parity = rng.uniform(-1.0, 1.0, (unknowns, rows))
+            square, received = system(unknowns)
             try:
-                decoded[~known] = _decode_received(*system(parity))
+                decoded[~known] = _decode_received(square, received)
             except NumericalError:
                 if parity_rows == unknowns:
                     raise
-                extra = rng.uniform(-1.0, 1.0, (parity_rows - unknowns, rows))
+                extra, extra_received = system(parity_rows - unknowns)
                 decoded[~known] = _decode_least_squares(
-                    *system(np.vstack([parity, extra]))
+                    np.vstack([square, extra]),
+                    np.concatenate([received, extra_received]),
                 )
     if not np.isfinite(decoded).all():
         raise NumericalError("the product overflows, so the decode is not finite")

@@ -27,27 +27,27 @@ def benchmark_config() -> PlatformConfig:
 @pytest.fixture()
 def plant_ill_conditioned_parity(monkeypatch):
     """``plant(columns)`` makes every later ``np.random.default_rng``
-    generator set each row it draws from ``uniform`` with ``columns``
-    entries, after the first such row, to that first row up to 1e-8.  A
-    round over a ``columns``-row matrix then gets parity rows within
-    1e-8 of one row, in its square block and in the rows its
-    least-squares fallback draws, a system of condition number about
-    1e9 whichever of them the decode reads."""
+    generator set each row it draws from ``random`` with ``columns``
+    entries, after the first such row, to that first row plus 0.5e-8
+    times its own draw.  Parity rows are ``2 * random - 1``, so a round
+    over a ``columns``-row matrix then gets parity rows within 1e-8 of
+    one row, in its square block and in the rows its least-squares
+    fallback draws, a system of condition number about 1e9 whichever of
+    them the decode reads."""
 
     def plant(columns: int):
         class Planted(np.random.Generator):
             first = None
 
-            def uniform(self, low=0.0, high=1.0, size=None):
-                out = super().uniform(low, high, size)
-                shape = size if isinstance(size, tuple) else ()
-                if shape[1:] == (columns,):
+            def random(self, size=None, dtype=np.float64, out=None):
+                drawn = super().random(size, dtype, out)
+                if np.ndim(drawn) == 2 and drawn.shape[1] == columns:
                     if self.first is None:
-                        self.first = out[0].copy()
-                        out[1:] = self.first + 1e-8 * out[1:]
+                        self.first = drawn[0].copy()
+                        drawn[1:] = self.first + 0.5e-8 * drawn[1:]
                     else:
-                        out[:] = self.first + 1e-8 * out
-                return out
+                        drawn[:] = self.first + 0.5e-8 * drawn
+                return drawn
 
         monkeypatch.setattr(
             np.random,

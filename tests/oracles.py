@@ -272,6 +272,15 @@ def integerize_oracle(loads) -> list[int]:
     return base
 
 
+def parity_system_oracle(rng, count, source, vector, known, decoded):
+    """A round's parity system as one draw: ``count`` parity rows
+    uniform on (-1, 1) at once, their missing (not ``known``) columns,
+    and their received results less the known entries' share."""
+    parity = rng.uniform(-1.0, 1.0, (count, known.size))
+    received = (parity @ source) @ vector
+    return parity[:, ~known], received - parity[:, known] @ decoded[known]
+
+
 def cost_only_threshold_oracle(pop, cfg) -> int:
     """Cost-only threshold type by a plain prefix scan: the first
     populated prefix with the least ``(gamma_time + gamma_pay * boundary

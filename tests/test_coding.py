@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,12 +38,15 @@ from coded_incentives import (
 )
 from coded_incentives.coding import (
     _DECODE_COND_LIMIT,
+    _PARITY_BLOCK,
     _decode_least_squares,
     _decode_received,
     _held_slots,
+    _parity_system,
+    _whole_rows,
 )
 from coded_incentives.experiments import DEFAULT_TYPE_PARAMS
-from oracles import integerize_oracle
+from oracles import integerize_oracle, parity_system_oracle
 
 
 def _gaussian_generator(n, k):
@@ -189,7 +193,10 @@ class TestIntegerizeLoads:
     @example([0.5, 0.5, 0.5, 0.5, 0.5])
     @example([0.0, 2.25, 0.0, 1.25, 0.25])
     def test_matches_scalar_oracle(self, loads):
-        assert integerize_loads(loads) == integerize_oracle(loads)
+        expected = integerize_oracle(loads)
+        assert integerize_loads(loads) == expected
+        # The array form a round deals its slots from.
+        assert _whole_rows(loads).astype(int).tolist() == expected
 
 
 def _hetero_offer(pop, loads, rows, rewards, gamma_time=3.0, gamma_pay=2.0):
@@ -582,6 +589,104 @@ class TestLeastSquaresFallback:
             simulate_round(mech, pop, A, x, 119975)
         assert refused == [(258, 258)]
         assert solved == []
+
+
+class TestParitySystem:
+    """A round draws its parity rows ``_PARITY_BLOCK`` at a time; the
+    system must be the one a single draw of every row builds."""
+
+    @staticmethod
+    def _inputs(rows, known_share=0.75):
+        rng = np.random.default_rng(rows)
+        source = rng.standard_normal((rows, 4))
+        vector = rng.standard_normal(4)
+        known = rng.random(rows) < known_share
+        decoded = np.where(known, source @ vector, np.nan)
+        return source, vector, known, decoded
+
+    @staticmethod
+    def _assert_same_system(got, expected, one_block):
+        (square, rhs), (square_ref, rhs_ref) = got, expected
+        assert square.shape == square_ref.shape
+        assert np.array_equal(square.view(np.uint64), square_ref.view(np.uint64))
+        if one_block:
+            assert np.array_equal(rhs.view(np.uint64), rhs_ref.view(np.uint64))
+        scale = float(np.max(np.abs(rhs_ref)))
+        assert np.max(np.abs(rhs - rhs_ref)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("rows", [12, 1000])
+    @pytest.mark.parametrize("count", [1, 63, 64, 65, 250])
+    def test_matches_one_shot_draw(self, rows, count):
+        source, vector, known, decoded = self._inputs(rows)
+        blocked, one_shot = np.random.default_rng(7), np.random.default_rng(7)
+        self._assert_same_system(
+            _parity_system(blocked, count, source, vector, known, decoded),
+            parity_system_oracle(one_shot, count, source, vector, known, decoded),
+            one_block=count <= _PARITY_BLOCK,
+        )
+        # Both leave the stream at the same position.
+        assert blocked.random() == one_shot.random()
+
+    @pytest.mark.parametrize("known_share", [0.0, 1.0])
+    def test_no_known_or_no_missing_entry(self, known_share):
+        source, vector, known, decoded = self._inputs(12, known_share)
+        self._assert_same_system(
+            _parity_system(
+                np.random.default_rng(7), 5, source, vector, known, decoded
+            ),
+            parity_system_oracle(
+                np.random.default_rng(7), 5, source, vector, known, decoded
+            ),
+            one_block=True,
+        )
+
+    def test_fallback_rows_continue_the_stream(self):
+        # The least-squares fallback draws its extra rows after the
+        # square block's: together they are one draw of every row.
+        source, vector, known, decoded = self._inputs(1000)
+        rng = np.random.default_rng(7)
+        first = _parity_system(rng, 250, source, vector, known, decoded)
+        extra = _parity_system(rng, 3, source, vector, known, decoded)
+        self._assert_same_system(
+            (np.vstack([first[0], extra[0]]), np.concatenate([first[1], extra[1]])),
+            parity_system_oracle(
+                np.random.default_rng(7), 253, source, vector, known, decoded
+            ),
+            one_block=False,
+        )
+
+    def test_scaled_random_is_uniform_bit_for_bit(self):
+        for seed in range(2000):
+            shape = (1 + seed % 7, 1 + seed % 61)
+            scaled = np.random.default_rng(seed).random(shape)
+            scaled *= 2.0
+            scaled -= 1.0
+            uniform = np.random.default_rng(seed).uniform(-1.0, 1.0, shape)
+            assert np.array_equal(scaled.view(np.uint64), uniform.view(np.uint64))
+
+    def test_anchor_round_at_4000_rows_stays_small(self):
+        # Drawing every parity row at once held ~1000 rows of 4000
+        # entries plus two gathers of them, a ~60 MiB peak; one block at
+        # a time leaves the ~8 MiB square block as the largest array.
+        pop = default_population(1400)
+        cfg = PlatformConfig(gamma_time=2000.0, gamma_pay=1.0, total_rows=4000.0)
+        mech = solve_incomplete(pop, cfg)
+        rng = np.random.default_rng(0)
+        A = rng.standard_normal((4000, 4))
+        x = rng.standard_normal(4)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            outcome = simulate_round(mech, pop, A, x, 1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 20 * 2**20
+        assert outcome.max_error <= 1e-8 * max(1.0, float(np.max(np.abs(A @ x))))
 
 
 class TestDecodeReceived:
