@@ -49,7 +49,6 @@ from .game import (
     WorkerDecision,
     best_response,
     verify_ir_ic,
-    worker_payoff,
 )
 from .mechanisms import (
     SCENARIO_COMPLETE,
@@ -123,7 +122,6 @@ __all__ = [
     "platform_cost",
     "WorkerDecision",
     "ComplianceReport",
-    "worker_payoff",
     "best_response",
     "verify_ir_ic",
     "CodedTask",

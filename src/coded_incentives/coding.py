@@ -6,13 +6,13 @@ of that source row and the rest are dense parity rows with entries
 uniform on (-1, 1), dealt to the workers after one seeded shuffle.  The
 systematic rows that arrive are entries of the product as they are;
 only the entries that did not arrive are solved for, from as many
-received parity rows, or by least squares from every received parity
-row when that square block is refused, with the realized conditioning
-checked before the result is returned rather than assumed.  The scheme
-sets only the loads and the stopping rule: equal loads of
-``ceil(rows / k)`` rows up to the k-th finisher under the uniform
-scheme, the offer's rounded loads up to the first finishers covering
-the output under heterogeneous loads.
+received parity rows, or, when that square block is refused, by least
+squares from every received parity row through its QR-reduced square
+factor.  Either square system passes one conditioning check before the
+result is returned rather than assumed.  The scheme sets only the loads
+and the stopping rule: equal loads of ``ceil(rows / k)`` rows up to the
+k-th finisher under the uniform scheme, the offer's rounded loads up to
+the first finishers covering the output under heterogeneous loads.
 ``simulate_round`` ties the code to a platform offer: workers join by
 best response, times are sampled from their runtime model, the
 platform decodes at the earliest decodable prefix of finishers and
@@ -229,28 +229,22 @@ def _decode_received(square: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _decode_least_squares(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the tall consistent system ``system @ y = rhs`` by least
-    squares.
+    """Solve the tall consistent system ``system @ y = rhs`` through its
+    QR factor: ``r @ y = q.T @ rhs`` is decoded by ``_decode_received``.
 
-    The condition number is the ratio of the extreme singular values
-    ``lstsq`` returns.  One beyond ``_DECODE_COND_LIMIT``, or a residual
-    beyond 1e-8 times the largest right-hand side (at least 1), raises
-    NumericalError rather than return a wrong decode.
+    Since |S|_F = |R|_F and |S^+|_F = |R^-1|_F, the guard's estimate for
+    R is its estimate for the tall S, and it bounds S's 2-norm condition
+    number the same way.  A residual beyond 1e-8 times the largest
+    right-hand side (at least 1) also raises NumericalError.
     """
-    try:
-        solved, _, _, singular = np.linalg.lstsq(system, rhs, rcond=None)
-    except np.linalg.LinAlgError:
-        cond = residual = math.inf
-    else:
-        smallest = float(singular[-1])
-        cond = float(singular[0]) / smallest if smallest > 0 else math.inf
-        residual = float(np.max(np.abs(system @ solved - rhs)))
+    q, r = np.linalg.qr(system)
+    solved = _decode_received(r, q.T @ rhs)
+    residual = float(np.max(np.abs(system @ solved - rhs)))
     scale = max(1.0, float(np.max(np.abs(rhs))))
-    if not (cond <= _DECODE_COND_LIMIT and residual <= 1e-8 * scale):
+    if not residual <= 1e-8 * scale:
         raise NumericalError(
-            "the coded rows to decode from are rank-deficient, "
-            f"ill-conditioned or inconsistent (condition {cond:.3g}, "
-            f"residual {residual:.3g})"
+            "the coded rows to decode from are inconsistent "
+            f"(residual {residual:.3g})"
         )
     return solved
 
@@ -348,12 +342,12 @@ def simulate_round(
     the u missing entries are solved from the first u received parity
     rows, a u-by-u system whose conditioning is verified first.  If that
     block is refused and p > u parity rows arrived, the remaining p - u
-    are drawn and the p-by-u system is solved by least squares, checked
-    the same way.  Finish times are drawn before the shuffle and the
-    parity rows, so the race, its contributors and the costs of a seeded
-    round do not depend on the code.  Workers are paid the announced
-    reward of their reported type; a worker rounded down to zero rows is
-    paid but does not compute.
+    are drawn and the p-by-u system is solved by least squares through
+    its u-by-u QR factor under the same check.  Finish times are drawn
+    before the shuffle and the parity rows, so the race, its
+    contributors and the costs of a seeded round do not depend on the
+    code.  Workers are paid the announced reward of their reported type;
+    a worker rounded down to zero rows is paid but does not compute.
     """
     source = np.asarray(A, dtype=float)
     vector = np.asarray(x, dtype=float)

@@ -23,7 +23,6 @@ from .workers import Population
 __all__ = [
     "WorkerDecision",
     "ComplianceReport",
-    "worker_payoff",
     "best_response",
     "verify_ir_ic",
 ]
@@ -104,25 +103,6 @@ class ComplianceReport:
                     f"  type {true_id} gains {gain:.6g} claiming type {reported}"
                 )
         return "\n".join(lines)
-
-
-def worker_payoff(
-    true_m: int, reported: int, mech: Mechanism, pop: Population
-) -> float:
-    """Expected payoff of a worker of type ``true_m`` reporting
-    ``reported``: entry ``reported`` of ``true_m``'s row of the offer's
-    payoff table (see :func:`_report_table`).
-
-    Misreporting is impossible when the platform already observes all
-    worker parameters, so the complete-information scenario only
-    accepts truthful reports.
-    """
-    if not (1 <= true_m <= pop.size and 1 <= reported <= pop.size):
-        raise ValueError(f"unknown type id among {true_m}, {reported}")
-    if mech.scenario == SCENARIO_COMPLETE and reported != true_m:
-        raise ValueError("misreporting is not possible under complete information")
-    payoffs, _ = _offer_table(mech, pop, slice(true_m - 1, true_m))
-    return payoffs[0, reported - 1].item()
 
 
 def _report_table(

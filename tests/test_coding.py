@@ -363,6 +363,20 @@ def _anchor_round():
     return solve_incomplete(pop, cfg), pop, A, x
 
 
+def _cost_only_anchor_round():
+    """The anchor task under a cost-only offer: the catalog's cost rates
+    on one shared runtime (speed 50, startup 0.012), 140 workers each."""
+    types = [
+        WorkerType(id=i + 1, cost_rate=cost, speed=50.0, startup=0.012, count=140)
+        for i, (cost, _, _) in enumerate(DEFAULT_TYPE_PARAMS)
+    ]
+    cfg = PlatformConfig(gamma_time=2000.0, gamma_pay=1.0, total_rows=1000.0)
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((1000, 4))
+    x = rng.standard_normal(4)
+    return solve_cost_only(types, cfg), build_population(types), A, x
+
+
 class TestSeededRoundPinned:
     """What a seeded heterogeneous round realizes besides its decode.
 
@@ -580,6 +594,20 @@ class TestLeastSquaresFallback:
         scale = max(1.0, float(np.max(np.abs(A @ x))))
         assert outcome.max_error <= 1e-8 * scale
 
+    @pytest.mark.parametrize(
+        "seed, unknowns, parity_rows", [(106290, 402, 418), (111630, 410, 426)]
+    )
+    def test_refused_uniform_block_decodes_from_every_parity_row(
+        self, monkeypatch, seed, unknowns, parity_rows
+    ):
+        refused, solved = self._record_decodes(monkeypatch)
+        mech, pop, A, x = _cost_only_anchor_round()
+        outcome = simulate_round(mech, pop, A, x, seed)
+        assert refused == [(unknowns, unknowns)]
+        assert solved == [(parity_rows, unknowns)]
+        scale = max(1.0, float(np.max(np.abs(A @ x))))
+        assert outcome.max_error <= 1e-8 * scale
+
     def test_no_extra_parity_row_still_refused(self, monkeypatch):
         # At seed 119975 exactly 258 parity rows arrived for 258 missing
         # entries, so no other row can stand in.
@@ -719,9 +747,9 @@ class TestDecodeReceived:
             _decode_received(code, code @ product)
 
     @staticmethod
-    def _conditioned(cond):
+    def _conditioned(cond, rows=40):
         rng = np.random.default_rng(4)
-        left, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        left, _ = np.linalg.qr(rng.standard_normal((rows, 40)))
         right, _ = np.linalg.qr(rng.standard_normal((40, 40)))
         return (left * np.geomspace(1.0, 1.0 / cond, 40)) @ right
 
@@ -742,11 +770,22 @@ class TestDecodeReceived:
         decoded = _decode_least_squares(code, received)
         assert np.max(np.abs(decoded - product)) <= 1e-8
 
-    @pytest.mark.parametrize("bad", ["duplicated column", math.nan, math.inf])
+    def test_least_squares_condition_within_limit_decodes(self):
+        code = self._conditioned(1e-3 * _DECODE_COND_LIMIT, rows=43)
+        decoded = _decode_least_squares(code, code @ np.ones(40))
+        assert np.max(np.abs(decoded - 1.0)) <= 1e-3
+
+    @pytest.mark.parametrize(
+        "bad", ["duplicated column", "ill-conditioned", math.nan, math.inf]
+    )
     def test_least_squares_refuses(self, bad):
         code, received, product = self._system(43, 40)
         if bad == "duplicated column":
             code[:, 17] = code[:, 5]
+            received = code @ product
+        elif bad == "ill-conditioned":
+            code = self._conditioned(100.0 * _DECODE_COND_LIMIT, rows=43)
+            assert _DECODE_COND_LIMIT < np.linalg.cond(code)
             received = code @ product
         else:
             received[3] = bad

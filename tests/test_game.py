@@ -20,7 +20,6 @@ from coded_incentives import (
     solve_cost_only,
     solve_incomplete,
     verify_ir_ic,
-    worker_payoff,
 )
 from coded_incentives import game, simulate_round
 from coded_incentives.game import _best_payoffs
@@ -54,39 +53,6 @@ def _offer(pop, rewards, scenario, cfg=None):
         expected_cost=0.0,
         config=cfg,
     )
-
-
-class TestWorkerPayoff:
-    def test_reward_minus_cost(self, benchmark_population, benchmark_config):
-        mech = solve_incomplete(benchmark_population, benchmark_config)
-        for m in benchmark_population.ids:
-            worker, _ = benchmark_population.member(m)
-            expected = mech.rewards[m] - worker.cost_rate * mech.expected_runtime
-            assert worker_payoff(m, m, mech, benchmark_population) == expected
-
-    def test_misreport_uses_reported_reward_and_true_cost(
-        self, benchmark_population, benchmark_config
-    ):
-        mech = solve_incomplete(benchmark_population, benchmark_config)
-        worker, _ = benchmark_population.member(4)
-        value = worker_payoff(4, 2, mech, benchmark_population)
-        assert value == mech.rewards[2] - worker.cost_rate * mech.expected_runtime
-
-    def test_complete_information_rejects_misreports(
-        self, benchmark_population, benchmark_config
-    ):
-        mech = solve_complete(benchmark_population, benchmark_config)
-        with pytest.raises(ValueError):
-            worker_payoff(2, 1, mech, benchmark_population)
-        # Truthful reports remain fine.
-        assert worker_payoff(2, 2, mech, benchmark_population) == pytest.approx(0.0)
-
-    def test_unknown_ids_rejected(self, benchmark_population, benchmark_config):
-        mech = solve_incomplete(benchmark_population, benchmark_config)
-        with pytest.raises(ValueError):
-            worker_payoff(0, 1, mech, benchmark_population)
-        with pytest.raises(ValueError):
-            worker_payoff(1, 99, mech, benchmark_population)
 
 
 class TestBestResponse:
@@ -134,7 +100,8 @@ class TestBestResponse:
                 if not feasible:
                     assert not decision.participate
                     continue
-                best = max(worker_payoff(m, r, mech, pop) for r in feasible)
+                cost = pop.member(m)[0].cost_rate * mech.expected_runtime
+                best = max(mech.rewards[r] - cost for r in feasible)
                 if best < 0:
                     assert not decision.participate
                     assert decision.expected_payoff == 0.0
