@@ -88,22 +88,24 @@ def build_parser() -> argparse.ArgumentParser:
             "are private and all types share runtime parameters)"
         ),
     )
+    # Each subcommand carries its handler as ``args.run``.
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser(
         "solve",
         parents=[common, scenario],
         help="compute a platform offer and print it",
-    )
+    ).set_defaults(run=cmd_solve)
     sub.add_parser(
         "verify",
         parents=[common, scenario],
         help="machine-check an offer's worker incentives",
-    )
+    ).set_defaults(run=cmd_verify)
     sim = sub.add_parser(
         "simulate",
         parents=[common, scenario],
         help="play seeded computation rounds end to end (default 1)",
     )
+    sim.set_defaults(run=cmd_simulate)
     sim.add_argument("--reps", type=int, help="number of rounds (default 1)")
     sim.add_argument(
         "--matrix",
@@ -126,12 +128,14 @@ def build_parser() -> argparse.ArgumentParser:
             "straggler"
         ),
     )
+    demo.set_defaults(run=cmd_encode_demo)
     demo.add_argument("--out", help=out_help)
     exp = sub.add_parser(
         "experiment",
         parents=[common],
         help="run a worker-count sweep and emit CSV",
     )
+    exp.set_defaults(run=cmd_experiment)
     exp.add_argument("--reps", type=int, help="replications per fig7 point")
     exp.add_argument(
         "name",
@@ -287,15 +291,8 @@ def cmd_experiment(args: argparse.Namespace) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    commands = {
-        "solve": cmd_solve,
-        "verify": cmd_verify,
-        "simulate": cmd_simulate,
-        "encode-demo": cmd_encode_demo,
-        "experiment": cmd_experiment,
-    }
     try:
-        text = commands[args.command](args)
+        text = args.run(args)
         if not text.endswith("\n"):
             text += "\n"
         if args.out:

@@ -4,6 +4,13 @@ The command line maps these to exit codes: configuration errors exit
 with 2, numerical failures with 3, infeasible instances with 4.
 """
 
+__all__ = [
+    "ConfigurationError",
+    "InfeasibleError",
+    "NumericalError",
+    "IterationError",
+]
+
 
 class ConfigurationError(ValueError):
     """Invalid configuration input: bad file contents, unknown keys,

@@ -28,6 +28,9 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-9
+# Entries of one (rows, M, M) report table _best_payoffs builds at a time
+# (32 MiB of payoffs): the bundled ten types price any sweep in one pass.
+_TABLE_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,8 +184,15 @@ def _best_payoffs(
 ) -> np.ndarray:
     """:func:`best_response`'s payoff for every type under each row of
     batched private-cost offers (see :func:`_report_table`), ``(R, M)``."""
-    payoffs, feasible = _report_table(thresholds, runtimes, rewards, pop, False)
-    best = np.where(feasible, payoffs, -np.inf).max(axis=2)
+    best = np.empty(rewards.shape)
+    step = max(1, _TABLE_ENTRIES // pop.size**2)
+    for start in range(0, len(best), step):
+        rows = slice(start, start + step)
+        payoffs, feasible = _report_table(
+            thresholds[rows], runtimes[rows], rewards[rows], pop, False
+        )
+        payoffs[~feasible] = -np.inf
+        best[rows] = payoffs.max(axis=2)
     return np.where(best >= 0, best, 0.0)
 
 

@@ -32,7 +32,6 @@ __all__ = [
     "solve_lambda",
     "mds_alpha",
     "harmonic",
-    "row_fsums",
 ]
 
 

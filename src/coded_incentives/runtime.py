@@ -33,7 +33,6 @@ __all__ = [
     "assign_loads_hetero",
     "expected_runtime_hetero",
     "expected_runtime_mds",
-    "expected_runtimes_hetero",
     "monte_carlo_runtime",
 ]
 

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from coded_incentives import (
     ComplianceReport,
+    ExperimentSpec,
     Mechanism,
     PlatformConfig,
     WorkerType,
@@ -22,7 +25,8 @@ from coded_incentives import (
     verify_ir_ic,
 )
 from coded_incentives import game, simulate_round
-from coded_incentives.game import _best_payoffs
+from coded_incentives.experiments import _apportion_rows
+from coded_incentives.game import _best_payoffs, _report_table
 from coded_incentives.mechanisms import _private_offers
 from conftest import random_cost_only_instance, random_hetero_instance
 from oracles import best_response_oracle, compliance_rows_oracle
@@ -125,6 +129,52 @@ class TestBestResponse:
                 assert [v.hex() for v in payoffs.tolist()] == [
                     v.hex() for v in expected
                 ]
+
+    def test_row_blocks_match_one_pass(self, monkeypatch):
+        pop = _two_class_population()
+        cfg = PlatformConfig(gamma_time=500.0, gamma_pay=1.0, total_rows=200.0)
+        counts = _apportion_rows(list(range(3, 60, 4)), [1.0, 2.0, 1.0])
+        offers = _private_offers(counts, pop, cfg)
+        payoffs, feasible = _report_table(*offers, pop, False)
+        best = np.where(feasible, payoffs, -np.inf).max(axis=2)
+        one_pass = np.where(best >= 0, best, 0.0)
+        # Two offer rows per block: the last block holds one row.
+        monkeypatch.setattr(game, "_TABLE_ENTRIES", 2 * pop.size**2)
+        assert len(counts) % 2 == 1
+        assert _bits(_best_payoffs(*offers, pop).ravel().tolist()) == _bits(
+            one_pass.ravel().tolist()
+        )
+
+    def test_thousand_type_sweep_stays_within_memory(self):
+        # The 1000-type catalog of CI's sweep step at the default 50
+        # points; a one-pass table of it held ~800 MiB.
+        rng = np.random.default_rng(2026)
+        columns = (
+            rng.uniform(1, 20, 1000),
+            rng.uniform(10, 400, 1000),
+            rng.uniform(0.01, 0.05, 1000),
+        )
+        spec = ExperimentSpec(
+            population=build_population(
+                WorkerType(id=0, cost_rate=c, speed=v, startup=a, count=5)
+                for c, v, a in zip(*(column.tolist() for column in columns))
+            )
+        )
+        counts = _apportion_rows(spec.n_sweep, spec.weights())
+        offers = _private_offers(counts, spec.population, spec.platform_config())
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            payoffs = _best_payoffs(*offers, spec.population)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert payoffs.shape == (50, 1000)
+        assert peak < 100 * 2**20
 
     def test_tie_prefers_truthful_report(self):
         pop = _two_class_population()
