@@ -10,8 +10,6 @@ model in actual erasure-coded linear algebra, and reproduces the
 benchmark sweeps from the command line.
 """
 
-from importlib.metadata import PackageNotFoundError, version
-
 from . import coding, errors, experiments, game, mechanisms, numerics, runtime, workers
 from .coding import *
 from .errors import *
@@ -22,10 +20,7 @@ from .numerics import *
 from .runtime import *
 from .workers import *
 
-try:
-    __version__ = version("coded-incentives")
-except PackageNotFoundError:
-    __version__ = "0+unknown"
+__version__ = "0.1.0"
 
 __all__ = ["__version__"]
 __all__ += errors.__all__

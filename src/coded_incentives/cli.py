@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from dataclasses import replace
-from statistics import fmean
 
 import numpy as np
 
@@ -247,9 +247,8 @@ def cmd_simulate(args: argparse.Namespace) -> str:
             f"decode error {outcome.max_error:.3g}, realized cost "
             f"{outcome.platform_cost_realized:.6g}"
         )
-    lines.append(
-        f"mean realized cost over {reps} round(s): {fmean(costs):.6g}"
-    )
+    mean_cost = math.fsum(costs) / reps
+    lines.append(f"mean realized cost over {reps} round(s): {mean_cost:.6g}")
     lines.append(f"announced expected cost: {mech.expected_cost:.6g}")
     return "\n".join(lines)
 

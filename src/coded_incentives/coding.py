@@ -59,6 +59,8 @@ _SPOT_CHECKS = 5
 # stream, so a round's realisation does not depend on them.
 _PROBES = 4
 _PROBE_SEED = 0
+_probe_table = np.empty((0, _PROBES))
+_probe_table.flags.writeable = False
 # Parity rows drawn and reduced at a time.  A round holds one block of
 # full-width rows (0.5 MB at 1,000 rows) rather than all of them.
 _PARITY_BLOCK = 64
@@ -194,6 +196,25 @@ def mds_decode(
     return products.reshape(-1)[: task.source_rows]
 
 
+def _probes(unknowns: int) -> np.ndarray:
+    """The guard's probes for a system of ``unknowns`` rows, bit for bit
+    ``default_rng(_PROBE_SEED).standard_normal((unknowns, _PROBES))``.
+
+    They are the leading rows of one read-only table: a prefix of a
+    longer draw is the shorter draw, so the table is redrawn, at the
+    larger size, only when a larger system arrives.
+    """
+    global _probe_table
+    table = _probe_table
+    if table.shape[0] < unknowns:
+        table = np.random.default_rng(_PROBE_SEED).standard_normal(
+            (unknowns, _PROBES)
+        )
+        table.flags.writeable = False
+        _probe_table = table
+    return table[:unknowns]
+
+
 def _decode_received(square: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the square system ``square @ y = rhs`` for ``y``; ``rhs`` is
     a vector or a matrix of right-hand sides.
@@ -208,11 +229,10 @@ def _decode_received(square: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """
     unknowns = square.shape[0]
     width = rhs.size // unknowns
-    probes = np.random.default_rng(_PROBE_SEED).standard_normal(
-        (unknowns, _PROBES)
-    )
     try:
-        solved = np.linalg.solve(square, np.column_stack([rhs, probes]))
+        solved = np.linalg.solve(
+            square, np.column_stack([rhs, _probes(unknowns)])
+        )
     except np.linalg.LinAlgError:
         cond = math.inf
     else:
@@ -293,7 +313,7 @@ def _parity_system(
     """Draw ``count`` parity rows and return their share of the decode:
     the rows' entries in the missing (not ``known``) columns, and their
     received results ``(row @ source) @ vector`` less the known entries'
-    share ``row[known] @ decoded[known]``.
+    share, one product ``row @ where(known, decoded, 0)`` over the row.
 
     The rows are drawn ``_PARITY_BLOCK`` at a time into one reused
     block, so a round never holds all of them at full width.  Filling a
@@ -301,7 +321,9 @@ def _parity_system(
     ``rng.uniform(-1, 1)`` bit for bit from the same stream position.
     """
     missing = np.flatnonzero(~known)
-    share = decoded[known]
+    # The missing entries of ``decoded`` are uninitialised, so they are
+    # zeroed by ``where`` rather than by a product with the mask.
+    known_values = np.where(known, decoded, 0.0)
     square = np.empty((count, missing.size))
     rhs = np.empty(count)
     block = np.empty((min(count, _PARITY_BLOCK), known.size))
@@ -313,10 +335,7 @@ def _parity_system(
         parity -= 1.0
         # mode="clip" writes straight into ``out``; the indices are valid.
         np.take(parity, missing, axis=1, out=square[start:stop], mode="clip")
-        # The mask gather is column-major, and BLAS sums a column-major
-        # product in its own order: a one-block draw matches a one-shot
-        # draw bit for bit only through the same gather.
-        rhs[start:stop] = (parity @ source) @ vector - parity[:, known] @ share
+        rhs[start:stop] = (parity @ source) @ vector - parity @ known_values
     return square, rhs
 
 

@@ -275,10 +275,11 @@ def integerize_oracle(loads) -> list[int]:
 def parity_system_oracle(rng, count, source, vector, known, decoded):
     """A round's parity system as one draw: ``count`` parity rows
     uniform on (-1, 1) at once, their missing (not ``known``) columns,
-    and their received results less the known entries' share."""
+    and their received results less the known entries' share, one
+    product over each whole row with the missing entries zeroed."""
     parity = rng.uniform(-1.0, 1.0, (count, known.size))
     received = (parity @ source) @ vector
-    return parity[:, ~known], received - parity[:, known] @ decoded[known]
+    return parity[:, ~known], received - parity @ np.where(known, decoded, 0.0)
 
 
 def cost_only_threshold_oracle(pop, cfg) -> int:

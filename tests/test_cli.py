@@ -760,6 +760,31 @@ class TestWithoutScipy:
             assert (code, text) == (0, capsys.readouterr().out)
 
 
+# Prints the modules that importing the CLI adds in a fresh interpreter;
+# whatever the interpreter's site hooks loaded before does not count.
+COLD_IMPORT = """
+import json, sys
+before = set(sys.modules)
+import coded_incentives.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+class TestColdStart:
+    def test_cli_import_loads_neither_metadata_nor_statistics(self):
+        # ``importlib.metadata``'s version lookup scans sys.path, and
+        # ``statistics`` pulls in ``fractions`` and ``decimal``; a fresh
+        # CLI call needs neither.
+        child = subprocess.run(
+            [sys.executable, "-c", COLD_IMPORT],
+            capture_output=True, text=True, timeout=120, env=CHILD_ENV,
+        )
+        assert child.returncode == 0, child.stderr
+        added = set(json.loads(child.stdout))
+        assert "coded_incentives.cli" in added
+        assert not added & {"importlib.metadata", "statistics"}
+
+
 class TestConsoleScript:
     def test_python_m(self):
         result = subprocess.run(

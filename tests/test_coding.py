@@ -39,10 +39,13 @@ from coded_incentives import (
 from coded_incentives.coding import (
     _DECODE_COND_LIMIT,
     _PARITY_BLOCK,
+    _PROBE_SEED,
+    _PROBES,
     _decode_least_squares,
     _decode_received,
     _held_slots,
     _parity_system,
+    _probes,
     _whole_rows,
 )
 from coded_incentives.experiments import DEFAULT_TYPE_PARAMS
@@ -647,13 +650,18 @@ class TestParitySystem:
     def test_matches_one_shot_draw(self, rows, count):
         source, vector, known, decoded = self._inputs(rows)
         blocked, one_shot = np.random.default_rng(7), np.random.default_rng(7)
+        square, rhs = _parity_system(blocked, count, source, vector, known, decoded)
         self._assert_same_system(
-            _parity_system(blocked, count, source, vector, known, decoded),
+            (square, rhs),
             parity_system_oracle(one_shot, count, source, vector, known, decoded),
             one_block=count <= _PARITY_BLOCK,
         )
         # Both leave the stream at the same position.
         assert blocked.random() == one_shot.random()
+        # Less the known share, a parity row's result is its missing
+        # columns times the product's missing entries.
+        expected = square @ (source @ vector)[~known]
+        assert np.max(np.abs(rhs - expected)) <= 1e-12 * np.max(np.abs(rhs))
 
     @pytest.mark.parametrize("known_share", [0.0, 1.0])
     def test_no_known_or_no_missing_entry(self, known_share):
@@ -718,6 +726,20 @@ class TestParitySystem:
 
 
 class TestDecodeReceived:
+    def test_probes_are_a_fresh_draw_of_their_size(self, monkeypatch):
+        # Start from an empty table, so each size below is drawn or cut
+        # in the order given: 251 after 40 redraws, 12 after 251 cuts.
+        monkeypatch.setattr(coding, "_probe_table", np.empty((0, _PROBES)))
+        for unknowns in [1, 40, 251, 12, 251]:
+            probes = _probes(unknowns)
+            fresh = np.random.default_rng(_PROBE_SEED).standard_normal(
+                (unknowns, _PROBES)
+            )
+            assert np.array_equal(probes.view(np.uint64), fresh.view(np.uint64))
+            assert not probes.flags.writeable
+            assert not coding._probe_table.flags.writeable
+        assert coding._probe_table.shape == (251, _PROBES)
+
     def _system(self, rows, unknowns, seed=3):
         rng = np.random.default_rng(seed)
         code = rng.standard_normal((rows, unknowns))
@@ -826,7 +848,7 @@ class TestSimulateRoundMds:
         assert [v.hex() for v in outcome.decoded.tolist()] == [
             "0x1.9e68a740e9457p-4",
             "0x1.2d4b3dbbaad8fp-1",
-            "-0x1.ccc42119ccee9p-2",
+            "-0x1.ccc42119ccee4p-2",
             "0x1.4464c18bd1e66p+0",
             "-0x1.82711476cc1d4p-1",
             "-0x1.1e52b490aca19p-1",
@@ -863,17 +885,17 @@ class TestSimulateRoundMds:
         )
         assert outcome.platform_cost_realized.hex() == "0x1.df2e1f6a4105ep+3"
         assert [v.hex() for v in outcome.decoded.tolist()] == [
-            "0x1.9e68a740e943bp-4",
-            "0x1.2d4b3dbbaad93p-1",
-            "-0x1.ccc42119ccedep-2",
+            "0x1.9e68a740e9443p-4",
+            "0x1.2d4b3dbbaad97p-1",
+            "-0x1.ccc42119ccee2p-2",
             "0x1.4464c18bd1e66p+0",
-            "-0x1.82711476cc1d1p-1",
-            "-0x1.1e52b490aca15p-1",
+            "-0x1.82711476cc1d3p-1",
+            "-0x1.1e52b490aca13p-1",
             "-0x1.0f8256633ccd4p+1",
             "-0x1.31c9cdaf8d573p+0",
-            "-0x1.0afc86867e2f5p-1",
-            "0x1.e12ec640da80ep-2",
-            "0x1.944364859db54p-7",
+            "-0x1.0afc86867e2f3p-1",
+            "0x1.e12ec640da814p-2",
+            "0x1.944364859db86p-7",
             "-0x1.22c8acf24d065p-1",
         ]
 
