@@ -237,9 +237,11 @@ def cmd_simulate(args: argparse.Namespace) -> str:
     lines = []
     costs = []
     for i in range(reps):
-        outcome = simulate_round(
-            mech, spec.population, matrix, vector, seed=spec.seed + i
-        )
+        seed = spec.seed + i
+        try:
+            outcome = simulate_round(mech, spec.population, matrix, vector, seed)
+        except (ConfigurationError, InfeasibleError, NumericalError) as exc:
+            raise type(exc)(f"round {i} (seed {seed}): {exc}") from exc
         costs.append(outcome.platform_cost_realized)
         lines.append(
             f"round {i}: runtime {outcome.runtime:.6g}, used "

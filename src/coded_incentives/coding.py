@@ -6,13 +6,12 @@ of that source row and the rest are dense parity rows with entries
 uniform on (-1, 1), dealt to the workers after one seeded shuffle.  The
 systematic rows that arrive are entries of the product as they are;
 only the entries that did not arrive are solved for, from as many
-received parity rows, or, when that square block is refused, by least
-squares from every received parity row through its QR-reduced square
-factor.  Either square system passes one conditioning check before the
-result is returned rather than assumed.  The scheme sets only the loads
-and the stopping rule: equal loads of ``ceil(rows / k)`` rows up to the
-k-th finisher under the uniform scheme, the offer's rounded loads up to
-the first finishers covering the output under heterogeneous loads.
+received parity rows.  That square block passes a conditioning check
+before the result is returned rather than assumed.  The scheme sets
+only the loads and the stopping rule: equal loads of ``ceil(rows / k)``
+rows up to the k-th finisher under the uniform scheme, the offer's
+rounded loads up to the first finishers covering the output under
+heterogeneous loads.
 ``simulate_round`` ties the code to a platform offer: workers join by
 best response, times are sampled from their runtime model, the
 platform decodes at the earliest decodable prefix of finishers and
@@ -51,7 +50,7 @@ __all__ = [
 
 # A round promises max|decoded - Ax| <= 1e-8 * max(1, |Ax|_inf).
 # An LU solve errs by about eps times the block's condition number, so a
-# block whose condition estimate exceeds 1e-8 / eps could miss that promise.
+# block whose condition number exceeds 1e-8 / eps could miss that promise.
 _DECODE_COND_LIMIT = 1e-8 / np.finfo(float).eps
 _SPOT_CHECKS = 5
 # Fixed Gaussian probe vectors the decode solves alongside the received
@@ -222,51 +221,41 @@ def _decode_received(square: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     The LU factorization of ``square`` also solves a few fixed Gaussian
     probes z, and since E|B^-1 z|^2 = |B^-1|_F^2 for a square B, |B|_F
     times the root mean square of |B^-1 z| estimates the Frobenius
-    condition number, which is at least the 2-norm one.  An exactly
-    singular block, or an estimate beyond ``_DECODE_COND_LIMIT`` (a
-    block whose solve could miss the round's 1e-8 accuracy), raises
-    NumericalError rather than return a wrong decode.
+    condition number, which is at least the 2-norm one.  A block the
+    estimate accepts is solved.  One it refuses gets a second opinion,
+    the exact 2-norm condition number from an SVD: on dense uniform
+    blocks the estimate overstates it 8-10x.  An exactly singular block,
+    or one whose estimate and 2-norm condition number both exceed
+    ``_DECODE_COND_LIMIT`` (a block whose solve could miss the round's
+    1e-8 accuracy), raises NumericalError rather than return a wrong
+    decode.
     """
     unknowns = square.shape[0]
     width = rhs.size // unknowns
+    judged_by, cond = "condition estimate", math.inf
     try:
         solved = np.linalg.solve(
             square, np.column_stack([rhs, _probes(unknowns)])
         )
     except np.linalg.LinAlgError:
-        cond = math.inf
+        pass
     else:
         # A nearly singular block overflows here; inf or NaN fails the guard.
         with np.errstate(over="ignore", invalid="ignore"):
             mean_square = np.mean(np.sum(solved[:, width:] ** 2, axis=0))
             cond = float(np.linalg.norm(square)) * math.sqrt(mean_square)
+        if not cond <= _DECODE_COND_LIMIT:
+            judged_by = "2-norm condition number"
+            try:
+                cond = float(np.linalg.cond(square))
+            except np.linalg.LinAlgError:
+                cond = math.inf
     if not cond <= _DECODE_COND_LIMIT:
         raise NumericalError(
             "the coded rows to decode from are rank-deficient or "
-            f"ill-conditioned (condition estimate {cond:.3g})"
+            f"ill-conditioned ({judged_by} {cond:.3g})"
         )
     return solved[:, :width].reshape(rhs.shape)
-
-
-def _decode_least_squares(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the tall consistent system ``system @ y = rhs`` through its
-    QR factor: ``r @ y = q.T @ rhs`` is decoded by ``_decode_received``.
-
-    Since |S|_F = |R|_F and |S^+|_F = |R^-1|_F, the guard's estimate for
-    R is its estimate for the tall S, and it bounds S's 2-norm condition
-    number the same way.  A residual beyond 1e-8 times the largest
-    right-hand side (at least 1) also raises NumericalError.
-    """
-    q, r = np.linalg.qr(system)
-    solved = _decode_received(r, q.T @ rhs)
-    residual = float(np.max(np.abs(system @ solved - rhs)))
-    scale = max(1.0, float(np.max(np.abs(rhs))))
-    if not residual <= 1e-8 * scale:
-        raise NumericalError(
-            "the coded rows to decode from are inconsistent "
-            f"(residual {residual:.3g})"
-        )
-    return solved
 
 
 def _held_slots(
@@ -359,13 +348,10 @@ def simulate_round(
     source rows or parity rows with entries uniform on (-1, 1), shuffled
     over the workers; arrived systematic rows fill their entries, and
     the u missing entries are solved from the first u received parity
-    rows, a u-by-u system whose conditioning is verified first.  If that
-    block is refused and p > u parity rows arrived, the remaining p - u
-    are drawn and the p-by-u system is solved by least squares through
-    its u-by-u QR factor under the same check.  Finish times are drawn
-    before the shuffle and the parity rows, so the race, its
-    contributors and the costs of a seeded round do not depend on the
-    code.  Workers are paid the announced reward of their reported type;
+    rows, a u-by-u system whose conditioning is verified first.  Finish
+    times are drawn before the shuffle and the parity rows, so the race,
+    its contributors and the costs of a seeded round do not depend on
+    the code.  Workers are paid the announced reward of their reported type;
     a worker rounded down to zero rows is paid but does not compute.
     """
     source = np.asarray(A, dtype=float)
@@ -434,29 +420,17 @@ def simulate_round(
     known = np.zeros(rows, dtype=bool)
     known[arrived] = True
     unknowns = rows - arrived.size
-    parity_rows = held.size - arrived.size
     # Finite input can still overflow here; the decode is checked below.
     with np.errstate(over="ignore", invalid="ignore"):
         decoded[arrived] = source[arrived] @ vector
         if unknowns:
             # The contributors hold at least rows coded slots, so at least
-            # as many parity slots as missing entries.  The square decode
-            # reads only the first of them, so the rest are drawn only if
-            # it is refused.  The package uses only NumPy's BLAS.
-            def system(count):
-                return _parity_system(rng, count, source, vector, known, decoded)
-
-            square, received = system(unknowns)
-            try:
-                decoded[~known] = _decode_received(square, received)
-            except NumericalError:
-                if parity_rows == unknowns:
-                    raise
-                extra, extra_received = system(parity_rows - unknowns)
-                decoded[~known] = _decode_least_squares(
-                    np.vstack([square, extra]),
-                    np.concatenate([received, extra_received]),
-                )
+            # as many parity slots as missing entries; the decode reads
+            # the first of them.  The package uses only NumPy's BLAS.
+            square, received = _parity_system(
+                rng, unknowns, source, vector, known, decoded
+            )
+            decoded[~known] = _decode_received(square, received)
     if not np.isfinite(decoded).all():
         raise NumericalError("the product overflows, so the decode is not finite")
 

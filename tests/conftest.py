@@ -31,9 +31,8 @@ def plant_ill_conditioned_parity(monkeypatch):
     entries, after the first such row, to that first row plus 0.5e-8
     times its own draw.  Parity rows are ``2 * random - 1``, so a round
     over a ``columns``-row matrix then gets parity rows within 1e-8 of
-    one row, in its square block and in the rows its least-squares
-    fallback draws, a system of condition number about 1e9 whichever of
-    them the decode reads."""
+    one row: a square block of 2-norm condition number about 1e9, which
+    both the decode's estimate and its exact check refuse."""
 
     def plant(columns: int):
         class Planted(np.random.Generator):

@@ -609,7 +609,18 @@ class TestSimulate:
             main(["simulate", "--scenario", "cost-only", "--config", cost_only_cfg])
             == 3
         )
-        assert "numerical failure" in capsys.readouterr().err
+        assert "numerical failure: round 0 (seed 0): " in capsys.readouterr().err
+
+    def test_once_refused_round_decodes(self, capsys):
+        # The condition estimate refuses this round's 258x258 block; its
+        # 2-norm condition number, 5.07e6, is within the limit.
+        assert main(["simulate", "--seed", "119975"]) == 0
+        assert capsys.readouterr().out.startswith("round 0: ")
+        assert main(["simulate", "--seed", "119970", "--reps", "10"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[:-2]] == [
+            f"round {i}" for i in range(10)
+        ]
 
     def test_paper_anchor_cost_only_round_decodes(self, tmp_path, capsys):
         # The catalog's first three cost rates on one shared runtime, 140

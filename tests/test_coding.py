@@ -41,7 +41,6 @@ from coded_incentives.coding import (
     _PARITY_BLOCK,
     _PROBE_SEED,
     _PROBES,
-    _decode_least_squares,
     _decode_received,
     _held_slots,
     _parity_system,
@@ -452,6 +451,19 @@ class TestSeededRoundPinned:
         assert self._fingerprint(outcome) == digest
 
 
+def _record_cond(monkeypatch):
+    """Record the shape of each matrix ``np.linalg.cond`` is asked about."""
+    shapes = []
+    cond = np.linalg.cond
+
+    def recording(matrix, *args):
+        shapes.append(matrix.shape)
+        return cond(matrix, *args)
+
+    monkeypatch.setattr(np.linalg, "cond", recording)
+    return shapes
+
+
 def _record_held(monkeypatch):
     """Record each round's dealt slots, loads and the slots it received."""
     calls = []
@@ -563,63 +575,54 @@ class TestSystematicDecode:
             simulate_round(mech, pop, A, x, 5)
 
 
-class TestLeastSquaresFallback:
-    """Anchor rounds whose square parity block the guard refuses."""
-
-    @staticmethod
-    def _record_decodes(monkeypatch):
-        refused, solved = [], []
-        square, tall = coding._decode_received, coding._decode_least_squares
-
-        def recording_square(system, rhs):
-            try:
-                return square(system, rhs)
-            except NumericalError:
-                refused.append(system.shape)
-                raise
-
-        def recording_tall(system, rhs):
-            solved.append(system.shape)
-            return tall(system, rhs)
-
-        monkeypatch.setattr(coding, "_decode_received", recording_square)
-        monkeypatch.setattr(coding, "_decode_least_squares", recording_tall)
-        return refused, solved
-
-    def test_refused_block_decodes_from_every_parity_row(self, monkeypatch):
-        # At seed 119060 the 249 missing entries' square block is beyond
-        # the guard, but 251 parity rows arrived.
-        refused, solved = self._record_decodes(monkeypatch)
-        mech, pop, A, x = _anchor_round()
-        outcome = simulate_round(mech, pop, A, x, 119060)
-        assert refused == [(249, 249)]
-        assert solved == [(251, 249)]
-        scale = max(1.0, float(np.max(np.abs(A @ x))))
-        assert outcome.max_error <= 1e-8 * scale
+class TestOnceRefusedRounds:
+    """Anchor rounds whose square parity block the condition estimate
+    refuses.  The exact 2-norm condition number accepts each, so the
+    round decodes from that one block; the second opinion must not move
+    the pinned race and costs."""
 
     @pytest.mark.parametrize(
-        "seed, unknowns, parity_rows", [(106290, 402, 418), (111630, 410, 426)]
+        "offer, seed, unknowns, runtime, cost",
+        [
+            # Exactly 258 parity rows arrived for 258 missing entries.
+            ("anchor", 119975, 258, "0x1.eef3624b0f430p-4", "0x1.3eabe6b86e386p+9"),
+            ("anchor", 119060, 249, "0x1.f7c9ef1a8582ap-4", "0x1.40d448191496ep+9"),
+            ("cost-only", 106290, 402, "0x1.018848f904819p-3", "0x1.f80061f759f26p+8"),
+            ("cost-only", 111630, 410, "0x1.e77b484631c49p-4", "0x1.ea887cfe71d8ep+8"),
+        ],
+        ids=["anchor-119975", "anchor-119060", "cost-only-106290", "cost-only-111630"],
     )
-    def test_refused_uniform_block_decodes_from_every_parity_row(
-        self, monkeypatch, seed, unknowns, parity_rows
+    def test_decodes_from_the_square_block(
+        self, monkeypatch, offer, seed, unknowns, runtime, cost
     ):
-        refused, solved = self._record_decodes(monkeypatch)
-        mech, pop, A, x = _cost_only_anchor_round()
+        decodes = []
+        decode = coding._decode_received
+
+        def recording_decode(square, rhs):
+            decodes.append(square.shape)
+            return decode(square, rhs)
+
+        monkeypatch.setattr(coding, "_decode_received", recording_decode)
+        conds = _record_cond(monkeypatch)
+        build = _anchor_round if offer == "anchor" else _cost_only_anchor_round
+        mech, pop, A, x = build()
         outcome = simulate_round(mech, pop, A, x, seed)
-        assert refused == [(unknowns, unknowns)]
-        assert solved == [(parity_rows, unknowns)]
+        assert decodes == [(unknowns, unknowns)]
+        assert conds == [(unknowns, unknowns)]
         scale = max(1.0, float(np.max(np.abs(A @ x))))
         assert outcome.max_error <= 1e-8 * scale
+        assert outcome.runtime.hex() == runtime
+        assert outcome.platform_cost_realized.hex() == cost
 
-    def test_no_extra_parity_row_still_refused(self, monkeypatch):
-        # At seed 119975 exactly 258 parity rows arrived for 258 missing
-        # entries, so no other row can stand in.
-        refused, solved = self._record_decodes(monkeypatch)
+    def test_accepted_rounds_run_no_svd(self, monkeypatch):
+        def no_svd(*args):
+            raise AssertionError("an accepted block needs no second opinion")
+
+        monkeypatch.setattr(np.linalg, "cond", no_svd)
         mech, pop, A, x = _anchor_round()
-        with pytest.raises(NumericalError):
-            simulate_round(mech, pop, A, x, 119975)
-        assert refused == [(258, 258)]
-        assert solved == []
+        scale = max(1.0, float(np.max(np.abs(A @ x))))
+        for seed in range(50):
+            assert simulate_round(mech, pop, A, x, seed).max_error <= 1e-8 * scale
 
 
 class TestParitySystem:
@@ -674,21 +677,6 @@ class TestParitySystem:
                 np.random.default_rng(7), 5, source, vector, known, decoded
             ),
             one_block=True,
-        )
-
-    def test_fallback_rows_continue_the_stream(self):
-        # The least-squares fallback draws its extra rows after the
-        # square block's: together they are one draw of every row.
-        source, vector, known, decoded = self._inputs(1000)
-        rng = np.random.default_rng(7)
-        first = _parity_system(rng, 250, source, vector, known, decoded)
-        extra = _parity_system(rng, 3, source, vector, known, decoded)
-        self._assert_same_system(
-            (np.vstack([first[0], extra[0]]), np.concatenate([first[1], extra[1]])),
-            parity_system_oracle(
-                np.random.default_rng(7), 253, source, vector, known, decoded
-            ),
-            one_block=False,
         )
 
     def test_scaled_random_is_uniform_bit_for_bit(self):
@@ -786,33 +774,21 @@ class TestDecodeReceived:
         decoded = _decode_received(code.copy(), code @ np.ones(40))
         assert np.max(np.abs(decoded - 1.0)) <= 1e-3
 
-
-    def test_least_squares_decodes_tall_system(self):
-        code, received, product = self._system(43, 40)
-        decoded = _decode_least_squares(code, received)
-        assert np.max(np.abs(decoded - product)) <= 1e-8
-
-    def test_least_squares_condition_within_limit_decodes(self):
-        code = self._conditioned(1e-3 * _DECODE_COND_LIMIT, rows=43)
-        decoded = _decode_least_squares(code, code @ np.ones(40))
-        assert np.max(np.abs(decoded - 1.0)) <= 1e-3
-
-    @pytest.mark.parametrize(
-        "bad", ["duplicated column", "ill-conditioned", math.nan, math.inf]
-    )
-    def test_least_squares_refuses(self, bad):
-        code, received, product = self._system(43, 40)
-        if bad == "duplicated column":
-            code[:, 17] = code[:, 5]
-            received = code @ product
-        elif bad == "ill-conditioned":
-            code = self._conditioned(100.0 * _DECODE_COND_LIMIT, rows=43)
-            assert _DECODE_COND_LIMIT < np.linalg.cond(code)
-            received = code @ product
-        else:
-            received[3] = bad
-        with pytest.raises(NumericalError):
-            _decode_least_squares(code, received)
+    def test_estimate_refusal_overruled_by_2_norm(self, monkeypatch):
+        # 39 unit singular values and one of 2 / limit: the Frobenius
+        # condition number is about 3 times the limit, the 2-norm one
+        # half of it.
+        rng = np.random.default_rng(4)
+        left, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        right, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        code = (left * np.append(np.ones(39), 2.0 / _DECODE_COND_LIMIT)) @ right
+        assert np.linalg.cond(code) < _DECODE_COND_LIMIT
+        assert _DECODE_COND_LIMIT < np.linalg.cond(code, "fro")
+        conds = _record_cond(monkeypatch)
+        product = rng.standard_normal(40)
+        decoded = _decode_received(code, code @ product)
+        assert conds == [(40, 40)]
+        assert np.max(np.abs(decoded - product)) <= 1e-8 * np.max(np.abs(product))
 
 
 class TestSimulateRoundMds:
