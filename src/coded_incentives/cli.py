@@ -243,10 +243,11 @@ def cmd_simulate(args: argparse.Namespace) -> str:
         except (ConfigurationError, InfeasibleError, NumericalError) as exc:
             raise type(exc)(f"round {i} (seed {seed}): {exc}") from exc
         costs.append(outcome.platform_cost_realized)
+        error = outcome.max_error / max(1.0, float(np.max(np.abs(matrix @ vector))))
         lines.append(
             f"round {i}: runtime {outcome.runtime:.6g}, used "
             f"{outcome.realized_k} of {len(outcome.worker_types)} workers, "
-            f"decode error {outcome.max_error:.3g}, realized cost "
+            f"decode error {error:.3g} (relative), realized cost "
             f"{outcome.platform_cost_realized:.6g}"
         )
     mean_cost = math.fsum(costs) / reps

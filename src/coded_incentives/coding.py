@@ -6,18 +6,15 @@ of that source row and the rest are dense parity rows with entries
 uniform on (-1, 1), dealt to the workers after one seeded shuffle.  The
 systematic rows that arrive are entries of the product as they are;
 only the entries that did not arrive are solved for, from as many
-received parity rows.  That square block passes a conditioning check
-before the result is returned rather than assumed.  The scheme sets
-only the loads and the stopping rule: equal loads of ``ceil(rows / k)``
-rows up to the k-th finisher under the uniform scheme, the offer's
-rounded loads up to the first finishers covering the output under
-heterogeneous loads.
-``simulate_round`` ties the code to a platform offer: workers join by
-best response, times are sampled from their runtime model, the
-platform decodes at the earliest decodable prefix of finishers and
-pays the announced rewards.  ``mds_encode`` and ``mds_decode`` are the
-block-code form of the same idea: k equal blocks, a caller's (n, k)
-generator, and any k coded blocks solved for the block products.
+received parity rows, a square block whose conditioning is checked.
+``simulate_round`` plays a round under a platform offer as one function
+per stage: participation by best response (``_participation``), whole-row
+loads, where the schemes differ (``_round_loads``), the race of sampled
+finish times (``_race``), the decode from the first finishers holding
+enough rows (``_decode_round``), and payment of the announced rewards.
+``mds_encode`` and ``mds_decode`` are the block-code form of the same
+idea: k equal blocks, a caller's (n, k) generator, and any k coded
+blocks solved for the block products.
 """
 
 from __future__ import annotations
@@ -258,20 +255,6 @@ def _decode_received(square: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return solved[:, :width].reshape(rhs.shape)
 
 
-def _held_slots(
-    slots: np.ndarray, loads: np.ndarray, workers: Sequence[int]
-) -> np.ndarray:
-    """The coded slots ``workers`` hold, worker by worker in that order.
-
-    Slots are dealt in load order: with ``ends = cumsum(loads)``, worker
-    w holds ``slots[ends[w] - loads[w]:ends[w]]``.
-    """
-    ends = np.cumsum(loads)
-    lengths = loads[workers]
-    first = np.repeat(ends[workers] - np.cumsum(lengths), lengths)
-    return slots[first + np.arange(lengths.sum())]
-
-
 def _whole_rows(loads: Sequence[float]) -> np.ndarray:
     """``integerize_loads`` as an array of whole-number floats."""
     values = np.array(loads, dtype=float)
@@ -328,6 +311,84 @@ def _parity_system(
     return square, rhs
 
 
+def _participation(mech: Mechanism, pop: Population) -> tuple[np.ndarray, np.ndarray]:
+    """Each type's best response to the offer: the ids of the types with
+    workers that join, ascending, and the type each of them reports."""
+    decisions = [best_response(m, mech, pop) for m in pop.ids]
+    joins = np.array([d.participate for d in decisions]) & (pop.counts > 0)
+    if not joins.any():
+        raise InfeasibleError("no worker participates in this round")
+    reported = np.array([d.reported_type for d in decisions])
+    return np.flatnonzero(joins) + 1, reported[joins]
+
+
+def _round_loads(
+    mech: Mechanism, participants: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Each worker's whole rows, ``counts`` workers per participating
+    type in order, and the rows the finished workers must hold: under
+    the uniform scheme with recovery threshold k, ``ceil(rows / k)``
+    rows each and k workers' worth; under heterogeneous loads, each
+    offered load rounded to whole rows, and ``rows``."""
+    rows = int(mech.config.total_rows)
+    assignment = mech.assignment
+    if assignment.scheme == SCHEME_MDS:
+        threshold = assignment.recovery_threshold
+        n_workers = int(counts.sum())
+        if n_workers < threshold:
+            raise InfeasibleError(
+                f"{n_workers} participators cannot reach the recovery "
+                f"threshold {threshold}"
+            )
+        block_rows = -(-rows // threshold)  # ceil(rows / threshold)
+        return np.full(n_workers, block_rows), threshold * block_rows
+    missing = [m for m in participants.tolist() if m not in assignment.loads]
+    if missing:
+        raise InfeasibleError(f"no load assigned to participating types {missing}")
+    type_loads = [assignment.loads[m] for m in participants.tolist()]
+    loads = _whole_rows(np.repeat(type_loads, counts)).astype(int)
+    if loads.sum() < rows:
+        raise InfeasibleError(f"participators cover {loads.sum()} rows, need {rows}")
+    return loads, rows
+
+
+def _decode_round(
+    rng: np.random.Generator,
+    source: np.ndarray,
+    vector: np.ndarray,
+    loads: np.ndarray,
+    used: np.ndarray,
+) -> np.ndarray:
+    """``source @ vector`` decoded from the coded slots the workers
+    ``used`` marks hold.  Slot i < rows of the ``sum(loads)`` slots is
+    systematic (its worker computes ``source[i] @ vector``), the rest are
+    parity rows; one shuffle deals them in load order, so with ``ends =
+    cumsum(loads)`` worker w holds ``slots[ends[w] - loads[w]:ends[w]]``.
+    Arrived systematic slots fill their entries; the missing ones are
+    solved from as many parity rows, drawn after the shuffle."""
+    rows = source.shape[0]
+    held = rng.permutation(int(loads.sum()))[np.repeat(used, loads)]
+    arrived = held[held < rows]
+    decoded = np.empty(rows)
+    known = np.zeros(rows, dtype=bool)
+    known[arrived] = True
+    unknowns = rows - arrived.size
+    # Finite input can still overflow here; the decode is checked below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        decoded[arrived] = source[arrived] @ vector
+        if unknowns:
+            # The used workers hold at least rows coded slots, so at least
+            # as many parity slots as missing entries; the decode reads
+            # the first of them.
+            square, received = _parity_system(
+                rng, unknowns, source, vector, known, decoded
+            )
+            decoded[~known] = _decode_received(square, received)
+    if not np.isfinite(decoded).all():
+        raise NumericalError("the product overflows, so the decode is not finite")
+    return decoded
+
+
 def simulate_round(
     mech: Mechanism,
     pop: Population,
@@ -337,22 +398,16 @@ def simulate_round(
 ) -> SimOutcome:
     """Play one full computation round under a platform offer.
 
-    Participation follows each type's best response.  The scheme sets
-    only the loads and the stopping rule: under the uniform scheme with
-    recovery threshold k every participant computes ``ceil(rows / k)``
-    coded rows and the round ends at the k-th finisher; under
-    heterogeneous loads each worker's assigned rows are rounded to whole
-    rows and the round ends once finished workers hold as many coded
-    rows as the output has entries.  Either way the contributors hold at
-    least ``rows`` coded rows.  Those rows are systematic copies of
-    source rows or parity rows with entries uniform on (-1, 1), shuffled
-    over the workers; arrived systematic rows fill their entries, and
-    the u missing entries are solved from the first u received parity
-    rows, a u-by-u system whose conditioning is verified first.  Finish
-    times are drawn before the shuffle and the parity rows, so the race,
-    its contributors and the costs of a seeded round do not depend on
-    the code.  Workers are paid the announced reward of their reported type;
-    a worker rounded down to zero rows is paid but does not compute.
+    The round is the composition of its stages: ``_participation``, who
+    joins and what each type reports; ``_round_loads``, each worker's
+    whole rows and the rows needed; the race, ``sample_times`` and then
+    ``_race`` up to the first finishers holding those rows;
+    ``_decode_round``, the product from their coded rows; and
+    settlement, where each worker is paid its reported type's reward,
+    also a worker rounded down to zero rows, who does not compute.
+    Finish times are drawn before the shuffle and the parity rows, so
+    the race, its contributors and the costs of a seeded round do not
+    depend on the code.
     """
     source = np.asarray(A, dtype=float)
     vector = np.asarray(x, dtype=float)
@@ -365,81 +420,25 @@ def simulate_round(
     rows = source.shape[0]
     if rows != mech.config.total_rows:
         raise ConfigurationError(
-            f"matrix has {rows} rows but the offer covers "
-            f"{mech.config.total_rows}"
+            f"matrix has {rows} rows but the offer covers {mech.config.total_rows}"
         )
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
-    decisions = {m: best_response(m, mech, pop) for m in pop.ids}
-    participants = tuple(
-        m for m in pop.ids if decisions[m].participate and pop.counts[m - 1] > 0
-    )
-    if not participants:
-        raise InfeasibleError("no worker participates in this round")
-    index = np.array(participants) - 1
+    participants, reported = _participation(mech, pop)
+    index = participants - 1
     counts = pop.counts[index].astype(int)
-    worker_types = np.repeat(participants, counts)
-    n_workers = worker_types.size
-    startup = np.repeat(pop.startup[index], counts)
-    speed = np.repeat(pop.speed[index], counts)
-
-    if mech.assignment.scheme == SCHEME_MDS:
-        threshold = mech.assignment.recovery_threshold
-        if n_workers < threshold:
-            raise InfeasibleError(
-                f"{n_workers} participators cannot reach the recovery "
-                f"threshold {threshold}"
-            )
-        block_rows = -(-rows // threshold)  # ceil(rows / threshold)
-        loads = np.full(n_workers, block_rows)
-        need = threshold * block_rows
-    else:
-        missing = [m for m in participants if m not in mech.assignment.loads]
-        if missing:
-            raise InfeasibleError(
-                f"no load assigned to participating types {missing}"
-            )
-        type_loads = [mech.assignment.loads[m] for m in participants]
-        loads = _whole_rows(np.repeat(type_loads, counts)).astype(int)
-        if loads.sum() < rows:
-            raise InfeasibleError(
-                f"participators cover {loads.sum()} rows, need {rows}"
-            )
-        need = rows
+    loads, need = _round_loads(mech, participants, counts)
     # Workers with rows race until the finished ones hold the rows needed.
     racing = np.flatnonzero(loads)
-    times = sample_times((startup[racing], speed[racing]), loads[racing], rng)
+    of = np.repeat(index, counts)[racing]
+    times = sample_times((pop.startup[of], pop.speed[of]), loads[racing], rng)
     order, realized = _race(times, loads[racing], need)
-    contributors = racing[order[:realized]].tolist()
-    runtime = float(times[order[realized - 1]])
-    # Slot i < rows of the sum(loads) coded slots is systematic (its
-    # worker computes A[i]·x); the rest are parity rows.  The
-    # shuffle is drawn after the finish times, so it cannot move them.
-    held = _held_slots(rng.permutation(int(loads.sum())), loads, contributors)
-    arrived = held[held < rows]
-    decoded = np.empty(rows)
-    known = np.zeros(rows, dtype=bool)
-    known[arrived] = True
-    unknowns = rows - arrived.size
-    # Finite input can still overflow here; the decode is checked below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        decoded[arrived] = source[arrived] @ vector
-        if unknowns:
-            # The contributors hold at least rows coded slots, so at least
-            # as many parity slots as missing entries; the decode reads
-            # the first of them.  The package uses only NumPy's BLAS.
-            square, received = _parity_system(
-                rng, unknowns, source, vector, known, decoded
-            )
-            decoded[~known] = _decode_received(square, received)
-    if not np.isfinite(decoded).all():
-        raise NumericalError("the product overflows, so the decode is not finite")
-
+    contributors = racing[order[:realized]]
+    used = np.isin(np.arange(loads.size), contributors)
+    decoded = _decode_round(rng, source, vector, loads, used)
     # Each worker is paid the reward of its type's report and bears its
     # type's cost over the round, so both are computed once per type.
-    type_pay = np.array(
-        [mech.rewards.get(decisions[m].reported_type, 0.0) for m in participants],
-        dtype=float,
-    )
+    runtime = float(times[order[realized - 1]])
+    type_pay = np.array([mech.rewards.get(m, 0.0) for m in reported], dtype=float)
     payments = np.repeat(type_pay, counts).tolist()
     payoffs = np.repeat(type_pay - pop.cost_rate[index] * runtime, counts)
     cost = mech.config.gamma_time * runtime + mech.config.gamma_pay * math.fsum(
@@ -447,11 +446,11 @@ def simulate_round(
     )
     return SimOutcome(
         scheme=mech.assignment.scheme,
-        participants=participants,
-        worker_types=tuple(enumerate(worker_types.tolist())),
+        participants=tuple(participants.tolist()),
+        worker_types=tuple(enumerate(np.repeat(participants, counts).tolist())),
         finish_order=tuple(zip(racing[order].tolist(), times[order].tolist())),
-        contributors=tuple(contributors),
-        realized_k=len(contributors),
+        contributors=tuple(contributors.tolist()),
+        realized_k=realized,
         runtime=runtime,
         decoded=decoded,
         max_error=float(np.max(np.abs(decoded - source @ vector))),

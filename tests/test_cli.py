@@ -642,8 +642,10 @@ class TestSimulate:
         assert len(rounds) == 5
         for line in rounds:
             assert "used 254 of 420 workers" in line
-            error = float(line.split("decode error ")[1].split(",")[0])
-            assert error <= 1e-8
+            # The decode error is printed relative to max(1, |Ax|_inf).
+            error = line.split("decode error ")[1].split(",")[0]
+            assert error.endswith(" (relative)")
+            assert float(error.split()[0]) <= 1e-8
 
 
 # ``encode-demo``'s output, byte for byte.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
 import math
@@ -42,7 +43,6 @@ from coded_incentives.coding import (
     _PROBE_SEED,
     _PROBES,
     _decode_received,
-    _held_slots,
     _parity_system,
     _probes,
     _whole_rows,
@@ -318,7 +318,7 @@ class TestSimulateRoundHetero:
         A = np.ones((rows, 2))
         x = np.ones(2)
         mech = _hetero_offer(pop, {1: 1.0, 2: 1.0}, rows, {1: 0.0, 2: 0.0})
-        with pytest.raises(InfeasibleError):
+        with pytest.raises(InfeasibleError, match="no worker participates"):
             simulate_round(mech, pop, A, x, 0)
 
     def test_insufficient_rows_infeasible(self):
@@ -327,7 +327,26 @@ class TestSimulateRoundHetero:
         A = np.ones((rows, 2))
         x = np.ones(2)
         mech = _hetero_offer(pop, {1: 2.0, 2: 1.0}, rows, {1: 500.0, 2: 500.0})
-        with pytest.raises(InfeasibleError):
+        with pytest.raises(
+            InfeasibleError, match="participators cover 25 rows, need 53"
+        ):
+            simulate_round(mech, pop, A, x, 0)
+
+    def test_joiner_without_a_load_infeasible(self):
+        # Both types share speed and startup, so type 2 may claim type 1;
+        # it joins on type 1's reward, but the offer gives type 2 no load.
+        pop = build_population(
+            [
+                WorkerType(id=0, cost_rate=1.0, speed=50.0, startup=0.012, count=10),
+                WorkerType(id=0, cost_rate=2.0, speed=50.0, startup=0.012, count=5),
+            ]
+        )
+        A = np.ones((20, 2))
+        x = np.ones(2)
+        mech = _hetero_offer(pop, {1: 2.0}, 20, {1: 100.0})
+        with pytest.raises(
+            InfeasibleError, match=r"no load assigned to participating types \[2\]"
+        ):
             simulate_round(mech, pop, A, x, 0)
 
     def test_shape_validation(self):
@@ -464,16 +483,27 @@ def _record_cond(monkeypatch):
     return shapes
 
 
-def _record_held(monkeypatch):
-    """Record each round's dealt slots, loads and the slots it received."""
+def _slots_of(slots, loads, workers):
+    """The coded slots ``workers`` hold: slots are dealt in load order, so
+    with ``ends = cumsum(loads)`` worker w holds
+    ``slots[ends[w] - loads[w]:ends[w]]``."""
+    ends = np.cumsum(loads)
+    return np.concatenate([slots[ends[w] - loads[w]:ends[w]] for w in workers])
+
+
+def _record_decode(monkeypatch):
+    """Record each round's dealt slots, loads and the slots it received,
+    from the decode stage's inputs; the shuffle is replayed from a copy
+    of the round's stream."""
     calls = []
+    decode = coding._decode_round
 
-    def held(slots, loads, workers):
-        received = _held_slots(slots, loads, workers)
-        calls.append((slots, loads, received))
-        return received
+    def recording(rng, source, vector, loads, used):
+        slots = copy.deepcopy(rng).permutation(int(loads.sum()))
+        calls.append((slots, loads, _slots_of(slots, loads, np.flatnonzero(used))))
+        return decode(rng, source, vector, loads, used)
 
-    monkeypatch.setattr(coding, "_held_slots", held)
+    monkeypatch.setattr(coding, "_decode_round", recording)
     return calls
 
 
@@ -485,7 +515,7 @@ class TestSystematicDecode:
             raise AssertionError("an exact cover has no missing entry")
 
         monkeypatch.setattr(coding, "_decode_received", no_solve)
-        calls = _record_held(monkeypatch)
+        calls = _record_decode(monkeypatch)
         pop = _two_type_population()
         rng = np.random.default_rng(1)
         A = rng.standard_normal((53, 2))
@@ -501,7 +531,7 @@ class TestSystematicDecode:
             assert outcome.max_error <= 1e-12
 
     def test_anchor_spreads_systematic_slots_over_types(self, monkeypatch):
-        calls = _record_held(monkeypatch)
+        calls = _record_decode(monkeypatch)
         mech, pop, A, x = _anchor_round()
         outcome = simulate_round(mech, pop, A, x, 1)
         (slots, loads, _), = calls
@@ -510,7 +540,7 @@ class TestSystematicDecode:
         for m in outcome.participants:
             with_rows = np.flatnonzero((type_of == m) & (loads > 0))
             assert with_rows.size
-            assert np.any(_held_slots(slots, loads, with_rows) < 1000)
+            assert np.any(_slots_of(slots, loads, with_rows) < 1000)
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -530,7 +560,7 @@ class TestSystematicDecode:
             pop, {1: load1, 2: load2}, rows, {1: 1000.0, 2: 1000.0}
         )
         with pytest.MonkeyPatch.context() as patch:
-            calls = _record_held(patch)
+            calls = _record_decode(patch)
             outcome = simulate_round(mech, pop, A, x, seed)
         (_, _, received), = calls
         missing = rows - int(np.sum(received < rows))
@@ -543,7 +573,7 @@ class TestSystematicDecode:
         # solves for at most 3 missing entries, often from exactly as
         # many parity rows.  A uniform (-1, 1) block is never exactly
         # singular; a 2x2 block of +-1 entries is singular half the time.
-        calls = _record_held(monkeypatch)
+        calls = _record_decode(monkeypatch)
         pop = _two_type_population()
         rng = np.random.default_rng(1)
         A = rng.standard_normal((53, 2))
@@ -910,7 +940,7 @@ class TestSimulateRoundMds:
         A = rng.standard_normal((56, 3))
         x = rng.standard_normal(3)
         k = mech.recovery_threshold
-        calls = _record_held(monkeypatch)
+        calls = _record_decode(monkeypatch)
         for seed in range(50):
             outcome = simulate_round(mech, pop, A, x, seed)
             _, loads, received = calls[-1]
@@ -927,7 +957,11 @@ class TestSimulateRoundMds:
         )
         A = np.ones((56, 2))
         x = np.ones(2)
-        with pytest.raises(InfeasibleError):
+        k = mech.recovery_threshold
+        with pytest.raises(
+            InfeasibleError,
+            match=f"{k - 1} participators cannot reach the recovery threshold {k}",
+        ):
             simulate_round(mech, shrunk, A, x, 0)
 
     def test_240_participators_decode_within_promise(self):
