@@ -208,12 +208,7 @@ def cmd_solve(args: argparse.Namespace) -> str:
 def cmd_verify(args: argparse.Namespace) -> str:
     spec = _load_spec(args)
     report = verify_ir_ic(_solve_for(args.scenario, spec), spec.population)
-    table = ["kind,true_type,reported_type,value"]
-    table.extend(
-        f"{kind},{true_id},{reported},{format(value, '.17g')}"
-        for kind, true_id, reported, value in report.to_rows()
-    )
-    return report.to_text() + "\n\n" + "\n".join(table)
+    return f"{report.to_text()}\n\n{report.to_csv()}"
 
 
 def cmd_simulate(args: argparse.Namespace) -> str:

@@ -71,8 +71,6 @@ DEFAULT_TYPE_PARAMS: tuple[tuple[float, float, float], ...] = (
     (20.0, 160.0, 0.172),
 )
 
-EXPERIMENT_NAMES = ("fig4", "fig5", "fig6", "fig7", "custom")
-
 
 def _parse_sweep(value: str) -> tuple[int, ...]:
     if ":" in value:
@@ -209,6 +207,10 @@ class ExperimentSpec:
                 raise ConfigurationError("probabilities must be nonnegative and finite")
             if abs(math.fsum(probs) - 1.0) > 1e-9:
                 raise ConfigurationError("probabilities must sum to 1")
+            try:  # the bounds fig7's multinomial draw puts on them
+                np.random.default_rng(0).multinomial(0, probs)
+            except ValueError as exc:
+                raise ConfigurationError(f"probabilities: {exc}") from exc
 
     def platform_config(self) -> PlatformConfig:
         """The platform valuations and workload the solvers take."""
@@ -444,16 +446,15 @@ def run_custom(spec: ExperimentSpec) -> ResultTable:
     return _sweep_table(spec, _SWEEP_COLUMNS)
 
 
+# Each experiment name once, with the sweep it runs.
+_SWEEPS = {"fig4": run_fig4, "fig5": run_fig5, "fig6": run_fig6,
+           "fig7": run_fig7, "custom": run_custom}
+EXPERIMENT_NAMES = tuple(_SWEEPS)
+
+
 def run_experiment(spec: ExperimentSpec) -> ResultTable:
     """Dispatch a spec to its sweep by name."""
-    runners = {
-        "fig4": run_fig4,
-        "fig5": run_fig5,
-        "fig6": run_fig6,
-        "fig7": run_fig7,
-        "custom": run_custom,
-    }
-    return runners[spec.name](spec)
+    return _SWEEPS[spec.name](spec)
 
 
 def load_config(path: str) -> ExperimentSpec:

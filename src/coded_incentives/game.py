@@ -14,6 +14,7 @@ compatibility).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import starmap
 
 import numpy as np
 
@@ -31,6 +32,18 @@ _REL_TOL = 1e-9
 # Entries of one (rows, M, M) report table _best_payoffs builds at a time
 # (32 MiB of payoffs): the bundled ten types price any sweep in one pass.
 _TABLE_ENTRIES = 1 << 22
+
+# Each kind of violation once, for every view of a report: (CSV kind,
+# text heading, text line over true type, reported type and magnitude).
+_VIOLATION_KINDS = (
+    ("individual-rationality", "individual rationality violations:",
+     "  type {0}: honest payoff {2:.6g} < 0"),
+    ("incentive", "incentive violations (feasible misreports):",
+     "  type {0} gains {2:.6g} reporting as type {1}"),
+    ("unrestricted-incentive",
+     "diagnostic: profitable claims if identity checks were absent:",
+     "  type {0} gains {2:.6g} claiming type {1}"),
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,43 +82,30 @@ class ComplianceReport:
     def truthful(self) -> bool:
         return not self.ir_violations and not self.ic_violations
 
+    def _sections(self):
+        """Each :data:`_VIOLATION_KINDS` entry with its :meth:`to_rows` rows."""
+        ir = tuple((type_id, type_id, payoff) for type_id, payoff in self.ir_violations)
+        rows = (ir, self.ic_violations, self.unrestricted_ic_violations)
+        return zip(_VIOLATION_KINDS, rows)
+
     def to_rows(self) -> list[tuple[str, int, int, float]]:
         """Violations as (kind, true type, reported type, magnitude)
         rows; individual-rationality rows repeat the type id."""
-        rows: list[tuple[str, int, int, float]] = []
-        for type_id, payoff in self.ir_violations:
-            rows.append(("individual-rationality", type_id, type_id, payoff))
-        for true_id, reported, gain in self.ic_violations:
-            rows.append(("incentive", true_id, reported, gain))
-        for true_id, reported, gain in self.unrestricted_ic_violations:
-            rows.append(("unrestricted-incentive", true_id, reported, gain))
-        return rows
+        return [(kind, *row) for (kind, _, _), rows in self._sections() for row in rows]
 
     def to_text(self) -> str:
-        lines = []
-        if self.truthful:
-            lines.append(
-                "offer is individually rational and incentive compatible"
-            )
-        if self.ir_violations:
-            lines.append("individual rationality violations:")
-            for type_id, payoff in self.ir_violations:
-                lines.append(f"  type {type_id}: honest payoff {payoff:.6g} < 0")
-        if self.ic_violations:
-            lines.append("incentive violations (feasible misreports):")
-            for true_id, reported, gain in self.ic_violations:
-                lines.append(
-                    f"  type {true_id} gains {gain:.6g} reporting as type {reported}"
-                )
-        if self.unrestricted_ic_violations:
-            lines.append(
-                "diagnostic: profitable claims if identity checks were absent:"
-            )
-            for true_id, reported, gain in self.unrestricted_ic_violations:
-                lines.append(
-                    f"  type {true_id} gains {gain:.6g} claiming type {reported}"
-                )
+        truthful = "offer is individually rational and incentive compatible"
+        lines = [truthful] if self.truthful else []
+        for (_, heading, line), rows in self._sections():
+            if rows:
+                lines.append(heading)
+                lines.extend(starmap(line.format, rows))
         return "\n".join(lines)
+
+    def to_csv(self) -> str:
+        """A header, then each :meth:`to_rows` row with 17 significant digits."""
+        rows = (f"{kind},{t},{r},{v:.17g}\n" for kind, t, r, v in self.to_rows())
+        return "kind,true_type,reported_type,value\n" + "".join(rows)
 
 
 def _report_table(

@@ -296,13 +296,9 @@ def _prefix_costs(
         runtimes = expected_runtimes_hetero(counts, pop, thresholds, cfg.total_rows)
     with np.errstate(over="ignore"):
         paid = counts * rewards
-    try:
-        payments = row_fsums(paid, thresholds)
-    except OverflowError:  # math.fsum's intermediate overflow
-        payments = [math.inf]
     costs = [
         cfg.gamma_time * runtime + cfg.gamma_pay * payment
-        for runtime, payment in zip(runtimes, payments)
+        for runtime, payment in zip(runtimes, row_fsums(paid, thresholds))
     ]
     if not all(map(math.isfinite, costs)):
         raise NumericalError("the offer's platform cost overflows")

@@ -184,15 +184,26 @@ def row_fsums(values: np.ndarray, lengths: Sequence[int]) -> list[float]:
     The rows are cut to the longest prefix and each row's entries past
     its own length become ``-0.0``, so one ``math.fsum`` per row does
     all the per-row work.  The padding is exact: ``x + -0.0`` is ``x``
-    for every ``x``, ``-0.0`` included, and ``math.fsum`` still raises
-    ``OverflowError`` when a row's finite terms sum past the float
-    range.  Entries past a row's length, NaN and infinities included,
-    never reach its sum.
+    for every ``x``, ``-0.0`` included.  A row whose finite terms sum
+    past the float range, where ``math.fsum`` raises, sums to ``inf``.
+    Entries past a row's length, NaN and infinities included, never
+    reach its sum.
     """
     lengths = np.asarray(lengths)
     width = int(lengths.max(initial=0))
     head = np.where(np.arange(width) < lengths[:, None], values[:, :width], -0.0)
-    return list(map(math.fsum, head.tolist()))
+    try:  # a Python call per row only once some row overflows
+        return list(map(math.fsum, head.tolist()))
+    except OverflowError:
+        return list(map(_fsum, head.tolist()))
+
+
+def _fsum(row: list[float]) -> float:
+    """``math.fsum(row)``, or ``inf`` where it overflows."""
+    try:
+        return math.fsum(row)
+    except OverflowError:
+        return math.inf
 
 
 def _largest_remainder(values: np.ndarray, totals: np.ndarray | int) -> np.ndarray:

@@ -106,16 +106,12 @@ def _group_throughputs(
     types over ``pop``'s types, checked by :func:`_checked_groups`."""
     with np.errstate(over="ignore"):
         rates = counts * pop.throughput
-    try:
-        groups = row_fsums(rates, lengths)
-    except OverflowError:  # math.fsum of finite rates past the float range
-        groups = [math.inf]
-    return _checked_groups(groups)
+    return _checked_groups(row_fsums(rates, lengths))
 
 
 def _checked_groups(groups: list[float]) -> list[float]:
-    """``groups``, the one check on group throughputs: a group without
-    workers raises InfeasibleError, one that overflows NumericalError."""
+    """``groups``, the one check on group throughputs: a group without workers
+    raises InfeasibleError, else one that overflows to ``inf`` NumericalError."""
     if not min(groups) > 0:
         raise InfeasibleError("targeted set has no workers")
     if not all(map(math.isfinite, groups)):

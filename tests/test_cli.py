@@ -16,8 +16,13 @@ import numpy as np
 import pytest
 
 import coded_incentives
-from coded_incentives import cli, mds_alpha, read_matrix
+from coded_incentives import DEFAULT_TYPE_PARAMS, cli, mds_alpha, read_matrix
 from coded_incentives.cli import build_parser, main
+
+# The benchmark's offers commands and the reference output each prints.
+with pytest.MonkeyPatch.context() as _patch:
+    _patch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import COMMANDS, REFERENCE, same_output
 
 # Runs this checkout's package in a fresh interpreter, installed or not.
 CHILD_ENV = {
@@ -161,13 +166,7 @@ class TestSharedParser:
         assert main(["experiment", "fig4"]) == 0
         assert "# replications = 200\n" in capsys.readouterr().out
 
-    def test_rejected_command_line_leaves_the_next_one_intact(
-        self, monkeypatch, capsys
-    ):
-        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
-        monkeypatch.syspath_prepend(str(perfbench))
-        from workloads import REFERENCE, same_output
-
+    def test_rejected_command_line_leaves_the_next_one_intact(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "fig9"])
         assert exc.value.code == 2
@@ -175,6 +174,13 @@ class TestSharedParser:
         assert main(["verify"]) == 0
         expected = (REFERENCE / "verify.txt").read_text(encoding="utf-8")
         assert same_output(capsys.readouterr().out, expected)
+
+
+@pytest.mark.parametrize("label, argv", COMMANDS, ids=[label for label, _ in COMMANDS])
+def test_offers_command_prints_its_reference_output(label, argv, capsys):
+    assert main(list(argv)) == 0
+    expected = (REFERENCE / f"{label}.txt").read_text(encoding="utf-8")
+    assert same_output(capsys.readouterr().out, expected)
 
 
 class TestSolve:
@@ -412,6 +418,28 @@ class TestOverflowingStatistic:
         path.write_text(self.CONFIG)
         assert main(["experiment", "fig5", "--config", str(path)]) == 0
         assert "N,cost_complete,cost_incomplete,gap" in capsys.readouterr().out
+
+
+class TestProbabilitiesMultinomialRefuses:
+    """Probabilities within the spec's sum tolerance that NumPy's
+    multinomial draw refuses: every command exits 2 naming them."""
+
+    @pytest.mark.parametrize(
+        "rows, probabilities",
+        [(2, "1.0000000005, 0"), (3, "0.5, 0.5000000005, 0")],
+        ids=["entry-above-1", "head-sums-above-1"],
+    )
+    @pytest.mark.parametrize("command", ["experiment fig7", "verify"])
+    def test_exits_2(self, tmp_path, capsys, rows, probabilities, command):
+        path = tmp_path / "probs.cfg"
+        path.write_text(
+            "".join(f"{c} {s} {a} 140\n" for c, s, a in DEFAULT_TYPE_PARAMS[:rows])
+            + f"probabilities = {probabilities}\nsweep = 100\n"
+        )
+        assert main(command.split() + ["--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error: probabilities")
 
 
 class TestOutOfMemory:

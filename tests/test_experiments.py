@@ -186,6 +186,15 @@ class TestExperimentSpec:
             ExperimentSpec(
                 type_probabilities=(0.5, 0.6, -0.1) + tuple([0.0] * 7)
             )
+        # Within the sum tolerance, but beyond what fig7's multinomial
+        # draw accepts; within the draw's own 1e-12 slack, kept as given.
+        tail = (0.0,) * 7
+        with pytest.raises(ConfigurationError, match="pvals > 1"):
+            ExperimentSpec(type_probabilities=(1.0000000005,) + (0.0,) * 9)
+        with pytest.raises(ConfigurationError, match=r"sum\(pvals\[:-1\]\) > 1"):
+            ExperimentSpec(type_probabilities=(0.5, 0.5000000005, 0.0) + tail)
+        probs = (0.5, 0.5 + 1e-12, 0.0) + tail
+        assert ExperimentSpec(type_probabilities=probs).type_probabilities == probs
 
     def test_metadata_roundtrip_bit_exact(self):
         probs = (

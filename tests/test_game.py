@@ -274,6 +274,32 @@ class TestVerifyIrIc:
         assert report.truthful
         assert "individually rational" in report.to_text()
 
+    def test_every_view_renders_each_kind_alike(self):
+        report = ComplianceReport(
+            ir_violations=((2, -0.5),),
+            ic_violations=((1, 3, 0.25),),
+            unrestricted_ic_violations=((3, 1, 1 / 3),),
+        )
+        assert report.to_rows() == [
+            ("individual-rationality", 2, 2, -0.5),
+            ("incentive", 1, 3, 0.25),
+            ("unrestricted-incentive", 3, 1, 1 / 3),
+        ]
+        assert report.to_text() == (
+            "individual rationality violations:\n"
+            "  type 2: honest payoff -0.5 < 0\n"
+            "incentive violations (feasible misreports):\n"
+            "  type 1 gains 0.25 reporting as type 3\n"
+            "diagnostic: profitable claims if identity checks were absent:\n"
+            "  type 3 gains 0.333333 claiming type 1"
+        )
+        assert report.to_csv() == (
+            "kind,true_type,reported_type,value\n"
+            "individual-rationality,2,2,-0.5\n"
+            "incentive,1,3,0.25\n"
+            "unrestricted-incentive,3,1,0.33333333333333331\n"
+        )
+
     def test_empty_report_is_truthful(self):
         report = ComplianceReport(
             ir_violations=(), ic_violations=(), unrestricted_ic_violations=()

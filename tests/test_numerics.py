@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coded_incentives import (
+    InfeasibleError,
     IterationError,
     NumericalError,
     PlatformConfig,
@@ -254,15 +255,21 @@ class TestRowFsums:
         assert all(map(math.isfinite, got))
         assert _bits(got) == _bits(row_fsums_oracle(values, lengths))
 
-    def test_finite_overflow_raises_like_the_slice_loop(self):
-        values = np.array([[1.0, 2.0, 3.0], [1e308, 1e308, -1e308]])
-        lengths = [2, 3]
+    def test_finite_overflow_sums_to_inf_beside_the_slice_loop(self):
+        rng = np.random.default_rng(22)
+        values = _signed_magnitudes(rng, (50, 10))
+        lengths = rng.integers(1, 11, size=50)
+        values[7, :3], lengths[7] = [1e308, 1e308, -1e308], 3
         with pytest.raises(OverflowError):
-            row_fsums_oracle(values, lengths)
-        with pytest.raises(OverflowError):
-            numerics.row_fsums(values, lengths)
+            row_fsums_oracle(values[7:8], [3])
+        got = numerics.row_fsums(values, lengths)
+        assert got[7] == math.inf
+        others = np.arange(50) != 7
+        assert _bits(got[:7] + got[8:]) == _bits(
+            row_fsums_oracle(values[others], lengths[others])
+        )
         # Cut before the second 1e308, the same row sums.
-        assert numerics.row_fsums(values, [2, 1]) == [3.0, 1e308]
+        assert numerics.row_fsums(values[7:8], [1]) == [1e308]
 
     def test_batched_group_throughputs_overflow_is_numerical_error(self):
         # Each type's throughput is about 3.2e299, so 5e8 workers give
@@ -277,6 +284,25 @@ class TestRowFsums:
         assert math.isfinite(_group_throughputs(counts, pop, [2, 1])[1])
         with pytest.raises(NumericalError, match="throughput overflows"):
             _group_throughputs(counts, pop, [2, 2])
+
+    def test_batched_group_throughputs_empty_row_outranks_either_overflow(self):
+        # A row whose finite rates overflow math.fsum and a row whose
+        # rates NumPy already overflowed raise alike beside an empty row.
+        pop = build_population(
+            [
+                WorkerType(id=0, cost_rate=1.0, speed=1e300, startup=1e-300, count=1)
+                for _ in range(2)
+            ]
+        )
+        empty = [0.0, 0.0]
+        raised = []
+        for overflowing in ([5e8, 5e8], [1e10, 1e10]):
+            with pytest.raises(NumericalError, match="throughput overflows"):
+                _group_throughputs(np.array([overflowing]), pop, [2])
+            with pytest.raises(InfeasibleError) as exc:
+                _group_throughputs(np.array([overflowing, empty]), pop, [2, 2])
+            raised.append(str(exc.value))
+        assert raised == ["targeted set has no workers"] * 2
 
     def test_batched_prefix_costs_overflow_is_numerical_error(self):
         pop = build_population(
