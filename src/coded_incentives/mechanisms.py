@@ -12,9 +12,9 @@ combinatorial selection to a threshold index:
 * incomplete information: costs are private, rewards must be
   proportional to throughput for truthfulness, and the prefix length
   minimizes runtime valuation per throughput plus the boundary ratio;
-* cost-only heterogeneity: shared runtime distribution, uniform coded
-  loads, a uniform reward, and a recovery threshold set to a fixed
-  fraction of the participator count.
+* cost-only heterogeneity: one shared runtime distribution, the
+  incomplete-information prefix, uniform coded loads, a uniform reward,
+  and a recovery threshold a fixed fraction of the participator count.
 
 The two heterogeneous rules are written once over ``(R, M)`` counts
 matrices, one row per headcount vector; the scalar solvers are their
@@ -133,13 +133,6 @@ class Mechanism:
             raise ValueError("expected_runtime must be positive and finite")
 
 
-def _require_paying_config(cfg: PlatformConfig):
-    if not cfg.gamma_pay > 0:
-        raise ConfigurationError(
-            "solvers require a positive payment valuation gamma_pay"
-        )
-
-
 def solve_complete(pop: Population, cfg: PlatformConfig) -> Mechanism:
     """Optimal offer when the platform observes every worker's cost.
 
@@ -226,22 +219,10 @@ def _private_offers(
     counts: np.ndarray, pop: Population, cfg: PlatformConfig
 ) -> tuple[np.ndarray, list[float], np.ndarray]:
     """Private-cost offer for each row of an ``(R, M)`` counts matrix
-    over ``pop``'s types: threshold types, expected runtimes, and
-    ``(R, M)`` per-type rewards.
-
-    The threshold minimizes ``gamma_time / cumsum(counts * throughput)
-    + gamma_pay * ratio`` over the populated prefixes; ``argmin`` takes
-    the first minimum, so ties go to the shorter prefix.
-    """
-    cum_thru = _prefix_throughputs(counts, pop, cfg)
+    over ``pop``'s types: :func:`_private_thresholds`, expected
+    runtimes, and ``(R, M)`` per-type rewards."""
+    thresholds = _private_thresholds(counts, pop, cfg)
     with np.errstate(all="ignore"):
-        per_thru = np.divide(
-            cfg.gamma_time,
-            cum_thru,
-            out=np.full_like(cum_thru, np.inf),
-            where=cum_thru > 0,
-        )
-        thresholds = (per_thru + cfg.gamma_pay * pop.ratio).argmin(axis=1) + 1
         runtimes = expected_runtimes_hetero(counts, pop, thresholds, cfg.total_rows)
         # Rewards proportional to throughput, grouped so the boundary type's
         # reward equals its cost bit-exactly and its payoff is exactly zero.
@@ -250,6 +231,30 @@ def _private_offers(
         throughputs = pop.throughput
         rewards = (throughputs / throughputs[boundary][:, None]) * boundary_pay[:, None]
     return _finite_offers(thresholds, runtimes, rewards)
+
+
+def _private_thresholds(
+    counts: np.ndarray, pop: Population, cfg: PlatformConfig
+) -> np.ndarray:
+    """Threshold type of each counts row under the private-cost rule
+    both private-cost scenarios select with: the first populated prefix
+    minimizing ``gamma_time / cumsum(counts * throughput) + gamma_pay *
+    ratio``.  With one throughput shared by all types this is the
+    cost-only per-participator cost over it.  A row whose chosen
+    objective is not finite raises NumericalError."""
+    cum_thru = _prefix_throughputs(counts, pop, cfg)
+    with np.errstate(all="ignore"):
+        per_thru = np.divide(
+            cfg.gamma_time,
+            cum_thru,
+            out=np.full_like(cum_thru, np.inf),
+            where=cum_thru > 0,
+        )
+        objective = per_thru + cfg.gamma_pay * pop.ratio
+    chosen = objective.argmin(axis=1)
+    if not np.isfinite(objective[np.arange(chosen.size), chosen]).all():
+        raise NumericalError("the private-cost prefix objective overflows")
+    return chosen + 1
 
 
 def _finite_offers(
@@ -268,7 +273,10 @@ def _prefix_throughputs(
     """Cumulative prefix throughput of each counts row, the input both
     batched rules start from; a row whose whole population has no
     workers or overflows has no offer (see :func:`_checked_groups`)."""
-    _require_paying_config(cfg)
+    if not cfg.gamma_pay > 0:
+        raise ConfigurationError(
+            "solvers require a positive payment valuation gamma_pay"
+        )
     with np.errstate(over="ignore"):
         cum_thru = (counts * pop.throughput).cumsum(axis=1)
     _checked_groups(cum_thru[:, -1].tolist())
@@ -310,11 +318,12 @@ def solve_cost_only(
 ) -> Mechanism:
     """Optimal offer when types differ only in cost rate.
 
-    All types share one runtime distribution, so the selection metric
-    reduces to the cost rate.  The platform uses uniform coded loads
-    ``rows / k`` with recovery threshold ``k`` set to the optimal
-    fraction :func:`mds_alpha` of the participator count (rounded to
-    the cheaper of floor and ceil under the exact runtime).  Every type
+    All types share one runtime distribution, so the private-cost
+    prefix rule of :func:`solve_incomplete` ranks them by cost rate
+    alone.  The platform uses uniform coded loads ``rows / k`` with
+    recovery threshold ``k`` the optimal fraction :func:`mds_alpha` of
+    the participator count (rounded to the cheaper of floor and ceil
+    under the exact runtime).  Every type
     gets one uniform reward: the boundary type's cost rate times the
     load ``rows / k`` times the shared row time ``lam`` of
     :func:`solve_lambda`.  This load times ``lam`` is the logarithmic
@@ -330,24 +339,12 @@ def solve_cost_only(
 
 def _cost_only_offer(pop: Population, cfg: PlatformConfig) -> Mechanism:
     """:func:`solve_cost_only` on an already built population."""
-    _require_paying_config(cfg)
     if any(np.ptp(c) > 1e-12 * c.max() for c in (pop.speed, pop.startup)):
         raise ConfigurationError(
             "cost-only solver requires all types to share speed and startup"
         )
-    if pop.total == 0:
-        raise InfeasibleError("population has no workers")
-    cum_counts = np.cumsum(pop.counts)
-    # Per-participator cost of each populated prefix; ``argmin`` takes
-    # the first minimum, so ties go to the shorter prefix.
-    per_worker = np.divide(
-        cfg.gamma_time + cfg.gamma_pay * pop.cost_rate * cum_counts,
-        cum_counts,
-        out=np.full_like(cum_counts, np.inf),
-        where=cum_counts > 0,
-    )
-    threshold = int(per_worker.argmin()) + 1
-    participators = int(cum_counts[threshold - 1])
+    threshold = int(_private_thresholds(pop.counts[None, :], pop, cfg)[0])
+    participators = int(sum(pop.counts[:threshold].tolist()))
     speed, startup = float(pop.speed[0]), float(pop.startup[0])
     fractional_k = mds_alpha(speed, startup) * participators
     # Exact runtime of the floor and ceil thresholds; ties go to the floor.

@@ -103,18 +103,13 @@ def _solve_lambda_cached(mu: float, a: float) -> float:
         except OverflowError:
             return math.inf
 
+    # The residual is -target <= 0 at 0 and inf once expm1 overflows
+    # (w > 709.78), so the doubling stops by hi = 1024 and the bracket
+    # [0, hi] always changes sign.
     hi = 1.0
     while residual(hi) <= 0.0:
         hi *= 2.0
-        if hi > 1e308:
-            raise IterationError(
-                f"failed to bracket the root for mu={mu}, a={a}", best=None
-            )
-
-    try:
-        w, converged = _brent(residual, 0.0, hi, 1e-15, 8.9e-16, _MAX_ITER)
-    except ValueError as exc:  # pragma: no cover - the bracket changes sign
-        raise IterationError(f"root search failed for mu={mu}, a={a}") from exc
+    w, converged = _brent(residual, 0.0, hi, 1e-15, 8.9e-16, _MAX_ITER)
     if not converged:
         raise IterationError(
             f"no convergence within {_MAX_ITER} iterations for mu={mu}, a={a}",

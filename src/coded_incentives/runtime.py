@@ -125,8 +125,6 @@ def expected_runtimes_hetero(
     """Analytic expected overall runtime of each row of
     :func:`_group_throughputs` under the heterogeneous assignment: rows
     over the row's targeted throughput."""
-    if not rows > 0:
-        raise ValueError(f"rows must be positive, got {rows}")
     return [rows / group for group in _group_throughputs(counts, pop, lengths)]
 
 

@@ -353,6 +353,45 @@ class TestOverflowingOffer:
         assert captured.out == ""
 
 
+class TestPrivateCostRule:
+    # The boundary type's cost rate overflows every per-participator
+    # cost; the cost-only offer once picked the empty first type, warned
+    # of the overflow and crashed untyped.
+    HUGE = "1e300 50 0.012 0\n1.7e308 50 0.012 5\n"
+    # Type 1 has no workers and every populated objective overflows.
+    NO_FINITE_OBJECTIVE = (
+        "1e-200 1e-300 1e-12 0\n1e-200 1e-300 1e-12 5\n"
+        "gamma_time = 1e300\ngamma_pay = 1e-300\ntotal_rows = 1e300\n"
+    )
+
+    def test_huge_cost_only_rates_exit_3_without_a_warning(self, tmp_path):
+        path = tmp_path / "huge.cfg"
+        path.write_text(self.HUGE)
+        result = subprocess.run(
+            [sys.executable, "-m", "coded_incentives", "solve",
+             "--scenario", "cost-only", "--config", str(path)],
+            capture_output=True, text=True, timeout=120, env=CHILD_ENV,
+        )
+        assert result.returncode == 3
+        assert result.stderr == "numerical failure: offer runtime or rewards overflow\n"
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize(
+        "scenario, message",
+        [
+            ("incomplete", "the private-cost prefix objective overflows"),
+            ("complete", "the complete-information prefix bound overflows"),
+        ],
+    )
+    def test_no_finite_objective_exits_3(self, tmp_path, capsys, scenario, message):
+        path = tmp_path / "objective.cfg"
+        path.write_text(self.NO_FINITE_OBJECTIVE)
+        assert main(["solve", "--scenario", scenario, "--config", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"numerical failure: {message}\n"
+        assert captured.out == ""
+
+
 class TestOverflowingBound:
     # Finite offers, but the complete-information bound's payment sum
     # 100 * 1e306 + 100 * 2e306 overflows, which once selected type 2.
@@ -828,12 +867,14 @@ class TestColdStart:
 
 class TestConsoleScript:
     def test_python_m(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "coded_incentives", "encode-demo"],
-            capture_output=True, text=True, timeout=120, env=CHILD_ENV,
-        )
-        assert result.returncode == 0, result.stderr
-        assert "agreement: True" in result.stdout
+        # perfbench/baseline.py runs the CLI module itself.
+        for module in ("coded_incentives", "coded_incentives.cli"):
+            result = subprocess.run(
+                [sys.executable, "-m", module, "encode-demo"],
+                capture_output=True, text=True, timeout=120, env=CHILD_ENV,
+            )
+            assert result.returncode == 0, result.stderr
+            assert "agreement: True" in result.stdout
 
     def test_installed_entry_point(self):
         result = subprocess.run(

@@ -81,6 +81,17 @@ class TestMdsEncode:
         with pytest.raises(ValueError):
             mds_encode(A, 3, 2, generator=np.eye(2))
 
+    def test_rejects_bad_counts(self):
+        A = np.ones((4, 2))
+        with pytest.raises(
+            ValueError, match="participant and threshold counts must be integers"
+        ):
+            mds_encode(A, 3.0, 2, _gaussian_generator(3, 2))
+        with pytest.raises(
+            ValueError, match="threshold must satisfy 1 <= k <= n, got k=4, n=3"
+        ):
+            mds_encode(A, 3, 4, _gaussian_generator(3, 4))
+
     def test_rejects_bad_matrix(self):
         with pytest.raises(ValueError):
             mds_encode(np.ones(4), 3, 2, _gaussian_generator(3, 2))
@@ -353,6 +364,10 @@ class TestSimulateRoundHetero:
         pop, mech, A, x, _ = self._setup()
         with pytest.raises(ConfigurationError, match="vector length"):
             simulate_round(mech, pop, A, np.ones(3), 0)
+        with pytest.raises(
+            ConfigurationError, match="matrix must be two-dimensional and nonempty"
+        ):
+            simulate_round(mech, pop, A[:, 0], np.ones(1), 0)
         with pytest.raises(ConfigurationError, match="matrix has 10 rows"):
             simulate_round(mech, pop, np.ones((10, 2)), np.ones(2), 0)
 

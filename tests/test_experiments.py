@@ -790,3 +790,9 @@ class TestLoadConfig:
         path.write_text("sweep = 100:500\n")
         with pytest.raises(ConfigurationError, match=":1"):
             load_config(str(path))
+
+    def test_sweep_step_below_one(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("sweep = 100:500:0\n")
+        with pytest.raises(ConfigurationError, match=":1.*sweep step must be positive"):
+            load_config(str(path))

@@ -60,6 +60,12 @@ def _offer(pop, rewards, scenario, cfg=None):
 
 
 class TestBestResponse:
+    @pytest.mark.parametrize("true_m", [0, 11])
+    def test_rejects_unknown_type(self, benchmark_population, benchmark_config, true_m):
+        mech = solve_incomplete(benchmark_population, benchmark_config)
+        with pytest.raises(ValueError, match=f"unknown type id {true_m}"):
+            best_response(true_m, mech, benchmark_population)
+
     def test_boundary_type_participates_at_exactly_zero(
         self, benchmark_population, benchmark_config
     ):

@@ -17,8 +17,10 @@ from coded_incentives import (
     SCENARIO_COMPLETE,
     SCENARIO_COST_ONLY,
     SCENARIO_INCOMPLETE,
+    SCHEME_HETERO,
     ConfigurationError,
     InfeasibleError,
+    LoadAssignment,
     Mechanism,
     NumericalError,
     PlatformConfig,
@@ -34,6 +36,7 @@ from coded_incentives import (
 )
 from coded_incentives.mechanisms import (
     _complete_offers,
+    _cost_only_offer,
     _prefix_costs,
     _private_offers,
 )
@@ -115,6 +118,11 @@ class TestMechanismInvariants:
                 expected_cost=mech.expected_cost,
                 config=mech.config,
             )
+
+    def test_rejects_unknown_scenario(self, benchmark_population, benchmark_config):
+        mech = solve_incomplete(benchmark_population, benchmark_config)
+        with pytest.raises(ValueError, match="unknown scenario 'other'"):
+            replace(mech, scenario="other")
 
 
 class TestSolveComplete:
@@ -471,12 +479,46 @@ class TestSolveCostOnly:
     @example(
         pairs=[(1.0, 3), (1.0, 0), (3.0, 2)], gamma_time=0.0, gamma_pay=1.0
     )
+    # Per-participator costs 1 ulp apart that are equal in exact
+    # arithmetic; see test_exact_tie_goes_to_the_shorter_prefix.
+    @example(
+        pairs=[(3.0, 3), (3.0, 1)],
+        gamma_time=0.0,
+        gamma_pay=1.2795789663082529,
+    )
     def test_threshold_matches_scalar_oracle(self, pairs, gamma_time, gamma_pay):
         types = self._shared_runtime(*zip(*pairs))
+        pop = build_population(types)
         cfg = PlatformConfig(gamma_time, gamma_pay, total_rows=100.0)
+        threshold = solve_cost_only(types, cfg).threshold_type
+        assert threshold == private_offer_oracle(pop, cfg)[0]
+        # The per-participator cost scan is the same rule times the shared
+        # throughput, so the two may split only a rounding tie.  Each
+        # private objective is within (M + 2) u of its exact value (u =
+        # 2**-53: M roundings build the prefix throughput, two more the
+        # quotient and the sum), each scan value within 4 u, so where the
+        # choices differ their scan values are within (2M + 12) u, that
+        # many ulps of the larger.
+        other = cost_only_threshold_oracle(pop, cfg)
+        if other != threshold:
+            cum_counts = np.cumsum(pop.counts)
+            a, b = (
+                (gamma_time + gamma_pay * pop.cost_rate[n - 1] * cum_counts[n - 1])
+                / cum_counts[n - 1]
+                for n in (threshold, other)
+            )
+            assert abs(a - b) <= (2 * pop.size + 12) * math.ulp(max(a, b))
+
+    def test_exact_tie_goes_to_the_shorter_prefix(self):
+        # Both prefixes cost 1.2795789663082529 * 3 per participator in
+        # exact arithmetic; rounded as cost_only_threshold_oracle computes
+        # it, the longer prefix's cost comes out 1 ulp lower.
+        types = self._shared_runtime((3.0, 3.0), (3, 1))
+        cfg = PlatformConfig(0.0, 1.2795789663082529, total_rows=100.0)
         mech = solve_cost_only(types, cfg)
-        oracle = cost_only_threshold_oracle(build_population(types), cfg)
-        assert mech.threshold_type == oracle
+        assert mech.threshold_type == 1
+        assert mech.recovery_threshold == 3
+        assert f"{mech.expected_cost:.6g}" == "672.785"
 
     def test_recovery_threshold_is_best_rounding(self):
         rng = np.random.default_rng(99)
@@ -585,6 +627,40 @@ class TestSolveCostOnly:
             solve_cost_only(self._types(), free)
 
 
+class TestPrivateCostRule:
+    # Type 1 has no workers, and the gamma_time term of every populated
+    # prefix overflows, so no prefix has a finite objective.
+    OVERFLOWING = [
+        WorkerType(id=1, cost_rate=1e-200, speed=1e-300, startup=1e-12, count=0),
+        WorkerType(id=2, cost_rate=1e-200, speed=1e-300, startup=1e-12, count=5),
+    ]
+    OVERFLOWING_CFG = PlatformConfig(1e300, 1e-300, 1e300)
+
+    @pytest.mark.parametrize(
+        "solver, message",
+        [
+            (solve_complete, "complete-information prefix bound overflows"),
+            (solve_incomplete, "private-cost prefix objective overflows"),
+            (_cost_only_offer, "private-cost prefix objective overflows"),
+        ],
+    )
+    def test_no_finite_objective_is_a_numerical_error(self, solver, message):
+        pop = build_population(self.OVERFLOWING)
+        with pytest.raises(NumericalError, match=message):
+            solver(pop, self.OVERFLOWING_CFG)
+
+    @pytest.mark.parametrize(
+        "solver", [solve_complete, solve_incomplete, _cost_only_offer]
+    )
+    def test_overflowing_summed_throughput_is_refused(self, solver):
+        # 1e9 workers of throughput ~3.2e299 sum past the float range,
+        # which every solver refuses the same way.
+        pop = build_population([WorkerType(1, 1.0, 1e300, 1e-300, 10**9)])
+        cfg = PlatformConfig(gamma_time=1.0, gamma_pay=1.0, total_rows=100.0)
+        with pytest.raises(NumericalError, match="group throughput overflows"):
+            solver(pop, cfg)
+
+
 class TestPlatformCost:
     @pytest.mark.parametrize(
         "count, reward",
@@ -624,6 +700,43 @@ class TestPlatformCost:
         approx = mds_log_runtime_oracle(*args)
         assert approx != exact
         assert approx == pytest.approx(exact, rel=0.2)
+
+    def test_rejects_offers_the_population_cannot_price(
+        self, benchmark_population, benchmark_config
+    ):
+        mech = solve_incomplete(benchmark_population, benchmark_config)
+        smaller = build_population([benchmark_population.types[0][0]])
+        with pytest.raises(
+            ConfigurationError, match="mechanism targets types absent from population"
+        ):
+            platform_cost(mech, smaller, benchmark_config)
+        unpaid = replace(mech, rewards={m: 0.0 for m in mech.targeted[1:]})
+        with pytest.raises(
+            ConfigurationError, match="mechanism lacks rewards for targeted types"
+        ):
+            platform_cost(unpaid, benchmark_population, benchmark_config)
+
+    def test_rejects_cost_only_offers_without_a_feasible_threshold(self):
+        types = [WorkerType(id=1, cost_rate=1.0, speed=2.0, startup=1.0, count=10)]
+        cfg = PlatformConfig(gamma_time=50.0, gamma_pay=1.0, total_rows=100.0)
+        mech = solve_cost_only(types, cfg)
+        hetero = replace(
+            mech,
+            assignment=LoadAssignment(
+                loads=mech.assignment.loads,
+                total_rows=cfg.total_rows,
+                scheme=SCHEME_HETERO,
+            ),
+        )
+        with pytest.raises(
+            ConfigurationError, match="cost-only mechanism lacks recovery threshold"
+        ):
+            platform_cost(hetero, build_population(types), cfg)
+        fewer = build_population([replace(types[0], count=mech.recovery_threshold - 1)])
+        with pytest.raises(
+            InfeasibleError, match="fewer participators than the recovery threshold"
+        ):
+            platform_cost(mech, fewer, cfg)
 
     def test_gamma_pay_zero_cost_evaluation(
         self, benchmark_population, benchmark_config

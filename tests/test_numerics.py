@@ -147,6 +147,21 @@ class TestBrentPort:
                         got = numerics._brent(f, lo, hi, xtol, 8.9e-16, cap)
                         assert got == (ref, info.converged), (r, lo, hi, xtol, cap)
 
+    def test_bracket_without_a_sign_change_raises(self):
+        with pytest.raises(ValueError, match="must have different signs"):
+            numerics._brent(lambda x: x * x + 1.0, -1.0, 1.0, 1e-15, 8.9e-16, 10)
+
+    def test_residual_above_tolerance_raises_with_finite_best(self, monkeypatch):
+        # A search that reports convergence at its bracket's upper end,
+        # which one Newton step does not bring within tolerance.
+        monkeypatch.setattr(numerics, "_brent", lambda f, lo, hi, *args: (hi, True))
+        numerics._solve_lambda_cached.cache_clear()
+        with pytest.raises(
+            IterationError, match="residual above tolerance for mu=50.0, a=0.012"
+        ) as info:
+            solve_lambda(50.0, 0.012)
+        assert math.isfinite(info.value.best)
+
     def test_iteration_cap_raises_with_finite_best(self, monkeypatch):
         monkeypatch.setattr(numerics, "_MAX_ITER", 1)
         numerics._solve_lambda_cached.cache_clear()

@@ -187,6 +187,10 @@ class TestLoadAssignmentValidation:
                 recovery_threshold=7,
             )
 
+    def test_positive_total_rows_required(self):
+        with pytest.raises(ValueError, match="total_rows must be positive"):
+            LoadAssignment(loads={1: 5.0}, total_rows=0.0, scheme=SCHEME_HETERO)
+
     def test_positive_loads_required(self):
         with pytest.raises(ValueError):
             LoadAssignment(loads={1: 0.0}, total_rows=10.0, scheme=SCHEME_HETERO)
@@ -292,3 +296,15 @@ class TestMonteCarloRuntime:
         assignment = assign_loads_hetero(pop, (1,), 100.0)
         with pytest.raises(ValueError):
             monte_carlo_runtime(pop, assignment, (1,), 100.0, 0, 0)
+
+    def test_rejects_nonpositive_rows(self):
+        pop = _pop()
+        assignment = assign_loads_hetero(pop, (1,), 100.0)
+        with pytest.raises(ValueError, match="rows must be positive, got 0.0"):
+            monte_carlo_runtime(pop, assignment, (1,), 0.0, 10, 0)
+
+    def test_targeted_set_without_workers_is_infeasible(self):
+        pop = _pop().with_counts([0, 3, 5])
+        assignment = assign_loads_hetero(pop, (1, 2), 100.0)
+        with pytest.raises(InfeasibleError, match="no workers in the targeted set"):
+            monte_carlo_runtime(pop, assignment, (1,), 100.0, 10, 0)

@@ -95,6 +95,8 @@ class TestBuildPopulation:
         ]
         order, pop = _ranked_population(raw, [derive_profile(t) for t in raw])
         assert pop == build_population(raw)
+        assert pop.__eq__(1) is NotImplemented
+        assert pop != 1
         for new_id, src in enumerate(order.tolist(), start=1):
             worker, _ = pop.member(new_id)
             assert worker.cost_rate == raw[src].cost_rate
