@@ -311,21 +311,16 @@ def _sweep_table(spec: ExperimentSpec, columns: Sequence[str]) -> ResultTable:
     pop = spec.population
     cfg = spec.platform_config()
     table: dict[str, list[float]] = {"N": [float(n) for n in spec.n_sweep]}
+    costs: dict[str, np.ndarray] = {}
     for scenario, rule in (
         ("complete", _complete_offers),
         ("incomplete", _private_offers),
     ):
         thresholds, runtimes, rewards = rule(counts, pop, cfg)
         table[f"targeted_{scenario}"] = thresholds.astype(float).tolist()
-        table[f"cost_{scenario}"] = _prefix_costs(
-            counts, thresholds, rewards, pop, cfg, runtimes
-        )
-    table["gap"] = [
-        incomplete - complete
-        for complete, incomplete in zip(
-            table["cost_complete"], table["cost_incomplete"]
-        )
-    ]
+        costs[scenario] = _prefix_costs(counts, thresholds, rewards, pop, cfg, runtimes)
+        table[f"cost_{scenario}"] = costs[scenario].tolist()
+    table["gap"] = (costs["incomplete"] - costs["complete"]).tolist()
     return ResultTable(
         columns=tuple(columns),
         rows=tuple(zip(*(table[name] for name in columns))),
@@ -392,40 +387,31 @@ def run_fig7(spec: ExperimentSpec) -> ResultTable:
         # anew; they include every empty committed prefix, since the
         # informed prefix always has workers.
         committed_thresholds = np.full(spec.replications, committed.threshold_type)
-        committed_runtimes = np.array(runtimes)
+        committed_runtimes = runtimes.copy()
         moved = np.flatnonzero(thresholds != committed.threshold_type)
         if moved.size:
             committed_runtimes[moved] = expected_runtimes_hetero(
                 realized[moved], pop, committed_thresholds[moved], cfg.total_rows
             )
-        committed_costs = np.array(
-            _prefix_costs(
-                realized,
-                committed_thresholds,
-                [committed.rewards[m] for m in pop.ids],
-                pop,
-                cfg,
-                committed_runtimes.tolist(),
-            )
+        committed_costs = _prefix_costs(
+            realized,
+            committed_thresholds,
+            [committed.rewards[m] for m in pop.ids],
+            pop,
+            cfg,
+            committed_runtimes,
         )
-        informed_costs = np.array(
-            _prefix_costs(realized, thresholds, rewards, pop, cfg, runtimes)
-        )
+        informed_costs = _prefix_costs(realized, thresholds, rewards, pop, cfg, runtimes)
         # An overflowing statistic is left to the result table's check.
         with np.errstate(all="ignore"):
-            gaps = committed_costs - informed_costs
-            stderr = (
-                float(np.std(gaps, ddof=1) / math.sqrt(spec.replications))
-                if spec.replications > 1
-                else 0.0
-            )
+            gap_mean, gap_stderr = _mean_and_stderr(committed_costs - informed_costs)
             rows.append(
                 (
                     float(total),
-                    float(np.mean(gaps)),
-                    stderr,
-                    float(np.mean(committed_costs)),
-                    float(np.mean(informed_costs)),
+                    gap_mean,
+                    gap_stderr,
+                    float(committed_costs.sum() / spec.replications),
+                    float(informed_costs.sum() / spec.replications),
                 )
             )
     return ResultTable(
@@ -439,6 +425,20 @@ def run_fig7(spec: ExperimentSpec) -> ResultTable:
         rows=tuple(rows),
         metadata=spec.to_metadata(),
     )
+
+
+def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
+    """``np.mean(values)`` and ``np.std(values, ddof=1) / sqrt(R)`` (0.0
+    for one value) of ``R`` values, bit for bit: the same reductions and
+    divisions without NumPy's generic wrappers around them.  ``np.mean``
+    is likewise ``values.sum() / R``."""
+    count = values.size
+    mean = values.sum(keepdims=True) / count
+    if count == 1:
+        return mean.item(), 0.0
+    deviation = values - mean
+    deviation *= deviation
+    return mean.item(), math.sqrt(deviation.sum() / (count - 1)) / math.sqrt(count)
 
 
 def run_custom(spec: ExperimentSpec) -> ResultTable:

@@ -110,7 +110,7 @@ class ComplianceReport:
 
 def _report_table(
     thresholds: np.ndarray,
-    runtimes: list[float],
+    runtimes: np.ndarray | list[float],
     rewards: np.ndarray,
     pop: Population,
     complete: bool,
@@ -178,7 +178,7 @@ def best_response(true_m: int, mech: Mechanism, pop: Population) -> WorkerDecisi
 
 def _best_payoffs(
     thresholds: np.ndarray,
-    runtimes: list[float],
+    runtimes: np.ndarray,
     rewards: np.ndarray,
     pop: Population,
 ) -> np.ndarray:

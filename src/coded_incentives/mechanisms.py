@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InfeasibleError, NumericalError
-from .numerics import mds_alpha, row_fsums
+from .numerics import _all_finite, mds_alpha, row_fsums
 # No solver calls ``expected_runtime_hetero``; it stays imported because
 # perfbench's traced runs wrap it by name in this module.
 from .runtime import (
@@ -168,15 +168,17 @@ def _hetero_mechanism(
         threshold_type=threshold,
         rewards=dict(zip(pop.ids, rewards[0].tolist())),
         assignment=assign_loads_hetero(pop, range(1, threshold + 1), cfg.total_rows),
-        expected_runtime=runtimes[0],
-        expected_cost=_prefix_costs(counts, thresholds, rewards, pop, cfg, runtimes)[0],
+        expected_runtime=runtimes.item(),
+        expected_cost=_prefix_costs(
+            counts, thresholds, rewards, pop, cfg, runtimes
+        ).item(),
         config=cfg,
     )
 
 
 def _complete_offers(
     counts: np.ndarray, pop: Population, cfg: PlatformConfig
-) -> tuple[np.ndarray, list[float], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Complete-information offer for each row of an ``(R, M)`` counts
     matrix over ``pop``'s types: threshold types, expected runtimes, and
     ``(R, M)`` per-type rewards (each targeted type's cost, zero beyond
@@ -211,13 +213,13 @@ def _complete_offers(
     targeted = np.arange(size) < thresholds[:, None]
     runtimes = expected_runtimes_hetero(counts, pop, thresholds, cfg.total_rows)
     with np.errstate(all="ignore"):
-        rewards = np.where(targeted, pop.cost_rate * np.array(runtimes)[:, None], 0.0)
+        rewards = np.where(targeted, pop.cost_rate * runtimes[:, None], 0.0)
     return _finite_offers(thresholds, runtimes, rewards)
 
 
 def _private_offers(
     counts: np.ndarray, pop: Population, cfg: PlatformConfig
-) -> tuple[np.ndarray, list[float], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Private-cost offer for each row of an ``(R, M)`` counts matrix
     over ``pop``'s types: :func:`_private_thresholds`, expected
     runtimes, and ``(R, M)`` per-type rewards."""
@@ -227,7 +229,7 @@ def _private_offers(
         # Rewards proportional to throughput, grouped so the boundary type's
         # reward equals its cost bit-exactly and its payoff is exactly zero.
         boundary = thresholds - 1
-        boundary_pay = pop.cost_rate[boundary] * np.array(runtimes)
+        boundary_pay = pop.cost_rate[boundary] * runtimes
         throughputs = pop.throughput
         rewards = (throughputs / throughputs[boundary][:, None]) * boundary_pay[:, None]
     return _finite_offers(thresholds, runtimes, rewards)
@@ -258,11 +260,11 @@ def _private_thresholds(
 
 
 def _finite_offers(
-    thresholds: np.ndarray, runtimes: list[float], rewards: np.ndarray
-) -> tuple[np.ndarray, list[float], np.ndarray]:
+    thresholds: np.ndarray, runtimes: np.ndarray, rewards: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Both rules' offers, once their runtimes and rewards are checked
     finite: an overflowing offer raises NumericalError."""
-    if not (all(map(math.isfinite, runtimes)) and np.isfinite(rewards).all()):
+    if not (_all_finite(runtimes) and np.isfinite(rewards).all()):
         raise NumericalError("offer runtime or rewards overflow")
     return thresholds, runtimes, rewards
 
@@ -279,7 +281,7 @@ def _prefix_throughputs(
         )
     with np.errstate(over="ignore"):
         cum_thru = (counts * pop.throughput).cumsum(axis=1)
-    _checked_groups(cum_thru[:, -1].tolist())
+    _checked_groups(cum_thru[:, -1])
     return cum_thru
 
 
@@ -289,8 +291,8 @@ def _prefix_costs(
     rewards: np.ndarray | list[float],
     pop: Population,
     cfg: PlatformConfig,
-    runtimes: list[float] | None = None,
-) -> list[float]:
+    runtimes: np.ndarray | None = None,
+) -> np.ndarray:
     """Platform cost of each counts row when its targeted prefix
     ``1..threshold`` is paid the per-type ``rewards`` (one row for all,
     or one row each) and finishes in the prefix's expected runtime.
@@ -302,13 +304,10 @@ def _prefix_costs(
     """
     if runtimes is None:
         runtimes = expected_runtimes_hetero(counts, pop, thresholds, cfg.total_rows)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         paid = counts * rewards
-    costs = [
-        cfg.gamma_time * runtime + cfg.gamma_pay * payment
-        for runtime, payment in zip(runtimes, row_fsums(paid, thresholds))
-    ]
-    if not all(map(math.isfinite, costs)):
+        costs = cfg.gamma_time * runtimes + cfg.gamma_pay * row_fsums(paid, thresholds)
+    if not _all_finite(costs):
         raise NumericalError("the offer's platform cost overflows")
     return costs
 
@@ -377,8 +376,8 @@ def _cost_only_offer(pop: Population, cfg: PlatformConfig) -> Mechanism:
             [reward] * pop.size,
             pop,
             cfg,
-            [exact[recovery]],
-        )[0],
+            np.array([exact[recovery]]),
+        ).item(),
         config=cfg,
     )
 
@@ -404,11 +403,11 @@ def platform_cost(mech: Mechanism, pop: Population, cfg: PlatformConfig) -> floa
                 "fewer participators than the recovery threshold"
             )
         speed, startup = float(pop.speed[0]), float(pop.startup[0])
-        runtimes = [
+        runtimes = np.array([
             expected_runtime_mds(
                 participators, mech.recovery_threshold, cfg.total_rows, speed, startup
             )
-        ]
+        ])
     return _prefix_costs(
         pop.counts[None, :],
         np.array([mech.threshold_type]),
@@ -416,4 +415,4 @@ def platform_cost(mech: Mechanism, pop: Population, cfg: PlatformConfig) -> floa
         pop,
         cfg,
         runtimes,
-    )[0]
+    ).item()

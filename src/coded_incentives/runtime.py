@@ -7,7 +7,8 @@ is total rows over total effective throughput.  Homogeneous workers
 under an (n, k) uniform code all receive ``rows / k`` and the exact
 expected runtime of the k-th finisher follows from harmonic numbers.
 
-Both analytic runtimes are plain floats.  The Monte Carlo estimator
+Both analytic runtimes are Python floats; the batched runtimes of
+many headcount rows are one float64 array.  The Monte Carlo estimator
 simulates rounds directly: it samples every participating worker's
 completion time, accumulates rows in finish order until the workload
 is covered, and records the finishing time and the contributor count.
@@ -100,7 +101,7 @@ def _targeted_tuple(pop: Population, targeted: Iterable[int]) -> tuple[int, ...]
 
 def _group_throughputs(
     counts: np.ndarray, pop: Population, lengths: Sequence[int]
-) -> list[float]:
+) -> np.ndarray:
     """Correctly rounded total throughput (headcount times throughput
     per type) of each ``(R, M)`` counts row's first ``lengths[r]``
     types over ``pop``'s types, checked by :func:`_checked_groups`."""
@@ -109,23 +110,26 @@ def _group_throughputs(
     return _checked_groups(row_fsums(rates, lengths))
 
 
-def _checked_groups(groups: list[float]) -> list[float]:
+def _checked_groups(groups: np.ndarray) -> np.ndarray:
     """``groups``, the one check on group throughputs: a group without workers
     raises InfeasibleError, else one that overflows to ``inf`` NumericalError."""
-    if not min(groups) > 0:
+    values = groups.tolist()  # Python's min and isfinite beat NumPy's on one row
+    if not min(values) > 0:
         raise InfeasibleError("targeted set has no workers")
-    if not all(map(math.isfinite, groups)):
+    if not all(map(math.isfinite, values)):
         raise NumericalError("the targeted group throughput overflows")
     return groups
 
 
 def expected_runtimes_hetero(
     counts: np.ndarray, pop: Population, lengths: Sequence[int], rows: float
-) -> list[float]:
+) -> np.ndarray:
     """Analytic expected overall runtime of each row of
     :func:`_group_throughputs` under the heterogeneous assignment: rows
-    over the row's targeted throughput."""
-    return [rows / group for group in _group_throughputs(counts, pop, lengths)]
+    over the row's targeted throughput, ``inf`` where it overflows."""
+    groups = _group_throughputs(counts, pop, lengths)
+    with np.errstate(over="ignore"):
+        return rows / groups
 
 
 def _targeted_throughput(
@@ -137,7 +141,7 @@ def _targeted_throughput(
         raise ValueError(f"rows must be positive, got {rows}")
     ids = _targeted_tuple(pop, targeted)
     counts = pop.counts * np.bincount(ids, minlength=pop.size + 1)[1:]
-    return ids, _group_throughputs(counts[None, :], pop, [ids[-1]])[0]
+    return ids, _group_throughputs(counts[None, :], pop, [ids[-1]]).item()
 
 
 def assign_loads_hetero(

@@ -11,8 +11,9 @@ metrics) in which type id m sits at position m - 1.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -92,20 +93,14 @@ class Population:
     ratio: np.ndarray
 
     def __post_init__(self):
-        columns = [np.array(getattr(self, name), dtype=float) for name in _COLUMNS]
+        columns = [_read_only(getattr(self, name)) for name in _COLUMNS]
         for name, column in zip(_COLUMNS, columns):
-            # A view of a read-only array cannot be made writeable again;
-            # the owning copy itself could be.
-            column.flags.writeable = False
-            object.__setattr__(self, name, column.view())
+            object.__setattr__(self, name, column)
         if {c.shape for c in columns} != {(columns[0].size,)}:
             raise ValueError("population columns must be aligned 1-D arrays")
         if not self.ratio.size:
             raise ConfigurationError("population must contain at least one type")
-        counts = self.counts
-        whole = (counts == np.floor(counts)) & (counts < np.inf)
-        if not np.all(whole & (counts >= 0)):
-            raise ValueError(f"counts must be nonnegative integers, got {counts}")
+        _check_counts(self.counts)
         if np.any(self.ratio[1:] < self.ratio[:-1]):
             raise ValueError("population types must be sorted by ratio")
 
@@ -146,11 +141,35 @@ class Population:
         )
 
     def with_counts(self, counts: Sequence[int]) -> "Population":
-        """Same types and profiles with replaced headcounts."""
-        return replace(self, counts=counts)
+        """Same types and profiles with replaced headcounts.  Only the
+        new headcount column is copied and checked; the six type columns
+        are read-only, so the new population shares them."""
+        column = _read_only(counts)
+        if column.shape != self.counts.shape:
+            raise ValueError("population columns must be aligned 1-D arrays")
+        _check_counts(column)
+        resized = copy.copy(self)
+        object.__setattr__(resized, "counts", column)
+        return resized
 
 
 _COLUMNS = tuple(f.name for f in fields(Population))
+
+
+def _read_only(values) -> np.ndarray:
+    """A float64 copy of ``values`` as a read-only view.  A view of a
+    read-only array cannot be made writeable again; the owning copy
+    itself could be."""
+    column = np.array(values, dtype=float)
+    column.flags.writeable = False
+    return column.view()
+
+
+def _check_counts(counts: np.ndarray) -> None:
+    """The headcount rule: every count is a nonnegative integer."""
+    whole = (counts == np.floor(counts)) & (counts < np.inf)
+    if not np.all(whole & (counts >= 0)):
+        raise ValueError(f"counts must be nonnegative integers, got {counts}")
 
 
 def derive_profile(worker: WorkerType) -> PerformanceProfile:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -369,3 +370,33 @@ def compliance_rows_oracle(
                 if gain > tol:
                     violations.append((kind, m, reported, gain))
     return ir + ic + unrestricted
+
+
+def lambda_decimal_oracle(mu: float, a: float, digits: int = 60) -> float:
+    """Positive root of exp(mu*(x - a)) = mu*x + 1 in ``digits``-digit
+    decimal arithmetic: Newton's method on ``expm1(w) - w = a*mu`` in
+    ``w = mu*(x - a)``, with ``expm1(w) - w`` summed term by term so
+    that it does not cancel, rounded to a float at the end."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        mu_d, a_d = Decimal(mu), Decimal(a)
+        target = a_d * mu_d
+        eps = Decimal(10) ** -digits
+
+        def excess(w: Decimal) -> Decimal:
+            term, total, n = w * w / 2, Decimal(0), 2
+            while term > total * eps:
+                total += term
+                n += 1
+                term = term * w / n
+            return total
+
+        # The left side is convex and at least w**2/2, so Newton's
+        # method from sqrt(2 * target) descends onto the root.
+        w = (2 * target).sqrt()
+        for _ in range(200):
+            step = (excess(w) - target) / (excess(w) + w)
+            w -= step
+            if abs(step) <= w * eps * 1000:
+                break
+        return float((target + w) / mu_d)

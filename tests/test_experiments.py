@@ -37,7 +37,7 @@ from coded_incentives import (
     solve_incomplete,
 )
 from coded_incentives import experiments, workers
-from coded_incentives.experiments import _apportion_rows
+from coded_incentives.experiments import _apportion_rows, _mean_and_stderr
 from coded_incentives.mechanisms import _prefix_costs, _private_offers
 from oracles import apportion_oracle, best_response_oracle
 
@@ -537,7 +537,9 @@ def test_fig7_replicates_are_prefixes_of_a_larger_run(monkeypatch):
         part = _fig7_pricing(monkeypatch, replace(spec, replications=reps))
         for got, whole in zip(part, full, strict=True):
             assert np.array_equal(got[0], whole[0][:reps])
-            assert got[1:] == tuple(costs[:reps] for costs in whole[1:])
+            assert [costs.tobytes() for costs in got[1:]] == [
+                costs[:reps].tobytes() for costs in whole[1:]
+            ]
 
 
 def test_fig7_point_rows_do_not_depend_on_the_sweep(monkeypatch):
@@ -796,3 +798,20 @@ class TestLoadConfig:
         path.write_text("sweep = 100:500:0\n")
         with pytest.raises(ConfigurationError, match=":1.*sweep step must be positive"):
             load_config(str(path))
+
+
+@pytest.mark.parametrize("reps", [1, 2, 3, 200])
+def test_fig7_statistics_match_numpy_bit_for_bit(reps):
+    rng = np.random.default_rng(reps)
+    samples = [rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), reps) for _ in range(20)]
+    if reps > 1:
+        samples.append(np.where(np.arange(reps) == 1, np.inf, samples[0]))
+    for gaps in samples:
+        with np.errstate(all="ignore"):
+            mean, stderr = _mean_and_stderr(gaps)
+            expected = (
+                np.std(gaps, ddof=1) / math.sqrt(reps) if reps > 1 else 0.0
+            )
+        assert type(mean) is float and type(stderr) is float
+        assert mean.hex() == float(np.mean(gaps)).hex()
+        assert stderr.hex() == float(expected).hex()

@@ -27,6 +27,7 @@ from coded_incentives import (
     WorkerType,
     build_population,
     default_population,
+    expected_runtime_hetero,
     expected_runtime_mds,
     mds_alpha,
     platform_cost,
@@ -752,3 +753,63 @@ class TestPlatformCost:
         assert value == pytest.approx(
             benchmark_config.gamma_time * mech.expected_runtime
         )
+
+
+class TestArrayContracts:
+    """Batched prices are float64 arrays, equal bit for bit to one
+    ``math.fsum`` per row; the scalar views hand out Python floats."""
+
+    POP = default_population(1400)
+    CFG = PlatformConfig(gamma_time=1000.0, gamma_pay=0.5, total_rows=1000.0)
+
+    def test_batched_prices_are_per_row_fsums(self):
+        rng = np.random.default_rng(30)
+        counts = rng.integers(0, 300, size=(50, 10)).astype(float)
+        counts[0, :4] = 0.0  # leading empty types
+        pop, cfg = self.POP, self.CFG
+        for rule in (_private_offers, _complete_offers):
+            thresholds, runtimes, rewards = rule(counts, pop, cfg)
+            costs = _prefix_costs(counts, thresholds, rewards, pop, cfg, runtimes)
+            for batch in (runtimes, costs):
+                assert isinstance(batch, np.ndarray)
+                assert batch.dtype == np.float64 and batch.shape == (50,)
+            for r, t in enumerate(thresholds.tolist()):
+                group = math.fsum((counts[r] * pop.throughput)[:t].tolist())
+                runtime = cfg.total_rows / group
+                paid = math.fsum((counts[r] * rewards[r])[:t].tolist())
+                cost = cfg.gamma_time * runtime + cfg.gamma_pay * paid
+                assert runtimes[r].hex() == runtime.hex()
+                assert costs[r].hex() == cost.hex()
+
+    def test_zero_length_prefix_costs_only_its_runtime(self):
+        counts = np.full((2, 10), 5.0)
+        runtimes = np.array([2.0, 3.0])
+        costs = _prefix_costs(
+            counts, np.array([0, 1]), np.ones(10), self.POP, self.CFG, runtimes
+        )
+        assert costs.tolist() == [1000.0 * 2.0, 1000.0 * 3.0 + 0.5 * 5.0]
+
+    def test_scalar_views_return_python_floats(self):
+        pop, cfg = self.POP, self.CFG
+        cost_only = [
+            WorkerType(id=1, cost_rate=c, speed=2.0, startup=1.0, count=10)
+            for c in (1.0, 4.0, 9.0)
+        ]
+        mechs = [
+            solve_incomplete(pop, cfg),
+            solve_complete(pop, cfg),
+            solve_cost_only(cost_only, cfg),
+        ]
+        pops = [pop, pop, build_population(cost_only)]
+        for mech, own in zip(mechs, pops):
+            values = [
+                mech.expected_runtime,
+                mech.expected_cost,
+                platform_cost(mech, own, cfg),
+                *mech.rewards.values(),
+                *mech.assignment.loads.values(),
+            ]
+            assert all(type(v) is float for v in values), mech.scenario
+            assert "np.float64" not in repr(mech)
+        runtime = expected_runtime_hetero(pop, [1, 2, 3], cfg.total_rows)
+        assert type(runtime) is float

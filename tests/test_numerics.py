@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from oracles import (
     alpha_objective,
     alpha_oracle,
     harmonic_oracle,
+    lambda_decimal_oracle,
     lambda_oracle,
     row_fsums_oracle,
 )
@@ -89,6 +91,70 @@ class TestSolveLambda:
         assert lam > a
         residual = math.exp(mu * (lam - a)) - mu * lam - 1.0
         assert abs(residual) <= 1e-9 * (1.0 + mu * lam)
+
+
+# sha256 of the space-joined ``float.hex`` roots of the 9,923 pairs of
+# TestBrentPort's grid whose target a*mu is at or above the series
+# cutoff, and the catalog's ten roots, as they were before the cutoff.
+_GRID_ROOTS_ABOVE_CUTOFF = (
+    "f7741ad007b550020d6c2d3c699eff9e883977a4052ab76aecf7d815db50adab"
+)
+_CATALOG_ROOTS = (
+    "0x1.f46299f5ffe3ap-6", "0x1.48a56a992945bp-5", "0x1.6c342f8f9371ap-5",
+    "0x1.9c2c9413b2266p-4", "0x1.85072ac34712ep-5", "0x1.340f208953866p-3",
+    "0x1.8e3162542c9aep-5", "0x1.665e08d0f0770p-3", "0x1.8057ffc420a43p-3",
+    "0x1.8c9c8d21255d5p-3",
+)
+
+
+class TestSolveLambdaSmallTargets:
+    # Below numerics._SERIES_TARGET, expm1(w) - w is summed by its series.
+    @pytest.mark.parametrize("mu", [1e-300, 1e-6, 1.0, 1e6, 1e290])
+    def test_matches_decimal_oracle_from_1e_305_to_the_cutoff(self, mu):
+        rng = np.random.default_rng(int(math.log10(mu)) + 400)
+        exponents = rng.uniform(-305, math.log10(numerics._SERIES_TARGET), 300)
+        for target in [1e-305, *(10.0**exponents).tolist()]:
+            a = target / mu
+            if not (a >= 2.3e-308 and math.isfinite(a)):
+                continue
+            ref = lambda_decimal_oracle(mu, a)
+            assert abs(solve_lambda(mu, a) - ref) <= 2 * math.ulp(ref), (mu, a)
+
+    @pytest.mark.parametrize(
+        "mu, a", [(1.0, 1e-20), (1.0, 1e-12), (1e-300, 1e-5), (2.0, 0.0049)]
+    )
+    def test_cancelling_targets_keep_their_root(self, mu, a):
+        ref = lambda_decimal_oracle(mu, a)
+        assert abs(solve_lambda(mu, a) - ref) <= 2 * math.ulp(ref)
+
+    def test_roots_at_or_above_the_cutoff_are_unchanged(self):
+        rng = np.random.default_rng(18)
+        mus = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), 20_000))
+        starts = np.exp(rng.uniform(math.log(1e-8), math.log(1e4), 20_000))
+        roots = [
+            solve_lambda(mu, a).hex()
+            for mu, a in zip(mus.tolist(), starts.tolist())
+            if a * mu >= numerics._SERIES_TARGET
+        ]
+        assert len(roots) == 9923
+        digest = hashlib.sha256(" ".join(roots).encode()).hexdigest()
+        assert digest == _GRID_ROOTS_ABOVE_CUTOFF
+        catalog = [solve_lambda(mu, a).hex() for mu, a in BENCHMARK_PARAMS]
+        assert tuple(catalog) == _CATALOG_ROOTS
+
+    def test_wrong_small_root_fails_the_relative_check(self, monkeypatch):
+        # At the bracket's upper end, twice the root, one Newton step
+        # leaves a residual far above 1e-12 of the target, which an
+        # absolute bound of 1e-12 would have let pass.
+        monkeypatch.setattr(numerics, "_brent", lambda f, lo, hi, *args: (hi, True))
+        numerics._solve_lambda_cached.cache_clear()
+        with pytest.raises(IterationError, match="residual above tolerance"):
+            solve_lambda(1.0, 1e-20)
+
+    def test_series_matches_expm1_minus_w_where_it_does_not_cancel(self):
+        for w in np.linspace(0.05, 0.3, 26).tolist():
+            exact = math.expm1(w) - w
+            assert numerics._expm1_excess(w) == pytest.approx(exact, rel=1e-14)
 
 
 def _bracketed_residual(mu: float, a: float):
@@ -280,11 +346,20 @@ class TestRowFsums:
         got = numerics.row_fsums(values, lengths)
         assert got[7] == math.inf
         others = np.arange(50) != 7
-        assert _bits(got[:7] + got[8:]) == _bits(
+        assert _bits(got[others]) == _bits(
             row_fsums_oracle(values[others], lengths[others])
         )
         # Cut before the second 1e308, the same row sums.
         assert numerics.row_fsums(values[7:8], [1]) == [1e308]
+
+    def test_returns_float64_sums_with_empty_and_overflowing_rows(self):
+        values = np.array([[1e308, 1e308, 5.0], [2.0, np.nan, 3.0], [0.1, 0.2, 0.3]])
+        got = numerics.row_fsums(values, [2, 0, 3])
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == np.float64 and got.shape == (3,)
+        assert _bits(got) == _bits([math.inf, 0.0, math.fsum([0.1, 0.2, 0.3])])
+        # Every row empty: no column is kept, and every sum is 0.0.
+        assert _bits(numerics.row_fsums(values, [0, 0, 0])) == _bits([0.0] * 3)
 
     def test_batched_group_throughputs_overflow_is_numerical_error(self):
         # Each type's throughput is about 3.2e299, so 5e8 workers give

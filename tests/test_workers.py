@@ -172,6 +172,18 @@ class TestBuildPopulation:
         with pytest.raises(ValueError):
             pop.with_counts([1])
 
+    def test_with_counts_copies_only_the_headcounts(self):
+        pop = build_population([_worker(cost=1.0), _worker(cost=2.0)])
+        source = np.array([3.0, 5.0])
+        resized = pop.with_counts(source)
+        assert not np.shares_memory(resized.counts, source)
+        assert not resized.counts.flags.writeable
+        for name in COLUMNS[1:]:
+            assert np.shares_memory(getattr(resized, name), getattr(pop, name))
+        assert resized == build_population(
+            [_worker(cost=1.0, count=3), _worker(cost=2.0, count=5)]
+        )
+
     @pytest.mark.parametrize("bad", [2.5, -1.0, math.nan, math.inf])
     def test_with_counts_rejects_non_integer_counts(self, bad):
         pop = build_population([_worker(cost=1.0), _worker(cost=2.0)])
