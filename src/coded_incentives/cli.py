@@ -189,14 +189,10 @@ def _format_mechanism(mech: Mechanism, pop: Population) -> str:
         lines.append(f"recovery threshold: {mech.recovery_threshold}")
     lines.append("")
     lines.append(f"{'type':>4}  {'count':>6}  {'cost':>8}  {'reward':>12}  {'load':>10}")
-    counts = pop.counts.astype(int).tolist()
-    for m, count, cost in zip(pop.ids, counts, pop.cost_rate.tolist()):
-        load = mech.assignment.loads.get(m)
-        load_text = f"{load:.6g}" if load is not None else "-"
-        lines.append(
-            f"{m:>4}  {count:>6}  {cost:>8g}  "
-            f"{mech.rewards.get(m, 0.0):>12.6g}  {load_text:>10}"
-        )
+    columns = pop.counts.astype(int), pop.cost_rate, mech.rewards, mech.assignment.loads
+    for m, count, cost, reward, load in zip(pop.ids, *(c.tolist() for c in columns)):
+        text = f"{load:.6g}" if load else "-"
+        lines.append(f"{m:>4}  {count:>6}  {cost:>8g}  {reward:>12.6g}  {text:>10}")
     return "\n".join(lines)
 
 

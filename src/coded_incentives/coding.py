@@ -342,10 +342,10 @@ def _round_loads(
             )
         block_rows = -(-rows // threshold)  # ceil(rows / threshold)
         return np.full(n_workers, block_rows), threshold * block_rows
-    missing = [m for m in participants.tolist() if m not in assignment.loads]
-    if missing:
+    type_loads = assignment.loads[participants - 1]
+    if not type_loads.all():
+        missing = participants[type_loads == 0].tolist()
         raise InfeasibleError(f"no load assigned to participating types {missing}")
-    type_loads = [assignment.loads[m] for m in participants.tolist()]
     loads = _whole_rows(np.repeat(type_loads, counts)).astype(int)
     if loads.sum() < rows:
         raise InfeasibleError(f"participators cover {loads.sum()} rows, need {rows}")
@@ -438,7 +438,7 @@ def simulate_round(
     # Each worker is paid the reward of its type's report and bears its
     # type's cost over the round, so both are computed once per type.
     runtime = float(times[order[realized - 1]])
-    type_pay = np.array([mech.rewards.get(m, 0.0) for m in reported], dtype=float)
+    type_pay = mech.rewards[reported - 1]
     payments = np.repeat(type_pay, counts).tolist()
     payoffs = np.repeat(type_pay - pop.cost_rate[index] * runtime, counts)
     cost = mech.config.gamma_time * runtime + mech.config.gamma_pay * math.fsum(

@@ -396,7 +396,7 @@ def run_fig7(spec: ExperimentSpec) -> ResultTable:
         committed_costs = _prefix_costs(
             realized,
             committed_thresholds,
-            [committed.rewards[m] for m in pop.ids],
+            committed.rewards,
             pop,
             cfg,
             committed_runtimes,

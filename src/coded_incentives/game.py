@@ -19,6 +19,7 @@ from itertools import starmap
 import numpy as np
 
 from .mechanisms import SCENARIO_COMPLETE, Mechanism
+from .runtime import _checked_row
 from .workers import Population
 
 __all__ = [
@@ -141,7 +142,7 @@ def _offer_table(
     mech: Mechanism, pop: Population, true: slice = slice(None)
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_report_table` for ``mech`` as one row, as ``(T, M)``."""
-    rewards = np.array([[mech.rewards.get(m, 0.0) for m in pop.ids]], dtype=float)
+    rewards = _checked_row(mech.rewards, pop)[None]
     complete = mech.scenario == SCENARIO_COMPLETE
     payoffs, feasible = _report_table(
         [mech.threshold_type], [mech.expected_runtime], rewards, pop, complete, true

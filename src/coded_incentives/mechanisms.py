@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,13 +36,14 @@ from .numerics import _all_finite, mds_alpha, row_fsums
 from .runtime import (
     SCHEME_MDS,
     LoadAssignment,
+    _checked_row,
     _checked_groups,
     assign_loads_hetero,
     expected_runtime_hetero,
     expected_runtime_mds,
     expected_runtimes_hetero,
 )
-from .workers import Population, WorkerType, build_population
+from .workers import Population, WorkerType, _read_only, build_population
 
 __all__ = [
     "SCENARIO_COMPLETE",
@@ -91,20 +92,20 @@ class PlatformConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mechanism:
     """A platform offer: targeted prefix, rewards for every type, loads,
     and the runtime the offer implies for participating workers.
 
     ``expected_runtime`` is the round runtime workers face when the
     targeted set participates; worker payoffs are measured against it.
-    ``rewards`` is defined for all type ids (zero outside the targeted
-    set under complete information).
+    ``rewards`` is a read-only row indexed by type id - 1, like the loads
+    (zero outside the targeted set under complete information).
     """
 
     scenario: str
     threshold_type: int
-    rewards: Mapping[int, float]
+    rewards: np.ndarray
     assignment: LoadAssignment
     expected_runtime: float
     expected_cost: float
@@ -121,14 +122,16 @@ class Mechanism:
         return self.assignment.recovery_threshold
 
     def __post_init__(self):
-        if self.scenario not in (
-            SCENARIO_COMPLETE,
-            SCENARIO_INCOMPLETE,
-            SCENARIO_COST_ONLY,
-        ):
+        scenarios = (SCENARIO_COMPLETE, SCENARIO_INCOMPLETE, SCENARIO_COST_ONLY)
+        if self.scenario not in scenarios:
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        if not all(0 <= p < math.inf for p in self.rewards.values()):
+        object.__setattr__(self, "rewards", _read_only(self.rewards))
+        if not ((self.rewards >= 0) & (self.rewards < np.inf)).all():
             raise ValueError("rewards must be nonnegative and finite")
+        if self.rewards.shape != self.assignment.loads.shape:
+            raise ValueError("rewards and loads must be rows over the same types")
+        if not 1 <= self.threshold_type <= self.rewards.size:
+            raise ValueError(f"threshold type {self.threshold_type} is not offered")
         if not 0 < self.expected_runtime < math.inf:
             raise ValueError("expected_runtime must be positive and finite")
 
@@ -163,15 +166,14 @@ def _hetero_mechanism(
     counts = pop.counts[None, :]
     thresholds, runtimes, rewards = rule(counts, pop, cfg)
     threshold = int(thresholds[0])
+    cost = _prefix_costs(counts, thresholds, rewards, pop, cfg, runtimes).item()
     return Mechanism(
         scenario=scenario,
         threshold_type=threshold,
-        rewards=dict(zip(pop.ids, rewards[0].tolist())),
+        rewards=rewards[0],
         assignment=assign_loads_hetero(pop, range(1, threshold + 1), cfg.total_rows),
         expected_runtime=runtimes.item(),
-        expected_cost=_prefix_costs(
-            counts, thresholds, rewards, pop, cfg, runtimes
-        ).item(),
+        expected_cost=cost,
         config=cfg,
     )
 
@@ -312,6 +314,20 @@ def _prefix_costs(
     return costs
 
 
+def _offer_cost(
+    pop: Population,
+    threshold: int,
+    rewards: np.ndarray,
+    cfg: PlatformConfig,
+    runtime: float | None = None,
+) -> float:
+    """:func:`_prefix_costs` of one offer on ``pop``'s headcounts, with
+    its expected ``runtime`` if the caller has it."""
+    counts, thresholds = pop.counts[None, :], np.array([threshold])
+    runtimes = None if runtime is None else np.array([runtime])
+    return _prefix_costs(counts, thresholds, rewards, pop, cfg, runtimes).item()
+
+
 def solve_cost_only(
     types: Sequence[WorkerType], cfg: PlatformConfig
 ) -> Mechanism:
@@ -359,25 +375,15 @@ def _cost_only_offer(pop: Population, cfg: PlatformConfig) -> Mechanism:
     reward = float(pop.cost_rate[threshold - 1]) * worker_runtime
     if not math.isfinite(reward):
         raise NumericalError("offer runtime or rewards overflow")
+    rewards = np.full(pop.size, reward)
+    loads = np.where(np.arange(pop.size) < threshold, cfg.total_rows / recovery, 0.0)
     return Mechanism(
         scenario=SCENARIO_COST_ONLY,
         threshold_type=threshold,
-        rewards={m: reward for m in pop.ids},
-        assignment=LoadAssignment(
-            loads={m: cfg.total_rows / recovery for m in range(1, threshold + 1)},
-            total_rows=cfg.total_rows,
-            scheme=SCHEME_MDS,
-            recovery_threshold=recovery,
-        ),
+        rewards=rewards,
+        assignment=LoadAssignment(loads, cfg.total_rows, SCHEME_MDS, recovery),
         expected_runtime=worker_runtime,
-        expected_cost=_prefix_costs(
-            pop.counts[None, :],
-            np.array([threshold]),
-            [reward] * pop.size,
-            pop,
-            cfg,
-            np.array([exact[recovery]]),
-        ).item(),
+        expected_cost=_offer_cost(pop, threshold, rewards, cfg, exact[recovery]),
         config=cfg,
     )
 
@@ -389,30 +395,16 @@ def platform_cost(mech: Mechanism, pop: Population, cfg: PlatformConfig) -> floa
     payment valuation times the total expected payment to targeted
     workers.  The cost-only scenario uses the exact harmonic runtime.
     """
-    if mech.threshold_type > pop.size:
-        raise ConfigurationError("mechanism targets types absent from population")
-    if any(m not in mech.rewards for m in mech.targeted):
-        raise ConfigurationError("mechanism lacks rewards for targeted types")
-    runtimes = None
+    _checked_row(mech.rewards, pop)
+    runtime = None
     if mech.scenario == SCENARIO_COST_ONLY:
         if mech.recovery_threshold is None:
             raise ConfigurationError("cost-only mechanism lacks recovery threshold")
         participators = int(sum(pop.counts[: mech.threshold_type].tolist()))
         if participators < mech.recovery_threshold:
-            raise InfeasibleError(
-                "fewer participators than the recovery threshold"
-            )
+            raise InfeasibleError("fewer participators than the recovery threshold")
         speed, startup = float(pop.speed[0]), float(pop.startup[0])
-        runtimes = np.array([
-            expected_runtime_mds(
-                participators, mech.recovery_threshold, cfg.total_rows, speed, startup
-            )
-        ])
-    return _prefix_costs(
-        pop.counts[None, :],
-        np.array([mech.threshold_type]),
-        [mech.rewards.get(m, 0.0) for m in pop.ids],
-        pop,
-        cfg,
-        runtimes,
-    ).item()
+        runtime = expected_runtime_mds(
+            participators, mech.recovery_threshold, cfg.total_rows, speed, startup
+        )
+    return _offer_cost(pop, mech.threshold_type, mech.rewards, cfg, runtime)

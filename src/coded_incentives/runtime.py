@@ -22,9 +22,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleError, NumericalError
+from .errors import ConfigurationError, InfeasibleError, NumericalError
 from .numerics import harmonic, row_fsums
-from .workers import Population, sample_times
+from .workers import Population, _read_only, sample_times
 
 __all__ = [
     "SCHEME_HETERO",
@@ -45,34 +45,41 @@ SCHEME_MDS = "mds-uniform"
 ROW_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoadAssignment:
-    """Per-type loads (rows per round) for one scheme."""
+    """Rows per round for one scheme: a read-only row by type id - 1, 0 if unloaded."""
 
-    loads: Mapping[int, float]
+    loads: np.ndarray
     total_rows: float
     scheme: str
     recovery_threshold: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "loads", _read_only(self.loads))
+        loaded = self.loads[self.loads != 0]
         if self.scheme not in (SCHEME_HETERO, SCHEME_MDS):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if not self.loads:
+        if not loaded.size:
             raise InfeasibleError("assignment must cover at least one type")
         if not self.total_rows > 0:
             raise ValueError("total_rows must be positive")
-        if any(not load > 0 for load in self.loads.values()):
-            raise ValueError("all loads must be positive")
+        if self.loads.ndim != 1 or not ((loaded > 0) & (loaded < np.inf)).all():
+            raise ValueError("loads must be a row of finite, nonnegative values")
         if self.scheme == SCHEME_MDS:
             if self.recovery_threshold is None or self.recovery_threshold < 1:
                 raise ValueError("uniform scheme requires a positive threshold")
             uniform = self.total_rows / self.recovery_threshold
-            if any(
-                abs(load - uniform) > 1e-9 * uniform for load in self.loads.values()
-            ):
+            if (abs(loaded - uniform) > 1e-9 * uniform).any():
                 raise ValueError("uniform scheme requires equal loads rows/k")
         elif self.recovery_threshold is not None:
             raise ValueError("only the uniform scheme has a recovery threshold")
+
+
+def _checked_row(row: np.ndarray, pop: Population) -> np.ndarray:
+    """``row``, checked to be indexed like ``pop`` (else ConfigurationError)."""
+    if row.size != pop.size:
+        raise ConfigurationError(f"the offer covers {row.size} types, not {pop.size}")
+    return row
 
 
 @dataclass(frozen=True)
@@ -151,7 +158,10 @@ def assign_loads_hetero(
     workers: ``rows / (row_time * total targeted throughput)``."""
     ids, group = _targeted_throughput(pop, targeted, rows)
     row_times = pop.row_time.tolist()
-    loads = {m: rows / (row_times[m - 1] * group) for m in ids}
+    loads = np.zeros(pop.size)
+    loads[np.array(ids) - 1] = [rows / (row_times[m - 1] * group) for m in ids]
+    if np.count_nonzero(loads) < len(ids):
+        raise NumericalError("a targeted type's load rounds to zero")
     return LoadAssignment(loads=loads, total_rows=float(rows), scheme=SCHEME_HETERO)
 
 
@@ -210,7 +220,8 @@ def monte_carlo_runtime(
     if not rows > 0:
         raise ValueError(f"rows must be positive, got {rows}")
     ids = _targeted_tuple(pop, targeted)
-    missing = [m for m in ids if m not in assignment.loads]
+    loads = _checked_row(assignment.loads, pop)
+    missing = [m for m in ids if not loads[m - 1] > 0]
     if missing:
         raise InfeasibleError(f"assignment missing loads for types: {missing}")
     active = [m for m in ids if pop.counts[m - 1] > 0]
@@ -219,7 +230,7 @@ def monte_carlo_runtime(
 
     index = np.array(active) - 1
     counts = pop.counts[index].astype(int)
-    worker_loads = np.repeat([assignment.loads[m] for m in active], counts)
+    worker_loads = np.repeat(loads[index], counts)
     startup = np.repeat(pop.startup[index], counts)
     speed = np.repeat(pop.speed[index], counts)
     target = rows * (1.0 - ROW_SLACK)

@@ -307,7 +307,7 @@ def _payoff_oracle(true_m: int, reported: int, mech, pop) -> float:
     """A worker of type ``true_m``'s payoff reporting ``reported``: that
     identity's reward minus the true cost of working the round."""
     cost = pop.member(true_m)[0].cost_rate
-    return mech.rewards.get(reported, 0.0) - cost * mech.expected_runtime
+    return float(mech.rewards[reported - 1]) - cost * mech.expected_runtime
 
 
 def feasible_reports_oracle(true_m: int, mech, pop) -> list[int]:
@@ -375,8 +375,10 @@ def compliance_rows_oracle(
 def lambda_decimal_oracle(mu: float, a: float, digits: int = 60) -> float:
     """Positive root of exp(mu*(x - a)) = mu*x + 1 in ``digits``-digit
     decimal arithmetic: Newton's method on ``expm1(w) - w = a*mu`` in
-    ``w = mu*(x - a)``, with ``expm1(w) - w`` summed term by term so
-    that it does not cancel, rounded to a float at the end."""
+    ``w = mu*(x - a)``, rounded to a float at the end.  Below w = 1,
+    ``expm1(w) - w`` is summed term by term so that it does not cancel;
+    from w = 1 on, ``exp(w) - 1 - w`` loses less than one digit.  A
+    root not reached in 200 steps raises ArithmeticError."""
     with localcontext() as ctx:
         ctx.prec = digits
         mu_d, a_d = Decimal(mu), Decimal(a)
@@ -384,6 +386,8 @@ def lambda_decimal_oracle(mu: float, a: float, digits: int = 60) -> float:
         eps = Decimal(10) ** -digits
 
         def excess(w: Decimal) -> Decimal:
+            if w >= 1:
+                return w.exp() - 1 - w
             term, total, n = w * w / 2, Decimal(0), 2
             while term > total * eps:
                 total += term
@@ -391,12 +395,19 @@ def lambda_decimal_oracle(mu: float, a: float, digits: int = 60) -> float:
                 term = term * w / n
             return total
 
-        # The left side is convex and at least w**2/2, so Newton's
-        # method from sqrt(2 * target) descends onto the root.
+        # The left side is convex and increasing, so Newton's method
+        # descends onto the root from any start at or above it.  It is
+        # at least w**2/2, so s = sqrt(2t) is such a start; when log(t +
+        # s + 1) is smaller, so is it, since there the left side is t + s
+        # - log(t + s + 1) >= t.  Far above the root each step only moves
+        # about one unit, so for s > 1 the smaller start matters; for
+        # tiny t the logarithm rounds to zero, so s is kept.
         w = (2 * target).sqrt()
+        if w > 1:
+            w = min(w, (target + w + 1).ln())
         for _ in range(200):
             step = (excess(w) - target) / (excess(w) + w)
             w -= step
             if abs(step) <= w * eps * 1000:
-                break
-        return float((target + w) / mu_d)
+                return float((target + w) / mu_d)
+        raise ArithmeticError(f"no root for mu={mu}, a={a} in 200 Newton steps")

@@ -221,7 +221,7 @@ def _hetero_offer(pop, loads, rows, rewards, gamma_time=3.0, gamma_pay=2.0):
     )
     return Mechanism(
         scenario="incomplete-hetero",
-        threshold_type=max(loads),
+        threshold_type=int(np.flatnonzero(loads)[-1]) + 1,
         rewards=rewards,
         assignment=assignment,
         expected_runtime=1.0,
@@ -247,7 +247,7 @@ class TestSimulateRoundHetero:
         A = rng.standard_normal((rows, 2))
         x = rng.standard_normal(2)
         mech = _hetero_offer(
-            pop, {1: 5.2, 2: 0.2}, rows, {1: 1000.0, 2: 1000.0}
+            pop, [5.2, 0.2], rows, [1000.0, 1000.0]
         )
         return pop, mech, A, x, simulate_round(mech, pop, A, x, seed)
 
@@ -267,7 +267,7 @@ class TestSimulateRoundHetero:
         assert type2_workers
         for w in type2_workers:
             assert w not in racing
-            assert outcome.payments[w] == mech.rewards[2]
+            assert outcome.payments[w] == mech.rewards[1]
 
     def test_payment_and_cost_identity(self):
         _, mech, _, _, outcome = self._setup()
@@ -292,7 +292,7 @@ class TestSimulateRoundHetero:
     def test_contributors_are_shortest_covering_prefix(self):
         _, mech, _, _, outcome = self._setup()
         loads = integerize_loads(
-            [mech.assignment.loads[m] for _, m in outcome.worker_types]
+            [mech.assignment.loads[m - 1] for _, m in outcome.worker_types]
         )
         ordered = [w for w, _ in outcome.finish_order]
         k = outcome.realized_k
@@ -317,7 +317,7 @@ class TestSimulateRoundHetero:
         A = rng.standard_normal((rows, 2))
         x = rng.standard_normal(2)
         # Type 2 cannot cover its cost and stays out.
-        mech = _hetero_offer(pop, {1: 5.3, 2: 4.0}, rows, {1: 1000.0, 2: 0.0})
+        mech = _hetero_offer(pop, [5.3, 4.0], rows, [1000.0, 0.0])
         outcome = simulate_round(mech, pop, A, x, 3)
         assert outcome.participants == (1,)
         assert all(m == 1 for _, m in outcome.worker_types)
@@ -328,7 +328,7 @@ class TestSimulateRoundHetero:
         rows = 10
         A = np.ones((rows, 2))
         x = np.ones(2)
-        mech = _hetero_offer(pop, {1: 1.0, 2: 1.0}, rows, {1: 0.0, 2: 0.0})
+        mech = _hetero_offer(pop, [1.0, 1.0], rows, [0.0, 0.0])
         with pytest.raises(InfeasibleError, match="no worker participates"):
             simulate_round(mech, pop, A, x, 0)
 
@@ -337,7 +337,7 @@ class TestSimulateRoundHetero:
         rows = 53
         A = np.ones((rows, 2))
         x = np.ones(2)
-        mech = _hetero_offer(pop, {1: 2.0, 2: 1.0}, rows, {1: 500.0, 2: 500.0})
+        mech = _hetero_offer(pop, [2.0, 1.0], rows, [500.0, 500.0])
         with pytest.raises(
             InfeasibleError, match="participators cover 25 rows, need 53"
         ):
@@ -354,7 +354,7 @@ class TestSimulateRoundHetero:
         )
         A = np.ones((20, 2))
         x = np.ones(2)
-        mech = _hetero_offer(pop, {1: 2.0}, 20, {1: 100.0})
+        mech = _hetero_offer(pop, [2.0, 0.0], 20, [100.0, 0.0])
         with pytest.raises(
             InfeasibleError, match=r"no load assigned to participating types \[2\]"
         ):
@@ -478,7 +478,7 @@ class TestSeededRoundPinned:
         rng = np.random.default_rng(1)
         A = rng.standard_normal((53, 2))
         x = rng.standard_normal(2)
-        mech = _hetero_offer(pop, {1: 5.2, 2: 0.2}, 53, {1: 1000.0, 2: 1000.0})
+        mech = _hetero_offer(pop, [5.2, 0.2], 53, [1000.0, 1000.0])
         outcome = simulate_round(mech, pop, A, x, seed)
         assert outcome.runtime.hex() == runtime
         assert outcome.platform_cost_realized.hex() == cost
@@ -535,7 +535,7 @@ class TestSystematicDecode:
         rng = np.random.default_rng(1)
         A = rng.standard_normal((53, 2))
         x = rng.standard_normal(2)
-        mech = _hetero_offer(pop, {1: 5.2, 2: 0.2}, 53, {1: 1000.0, 2: 1000.0})
+        mech = _hetero_offer(pop, [5.2, 0.2], 53, [1000.0, 1000.0])
         for seed in range(5):
             outcome = simulate_round(mech, pop, A, x, seed)
             _, loads, received = calls[-1]
@@ -572,7 +572,7 @@ class TestSystematicDecode:
         A = rng.standard_normal((rows, 3))
         x = rng.standard_normal(3)
         mech = _hetero_offer(
-            pop, {1: load1, 2: load2}, rows, {1: 1000.0, 2: 1000.0}
+            pop, [load1, load2], rows, [1000.0, 1000.0]
         )
         with pytest.MonkeyPatch.context() as patch:
             calls = _record_decode(patch)
@@ -594,7 +594,7 @@ class TestSystematicDecode:
         A = rng.standard_normal((53, 2))
         x = rng.standard_normal(2)
         scale = max(1.0, float(np.max(np.abs(A @ x))))
-        mech = _hetero_offer(pop, {1: 5.3, 2: 0.6}, 53, {1: 1000.0, 2: 1000.0})
+        mech = _hetero_offer(pop, [5.3, 0.6], 53, [1000.0, 1000.0])
         for seed in range(2000):
             assert simulate_round(mech, pop, A, x, seed).max_error <= 1e-8 * scale
         shapes = {
@@ -611,7 +611,7 @@ class TestSystematicDecode:
         rng = np.random.default_rng(1)
         A = rng.standard_normal((53, 2))
         x = rng.standard_normal(2)
-        mech = _hetero_offer(pop, {1: 8.0, 2: 0.2}, 53, {1: 1000.0, 2: 1000.0})
+        mech = _hetero_offer(pop, [8.0, 0.2], 53, [1000.0, 1000.0])
         assert simulate_round(mech, pop, A, x, 5).max_error <= 1e-8
         # The planted block's condition number is about 1e9, beyond what
         # 1e-8 accuracy allows.
@@ -1032,10 +1032,10 @@ class TestRealizedContributorLaw:
                 WorkerType(id=0, cost_rate=3.0, speed=10.0, startup=0.031, count=1),
             ]
         )
-        loads = {1: 3.0, 2: 2.0, 3: 2.0, 4: 1.0}
+        loads = [3.0, 2.0, 2.0, 1.0]
         rows = 7
         mech = _hetero_offer(
-            pop, loads, rows, {m: 1000.0 for m in pop.ids}
+            pop, loads, rows, [1000.0] * pop.size
         )
         reference = monte_carlo_runtime(
             pop,

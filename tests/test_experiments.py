@@ -516,7 +516,7 @@ def test_fig7_committed_costs_reuse_only_matching_runtimes(monkeypatch):
     alone = _prefix_costs(
         realized,
         np.full(spec.replications, committed.threshold_type),
-        [committed.rewards[m] for m in pop.ids],
+        committed.rewards.tolist(),
         pop,
         cfg,
     )

@@ -111,7 +111,7 @@ class TestBestResponse:
                     assert not decision.participate
                     continue
                 cost = pop.member(m)[0].cost_rate * mech.expected_runtime
-                best = max(mech.rewards[r] - cost for r in feasible)
+                best = max(mech.rewards[r - 1] - cost for r in feasible)
                 if best < 0:
                     assert not decision.participate
                     assert decision.expected_payoff == 0.0
@@ -184,7 +184,7 @@ class TestBestResponse:
 
     def test_tie_prefers_truthful_report(self):
         pop = _two_class_population()
-        rewards = {1: 40.0, 2: 40.0, 3: 40.0}
+        rewards = [40.0, 40.0, 40.0]
         mech = _offer(pop, rewards, "incomplete-hetero")
         decision = best_response(2, mech, pop)
         assert decision.reported_type == 2
@@ -220,7 +220,7 @@ class TestVerifyIrIc:
         runtime_cost = {
             m: pop.member(m)[0].cost_rate for m in pop.ids
         }
-        mech = _offer(pop, {1: 300.0, 2: 100.0, 3: 100.0}, "incomplete-hetero")
+        mech = _offer(pop, [300.0, 100.0, 100.0], "incomplete-hetero")
         report = verify_ir_ic(mech, pop)
         assert any(
             true == 2 and claimed == 1 for true, claimed, _ in report.ic_violations
@@ -233,11 +233,11 @@ class TestVerifyIrIc:
         # type 1 shows up only in the unrestricted scan.
         pop = _two_class_population()
         runtime = expected_runtime_hetero(pop, pop.ids, 500.0)
-        rewards = {
-            1: 10_000.0,
-            2: 10_000.0,
-            3: 2.0 * pop.member(3)[0].cost_rate * runtime,
-        }
+        rewards = [
+            10_000.0,
+            10_000.0,
+            2.0 * pop.member(3)[0].cost_rate * runtime,
+        ]
         mech = _offer(pop, rewards, "incomplete-hetero")
         report = verify_ir_ic(mech, pop)
         cross = [
@@ -252,7 +252,7 @@ class TestVerifyIrIc:
 
     def test_all_zero_rewards_violate_rationality(self):
         pop = _two_class_population()
-        mech = _offer(pop, {1: 0.0, 2: 0.0, 3: 0.0}, "incomplete-hetero")
+        mech = _offer(pop, [0.0, 0.0, 0.0], "incomplete-hetero")
         report = verify_ir_ic(mech, pop)
         assert len(report.ir_violations) == len(pop.ids)
         assert not report.truthful
@@ -266,7 +266,7 @@ class TestVerifyIrIc:
 
     def test_report_rows_and_text(self):
         pop = _two_class_population()
-        mech = _offer(pop, {1: 300.0, 2: 100.0, 3: 0.0}, "incomplete-hetero")
+        mech = _offer(pop, [300.0, 100.0, 0.0], "incomplete-hetero")
         report = verify_ir_ic(mech, pop)
         rows = report.to_rows()
         kinds = {kind for kind, _, _, _ in rows}
@@ -318,7 +318,7 @@ def _scaled_rewards(mech, rng):
     """``mech`` with every reward scaled by its own factor in [0.5, 1.5),
     so that misreports and violations occur."""
     scale = rng.uniform(0.5, 1.5, size=len(mech.rewards)).tolist()
-    rewards = {m: r * s for (m, r), s in zip(mech.rewards.items(), scale)}
+    rewards = [r * s for r, s in zip(mech.rewards.tolist(), scale)]
     return replace(mech, rewards=rewards)
 
 

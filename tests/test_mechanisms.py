@@ -25,15 +25,19 @@ from coded_incentives import (
     NumericalError,
     PlatformConfig,
     WorkerType,
+    assign_loads_hetero,
+    best_response,
     build_population,
     default_population,
     expected_runtime_hetero,
     expected_runtime_mds,
     mds_alpha,
     platform_cost,
+    simulate_round,
     solve_complete,
     solve_cost_only,
     solve_incomplete,
+    verify_ir_ic,
 )
 from coded_incentives.mechanisms import (
     _complete_offers,
@@ -99,7 +103,9 @@ class TestMechanismInvariants:
     ):
         mech = solve_incomplete(benchmark_population, benchmark_config)
         if field == "reward":
-            changes = {"rewards": {**mech.rewards, 2: value}}
+            rewards = mech.rewards.copy()
+            rewards[1] = value
+            changes = {"rewards": rewards}
         else:
             changes = {field: value}
         with pytest.raises(ValueError, match="finite"):
@@ -107,8 +113,8 @@ class TestMechanismInvariants:
 
     def test_rewards_nonnegative(self, benchmark_population, benchmark_config):
         mech = solve_complete(benchmark_population, benchmark_config)
-        bad = dict(mech.rewards)
-        bad[1] = -0.5
+        bad = mech.rewards.copy()
+        bad[0] = -0.5
         with pytest.raises(ValueError):
             Mechanism(
                 scenario=mech.scenario,
@@ -125,6 +131,39 @@ class TestMechanismInvariants:
         with pytest.raises(ValueError, match="unknown scenario 'other'"):
             replace(mech, scenario="other")
 
+    def test_offers_are_read_only_rows_over_the_population(
+        self, benchmark_population, benchmark_config
+    ):
+        types = [
+            WorkerType(id=1, cost_rate=c, speed=2.0, startup=1.0, count=n)
+            for c, n in ((1.0, 10), (4.0, 6), (9.0, 4))
+        ]
+        cfg = PlatformConfig(gamma_time=50.0, gamma_pay=1.0, total_rows=100.0)
+        cost_only = solve_cost_only(types, cfg)
+        pop = benchmark_population
+        offers = [
+            (solve_complete(pop, benchmark_config), pop),
+            (solve_incomplete(pop, benchmark_config), pop),
+            (cost_only, build_population(types)),
+        ]
+        for mech, pop in offers:
+            for row in (mech.rewards, mech.assignment.loads):
+                assert row.shape == (pop.size,)
+                assert row.dtype == np.float64
+                with pytest.raises(ValueError, match="read-only"):
+                    row[0] = 1.0
+        # The cost-only loads are rows / k on the targeted prefix, 0 beyond.
+        assert cost_only.threshold_type == 1
+        uniform = cfg.total_rows / cost_only.recovery_threshold
+        assert cost_only.assignment.loads.tolist() == [uniform, 0.0, 0.0]
+
+    def test_targeted_type_without_a_positive_load_is_refused(
+        self, benchmark_population
+    ):
+        # 5e-324 rows spread over three types' throughput rounds to 0.
+        with pytest.raises(NumericalError, match="load rounds to zero"):
+            assign_loads_hetero(benchmark_population, (1, 2, 3), 5e-324)
+
 
 class TestSolveComplete:
     def test_benchmark_threshold(self, benchmark_population, benchmark_config):
@@ -140,11 +179,11 @@ class TestSolveComplete:
         for m in benchmark_population.ids:
             worker, _ = benchmark_population.member(m)
             if m in mech.targeted:
-                assert mech.rewards[m] == float(
+                assert mech.rewards[m - 1] == float(
                     worker.cost_rate * mech.expected_runtime
                 )
             else:
-                assert mech.rewards[m] == 0.0
+                assert mech.rewards[m - 1] == 0.0
 
     def test_matches_brute_force_on_benchmark(
         self, benchmark_population, benchmark_config
@@ -218,7 +257,7 @@ class TestSolveIncomplete:
                 benchmark_population.member(boundary)[0].cost_rate
                 * mech.expected_runtime
             )
-            assert mech.rewards[m] == pytest.approx(expected, rel=1e-12)
+            assert mech.rewards[m - 1] == pytest.approx(expected, rel=1e-12)
 
     def test_boundary_reward_equals_cost_bit_exactly(
         self, benchmark_population, benchmark_config
@@ -226,7 +265,7 @@ class TestSolveIncomplete:
         mech = solve_incomplete(benchmark_population, benchmark_config)
         boundary = mech.threshold_type
         worker, _ = benchmark_population.member(boundary)
-        assert mech.rewards[boundary] == worker.cost_rate * mech.expected_runtime
+        assert mech.rewards[boundary - 1] == worker.cost_rate * mech.expected_runtime
 
     def test_cost_identity(self, benchmark_population, benchmark_config):
         # Expected cost collapses to rows * min over prefixes of
@@ -300,7 +339,7 @@ class TestBatchedPrivateOffers:
         thresholds, runtimes, rewards = _private_offers(counts, self.POP, cfg)
         informed = _prefix_costs(counts, thresholds, rewards, self.POP, cfg)
         committed = solve_incomplete(self.POP, cfg)
-        committed_rewards = [committed.rewards[m] for m in self.POP.ids]
+        committed_rewards = committed.rewards.tolist()
         for i, row in enumerate(rows):
             pop = self.POP.with_counts(row)
             threshold, runtime, oracle_rewards, cost = private_offer_oracle(pop, cfg)
@@ -387,7 +426,7 @@ class TestBatchedCompleteOffers:
             mech = solve_complete(pop, cfg)
             assert mech.threshold_type == threshold
             assert mech.expected_runtime.hex() == runtime.hex()
-            assert [mech.rewards[m] for m in pop.ids] == oracle_rewards
+            assert mech.rewards.tolist() == oracle_rewards
             assert mech.expected_cost.hex() == cost.hex()
 
     def test_bound_met_with_equality_targets_the_longer_prefix(self):
@@ -550,7 +589,7 @@ class TestSolveCostOnly:
     def test_uniform_reward_for_all_types(self):
         cfg = PlatformConfig(gamma_time=50.0, gamma_pay=1.0, total_rows=100.0)
         mech = solve_cost_only(self._types(), cfg)
-        values = set(mech.rewards.values())
+        values = set(mech.rewards.tolist())
         assert len(values) == 1
         reward = values.pop()
         boundary_cost = self._types()[mech.threshold_type - 1].cost_rate
@@ -594,7 +633,7 @@ class TestSolveCostOnly:
                 mech.threshold_type,
                 mech.recovery_threshold,
                 mech.expected_runtime,
-                mech.rewards[1],
+                mech.rewards[0],
                 mech.expected_cost,
                 platform_cost(mech, build_population(types), cfg),
             )
@@ -606,7 +645,8 @@ class TestSolveCostOnly:
         mech = solve_cost_only(self._types(), cfg)
         uniform = cfg.total_rows / mech.recovery_threshold
         assert all(
-            load == uniform for load in mech.assignment.loads.values()
+            load == uniform
+            for load in mech.assignment.loads[: mech.threshold_type].tolist()
         )
         assert mech.assignment.recovery_threshold == mech.recovery_threshold
 
@@ -707,15 +747,25 @@ class TestPlatformCost:
     ):
         mech = solve_incomplete(benchmark_population, benchmark_config)
         smaller = build_population([benchmark_population.types[0][0]])
-        with pytest.raises(
-            ConfigurationError, match="mechanism targets types absent from population"
-        ):
-            platform_cost(mech, smaller, benchmark_config)
-        unpaid = replace(mech, rewards={m: 0.0 for m in mech.targeted[1:]})
-        with pytest.raises(
-            ConfigurationError, match="mechanism lacks rewards for targeted types"
-        ):
-            platform_cost(unpaid, benchmark_population, benchmark_config)
+        rows = int(benchmark_config.total_rows)
+        entry_points = [
+            lambda: platform_cost(mech, smaller, benchmark_config),
+            lambda: best_response(1, mech, smaller),
+            lambda: verify_ir_ic(mech, smaller),
+            lambda: simulate_round(mech, smaller, np.ones((rows, 2)), np.ones(2), 0),
+        ]
+        for call in entry_points:
+            with pytest.raises(
+                ConfigurationError,
+                match="the offer covers 10 types, not 1",
+            ):
+                call()
+        # An offer whose rows disagree, or whose threshold lies beyond
+        # them, is refused when it is built.
+        with pytest.raises(ValueError, match="rewards and loads must be rows"):
+            replace(mech, rewards=mech.rewards[1:])
+        with pytest.raises(ValueError, match="threshold type 11 is not offered"):
+            replace(mech, threshold_type=11)
 
     def test_rejects_cost_only_offers_without_a_feasible_threshold(self):
         types = [WorkerType(id=1, cost_rate=1.0, speed=2.0, startup=1.0, count=10)]
@@ -806,8 +856,8 @@ class TestArrayContracts:
                 mech.expected_runtime,
                 mech.expected_cost,
                 platform_cost(mech, own, cfg),
-                *mech.rewards.values(),
-                *mech.assignment.loads.values(),
+                *mech.rewards.tolist(),
+                *mech.assignment.loads.tolist(),
             ]
             assert all(type(v) is float for v in values), mech.scenario
             assert "np.float64" not in repr(mech)

@@ -157,6 +157,37 @@ class TestSolveLambdaSmallTargets:
             assert numerics._expm1_excess(w) == pytest.approx(exact, rel=1e-14)
 
 
+def _oracle_pairs(seed: int, low: float, high: float, count: int = 400):
+    """``count`` ``(mu, a)`` pairs, mu log-uniform on [1e-2, 1e8] and the
+    target ``a * mu`` log-uniform on [low, high]."""
+    rng = np.random.default_rng(seed)
+    mus = 10.0 ** rng.uniform(-2, 8, count)
+    targets = 10.0 ** rng.uniform(math.log10(low), math.log10(high), count)
+    return [(mu, t / mu) for mu, t in zip(mus.tolist(), targets.tolist())]
+
+
+class TestSolveLambdaLargeTargets:
+    # Above the series cutoff the root is found on expm1(w) - w.
+    def test_decimal_oracle_reaches_roots_of_large_targets(self):
+        # Far above the root Newton's method moves about one unit a step,
+        # so from sqrt(2t) = 235 it would not reach w = 10.23 in 200 steps.
+        assert lambda_decimal_oracle(2.76e4, 1.0) == 1.0003705064386714
+
+    def test_matches_decimal_oracle_from_0_25_to_1e10(self):
+        for mu, a in _oracle_pairs(31, 0.25, 1e10):
+            ref = lambda_decimal_oracle(mu, a)
+            assert abs(solve_lambda(mu, a) - ref) <= 2 * math.ulp(ref), (mu, a)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="expm1(w) - w cancels here: roots err by up to 6 ulps",
+    )
+    def test_matches_decimal_oracle_from_the_cutoff_to_0_25(self):
+        for mu, a in _oracle_pairs(32, numerics._SERIES_TARGET, 0.25):
+            ref = lambda_decimal_oracle(mu, a)
+            assert abs(solve_lambda(mu, a) - ref) <= 2 * math.ulp(ref), (mu, a)
+
+
 def _bracketed_residual(mu: float, a: float):
     """``solve_lambda``'s residual in ``w = mu*(lam - a)`` and its
     doubling bracket's upper end."""

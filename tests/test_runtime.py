@@ -47,7 +47,7 @@ class TestAssignLoadsHetero:
         )
         for m in targeted:
             expected = rows / (pop.member(m)[1].row_time * group)
-            assert assignment.loads[m] == pytest.approx(expected, rel=1e-12)
+            assert assignment.loads[m - 1] == pytest.approx(expected, rel=1e-12)
         assert assignment.scheme == SCHEME_HETERO
         assert assignment.recovery_threshold is None
 
@@ -59,13 +59,13 @@ class TestAssignLoadsHetero:
         rows = 777.0
         assignment = assign_loads_hetero(pop, (1, 2, 3), rows)
         runtime = expected_runtime_hetero(pop, (1, 2, 3), rows)
-        for m, load in assignment.loads.items():
+        for m, load in zip(pop.ids, assignment.loads.tolist()):
             assert load * pop.member(m)[1].row_time == pytest.approx(
                 runtime, rel=1e-12
             )
         covered = math.fsum(
             pop.member(m)[0].count * pop.member(m)[1].throughput * runtime
-            for m in assignment.loads
+            for m in pop.ids
         )
         assert covered == pytest.approx(rows, rel=1e-9)
 
@@ -74,7 +74,7 @@ class TestAssignLoadsHetero:
         assignment = assign_loads_hetero(pop, (1, 2, 3), 1000.0)
         row_times = {m: pop.member(m)[1].row_time for m in (1, 2, 3)}
         ordered = sorted((1, 2, 3), key=lambda m: row_times[m])
-        loads = [assignment.loads[m] for m in ordered]
+        loads = [assignment.loads[m - 1] for m in ordered]
         assert loads == sorted(loads, reverse=True)
 
     def test_rejects_bad_inputs(self):
@@ -158,20 +158,20 @@ class TestExpectedRuntimeMds:
 class TestLoadAssignmentValidation:
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
-            LoadAssignment(loads={1: 5.0}, total_rows=10.0, scheme="other")
+            LoadAssignment(loads=[5.0], total_rows=10.0, scheme="other")
 
     def test_mds_requires_threshold_and_equal_loads(self):
         with pytest.raises(ValueError):
-            LoadAssignment(loads={1: 5.0}, total_rows=10.0, scheme=SCHEME_MDS)
+            LoadAssignment(loads=[5.0], total_rows=10.0, scheme=SCHEME_MDS)
         with pytest.raises(ValueError):
             LoadAssignment(
-                loads={1: 5.0, 2: 6.0},
+                loads=[5.0, 6.0],
                 total_rows=10.0,
                 scheme=SCHEME_MDS,
                 recovery_threshold=2,
             )
         ok = LoadAssignment(
-            loads={1: 5.0, 2: 5.0},
+            loads=[5.0, 5.0],
             total_rows=10.0,
             scheme=SCHEME_MDS,
             recovery_threshold=2,
@@ -181,7 +181,7 @@ class TestLoadAssignmentValidation:
     def test_hetero_scheme_has_no_recovery_threshold(self):
         with pytest.raises(ValueError, match="only the uniform scheme"):
             LoadAssignment(
-                loads={1: 5.0, 2: 5.0},
+                loads=[5.0, 5.0],
                 total_rows=10.0,
                 scheme=SCHEME_HETERO,
                 recovery_threshold=7,
@@ -189,13 +189,13 @@ class TestLoadAssignmentValidation:
 
     def test_positive_total_rows_required(self):
         with pytest.raises(ValueError, match="total_rows must be positive"):
-            LoadAssignment(loads={1: 5.0}, total_rows=0.0, scheme=SCHEME_HETERO)
+            LoadAssignment(loads=[5.0], total_rows=0.0, scheme=SCHEME_HETERO)
 
     def test_positive_loads_required(self):
         with pytest.raises(ValueError):
-            LoadAssignment(loads={1: 0.0}, total_rows=10.0, scheme=SCHEME_HETERO)
+            LoadAssignment(loads=[0.0], total_rows=10.0, scheme=SCHEME_HETERO)
         with pytest.raises(InfeasibleError):
-            LoadAssignment(loads={}, total_rows=10.0, scheme=SCHEME_HETERO)
+            LoadAssignment(loads=[], total_rows=10.0, scheme=SCHEME_HETERO)
 
 
 class TestMonteCarloRuntime:
@@ -240,7 +240,7 @@ class TestMonteCarloRuntime:
             [WorkerType(id=0, cost_rate=1.0, speed=mu, startup=a, count=n)]
         )
         assignment = LoadAssignment(
-            loads={1: rows / k},
+            loads=[rows / k],
             total_rows=rows,
             scheme=SCHEME_MDS,
             recovery_threshold=k,
@@ -280,7 +280,7 @@ class TestMonteCarloRuntime:
     def test_uncovered_workload_infeasible(self):
         pop = _pop()
         assignment = LoadAssignment(
-            loads={1: 1.0, 2: 1.0, 3: 1.0}, total_rows=1000.0, scheme=SCHEME_HETERO
+            loads=[1.0, 1.0, 1.0], total_rows=1000.0, scheme=SCHEME_HETERO
         )
         with pytest.raises(InfeasibleError):
             monte_carlo_runtime(pop, assignment, (1, 2, 3), 1000.0, 10, 0)
