@@ -32,9 +32,9 @@ from .mechanisms import (
 from .numerics import _largest_remainder
 from .runtime import expected_runtimes_hetero
 from .workers import (
-    PerformanceProfile,
     Population,
     WorkerType,
+    _profile_columns,
     _ranked_population,
     build_population,
     derive_profile,
@@ -470,7 +470,8 @@ def load_config(path: str) -> ExperimentSpec:
     finite, and a population row whose performance profile cannot be
     derived is an error naming its file and line.
     """
-    rows: list[tuple[WorkerType, PerformanceProfile]] = []
+    rows: list[WorkerType] = []
+    lines: list[int] = []
     settings: dict[str, object] = {}
     for line_no, text in _text_lines(path):
         key, setting, value = text.partition("=")
@@ -485,13 +486,21 @@ def load_config(path: str) -> ExperimentSpec:
                 attr, parse, _ = _SETTINGS[key]
                 settings[attr] = parse(value.strip())
             else:
-                worker = _worker_row(len(rows) + 1, text.split())
-                rows.append((worker, derive_profile(worker)))
+                rows.append(_worker_row(len(rows) + 1, text.split()))
+                lines.append(line_no)
         except (ValueError, ArithmeticError) as exc:
             raise ConfigurationError(f"{path}:{line_no}: {exc}") from exc
-    if not rows:
-        rows = [(worker, derive_profile(worker)) for worker in default_worker_types()]
-    order, population = _ranked_population(*zip(*rows))
+    rows = rows or default_worker_types()
+    try:
+        columns = _profile_columns(rows)
+    except (ValueError, ArithmeticError):  # name the first row that fails alone
+        for line_no, worker in zip(lines, rows):
+            try:
+                derive_profile(worker)
+            except (ValueError, ArithmeticError) as exc:
+                raise ConfigurationError(f"{path}:{line_no}: {exc}") from exc
+        raise
+    order, population = _ranked_population(columns)
     probs = settings.get("type_probabilities")
     if probs is not None:
         if len(probs) != len(rows):

@@ -244,8 +244,10 @@ def _private_thresholds(
     both private-cost scenarios select with: the first populated prefix
     minimizing ``gamma_time / cumsum(counts * throughput) + gamma_pay *
     ratio``.  With one throughput shared by all types this is the
-    cost-only per-participator cost over it.  A row whose chosen
-    objective is not finite raises NumericalError."""
+    cost-only per-participator cost over it.  Where a ratio overflowed,
+    its pay term is ``gamma_pay * cost_rate / throughput``, finite
+    whenever the product is.  A row whose chosen objective is not finite
+    raises NumericalError."""
     cum_thru = _prefix_throughputs(counts, pop, cfg)
     with np.errstate(all="ignore"):
         per_thru = np.divide(
@@ -254,7 +256,9 @@ def _private_thresholds(
             out=np.full_like(cum_thru, np.inf),
             where=cum_thru > 0,
         )
-        objective = per_thru + cfg.gamma_pay * pop.ratio
+        pay = cfg.gamma_pay * pop.ratio
+        overflowed = cfg.gamma_pay * pop.cost_rate / pop.throughput
+        objective = per_thru + np.where(pop.ratio < np.inf, pay, overflowed)
     chosen = objective.argmin(axis=1)
     if not np.isfinite(objective[np.arange(chosen.size), chosen]).all():
         raise NumericalError("the private-cost prefix objective overflows")
@@ -265,9 +269,12 @@ def _finite_offers(
     thresholds: np.ndarray, runtimes: np.ndarray, rewards: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Both rules' offers, once their runtimes and rewards are checked
-    finite: an overflowing offer raises NumericalError."""
+    finite and the runtimes positive: an overflowing offer, or a runtime
+    that rounds to zero, raises NumericalError."""
     if not (_all_finite(runtimes) and np.isfinite(rewards).all()):
         raise NumericalError("offer runtime or rewards overflow")
+    if not runtimes.all():
+        raise NumericalError("offer runtime underflows to zero")
     return thresholds, runtimes, rewards
 
 

@@ -1,11 +1,12 @@
-"""Scalar special functions and root solvers used throughout the package.
+"""Special functions and the root solver used throughout the package.
 
 Three quantities recur in the runtime and mechanism formulas:
 
 * ``solve_lambda``: the per-row time scale of a worker whose completion
   time is shift ``a`` plus an exponential tail of rate ``mu``.  It is
   the unique positive root of ``exp(mu*(lam - a)) = mu*lam + 1``, and
-  the only solver of that equation in the package.
+  the only solver of that equation in the package: one NumPy Newton
+  iteration over every pair it is given, so a population takes one call.
 * ``mds_alpha``: the optimal recovery-threshold fraction, read off the
   same root as ``mu*lam / (1 + mu*lam)``.
 * ``harmonic``: partial sums of the harmonic series, which give the
@@ -14,9 +15,7 @@ Three quantities recur in the runtime and mechanism formulas:
 ``row_fsums`` sums each row of a batched array up to its own length
 into a float64 array, cutting the rows to their prefixes so that only
 ``math.fsum`` loops in Python, and ``_largest_remainder`` rounds
-batched rows.
-The root search is Brent's method in pure Python, so the package needs
-only NumPy.
+batched rows.  The package needs only NumPy.
 """
 
 from __future__ import annotations
@@ -29,139 +28,83 @@ import numpy as np
 
 from .errors import IterationError
 
-__all__ = [
-    "solve_lambda",
-    "mds_alpha",
-    "harmonic",
-]
+__all__ = ["solve_lambda", "mds_alpha", "harmonic"]
 
 
 # Convergence budget of ``solve_lambda``: the residual bound relative
-# to the target a*mu, and the root search's iteration cap.
+# to the target a*mu, and Newton's iteration cap.
 _REL_TOL = 1e-12
 _MAX_ITER = 200
-# Targets a*mu below this sum expm1(w) - w by its series: the difference
-# cancels for small w, and from here down its rounding error would move
-# the root by more than two ulps.  The catalog's targets are 0.31 to 35.
-_SERIES_TARGET = 1e-2
+# Below w = 1, expm1(w) - w is summed by its series, as it cancels there:
+# taken from expm1 above w = 0.3 or 0.5, it left roots 3 ulps off, and
+# above 0.3 the catalog's root at (mu, a) = (10, 0.031) one ulp off.
+_SERIES_W = 1.0
+_FLOAT_MAX = np.finfo(float).max
 
 
-def _brent(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int):
-    """Root of ``f`` in ``[xa, xb]`` by Brent's method (Brent 1973, ch. 4),
-    step for step as SciPy's ``brentq``, so it returns the same double
-    and the same ``converged`` flag as ``(x, converged)``.  Where the C
-    code divides by zero it gets an infinite or NaN step and bisects;
-    so does this port."""
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0 or fcur == 0:
-        return (xpre if fpre == 0 else xcur), True
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        # Nonzero values differ in sign exactly when their signbits do.
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur, True
-        stry = math.inf
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = (-fcur * (fblk * dblk - fpre * dpre)
-                            / (dblk * dpre * (fblk - fpre)))
-            except ZeroDivisionError:
-                pass
-        bound = 3 * abs(sbis) - delta
-        if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
-            spre, scur = scur, stry  # good short step
-        else:
-            spre = scur = sbis  # bisect
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    return xcur, False
-
-
-@functools.lru_cache(maxsize=65536)
-def _solve_lambda_cached(mu: float, a: float) -> float:
-    # Work in the shifted variable w = mu*lam - a*mu > 0, where the
-    # defining equation becomes expm1(w) - w = a*mu.  The left side is
-    # zero at w = 0 and strictly increasing, so the positive root is
-    # unique and the root search gets a guaranteed bracket.
-    target = a * mu
-    if 0.0 < target < _SERIES_TARGET:
-        # The left side is at least w**2/2, so the root is below
-        # sqrt(2 * target) and the bracket scales with it.
-        excess, scale = _expm1_excess, 2.0 * math.sqrt(2.0 * target)
-    else:
-        excess, scale = (lambda w: math.expm1(w) - w), 1.0
-
-    def residual(w: float) -> float:
-        try:
-            return excess(w) - target
-        except OverflowError:
-            return math.inf
-
-    # The residual is -target <= 0 at 0 and inf once expm1 overflows
-    # (w > 709.78), so the doubling stops by hi = 1024 and the bracket
-    # [0, hi] always changes sign.
-    hi = scale
-    while residual(hi) <= 0.0:
-        hi *= 2.0
-    w, converged = _brent(residual, 0.0, hi, 1e-15 * scale, 8.9e-16, _MAX_ITER)
-    if not converged:
-        raise IterationError(
-            f"no convergence within {_MAX_ITER} iterations for mu={mu}, a={a}",
-            best=(target + w) / mu,
-        )
-
-    # One Newton polish step; the derivative expm1(w) is exact here.
-    slope = math.expm1(w)
-    if slope > 0.0:
-        w -= residual(w) / slope
-    if abs(residual(w)) > _REL_TOL * target:
-        raise IterationError(
-            f"residual above tolerance for mu={mu}, a={a}", best=(target + w) / mu
-        )
-    return (target + w) / mu
-
-
-def _expm1_excess(w: float) -> float:
-    """``expm1(w) - w`` for ``0 <= w <= 0.3`` by its Taylor series
-    ``w**2/2 * (1 + w/3 * (1 + w/4 * (...)))`` up to the ``w**16`` term;
-    the rest is below 1e-20 of the sum there."""
-    tail = 1.0
-    for n in range(16, 2, -1):
+def _excess_tail(w: np.ndarray) -> np.ndarray:
+    """``(expm1(w) - w) / (w**2/2)`` for ``0 <= w < 1`` by its Taylor
+    series ``1 + w/3 * (1 + w/4 * (...))`` up to the ``w**20`` term of
+    ``expm1``; the rest is below 1e-19 of the sum there."""
+    tail = np.ones_like(w)
+    for n in range(20, 2, -1):
         tail = 1.0 + w / n * tail
-    return w * w / 2.0 * tail
+    return tail
 
 
-def solve_lambda(mu: float, a: float) -> float:
-    """Return the unique positive root ``lam`` of
-    ``exp(mu*(lam - a)) = mu*lam + 1``.
+def solve_lambda(mu, a):
+    """Return the unique positive root ``lam > a`` of
+    ``exp(mu*(lam - a)) = mu*lam + 1``: a float for positive scalars, else
+    the roots of equal-shape arrays, each bit for bit its own pair's, and
+    within two ulps of the exact root for targets ``t = a*mu`` up to 1e10.
 
-    The root always satisfies ``lam > a`` because the left side equals
-    1 at ``lam = a`` while the right side equals ``mu*a + 1 > 1``.
-    Raises :class:`IterationError` when the bracketed search does not
-    converge within 200 iterations.
+    In ``w = mu*(lam - a)`` the equation is ``expm1(w) - w = t``, whose
+    convex, increasing left side takes Newton's method from the upper
+    bound ``min(sqrt(2t), log1p(t + sqrt(2t)))`` down onto the root until
+    no iterate decreases.  Residuals are in units of a power of two near
+    ``t``, so an underflowing target keeps its digits.  Raises
+    :class:`IterationError`, with the roots reached as ``best``, when an
+    iterate still decreases after 200 steps or a residual exceeds 1e-12
+    of its target.
     """
-    if not mu > 0:
+    mu, a = np.asarray(mu, dtype=float), np.asarray(a, dtype=float)
+    if mu.shape != a.shape:
+        raise ValueError(f"mu and a must have one shape, got {mu.shape} and {a.shape}")
+    if not np.all(mu > 0):
         raise ValueError(f"mu must be positive, got {mu}")
-    if not a > 0:
+    if not np.all(a > 0):
         raise ValueError(f"a must be positive, got {a}")
-    return _solve_lambda_cached(float(mu), float(a))
+    with np.errstate(all="ignore"):
+        sigma = np.ldexp(1.0, np.minimum((np.frexp(a)[1] + np.frexp(mu)[1]) // 2, 0))
+        # sigma <= 1 is a power of two near sqrt(a*mu), so a*mu / sigma**2 does
+        # not underflow; past the float range the root rounds to a anyway.
+        target = np.minimum((a / sigma) * (mu / sigma), _FLOAT_MAX)
+        bound = np.sqrt(2.0 * target) * sigma
+        w = np.minimum(bound, np.log1p(np.minimum(a * mu + bound, _FLOAT_MAX)))
+        for _ in range(_MAX_ITER):
+            slope, scaled = np.expm1(w), w / sigma
+            residual = np.where(
+                w < _SERIES_W,
+                scaled * scaled / 2.0 * _excess_tail(w),
+                (slope - w) / sigma / sigma,
+            ) - target
+            new = w - sigma * residual / (slope / sigma)
+            falling = new < w
+            if not falling.any():
+                break
+            w = np.where(falling, new, w)
+        lam = a + w / mu
+    best = float(lam) if lam.ndim == 0 else lam
+    for failed, reason in (
+        (falling, f"no convergence within {_MAX_ITER} iterations"),
+        (~(np.abs(residual) <= _REL_TOL * target), "residual above tolerance"),
+    ):
+        if failed.any():
+            i = np.argmax(failed)
+            raise IterationError(
+                f"{reason} for mu={mu.flat[i]}, a={a.flat[i]}", best=best
+            )
+    return best
 
 
 def mds_alpha(mu: float, a: float) -> float:

@@ -174,28 +174,30 @@ def _check_counts(counts: np.ndarray) -> None:
 
 def derive_profile(worker: WorkerType) -> PerformanceProfile:
     """Compute the derived performance metrics of one worker type."""
-    row_time = solve_lambda(worker.speed, worker.startup)
-    throughput = worker.speed / (1.0 + worker.speed * row_time)
-    if not throughput > 0:
-        raise ValueError(f"throughput underflows to zero for {worker}")
-    return PerformanceProfile(
-        row_time=row_time, throughput=throughput, ratio=worker.cost_rate / throughput
-    )
+    return PerformanceProfile(*_profile_columns([worker])[4:, 0].tolist())
 
 
-def _ranked_population(
-    raw: Sequence[WorkerType], profiles: Sequence[PerformanceProfile]
-) -> tuple[np.ndarray, Population]:
-    """The population of the types ``raw`` with their derived
-    ``profiles``, and the id order it assigns them (input positions)."""
-    columns = np.array(
-        [
-            (t.count, t.cost_rate, t.speed, t.startup)
-            + (p.row_time, p.throughput, p.ratio)
-            for t, p in zip(raw, profiles)
-        ],
-        dtype=float,
-    ).reshape(len(raw), len(_COLUMNS)).T
+def _profile_columns(types: Sequence[WorkerType]) -> np.ndarray:
+    """The seven ``Population`` columns of ``types`` in input order, the
+    three derived ones from one :func:`solve_lambda` call.  A type whose
+    throughput underflows to zero raises ValueError."""
+    inputs = np.array(
+        [(t.count, t.cost_rate, t.speed, t.startup) for t in types], dtype=float
+    ).reshape(len(types), 4).T
+    _, cost_rate, speed, startup = inputs
+    row_time = solve_lambda(speed, startup)
+    with np.errstate(over="ignore", divide="ignore"):
+        throughput = speed / (1.0 + speed * row_time)
+        ratio = cost_rate / throughput
+    underflowed = np.flatnonzero(~(throughput > 0))
+    if underflowed.size:
+        raise ValueError(f"throughput underflows to zero for {types[underflowed[0]]}")
+    return np.vstack((inputs, row_time, throughput, ratio))
+
+
+def _ranked_population(columns: np.ndarray) -> tuple[np.ndarray, Population]:
+    """The population of the ``(7, M)`` :func:`_profile_columns`, and
+    the id order it assigns them (input positions)."""
     # Stable, last key first: by ratio, then cost rate, then input order.
     order = np.lexsort((columns[1], columns[6]))
     return order, Population(*columns[:, order])
@@ -208,8 +210,7 @@ def build_population(raw: Iterable[WorkerType]) -> Population:
     Equal ratios fall back to the lower cost rate first; remaining ties
     keep input order.
     """
-    entries = list(raw)
-    return _ranked_population(entries, [derive_profile(t) for t in entries])[1]
+    return _ranked_population(_profile_columns(list(raw)))[1]
 
 
 def sample_time(worker: WorkerType, load: float, rng: np.random.Generator) -> float:

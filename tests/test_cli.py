@@ -288,9 +288,7 @@ class TestNonFiniteConfig:
             "1.0 inf 0.012 10",
             "1.0 50.0 nan 10",
             "nan 50.0 0.012 10",
-            # Profiles that cannot be derived: the row time underflows,
-            # or the throughput does.
-            "1.0 1e-300 1e-300 10",
+            # A profile that cannot be derived: the throughput underflows.
             "1.0 1e300 1e300 10",
         ],
     )
@@ -301,6 +299,27 @@ class TestNonFiniteConfig:
         err = capsys.readouterr().err
         assert "configuration error" in err
         assert f"{path}:2" in err
+
+    def test_row_whose_target_underflows_solves(self, tmp_path, capsys):
+        # a*mu = 1e-600 underflows, yet the row time keeps its digits:
+        # about sqrt(2) = 1.41421, far above the startup 1e-300.
+        path = tmp_path / "tiny.cfg"
+        path.write_text("1.0 50.0 0.012 10\n1.0 1e-300 1e-300 10\n")
+        assert main(["solve", "--config", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("scenario: incomplete-hetero\n")
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("scenario", ["incomplete", "complete"])
+    def test_subnormal_workload_exits_3(self, tmp_path, capsys, scenario):
+        # rows / group throughput rounds to zero while each load stays
+        # subnormal-positive.
+        path = tmp_path / "subnormal.cfg"
+        path.write_text("total_rows = 1e-320\n")
+        assert main(["solve", "--scenario", scenario, "--config", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert "numerical failure: offer runtime underflows to zero" in captured.err
+        assert captured.out == ""
 
 
 class TestOverflowingOffer:

@@ -24,7 +24,6 @@ from coded_incentives import (
     apportion,
     build_population,
     default_population,
-    derive_profile,
     default_worker_types,
     load_config,
     run_custom,
@@ -35,6 +34,7 @@ from coded_incentives import (
     run_fig7,
     WorkerType,
     solve_incomplete,
+    solve_lambda,
 )
 from coded_incentives import experiments, workers
 from coded_incentives.experiments import _apportion_rows, _mean_and_stderr
@@ -419,16 +419,16 @@ _FIG7_GOLDEN = {
     None: (
         (
             "0x1.9000000000000p+6",
-            "0x1.78f1559cf7d48p+4",
-            "0x1.89fc24f0398b3p+3",
+            "0x1.78f1559cf7d3dp+4",
+            "0x1.89fc24f0398afp+3",
             "0x1.65913615aee8ep+11",
-            "0x1.629f536a74f93p+11",
+            "0x1.629f536a74f94p+11",
         ),
         (
             "0x1.5e00000000000p+10",
-            "-0x1.76f8895d8edbdp+1",
-            "0x1.353eeaa8f7148p+1",
-            "0x1.3c9b97034adc0p+9",
+            "-0x1.76f8895d8ed0fp+1",
+            "0x1.353eeaa8f7143p+1",
+            "0x1.3c9b97034adc1p+9",
             "0x1.3e128f8ca86aep+9",
         ),
         (
@@ -442,23 +442,23 @@ _FIG7_GOLDEN = {
     _FIG7_SKEWED: (
         (
             "0x1.9000000000000p+6",
-            "0x1.aa30e8f3aeadap+4",
+            "0x1.aa30e8f3aeb00p+4",
             "0x1.851f1ea389b4fp+3",
             "0x1.6fba8242c9917p+11",
             "0x1.6c662070e2341p+11",
         ),
         (
             "0x1.5e00000000000p+10",
-            "-0x1.267335edb28f1p+1",
-            "0x1.371d6c920d0e3p+1",
+            "-0x1.267335edb2966p+1",
+            "0x1.371d6c920d0ddp+1",
             "0x1.3c926ffc0a2dfp+9",
             "0x1.3db8e331f7e08p+9",
         ),
         (
             "0x1.3880000000000p+12",
-            "0x1.b8e2062fa9bd6p+2",
-            "0x1.224e649f54badp+1",
-            "0x1.c30e039665f83p+8",
+            "0x1.b8e2062fa9bd1p+2",
+            "0x1.224e649f54bb7p+1",
+            "0x1.c30e039665f84p+8",
             "0x1.bc2a7b7da7513p+8",
         ),
     ),
@@ -677,21 +677,33 @@ class TestLoadConfig:
         assert ExperimentSpec.from_metadata(meta) == spec
 
     def test_derives_each_row_once(self, tmp_path, monkeypatch):
-        derived = []
+        # One root call per population, over all its rows in input order.
+        speeds = []
 
-        def counting(worker):
-            derived.append(worker.cost_rate)
-            return derive_profile(worker)
+        def counting(mu, a):
+            speeds.append(np.asarray(mu).tolist())
+            return solve_lambda(mu, a)
 
-        monkeypatch.setattr(experiments, "derive_profile", counting)
-        monkeypatch.setattr(workers, "derive_profile", counting)
+        monkeypatch.setattr(workers, "solve_lambda", counting)
         path = tmp_path / "exp.cfg"
         path.write_text(
             "9.0 10.0 0.05 10\n" + _TWO_TYPES + "probabilities = 0.2,0.3,0.5\n"
         )
         spec = load_config(str(path))
-        assert derived == [9.0, 1.0, 3.0]
+        assert speeds == [[10.0, 50.0, 10.0]]
         assert spec.type_probabilities == (0.3, 0.5, 0.2)
+        speeds.clear()
+        experiments.default_population()
+        assert speeds == [[speed for _, speed, _ in DEFAULT_TYPE_PARAMS]]
+        rng = np.random.default_rng(2026)
+        rows = np.column_stack(
+            (rng.uniform(1, 20, 1000), rng.uniform(10, 400, 1000),
+             rng.uniform(0.01, 0.05, 1000), np.full(1000, 5))
+        )
+        path.write_text("".join(f"{c} {s} {a} {int(n)}\n" for c, s, a, n in rows))
+        speeds.clear()
+        assert load_config(str(path)).population.size == 1000
+        assert speeds == [rows[:, 1].tolist()]
 
     def test_readme_example_config(self, tmp_path):
         readme = Path(__file__).resolve().parents[1] / "README.md"

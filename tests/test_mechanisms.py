@@ -690,6 +690,22 @@ class TestPrivateCostRule:
         with pytest.raises(NumericalError, match=message):
             solver(pop, self.OVERFLOWING_CFG)
 
+    def test_overflowing_ratio_keeps_a_finite_pay_term(self):
+        # Type 2's ratio 1e308 / 0.37 overflows, yet gamma_pay times it is
+        # 2.7e8, below the runtime term its throughput saves; taking the
+        # pay term as gamma_pay * inf would rank that prefix as infinite.
+        types = [
+            WorkerType(1, 1.0, 50.0, 0.012, 10),
+            WorkerType(2, 1e308, 0.5, 0.1, 1000),
+        ]
+        cfg = PlatformConfig(1e12, 1e-300, 0.1)
+        pop = build_population(types)
+        assert pop.ratio[1] == math.inf
+        both = solve_incomplete(pop, cfg)
+        first = solve_incomplete(build_population(types[:1]), cfg)
+        assert both.threshold_type == 2
+        assert both.expected_cost < first.expected_cost / 2
+
     @pytest.mark.parametrize(
         "solver", [solve_complete, solve_incomplete, _cost_only_offer]
     )

@@ -92,27 +92,47 @@ class TestSolveLambda:
         residual = math.exp(mu * (lam - a)) - mu * lam - 1.0
         assert abs(residual) <= 1e-9 * (1.0 + mu * lam)
 
+    def test_iteration_cap_raises_with_finite_best(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_MAX_ITER", 1)
+        with pytest.raises(IterationError, match="no convergence within 1 ") as info:
+            solve_lambda(50.0, 0.012)
+        assert math.isfinite(info.value.best)
 
+    def test_arrays_of_two_shapes_are_refused(self):
+        with pytest.raises(ValueError, match="one shape"):
+            solve_lambda(np.ones(3), np.ones(2))
+
+
+# Targets a*mu below this are the small-target range of the tests below.
+_SMALL_TARGET = 1e-2
 # sha256 of the space-joined ``float.hex`` roots of the 9,923 pairs of
-# TestBrentPort's grid whose target a*mu is at or above the series
-# cutoff, and the catalog's ten roots, as they were before the cutoff.
+# ``_grid()`` whose target a*mu is at least ``_SMALL_TARGET``, and the
+# catalog's ten roots, each the correctly rounded root.
 _GRID_ROOTS_ABOVE_CUTOFF = (
-    "f7741ad007b550020d6c2d3c699eff9e883977a4052ab76aecf7d815db50adab"
+    "0137eb1957202f768feb4a540833a360da66f1f140e2fa49a0bca0cc1bf53357"
 )
 _CATALOG_ROOTS = (
-    "0x1.f46299f5ffe3ap-6", "0x1.48a56a992945bp-5", "0x1.6c342f8f9371ap-5",
-    "0x1.9c2c9413b2266p-4", "0x1.85072ac34712ep-5", "0x1.340f208953866p-3",
+    "0x1.f46299f5ffe3ap-6", "0x1.48a56a992945cp-5", "0x1.6c342f8f9371ap-5",
+    "0x1.9c2c9413b2265p-4", "0x1.85072ac34712ep-5", "0x1.340f208953866p-3",
     "0x1.8e3162542c9aep-5", "0x1.665e08d0f0770p-3", "0x1.8057ffc420a43p-3",
     "0x1.8c9c8d21255d5p-3",
 )
 
 
+def _grid() -> tuple[np.ndarray, np.ndarray]:
+    """20,000 ``(mu, a)`` pairs, mu log-uniform on [1e-6, 1e6] and a on
+    [1e-8, 1e4]."""
+    rng = np.random.default_rng(18)
+    mus = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), 20_000))
+    starts = np.exp(rng.uniform(math.log(1e-8), math.log(1e4), 20_000))
+    return mus, starts
+
+
 class TestSolveLambdaSmallTargets:
-    # Below numerics._SERIES_TARGET, expm1(w) - w is summed by its series.
     @pytest.mark.parametrize("mu", [1e-300, 1e-6, 1.0, 1e6, 1e290])
     def test_matches_decimal_oracle_from_1e_305_to_the_cutoff(self, mu):
         rng = np.random.default_rng(int(math.log10(mu)) + 400)
-        exponents = rng.uniform(-305, math.log10(numerics._SERIES_TARGET), 300)
+        exponents = rng.uniform(-305, math.log10(_SMALL_TARGET), 300)
         for target in [1e-305, *(10.0**exponents).tolist()]:
             a = target / mu
             if not (a >= 2.3e-308 and math.isfinite(a)):
@@ -121,40 +141,55 @@ class TestSolveLambdaSmallTargets:
             assert abs(solve_lambda(mu, a) - ref) <= 2 * math.ulp(ref), (mu, a)
 
     @pytest.mark.parametrize(
-        "mu, a", [(1.0, 1e-20), (1.0, 1e-12), (1e-300, 1e-5), (2.0, 0.0049)]
+        "mu, a",
+        [
+            (1.0, 1e-20), (1.0, 1e-12), (1e-300, 1e-5), (2.0, 0.0049),
+            # a*mu underflows to 0 and to a subnormal.
+            (1e-300, 1e-300), (1e-300, 1e-20),
+        ],
     )
     def test_cancelling_targets_keep_their_root(self, mu, a):
         ref = lambda_decimal_oracle(mu, a)
         assert abs(solve_lambda(mu, a) - ref) <= 2 * math.ulp(ref)
 
     def test_roots_at_or_above_the_cutoff_are_unchanged(self):
-        rng = np.random.default_rng(18)
-        mus = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), 20_000))
-        starts = np.exp(rng.uniform(math.log(1e-8), math.log(1e4), 20_000))
+        mus, starts = _grid()
         roots = [
             solve_lambda(mu, a).hex()
             for mu, a in zip(mus.tolist(), starts.tolist())
-            if a * mu >= numerics._SERIES_TARGET
+            if a * mu >= _SMALL_TARGET
         ]
         assert len(roots) == 9923
         digest = hashlib.sha256(" ".join(roots).encode()).hexdigest()
         assert digest == _GRID_ROOTS_ABOVE_CUTOFF
         catalog = [solve_lambda(mu, a).hex() for mu, a in BENCHMARK_PARAMS]
         assert tuple(catalog) == _CATALOG_ROOTS
+        for (mu, a), root in zip(BENCHMARK_PARAMS, catalog):
+            assert float.fromhex(root) == lambda_decimal_oracle(mu, a)
+
+    def test_one_array_call_matches_the_scalar_calls_bit_for_bit(self):
+        mus, starts = _grid()
+        roots = solve_lambda(mus, starts)
+        assert roots.shape == mus.shape
+        scalar = [solve_lambda(mu, a) for mu, a in zip(mus.tolist(), starts.tolist())]
+        assert [r.hex() for r in roots.tolist()] == [r.hex() for r in scalar]
 
     def test_wrong_small_root_fails_the_relative_check(self, monkeypatch):
-        # At the bracket's upper end, twice the root, one Newton step
-        # leaves a residual far above 1e-12 of the target, which an
-        # absolute bound of 1e-12 would have let pass.
-        monkeypatch.setattr(numerics, "_brent", lambda f, lo, hi, *args: (hi, True))
-        numerics._solve_lambda_cached.cache_clear()
-        with pytest.raises(IterationError, match="residual above tolerance"):
+        # The residual of this root is about 1e-36 in absolute terms, far
+        # inside any absolute bound, but not zero relative to the target
+        # 1e-20, so a zero relative bound refuses it.
+        monkeypatch.setattr(numerics, "_REL_TOL", 0.0)
+        with pytest.raises(
+            IterationError, match="residual above tolerance for mu=1.0, a=1e-20"
+        ) as info:
             solve_lambda(1.0, 1e-20)
+        assert math.isfinite(info.value.best)
 
     def test_series_matches_expm1_minus_w_where_it_does_not_cancel(self):
-        for w in np.linspace(0.05, 0.3, 26).tolist():
+        for w in np.linspace(0.05, 1.0, 39).tolist():
             exact = math.expm1(w) - w
-            assert numerics._expm1_excess(w) == pytest.approx(exact, rel=1e-14)
+            series = w * w / 2.0 * numerics._excess_tail(np.array(w))
+            assert series == pytest.approx(exact, rel=1e-14)
 
 
 def _oracle_pairs(seed: int, low: float, high: float, count: int = 400):
@@ -167,7 +202,6 @@ def _oracle_pairs(seed: int, low: float, high: float, count: int = 400):
 
 
 class TestSolveLambdaLargeTargets:
-    # Above the series cutoff the root is found on expm1(w) - w.
     def test_decimal_oracle_reaches_roots_of_large_targets(self):
         # Far above the root Newton's method moves about one unit a step,
         # so from sqrt(2t) = 235 it would not reach w = 10.23 in 200 steps.
@@ -178,93 +212,20 @@ class TestSolveLambdaLargeTargets:
             ref = lambda_decimal_oracle(mu, a)
             assert abs(solve_lambda(mu, a) - ref) <= 2 * math.ulp(ref), (mu, a)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="expm1(w) - w cancels here: roots err by up to 6 ulps",
-    )
     def test_matches_decimal_oracle_from_the_cutoff_to_0_25(self):
-        for mu, a in _oracle_pairs(32, numerics._SERIES_TARGET, 0.25):
+        for mu, a in _oracle_pairs(32, _SMALL_TARGET, 0.25):
             ref = lambda_decimal_oracle(mu, a)
             assert abs(solve_lambda(mu, a) - ref) <= 2 * math.ulp(ref), (mu, a)
 
-
-def _bracketed_residual(mu: float, a: float):
-    """``solve_lambda``'s residual in ``w = mu*(lam - a)`` and its
-    doubling bracket's upper end."""
-    target = a * mu
-
-    def residual(w: float) -> float:
-        try:
-            return math.expm1(w) - w - target
-        except OverflowError:
-            return math.inf
-
-    hi = 1.0
-    while residual(hi) <= 0.0:
-        hi *= 2.0
-    return residual, hi
-
-
-class TestBrentPort:
-    def test_matches_scipy_brentq_bit_for_bit(self):
-        brentq = pytest.importorskip("scipy.optimize").brentq
-        rng = np.random.default_rng(18)
-        mus = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), 20_000))
-        starts = np.exp(rng.uniform(math.log(1e-8), math.log(1e4), 20_000))
-        for mu, a in zip(mus.tolist(), starts.tolist()):
-            residual, hi = _bracketed_residual(mu, a)
-            # A 3-iteration cap also pins the iterate of a search cut short.
-            for cap in (numerics._MAX_ITER, 3):
-                w, converged = numerics._brent(residual, 0.0, hi, 1e-15, 8.9e-16, cap)
-                ref, info = brentq(
-                    residual, 0.0, hi, maxiter=cap, xtol=1e-15, rtol=8.9e-16,
-                    full_output=True, disp=False,
-                )
-                assert (w, converged) == (ref, info.converged), (mu, a, cap)
-
-    def test_matches_scipy_brentq_on_flat_and_steep_roots(self):
-        # Coarse tolerances make the step-size floor delta decide steps.
-        brentq = pytest.importorskip("scipy.optimize").brentq
-        rng = np.random.default_rng(19)
-        for _ in range(100):
-            r = float(rng.uniform(-3.0, 3.0))
-            lo, hi = r - float(rng.uniform(0.1, 5.0)), r + float(rng.uniform(0.1, 5.0))
-            functions = (
-                lambda x: (x - r) ** 5,
-                lambda x: math.tanh(20.0 * (x - r)),
-                lambda x: math.copysign(abs(x - r) ** 0.2, x - r),
-            )
-            for f in functions:
-                for xtol in (1e-12, 1e-6, 1e-3, 1e-1):
-                    for cap in (2, 10, 100):
-                        ref, info = brentq(
-                            f, lo, hi, maxiter=cap, xtol=xtol, rtol=8.9e-16,
-                            full_output=True, disp=False,
-                        )
-                        got = numerics._brent(f, lo, hi, xtol, 8.9e-16, cap)
-                        assert got == (ref, info.converged), (r, lo, hi, xtol, cap)
-
-    def test_bracket_without_a_sign_change_raises(self):
-        with pytest.raises(ValueError, match="must have different signs"):
-            numerics._brent(lambda x: x * x + 1.0, -1.0, 1.0, 1e-15, 8.9e-16, 10)
-
-    def test_residual_above_tolerance_raises_with_finite_best(self, monkeypatch):
-        # A search that reports convergence at its bracket's upper end,
-        # which one Newton step does not bring within tolerance.
-        monkeypatch.setattr(numerics, "_brent", lambda f, lo, hi, *args: (hi, True))
-        numerics._solve_lambda_cached.cache_clear()
-        with pytest.raises(
-            IterationError, match="residual above tolerance for mu=50.0, a=0.012"
-        ) as info:
-            solve_lambda(50.0, 0.012)
-        assert math.isfinite(info.value.best)
-
-    def test_iteration_cap_raises_with_finite_best(self, monkeypatch):
-        monkeypatch.setattr(numerics, "_MAX_ITER", 1)
-        numerics._solve_lambda_cached.cache_clear()
-        with pytest.raises(IterationError, match="no convergence within 1 ") as info:
-            solve_lambda(50.0, 0.012)
-        assert math.isfinite(info.value.best)
+    def test_matches_lambert_w_closed_form(self):
+        # W_-1(-exp(-a*mu - 1)) = -(1 + mu*lam) (Corless et al. 1996).
+        lambertw = pytest.importorskip("scipy.special").lambertw
+        pairs = _oracle_pairs(33, 1e-3, 500.0)
+        mus, starts = np.array(pairs).T
+        branch = lambertw(-np.exp(-starts * mus - 1.0), k=-1)
+        assert np.all(branch.imag == 0)
+        closed = -(1.0 + mus * solve_lambda(mus, starts))
+        np.testing.assert_allclose(closed, branch.real, rtol=1e-12)
 
 
 class TestMdsAlpha:

@@ -208,7 +208,7 @@ class TestMonteCarloRuntime:
         est = monte_carlo_runtime(
             pop, mech.assignment, mech.targeted, 1000.0, reps=200, seed=3
         )
-        assert est.expected_runtime.hex() == "0x1.e7c223a74a2c5p-4"
+        assert est.expected_runtime.hex() == "0x1.e7c223a74a2c6p-4"
         assert est.stderr.hex() == "0x1.061dfa458dd04p-12"
         assert {k: p.hex() for k, p in est.realized_k_distribution.items()} == {
             319: "0x1.47ae147ae147bp-6",

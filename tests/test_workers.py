@@ -21,7 +21,7 @@ from coded_incentives import (
     solve_lambda,
 )
 
-from coded_incentives.workers import _ranked_population
+from coded_incentives.workers import _profile_columns, _ranked_population
 from oracles import population_records_oracle
 
 COLUMNS = (
@@ -93,7 +93,7 @@ class TestBuildPopulation:
             _worker(cost=1.0, speed=50.0, startup=0.012, count=7),
             _worker(cost=5.0, speed=20.0, startup=0.081, count=2),
         ]
-        order, pop = _ranked_population(raw, [derive_profile(t) for t in raw])
+        order, pop = _ranked_population(_profile_columns(raw))
         assert pop == build_population(raw)
         assert pop.__eq__(1) is NotImplemented
         assert pop != 1
@@ -215,8 +215,7 @@ class TestBuildPopulation:
         ]
         order, records = population_records_oracle(raw)
         pop = build_population(raw)
-        profiles = [derive_profile(t) for t in raw]
-        assert _ranked_population(raw, profiles)[0].tolist() == order
+        assert _ranked_population(_profile_columns(raw))[0].tolist() == order
         assert pop.ids == tuple(t.id for t, _ in records)
         assert pop.total == sum(t.count for t, _ in records)
         assert repr(pop.types) == repr(records)
