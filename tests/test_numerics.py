@@ -98,6 +98,18 @@ class TestSolveLambda:
             solve_lambda(50.0, 0.012)
         assert math.isfinite(info.value.best)
 
+    def test_residual_above_tolerance_raises_with_finite_best(self, monkeypatch):
+        # Newton's last iterate at (100, 0.024) leaves a residual of a few
+        # ulps of the target 2.4, which a zero relative bound refuses.
+        root = solve_lambda(100.0, 0.024)
+        monkeypatch.setattr(numerics, "_REL_TOL", 0.0)
+        with pytest.raises(
+            IterationError, match="residual above tolerance for mu=100.0, a=0.024"
+        ) as info:
+            solve_lambda(100.0, 0.024)
+        assert math.isfinite(info.value.best)
+        assert info.value.best == root
+
     def test_arrays_of_two_shapes_are_refused(self):
         with pytest.raises(ValueError, match="one shape"):
             solve_lambda(np.ones(3), np.ones(2))
