@@ -2,11 +2,14 @@
 
 A round uses one systematic code whatever its scheme: of the round's
 ``sum(loads)`` coded rows, one per output coordinate is a plain copy
-of that source row and the rest are dense parity rows with entries
-uniform on (-1, 1), dealt to the workers after one seeded shuffle.  The
-systematic rows that arrive are entries of the product as they are;
-only the entries that did not arrive are solved for, from as many
-received parity rows, a square block whose conditioning is checked.
+of that source row and the rest are parity rows, dealt to the workers
+after one seeded shuffle.  A parity row is the outer product of two
+short factors uniform on (-1, 1), one over the rows and one over the
+columns of a near-square grid of the source rows, so it costs about
+2 sqrt(rows) random numbers.  The systematic rows that arrive are
+entries of the product as they are; only the entries that did not
+arrive are solved for, from as many received parity rows, a square
+block whose conditioning is checked.
 ``simulate_round`` plays a round under a platform offer as one function
 per stage: participation by best response (``_participation``), whole-row
 loads, where the schemes differ (``_round_loads``), the race of sampled
@@ -57,8 +60,9 @@ _PROBES = 4
 _PROBE_SEED = 0
 _probe_table = np.empty((0, _PROBES))
 _probe_table.flags.writeable = False
-# Parity rows drawn and reduced at a time.  A round holds one block of
-# full-width rows (0.5 MB at 1,000 rows) rather than all of them.
+# Parity rows whose factors are drawn and contracted at a time.  A round
+# holds one block's contraction over the grid's rows, 64 x sqrt(rows) x
+# (columns + 1) numbers, rather than one for every row it solves from.
 _PARITY_BLOCK = 64
 
 
@@ -285,29 +289,49 @@ def _parity_system(
     """Draw ``count`` parity rows and return their share of the decode:
     the rows' entries in the missing (not ``known``) columns, and their
     received results ``(row @ source) @ vector`` less the known entries'
-    share, one product ``row @ where(known, decoded, 0)`` over the row.
+    share, ``row @ where(known, decoded, 0)``.
 
-    The rows are drawn ``_PARITY_BLOCK`` at a time into one reused
-    block, so a round never holds all of them at full width.  Filling a
-    block with ``random`` and scaling it by ``2 * r - 1`` reproduces
-    ``rng.uniform(-1, 1)`` bit for bit from the same stream position.
+    The source rows sit on a ``height x width`` grid, row j at ``(j //
+    width, j % width)``, and parity row n is the outer product of its
+    factors ``left[n]`` (over the grid's rows) and ``right[n]`` (over
+    its columns) cut to ``rows`` entries: entry j is ``left[n, j //
+    width] * right[n, j % width]``.  The factors are the rows of
+    ``rng.uniform(-1, 1, (count, height + width))``, left first, drawn
+    ``_PARITY_BLOCK`` rows at a time (``2 * random - 1`` is that draw
+    bit for bit).  A result contracts the factors over the grid, which
+    carries the known values as one more column, before the product
+    with ``vector``, as a worker would; so the known share cancels to
+    rounding, and no full-width parity row is formed.
     """
-    missing = np.flatnonzero(~known)
+    rows, cols = source.shape
+    width = math.isqrt(rows - 1) + 1
+    height = -(-rows // width)  # ceil(rows / width)
     # The missing entries of ``decoded`` are uninitialised, so they are
-    # zeroed by ``where`` rather than by a product with the mask.
-    known_values = np.where(known, decoded, 0.0)
-    square = np.empty((count, missing.size))
+    # left at the grid's zeros rather than multiplied by the mask.
+    grid = np.zeros((height * width, cols + 1))
+    grid[:rows, :cols] = source
+    np.copyto(grid[:rows, cols], decoded, where=known)
+    grid = grid.reshape(height, width * (cols + 1))
+    # Each missing entry's two factor columns: its grid row, and its
+    # grid column after the ``height`` left factors.
+    at_row, at_col = np.divmod(np.flatnonzero(~known), width)
+    at_col += height
+    square = np.empty((count, at_row.size))
     rhs = np.empty(count)
-    block = np.empty((min(count, _PARITY_BLOCK), known.size))
+    right_taken = np.empty((min(count, _PARITY_BLOCK), at_row.size))
+    # Reused, so one block's contraction is alive at a time.
+    by_column = np.empty((min(count, _PARITY_BLOCK), width * (cols + 1)))
     for start in range(0, count, _PARITY_BLOCK):
-        stop = min(start + _PARITY_BLOCK, count)
-        parity = block[: stop - start]
-        rng.random(out=parity)
-        parity *= 2.0
-        parity -= 1.0
+        size = min(_PARITY_BLOCK, count - start)
+        drawn = 2.0 * rng.random((size, height + width)) - 1.0
+        entries = square[start : start + size]
         # mode="clip" writes straight into ``out``; the indices are valid.
-        np.take(parity, missing, axis=1, out=square[start:stop], mode="clip")
-        rhs[start:stop] = (parity @ source) @ vector - parity @ known_values
+        np.take(drawn, at_row, axis=1, out=entries, mode="clip")
+        np.take(drawn, at_col, axis=1, out=right_taken[:size], mode="clip")
+        entries *= right_taken[:size]
+        np.matmul(drawn[:, :height], grid, out=by_column[:size])
+        coded = drawn[:, None, height:] @ by_column[:size].reshape(size, width, -1)
+        rhs[start : start + size] = coded[:, 0, :cols] @ vector - coded[:, 0, cols]
     return square, rhs
 
 

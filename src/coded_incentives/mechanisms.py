@@ -380,8 +380,7 @@ def _cost_only_offer(pop: Population, cfg: PlatformConfig) -> Mechanism:
     recovery = min(exact, key=exact.__getitem__)
     worker_runtime = (cfg.total_rows / recovery) * float(pop.row_time[0])
     reward = float(pop.cost_rate[threshold - 1]) * worker_runtime
-    if not math.isfinite(reward):
-        raise NumericalError("offer runtime or rewards overflow")
+    _finite_offers(threshold, np.array([worker_runtime]), np.array([reward]))
     rewards = np.full(pop.size, reward)
     loads = np.where(np.arange(pop.size) < threshold, cfg.total_rows / recovery, 0.0)
     return Mechanism(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -26,15 +28,21 @@ def benchmark_config() -> PlatformConfig:
 
 @pytest.fixture()
 def plant_ill_conditioned_parity(monkeypatch):
-    """``plant(columns)`` makes every later ``np.random.default_rng``
-    generator set each row it draws from ``random`` with ``columns``
-    entries, after the first such row, to that first row plus 0.5e-8
-    times its own draw.  Parity rows are ``2 * random - 1``, so a round
-    over a ``columns``-row matrix then gets parity rows within 1e-8 of
-    one row: a square block of 2-norm condition number about 1e9, which
-    both the decode's estimate and its exact check refuse."""
+    """``plant(rows)`` makes every later ``np.random.default_rng``
+    generator set each row it draws from ``random`` with as many entries
+    as a ``rows``-row round's parity factors, ``height + width`` for the
+    ``height x width`` grid with ``width = isqrt(rows - 1) + 1``, after
+    the first such row, to that first row plus 0.5e-8 times its own
+    draw.  Factors are ``2 * random - 1``, so every parity row of such a
+    round is then within about 1e-8 of the first one's outer product:
+    a square block at least as ill-conditioned as rows within 1e-8 of
+    one row (2-norm condition number about 1e9), which both the decode's
+    estimate and its exact check refuse."""
 
-    def plant(columns: int):
+    def plant(rows: int):
+        width = math.isqrt(rows - 1) + 1
+        columns = -(-rows // width) + width
+
         class Planted(np.random.Generator):
             first = None
 

@@ -274,11 +274,20 @@ def integerize_oracle(loads) -> list[int]:
 
 
 def parity_system_oracle(rng, count, source, vector, known, decoded):
-    """A round's parity system as one draw: ``count`` parity rows
-    uniform on (-1, 1) at once, their missing (not ``known``) columns,
-    and their received results less the known entries' share, one
-    product over each whole row with the missing entries zeroed."""
-    parity = rng.uniform(-1.0, 1.0, (count, known.size))
+    """A round's parity system from one draw of every row's factors:
+    the ``rows`` source rows on a ``height x width`` grid with ``width =
+    isqrt(rows - 1) + 1``, each parity row the flattened outer product of
+    its two factors, uniform on (-1, 1) and drawn as one ``(count,
+    height + width)`` array, left factor first, cut to ``rows`` entries.
+    The rows are then dense: their missing (not ``known``) columns, and
+    their received results less the known entries' share, one product
+    over each whole row with the missing entries zeroed."""
+    rows = known.size
+    width = math.isqrt(rows - 1) + 1
+    height = -(-rows // width)
+    factors = rng.uniform(-1.0, 1.0, (count, height + width))
+    outer = factors[:, :height, None] * factors[:, None, height:]
+    parity = outer.reshape(count, height * width)[:, :rows]
     received = (parity @ source) @ vector
     return parity[:, ~known], received - parity @ np.where(known, decoded, 0.0)
 
