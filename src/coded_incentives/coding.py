@@ -52,6 +52,11 @@ __all__ = [
 # An LU solve errs by about eps times the block's condition number, so a
 # block whose condition number exceeds 1e-8 / eps could miss that promise.
 _DECODE_COND_LIMIT = 1e-8 / np.finfo(float).eps
+# A solve refined once (``_refine``) keeps only the error the received
+# results' own rounding makes; on blocks planted at the limit in anchor
+# rounds that was at most two thirds of an unrefined solve's, so a
+# refined block may be half again as ill-conditioned.
+_REFINED_COND_LIMIT = 1.5 * _DECODE_COND_LIMIT
 _SPOT_CHECKS = 5
 # Fixed Gaussian probe vectors the decode solves alongside the received
 # results to estimate the inverse's norm; they come from their own
@@ -60,9 +65,9 @@ _PROBES = 4
 _PROBE_SEED = 0
 _probe_table = np.empty((0, _PROBES))
 _probe_table.flags.writeable = False
-# Parity rows whose factors are drawn and contracted at a time.  A round
-# holds one block's contraction over the grid's rows, 64 x sqrt(rows) x
-# (columns + 1) numbers, rather than one for every row it solves from.
+# Parity rows whose factors are drawn and formed at full width at a
+# time, so a round holds 64 full-width rows rather than one for every
+# row it solves from.
 _PARITY_BLOCK = 64
 
 
@@ -225,11 +230,12 @@ def _decode_received(square: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     condition number, which is at least the 2-norm one.  A block the
     estimate accepts is solved.  One it refuses gets a second opinion,
     the exact 2-norm condition number from an SVD: on dense uniform
-    blocks the estimate overstates it 8-10x.  An exactly singular block,
-    or one whose estimate and 2-norm condition number both exceed
-    ``_DECODE_COND_LIMIT`` (a block whose solve could miss the round's
-    1e-8 accuracy), raises NumericalError rather than return a wrong
-    decode.
+    blocks the estimate overstates it 8-10x.  A block past
+    ``_DECODE_COND_LIMIT`` on both counts, whose LU solve could miss the
+    round's 1e-8 accuracy, is refined (``_refine``) if its 2-norm
+    condition number is within ``_REFINED_COND_LIMIT``.  An exactly
+    singular block, or one past both limits, raises NumericalError
+    rather than return a wrong decode.
     """
     unknowns = square.shape[0]
     width = rhs.size // unknowns
@@ -251,12 +257,24 @@ def _decode_received(square: np.ndarray, rhs: np.ndarray) -> np.ndarray:
                 cond = float(np.linalg.cond(square))
             except np.linalg.LinAlgError:
                 cond = math.inf
+            if _DECODE_COND_LIMIT < cond <= _REFINED_COND_LIMIT:
+                return _refine(square, rhs, solved[:, :width].reshape(rhs.shape))
     if not cond <= _DECODE_COND_LIMIT:
         raise NumericalError(
             "the coded rows to decode from are rank-deficient or "
             f"ill-conditioned ({judged_by} {cond:.3g})"
         )
     return solved[:, :width].reshape(rhs.shape)
+
+
+def _refine(square: np.ndarray, rhs: np.ndarray, solution: np.ndarray) -> np.ndarray:
+    """``solution`` to ``square @ y = rhs`` after one step of iterative
+    refinement, its residual formed in extended precision: to first
+    order the refined solution keeps none of the LU solve's error, only
+    what the rounding ``rhs`` arrived with makes of it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = rhs - square.astype(np.longdouble) @ solution
+        return solution + np.linalg.solve(square, residual.astype(float))
 
 
 def _whole_rows(loads: Sequence[float]) -> np.ndarray:
@@ -289,7 +307,7 @@ def _parity_system(
     """Draw ``count`` parity rows and return their share of the decode:
     the rows' entries in the missing (not ``known``) columns, and their
     received results ``(row @ source) @ vector`` less the known entries'
-    share, ``row @ where(known, decoded, 0)``.
+    share, one product ``row @ where(known, decoded, 0)`` over the row.
 
     The source rows sit on a ``height x width`` grid, row j at ``(j //
     width, j % width)``, and parity row n is the outer product of its
@@ -298,40 +316,32 @@ def _parity_system(
     width] * right[n, j % width]``.  The factors are the rows of
     ``rng.uniform(-1, 1, (count, height + width))``, left first, drawn
     ``_PARITY_BLOCK`` rows at a time (``2 * random - 1`` is that draw
-    bit for bit).  A result contracts the factors over the grid, which
-    carries the known values as one more column, before the product
-    with ``vector``, as a worker would; so the known share cancels to
-    rounding, and no full-width parity row is formed.
+    bit for bit), and each block's rows are formed in one reused block,
+    so a round never holds all of them at full width.
     """
-    rows, cols = source.shape
+    rows = known.size
     width = math.isqrt(rows - 1) + 1
     height = -(-rows // width)  # ceil(rows / width)
+    missing = np.flatnonzero(~known)
     # The missing entries of ``decoded`` are uninitialised, so they are
-    # left at the grid's zeros rather than multiplied by the mask.
-    grid = np.zeros((height * width, cols + 1))
-    grid[:rows, :cols] = source
-    np.copyto(grid[:rows, cols], decoded, where=known)
-    grid = grid.reshape(height, width * (cols + 1))
-    # Each missing entry's two factor columns: its grid row, and its
-    # grid column after the ``height`` left factors.
-    at_row, at_col = np.divmod(np.flatnonzero(~known), width)
-    at_col += height
-    square = np.empty((count, at_row.size))
+    # zeroed by ``where`` rather than by a product with the mask.
+    known_values = np.where(known, decoded, 0.0)
+    square = np.empty((count, missing.size))
     rhs = np.empty(count)
-    right_taken = np.empty((min(count, _PARITY_BLOCK), at_row.size))
-    # Reused, so one block's contraction is alive at a time.
-    by_column = np.empty((min(count, _PARITY_BLOCK), width * (cols + 1)))
+    block = np.empty((min(count, _PARITY_BLOCK), height, width))
     for start in range(0, count, _PARITY_BLOCK):
-        size = min(_PARITY_BLOCK, count - start)
-        drawn = 2.0 * rng.random((size, height + width)) - 1.0
-        entries = square[start : start + size]
-        # mode="clip" writes straight into ``out``; the indices are valid.
-        np.take(drawn, at_row, axis=1, out=entries, mode="clip")
-        np.take(drawn, at_col, axis=1, out=right_taken[:size], mode="clip")
-        entries *= right_taken[:size]
-        np.matmul(drawn[:, :height], grid, out=by_column[:size])
-        coded = drawn[:, None, height:] @ by_column[:size].reshape(size, width, -1)
-        rhs[start : start + size] = coded[:, 0, :cols] @ vector - coded[:, 0, cols]
+        stop = min(start + _PARITY_BLOCK, count)
+        factors = 2.0 * rng.random((stop - start, height + width)) - 1.0
+        outer = block[: stop - start]
+        # The same products as a broadcast multiply, formed faster.
+        np.einsum("ni,nj->nij", factors[:, :height], factors[:, height:], out=outer)
+        # The whole grid's rows are contiguous, so ``take`` gathers the
+        # missing columns without a copy; the indices are all below rows,
+        # and mode="clip" writes straight into ``out``.
+        grid_rows = outer.reshape(stop - start, height * width)
+        np.take(grid_rows, missing, axis=1, out=square[start:stop], mode="clip")
+        parity = grid_rows[:, :rows]
+        rhs[start:stop] = (parity @ source) @ vector - parity @ known_values
     return square, rhs
 
 

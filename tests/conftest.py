@@ -37,7 +37,8 @@ def plant_ill_conditioned_parity(monkeypatch):
     round is then within about 1e-8 of the first one's outer product:
     a square block at least as ill-conditioned as rows within 1e-8 of
     one row (2-norm condition number about 1e9), which both the decode's
-    estimate and its exact check refuse."""
+    estimate and its exact check refuse, far past the limit up to which
+    a refused block is refined."""
 
     def plant(rows: int):
         width = math.isqrt(rows - 1) + 1

@@ -717,6 +717,13 @@ class TestSimulate:
             f"round {i}" for i in range(10)
         ]
 
+    def test_refined_round_decodes(self, capsys):
+        # Both checks refuse this round's 243x243 block, at a 2-norm
+        # condition number of 4.68e7; within the refined limit, the
+        # refined solve decodes it.
+        assert main(["simulate", "--seed", "101235"]) == 0
+        assert capsys.readouterr().out.startswith("round 0: ")
+
     def test_paper_anchor_cost_only_round_decodes(self, tmp_path, capsys):
         # The catalog's first three cost rates on one shared runtime, 140
         # workers each: 420 participators and the default 1000 rows.

@@ -42,6 +42,7 @@ from coded_incentives.coding import (
     _PARITY_BLOCK,
     _PROBE_SEED,
     _PROBES,
+    _REFINED_COND_LIMIT,
     _decode_received,
     _parity_system,
     _probes,
@@ -498,6 +499,19 @@ def _record_cond(monkeypatch):
     return shapes
 
 
+def _record_refine(monkeypatch):
+    """Record the shape of each block ``coding._refine`` refines."""
+    shapes = []
+    refine = coding._refine
+
+    def recording(square, *args):
+        shapes.append(square.shape)
+        return refine(square, *args)
+
+    monkeypatch.setattr(coding, "_refine", recording)
+    return shapes
+
+
 def _slots_of(slots, loads, workers):
     """The coded slots ``workers`` hold: slots are dealt in load order, so
     with ``ends = cumsum(loads)`` worker w holds
@@ -658,14 +672,45 @@ class TestOnceRefusedRounds:
         assert outcome.runtime.hex() == runtime
         assert outcome.platform_cost_realized.hex() == cost
 
-    def test_refused_round_raises(self):
+    def test_refined_round_decodes(self, monkeypatch):
         # The one round of the refusal sweep (46,000 seeded rounds) whose
-        # block both checks refuse: its 2-norm condition number is just
-        # past the limit of about 4.5e7.  Decoded regardless, it would
-        # err by 4.5e-9 of the scale, so the refusal is conservative.
+        # block both checks refuse: its 2-norm condition number, 4.68e7,
+        # is past the limit but within the refined one, so the solve is
+        # refined once; neither moves the race or the costs.
+        refines = _record_refine(monkeypatch)
+        conds = _record_cond(monkeypatch)
         mech, pop, A, x = _anchor_round()
-        with pytest.raises(NumericalError, match=r"2-norm condition number 4\.68e\+07"):
-            simulate_round(mech, pop, A, x, 101235)
+        outcome = simulate_round(mech, pop, A, x, 101235)
+        assert conds == [(243, 243)]
+        assert refines == [(243, 243)]
+        scale = max(1.0, float(np.max(np.abs(A @ x))))
+        assert outcome.max_error <= 1e-8 * scale
+        assert outcome.runtime.hex() == "0x1.0aa742f866332p-3"
+        assert outcome.platform_cost_realized.hex() == "0x1.480926ec64e58p+9"
+
+    def test_refined_rounds_keep_the_promise(self, monkeypatch):
+        # Each anchor round's square block is moved to just within the
+        # refined limit by raising its smallest singular value; its
+        # right-hand side, with the rounding it was formed with, moves
+        # by the same rank-one change times the missing entries.
+        parity_system = coding._parity_system
+        target = 0.99 * _REFINED_COND_LIMIT
+
+        def planted(rng, count, source, vector, known, decoded):
+            square, rhs = parity_system(rng, count, source, vector, known, decoded)
+            left, values, right = np.linalg.svd(square)
+            shift = values[0] / target - values[-1]
+            square += shift * np.outer(left[:, -1], right[-1])
+            rhs += shift * left[:, -1] * (right[-1] @ (source @ vector)[~known])
+            return square, rhs
+
+        monkeypatch.setattr(coding, "_parity_system", planted)
+        refines = _record_refine(monkeypatch)
+        mech, pop, A, x = _anchor_round()
+        scale = max(1.0, float(np.max(np.abs(A @ x))))
+        for seed in range(20):
+            assert simulate_round(mech, pop, A, x, seed).max_error <= 1e-8 * scale
+        assert len(refines) == 20
 
     def test_accepted_rounds_run_no_svd(self, monkeypatch):
         def no_svd(*args):
@@ -679,11 +724,9 @@ class TestOnceRefusedRounds:
 
 
 class TestParitySystem:
-    """A round draws its parity rows' factors ``_PARITY_BLOCK`` rows at a
-    time and contracts them over the grid of source rows; the system
-    must be the one dense rows built from a single draw of every row's
-    factors give: the square bit for bit, the right-hand side to
-    rounding."""
+    """A round draws its parity rows' factors and forms the rows
+    ``_PARITY_BLOCK`` at a time; the system must be the one a single
+    draw of every row's factors builds."""
 
     @staticmethod
     def _inputs(rows, known_share=0.75):
@@ -695,12 +738,13 @@ class TestParitySystem:
         return source, vector, known, decoded
 
     @staticmethod
-    def _assert_same_system(got, expected, scale):
-        # ``scale`` is the product's: the known share cancels only to
-        # rounding, so a right-hand side can be far smaller.
+    def _assert_same_system(got, expected, one_block):
         (square, rhs), (square_ref, rhs_ref) = got, expected
         assert square.shape == square_ref.shape
         assert np.array_equal(square.view(np.uint64), square_ref.view(np.uint64))
+        if one_block:
+            assert np.array_equal(rhs.view(np.uint64), rhs_ref.view(np.uint64))
+        scale = float(np.max(np.abs(rhs_ref)))
         assert np.max(np.abs(rhs - rhs_ref)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("rows", [1, 2, 12, 1000])
@@ -714,7 +758,7 @@ class TestParitySystem:
         self._assert_same_system(
             (square, rhs),
             parity_system_oracle(one_shot, count, source, vector, known, decoded),
-            float(np.max(np.abs(source @ vector))),
+            one_block=count <= _PARITY_BLOCK,
         )
         # Both leave the stream at the same position.
         assert blocked.random() == one_shot.random()
@@ -744,7 +788,7 @@ class TestParitySystem:
             parity_system_oracle(
                 np.random.default_rng(7), 5, source, vector, known, decoded
             ),
-            float(np.max(np.abs(source @ vector))),
+            one_block=True,
         )
 
     def test_scaled_random_is_uniform_bit_for_bit(self):
@@ -782,20 +826,18 @@ class TestParitySystem:
 
     def test_anchor_round_at_4000_rows_stays_small(self):
         # Drawing every parity row at once held ~1000 rows of 4000
-        # entries plus two gathers of them, a ~60 MiB peak; drawing only
-        # their factors leaves the ~8 MiB square block as the largest
-        # array.
+        # entries plus two gathers of them, a ~60 MiB peak; one block at
+        # a time leaves the ~8 MiB square block as the largest array.
         peak, error = self._anchor_round_peak(4000, 4)
         assert peak < 20 * 2**20
         assert error <= 1e-8
 
     def test_anchor_round_over_a_wide_matrix_stays_small(self):
-        # Memory grows with the matrix width, not with the rows: a
-        # 1000 x 256 round holds one grid copy of the source (2 MiB) and
-        # one block's contraction over the grid's rows (4 MiB), ~7 MiB
-        # traced in all.
+        # A round copies nothing as wide as the matrix: a 1000 x 256
+        # round holds one block of 64 full-grid parity rows (0.5 MiB)
+        # and its products, ~1.5 MiB traced, as a 1000 x 4 one does.
         peak, error = self._anchor_round_peak(1000, 256)
-        assert peak < 10 * 2**20
+        assert peak < 4 * 2**20
         assert error <= 1e-8
 
 
@@ -855,6 +897,24 @@ class TestDecodeReceived:
         with pytest.raises(NumericalError):
             _decode_received(code, code @ np.ones(40))
 
+    def test_refined_between_the_limits(self, monkeypatch):
+        code = self._conditioned(1.2 * _DECODE_COND_LIMIT)
+        assert _DECODE_COND_LIMIT < np.linalg.cond(code) <= _REFINED_COND_LIMIT
+        refines = _record_refine(monkeypatch)
+        product = np.random.default_rng(5).standard_normal((40, 2))
+        decoded = _decode_received(code, code @ product)
+        assert refines == [(40, 40)]
+        assert decoded.shape == (40, 2)
+        assert np.max(np.abs(decoded - product)) <= 1e-8 * np.max(np.abs(product))
+
+    def test_condition_past_the_refined_limit_rejected(self, monkeypatch):
+        code = self._conditioned(2.0 * _REFINED_COND_LIMIT)
+        assert _REFINED_COND_LIMIT < np.linalg.cond(code)
+        refines = _record_refine(monkeypatch)
+        with pytest.raises(NumericalError, match="2-norm condition number"):
+            _decode_received(code, code @ np.ones(40))
+        assert refines == []
+
     def test_condition_within_limit_decodes(self):
         code = self._conditioned(1e-3 * _DECODE_COND_LIMIT)
         decoded = _decode_received(code.copy(), code @ np.ones(40))
@@ -910,14 +970,14 @@ class TestSimulateRoundMds:
         assert [v.hex() for v in outcome.decoded.tolist()] == [
             "0x1.9e68a740e9457p-4",
             "0x1.2d4b3dbbaad8fp-1",
-            "-0x1.ccc42119ccedap-2",
+            "-0x1.ccc42119ccee5p-2",
             "0x1.4464c18bd1e66p+0",
             "-0x1.82711476cc1d4p-1",
             "-0x1.1e52b490aca19p-1",
             "-0x1.0f8256633ccd4p+1",
             "-0x1.31c9cdaf8d573p+0",
             "-0x1.0afc86867e2f7p-1",
-            "0x1.e12ec640da803p-2",
+            "0x1.e12ec640da802p-2",
             "0x1.944364859daa8p-7",
             "-0x1.22c8acf24d065p-1",
         ]
@@ -947,17 +1007,17 @@ class TestSimulateRoundMds:
         )
         assert outcome.platform_cost_realized.hex() == "0x1.df2e1f6a41060p+3"
         assert [v.hex() for v in outcome.decoded.tolist()] == [
-            "0x1.9e68a740e9467p-4",
-            "0x1.2d4b3dbbaad8ep-1",
-            "-0x1.ccc42119ccee1p-2",
+            "0x1.9e68a740e946dp-4",
+            "0x1.2d4b3dbbaad91p-1",
+            "-0x1.ccc42119cceddp-2",
             "0x1.4464c18bd1e66p+0",
-            "-0x1.82711476cc1bcp-1",
-            "-0x1.1e52b490aca1fp-1",
+            "-0x1.82711476cc1d7p-1",
+            "-0x1.1e52b490aca13p-1",
             "-0x1.0f8256633ccd4p+1",
             "-0x1.31c9cdaf8d573p+0",
-            "-0x1.0afc86867e2f7p-1",
-            "0x1.e12ec640da7f6p-2",
-            "0x1.944364859de90p-7",
+            "-0x1.0afc86867e2f6p-1",
+            "0x1.e12ec640da810p-2",
+            "0x1.944364859d945p-7",
             "-0x1.22c8acf24d065p-1",
         ]
 
