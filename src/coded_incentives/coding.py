@@ -8,8 +8,8 @@ short factors uniform on (-1, 1), one over the rows and one over the
 columns of a near-square grid of the source rows, so it costs about
 2 sqrt(rows) random numbers.  The systematic rows that arrive are
 entries of the product as they are; only the entries that did not
-arrive are solved for, from as many received parity rows, a square
-block whose conditioning is checked.
+arrive are solved for, from as many received parity rows: a square
+block whose LU solve is used as it is, refined once, or refused.
 ``simulate_round`` plays a round under a platform offer as one function
 per stage: participation by best response (``_participation``), whole-row
 loads, where the schemes differ (``_round_loads``), the race of sampled
@@ -49,13 +49,15 @@ __all__ = [
 ]
 
 # A round promises max|decoded - Ax| <= 1e-8 * max(1, |Ax|_inf).
-# An LU solve errs by about eps times the block's condition number, so a
-# block whose condition number exceeds 1e-8 / eps could miss that promise.
+# An LU solve errs by about eps times the block's condition number, so
+# its solve is used as it is only for a block the condition estimate
+# puts within 1e-8 / eps; unrefined, a block at the limit can miss.
 _DECODE_COND_LIMIT = 1e-8 / np.finfo(float).eps
-# A solve refined once (``_refine``) keeps only the error the received
-# results' own rounding makes; on blocks planted at the limit in anchor
-# rounds that was at most two thirds of an unrefined solve's, so a
-# refined block may be half again as ill-conditioned.
+# Every block the estimate refuses is refined once (``_refine``), which
+# keeps only the error the received results' own rounding makes: on
+# blocks planted at the limit in anchor rounds at most two thirds of an
+# unrefined solve's, so a refined block may be half again as
+# ill-conditioned.  A block past this limit is refused.
 _REFINED_COND_LIMIT = 1.5 * _DECODE_COND_LIMIT
 _SPOT_CHECKS = 5
 # Fixed Gaussian probe vectors the decode solves alongside the received
@@ -228,43 +230,37 @@ def _decode_received(square: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     probes z, and since E|B^-1 z|^2 = |B^-1|_F^2 for a square B, |B|_F
     times the root mean square of |B^-1 z| estimates the Frobenius
     condition number, which is at least the 2-norm one.  A block the
-    estimate accepts is solved.  One it refuses gets a second opinion,
-    the exact 2-norm condition number from an SVD: on dense uniform
-    blocks the estimate overstates it 8-10x.  A block past
-    ``_DECODE_COND_LIMIT`` on both counts, whose LU solve could miss the
-    round's 1e-8 accuracy, is refined (``_refine``) if its 2-norm
-    condition number is within ``_REFINED_COND_LIMIT``.  An exactly
-    singular block, or one past both limits, raises NumericalError
-    rather than return a wrong decode.
+    estimate accepts is solved.  A block it refuses, whose LU solve
+    could miss the round's 1e-8 accuracy, is solved and refined once
+    (``_refine``) if its exact 2-norm condition number, from an SVD, is
+    within ``_REFINED_COND_LIMIT``: on dense uniform blocks the estimate
+    overstates that number 8-10x.  An exactly singular block, or one
+    past the refined limit, raises NumericalError rather than return a
+    wrong decode.
     """
     unknowns = square.shape[0]
     width = rhs.size // unknowns
-    judged_by, cond = "condition estimate", math.inf
     try:
-        solved = np.linalg.solve(
-            square, np.column_stack([rhs, _probes(unknowns)])
-        )
+        solved = np.linalg.solve(square, np.column_stack([rhs, _probes(unknowns)]))
     except np.linalg.LinAlgError:
-        pass
-    else:
-        # A nearly singular block overflows here; inf or NaN fails the guard.
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean_square = np.mean(np.sum(solved[:, width:] ** 2, axis=0))
-            cond = float(np.linalg.norm(square)) * math.sqrt(mean_square)
-        if not cond <= _DECODE_COND_LIMIT:
-            judged_by = "2-norm condition number"
-            try:
-                cond = float(np.linalg.cond(square))
-            except np.linalg.LinAlgError:
-                cond = math.inf
-            if _DECODE_COND_LIMIT < cond <= _REFINED_COND_LIMIT:
-                return _refine(square, rhs, solved[:, :width].reshape(rhs.shape))
-    if not cond <= _DECODE_COND_LIMIT:
-        raise NumericalError(
-            "the coded rows to decode from are rank-deficient or "
-            f"ill-conditioned ({judged_by} {cond:.3g})"
-        )
-    return solved[:, :width].reshape(rhs.shape)
+        raise NumericalError("the coded rows to decode from are rank-deficient")
+    solution = solved[:, :width].reshape(rhs.shape)
+    # A nearly singular block overflows here; the estimate refuses inf or NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_square = np.mean(np.sum(solved[:, width:] ** 2, axis=0))
+        estimate = float(np.linalg.norm(square)) * math.sqrt(mean_square)
+    if estimate <= _DECODE_COND_LIMIT:
+        return solution
+    try:
+        cond = float(np.linalg.cond(square))
+    except np.linalg.LinAlgError:
+        cond = math.inf
+    if cond <= _REFINED_COND_LIMIT:
+        return _refine(square, rhs, solution)
+    raise NumericalError(
+        "the coded rows to decode from are ill-conditioned "
+        f"(2-norm condition number {cond:.3g})"
+    )
 
 
 def _refine(square: np.ndarray, rhs: np.ndarray, solution: np.ndarray) -> np.ndarray:

@@ -40,6 +40,7 @@ _MAX_ITER = 200
 # above 0.3 the catalog's root at (mu, a) = (10, 0.031) one ulp off.
 _SERIES_W = 1.0
 _FLOAT_MAX = np.finfo(float).max
+_FLOAT_TINY = np.finfo(float).tiny
 
 
 def _excess_tail(w: np.ndarray) -> np.ndarray:
@@ -62,7 +63,8 @@ def solve_lambda(mu, a):
     convex, increasing left side takes Newton's method from the upper
     bound ``min(sqrt(2t), log1p(t + sqrt(2t)))`` down onto the root until
     no iterate decreases.  Residuals are in units of a power of two near
-    ``t``, so an underflowing target keeps its digits.  Raises
+    ``t``, and ``w`` in units of its square root, so an underflowing
+    target or a subnormal ``w`` keeps its digits.  Raises
     :class:`IterationError`, with the roots reached as ``best``, when an
     iterate still decreases after 200 steps or a residual exceeds 1e-12
     of its target.
@@ -79,21 +81,29 @@ def solve_lambda(mu, a):
         # sigma <= 1 is a power of two near sqrt(a*mu), so a*mu / sigma**2 does
         # not underflow; past the float range the root rounds to a anyway.
         target = np.minimum((a / sigma) * (mu / sigma), _FLOAT_MAX)
-        bound = np.sqrt(2.0 * target) * sigma
-        w = np.minimum(bound, np.log1p(np.minimum(a * mu + bound, _FLOAT_MAX)))
+        # The iterate is v = w / sigma, so a subnormal w keeps its digits;
+        # where w is normal, each step is the step on w, scaled by sigma.
+        # A subnormal log1p start has lost digits, so sqrt(2t) starts.
+        bound = np.sqrt(2.0 * target)
+        start = np.log1p(np.minimum(a * mu + bound * sigma, _FLOAT_MAX))
+        v = np.where(start < _FLOAT_TINY, bound, np.minimum(bound, start / sigma))
         for _ in range(_MAX_ITER):
-            slope, scaled = np.expm1(w), w / sigma
+            w = v * sigma
+            slope = np.expm1(w)
             residual = np.where(
                 w < _SERIES_W,
-                scaled * scaled / 2.0 * _excess_tail(w),
+                v * v / 2.0 * _excess_tail(w),
                 (slope - w) / sigma / sigma,
             ) - target
-            new = w - sigma * residual / (slope / sigma)
-            falling = new < w
+            # expm1(w) >= w, so the slope is expm1(w) / sigma unless w is
+            # subnormal, where expm1(w) = w has lost the digits v keeps.
+            new = v - residual / np.maximum(slope / sigma, v)
+            falling = new < v
             if not falling.any():
                 break
-            w = np.where(falling, new, w)
-        lam = a + w / mu
+            v = np.where(falling, new, v)
+        w = v * sigma
+        lam = a + np.where(w < _FLOAT_TINY, v * (sigma / mu), w / mu)
     best = float(lam) if lam.ndim == 0 else lam
     for failed, reason in (
         (falling, f"no convergence within {_MAX_ITER} iterations"),
@@ -114,12 +124,12 @@ def mds_alpha(mu: float, a: float) -> float:
     ``W_-1`` the lower real branch of the Lambert W function.  That
     branch value is exactly ``-(1 + mu*lam)`` for the root ``lam`` of
     :func:`solve_lambda`, so ``alpha = mu*lam / (1 + mu*lam)``, which
-    lies in ``(0, 1)`` for every ``a > 0``.  The threshold that
-    minimizes expected runtime with ``n`` homogeneous participators is
-    ``alpha * n`` before rounding.
+    lies in ``(0, 1)`` for every ``a > 0``; where ``mu*lam`` overflows,
+    alpha rounds to 1.  The threshold that minimizes expected runtime
+    with ``n`` homogeneous participators is ``alpha * n`` before rounding.
     """
     scaled = mu * solve_lambda(mu, a)
-    return scaled / (1.0 + scaled)
+    return scaled / (1.0 + scaled) if scaled < math.inf else 1.0
 
 
 @functools.lru_cache(maxsize=65536)

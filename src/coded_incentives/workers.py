@@ -3,8 +3,9 @@
 A worker type bundles a cost rate, an average per-row speed, a per-row
 start-up time, and a headcount.  Its derived profile carries the root
 ``row_time`` of the speed equation, the effective throughput
-``speed / (1 + speed * row_time)``, and the cost-performance ``ratio``
-used to rank types.  A population holds the types ratio-sorted, as
+``speed / (1 + speed * row_time)`` (``1 / (row_time + 1 / speed)``
+where the product overflows), and the cost-performance ``ratio`` used
+to rank types.  A population holds the types ratio-sorted, as
 seven aligned read-only columns (the four inputs and the three derived
 metrics) in which type id m sits at position m - 1.
 """
@@ -187,7 +188,11 @@ def _profile_columns(types: Sequence[WorkerType]) -> np.ndarray:
     _, cost_rate, speed, startup = inputs
     row_time = solve_lambda(speed, startup)
     with np.errstate(over="ignore", divide="ignore"):
-        throughput = speed / (1.0 + speed * row_time)
+        product = speed * row_time
+        # Where the product overflows, the same throughput without it.
+        throughput = np.where(
+            product < np.inf, speed / (1.0 + product), 1.0 / (row_time + 1.0 / speed)
+        )
         ratio = cost_rate / throughput
     underflowed = np.flatnonzero(~(throughput > 0))
     if underflowed.size:

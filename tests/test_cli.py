@@ -288,8 +288,9 @@ class TestNonFiniteConfig:
             "1.0 inf 0.012 10",
             "1.0 50.0 nan 10",
             "nan 50.0 0.012 10",
-            # A profile that cannot be derived: the throughput underflows.
-            "1.0 1e300 1e300 10",
+            # A profile that cannot be derived: the row time overflows,
+            # so the throughput underflows.
+            "1.0 1e-308 1e308 10",
         ],
     )
     def test_population_row_exits_2_with_location(self, tmp_path, capsys, row):
@@ -299,6 +300,27 @@ class TestNonFiniteConfig:
         err = capsys.readouterr().err
         assert "configuration error" in err
         assert f"{path}:2" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve"], ["solve", "--scenario", "complete"],
+         ["solve", "--scenario", "cost-only"], ["verify"]],
+        ids=["incomplete", "complete", "cost-only", "verify"],
+    )
+    def test_row_whose_speed_times_row_time_overflows_solves(
+        self, tmp_path, capsys, argv
+    ):
+        # speed * row_time = 1e600 overflows, yet the throughput is
+        # 1 / (row_time + 1 / speed) = 1e-300, so the row has an offer:
+        # runtime 100 rows * 1e300 and cost 2000 * 1e302 + 10 * 1e302.
+        path = tmp_path / "slow.cfg"
+        path.write_text("1.0 1e300 1e300 10\n")
+        assert main([*argv, "--config", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if argv[0] == "solve":
+            assert "expected round runtime: 1e+302\n" in captured.out
+            assert "expected platform cost: 2.01e+305\n" in captured.out
 
     def test_row_whose_target_underflows_solves(self, tmp_path, capsys):
         # a*mu = 1e-600 underflows, yet the row time keeps its digits:
@@ -708,7 +730,8 @@ class TestSimulate:
 
     def test_once_refused_round_decodes(self, capsys):
         # The condition estimate refuses this round's 249x249 block; its
-        # 2-norm condition number, 6.42e6, is within the limit.
+        # 2-norm condition number, 6.42e6, is within the refined limit, so
+        # the solve is refined.
         assert main(["simulate", "--seed", "114016"]) == 0
         assert capsys.readouterr().out.startswith("round 0: ")
         assert main(["simulate", "--seed", "114010", "--reps", "10"]) == 0
@@ -718,9 +741,9 @@ class TestSimulate:
         ]
 
     def test_refined_round_decodes(self, capsys):
-        # Both checks refuse this round's 243x243 block, at a 2-norm
-        # condition number of 4.68e7; within the refined limit, the
-        # refined solve decodes it.
+        # The condition estimate refuses this round's 243x243 block, at a
+        # 2-norm condition number of 4.68e7, past the limit itself; within
+        # the refined limit, the refined solve decodes it.
         assert main(["simulate", "--seed", "101235"]) == 0
         assert capsys.readouterr().out.startswith("round 0: ")
 

@@ -636,65 +636,52 @@ class TestSystematicDecode:
 
 class TestOnceRefusedRounds:
     """Anchor rounds whose square parity block the condition estimate
-    refuses.  The exact 2-norm condition number accepts each, so the
-    round decodes from that one block; the second opinion must not move
-    the pinned race and costs."""
+    refuses.  Each block's exact 2-norm condition number is within the
+    refined limit, so the round's solve is refined once; neither check
+    may move the pinned race and costs."""
 
     @pytest.mark.parametrize(
         "offer, seed, unknowns, runtime, cost",
         [
             ("anchor", 101358, 254, "0x1.e50cee843f64bp-4", "0x1.3c4123746478ap+9"),
             ("anchor", 114016, 249, "0x1.edd8c570c3caep-4", "0x1.3e66e76d22cb9p+9"),
+            # The one block of the refusal sweep (46,000 seeded rounds)
+            # past the limit: 2-norm condition number 4.68e7.
+            ("anchor", 101235, 243, "0x1.0aa742f866332p-3", "0x1.480926ec64e58p+9"),
             ("cost-only", 102270, 384, "0x1.d0431dd5f1352p-4", "0x1.df321045a252dp+8"),
             ("cost-only", 112650, 394, "0x1.044abd1c8b5f0p-3", "0x1.fab247620ba6ap+8"),
         ],
-        ids=["anchor-101358", "anchor-114016", "cost-only-102270", "cost-only-112650"],
+        ids=[
+            "anchor-101358",
+            "anchor-114016",
+            "anchor-101235",
+            "cost-only-102270",
+            "cost-only-112650",
+        ],
     )
     def test_decodes_from_the_square_block(
         self, monkeypatch, offer, seed, unknowns, runtime, cost
     ):
-        decodes = []
-        decode = coding._decode_received
-
-        def recording_decode(square, rhs):
-            decodes.append(square.shape)
-            return decode(square, rhs)
-
-        monkeypatch.setattr(coding, "_decode_received", recording_decode)
         conds = _record_cond(monkeypatch)
+        refines = _record_refine(monkeypatch)
         build = _anchor_round if offer == "anchor" else _cost_only_anchor_round
         mech, pop, A, x = build()
         outcome = simulate_round(mech, pop, A, x, seed)
-        assert decodes == [(unknowns, unknowns)]
         assert conds == [(unknowns, unknowns)]
+        assert refines == [(unknowns, unknowns)]
         scale = max(1.0, float(np.max(np.abs(A @ x))))
         assert outcome.max_error <= 1e-8 * scale
         assert outcome.runtime.hex() == runtime
         assert outcome.platform_cost_realized.hex() == cost
 
-    def test_refined_round_decodes(self, monkeypatch):
-        # The one round of the refusal sweep (46,000 seeded rounds) whose
-        # block both checks refuse: its 2-norm condition number, 4.68e7,
-        # is past the limit but within the refined one, so the solve is
-        # refined once; neither moves the race or the costs.
-        refines = _record_refine(monkeypatch)
-        conds = _record_cond(monkeypatch)
-        mech, pop, A, x = _anchor_round()
-        outcome = simulate_round(mech, pop, A, x, 101235)
-        assert conds == [(243, 243)]
-        assert refines == [(243, 243)]
-        scale = max(1.0, float(np.max(np.abs(A @ x))))
-        assert outcome.max_error <= 1e-8 * scale
-        assert outcome.runtime.hex() == "0x1.0aa742f866332p-3"
-        assert outcome.platform_cost_realized.hex() == "0x1.480926ec64e58p+9"
-
     def test_refined_rounds_keep_the_promise(self, monkeypatch):
-        # Each anchor round's square block is moved to just within the
-        # refined limit by raising its smallest singular value; its
+        # Each anchor round's square block is moved to a target 2-norm
+        # condition number by raising its smallest singular value; its
         # right-hand side, with the rounding it was formed with, moves
-        # by the same rank-one change times the missing entries.
+        # by the same rank-one change times the missing entries.  The
+        # targets are just within the refined limit and the limit itself,
+        # where an unrefined solve erred by up to 1.04 times the promise.
         parity_system = coding._parity_system
-        target = 0.99 * _REFINED_COND_LIMIT
 
         def planted(rng, count, source, vector, known, decoded):
             square, rhs = parity_system(rng, count, source, vector, known, decoded)
@@ -708,9 +695,11 @@ class TestOnceRefusedRounds:
         refines = _record_refine(monkeypatch)
         mech, pop, A, x = _anchor_round()
         scale = max(1.0, float(np.max(np.abs(A @ x))))
-        for seed in range(20):
-            assert simulate_round(mech, pop, A, x, seed).max_error <= 1e-8 * scale
-        assert len(refines) == 20
+        for target in [0.99 * _REFINED_COND_LIMIT, 1.0 * _DECODE_COND_LIMIT]:
+            for seed in range(20):
+                outcome = simulate_round(mech, pop, A, x, seed)
+                assert outcome.max_error <= 1e-8 * scale, (target, seed)
+        assert len(refines) == 40
 
     def test_accepted_rounds_run_no_svd(self, monkeypatch):
         def no_svd(*args):
@@ -931,9 +920,11 @@ class TestDecodeReceived:
         assert np.linalg.cond(code) < _DECODE_COND_LIMIT
         assert _DECODE_COND_LIMIT < np.linalg.cond(code, "fro")
         conds = _record_cond(monkeypatch)
+        refines = _record_refine(monkeypatch)
         product = rng.standard_normal(40)
         decoded = _decode_received(code, code @ product)
         assert conds == [(40, 40)]
+        assert refines == [(40, 40)]
         assert np.max(np.abs(decoded - product)) <= 1e-8 * np.max(np.abs(product))
 
 

@@ -247,7 +247,8 @@ class TestExperimentSpec:
 
     def test_underflowing_throughput_metadata_rejected(self):
         meta = ExperimentSpec().to_metadata()
-        meta["population"] = "1.0,1e300,1e300,5"
+        # The row time overflows, so the throughput rounds to zero.
+        meta["population"] = "1.0,1e-308,1e308,5"
         with pytest.raises(ConfigurationError, match="underflows"):
             ExperimentSpec.from_metadata(meta)
 

@@ -158,6 +158,8 @@ class TestSolveLambdaSmallTargets:
             (1.0, 1e-20), (1.0, 1e-12), (1e-300, 1e-5), (2.0, 0.0049),
             # a*mu underflows to 0 and to a subnormal.
             (1e-300, 1e-300), (1e-300, 1e-20),
+            # A subnormal input; both, where w = mu*(lam - a) is subnormal.
+            (1.0, 1e-320), (1e-320, 1.0), (1e-320, 1e-320),
         ],
     )
     def test_cancelling_targets_keep_their_root(self, mu, a):

@@ -75,6 +75,14 @@ class TestDeriveProfile:
         profile = derive_profile(_worker(speed=100.0, startup=0.024))
         assert 0.0 < profile.throughput < 100.0
 
+    def test_throughput_where_speed_times_row_time_overflows(self):
+        # speed * row_time = 1e600, yet 1 / (row_time + 1 / speed) is
+        # 1e-300 to an ulp.
+        profile = derive_profile(_worker(cost=1.0, speed=1e300, startup=1e300))
+        assert profile.row_time == 1e300
+        assert profile.throughput == pytest.approx(1e-300, rel=1e-15)
+        assert profile.ratio == pytest.approx(1e300, rel=1e-15)
+
 
 class TestBuildPopulation:
     def test_sorted_by_ratio_and_relabelled(self):
@@ -116,8 +124,9 @@ class TestBuildPopulation:
             build_population([])
 
     def test_underflowing_throughput_is_a_value_error(self):
-        # speed * row_time overflows, so the throughput rounds to zero.
-        huge = _worker(speed=1e300, startup=1e300)
+        # The row time a + w/mu = 1e308 + 1.25e308 overflows, so the
+        # throughput rounds to zero.
+        huge = _worker(speed=1e-308, startup=1e308)
         with pytest.raises(ValueError, match="underflows"):
             build_population([_worker(), huge])
 
