@@ -9,7 +9,9 @@ columns of a near-square grid of the source rows, so it costs about
 2 sqrt(rows) random numbers.  The systematic rows that arrive are
 entries of the product as they are; only the entries that did not
 arrive are solved for, from as many received parity rows: a square
-block whose LU solve is used as it is, refined once, or refused.
+block whose LU solve is used as it is, refined once, or refused.  The
+block and the rows' received results are formed from the factors, so
+no parity row is ever built at full width.
 ``simulate_round`` plays a round under a platform offer as one function
 per stage: participation by best response (``_participation``), whole-row
 loads, where the schemes differ (``_round_loads``), the race of sampled
@@ -67,9 +69,10 @@ _PROBES = 4
 _PROBE_SEED = 0
 _probe_table = np.empty((0, _PROBES))
 _probe_table.flags.writeable = False
-# Parity rows whose factors are drawn and formed at full width at a
-# time, so a round holds 64 full-width rows rather than one for every
-# row it solves from.
+# The chunk a round's parity system is formed in: the square block's
+# columns for this many missing entries, or this many parity rows'
+# received results, at a time, so its temporaries stay small however
+# many rows it solves from.
 _PARITY_BLOCK = 64
 
 
@@ -303,42 +306,65 @@ def _parity_system(
     """Draw ``count`` parity rows and return their share of the decode:
     the rows' entries in the missing (not ``known``) columns, and their
     received results ``(row @ source) @ vector`` less the known entries'
-    share, one product ``row @ where(known, decoded, 0)`` over the row.
+    share ``row @ where(known, decoded, 0)``, all formed from the rows'
+    factors: no row is ever formed at full width.
 
     The source rows sit on a ``height x width`` grid, row j at ``(j //
     width, j % width)``, and parity row n is the outer product of its
     factors ``left[n]`` (over the grid's rows) and ``right[n]`` (over
     its columns) cut to ``rows`` entries: entry j is ``left[n, j //
     width] * right[n, j % width]``.  The factors are the rows of
-    ``rng.uniform(-1, 1, (count, height + width))``, left first, drawn
-    ``_PARITY_BLOCK`` rows at a time (``2 * random - 1`` is that draw
-    bit for bit), and each block's rows are formed in one reused block,
-    so a round never holds all of them at full width.
+    ``rng.uniform(-1, 1, (count, height + width))``, left first (``2 *
+    random - 1`` is that draw bit for bit), held transposed, so that a
+    grid row's or column's factor over every parity row is contiguous.
+    Row c of the square block's transpose is then the left factor of
+    missing entry c's grid row times the right factor of its grid
+    column, the latter gathered ``_PARITY_BLOCK`` entries at a time, and
+    the block is returned F-ordered, as LAPACK reads it.  A received
+    result applies ``left`` over the grid's full rows in one product
+    with ``source`` (its partial last row on its own), then ``right``,
+    then ``vector``: a worker's order, summed factor by factor.  It is
+    formed ``_PARITY_BLOCK`` parity rows at a time, fewer over a matrix
+    wider than its grid is high, so one reused chunk holds no more
+    numbers than ``_PARITY_BLOCK`` full-width rows would.
     """
-    rows = known.size
+    rows, cols = source.shape
     width = math.isqrt(rows - 1) + 1
     height = -(-rows // width)  # ceil(rows / width)
-    missing = np.flatnonzero(~known)
+    full = rows // width
+    cut = full * width
+    factors = np.empty((height + width, count))
+    np.multiply(rng.random((count, height + width)).T, 2.0, out=factors)
+    factors -= 1.0
+    left, right = factors[:height], factors[height:]
+    grid_row, grid_col = np.divmod(np.flatnonzero(~known), width)
+    square_t = left[grid_row]
+    for start in range(0, grid_row.size, _PARITY_BLOCK):
+        square_t[start : start + _PARITY_BLOCK] *= right[
+            grid_col[start : start + _PARITY_BLOCK]
+        ]
     # The missing entries of ``decoded`` are uninitialised, so they are
     # zeroed by ``where`` rather than by a product with the mask.
     known_values = np.where(known, decoded, 0.0)
-    square = np.empty((count, missing.size))
+    # Its terms are only (width, count), so it takes every parity row at once.
+    share = (right * (known_values[:cut].reshape(full, width).T @ left[:full])).sum(0)
+    if cut < rows:
+        share += left[full] * (known_values[cut:] @ right[: rows - cut])
+    grid = source[:cut].reshape(full, width * cols)
+    step = min(_PARITY_BLOCK, max(1, _PARITY_BLOCK * height // cols))
+    chunk = np.empty((min(step, count), width * cols))
     rhs = np.empty(count)
-    block = np.empty((min(count, _PARITY_BLOCK), height, width))
-    for start in range(0, count, _PARITY_BLOCK):
-        stop = min(start + _PARITY_BLOCK, count)
-        factors = 2.0 * rng.random((stop - start, height + width)) - 1.0
-        outer = block[: stop - start]
-        # The same products as a broadcast multiply, formed faster.
-        np.einsum("ni,nj->nij", factors[:, :height], factors[:, height:], out=outer)
-        # The whole grid's rows are contiguous, so ``take`` gathers the
-        # missing columns without a copy; the indices are all below rows,
-        # and mode="clip" writes straight into ``out``.
-        grid_rows = outer.reshape(stop - start, height * width)
-        np.take(grid_rows, missing, axis=1, out=square[start:stop], mode="clip")
-        parity = grid_rows[:, :rows]
-        rhs[start:stop] = (parity @ source) @ vector - parity @ known_values
-    return square, rhs
+    for start in range(0, count, step):
+        stop = min(start + step, count)
+        # ``left`` over the full grid rows: (parity row, grid column, column).
+        outer = np.matmul(left[:full, start:stop].T, grid, out=chunk[: stop - start])
+        factor = right[:, start:stop].T
+        products = np.matmul(factor[:, None], outer.reshape(-1, width, cols))[:, 0]
+        if cut < rows:
+            tail = factor[:, : rows - cut] @ source[cut:]
+            products += left[full, start:stop, None] * tail
+        rhs[start:stop] = products @ vector - share[start:stop]
+    return square_t.T, rhs
 
 
 def _participation(mech: Mechanism, pop: Population) -> tuple[np.ndarray, np.ndarray]:
@@ -463,7 +489,8 @@ def simulate_round(
     times = sample_times((pop.startup[of], pop.speed[of]), loads[racing], rng)
     order, realized = _race(times, loads[racing], need)
     contributors = racing[order[:realized]]
-    used = np.isin(np.arange(loads.size), contributors)
+    used = np.zeros(loads.size, dtype=bool)
+    used[contributors] = True
     decoded = _decode_round(rng, source, vector, loads, used)
     # Each worker is paid the reward of its type's report and bears its
     # type's cost over the round, so both are computed once per type.

@@ -256,7 +256,7 @@ class ExperimentSpec:
                 population=build_population(rows),
                 **{attr: parse(meta[k]) for k, (attr, parse, _) in _SETTINGS.items()},
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, ArithmeticError) as exc:
             raise ConfigurationError(f"invalid metadata: {exc}") from exc
 
 

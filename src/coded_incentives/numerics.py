@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import IterationError
+from .errors import IterationError, NumericalError
 
 __all__ = ["solve_lambda", "mds_alpha", "harmonic"]
 
@@ -67,7 +67,7 @@ def solve_lambda(mu, a):
     target or a subnormal ``w`` keeps its digits.  Raises
     :class:`IterationError`, with the roots reached as ``best``, when an
     iterate still decreases after 200 steps or a residual exceeds 1e-12
-    of its target.
+    of its target, and :class:`NumericalError` when a root overflows.
     """
     mu, a = np.asarray(mu, dtype=float), np.asarray(a, dtype=float)
     if mu.shape != a.shape:
@@ -77,10 +77,17 @@ def solve_lambda(mu, a):
     if not np.all(a > 0):
         raise ValueError(f"a must be positive, got {a}")
     with np.errstate(all="ignore"):
-        sigma = np.ldexp(1.0, np.minimum((np.frexp(a)[1] + np.frexp(mu)[1]) // 2, 0))
-        # sigma <= 1 is a power of two near sqrt(a*mu), so a*mu / sigma**2 does
-        # not underflow; past the float range the root rounds to a anyway.
-        target = np.minimum((a / sigma) * (mu / sigma), _FLOAT_MAX)
+        (a_digits, a_exponent), (mu_digits, mu_exponent) = np.frexp(a), np.frexp(mu)
+        exponent = a_exponent + mu_exponent
+        half = np.minimum(exponent // 2, 0)
+        sigma = np.ldexp(1.0, half)
+        # sigma <= 1 is a power of two near sqrt(a*mu), so a*mu / sigma**2,
+        # formed from the mantissas, neither underflows nor overflows on
+        # the way: where a*mu is normal it is that product scaled exactly.
+        # Past the float range the root rounds to a anyway.
+        target = np.minimum(
+            np.ldexp(a_digits * mu_digits, exponent - 2 * half), _FLOAT_MAX
+        )
         # The iterate is v = w / sigma, so a subnormal w keeps its digits;
         # where w is normal, each step is the step on w, scaled by sigma.
         # A subnormal log1p start has lost digits, so sqrt(2t) starts.
@@ -114,6 +121,12 @@ def solve_lambda(mu, a):
             raise IterationError(
                 f"{reason} for mu={mu.flat[i]}, a={a.flat[i]}", best=best
             )
+    overflowed = ~(lam < np.inf)
+    if overflowed.any():
+        i = np.argmax(overflowed)
+        raise NumericalError(
+            f"the row time overflows for mu={mu.flat[i]}, a={a.flat[i]}"
+        )
     return best
 
 

@@ -180,8 +180,11 @@ def derive_profile(worker: WorkerType) -> PerformanceProfile:
 
 def _profile_columns(types: Sequence[WorkerType]) -> np.ndarray:
     """The seven ``Population`` columns of ``types`` in input order, the
-    three derived ones from one :func:`solve_lambda` call.  A type whose
-    throughput underflows to zero raises ValueError."""
+    three derived ones from one :func:`solve_lambda` call, which raises
+    NumericalError for a type whose row time overflows.  A finite row
+    time gives a positive throughput: the speed itself where ``speed *
+    row_time`` is below an ulp of 1, else at least ``1 / (2 *
+    row_time)``."""
     inputs = np.array(
         [(t.count, t.cost_rate, t.speed, t.startup) for t in types], dtype=float
     ).reshape(len(types), 4).T
@@ -194,9 +197,6 @@ def _profile_columns(types: Sequence[WorkerType]) -> np.ndarray:
             product < np.inf, speed / (1.0 + product), 1.0 / (row_time + 1.0 / speed)
         )
         ratio = cost_rate / throughput
-    underflowed = np.flatnonzero(~(throughput > 0))
-    if underflowed.size:
-        raise ValueError(f"throughput underflows to zero for {types[underflowed[0]]}")
     return np.vstack((inputs, row_time, throughput, ratio))
 
 

@@ -288,8 +288,7 @@ class TestNonFiniteConfig:
             "1.0 inf 0.012 10",
             "1.0 50.0 nan 10",
             "nan 50.0 0.012 10",
-            # A profile that cannot be derived: the row time overflows,
-            # so the throughput underflows.
+            # A profile that cannot be derived: the row time overflows.
             "1.0 1e-308 1e308 10",
         ],
     )
@@ -300,6 +299,19 @@ class TestNonFiniteConfig:
         err = capsys.readouterr().err
         assert "configuration error" in err
         assert f"{path}:2" in err
+
+    def test_overflowing_row_time_is_named(self, tmp_path, capsys):
+        # The root of the speed equation, about 2.15e308, is past the float
+        # range: the error names the row time, not the throughput after it.
+        path = tmp_path / "slow.cfg"
+        path.write_text("1.0 50.0 0.012 10\n1.0 1e-308 1e308 10\n")
+        assert main(["solve", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"configuration error: {path}:2: the row time overflows "
+            "for mu=1e-308, a=1e+308\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",

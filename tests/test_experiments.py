@@ -245,11 +245,12 @@ class TestExperimentSpec:
         with pytest.raises(ConfigurationError):
             ExperimentSpec.from_metadata(meta)
 
-    def test_underflowing_throughput_metadata_rejected(self):
+    def test_overflowing_row_time_metadata_rejected(self):
         meta = ExperimentSpec().to_metadata()
-        # The row time overflows, so the throughput rounds to zero.
         meta["population"] = "1.0,1e-308,1e308,5"
-        with pytest.raises(ConfigurationError, match="underflows"):
+        with pytest.raises(
+            ConfigurationError, match="invalid metadata: the row time overflows"
+        ):
             ExperimentSpec.from_metadata(meta)
 
 

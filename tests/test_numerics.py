@@ -160,6 +160,8 @@ class TestSolveLambdaSmallTargets:
             (1e-300, 1e-300), (1e-300, 1e-20),
             # A subnormal input; both, where w = mu*(lam - a) is subnormal.
             (1.0, 1e-320), (1e-320, 1.0), (1e-320, 1e-320),
+            # mu / sigma overflows although the root, 2.41e-316, is a float.
+            (1.7e308, 5e-324),
         ],
     )
     def test_cancelling_targets_keep_their_root(self, mu, a):
@@ -204,6 +206,48 @@ class TestSolveLambdaSmallTargets:
             exact = math.expm1(w) - w
             series = w * w / 2.0 * numerics._excess_tail(np.array(w))
             assert series == pytest.approx(exact, rel=1e-14)
+
+
+class TestSolveLambdaWholeRange:
+    def test_log_uniform_pairs_match_the_decimal_oracle(self):
+        # Both inputs log-uniform over every positive float, subnormals
+        # included, then startups in the top 8 binades with speeds in the
+        # bottom 74, where the root is a + w/mu and its overflow is decided:
+        # each root is within 2 ulps of the oracle's, or the oracle's root
+        # overflows and the solver says so.
+        rng = np.random.default_rng(2036)
+        tiny, top = math.ulp(0.0), math.log2(np.finfo(float).max)
+        pairs = np.vstack([
+            np.exp2(rng.uniform(math.log2(tiny), top, (3000, 2))),
+            np.column_stack([
+                np.exp2(rng.uniform(-1074, -1000, 300)),
+                np.exp2(rng.uniform(1016, top, 300)),
+            ]),
+        ])
+        pairs = np.maximum(pairs, tiny)
+        overflowed = 0
+        for mu, a in pairs.tolist():
+            ref = lambda_decimal_oracle(mu, a)
+            if ref == math.inf:
+                with pytest.raises(NumericalError, match="the row time overflows"):
+                    solve_lambda(mu, a)
+                overflowed += 1
+            else:
+                assert abs(solve_lambda(mu, a) - ref) <= 2 * math.ulp(ref), (mu, a)
+        # The draw reaches every region the solver scales for.
+        with np.errstate(over="ignore", under="ignore"):
+            targets = pairs[:, 0] * pairs[:, 1]
+        assert np.count_nonzero((pairs < np.finfo(float).tiny).any(axis=1)) >= 100
+        assert np.count_nonzero(targets == 0.0) >= 100
+        assert np.count_nonzero(targets == math.inf) >= 100
+        assert overflowed >= 100
+
+    def test_overflowing_root_is_a_numerical_error(self):
+        # The root, about 2.15e308, is past the float range.
+        with pytest.raises(NumericalError, match="row time overflows for mu=1e-308"):
+            solve_lambda(1e-308, 1e308)
+        with pytest.raises(NumericalError, match="mu=1e-308, a=1e\\+308"):
+            solve_lambda(np.array([1.0, 1e-308]), np.array([1.0, 1e308]))
 
 
 def _oracle_pairs(seed: int, low: float, high: float, count: int = 400):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from coded_incentives import (
     ConfigurationError,
+    NumericalError,
     Population,
     WorkerType,
     build_population,
@@ -123,11 +124,12 @@ class TestBuildPopulation:
         with pytest.raises(ConfigurationError):
             build_population([])
 
-    def test_underflowing_throughput_is_a_value_error(self):
-        # The row time a + w/mu = 1e308 + 1.25e308 overflows, so the
-        # throughput rounds to zero.
+    def test_overflowing_row_time_is_a_numerical_error(self):
+        # The row time a + w/mu = 1e308 + 1.15e308 overflows.
         huge = _worker(speed=1e-308, startup=1e308)
-        with pytest.raises(ValueError, match="underflows"):
+        with pytest.raises(
+            NumericalError, match="the row time overflows for mu=1e-308, a=1e\\+308"
+        ):
             build_population([_worker(), huge])
 
     def test_constructor_enforces_invariants(self):
