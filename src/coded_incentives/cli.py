@@ -229,9 +229,10 @@ def cmd_simulate(args: argparse.Namespace) -> str:
     costs = []
     for i in range(reps):
         seed = spec.seed + i
+        # A ConfigurationError is the command's input, never one round's.
         try:
             outcome = simulate_round(mech, spec.population, matrix, vector, seed)
-        except (ConfigurationError, InfeasibleError, NumericalError) as exc:
+        except (InfeasibleError, NumericalError) as exc:
             raise type(exc)(f"round {i} (seed {seed}): {exc}") from exc
         costs.append(outcome.platform_cost_realized)
         error = outcome.max_error / max(1.0, float(np.max(np.abs(matrix @ vector))))

@@ -6,12 +6,12 @@ of that source row and the rest are parity rows, dealt to the workers
 after one seeded shuffle.  A parity row is the outer product of two
 short factors uniform on (-1, 1), one over the rows and one over the
 columns of a near-square grid of the source rows, so it costs about
-2 sqrt(rows) random numbers.  The systematic rows that arrive are
-entries of the product as they are; only the entries that did not
-arrive are solved for, from as many received parity rows: a square
-block whose LU solve is used as it is, refined once, or refused.  The
-block and the rows' received results are formed from the factors, so
-no parity row is ever built at full width.
+2 sqrt(rows) random numbers.  A round forms the product once: the
+systematic rows that arrive are its entries as they are, and only the
+entries that did not arrive are solved for, from as many received
+parity rows: a square block whose LU solve is used as it is, refined
+once, or refused.  The block and the rows' received results are formed
+from the factors, so no parity row is ever built at full width.
 ``simulate_round`` plays a round under a platform offer as one function
 per stage: participation by best response (``_participation``), whole-row
 loads, where the schemes differ (``_round_loads``), the race of sampled
@@ -297,17 +297,16 @@ def integerize_loads(loads: Sequence[float]) -> list[int]:
 
 def _parity_system(
     rng: np.random.Generator,
-    count: int,
     source: np.ndarray,
     vector: np.ndarray,
-    known: np.ndarray,
-    decoded: np.ndarray,
+    missing: np.ndarray,
+    known_values: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``count`` parity rows and return their share of the decode:
-    the rows' entries in the missing (not ``known``) columns, and their
+    """Draw one parity row per ``missing`` entry and return their square
+    system: the rows' entries in the ``missing`` columns, and their
     received results ``(row @ source) @ vector`` less the known entries'
-    share ``row @ where(known, decoded, 0)``, all formed from the rows'
-    factors: no row is ever formed at full width.
+    share ``row @ known_values`` (zero at the missing entries), all
+    formed from the rows' factors: no row is ever formed at full width.
 
     The source rows sit on a ``height x width`` grid, row j at ``(j //
     width, j % width)``, and parity row n is the outer product of its
@@ -333,19 +332,17 @@ def _parity_system(
     height = -(-rows // width)  # ceil(rows / width)
     full = rows // width
     cut = full * width
+    count = missing.size
     factors = np.empty((height + width, count))
     np.multiply(rng.random((count, height + width)).T, 2.0, out=factors)
     factors -= 1.0
     left, right = factors[:height], factors[height:]
-    grid_row, grid_col = np.divmod(np.flatnonzero(~known), width)
+    grid_row, grid_col = np.divmod(missing, width)
     square_t = left[grid_row]
     for start in range(0, grid_row.size, _PARITY_BLOCK):
         square_t[start : start + _PARITY_BLOCK] *= right[
             grid_col[start : start + _PARITY_BLOCK]
         ]
-    # The missing entries of ``decoded`` are uninitialised, so they are
-    # zeroed by ``where`` rather than by a product with the mask.
-    known_values = np.where(known, decoded, 0.0)
     # Its terms are only (width, count), so it takes every parity row at once.
     share = (right * (known_values[:cut].reshape(full, width).T @ left[:full])).sum(0)
     if cut < rows:
@@ -412,34 +409,32 @@ def _decode_round(
     rng: np.random.Generator,
     source: np.ndarray,
     vector: np.ndarray,
+    exact: np.ndarray,
     loads: np.ndarray,
     used: np.ndarray,
 ) -> np.ndarray:
-    """``source @ vector`` decoded from the coded slots the workers
-    ``used`` marks hold.  Slot i < rows of the ``sum(loads)`` slots is
-    systematic (its worker computes ``source[i] @ vector``), the rest are
-    parity rows; one shuffle deals them in load order, so with ``ends =
-    cumsum(loads)`` worker w holds ``slots[ends[w] - loads[w]:ends[w]]``.
-    Arrived systematic slots fill their entries; the missing ones are
-    solved from as many parity rows, drawn after the shuffle."""
+    """The product ``exact = source @ vector`` decoded from the coded
+    slots the workers ``used`` marks hold.  Slot i < rows of the
+    ``sum(loads)`` slots is systematic (its worker computes ``exact[i]``),
+    the rest parity rows; one shuffle deals them in load order, so with
+    ``ends = cumsum(loads)`` worker w holds ``slots[ends[w] - loads[w]:
+    ends[w]]``.  Arrived entries are read from ``exact`` with the others
+    zeroed, the known values the parity system subtracts; the missing
+    ones are then solved from as many parity rows, drawn after the shuffle."""
     rows = source.shape[0]
     held = rng.permutation(int(loads.sum()))[np.repeat(used, loads)]
-    arrived = held[held < rows]
-    decoded = np.empty(rows)
     known = np.zeros(rows, dtype=bool)
-    known[arrived] = True
-    unknowns = rows - arrived.size
-    # Finite input can still overflow here; the decode is checked below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        decoded[arrived] = source[arrived] @ vector
-        if unknowns:
-            # The used workers hold at least rows coded slots, so at least
-            # as many parity slots as missing entries; the decode reads
-            # the first of them.
-            square, received = _parity_system(
-                rng, unknowns, source, vector, known, decoded
-            )
-            decoded[~known] = _decode_received(square, received)
+    known[held[held < rows]] = True
+    decoded = np.where(known, exact, 0.0)
+    missing = np.flatnonzero(~known)
+    if missing.size:
+        # The used workers hold at least rows coded slots, so at least as
+        # many parity slots as missing entries; the decode reads the
+        # first of them.  Finite input can still overflow here; the
+        # decode is checked below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            square, received = _parity_system(rng, source, vector, missing, decoded)
+        decoded[missing] = _decode_received(square, received)
     if not np.isfinite(decoded).all():
         raise NumericalError("the product overflows, so the decode is not finite")
     return decoded
@@ -478,6 +473,9 @@ def simulate_round(
         raise ConfigurationError(
             f"matrix has {rows} rows but the offer covers {mech.config.total_rows}"
         )
+    # Finite input can still overflow; the decode is checked for it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        exact = source @ vector
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     participants, reported = _participation(mech, pop)
     index = participants - 1
@@ -491,7 +489,7 @@ def simulate_round(
     contributors = racing[order[:realized]]
     used = np.zeros(loads.size, dtype=bool)
     used[contributors] = True
-    decoded = _decode_round(rng, source, vector, loads, used)
+    decoded = _decode_round(rng, source, vector, exact, loads, used)
     # Each worker is paid the reward of its type's report and bears its
     # type's cost over the round, so both are computed once per type.
     runtime = float(times[order[realized - 1]])
@@ -510,7 +508,7 @@ def simulate_round(
         realized_k=realized,
         runtime=runtime,
         decoded=decoded,
-        max_error=float(np.max(np.abs(decoded - source @ vector))),
+        max_error=float(np.max(np.abs(decoded - exact))),
         payments=dict(enumerate(payments)),
         worker_payoffs=dict(enumerate(payoffs.tolist())),
         platform_cost_realized=cost,

@@ -273,23 +273,24 @@ def integerize_oracle(loads) -> list[int]:
     return base
 
 
-def parity_system_oracle(rng, count, source, vector, known, decoded):
-    """A round's parity system from one draw of every row's factors:
-    the ``rows`` source rows on a ``height x width`` grid with ``width =
-    isqrt(rows - 1) + 1``, each parity row the flattened outer product of
-    its two factors, uniform on (-1, 1) and drawn as one ``(count,
-    height + width)`` array, left factor first, cut to ``rows`` entries.
-    The rows are then dense: their missing (not ``known``) columns, and
-    their received results less the known entries' share, one product
-    over each whole row with the missing entries zeroed."""
-    rows = known.size
+def parity_system_oracle(rng, source, vector, missing, known_values):
+    """A round's parity system from one draw of every row's factors, one
+    parity row per ``missing`` entry: the ``rows`` source rows on a
+    ``height x width`` grid with ``width = isqrt(rows - 1) + 1``, each
+    parity row the flattened outer product of its two factors, uniform
+    on (-1, 1) and drawn as one ``(count, height + width)`` array, left
+    factor first, cut to ``rows`` entries.  The rows are then dense:
+    their ``missing`` columns, and their received results less the known
+    entries' share, one product over each whole row with
+    ``known_values``, which is zero at the missing entries."""
+    rows, count = known_values.size, missing.size
     width = math.isqrt(rows - 1) + 1
     height = -(-rows // width)
     factors = rng.uniform(-1.0, 1.0, (count, height + width))
     outer = factors[:, :height, None] * factors[:, None, height:]
     parity = outer.reshape(count, height * width)[:, :rows]
     received = (parity @ source) @ vector
-    return parity[:, ~known], received - parity @ np.where(known, decoded, 0.0)
+    return parity[:, missing], received - parity @ known_values
 
 
 def cost_only_threshold_oracle(pop, cfg) -> int:

@@ -713,6 +713,22 @@ class TestSimulate:
         )
         assert "vector length" in capsys.readouterr().err
 
+    def test_bad_input_file_blames_no_round(self, tmp_path, capsys):
+        # The default matrix has 4 columns and 1000 rows; a file that does
+        # not fit it is the command's input, not round 0's.
+        v_path = tmp_path / "v3.txt"
+        v_path.write_text("3\n1 2 3\n")
+        m_path = tmp_path / "m.txt"
+        m_path.write_text("2 4\n" + "1 2 3 4\n" * 2)
+        assert main(["simulate", "--vector", str(v_path)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: vector length must match the matrix column count\n"
+        )
+        assert main(["simulate", "--matrix", str(m_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "configuration error: matrix has 2 rows but the offer covers "
+        )
+
     def test_fractional_rows_exits_2(self, tmp_path, capsys):
         path = tmp_path / "frac.cfg"
         path.write_text(SMALL_HETERO.replace("total_rows = 60", "total_rows = 60.5"))
