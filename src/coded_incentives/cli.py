@@ -234,8 +234,11 @@ def cmd_simulate(args: argparse.Namespace) -> str:
             outcome = simulate_round(mech, spec.population, matrix, vector, seed)
         except (InfeasibleError, NumericalError) as exc:
             raise type(exc)(f"round {i} (seed {seed}): {exc}") from exc
+        if i == 0:
+            # The round has checked the matrix and vector against the offer.
+            scale = max(1.0, float(np.max(np.abs(matrix @ vector))))
         costs.append(outcome.platform_cost_realized)
-        error = outcome.max_error / max(1.0, float(np.max(np.abs(matrix @ vector))))
+        error = outcome.max_error / scale
         lines.append(
             f"round {i}: runtime {outcome.runtime:.6g}, used "
             f"{outcome.realized_k} of {len(outcome.worker_types)} workers, "

@@ -17,6 +17,11 @@ per stage: participation by best response (``_participation``), whole-row
 loads, where the schemes differ (``_round_loads``), the race of sampled
 finish times (``_race``), the decode from the first finishers holding
 enough rows (``_decode_round``), and payment of the announced rewards.
+Participation, loads and payments depend only on the offer and the
+population, so they form one plan (``_round_plan``), kept for the last
+offer and population objects: both are frozen with read-only columns,
+so rounds that replay an offer reuse its plan and draw only the race,
+the code and the decode.
 ``mds_encode`` and ``mds_decode`` are the block-code form of the same
 idea: k equal blocks, a caller's (n, k) generator, and any k coded
 blocks solved for the block products.
@@ -37,7 +42,7 @@ from .numerics import _largest_remainder
 from .runtime import SCHEME_MDS, _race
 # No round calls ``sample_time``; it stays imported because perfbench's
 # traced runs wrap it by name in this module.
-from .workers import Population, sample_time, sample_times
+from .workers import Population, _read_only, sample_time, sample_times
 
 __all__ = [
     "CodedTask",
@@ -440,6 +445,73 @@ def _decode_round(
     return decoded
 
 
+@dataclass(frozen=True, eq=False)
+class _RoundPlan:
+    """The stages of a round its offer and population fix (see
+    ``_round_plan``): ``racers`` are the ``racing`` workers' ``(startup,
+    speed)``, ``counts``, ``type_pay`` and ``cost_rate`` are per
+    participating type, and ``paid`` is the ``math.fsum`` of the
+    payments.  Its arrays are read-only; each outcome copies
+    ``payments``."""
+
+    participants: tuple[int, ...]
+    worker_types: tuple[tuple[int, int], ...]
+    loads: np.ndarray
+    need: int
+    racing: np.ndarray
+    racers: tuple[np.ndarray, np.ndarray]
+    racing_loads: np.ndarray
+    counts: np.ndarray
+    type_pay: np.ndarray
+    cost_rate: np.ndarray
+    payments: dict[int, float]
+    paid: float
+
+
+# The last offer's plan with the offer and population it was built for,
+# matched by identity: both are frozen with read-only columns, so the
+# plan holds for as long as they live.  (A population's ``__eq__``
+# compares values, so it is unhashable and ``functools`` cannot key it.)
+_plan_memo: tuple = (None, None, None)
+
+
+def _round_plan(mech: Mechanism, pop: Population) -> _RoundPlan:
+    """The offer's side of a round: ``_participation``, then
+    ``_round_loads`` and settlement's terms, all fixed by the offer and
+    the population.  It is built once per offer and reused while rounds
+    replay that offer; an offer that raises is never memoised, so it
+    raises on every call."""
+    global _plan_memo
+    memo_mech, memo_pop, plan = _plan_memo
+    if memo_mech is mech and memo_pop is pop:
+        return plan
+    participants, reported = _participation(mech, pop)
+    index = participants - 1
+    counts = pop.counts[index].astype(int)
+    loads, need = _round_loads(mech, participants, counts)
+    # Workers with rows race; each worker is paid its type's report's reward.
+    racing = np.flatnonzero(loads)
+    of = np.repeat(index, counts)[racing]
+    type_pay = mech.rewards[reported - 1]
+    payments = np.repeat(type_pay, counts).tolist()
+    plan = _RoundPlan(
+        participants=tuple(participants.tolist()),
+        worker_types=tuple(enumerate(np.repeat(participants, counts).tolist())),
+        loads=_read_only(loads, int),
+        need=need,
+        racing=_read_only(racing, int),
+        racers=(_read_only(pop.startup[of]), _read_only(pop.speed[of])),
+        racing_loads=_read_only(loads[racing], int),
+        counts=_read_only(counts, int),
+        type_pay=_read_only(type_pay),
+        cost_rate=_read_only(pop.cost_rate[index]),
+        payments=dict(enumerate(payments)),
+        paid=math.fsum(payments),
+    )
+    _plan_memo = (mech, pop, plan)
+    return plan
+
+
 def simulate_round(
     mech: Mechanism,
     pop: Population,
@@ -456,6 +528,11 @@ def simulate_round(
     ``_decode_round``, the product from their coded rows; and
     settlement, where each worker is paid its reported type's reward,
     also a worker rounded down to zero rows, who does not compute.
+    Participation, loads and payments depend only on the offer and the
+    population, so they are one plan (``_round_plan``) built once per
+    offer and reused by every round that replays it; this relies on
+    ``Mechanism`` and ``Population`` being frozen with read-only
+    columns.  A round draws only the race, the code and the decode.
     Finish times are drawn before the shuffle and the parity rows, so
     the race, its contributors and the costs of a seeded round do not
     depend on the code.
@@ -471,45 +548,37 @@ def simulate_round(
     rows = source.shape[0]
     if rows != mech.config.total_rows:
         raise ConfigurationError(
-            f"matrix has {rows} rows but the offer covers {mech.config.total_rows}"
+            f"matrix has {rows} rows but the offer covers "
+            f"{mech.config.total_rows:.15g}"
         )
     # Finite input can still overflow; the decode is checked for it.
     with np.errstate(over="ignore", invalid="ignore"):
         exact = source @ vector
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
-    participants, reported = _participation(mech, pop)
-    index = participants - 1
-    counts = pop.counts[index].astype(int)
-    loads, need = _round_loads(mech, participants, counts)
-    # Workers with rows race until the finished ones hold the rows needed.
-    racing = np.flatnonzero(loads)
-    of = np.repeat(index, counts)[racing]
-    times = sample_times((pop.startup[of], pop.speed[of]), loads[racing], rng)
-    order, realized = _race(times, loads[racing], need)
-    contributors = racing[order[:realized]]
-    used = np.zeros(loads.size, dtype=bool)
+    plan = _round_plan(mech, pop)
+    # The racing workers race until the finished ones hold the rows needed.
+    times = sample_times(plan.racers, plan.racing_loads, rng)
+    order, realized = _race(times, plan.racing_loads, plan.need)
+    contributors = plan.racing[order[:realized]]
+    used = np.zeros(plan.loads.size, dtype=bool)
     used[contributors] = True
-    decoded = _decode_round(rng, source, vector, exact, loads, used)
-    # Each worker is paid the reward of its type's report and bears its
-    # type's cost over the round, so both are computed once per type.
+    decoded = _decode_round(rng, source, vector, exact, plan.loads, used)
+    # Each worker bears its type's cost over the round, so the payoffs
+    # are computed once per type.
     runtime = float(times[order[realized - 1]])
-    type_pay = mech.rewards[reported - 1]
-    payments = np.repeat(type_pay, counts).tolist()
-    payoffs = np.repeat(type_pay - pop.cost_rate[index] * runtime, counts)
-    cost = mech.config.gamma_time * runtime + mech.config.gamma_pay * math.fsum(
-        payments
-    )
+    payoffs = np.repeat(plan.type_pay - plan.cost_rate * runtime, plan.counts)
+    cost = mech.config.gamma_time * runtime + mech.config.gamma_pay * plan.paid
     return SimOutcome(
         scheme=mech.assignment.scheme,
-        participants=tuple(participants.tolist()),
-        worker_types=tuple(enumerate(np.repeat(participants, counts).tolist())),
-        finish_order=tuple(zip(racing[order].tolist(), times[order].tolist())),
+        participants=plan.participants,
+        worker_types=plan.worker_types,
+        finish_order=tuple(zip(plan.racing[order].tolist(), times[order].tolist())),
         contributors=tuple(contributors.tolist()),
         realized_k=realized,
         runtime=runtime,
         decoded=decoded,
         max_error=float(np.max(np.abs(decoded - exact))),
-        payments=dict(enumerate(payments)),
+        payments=dict(plan.payments),
         worker_payoffs=dict(enumerate(payoffs.tolist())),
         platform_cost_realized=cost,
     )

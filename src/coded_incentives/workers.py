@@ -157,11 +157,11 @@ class Population:
 _COLUMNS = tuple(f.name for f in fields(Population))
 
 
-def _read_only(values) -> np.ndarray:
-    """A float64 copy of ``values`` as a read-only view.  A view of a
-    read-only array cannot be made writeable again; the owning copy
-    itself could be."""
-    column = np.array(values, dtype=float)
+def _read_only(values, dtype=float) -> np.ndarray:
+    """A copy of ``values``, float64 unless ``dtype`` says otherwise, as
+    a read-only view.  A view of a read-only array cannot be made
+    writeable again; the owning copy itself could be."""
+    column = np.array(values, dtype=dtype)
     column.flags.writeable = False
     return column.view()
 

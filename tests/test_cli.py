@@ -725,8 +725,8 @@ class TestSimulate:
             "configuration error: vector length must match the matrix column count\n"
         )
         assert main(["simulate", "--matrix", str(m_path)]) == 2
-        assert capsys.readouterr().err.startswith(
-            "configuration error: matrix has 2 rows but the offer covers "
+        assert capsys.readouterr().err == (
+            "configuration error: matrix has 2 rows but the offer covers 1000\n"
         )
 
     def test_fractional_rows_exits_2(self, tmp_path, capsys):

@@ -414,6 +414,34 @@ def _cost_only_anchor_round():
     return solve_cost_only(types, cfg), build_population(types), A, x
 
 
+def _two_type_round():
+    """Two catalog-like types, ten and five workers, on a 53-row task."""
+    pop = _two_type_population()
+    rng = np.random.default_rng(1)
+    A = rng.standard_normal((53, 2))
+    x = rng.standard_normal(2)
+    return _hetero_offer(pop, [5.2, 0.2], 53, [1000.0, 1000.0]), pop, A, x
+
+
+# (seed, runtime, cost, fingerprint) of seeded anchor and two-type rounds.
+_ANCHOR_PINS = [
+    (1, "0x1.f6e59dbf0c326p-4", "0x1.409c8a3c3f78dp+9",
+     "ed18e49db86dc6acae46bec2d968b7685707ede4ed2e41e6dcb0187636109c03"),
+    (2, "0x1.f9aa377bae654p-4", "0x1.414989c4cd124p+9",
+     "3737cd012c23e50ee72565539df17a7c9227f471882f06a5d110ab91078dd126"),
+    (3, "0x1.0d64bc9f0c22bp-3", "0x1.495fab52c3eb8p+9",
+     "c0ba23e67cfbe3431d7dce98df2f01a457c6a80dec55d52eb3ac693a43ceba10"),
+]
+_TWO_TYPE_PINS = [
+    (5, "0x1.3dd99a09357adp-2", "0x1.d4c3b98cce1bap+14",
+     "ce8e8f4ea5634d4af069a88156922481387846f5c22541de80ecefa860e68641"),
+    (6, "0x1.9839067a3d47fp-3", "0x1.d4c2645589b76p+14",
+     "5c7596d6648e50558aff3458a5b3bfd5bb6af36d935e3fd80c573575cce9fbd6"),
+    (7, "0x1.97eca9b96ac78p-2", "0x1.d4c4c7c5fd2c4p+14",
+     "e2ac485bfab4708aa48994ff5c56483b85f8db941bfc3f35493f17a4517ce550"),
+]
+
+
 class TestSeededRoundPinned:
     """What a seeded heterogeneous round realizes besides its decode.
 
@@ -445,17 +473,7 @@ class TestSeededRoundPinned:
         )
         return hashlib.sha256(text.encode()).hexdigest()
 
-    @pytest.mark.parametrize(
-        "seed, runtime, cost, digest",
-        [
-            (1, "0x1.f6e59dbf0c326p-4", "0x1.409c8a3c3f78dp+9",
-             "ed18e49db86dc6acae46bec2d968b7685707ede4ed2e41e6dcb0187636109c03"),
-            (2, "0x1.f9aa377bae654p-4", "0x1.414989c4cd124p+9",
-             "3737cd012c23e50ee72565539df17a7c9227f471882f06a5d110ab91078dd126"),
-            (3, "0x1.0d64bc9f0c22bp-3", "0x1.495fab52c3eb8p+9",
-             "c0ba23e67cfbe3431d7dce98df2f01a457c6a80dec55d52eb3ac693a43ceba10"),
-        ],
-    )
+    @pytest.mark.parametrize("seed, runtime, cost, digest", _ANCHOR_PINS)
     def test_anchor_round(self, seed, runtime, cost, digest):
         mech, pop, A, x = _anchor_round()
         outcome = simulate_round(mech, pop, A, x, seed)
@@ -463,27 +481,116 @@ class TestSeededRoundPinned:
         assert outcome.platform_cost_realized.hex() == cost
         assert self._fingerprint(outcome) == digest
 
-    @pytest.mark.parametrize(
-        "seed, runtime, cost, digest",
-        [
-            (5, "0x1.3dd99a09357adp-2", "0x1.d4c3b98cce1bap+14",
-             "ce8e8f4ea5634d4af069a88156922481387846f5c22541de80ecefa860e68641"),
-            (6, "0x1.9839067a3d47fp-3", "0x1.d4c2645589b76p+14",
-             "5c7596d6648e50558aff3458a5b3bfd5bb6af36d935e3fd80c573575cce9fbd6"),
-            (7, "0x1.97eca9b96ac78p-2", "0x1.d4c4c7c5fd2c4p+14",
-             "e2ac485bfab4708aa48994ff5c56483b85f8db941bfc3f35493f17a4517ce550"),
-        ],
-    )
+    @pytest.mark.parametrize("seed, runtime, cost, digest", _TWO_TYPE_PINS)
     def test_two_type_round(self, seed, runtime, cost, digest):
-        pop = _two_type_population()
-        rng = np.random.default_rng(1)
-        A = rng.standard_normal((53, 2))
-        x = rng.standard_normal(2)
-        mech = _hetero_offer(pop, [5.2, 0.2], 53, [1000.0, 1000.0])
+        mech, pop, A, x = _two_type_round()
         outcome = simulate_round(mech, pop, A, x, seed)
         assert outcome.runtime.hex() == runtime
         assert outcome.platform_cost_realized.hex() == cost
         assert self._fingerprint(outcome) == digest
+
+
+def _record_best_responses(monkeypatch):
+    """Record the type id of each ``best_response`` a round asks for."""
+    calls = []
+    best_response = coding.best_response
+
+    def recording(true_m, mech, pop):
+        calls.append(true_m)
+        return best_response(true_m, mech, pop)
+
+    monkeypatch.setattr(coding, "best_response", recording)
+    return calls
+
+
+class TestRoundPlan:
+    """Participation, loads and payments are built once per offer and
+    population object and reused by the rounds that replay them."""
+
+    def test_participation_is_decided_once_per_offer(self, monkeypatch):
+        calls = _record_best_responses(monkeypatch)
+        mech, pop, A, x = _anchor_round()
+        simulate_round(mech, pop, A, x, 1)
+        assert calls == list(pop.ids)
+        calls.clear()
+        for seed in (2, 3, 4):
+            simulate_round(mech, pop, A, x, seed)
+        assert calls == []
+
+    def test_a_new_offer_or_population_object_rebuilds_the_plan(self, monkeypatch):
+        fingerprint = TestSeededRoundPinned._fingerprint
+        calls = _record_best_responses(monkeypatch)
+        mech, pop, A, x = _anchor_round()
+        first = fingerprint(simulate_round(mech, pop, A, x, 1))
+        # Equal values, new objects: the plan is keyed by identity.
+        for offer, population in [
+            (copy.copy(mech), pop),
+            (mech, pop.with_counts(pop.counts)),
+        ]:
+            calls.clear()
+            outcome = simulate_round(offer, population, A, x, 1)
+            assert calls == list(pop.ids)
+            assert fingerprint(outcome) == first
+
+    def test_alternating_offers_replay_their_pinned_rounds(self):
+        anchor = _anchor_round()
+        two_type = _two_type_round()
+        plays = [
+            (anchor, _ANCHOR_PINS[0]),
+            (anchor, _ANCHOR_PINS[1]),
+            (two_type, _TWO_TYPE_PINS[0]),
+            (anchor, _ANCHOR_PINS[2]),
+            (two_type, _TWO_TYPE_PINS[1]),
+            (two_type, _TWO_TYPE_PINS[2]),
+        ]
+        for (mech, pop, A, x), (seed, runtime, cost, digest) in plays:
+            outcome = simulate_round(mech, pop, A, x, seed)
+            assert outcome.runtime.hex() == runtime
+            assert outcome.platform_cost_realized.hex() == cost
+            assert TestSeededRoundPinned._fingerprint(outcome) == digest
+
+    def test_each_outcome_owns_its_payments(self):
+        mech, pop, A, x = _two_type_round()
+        first = simulate_round(mech, pop, A, x, 5)
+        expected = dict(first.payments)
+        first.payments[0] = -1.0
+        first.payments.clear()
+        second = simulate_round(mech, pop, A, x, 5)
+        assert second.payments == expected
+        assert second.platform_cost_realized == mech.config.gamma_time * (
+            second.runtime
+        ) + mech.config.gamma_pay * math.fsum(expected.values())
+
+    def test_plan_arrays_are_read_only(self):
+        mech, pop, _, _ = _two_type_round()
+        plan = coding._round_plan(mech, pop)
+        arrays = [
+            plan.loads, plan.racing, *plan.racers, plan.racing_loads,
+            plan.counts, plan.type_pay, plan.cost_rate,
+        ]
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array.flags.writeable = True
+
+    @pytest.mark.parametrize(
+        "loads, rewards, message",
+        [
+            ([1.0, 1.0], [0.0, 0.0], "no worker participates"),
+            ([2.0, 1.0], [500.0, 500.0], "participators cover 25 rows, need 53"),
+        ],
+    )
+    def test_an_infeasible_offer_raises_on_every_call(
+        self, monkeypatch, loads, rewards, message
+    ):
+        calls = _record_best_responses(monkeypatch)
+        pop = _two_type_population()
+        mech = _hetero_offer(pop, loads, 53, rewards)
+        A, x = np.ones((53, 2)), np.ones(2)
+        for seed in range(3):
+            calls.clear()
+            with pytest.raises(InfeasibleError, match=message):
+                simulate_round(mech, pop, A, x, seed)
+            assert calls == list(pop.ids)
 
 
 def _record_cond(monkeypatch):
