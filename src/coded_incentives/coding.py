@@ -2,8 +2,12 @@
 
 A round uses one systematic code whatever its scheme: of the round's
 ``sum(loads)`` coded rows, one per output coordinate is a plain copy
-of that source row and the rest are parity rows, dealt to the workers
-after one seeded shuffle.  A parity row is the outer product of two
+of that source row and the rest are parity rows.  The copies go to the
+workers expected to finish first, whole loads at a time, so that few
+entries are missing when the first finishers stop the round; a seeded
+permutation of the rows says which copy each of them holds.  The
+uniform scheme's workers share one runtime, so it deals them by index.
+A parity row is the outer product of two
 short factors uniform on (-1, 1), one over the rows and one over the
 columns of a near-square grid of the source rows, so it costs about
 2 sqrt(rows) random numbers.  A round forms the product once: the
@@ -17,11 +21,11 @@ per stage: participation by best response (``_participation``), whole-row
 loads, where the schemes differ (``_round_loads``), the race of sampled
 finish times (``_race``), the decode from the first finishers holding
 enough rows (``_decode_round``), and payment of the announced rewards.
-Participation, loads and payments depend only on the offer and the
-population, so they form one plan (``_round_plan``), kept for the last
-offer and population objects: both are frozen with read-only columns,
-so rounds that replay an offer reuse its plan and draw only the race,
-the code and the decode.
+Participation, loads, each worker's copies and payments depend only on
+the offer and the population, so they form one plan (``_round_plan``),
+kept for the last offer and population objects: both are frozen with
+read-only columns, so rounds that replay an offer reuse its plan and
+draw only the race, the code and the decode.
 ``mds_encode`` and ``mds_decode`` are the block-code form of the same
 idea: k equal blocks, a caller's (n, k) generator, and any k coded
 blocks solved for the block products.
@@ -415,26 +419,27 @@ def _decode_round(
     source: np.ndarray,
     vector: np.ndarray,
     exact: np.ndarray,
-    loads: np.ndarray,
+    copies: np.ndarray,
     used: np.ndarray,
 ) -> np.ndarray:
     """The product ``exact = source @ vector`` decoded from the coded
-    slots the workers ``used`` marks hold.  Slot i < rows of the
-    ``sum(loads)`` slots is systematic (its worker computes ``exact[i]``),
-    the rest parity rows; one shuffle deals them in load order, so with
-    ``ends = cumsum(loads)`` worker w holds ``slots[ends[w] - loads[w]:
+    rows of the workers ``used`` marks.  Worker w holds ``copies[w]``
+    systematic copies (each computes one entry of ``exact``) and parity
+    rows for the rest of its load.  One permutation of the rows says
+    which entry each copy is, in worker order, so with ``ends =
+    cumsum(copies)`` worker w's copies are ``perm[ends[w] - copies[w]:
     ends[w]]``.  Arrived entries are read from ``exact`` with the others
     zeroed, the known values the parity system subtracts; the missing
-    ones are then solved from as many parity rows, drawn after the shuffle."""
+    ones are then solved from as many parity rows, drawn after the
+    permutation."""
     rows = source.shape[0]
-    held = rng.permutation(int(loads.sum()))[np.repeat(used, loads)]
     known = np.zeros(rows, dtype=bool)
-    known[held[held < rows]] = True
+    known[rng.permutation(rows)[np.repeat(used, copies)]] = True
     decoded = np.where(known, exact, 0.0)
     missing = np.flatnonzero(~known)
     if missing.size:
-        # The used workers hold at least rows coded slots, so at least as
-        # many parity slots as missing entries; the decode reads the
+        # The used workers hold at least rows coded rows, so at least as
+        # many parity rows as missing entries; the decode reads the
         # first of them.  Finite input can still overflow here; the
         # decode is checked below.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -449,10 +454,10 @@ def _decode_round(
 class _RoundPlan:
     """The stages of a round its offer and population fix (see
     ``_round_plan``): ``racers`` are the ``racing`` workers' ``(startup,
-    speed)``, ``counts``, ``type_pay`` and ``cost_rate`` are per
-    participating type, and ``paid`` is the ``math.fsum`` of the
-    payments.  Its arrays are read-only; each outcome copies
-    ``payments``."""
+    speed)``, ``copies`` each worker's systematic copies, ``counts``,
+    ``type_pay`` and ``cost_rate`` are per participating type, and
+    ``paid`` is the ``math.fsum`` of the payments.  Its arrays are
+    read-only; each outcome copies ``payments``."""
 
     participants: tuple[int, ...]
     worker_types: tuple[tuple[int, int], ...]
@@ -461,6 +466,7 @@ class _RoundPlan:
     racing: np.ndarray
     racers: tuple[np.ndarray, np.ndarray]
     racing_loads: np.ndarray
+    copies: np.ndarray
     counts: np.ndarray
     type_pay: np.ndarray
     cost_rate: np.ndarray
@@ -475,12 +481,27 @@ class _RoundPlan:
 _plan_memo: tuple = (None, None, None)
 
 
+def _systematic_copies(
+    loads: np.ndarray, racing: np.ndarray, expected: np.ndarray, rows: int
+) -> np.ndarray:
+    """How many of the ``rows`` systematic copies each worker holds: the
+    ``racing`` workers, ranked by ``expected`` finish time with ties by
+    index, are dealt whole loads of copies in that order until ``rows``
+    are dealt; every other coded row is parity."""
+    ranked = racing[np.argsort(expected, kind="stable")]
+    dealt = np.cumsum(loads[ranked]) - loads[ranked]
+    copies = np.zeros_like(loads)
+    copies[ranked] = np.clip(rows - dealt, 0, loads[ranked])
+    return copies
+
+
 def _round_plan(mech: Mechanism, pop: Population) -> _RoundPlan:
     """The offer's side of a round: ``_participation``, then
-    ``_round_loads`` and settlement's terms, all fixed by the offer and
-    the population.  It is built once per offer and reused while rounds
-    replay that offer; an offer that raises is never memoised, so it
-    raises on every call."""
+    ``_round_loads``, the systematic copies (``_systematic_copies``) and
+    settlement's terms, all fixed by the offer and the population.  It
+    is built once per offer and reused while rounds replay that offer;
+    an offer that raises is never memoised, so it raises on every
+    call."""
     global _plan_memo
     memo_mech, memo_pop, plan = _plan_memo
     if memo_mech is mech and memo_pop is pop:
@@ -492,6 +513,11 @@ def _round_plan(mech: Mechanism, pop: Population) -> _RoundPlan:
     # Workers with rows race; each worker is paid its type's report's reward.
     racing = np.flatnonzero(loads)
     of = np.repeat(index, counts)[racing]
+    racing_loads = loads[racing]
+    startup, speed = pop.startup[of], pop.speed[of]
+    # A worker's expected finish time is its load times its expected row time.
+    expected = racing_loads * (startup + 1.0 / speed)
+    copies = _systematic_copies(loads, racing, expected, int(mech.config.total_rows))
     type_pay = mech.rewards[reported - 1]
     payments = np.repeat(type_pay, counts).tolist()
     plan = _RoundPlan(
@@ -500,8 +526,9 @@ def _round_plan(mech: Mechanism, pop: Population) -> _RoundPlan:
         loads=_read_only(loads, int),
         need=need,
         racing=_read_only(racing, int),
-        racers=(_read_only(pop.startup[of]), _read_only(pop.speed[of])),
-        racing_loads=_read_only(loads[racing], int),
+        racers=(_read_only(startup), _read_only(speed)),
+        racing_loads=_read_only(racing_loads, int),
+        copies=_read_only(copies, int),
         counts=_read_only(counts, int),
         type_pay=_read_only(type_pay),
         cost_rate=_read_only(pop.cost_rate[index]),
@@ -528,14 +555,16 @@ def simulate_round(
     ``_decode_round``, the product from their coded rows; and
     settlement, where each worker is paid its reported type's reward,
     also a worker rounded down to zero rows, who does not compute.
-    Participation, loads and payments depend only on the offer and the
-    population, so they are one plan (``_round_plan``) built once per
-    offer and reused by every round that replays it; this relies on
-    ``Mechanism`` and ``Population`` being frozen with read-only
-    columns.  A round draws only the race, the code and the decode.
-    Finish times are drawn before the shuffle and the parity rows, so
-    the race, its contributors and the costs of a seeded round do not
-    depend on the code.
+    Participation, loads, the systematic copies, dealt to the workers
+    expected to finish first (``_systematic_copies``), and payments
+    depend only on the offer and the population, so they are one plan
+    (``_round_plan``) built once per offer and reused by every round
+    that replays it; this relies on ``Mechanism`` and ``Population``
+    being frozen with read-only columns.  A round draws only the race,
+    the code and the decode.  Finish times are drawn before the
+    permutation of the copies and the parity rows, so the race, its
+    contributors and the costs of a seeded round do not depend on the
+    code.
     """
     source = np.asarray(A, dtype=float)
     vector = np.asarray(x, dtype=float)
@@ -562,7 +591,7 @@ def simulate_round(
     contributors = plan.racing[order[:realized]]
     used = np.zeros(plan.loads.size, dtype=bool)
     used[contributors] = True
-    decoded = _decode_round(rng, source, vector, exact, plan.loads, used)
+    decoded = _decode_round(rng, source, vector, exact, plan.copies, used)
     # Each worker bears its type's cost over the round, so the payoffs
     # are computed once per type.
     runtime = float(times[order[realized - 1]])

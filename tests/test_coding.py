@@ -566,7 +566,7 @@ class TestRoundPlan:
         plan = coding._round_plan(mech, pop)
         arrays = [
             plan.loads, plan.racing, *plan.racers, plan.racing_loads,
-            plan.counts, plan.type_pay, plan.cost_rate,
+            plan.copies, plan.counts, plan.type_pay, plan.cost_rate,
         ]
         for array in arrays:
             with pytest.raises(ValueError):
@@ -591,6 +591,117 @@ class TestRoundPlan:
             with pytest.raises(InfeasibleError, match=message):
                 simulate_round(mech, pop, A, x, seed)
             assert calls == list(pop.ids)
+
+
+def _uniform_round(count, startup):
+    """A cost-only offer on one type of ``count`` identical workers and a
+    12-row task."""
+    types = [
+        WorkerType(id=1, cost_rate=1.0, speed=2.0, startup=startup, count=count)
+    ]
+    cfg = PlatformConfig(gamma_time=5.0, gamma_pay=1.0, total_rows=12.0)
+    return solve_cost_only(types, cfg), build_population(types)
+
+
+def _record_unknowns(monkeypatch):
+    """Record how many missing entries each round solves for, 0 for a
+    round every copy reached."""
+    unknowns = []
+    decode = coding._decode_round
+
+    def recording(rng, source, vector, exact, copies, used):
+        unknowns.append(source.shape[0] - int(copies[used].sum()))
+        return decode(rng, source, vector, exact, copies, used)
+
+    monkeypatch.setattr(coding, "_decode_round", recording)
+    return unknowns
+
+
+class TestSystematicCopies:
+    """Once per offer the racing workers are ranked by expected finish
+    time ``load * (startup + 1 / speed)``, ties by index, and dealt whole
+    loads of systematic copies in that order until ``rows`` are dealt."""
+
+    @staticmethod
+    def _dealt_in_order(plan, pop, rows):
+        """The copies each worker should hold, dealt one worker at a time
+        in (expected finish time, index) order."""
+        startup = {m: pop.startup[m - 1] for m in plan.participants}
+        speed = {m: pop.speed[m - 1] for m in plan.participants}
+        loads = plan.loads.tolist()
+
+        def expected(worker):
+            m = plan.worker_types[worker][1]
+            return loads[worker] * (startup[m] + 1.0 / speed[m])
+
+        copies, left = [0] * len(loads), rows
+        for worker in sorted(plan.racing.tolist(), key=lambda w: (expected(w), w)):
+            copies[worker] = min(loads[worker], left)
+            left -= copies[worker]
+        return copies
+
+    @pytest.mark.parametrize(
+        "build", [_anchor_round, _two_type_round, _cost_only_anchor_round]
+    )
+    def test_copies_cover_the_rows_within_each_load(self, build):
+        mech, pop, _, _ = build()
+        plan = coding._round_plan(mech, pop)
+        rows = int(mech.config.total_rows)
+        assert plan.copies.sum() == rows
+        assert np.all((plan.copies >= 0) & (plan.copies <= plan.loads))
+
+    @pytest.mark.parametrize("build", [_anchor_round, _two_type_round])
+    def test_copies_go_to_the_first_expected_finishers(self, build):
+        mech, pop, _, _ = build()
+        plan = coding._round_plan(mech, pop)
+        expected = self._dealt_in_order(plan, pop, int(mech.config.total_rows))
+        assert plan.copies.tolist() == expected
+
+    def test_ties_go_to_the_lower_index(self):
+        # Loads 5.3 and 0.6 round to 6 rows for worker 0, 5 for workers
+        # 1-9 and 1 for each type-2 worker, expected to finish at 0.192,
+        # 0.16 and 0.131.  Of 48 copies the type-2 workers take 5, then
+        # the tied five-row workers take the rest by index.
+        pop = _two_type_population()
+        mech = _hetero_offer(pop, [5.3, 0.6], 48, [1000.0, 1000.0])
+        plan = coding._round_plan(mech, pop)
+        assert plan.loads.tolist() == [6] + [5] * 9 + [1] * 5
+        assert plan.copies.tolist() == [0] + [5] * 8 + [3] + [1] * 5
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: _uniform_round(10, 1.0),
+            lambda: _uniform_round(25, 0.1),
+            lambda: _cost_only_anchor_round()[:2],
+        ],
+        ids=["10-workers", "25-workers", "anchor"],
+    )
+    def test_uniform_scheme_deals_by_index(self, build):
+        mech, pop = build()
+        plan = coding._round_plan(mech, pop)
+        dealt = np.cumsum(plan.loads) - plan.loads
+        rows = int(mech.config.total_rows)
+        assert np.array_equal(plan.copies, np.clip(rows - dealt, 0, plan.loads))
+
+    def test_anchor_rounds_miss_few_entries(self, monkeypatch):
+        # About 205 entries are missing per anchor round, against about
+        # 251 with the copies spread over every slot.
+        unknowns = _record_unknowns(monkeypatch)
+        mech, pop, A, x = _anchor_round()
+        for seed in range(500):
+            simulate_round(mech, pop, A, x, seed)
+        assert len(unknowns) == 500
+        assert np.mean(unknowns) <= 215
+
+    def test_anchor_rounds_refuse_nothing(self):
+        mech, pop, A, x = _anchor_round()
+        scale = max(1.0, float(np.max(np.abs(A @ x))))
+        worst = max(
+            simulate_round(mech, pop, A, x, seed).max_error
+            for seed in range(100000, 101000)
+        )
+        assert worst <= 1e-8 * scale
 
 
 def _record_cond(monkeypatch):
@@ -620,24 +731,41 @@ def _record_refine(monkeypatch):
 
 
 def _slots_of(slots, loads, workers):
-    """The coded slots ``workers`` hold: slots are dealt in load order, so
-    with ``ends = cumsum(loads)`` worker w holds
+    """The coded slots ``workers`` hold: slots are laid out in load order,
+    so with ``ends = cumsum(loads)`` worker w holds
     ``slots[ends[w] - loads[w]:ends[w]]``."""
     ends = np.cumsum(loads)
     return np.concatenate([slots[ends[w] - loads[w]:ends[w]] for w in workers])
 
 
+def _dealt_slots(rows, loads, copies, held):
+    """Every worker's coded slots in load order, as ``_slots_of`` reads
+    them: worker w's ``copies[w]`` systematic copies, of the source rows
+    ``held`` gives them in worker order, then its parity slots, numbered
+    ``rows`` on in the same order."""
+    is_copy = np.arange(loads.max(initial=0)) < copies[:, None]
+    is_copy = is_copy[np.arange(loads.max(initial=0)) < loads[:, None]]
+    slots = np.empty(int(loads.sum()), dtype=int)
+    slots[is_copy] = held
+    slots[~is_copy] = rows + np.arange(slots.size - rows)
+    return slots
+
+
 def _record_decode(monkeypatch):
     """Record each round's dealt slots, loads and the slots it received,
-    from the decode stage's inputs; the shuffle is replayed from a copy
-    of the round's stream."""
+    from the decode stage's inputs and the round's plan, the last one
+    built; the permutation of the copies is replayed from a copy of the
+    round's stream."""
     calls = []
     decode = coding._decode_round
 
-    def recording(rng, source, vector, exact, loads, used):
-        slots = copy.deepcopy(rng).permutation(int(loads.sum()))
+    def recording(rng, source, vector, exact, copies, used):
+        rows = source.shape[0]
+        loads = coding._plan_memo[2].loads
+        held = copy.deepcopy(rng).permutation(rows)
+        slots = _dealt_slots(rows, loads, copies, held)
         calls.append((slots, loads, _slots_of(slots, loads, np.flatnonzero(used))))
-        return decode(rng, source, vector, exact, loads, used)
+        return decode(rng, source, vector, exact, copies, used)
 
     monkeypatch.setattr(coding, "_decode_round", recording)
     return calls
@@ -711,8 +839,10 @@ class TestSystematicDecode:
 
     def test_small_blocks_never_refused(self, monkeypatch):
         # Loads 5.3 and 0.6 round to 56 slots for 53 rows, so a round
-        # solves for at most 3 missing entries, often from exactly as
-        # many parity rows.  A uniform (-1, 1) block is never exactly
+        # solves for at most 3 missing entries.  The 3 parity rows go to
+        # the worker expected to finish last, worker 0 with 6 rows, whom
+        # every round needs: each round receives all 3 and solves from
+        # the first of them.  A uniform (-1, 1) block is never exactly
         # singular; a 2x2 block of +-1 entries is singular half the time.
         calls = _record_decode(monkeypatch)
         pop = _two_type_population()
@@ -727,8 +857,7 @@ class TestSystematicDecode:
             (53 - int(np.sum(received < 53)), int(np.sum(received >= 53)))
             for _, _, received in calls
         }
-        assert {missing for missing, _ in shapes} == {0, 1, 2, 3}
-        assert {(2, 2), (3, 3)} <= shapes
+        assert shapes == {(0, 3), (1, 3), (2, 3), (3, 3)}
 
     def test_ill_conditioned_parity_block_rejected(
         self, plant_ill_conditioned_parity
@@ -746,41 +875,56 @@ class TestSystematicDecode:
             simulate_round(mech, pop, A, x, 5)
 
 
+# (offer, seed, unknowns, refined, runtime, cost) of rounds whose block the
+# condition estimate refuses or once refused.
+_REFUSAL_PINS = [
+    # Every round of 20,000 seeds of each offer (100000-119999)
+    # whose block the estimate refuses, but cost-only 119679,
+    # whose block is past the refined limit (below).
+    ("anchor", 111029, 195, True, "0x1.0e1dc411f0d3ep-3", "0x1.49ba03f5dd960p+9"),
+    ("anchor", 117524, 185, True, "0x1.ffa1679ce429ep-4", "0x1.42be6304e8b2cp+9"),
+    ("cost-only", 105224, 420, True, "0x1.eb8836014e6c9p-4", "0x1.ec82cd12ced6ep+8"),
+    ("cost-only", 105600, 384, True, "0x1.fd3bf1cc29b26p-4", "0x1.f5278fc4dbe80p+8"),
+    ("cost-only", 107419, 412, True, "0x1.f1b9af22c2c83p-4", "0x1.ef88f53824a7ap+8"),
+    ("cost-only", 111714, 388, True, "0x1.db1ee58424931p-4", "0x1.e47f60c5b167bp+8"),
+    ("cost-only", 112795, 416, True, "0x1.f97311ae73711p-4", "0x1.f34e7a5659ea2p+8"),
+    # Refused while the copies were shuffled over every slot;
+    # 101235's block was past the decode limit itself.
+    ("anchor", 101358, 220, False, "0x1.e50cee843f64bp-4", "0x1.3c4123746478ap+9"),
+    ("anchor", 114016, 196, False, "0x1.edd8c570c3caep-4", "0x1.3e66e76d22cb9p+9"),
+    ("anchor", 101235, 181, False, "0x1.0aa742f866332p-3", "0x1.480926ec64e58p+9"),
+    ("cost-only", 102270, 364, False, "0x1.d0431dd5f1352p-4", "0x1.df321045a252dp+8"),
+    ("cost-only", 112650, 384, False, "0x1.044abd1c8b5f0p-3", "0x1.fab247620ba6ap+8"),
+]
+
+
 class TestOnceRefusedRounds:
     """Anchor rounds whose square parity block the condition estimate
     refuses.  Each block's exact 2-norm condition number is within the
     refined limit, so the round's solve is refined once; neither check
-    may move the pinned race and costs."""
+    may move the pinned race and costs.  The rounds the estimate refused
+    while the copies were spread over every slot by one shuffle keep
+    their race and cost pins; dealt to the first expected finishers,
+    their copies leave blocks the estimate accepts."""
 
     @pytest.mark.parametrize(
-        "offer, seed, unknowns, runtime, cost",
-        [
-            ("anchor", 101358, 254, "0x1.e50cee843f64bp-4", "0x1.3c4123746478ap+9"),
-            ("anchor", 114016, 249, "0x1.edd8c570c3caep-4", "0x1.3e66e76d22cb9p+9"),
-            # The one block of the refusal sweep (46,000 seeded rounds)
-            # past the limit: 2-norm condition number 4.68e7.
-            ("anchor", 101235, 243, "0x1.0aa742f866332p-3", "0x1.480926ec64e58p+9"),
-            ("cost-only", 102270, 384, "0x1.d0431dd5f1352p-4", "0x1.df321045a252dp+8"),
-            ("cost-only", 112650, 394, "0x1.044abd1c8b5f0p-3", "0x1.fab247620ba6ap+8"),
-        ],
-        ids=[
-            "anchor-101358",
-            "anchor-114016",
-            "anchor-101235",
-            "cost-only-102270",
-            "cost-only-112650",
-        ],
+        "offer, seed, unknowns, refined, runtime, cost",
+        _REFUSAL_PINS,
+        ids=[f"{offer}-{seed}" for offer, seed, *_ in _REFUSAL_PINS],
     )
     def test_decodes_from_the_square_block(
-        self, monkeypatch, offer, seed, unknowns, runtime, cost
+        self, monkeypatch, offer, seed, unknowns, refined, runtime, cost
     ):
+        solved = _record_unknowns(monkeypatch)
         conds = _record_cond(monkeypatch)
         refines = _record_refine(monkeypatch)
         build = _anchor_round if offer == "anchor" else _cost_only_anchor_round
         mech, pop, A, x = build()
         outcome = simulate_round(mech, pop, A, x, seed)
-        assert conds == [(unknowns, unknowns)]
-        assert refines == [(unknowns, unknowns)]
+        assert solved == [unknowns]
+        checked = [(unknowns, unknowns)] if refined else []
+        assert conds == checked
+        assert refines == checked
         scale = max(1.0, float(np.max(np.abs(A @ x))))
         assert outcome.max_error <= 1e-8 * scale
         assert outcome.runtime.hex() == runtime
@@ -829,11 +973,23 @@ class TestOnceRefusedRounds:
         reason="ROADMAP item 17: the refined limit refuses a block whose "
         "refined solve keeps the promise",
     )
+    def test_refused_cost_only_round_decodes_within_the_promise(self):
+        # The one cost-only round of seeds 100000-119999 whose block is
+        # past the refined limit: 412 unknowns, 2-norm condition number
+        # 9.98e7, 1.5 times the limit.  One refined solve of that block
+        # errs by 3.0e-10 of the scale.
+        mech, pop, A, x = _cost_only_anchor_round()
+        scale = max(1.0, float(np.max(np.abs(A @ x))))
+        outcome = simulate_round(mech, pop, A, x, 119679)
+        assert outcome.max_error <= 1e-8 * scale
+
     def test_refused_benchmark_round_decodes_within_the_promise(self):
         # round-hetero's 27th round at seed 366, on that seed's own matrix
-        # and vector.  Its block's 2-norm condition number is 2.07e8, 3.1
-        # times the refined limit, so the round is refused; one refined
-        # solve of that block errs by 2.7e-9 of the scale.
+        # and vector.  With the copies spread over every slot by one
+        # shuffle, its block's 2-norm condition number was 2.07e8, 3.1
+        # times the refined limit, so the round was refused.  Dealt to
+        # the first expected finishers, the copies leave a smaller block
+        # that decodes as it is.
         mech, pop, _, _ = _anchor_round()
         rng = np.random.default_rng(366)
         A = rng.standard_normal((1000, 4))
@@ -1158,14 +1314,14 @@ class TestSimulateRoundMds:
         assert [v.hex() for v in outcome.decoded.tolist()] == [
             "0x1.9e68a740e9457p-4",
             "0x1.2d4b3dbbaad8fp-1",
-            "-0x1.ccc42119ccedap-2",
+            "-0x1.ccc42119ccee1p-2",
             "0x1.4464c18bd1e66p+0",
             "-0x1.82711476cc1d4p-1",
             "-0x1.1e52b490aca19p-1",
             "-0x1.0f8256633ccd4p+1",
             "-0x1.31c9cdaf8d573p+0",
             "-0x1.0afc86867e2f7p-1",
-            "0x1.e12ec640da805p-2",
+            "0x1.e12ec640da832p-2",
             "0x1.944364859daa8p-7",
             "-0x1.22c8acf24d065p-1",
         ]
@@ -1195,17 +1351,17 @@ class TestSimulateRoundMds:
         )
         assert outcome.platform_cost_realized.hex() == "0x1.df2e1f6a41060p+3"
         assert [v.hex() for v in outcome.decoded.tolist()] == [
-            "0x1.9e68a740e9469p-4",
-            "0x1.2d4b3dbbaad90p-1",
-            "-0x1.ccc42119cceeap-2",
+            "0x1.9e68a740e9433p-4",
+            "0x1.2d4b3dbbaad8fp-1",
+            "-0x1.ccc42119ccee1p-2",
             "0x1.4464c18bd1e66p+0",
-            "-0x1.82711476cc1c8p-1",
-            "-0x1.1e52b490aca21p-1",
-            "-0x1.0f8256633ccd4p+1",
+            "-0x1.82711476cc1d4p-1",
+            "-0x1.1e52b490aca1ap-1",
+            "-0x1.0f8256633ccd1p+1",
             "-0x1.31c9cdaf8d573p+0",
-            "-0x1.0afc86867e2f1p-1",
-            "0x1.e12ec640da7f7p-2",
-            "0x1.944364859dc44p-7",
+            "-0x1.0afc86867e2f7p-1",
+            "0x1.e12ec640da7fcp-2",
+            "0x1.944364859dc3bp-7",
             "-0x1.22c8acf24d065p-1",
         ]
 
