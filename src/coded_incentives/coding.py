@@ -3,29 +3,29 @@
 A round uses one systematic code whatever its scheme: of the round's
 ``sum(loads)`` coded rows, one per output coordinate is a plain copy
 of that source row and the rest are parity rows.  The copies go to the
-workers expected to finish first, whole loads at a time, so that few
-entries are missing when the first finishers stop the round; a seeded
-permutation of the rows says which copy each of them holds.  The
-uniform scheme's workers share one runtime, so it deals them by index.
-A parity row is the outer product of two
-short factors uniform on (-1, 1), one over the rows and one over the
-columns of a near-square grid of the source rows, so it costs about
-2 sqrt(rows) random numbers.  A round forms the product once: the
-systematic rows that arrive are its entries as they are, and only the
-entries that did not arrive are solved for, from as many received
-parity rows: a square block whose LU solve is used as it is, refined
-once, or refused.  The block and the rows' received results are formed
-from the factors, so no parity row is ever built at full width.
+workers expected to finish first, whole loads at a time (the uniform
+scheme's workers share one runtime, so by index), so that few entries
+are missing when the first finishers stop the round; a seeded
+permutation of the rows says which copy each of them holds.  A parity
+row is the outer product of two short factors uniform on (-1, 1), one
+over the rows and one over the columns of a near-square grid of the
+source rows, so it costs about 2 sqrt(rows) random numbers.  A round
+forms the product once: the systematic rows that arrive are its entries
+as they are, and only the missing entries are solved for, from as many
+received parity rows formed from their factors, never at full width.
+Their square block's LU solve is used as it is, refined once, or
+refused, as a condition estimate from fixed Gaussian probes says; the
+probes are rows of a cached table drawn once per power of two.
 ``simulate_round`` plays a round under a platform offer as one function
 per stage: participation by best response (``_participation``), whole-row
 loads, where the schemes differ (``_round_loads``), the race of sampled
 finish times (``_race``), the decode from the first finishers holding
 enough rows (``_decode_round``), and payment of the announced rewards.
-Participation, loads, each worker's copies and payments depend only on
-the offer and the population, so they form one plan (``_round_plan``),
-kept for the last offer and population objects: both are frozen with
-read-only columns, so rounds that replay an offer reuse its plan and
-draw only the race, the code and the decode.
+Participation, loads, copies and payments depend only on the offer and
+the population, so they form one plan (``_round_plan``), kept for the
+last offer and population objects (both frozen with read-only columns)
+and reused by the rounds that replay the offer.  Its race and decode
+index the racing workers, those with rows; its settlement, every worker.
 ``mds_encode`` and ``mds_decode`` are the block-code form of the same
 idea: k equal blocks, a caller's (n, k) generator, and any k coded
 blocks solved for the block products.
@@ -33,6 +33,7 @@ blocks solved for the block products.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
@@ -43,7 +44,7 @@ from .errors import ConfigurationError, InfeasibleError, NumericalError
 from .game import best_response
 from .mechanisms import Mechanism
 from .numerics import _largest_remainder
-from .runtime import SCHEME_MDS, _race
+from .runtime import SCHEME_MDS, _race, _seed_entropy
 # No round calls ``sample_time``; it stays imported because perfbench's
 # traced runs wrap it by name in this module.
 from .workers import Population, _read_only, sample_time, sample_times
@@ -76,8 +77,6 @@ _SPOT_CHECKS = 5
 # stream, so a round's realisation does not depend on them.
 _PROBES = 4
 _PROBE_SEED = 0
-_probe_table = np.empty((0, _PROBES))
-_probe_table.flags.writeable = False
 # The chunk a round's parity system is formed in: the square block's
 # columns for this many missing entries, or this many parity rows'
 # received results, at a time, so its temporaries stay small however
@@ -215,23 +214,17 @@ def mds_decode(
     return products.reshape(-1)[: task.source_rows]
 
 
-def _probes(unknowns: int) -> np.ndarray:
-    """The guard's probes for a system of ``unknowns`` rows, bit for bit
-    ``default_rng(_PROBE_SEED).standard_normal((unknowns, _PROBES))``.
+@functools.cache
+def _drawn_probes(size: int) -> np.ndarray:
+    table = np.random.default_rng(_PROBE_SEED).standard_normal((size, _PROBES))
+    table.flags.writeable = False
+    return table
 
-    They are the leading rows of one read-only table: a prefix of a
-    longer draw is the shorter draw, so the table is redrawn, at the
-    larger size, only when a larger system arrives.
-    """
-    global _probe_table
-    table = _probe_table
-    if table.shape[0] < unknowns:
-        table = np.random.default_rng(_PROBE_SEED).standard_normal(
-            (unknowns, _PROBES)
-        )
-        table.flags.writeable = False
-        _probe_table = table
-    return table[:unknowns]
+
+def _probes(unknowns: int) -> np.ndarray:
+    """The guard's probes for ``unknowns`` rows: the leading rows of the
+    read-only table drawn at the next power of two, the shorter draw."""
+    return _drawn_probes(1 << (unknowns - 1).bit_length())[:unknowns]
 
 
 def _decode_received(square: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -423,15 +416,15 @@ def _decode_round(
     used: np.ndarray,
 ) -> np.ndarray:
     """The product ``exact = source @ vector`` decoded from the coded
-    rows of the workers ``used`` marks.  Worker w holds ``copies[w]``
-    systematic copies (each computes one entry of ``exact``) and parity
-    rows for the rest of its load.  One permutation of the rows says
-    which entry each copy is, in worker order, so with ``ends =
-    cumsum(copies)`` worker w's copies are ``perm[ends[w] - copies[w]:
-    ends[w]]``.  Arrived entries are read from ``exact`` with the others
-    zeroed, the known values the parity system subtracts; the missing
-    ones are then solved from as many parity rows, drawn after the
-    permutation."""
+    rows of the racing workers ``used`` marks.  Racing worker w holds
+    ``copies[w]`` systematic copies (each computes one entry of
+    ``exact``) and parity rows for the rest of its load.  One permutation
+    of the rows says which entry each copy is, in racing order, so with
+    ``ends = cumsum(copies)`` worker w's copies are ``perm[ends[w] -
+    copies[w]: ends[w]]``.  Arrived entries are read from ``exact`` with
+    the others zeroed, the known values the parity system subtracts; the
+    missing ones are then solved from as many parity rows, drawn after
+    the permutation."""
     rows = source.shape[0]
     known = np.zeros(rows, dtype=bool)
     known[rng.permutation(rows)[np.repeat(used, copies)]] = True
@@ -453,22 +446,20 @@ def _decode_round(
 @dataclass(frozen=True, eq=False)
 class _RoundPlan:
     """The stages of a round its offer and population fix (see
-    ``_round_plan``): ``racers`` are the ``racing`` workers' ``(startup,
-    speed)``, ``copies`` each worker's systematic copies, ``counts``,
-    ``type_pay`` and ``cost_rate`` are per participating type, and
-    ``paid`` is the ``math.fsum`` of the payments.  Its arrays are
-    read-only; each outcome copies ``payments``."""
+    ``_round_plan``).  ``racers``, ``loads`` and ``copies`` are the
+    ``racing`` workers' ``(startup, speed)``, whole rows and systematic
+    copies; ``pay`` and ``cost_rate`` are every worker's reward and cost
+    rate, and ``paid`` is the ``math.fsum`` of the payments.  Its arrays
+    are read-only; each outcome copies ``payments``."""
 
     participants: tuple[int, ...]
     worker_types: tuple[tuple[int, int], ...]
-    loads: np.ndarray
     need: int
     racing: np.ndarray
     racers: tuple[np.ndarray, np.ndarray]
-    racing_loads: np.ndarray
+    loads: np.ndarray
     copies: np.ndarray
-    counts: np.ndarray
-    type_pay: np.ndarray
+    pay: np.ndarray
     cost_rate: np.ndarray
     payments: dict[int, float]
     paid: float
@@ -481,16 +472,14 @@ class _RoundPlan:
 _plan_memo: tuple = (None, None, None)
 
 
-def _systematic_copies(
-    loads: np.ndarray, racing: np.ndarray, expected: np.ndarray, rows: int
-) -> np.ndarray:
-    """How many of the ``rows`` systematic copies each worker holds: the
-    ``racing`` workers, ranked by ``expected`` finish time with ties by
-    index, are dealt whole loads of copies in that order until ``rows``
-    are dealt; every other coded row is parity."""
-    ranked = racing[np.argsort(expected, kind="stable")]
+def _systematic_copies(loads: np.ndarray, expected: np.ndarray, rows: int) -> np.ndarray:
+    """How many of the ``rows`` systematic copies each racing worker
+    holds: ranked by ``expected`` finish time with ties by index, they
+    are dealt whole ``loads`` of copies in that order until ``rows`` are
+    dealt; every other coded row is parity."""
+    ranked = np.argsort(expected, kind="stable")
     dealt = np.cumsum(loads[ranked]) - loads[ranked]
-    copies = np.zeros_like(loads)
+    copies = np.empty_like(loads)
     copies[ranked] = np.clip(rows - dealt, 0, loads[ranked])
     return copies
 
@@ -511,27 +500,25 @@ def _round_plan(mech: Mechanism, pop: Population) -> _RoundPlan:
     counts = pop.counts[index].astype(int)
     loads, need = _round_loads(mech, participants, counts)
     # Workers with rows race; each worker is paid its type's report's reward.
+    of = np.repeat(index, counts)
     racing = np.flatnonzero(loads)
-    of = np.repeat(index, counts)[racing]
-    racing_loads = loads[racing]
-    startup, speed = pop.startup[of], pop.speed[of]
+    loads = loads[racing]
+    startup, speed = pop.startup[of[racing]], pop.speed[of[racing]]
     # A worker's expected finish time is its load times its expected row time.
-    expected = racing_loads * (startup + 1.0 / speed)
-    copies = _systematic_copies(loads, racing, expected, int(mech.config.total_rows))
-    type_pay = mech.rewards[reported - 1]
-    payments = np.repeat(type_pay, counts).tolist()
+    expected = loads * (startup + 1.0 / speed)
+    copies = _systematic_copies(loads, expected, int(mech.config.total_rows))
+    pay = np.repeat(mech.rewards[reported - 1], counts)
+    payments = pay.tolist()
     plan = _RoundPlan(
         participants=tuple(participants.tolist()),
-        worker_types=tuple(enumerate(np.repeat(participants, counts).tolist())),
-        loads=_read_only(loads, int),
+        worker_types=tuple(enumerate((of + 1).tolist())),
         need=need,
         racing=_read_only(racing, int),
         racers=(_read_only(startup), _read_only(speed)),
-        racing_loads=_read_only(racing_loads, int),
+        loads=_read_only(loads, int),
         copies=_read_only(copies, int),
-        counts=_read_only(counts, int),
-        type_pay=_read_only(type_pay),
-        cost_rate=_read_only(pop.cost_rate[index]),
+        pay=_read_only(pay),
+        cost_rate=_read_only(pop.cost_rate[of]),
         payments=dict(enumerate(payments)),
         paid=math.fsum(payments),
     )
@@ -559,12 +546,12 @@ def simulate_round(
     expected to finish first (``_systematic_copies``), and payments
     depend only on the offer and the population, so they are one plan
     (``_round_plan``) built once per offer and reused by every round
-    that replays it; this relies on ``Mechanism`` and ``Population``
-    being frozen with read-only columns.  A round draws only the race,
-    the code and the decode.  Finish times are drawn before the
-    permutation of the copies and the parity rows, so the race, its
-    contributors and the costs of a seeded round do not depend on the
-    code.
+    that replays it, as ``Mechanism`` and ``Population`` are frozen with
+    read-only columns.  The race and the decode index the plan's racing
+    workers, settlement every worker.  A round draws its finish times
+    before the permutation of the copies and the parity rows, so the
+    race, its contributors and the costs of a seeded round do not depend
+    on the code.  ``seed`` must be a nonnegative integer.
     """
     source = np.asarray(A, dtype=float)
     vector = np.asarray(x, dtype=float)
@@ -583,26 +570,24 @@ def simulate_round(
     # Finite input can still overflow; the decode is checked for it.
     with np.errstate(over="ignore", invalid="ignore"):
         exact = source @ vector
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
+    rng = np.random.default_rng(np.random.SeedSequence([_seed_entropy(seed)]))
     plan = _round_plan(mech, pop)
     # The racing workers race until the finished ones hold the rows needed.
-    times = sample_times(plan.racers, plan.racing_loads, rng)
-    order, realized = _race(times, plan.racing_loads, plan.need)
-    contributors = plan.racing[order[:realized]]
+    times = sample_times(plan.racers, plan.loads, rng)
+    order, realized = _race(times, plan.loads, plan.need)
+    finishers = plan.racing[order]
     used = np.zeros(plan.loads.size, dtype=bool)
-    used[contributors] = True
+    used[order[:realized]] = True
     decoded = _decode_round(rng, source, vector, exact, plan.copies, used)
-    # Each worker bears its type's cost over the round, so the payoffs
-    # are computed once per type.
     runtime = float(times[order[realized - 1]])
-    payoffs = np.repeat(plan.type_pay - plan.cost_rate * runtime, plan.counts)
+    payoffs = plan.pay - plan.cost_rate * runtime
     cost = mech.config.gamma_time * runtime + mech.config.gamma_pay * plan.paid
     return SimOutcome(
         scheme=mech.assignment.scheme,
         participants=plan.participants,
         worker_types=plan.worker_types,
-        finish_order=tuple(zip(plan.racing[order].tolist(), times[order].tolist())),
-        contributors=tuple(contributors.tolist()),
+        finish_order=tuple(zip(finishers.tolist(), times[order].tolist())),
+        contributors=tuple(finishers[:realized].tolist()),
         realized_k=realized,
         runtime=runtime,
         decoded=decoded,

@@ -199,6 +199,13 @@ def _race(
     return order, int(np.searchsorted(np.cumsum(loads[order]), need)) + 1
 
 
+def _seed_entropy(seed) -> int:
+    """``seed`` as a SeedSequence's entropy: it must be a nonnegative integer."""
+    if isinstance(seed, (int, np.integer)) and seed >= 0:
+        return int(seed)
+    raise ConfigurationError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 def monte_carlo_runtime(
     pop: Population,
     assignment: LoadAssignment,
@@ -219,6 +226,7 @@ def monte_carlo_runtime(
         raise ValueError(f"reps must be at least 1, got {reps}")
     if not rows > 0:
         raise ValueError(f"rows must be positive, got {rows}")
+    entropy = _seed_entropy(seed)
     ids = _targeted_tuple(pop, targeted)
     loads = _checked_row(assignment.loads, pop)
     missing = [m for m in ids if not loads[m - 1] > 0]
@@ -242,7 +250,7 @@ def monte_carlo_runtime(
     runtimes = np.empty(reps)
     realized = np.empty(reps, dtype=np.intp)
     for rep in range(reps):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), rep]))
+        rng = np.random.default_rng(np.random.SeedSequence([entropy, rep]))
         times = sample_times((startup, speed), worker_loads, rng)
         order, used = _race(times, worker_loads, target)
         runtimes[rep] = times[order[used - 1]]

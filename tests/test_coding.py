@@ -372,6 +372,19 @@ class TestSimulateRoundHetero:
         with pytest.raises(ConfigurationError, match="matrix has 10 rows"):
             simulate_round(mech, pop, np.ones((10, 2)), np.ones(2), 0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        pop, mech, A, x, _ = self._setup()
+        with pytest.raises(ConfigurationError, match="nonnegative integer"):
+            simulate_round(mech, pop, A, x, seed)
+
+    def test_numpy_integer_seed_plays_its_round(self):
+        pop, mech, A, x, outcome = self._setup(seed=5)
+        fingerprint = TestSeededRoundPinned._fingerprint
+        assert fingerprint(simulate_round(mech, pop, A, x, np.int64(5))) == (
+            fingerprint(outcome)
+        )
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_input_rejected(self, bad):
         pop, mech, A, x, _ = self._setup()
@@ -565,8 +578,8 @@ class TestRoundPlan:
         mech, pop, _, _ = _two_type_round()
         plan = coding._round_plan(mech, pop)
         arrays = [
-            plan.loads, plan.racing, *plan.racers, plan.racing_loads,
-            plan.copies, plan.counts, plan.type_pay, plan.cost_rate,
+            plan.racing, *plan.racers, plan.loads, plan.copies,
+            plan.pay, plan.cost_rate,
         ]
         for array in arrays:
             with pytest.raises(ValueError):
@@ -624,20 +637,23 @@ class TestSystematicCopies:
 
     @staticmethod
     def _dealt_in_order(plan, pop, rows):
-        """The copies each worker should hold, dealt one worker at a time
-        in (expected finish time, index) order."""
+        """The copies each racing worker should hold, by racing position,
+        dealt one worker at a time in (expected finish time, index)
+        order."""
         startup = {m: pop.startup[m - 1] for m in plan.participants}
         speed = {m: pop.speed[m - 1] for m in plan.participants}
-        loads = plan.loads.tolist()
+        loads, racing = plan.loads.tolist(), plan.racing.tolist()
 
-        def expected(worker):
-            m = plan.worker_types[worker][1]
-            return loads[worker] * (startup[m] + 1.0 / speed[m])
+        def expected(position):
+            m = plan.worker_types[racing[position]][1]
+            return loads[position] * (startup[m] + 1.0 / speed[m])
 
         copies, left = [0] * len(loads), rows
-        for worker in sorted(plan.racing.tolist(), key=lambda w: (expected(w), w)):
-            copies[worker] = min(loads[worker], left)
-            left -= copies[worker]
+        for position in sorted(
+            range(len(loads)), key=lambda p: (expected(p), racing[p])
+        ):
+            copies[position] = min(loads[position], left)
+            left -= copies[position]
         return copies
 
     @pytest.mark.parametrize(
@@ -668,6 +684,33 @@ class TestSystematicCopies:
         assert plan.loads.tolist() == [6] + [5] * 9 + [1] * 5
         assert plan.copies.tolist() == [0] + [5] * 8 + [3] + [1] * 5
 
+    def test_zero_row_workers_between_racing_ones(self, monkeypatch):
+        # Loads 0.2 and 6.0 round to one row for workers 0 and 1, none
+        # for workers 2-9 and six for each type-2 worker, so racing
+        # position p is not worker p.  The one-row workers, expected to
+        # finish first, take a copy each; the type-2 workers take the
+        # other 26 in index order.
+        pop = _two_type_population()
+        mech = _hetero_offer(pop, [0.2, 6.0], 28, [1000.0, 1000.0])
+        plan = coding._round_plan(mech, pop)
+        assert plan.racing.tolist() == [0, 1, 10, 11, 12, 13, 14]
+        assert plan.loads.tolist() == [1, 1, 6, 6, 6, 6, 6]
+        assert plan.copies.tolist() == self._dealt_in_order(plan, pop, 28)
+        assert plan.copies.tolist() == [1, 1, 6, 6, 6, 6, 2]
+        calls = _record_decode(monkeypatch)
+        rng = np.random.default_rng(1)
+        A = rng.standard_normal((28, 3))
+        x = rng.standard_normal(3)
+        position = {w: p for p, w in enumerate(plan.racing.tolist())}
+        for seed in range(20):
+            outcome = simulate_round(mech, pop, A, x, seed)
+            slots, loads, received = calls[-1]
+            used = [position[w] for w in outcome.contributors]
+            assert np.array_equal(received, _slots_of(slots, loads, sorted(used)))
+            known = received[received < 28]
+            assert np.array_equal(outcome.decoded[known], (A @ x)[known])
+            assert outcome.max_error <= 1e-8 * max(1.0, np.max(np.abs(A @ x)))
+
     @pytest.mark.parametrize(
         "build",
         [
@@ -680,6 +723,8 @@ class TestSystematicCopies:
     def test_uniform_scheme_deals_by_index(self, build):
         mech, pop = build()
         plan = coding._round_plan(mech, pop)
+        # Every worker races, so racing position w is worker w.
+        assert plan.racing.tolist() == list(range(plan.loads.size))
         dealt = np.cumsum(plan.loads) - plan.loads
         rows = int(mech.config.total_rows)
         assert np.array_equal(plan.copies, np.clip(rows - dealt, 0, plan.loads))
@@ -753,9 +798,9 @@ def _dealt_slots(rows, loads, copies, held):
 
 def _record_decode(monkeypatch):
     """Record each round's dealt slots, loads and the slots it received,
-    from the decode stage's inputs and the round's plan, the last one
-    built; the permutation of the copies is replayed from a copy of the
-    round's stream."""
+    all by racing position, from the decode stage's inputs and the
+    round's plan, the last one built; the permutation of the copies is
+    replayed from a copy of the round's stream."""
     calls = []
     decode = coding._decode_round
 
@@ -804,10 +849,11 @@ class TestSystematicDecode:
         mech, pop, A, x = _anchor_round()
         outcome = simulate_round(mech, pop, A, x, 1)
         (slots, loads, _), = calls
-        type_of = np.array([m for _, m in outcome.worker_types])
+        racing = coding._plan_memo[2].racing
+        type_of = np.array([m for _, m in outcome.worker_types])[racing]
         assert len(outcome.participants) == 3
         for m in outcome.participants:
-            with_rows = np.flatnonzero((type_of == m) & (loads > 0))
+            with_rows = np.flatnonzero(type_of == m)
             assert with_rows.size
             assert np.any(_slots_of(slots, loads, with_rows) < 1000)
 
@@ -1184,19 +1230,19 @@ class TestParitySystem:
 
 
 class TestDecodeReceived:
-    def test_probes_are_a_fresh_draw_of_their_size(self, monkeypatch):
-        # Start from an empty table, so each size below is drawn or cut
-        # in the order given: 251 after 40 redraws, 12 after 251 cuts.
-        monkeypatch.setattr(coding, "_probe_table", np.empty((0, _PROBES)))
-        for unknowns in [1, 40, 251, 12, 251]:
+    def test_probes_are_a_fresh_draw_of_their_size(self):
+        # Each size is cut from the table drawn at the next power of two:
+        # 12 from 16 rows, 200 and 251 from one 256-row table.
+        for unknowns, table in [(1, 1), (2, 2), (12, 16), (200, 256), (251, 256)]:
             probes = _probes(unknowns)
             fresh = np.random.default_rng(_PROBE_SEED).standard_normal(
                 (unknowns, _PROBES)
             )
             assert np.array_equal(probes.view(np.uint64), fresh.view(np.uint64))
             assert not probes.flags.writeable
-            assert not coding._probe_table.flags.writeable
-        assert coding._probe_table.shape == (251, _PROBES)
+            assert not probes.base.flags.writeable
+            assert probes.base.shape == (table, _PROBES)
+        assert _probes(251).base is _probes(200).base
 
     def _system(self, rows, unknowns, seed=3):
         rng = np.random.default_rng(seed)

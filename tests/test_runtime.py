@@ -10,6 +10,7 @@ import pytest
 from coded_incentives import (
     SCHEME_HETERO,
     SCHEME_MDS,
+    ConfigurationError,
     InfeasibleError,
     LoadAssignment,
     NumericalError,
@@ -296,6 +297,22 @@ class TestMonteCarloRuntime:
         assignment = assign_loads_hetero(pop, (1,), 100.0)
         with pytest.raises(ValueError):
             monte_carlo_runtime(pop, assignment, (1,), 100.0, 0, 0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        pop = _pop()
+        assignment = assign_loads_hetero(pop, (1,), 100.0)
+        with pytest.raises(ConfigurationError, match="nonnegative integer"):
+            monte_carlo_runtime(pop, assignment, (1,), 100.0, 10, seed)
+
+    def test_numpy_integer_seed_draws_its_replicates(self):
+        pop = _pop()
+        assignment = assign_loads_hetero(pop, (1, 2), 500.0)
+        plain = monte_carlo_runtime(pop, assignment, (1, 2), 500.0, 50, 5)
+        typed = monte_carlo_runtime(pop, assignment, (1, 2), 500.0, 50, np.int64(5))
+        assert typed.expected_runtime.hex() == plain.expected_runtime.hex()
+        assert typed.stderr.hex() == plain.stderr.hex()
+        assert typed.realized_k_distribution == plain.realized_k_distribution
 
     def test_rejects_nonpositive_rows(self):
         pop = _pop()
