@@ -43,8 +43,8 @@ import numpy as np
 from .errors import ConfigurationError, InfeasibleError, NumericalError
 from .game import best_response
 from .mechanisms import Mechanism
-from .numerics import _largest_remainder
-from .runtime import SCHEME_MDS, _race, _seed_entropy
+from .numerics import _largest_remainder, _whole
+from .runtime import SCHEME_MDS, _race
 # No round calls ``sample_time``; it stays imported because perfbench's
 # traced runs wrap it by name in this module.
 from .workers import Population, _read_only, sample_time, sample_times
@@ -159,8 +159,7 @@ def mds_encode(
     source = np.asarray(A, dtype=float)
     if source.ndim != 2 or source.size == 0:
         raise ValueError("matrix must be two-dimensional and nonempty")
-    if not (isinstance(n, int) and isinstance(k, int)):
-        raise ValueError("participant and threshold counts must be integers")
+    n, k = _whole(n, "n"), _whole(k, "k")
     if not 1 <= k <= n:
         raise ValueError(f"threshold must satisfy 1 <= k <= n, got k={k}, n={n}")
     gen = np.asarray(generator, dtype=float)
@@ -551,7 +550,7 @@ def simulate_round(
     workers, settlement every worker.  A round draws its finish times
     before the permutation of the copies and the parity rows, so the
     race, its contributors and the costs of a seeded round do not depend
-    on the code.  ``seed`` must be a nonnegative integer.
+    on the code.  ``seed`` is a whole number (see ``_whole``) of at least 0.
     """
     source = np.asarray(A, dtype=float)
     vector = np.asarray(x, dtype=float)
@@ -570,7 +569,7 @@ def simulate_round(
     # Finite input can still overflow; the decode is checked for it.
     with np.errstate(over="ignore", invalid="ignore"):
         exact = source @ vector
-    rng = np.random.default_rng(np.random.SeedSequence([_seed_entropy(seed)]))
+    rng = np.random.default_rng(np.random.SeedSequence([_whole(seed, "seed")]))
     plan = _round_plan(mech, pop)
     # The racing workers race until the finished ones hold the rows needed.
     times = sample_times(plan.racers, plan.loads, rng)

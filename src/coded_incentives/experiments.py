@@ -29,7 +29,7 @@ from .mechanisms import (
     solve_complete,
     solve_incomplete,
 )
-from .numerics import _largest_remainder
+from .numerics import _largest_remainder, _whole
 from .runtime import expected_runtimes_hetero
 from .workers import (
     Population,
@@ -117,14 +117,13 @@ def apportion(total: int, weights: Sequence[float]) -> list[int]:
     then the largest fractional parts absorb the shortfall, ties going
     to the lower index.  The result always sums to ``total``.
     """
+    total = _whole(total, "total")
     return [int(c) for c in _apportion_rows([total], weights)[0].tolist()]
 
 
 def _apportion_rows(totals: Sequence[int], weights: Sequence[float]) -> np.ndarray:
     """:func:`apportion` of every total at once, as a ``(P, M)`` float
-    counts matrix with one row per total."""
-    if any(not isinstance(t, int) or t < 0 for t in totals):
-        raise ValueError(f"totals must be nonnegative integers, got {totals!r}")
+    counts matrix with one row per already checked total."""
     values = [float(v) for v in weights]
     if not values or any(v < 0 or not math.isfinite(v) for v in values):
         raise ValueError("weights must be nonnegative and finite")
@@ -185,17 +184,16 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.name not in EXPERIMENT_NAMES:
             raise ConfigurationError(f"unknown experiment name {self.name!r}")
-        object.__setattr__(self, "n_sweep", tuple(int(n) for n in self.n_sweep))
-        if not self.n_sweep or any(n < 1 for n in self.n_sweep):
+        sweep = tuple(_whole(n, "a sweep's worker count", 1) for n in self.n_sweep)
+        if not sweep:
             raise ConfigurationError("sweep must list positive worker counts")
+        object.__setattr__(self, "n_sweep", sweep)
+        for name, least in (("replications", 1), ("seed", 0)):
+            object.__setattr__(self, name, _whole(getattr(self, name), name, least))
         try:
             self.platform_config()
         except ValueError as exc:
             raise ConfigurationError(str(exc)) from exc
-        if not isinstance(self.replications, int) or self.replications < 1:
-            raise ConfigurationError("replications must be a positive integer")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigurationError("seed must be a nonnegative integer")
         if self.type_probabilities is not None:
             probs = tuple(float(p) for p in self.type_probabilities)
             object.__setattr__(self, "type_probabilities", probs)
@@ -468,7 +466,8 @@ def load_config(path: str) -> ExperimentSpec:
     comment.  Omitted settings fall back to the defaults; an omitted
     population falls back to the bundled catalog.  Numbers must be
     finite, and a population row whose performance profile cannot be
-    derived is an error naming its file and line.
+    derived is an error naming its file and line; a setting that parses
+    but that :class:`ExperimentSpec` refuses is an error naming its file.
     """
     rows: list[WorkerType] = []
     lines: list[int] = []
@@ -508,4 +507,7 @@ def load_config(path: str) -> ExperimentSpec:
                 f"{path}: {len(rows)} population rows but {len(probs)} probabilities"
             )
         settings["type_probabilities"] = tuple(probs[i] for i in order)
-    return ExperimentSpec(population=population, **settings)
+    try:
+        return ExperimentSpec(population=population, **settings)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc

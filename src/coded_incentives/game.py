@@ -19,6 +19,7 @@ from itertools import starmap
 import numpy as np
 
 from .mechanisms import SCENARIO_COMPLETE, Mechanism
+from .numerics import _whole
 from .runtime import _checked_row
 from .workers import Population
 
@@ -158,6 +159,7 @@ def best_response(true_m: int, mech: Mechanism, pop: Population) -> WorkerDecisi
     negative, declines and keeps payoff zero.  Participation at exactly
     zero payoff is accepted.
     """
+    true_m = _whole(true_m, "type id", None)
     if not 1 <= true_m <= pop.size:
         raise ValueError(f"unknown type id {true_m}")
     row = slice(true_m - 1, true_m)

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
 
-from .errors import IterationError, NumericalError
+from .errors import ConfigurationError, IterationError, NumericalError
 
 __all__ = ["solve_lambda", "mds_alpha", "harmonic"]
 
@@ -41,6 +42,19 @@ _MAX_ITER = 200
 _SERIES_W = 1.0
 _FLOAT_MAX = np.finfo(float).max
 _FLOAT_TINY = np.finfo(float).tiny
+
+
+def _whole(value, what: str, least: int | None = 0) -> int:
+    """``value`` as an int if ``operator.index`` takes it (an int or a NumPy
+    integer, never a float) and it is at least ``least``: 0, 1 or None (no bound)."""
+    try:
+        whole = operator.index(value)
+    except TypeError:
+        whole = None
+    if whole is None or least is not None and whole < least:
+        kind = {None: "an", 0: "a nonnegative", 1: "a positive"}[least]
+        raise ConfigurationError(f"{what} must be {kind} integer, got {value!r}")
+    return whole
 
 
 def _excess_tail(w: np.ndarray) -> np.ndarray:
@@ -145,15 +159,13 @@ def mds_alpha(mu: float, a: float) -> float:
     return scaled / (1.0 + scaled) if scaled < math.inf else 1.0
 
 
-@functools.lru_cache(maxsize=65536)
+@functools.lru_cache(maxsize=65536, typed=True)
 def harmonic(n: int) -> float:
-    """Partial sum of the harmonic series, ``H_0 = 0``: the correctly
-    rounded sum up to ``2**20`` terms, beyond that ``log(n) + gamma +
-    1/(2n) - 1/(12n^2)`` with ``gamma`` Euler's constant, which agrees
-    with the sum to an ulp there and takes constant time."""
-    if n != int(n) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n}")
-    n = int(n)
+    """Partial sum of the harmonic series, ``H_0 = 0``: the correctly rounded
+    sum up to ``2**20`` terms, beyond that ``log(n) + gamma + 1/(2n) -
+    1/(12n^2)``, ``gamma`` Euler's constant, within an ulp in constant time.
+    The cache is typed, so ``5.0`` misses ``5``'s entry and is refused."""
+    n = _whole(n, "n")
     if n > 2**20:
         return math.log(n) + np.euler_gamma + 1 / (2 * n) - 1 / (12 * n * n)
     return math.fsum(1.0 / i for i in range(1, n + 1))

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InfeasibleError, NumericalError
-from .numerics import harmonic, row_fsums
+from .numerics import _whole, harmonic, row_fsums
 from .workers import Population, _read_only, sample_times
 
 __all__ = [
@@ -97,7 +97,7 @@ class RuntimeEstimate:
 
 
 def _targeted_tuple(pop: Population, targeted: Iterable[int]) -> tuple[int, ...]:
-    ids = tuple(sorted(set(int(m) for m in targeted)))
+    ids = tuple(sorted({_whole(m, "type id", None) for m in targeted}))
     if not ids:
         raise InfeasibleError("targeted set must not be empty")
     unknown = [m for m in ids if not 1 <= m <= pop.size]
@@ -182,11 +182,11 @@ def expected_runtime_mds(
     The exact value uses harmonic numbers,
     ``(rows/k) * (a + (H_n - H_{n-k}) / mu)``.
     """
-    if n != int(n) or k != int(k) or k < 1 or k > n:
+    n, k = _whole(n, "n"), _whole(k, "k")
+    if not 1 <= k <= n:
         raise ValueError(f"need integers 1 <= k <= n, got n={n}, k={k}")
     if not rows > 0 or not mu > 0 or a < 0:
         raise ValueError("rows and mu must be positive, a nonnegative")
-    n, k = int(n), int(k)
     return (rows / k) * (a + (harmonic(n) - harmonic(n - k)) / mu)
 
 
@@ -197,13 +197,6 @@ def _race(
     of the first finishers hold ``need`` rows; ``loads`` are positive."""
     order = np.argsort(times, kind="stable")
     return order, int(np.searchsorted(np.cumsum(loads[order]), need)) + 1
-
-
-def _seed_entropy(seed) -> int:
-    """``seed`` as a SeedSequence's entropy: it must be a nonnegative integer."""
-    if isinstance(seed, (int, np.integer)) and seed >= 0:
-        return int(seed)
-    raise ConfigurationError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 def monte_carlo_runtime(
@@ -222,11 +215,9 @@ def monte_carlo_runtime(
     an independent stream derived from ``(seed, i)``, so results are
     reproducible regardless of evaluation order.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be at least 1, got {reps}")
+    reps, entropy = _whole(reps, "reps", 1), _whole(seed, "seed")
     if not rows > 0:
         raise ValueError(f"rows must be positive, got {rows}")
-    entropy = _seed_entropy(seed)
     ids = _targeted_tuple(pop, targeted)
     loads = _checked_row(assignment.loads, pop)
     missing = [m for m in ids if not loads[m - 1] > 0]

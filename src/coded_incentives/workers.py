@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .numerics import solve_lambda
+from .numerics import _whole, solve_lambda
 
 __all__ = [
     "WorkerType",
@@ -132,6 +132,7 @@ class Population:
 
     def member(self, type_id: int) -> tuple[WorkerType, PerformanceProfile]:
         """Type ``type_id`` as a ``(WorkerType, PerformanceProfile)`` pair."""
+        type_id = _whole(type_id, "type id", None)
         if not 1 <= type_id <= self.size:
             raise ValueError(f"unknown type id {type_id}")
         count, *inputs, row_time, throughput, ratio = (

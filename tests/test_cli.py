@@ -540,7 +540,7 @@ class TestProbabilitiesMultinomialRefuses:
         assert main(command.split() + ["--config", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("configuration error: probabilities")
+        assert captured.err.startswith(f"configuration error: {path}: probabilities")
 
 
 class TestOutOfMemory:
@@ -870,7 +870,8 @@ class TestExperiment:
     def test_nonpositive_reps_exits_2(self, capsys, reps):
         assert main(["experiment", "fig7", "--reps", reps]) == 2
         assert capsys.readouterr().err == (
-            "configuration error: replications must be a positive integer\n"
+            "configuration error: replications must be a positive integer, "
+            f"got {reps}\n"
         )
 
     def test_seed_and_reps_override_metadata(self, tmp_path, capsys):

@@ -85,7 +85,7 @@ class TestMdsEncode:
     def test_rejects_bad_counts(self):
         A = np.ones((4, 2))
         with pytest.raises(
-            ValueError, match="participant and threshold counts must be integers"
+            ConfigurationError, match="n must be a nonnegative integer, got 3.0"
         ):
             mds_encode(A, 3.0, 2, _gaussian_generator(3, 2))
         with pytest.raises(

@@ -807,6 +807,22 @@ class TestLoadConfig:
         with pytest.raises(ConfigurationError, match=":1"):
             load_config(str(path))
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("seed = -1", "seed must be a nonnegative integer, got -1"),
+            ("replications = 0", "replications must be a positive integer, got 0"),
+            ("sweep = 0,100", "a sweep's worker count must be a positive integer, got 0"),
+            ("gamma_pay = -1", "gamma_pay must be nonnegative and finite, got -1.0"),
+        ],
+    )
+    def test_setting_the_spec_refuses_names_the_file(self, tmp_path, setting, message):
+        path = tmp_path / "exp.cfg"
+        path.write_text(setting + "\n")
+        with pytest.raises(ConfigurationError) as raised:
+            load_config(str(path))
+        assert str(raised.value) == f"{path}: {message}"
+
     def test_sweep_step_below_one(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("sweep = 100:500:0\n")

@@ -192,6 +192,11 @@ class TestLoadAssignmentValidation:
         with pytest.raises(ValueError, match="total_rows must be positive"):
             LoadAssignment(loads=[5.0], total_rows=0.0, scheme=SCHEME_HETERO)
 
+    @pytest.mark.parametrize("loads", [[5.0, -1.0], [5.0, math.inf], [[5.0]]])
+    def test_loads_must_be_a_row_of_finite_nonnegative_values(self, loads):
+        with pytest.raises(ValueError, match="loads must be a row of finite"):
+            LoadAssignment(loads=loads, total_rows=10.0, scheme=SCHEME_HETERO)
+
     def test_positive_loads_required(self):
         with pytest.raises(ValueError):
             LoadAssignment(loads=[0.0], total_rows=10.0, scheme=SCHEME_HETERO)

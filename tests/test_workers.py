@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from coded_incentives import (
     ConfigurationError,
     NumericalError,
+    PerformanceProfile,
     Population,
     WorkerType,
     build_population,
@@ -83,6 +84,14 @@ class TestDeriveProfile:
         assert profile.row_time == 1e300
         assert profile.throughput == pytest.approx(1e-300, rel=1e-15)
         assert profile.ratio == pytest.approx(1e300, rel=1e-15)
+
+    @pytest.mark.parametrize("entry", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_profile_entries_must_be_positive(self, entry, bad):
+        values = [0.1, 2.0, 3.0]
+        values[entry] = bad
+        with pytest.raises(ValueError, match="profile entries must be positive"):
+            PerformanceProfile(*values)
 
 
 class TestBuildPopulation:
