@@ -44,7 +44,7 @@ from .errors import ConfigurationError, InfeasibleError, NumericalError
 from .game import best_response
 from .mechanisms import Mechanism
 from .numerics import _largest_remainder, _whole
-from .runtime import SCHEME_MDS, _race
+from .runtime import _race
 # No round calls ``sample_time``; it stays imported because perfbench's
 # traced runs wrap it by name in this module.
 from .workers import Population, _read_only, sample_time, sample_times
@@ -117,7 +117,6 @@ class SimOutcome:
     total payments.
     """
 
-    scheme: str
     participants: tuple[int, ...]
     worker_types: tuple[tuple[int, int], ...]
     finish_order: tuple[tuple[int, float], ...]
@@ -269,12 +268,13 @@ def _decode_received(square: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _refine(square: np.ndarray, rhs: np.ndarray, solution: np.ndarray) -> np.ndarray:
     """``solution`` to ``square @ y = rhs`` after one step of iterative
-    refinement, its residual formed in extended precision: to first
-    order the refined solution keeps none of the LU solve's error, only
-    what the rounding ``rhs`` arrived with makes of it."""
+    refinement, its residual formed in float64 like the rest of the
+    round, so the guard is one rule wherever NumPy runs: the step
+    removes most of the LU solve's error, and what is left is of the
+    order of what the rounding ``rhs`` arrived with makes of it."""
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = rhs - square.astype(np.longdouble) @ solution
-        return solution + np.linalg.solve(square, residual.astype(float))
+        residual = rhs - square @ solution
+        return solution + np.linalg.solve(square, residual)
 
 
 def _whole_rows(loads: Sequence[float]) -> np.ndarray:
@@ -381,13 +381,11 @@ def _round_loads(
 ) -> tuple[np.ndarray, int]:
     """Each worker's whole rows, ``counts`` workers per participating
     type in order, and the rows the finished workers must hold: under
-    the uniform scheme with recovery threshold k, ``ceil(rows / k)``
-    rows each and k workers' worth; under heterogeneous loads, each
-    offered load rounded to whole rows, and ``rows``."""
-    rows = int(mech.config.total_rows)
-    assignment = mech.assignment
-    if assignment.scheme == SCHEME_MDS:
-        threshold = assignment.recovery_threshold
+    an offer with recovery threshold k (the cost-only one), ``ceil(rows
+    / k)`` rows each and k workers' worth; under any other, each offered
+    load rounded to whole rows, and ``rows``."""
+    rows, threshold = int(mech.config.total_rows), mech.recovery_threshold
+    if threshold is not None:
         n_workers = int(counts.sum())
         if n_workers < threshold:
             raise InfeasibleError(
@@ -396,7 +394,7 @@ def _round_loads(
             )
         block_rows = -(-rows // threshold)  # ceil(rows / threshold)
         return np.full(n_workers, block_rows), threshold * block_rows
-    type_loads = assignment.loads[participants - 1]
+    type_loads = mech.assignment.loads[participants - 1]
     if not type_loads.all():
         missing = participants[type_loads == 0].tolist()
         raise InfeasibleError(f"no load assigned to participating types {missing}")
@@ -582,7 +580,6 @@ def simulate_round(
     payoffs = plan.pay - plan.cost_rate * runtime
     cost = mech.config.gamma_time * runtime + mech.config.gamma_pay * plan.paid
     return SimOutcome(
-        scheme=mech.assignment.scheme,
         participants=plan.participants,
         worker_types=plan.worker_types,
         finish_order=tuple(zip(finishers.tolist(), times[order].tolist())),

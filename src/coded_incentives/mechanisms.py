@@ -34,7 +34,6 @@ from .numerics import _all_finite, mds_alpha, row_fsums
 # No solver calls ``expected_runtime_hetero``; it stays imported because
 # perfbench's traced runs wrap it by name in this module.
 from .runtime import (
-    SCHEME_MDS,
     LoadAssignment,
     _checked_row,
     _checked_groups,
@@ -100,7 +99,9 @@ class Mechanism:
     ``expected_runtime`` is the round runtime workers face when the
     targeted set participates; worker payoffs are measured against it.
     ``rewards`` is a read-only row indexed by type id - 1, like the loads
-    (zero outside the targeted set under complete information).
+    (zero outside the targeted set under complete information).  The
+    scenario decides the scheme: a cost-only offer's loads are uniform
+    with a recovery threshold, every other offer's are heterogeneous.
     """
 
     scenario: str
@@ -134,6 +135,9 @@ class Mechanism:
             raise ValueError(f"threshold type {self.threshold_type} is not offered")
         if not 0 < self.expected_runtime < math.inf:
             raise ValueError("expected_runtime must be positive and finite")
+        cost_only = self.scenario == SCENARIO_COST_ONLY
+        if cost_only != (self.recovery_threshold is not None):
+            raise ValueError("an offer has a recovery threshold iff it is cost-only")
 
 
 def solve_complete(pop: Population, cfg: PlatformConfig) -> Mechanism:
@@ -171,7 +175,7 @@ def _hetero_mechanism(
         scenario=scenario,
         threshold_type=threshold,
         rewards=rewards[0],
-        assignment=assign_loads_hetero(pop, range(1, threshold + 1), cfg.total_rows),
+        assignment=assign_loads_hetero(pop, threshold, cfg.total_rows),
         expected_runtime=runtimes.item(),
         expected_cost=cost,
         config=cfg,
@@ -387,7 +391,7 @@ def _cost_only_offer(pop: Population, cfg: PlatformConfig) -> Mechanism:
         scenario=SCENARIO_COST_ONLY,
         threshold_type=threshold,
         rewards=rewards,
-        assignment=LoadAssignment(loads, cfg.total_rows, SCHEME_MDS, recovery),
+        assignment=LoadAssignment(loads, cfg.total_rows, recovery),
         expected_runtime=worker_runtime,
         expected_cost=_offer_cost(pop, threshold, rewards, cfg, exact[recovery]),
         config=cfg,
@@ -402,15 +406,11 @@ def platform_cost(mech: Mechanism, pop: Population, cfg: PlatformConfig) -> floa
     workers.  The cost-only scenario uses the exact harmonic runtime.
     """
     _checked_row(mech.rewards, pop)
-    runtime = None
-    if mech.scenario == SCENARIO_COST_ONLY:
-        if mech.recovery_threshold is None:
-            raise ConfigurationError("cost-only mechanism lacks recovery threshold")
+    runtime, k = None, mech.recovery_threshold
+    if k is not None:
         participators = int(sum(pop.counts[: mech.threshold_type].tolist()))
-        if participators < mech.recovery_threshold:
+        if participators < k:
             raise InfeasibleError("fewer participators than the recovery threshold")
         speed, startup = float(pop.speed[0]), float(pop.startup[0])
-        runtime = expected_runtime_mds(
-            participators, mech.recovery_threshold, cfg.total_rows, speed, startup
-        )
+        runtime = expected_runtime_mds(participators, k, cfg.total_rows, speed, startup)
     return _offer_cost(pop, mech.threshold_type, mech.rewards, cfg, runtime)

@@ -27,8 +27,6 @@ from .numerics import _whole, harmonic, row_fsums
 from .workers import Population, _read_only, sample_times
 
 __all__ = [
-    "SCHEME_HETERO",
-    "SCHEME_MDS",
     "LoadAssignment",
     "RuntimeEstimate",
     "assign_loads_hetero",
@@ -37,9 +35,6 @@ __all__ = [
     "monte_carlo_runtime",
 ]
 
-SCHEME_HETERO = "hetero-asymptotic"
-SCHEME_MDS = "mds-uniform"
-
 # Relative slack on the row-accumulation stopping rule, absorbing float
 # roundoff when equal fractional loads must sum exactly to the workload.
 ROW_SLACK = 1e-9
@@ -47,32 +42,29 @@ ROW_SLACK = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class LoadAssignment:
-    """Rows per round for one scheme: a read-only row by type id - 1, 0 if unloaded."""
+    """Rows per round: a read-only row by type id - 1, 0 if unloaded.  The
+    loads are uniform, ``total_rows / k`` each, exactly when the
+    ``recovery_threshold`` k is set; otherwise they are heterogeneous."""
 
     loads: np.ndarray
     total_rows: float
-    scheme: str
     recovery_threshold: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "loads", _read_only(self.loads))
         loaded = self.loads[self.loads != 0]
-        if self.scheme not in (SCHEME_HETERO, SCHEME_MDS):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if not loaded.size:
             raise InfeasibleError("assignment must cover at least one type")
         if not self.total_rows > 0:
             raise ValueError("total_rows must be positive")
         if self.loads.ndim != 1 or not ((loaded > 0) & (loaded < np.inf)).all():
             raise ValueError("loads must be a row of finite, nonnegative values")
-        if self.scheme == SCHEME_MDS:
-            if self.recovery_threshold is None or self.recovery_threshold < 1:
-                raise ValueError("uniform scheme requires a positive threshold")
-            uniform = self.total_rows / self.recovery_threshold
+        if self.recovery_threshold is not None:
+            k = _whole(self.recovery_threshold, "recovery threshold", 1)
+            object.__setattr__(self, "recovery_threshold", k)
+            uniform = self.total_rows / k
             if (abs(loaded - uniform) > 1e-9 * uniform).any():
-                raise ValueError("uniform scheme requires equal loads rows/k")
-        elif self.recovery_threshold is not None:
-            raise ValueError("only the uniform scheme has a recovery threshold")
+                raise ValueError("uniform loads must all be rows/k")
 
 
 def _checked_row(row: np.ndarray, pop: Population) -> np.ndarray:
@@ -139,38 +131,36 @@ def expected_runtimes_hetero(
         return rows / groups
 
 
-def _targeted_throughput(
-    pop: Population, targeted: Iterable[int], rows: float
-) -> tuple[tuple[int, ...], float]:
-    """Sorted targeted ids and their group throughput for the one-row views
-    below: the counts row with other types zeroed, summed to the last id."""
+def _prefix(pop: Population, threshold: int, rows: float) -> int:
+    """``threshold`` as the length of a targeted prefix of ``pop``'s types,
+    for the one-row views below, once ``rows`` is checked positive."""
     if not rows > 0:
         raise ValueError(f"rows must be positive, got {rows}")
-    ids = _targeted_tuple(pop, targeted)
-    counts = pop.counts * np.bincount(ids, minlength=pop.size + 1)[1:]
-    return ids, _group_throughputs(counts[None, :], pop, [ids[-1]]).item()
+    threshold = _whole(threshold, "threshold type id", None)
+    if not 1 <= threshold <= pop.size:
+        raise InfeasibleError(f"unknown type id {threshold} as the threshold")
+    return threshold
 
 
-def assign_loads_hetero(
-    pop: Population, targeted: Iterable[int], rows: float
-) -> LoadAssignment:
+def assign_loads_hetero(pop: Population, threshold: int, rows: float) -> LoadAssignment:
     """Loads that minimize expected overall runtime for heterogeneous
-    workers: ``rows / (row_time * total targeted throughput)``."""
-    ids, group = _targeted_throughput(pop, targeted, rows)
-    row_times = pop.row_time.tolist()
+    workers of the prefix ``1..threshold``: ``rows / (row_time * total
+    targeted throughput)``, 0 beyond it."""
+    t = _prefix(pop, threshold, rows)
+    group = _group_throughputs(pop.counts[None, :], pop, [t])
     loads = np.zeros(pop.size)
-    loads[np.array(ids) - 1] = [rows / (row_times[m - 1] * group) for m in ids]
-    if np.count_nonzero(loads) < len(ids):
+    with np.errstate(over="ignore"):
+        loads[:t] = rows / (pop.row_time[:t] * group)
+    if not loads[:t].all():
         raise NumericalError("a targeted type's load rounds to zero")
-    return LoadAssignment(loads=loads, total_rows=float(rows), scheme=SCHEME_HETERO)
+    return LoadAssignment(loads=loads, total_rows=float(rows))
 
 
-def expected_runtime_hetero(
-    pop: Population, targeted: Iterable[int], rows: float
-) -> float:
+def expected_runtime_hetero(pop: Population, threshold: int, rows: float) -> float:
     """Analytic expected overall runtime under the heterogeneous
-    assignment: rows over total targeted throughput."""
-    return rows / _targeted_throughput(pop, targeted, rows)[1]
+    assignment to the prefix ``1..threshold``: rows over its throughput."""
+    counts, t = pop.counts[None, :], _prefix(pop, threshold, rows)
+    return expected_runtimes_hetero(counts, pop, [t], rows).item()
 
 
 def expected_runtime_mds(
@@ -218,6 +208,10 @@ def monte_carlo_runtime(
     reps, entropy = _whole(reps, "reps", 1), _whole(seed, "seed")
     if not rows > 0:
         raise ValueError(f"rows must be positive, got {rows}")
+    if rows != assignment.total_rows:
+        raise ConfigurationError(
+            f"the loads cover {assignment.total_rows:.15g} rows, not {rows:.15g}"
+        )
     ids = _targeted_tuple(pop, targeted)
     loads = _checked_row(assignment.loads, pop)
     missing = [m for m in ids if not loads[m - 1] > 0]

@@ -121,11 +121,10 @@ def test_c03_order_statistic_runtime_matches_simulation():
 def test_c04_group_throughput_runtime_at_scale():
     pop = default_population(5000)
     rows = 1000.0
-    targeted = pop.ids
-    analytic = expected_runtime_hetero(pop, targeted, rows)
-    assignment = assign_loads_hetero(pop, targeted, rows)
+    analytic = expected_runtime_hetero(pop, pop.size, rows)
+    assignment = assign_loads_hetero(pop, pop.size, rows)
     estimate = monte_carlo_runtime(
-        pop, assignment, targeted, rows, reps=200, seed=20260815
+        pop, assignment, pop.ids, rows, reps=200, seed=20260815
     )
     deviation = abs(estimate.expected_runtime - analytic) / analytic
     ok = deviation <= 0.02

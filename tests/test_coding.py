@@ -16,8 +16,6 @@ from scipy import stats
 
 from coded_incentives import coding
 from coded_incentives import (
-    SCHEME_HETERO,
-    SCHEME_MDS,
     ConfigurationError,
     InfeasibleError,
     LoadAssignment,
@@ -217,9 +215,7 @@ def _hetero_offer(pop, loads, rows, rewards, gamma_time=3.0, gamma_pay=2.0):
     cfg = PlatformConfig(
         gamma_time=gamma_time, gamma_pay=gamma_pay, total_rows=float(rows)
     )
-    assignment = LoadAssignment(
-        loads=loads, total_rows=float(rows), scheme=SCHEME_HETERO
-    )
+    assignment = LoadAssignment(loads=loads, total_rows=float(rows))
     return Mechanism(
         scenario="incomplete-hetero",
         threshold_type=int(np.flatnonzero(loads)[-1]) + 1,
@@ -254,7 +250,6 @@ class TestSimulateRoundHetero:
 
     def test_decodes_product(self):
         _, _, A, x, outcome = self._setup()
-        assert outcome.scheme == SCHEME_HETERO
         assert outcome.decoded.shape == (53,)
         assert outcome.max_error <= 1e-8
         assert np.max(np.abs(outcome.decoded - A @ x)) == outcome.max_error
@@ -1426,7 +1421,6 @@ class TestSimulateRoundMds:
         x = rng.standard_normal(3)
         outcome = simulate_round(mech, pop, A, x, 17)
         k = mech.recovery_threshold
-        assert outcome.scheme == SCHEME_MDS
         assert outcome.realized_k == k
         ordered = [w for w, _ in outcome.finish_order]
         assert list(outcome.contributors) == ordered[:k]

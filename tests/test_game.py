@@ -46,8 +46,8 @@ def _two_class_population():
 
 def _offer(pop, rewards, scenario, cfg=None):
     cfg = cfg or PlatformConfig(gamma_time=100.0, gamma_pay=1.0, total_rows=500.0)
-    assignment = assign_loads_hetero(pop, pop.ids, cfg.total_rows)
-    runtime = expected_runtime_hetero(pop, pop.ids, cfg.total_rows)
+    assignment = assign_loads_hetero(pop, pop.size, cfg.total_rows)
+    runtime = expected_runtime_hetero(pop, pop.size, cfg.total_rows)
     return Mechanism(
         scenario=scenario,
         threshold_type=pop.size,
@@ -232,7 +232,7 @@ class TestVerifyIrIc:
         # Type 3 cannot imitate the fast class, so a tempting reward for
         # type 1 shows up only in the unrestricted scan.
         pop = _two_class_population()
-        runtime = expected_runtime_hetero(pop, pop.ids, 500.0)
+        runtime = expected_runtime_hetero(pop, pop.size, 500.0)
         rewards = [
             10_000.0,
             10_000.0,

@@ -17,7 +17,6 @@ from coded_incentives import (
     SCENARIO_COMPLETE,
     SCENARIO_COST_ONLY,
     SCENARIO_INCOMPLETE,
-    SCHEME_HETERO,
     ConfigurationError,
     InfeasibleError,
     LoadAssignment,
@@ -131,6 +130,47 @@ class TestMechanismInvariants:
         with pytest.raises(ValueError, match="unknown scenario 'other'"):
             replace(mech, scenario="other")
 
+    def test_scenario_and_scheme_cannot_disagree(
+        self, benchmark_population, benchmark_config
+    ):
+        # The scenario decides the scheme: relabelling an offer across it,
+        # which would play one scheme and price the other, is refused.
+        types = [
+            WorkerType(id=1, cost_rate=c, speed=50.0, startup=0.012, count=140)
+            for c in (1.0, 7.0, 8.0)
+        ]
+        cost_only = solve_cost_only(types, benchmark_config)
+        hetero = solve_incomplete(benchmark_population, benchmark_config)
+        for mech, scenario in [
+            (cost_only, SCENARIO_INCOMPLETE),
+            (cost_only, SCENARIO_COMPLETE),
+            (hetero, SCENARIO_COST_ONLY),
+        ]:
+            with pytest.raises(ValueError, match="recovery threshold iff"):
+                replace(mech, scenario=scenario)
+
+    def test_offers_are_the_prefix_views_bit_for_bit(self):
+        # Over every prefix of random populations, the views equal the
+        # per-type formula on the prefix's correctly rounded throughput,
+        # and each solver's offer is the views at its threshold type.
+        rng = np.random.default_rng(42)
+        for _ in range(40):
+            pop, cfg = random_hetero_instance(rng)
+            rows, row_times = cfg.total_rows, pop.row_time.tolist()
+            rates = (pop.counts * pop.throughput).tolist()
+            for t in range(1, pop.size + 1):
+                group = math.fsum(rates[:t])
+                loads = assign_loads_hetero(pop, t, rows).loads.tolist()
+                assert loads[:t] == [rows / (r * group) for r in row_times[:t]]
+                assert loads[t:] == [0.0] * (pop.size - t)
+                assert expected_runtime_hetero(pop, t, rows) == rows / group
+            for solve in (solve_complete, solve_incomplete):
+                mech = solve(pop, cfg)
+                t = mech.threshold_type
+                view = assign_loads_hetero(pop, t, rows).loads
+                assert mech.assignment.loads.tobytes() == view.tobytes()
+                assert mech.expected_runtime == expected_runtime_hetero(pop, t, rows)
+
     def test_offers_are_read_only_rows_over_the_population(
         self, benchmark_population, benchmark_config
     ):
@@ -162,7 +202,7 @@ class TestMechanismInvariants:
     ):
         # 5e-324 rows spread over three types' throughput rounds to 0.
         with pytest.raises(NumericalError, match="load rounds to zero"):
-            assign_loads_hetero(benchmark_population, (1, 2, 3), 5e-324)
+            assign_loads_hetero(benchmark_population, 3, 5e-324)
 
 
 class TestSolveComplete:
@@ -787,18 +827,10 @@ class TestPlatformCost:
         types = [WorkerType(id=1, cost_rate=1.0, speed=2.0, startup=1.0, count=10)]
         cfg = PlatformConfig(gamma_time=50.0, gamma_pay=1.0, total_rows=100.0)
         mech = solve_cost_only(types, cfg)
-        hetero = replace(
-            mech,
-            assignment=LoadAssignment(
-                loads=mech.assignment.loads,
-                total_rows=cfg.total_rows,
-                scheme=SCHEME_HETERO,
-            ),
-        )
-        with pytest.raises(
-            ConfigurationError, match="cost-only mechanism lacks recovery threshold"
-        ):
-            platform_cost(hetero, build_population(types), cfg)
+        # A cost-only offer without a recovery threshold is refused when
+        # it is built, so platform_cost never meets one.
+        with pytest.raises(ValueError, match="recovery threshold iff it is cost-only"):
+            replace(mech, assignment=LoadAssignment(mech.assignment.loads, 100.0))
         fewer = build_population([replace(types[0], count=mech.recovery_threshold - 1)])
         with pytest.raises(
             InfeasibleError, match="fewer participators than the recovery threshold"
@@ -877,5 +909,5 @@ class TestArrayContracts:
             ]
             assert all(type(v) is float for v in values), mech.scenario
             assert "np.float64" not in repr(mech)
-        runtime = expected_runtime_hetero(pop, [1, 2, 3], cfg.total_rows)
+        runtime = expected_runtime_hetero(pop, 3, cfg.total_rows)
         assert type(runtime) is float

@@ -24,8 +24,6 @@ PUBLIC_NAMES = [
     "build_population",
     "sample_time",
     "sample_times",
-    "SCHEME_HETERO",
-    "SCHEME_MDS",
     "LoadAssignment",
     "RuntimeEstimate",
     "assign_loads_hetero",

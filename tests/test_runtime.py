@@ -8,8 +8,6 @@ import numpy as np
 import pytest
 
 from coded_incentives import (
-    SCHEME_HETERO,
-    SCHEME_MDS,
     ConfigurationError,
     InfeasibleError,
     LoadAssignment,
@@ -42,14 +40,14 @@ class TestAssignLoadsHetero:
         pop = _pop()
         rows = 1000.0
         targeted = (1, 2)
-        assignment = assign_loads_hetero(pop, targeted, rows)
+        assignment = assign_loads_hetero(pop, 2, rows)
         group = math.fsum(
             pop.member(m)[0].count * pop.member(m)[1].throughput for m in targeted
         )
         for m in targeted:
             expected = rows / (pop.member(m)[1].row_time * group)
             assert assignment.loads[m - 1] == pytest.approx(expected, rel=1e-12)
-        assert assignment.scheme == SCHEME_HETERO
+        assert assignment.loads[2] == 0.0
         assert assignment.recovery_threshold is None
 
     def test_loads_equalize_finish_scale(self):
@@ -58,8 +56,8 @@ class TestAssignLoadsHetero:
         # throughput times that runtime covers the workload.
         pop = _pop()
         rows = 777.0
-        assignment = assign_loads_hetero(pop, (1, 2, 3), rows)
-        runtime = expected_runtime_hetero(pop, (1, 2, 3), rows)
+        assignment = assign_loads_hetero(pop, 3, rows)
+        runtime = expected_runtime_hetero(pop, 3, rows)
         for m, load in zip(pop.ids, assignment.loads.tolist()):
             assert load * pop.member(m)[1].row_time == pytest.approx(
                 runtime, rel=1e-12
@@ -72,7 +70,7 @@ class TestAssignLoadsHetero:
 
     def test_faster_worker_gets_more_rows(self):
         pop = _pop()
-        assignment = assign_loads_hetero(pop, (1, 2, 3), 1000.0)
+        assignment = assign_loads_hetero(pop, 3, 1000.0)
         row_times = {m: pop.member(m)[1].row_time for m in (1, 2, 3)}
         ordered = sorted((1, 2, 3), key=lambda m: row_times[m])
         loads = [assignment.loads[m - 1] for m in ordered]
@@ -80,24 +78,23 @@ class TestAssignLoadsHetero:
 
     def test_rejects_bad_inputs(self):
         pop = _pop()
-        with pytest.raises(ValueError):
-            assign_loads_hetero(pop, (1,), 0.0)
-        with pytest.raises(InfeasibleError):
-            assign_loads_hetero(pop, (), 100.0)
-        with pytest.raises(InfeasibleError):
-            assign_loads_hetero(pop, (9,), 100.0)
+        with pytest.raises(ValueError, match="rows must be positive"):
+            assign_loads_hetero(pop, 1, 0.0)
+        for threshold in (0, 4):
+            with pytest.raises(InfeasibleError, match=f"unknown type id {threshold}"):
+                assign_loads_hetero(pop, threshold, 100.0)
 
     def test_zero_count_targeted_set_infeasible(self):
         pop = _pop().with_counts([0, 0, 5])
         with pytest.raises(InfeasibleError):
-            assign_loads_hetero(pop, (1, 2), 100.0)
+            assign_loads_hetero(pop, 2, 100.0)
 
 
 class TestExpectedRuntimeHetero:
     def test_rows_over_group_throughput(self):
         pop = _pop()
-        targeted = (1, 3)
-        runtime = expected_runtime_hetero(pop, targeted, 1000.0)
+        targeted = (1, 2)
+        runtime = expected_runtime_hetero(pop, 2, 1000.0)
         group = math.fsum(
             pop.member(m)[0].count * pop.member(m)[1].throughput for m in targeted
         )
@@ -105,8 +102,8 @@ class TestExpectedRuntimeHetero:
 
     def test_linear_in_rows(self):
         pop = _pop()
-        one = expected_runtime_hetero(pop, (1, 2, 3), 100.0)
-        ten = expected_runtime_hetero(pop, (1, 2, 3), 1000.0)
+        one = expected_runtime_hetero(pop, 3, 100.0)
+        ten = expected_runtime_hetero(pop, 3, 1000.0)
         assert ten == pytest.approx(10.0 * one, rel=1e-12)
 
 
@@ -124,7 +121,7 @@ def test_overflowing_group_throughput_is_numerical_error(view, count):
         ]
     )
     with pytest.raises(NumericalError):
-        view(pop, [1, 2], 1000.0)
+        view(pop, 2, 1000.0)
 
 
 class TestExpectedRuntimeMds:
@@ -157,51 +154,32 @@ class TestExpectedRuntimeMds:
 
 
 class TestLoadAssignmentValidation:
-    def test_unknown_scheme(self):
-        with pytest.raises(ValueError):
-            LoadAssignment(loads=[5.0], total_rows=10.0, scheme="other")
-
     def test_mds_requires_threshold_and_equal_loads(self):
-        with pytest.raises(ValueError):
-            LoadAssignment(loads=[5.0], total_rows=10.0, scheme=SCHEME_MDS)
-        with pytest.raises(ValueError):
-            LoadAssignment(
-                loads=[5.0, 6.0],
-                total_rows=10.0,
-                scheme=SCHEME_MDS,
-                recovery_threshold=2,
-            )
-        ok = LoadAssignment(
-            loads=[5.0, 5.0],
-            total_rows=10.0,
-            scheme=SCHEME_MDS,
-            recovery_threshold=2,
-        )
+        # Without a recovery threshold, unequal loads are heterogeneous.
+        assert LoadAssignment([5.0, 6.0], 10.0).recovery_threshold is None
+        with pytest.raises(ValueError, match="uniform loads must all be rows/k"):
+            LoadAssignment([5.0, 6.0], 10.0, recovery_threshold=2)
+        ok = LoadAssignment([5.0, 5.0], 10.0, recovery_threshold=2)
         assert ok.recovery_threshold == 2
 
     def test_hetero_scheme_has_no_recovery_threshold(self):
-        with pytest.raises(ValueError, match="only the uniform scheme"):
-            LoadAssignment(
-                loads=[5.0, 5.0],
-                total_rows=10.0,
-                scheme=SCHEME_HETERO,
-                recovery_threshold=7,
-            )
+        with pytest.raises(ValueError, match="uniform loads must all be rows/k"):
+            LoadAssignment([5.0, 5.0], 10.0, recovery_threshold=7)
 
     def test_positive_total_rows_required(self):
         with pytest.raises(ValueError, match="total_rows must be positive"):
-            LoadAssignment(loads=[5.0], total_rows=0.0, scheme=SCHEME_HETERO)
+            LoadAssignment(loads=[5.0], total_rows=0.0)
 
     @pytest.mark.parametrize("loads", [[5.0, -1.0], [5.0, math.inf], [[5.0]]])
     def test_loads_must_be_a_row_of_finite_nonnegative_values(self, loads):
         with pytest.raises(ValueError, match="loads must be a row of finite"):
-            LoadAssignment(loads=loads, total_rows=10.0, scheme=SCHEME_HETERO)
+            LoadAssignment(loads=loads, total_rows=10.0)
 
     def test_positive_loads_required(self):
         with pytest.raises(ValueError):
-            LoadAssignment(loads=[0.0], total_rows=10.0, scheme=SCHEME_HETERO)
+            LoadAssignment(loads=[0.0], total_rows=10.0)
         with pytest.raises(InfeasibleError):
-            LoadAssignment(loads=[], total_rows=10.0, scheme=SCHEME_HETERO)
+            LoadAssignment(loads=[], total_rows=10.0)
 
 
 class TestMonteCarloRuntime:
@@ -231,10 +209,9 @@ class TestMonteCarloRuntime:
     def test_matches_analytic_hetero(self):
         pop = _pop()
         rows = 1000.0
-        targeted = (1, 2, 3)
-        assignment = assign_loads_hetero(pop, targeted, rows)
-        analytic = expected_runtime_hetero(pop, targeted, rows)
-        estimate = monte_carlo_runtime(pop, assignment, targeted, rows, 4000, 31)
+        assignment = assign_loads_hetero(pop, 3, rows)
+        analytic = expected_runtime_hetero(pop, 3, rows)
+        estimate = monte_carlo_runtime(pop, assignment, (1, 2, 3), rows, 4000, 31)
         assert estimate.stderr is not None
         assert abs(estimate.expected_runtime - analytic) <= max(
             4.0 * estimate.stderr, 0.05 * analytic
@@ -245,19 +222,14 @@ class TestMonteCarloRuntime:
         pop = build_population(
             [WorkerType(id=0, cost_rate=1.0, speed=mu, startup=a, count=n)]
         )
-        assignment = LoadAssignment(
-            loads=[rows / k],
-            total_rows=rows,
-            scheme=SCHEME_MDS,
-            recovery_threshold=k,
-        )
+        assignment = LoadAssignment([rows / k], rows, recovery_threshold=k)
         exact = expected_runtime_mds(n, k, rows, mu, a)
         estimate = monte_carlo_runtime(pop, assignment, (1,), rows, 20_000, 5)
         assert abs(estimate.expected_runtime - exact) <= 4.0 * estimate.stderr
 
     def test_deterministic_given_seed(self):
         pop = _pop()
-        assignment = assign_loads_hetero(pop, (1, 2), 500.0)
+        assignment = assign_loads_hetero(pop, 2, 500.0)
         first = monte_carlo_runtime(pop, assignment, (1, 2), 500.0, 50, 9)
         second = monte_carlo_runtime(pop, assignment, (1, 2), 500.0, 50, 9)
         assert first.expected_runtime == second.expected_runtime
@@ -267,7 +239,7 @@ class TestMonteCarloRuntime:
         # Streams keyed by (seed, rep) make the first replicates of a
         # longer run identical to a shorter run.
         pop = _pop()
-        assignment = assign_loads_hetero(pop, (1,), 300.0)
+        assignment = assign_loads_hetero(pop, 1, 300.0)
         short = monte_carlo_runtime(pop, assignment, (1,), 300.0, 1, 12)
         longer = monte_carlo_runtime(pop, assignment, (1,), 300.0, 2, 12)
         assert short.stderr is None
@@ -276,7 +248,7 @@ class TestMonteCarloRuntime:
     def test_realized_k_distribution_sums_to_one(self):
         pop = _pop()
         targeted = (1, 2, 3)
-        assignment = assign_loads_hetero(pop, targeted, 800.0)
+        assignment = assign_loads_hetero(pop, 3, 800.0)
         estimate = monte_carlo_runtime(pop, assignment, targeted, 800.0, 400, 3)
         total = math.fsum(estimate.realized_k_distribution.values())
         assert total == pytest.approx(1.0, rel=1e-12)
@@ -285,34 +257,32 @@ class TestMonteCarloRuntime:
 
     def test_uncovered_workload_infeasible(self):
         pop = _pop()
-        assignment = LoadAssignment(
-            loads=[1.0, 1.0, 1.0], total_rows=1000.0, scheme=SCHEME_HETERO
-        )
+        assignment = LoadAssignment(loads=[1.0, 1.0, 1.0], total_rows=1000.0)
         with pytest.raises(InfeasibleError):
             monte_carlo_runtime(pop, assignment, (1, 2, 3), 1000.0, 10, 0)
 
     def test_missing_loads_infeasible(self):
         pop = _pop()
-        assignment = assign_loads_hetero(pop, (1,), 100.0)
+        assignment = assign_loads_hetero(pop, 1, 100.0)
         with pytest.raises(InfeasibleError):
             monte_carlo_runtime(pop, assignment, (1, 2), 100.0, 10, 0)
 
     def test_rejects_bad_reps(self):
         pop = _pop()
-        assignment = assign_loads_hetero(pop, (1,), 100.0)
+        assignment = assign_loads_hetero(pop, 1, 100.0)
         with pytest.raises(ValueError):
             monte_carlo_runtime(pop, assignment, (1,), 100.0, 0, 0)
 
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_seed_must_be_a_nonnegative_integer(self, seed):
         pop = _pop()
-        assignment = assign_loads_hetero(pop, (1,), 100.0)
+        assignment = assign_loads_hetero(pop, 1, 100.0)
         with pytest.raises(ConfigurationError, match="nonnegative integer"):
             monte_carlo_runtime(pop, assignment, (1,), 100.0, 10, seed)
 
     def test_numpy_integer_seed_draws_its_replicates(self):
         pop = _pop()
-        assignment = assign_loads_hetero(pop, (1, 2), 500.0)
+        assignment = assign_loads_hetero(pop, 2, 500.0)
         plain = monte_carlo_runtime(pop, assignment, (1, 2), 500.0, 50, 5)
         typed = monte_carlo_runtime(pop, assignment, (1, 2), 500.0, 50, np.int64(5))
         assert typed.expected_runtime.hex() == plain.expected_runtime.hex()
@@ -321,12 +291,18 @@ class TestMonteCarloRuntime:
 
     def test_rejects_nonpositive_rows(self):
         pop = _pop()
-        assignment = assign_loads_hetero(pop, (1,), 100.0)
+        assignment = assign_loads_hetero(pop, 1, 100.0)
         with pytest.raises(ValueError, match="rows must be positive, got 0.0"):
             monte_carlo_runtime(pop, assignment, (1,), 0.0, 10, 0)
 
     def test_targeted_set_without_workers_is_infeasible(self):
         pop = _pop().with_counts([0, 3, 5])
-        assignment = assign_loads_hetero(pop, (1, 2), 100.0)
+        assignment = assign_loads_hetero(pop, 2, 100.0)
         with pytest.raises(InfeasibleError, match="no workers in the targeted set"):
             monte_carlo_runtime(pop, assignment, (1,), 100.0, 10, 0)
+
+    def test_rows_other_than_the_loads_were_sized_for_are_refused(self):
+        pop = _pop()
+        assignment = assign_loads_hetero(pop, 2, 500.0)
+        with pytest.raises(ConfigurationError, match="cover 500 rows, not 1000"):
+            monte_carlo_runtime(pop, assignment, (1, 2), 1000.0, 10, 0)

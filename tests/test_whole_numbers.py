@@ -19,6 +19,7 @@ import pytest
 from coded_incentives import (
     ConfigurationError,
     ExperimentSpec,
+    LoadAssignment,
     PlatformConfig,
     apportion,
     assign_loads_hetero,
@@ -51,6 +52,13 @@ def _simulate(seed):
 def _monte_carlo(reps=20, seed=5):
     pop, mech, _, _ = _round()
     return monte_carlo_runtime(pop, mech.assignment, mech.targeted, 1000.0, reps, seed)
+
+
+def _monte_carlo_type_1(targeted):
+    """Two replicates of type 1's workers alone, racing ``targeted``."""
+    pop = _round()[0]
+    loads = assign_loads_hetero(pop, 1, 1000.0)
+    return monte_carlo_runtime(pop, loads, targeted, 1000.0, 2, 0)
 
 
 def _csv(name, **fields):
@@ -87,9 +95,13 @@ SITES = {
         lambda v: best_response(v, _round()[1], _round()[0]), 2, 1.5, None
     ),
     "Population.member type id": (lambda v: _round()[0].member(v), 2, 1.5, None),
-    "targeted type ids": (
-        lambda v: assign_loads_hetero(_round()[0], (v,), 1000.0), 1, 1.7, None
+    "LoadAssignment recovery threshold": (
+        lambda v: LoadAssignment([250.0], 1000.0, v), 4, 253.5, 1
     ),
+    "threshold type id": (
+        lambda v: assign_loads_hetero(_round()[0], v, 1000.0), 1, 1.7, None
+    ),
+    "targeted type ids": (lambda v: _monte_carlo_type_1((v,)), 1, 1.7, None),
 }
 BOUNDED = [site for site, (*_, least) in SITES.items() if least is not None]
 
