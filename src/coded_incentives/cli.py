@@ -156,7 +156,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
-    spec = load_config(args.config) if args.config else ExperimentSpec()
+    """The spec a command runs: its config file's, or the default one,
+    with the command line's settings; each spec is checked once."""
     overrides: dict[str, object] = {}
     name = getattr(args, "name", None)
     if name is not None:
@@ -166,6 +167,9 @@ def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
     # simulate reads --reps as its round count, not as replications.
     if args.command == "experiment" and args.reps is not None:
         overrides["replications"] = args.reps
+    if not args.config:
+        return ExperimentSpec(**overrides)
+    spec = load_config(args.config)
     return replace(spec, **overrides) if overrides else spec
 
 

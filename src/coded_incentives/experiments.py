@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -270,11 +271,10 @@ class ResultTable:
     metadata: dict[str, str]
 
     def __post_init__(self):
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError("every row must match the column count")
-            if not all(map(math.isfinite, row)):
-                raise NumericalError("a sweep value overflows to a non-finite number")
+        if set(map(len, self.rows)) - {len(self.columns)}:
+            raise ValueError("every row must match the column count")
+        if not all(map(math.isfinite, chain.from_iterable(self.rows))):
+            raise NumericalError("a sweep value overflows to a non-finite number")
 
     def column(self, name: str) -> list[float]:
         if name not in self.columns:
@@ -287,9 +287,9 @@ class ResultTable:
         row at 17 significant digits."""
         lines = [f"# {key} = {value}" for key, value in self.metadata.items()]
         lines.append(",".join(self.columns))
-        template = ",".join(["%.17g"] * len(self.columns))
-        lines.extend(template % row for row in self.rows)
-        return "\n".join(lines) + "\n"
+        line = ",".join(["%.17g"] * len(self.columns)) + "\n"
+        body = "".join([line] * len(self.rows)) % tuple(chain.from_iterable(self.rows))
+        return "\n".join(lines) + "\n" + body
 
 
 _SWEEP_COLUMNS = (
@@ -304,21 +304,29 @@ _SWEEP_COLUMNS = (
 
 def _sweep_table(spec: ExperimentSpec, columns: Sequence[str]) -> ResultTable:
     """The selected columns of the deterministic sweep: the complete-
-    and private-cost offers priced on every point in one batched pass."""
+    and private-cost offers made on every point in one batched pass,
+    and priced in one more only if a cost or the gap is selected."""
     counts = _apportion_rows(spec.n_sweep, spec.weights())
     pop = spec.population
     cfg = spec.platform_config()
-    table: dict[str, list[float]] = {"N": [float(n) for n in spec.n_sweep]}
-    costs: dict[str, np.ndarray] = {}
-    for scenario, rule in (
-        ("complete", _complete_offers),
-        ("incomplete", _private_offers),
-    ):
-        thresholds, runtimes, rewards = rule(counts, pop, cfg)
-        table[f"targeted_{scenario}"] = thresholds.astype(float).tolist()
-        costs[scenario] = _prefix_costs(counts, thresholds, rewards, pop, cfg, runtimes)
-        table[f"cost_{scenario}"] = costs[scenario].tolist()
-    table["gap"] = (costs["incomplete"] - costs["complete"]).tolist()
+    complete, private = (
+        rule(counts, pop, cfg)[:3] for rule in (_complete_offers, _private_offers)
+    )
+    table: dict[str, list[float]] = {
+        "N": [float(n) for n in spec.n_sweep],
+        "targeted_complete": complete[0].astype(float).tolist(),
+        "targeted_incomplete": private[0].astype(float).tolist(),
+    }
+    if any(name not in table for name in columns):
+        # A cost or the gap is selected: both scenarios' rows are priced
+        # stacked, complete above private.
+        thresholds, runtimes, rewards = map(np.concatenate, zip(complete, private))
+        stacked = np.concatenate((counts, counts))
+        costs = _prefix_costs(stacked, thresholds, rewards, pop, cfg, runtimes)
+        complete_costs, private_costs = np.split(costs, 2)
+        table["cost_complete"] = complete_costs.tolist()
+        table["cost_incomplete"] = private_costs.tolist()
+        table["gap"] = (private_costs - complete_costs).tolist()
     return ResultTable(
         columns=tuple(columns),
         rows=tuple(zip(*(table[name] for name in columns))),
@@ -343,7 +351,7 @@ def run_fig6(spec: ExperimentSpec) -> ResultTable:
     payoff zero."""
     pop = spec.population
     counts = _apportion_rows(spec.n_sweep, spec.weights())
-    offers = _private_offers(counts, pop, spec.platform_config())
+    offers = _private_offers(counts, pop, spec.platform_config())[:3]
     payoffs = _best_payoffs(*offers, pop)
     return ResultTable(
         columns=("N",) + tuple(f"payoff_type_{m}" for m in pop.ids),
@@ -379,7 +387,7 @@ def run_fig7(spec: ExperimentSpec) -> ResultTable:
         realized = np.random.default_rng(
             np.random.SeedSequence([spec.seed, total])
         ).multinomial(total, probs, size=spec.replications).astype(float)
-        thresholds, runtimes, rewards = _private_offers(realized, pop, cfg)
+        thresholds, runtimes, rewards, _ = _private_offers(realized, pop, cfg)
         # A replicate whose informed threshold is the committed one already
         # has the committed prefix's runtime.  Only the others are priced
         # anew; they include every empty committed prefix, since the
@@ -391,15 +399,16 @@ def run_fig7(spec: ExperimentSpec) -> ResultTable:
             committed_runtimes[moved] = expected_runtimes_hetero(
                 realized[moved], pop, committed_thresholds[moved], cfg.total_rows
             )
-        committed_costs = _prefix_costs(
-            realized,
-            committed_thresholds,
-            committed.rewards,
+        # The committed and informed rows stacked, committed above.
+        costs = _prefix_costs(
+            np.concatenate((realized, realized)),
+            np.concatenate((committed_thresholds, thresholds)),
+            np.concatenate((np.broadcast_to(committed.rewards, rewards.shape), rewards)),
             pop,
             cfg,
-            committed_runtimes,
+            np.concatenate((committed_runtimes, runtimes)),
         )
-        informed_costs = _prefix_costs(realized, thresholds, rewards, pop, cfg, runtimes)
+        committed_costs, informed_costs = np.split(costs, 2)
         # An overflowing statistic is left to the result table's check.
         with np.errstate(all="ignore"):
             gap_mean, gap_stderr = _mean_and_stderr(committed_costs - informed_costs)

@@ -31,12 +31,15 @@ import numpy as np
 
 from .errors import ConfigurationError, InfeasibleError, NumericalError
 from .numerics import _all_finite, mds_alpha, row_fsums
-# No solver calls ``expected_runtime_hetero``; it stays imported because
-# perfbench's traced runs wrap it by name in this module.
+# No solver calls ``assign_loads_hetero`` or ``expected_runtime_hetero``;
+# they stay imported because perfbench's traced runs wrap them by name
+# in this module.
 from .runtime import (
     LoadAssignment,
     _checked_row,
     _checked_groups,
+    _group_throughputs,
+    _prefix_loads,
     assign_loads_hetero,
     expected_runtime_hetero,
     expected_runtime_mds,
@@ -166,16 +169,17 @@ def _hetero_mechanism(
     scenario: str, rule, pop: Population, cfg: PlatformConfig
 ) -> Mechanism:
     """The offer the batched ``rule`` (:func:`_complete_offers` or
-    :func:`_private_offers`) makes for ``pop``'s headcounts as one row."""
+    :func:`_private_offers`) makes for ``pop``'s headcounts as one row,
+    loaded by the group throughput the rule summed."""
     counts = pop.counts[None, :]
-    thresholds, runtimes, rewards = rule(counts, pop, cfg)
+    thresholds, runtimes, rewards, groups = rule(counts, pop, cfg)
     threshold = int(thresholds[0])
     cost = _prefix_costs(counts, thresholds, rewards, pop, cfg, runtimes).item()
     return Mechanism(
         scenario=scenario,
         threshold_type=threshold,
         rewards=rewards[0],
-        assignment=assign_loads_hetero(pop, threshold, cfg.total_rows),
+        assignment=_prefix_loads(pop, threshold, cfg.total_rows, groups),
         expected_runtime=runtimes.item(),
         expected_cost=cost,
         config=cfg,
@@ -184,11 +188,12 @@ def _hetero_mechanism(
 
 def _complete_offers(
     counts: np.ndarray, pop: Population, cfg: PlatformConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Complete-information offer for each row of an ``(R, M)`` counts
-    matrix over ``pop``'s types: threshold types, expected runtimes, and
+    matrix over ``pop``'s types: threshold types, expected runtimes,
     ``(R, M)`` per-type rewards (each targeted type's cost, zero beyond
-    the threshold).
+    the threshold), and the targeted group throughputs the runtimes are
+    ``total_rows`` over.
 
     The threshold is the largest populated prefix whose boundary ratio
     is at most ``(gamma_time + gamma_pay * prefix cost) / (gamma_pay *
@@ -217,28 +222,33 @@ def _complete_offers(
         populated.argmax(axis=1) + 1,
     )
     targeted = np.arange(size) < thresholds[:, None]
-    runtimes = expected_runtimes_hetero(counts, pop, thresholds, cfg.total_rows)
+    groups = _group_throughputs(counts, pop, thresholds)
     with np.errstate(all="ignore"):
+        runtimes = cfg.total_rows / groups
         rewards = np.where(targeted, pop.cost_rate * runtimes[:, None], 0.0)
-    return _finite_offers(thresholds, runtimes, rewards)
+    _finite_offers(runtimes, rewards)
+    return thresholds, runtimes, rewards, groups
 
 
 def _private_offers(
     counts: np.ndarray, pop: Population, cfg: PlatformConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Private-cost offer for each row of an ``(R, M)`` counts matrix
     over ``pop``'s types: :func:`_private_thresholds`, expected
-    runtimes, and ``(R, M)`` per-type rewards."""
+    runtimes, ``(R, M)`` per-type rewards, and the targeted group
+    throughputs the runtimes are ``total_rows`` over."""
     thresholds = _private_thresholds(counts, pop, cfg)
+    groups = _group_throughputs(counts, pop, thresholds)
     with np.errstate(all="ignore"):
-        runtimes = expected_runtimes_hetero(counts, pop, thresholds, cfg.total_rows)
+        runtimes = cfg.total_rows / groups
         # Rewards proportional to throughput, grouped so the boundary type's
         # reward equals its cost bit-exactly and its payoff is exactly zero.
         boundary = thresholds - 1
         boundary_pay = pop.cost_rate[boundary] * runtimes
         throughputs = pop.throughput
         rewards = (throughputs / throughputs[boundary][:, None]) * boundary_pay[:, None]
-    return _finite_offers(thresholds, runtimes, rewards)
+    _finite_offers(runtimes, rewards)
+    return thresholds, runtimes, rewards, groups
 
 
 def _private_thresholds(
@@ -269,17 +279,14 @@ def _private_thresholds(
     return chosen + 1
 
 
-def _finite_offers(
-    thresholds: np.ndarray, runtimes: np.ndarray, rewards: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Both rules' offers, once their runtimes and rewards are checked
-    finite and the runtimes positive: an overflowing offer, or a runtime
-    that rounds to zero, raises NumericalError."""
+def _finite_offers(runtimes: np.ndarray, rewards: np.ndarray) -> None:
+    """Check every offer's runtimes and rewards finite and its runtimes
+    positive: an overflowing offer, or a runtime that rounds to zero,
+    raises NumericalError."""
     if not (_all_finite(runtimes) and np.isfinite(rewards).all()):
         raise NumericalError("offer runtime or rewards overflow")
     if not runtimes.all():
         raise NumericalError("offer runtime underflows to zero")
-    return thresholds, runtimes, rewards
 
 
 def _prefix_throughputs(
@@ -384,7 +391,7 @@ def _cost_only_offer(pop: Population, cfg: PlatformConfig) -> Mechanism:
     recovery = min(exact, key=exact.__getitem__)
     worker_runtime = (cfg.total_rows / recovery) * float(pop.row_time[0])
     reward = float(pop.cost_rate[threshold - 1]) * worker_runtime
-    _finite_offers(threshold, np.array([worker_runtime]), np.array([reward]))
+    _finite_offers(np.array([worker_runtime]), np.array([reward]))
     rewards = np.full(pop.size, reward)
     loads = np.where(np.arange(pop.size) < threshold, cfg.total_rows / recovery, 0.0)
     return Mechanism(

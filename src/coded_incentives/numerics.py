@@ -212,10 +212,10 @@ def _fsum(row: list[float]) -> float:
 def _largest_remainder(values: np.ndarray, totals: np.ndarray | int) -> np.ndarray:
     """Round each row of ``values`` to whole numbers summing to its
     ``totals`` entry: floors, then one more for each of the largest
-    remainders, ranked by a stable sort so ties go to the lower index."""
+    remainders, ranked by a stable sort so ties go to the lower index.
+    Sorting that order, a permutation, inverts it into each entry's rank."""
     base = np.floor(values)
     order = np.argsort(base - values, axis=-1, kind="stable")
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(values.shape[-1]), axis=-1)
+    ranks = np.argsort(order, axis=-1, kind="stable")
     deficit = np.asarray(totals) - base.sum(axis=-1)
     return base + (ranks < deficit[..., None])

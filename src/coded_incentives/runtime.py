@@ -148,6 +148,14 @@ def assign_loads_hetero(pop: Population, threshold: int, rows: float) -> LoadAss
     targeted throughput)``, 0 beyond it."""
     t = _prefix(pop, threshold, rows)
     group = _group_throughputs(pop.counts[None, :], pop, [t])
+    return _prefix_loads(pop, t, rows, group)
+
+
+def _prefix_loads(
+    pop: Population, t: int, rows: float, group: np.ndarray
+) -> LoadAssignment:
+    """:func:`assign_loads_hetero` of the prefix of length ``t``, whose
+    one-entry ``group`` throughput the caller has already summed."""
     loads = np.zeros(pop.size)
     with np.errstate(over="ignore"):
         loads[:t] = rows / (pop.row_time[:t] * group)

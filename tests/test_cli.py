@@ -183,6 +183,28 @@ def test_offers_command_prints_its_reference_output(label, argv, capsys):
     assert same_output(capsys.readouterr().out, expected)
 
 
+# sha256 of each offers command's output, byte for byte with the
+# `# version` metadata line masked, recorded before fig4 stopped pricing
+# costs, the sweeps priced both scenarios in one pass and each command
+# built one spec.
+OFFERS_DIGESTS = {
+    "solve": "681f29eb838ba03ef79fe5e884d905eaac08ed8374ebb10a58f54239ad58d354",
+    "solve-complete": "e97e21c899f08cd566aedf457decfc608252efb7ee1319067dc43c1a7890a62d",
+    "verify": "41cada2e98da710875053f60a98b50058d6ce730c08257b9627f4bc8479e9351",
+    "fig4": "a2cb1a50a226fc7eb40356d9c83c0d398c0ba1f754a82f7d08a5a3efcb55c244",
+    "fig5": "87e3846d7efff0e6655bf245e8f708df863ebc5c03246d6c26bf3db3e643e2c7",
+    "fig6": "226050da76f6edf3a18968a197f79d9b19daf17853910870a96d2e12beeb4b01",
+    "custom": "0c104097136410b9ada46a27e7fbedc2a880402a605a73f74bc55302b4deb44a",
+}
+
+
+@pytest.mark.parametrize("label, argv", COMMANDS, ids=[label for label, _ in COMMANDS])
+def test_offers_command_output_is_pinned(label, argv, capsys):
+    assert main(list(argv)) == 0
+    out = re.sub(r"(?m)^# version = .*\n", "", capsys.readouterr().out)
+    assert hashlib.sha256(out.encode()).hexdigest() == OFFERS_DIGESTS[label]
+
+
 class TestSolve:
     def test_incomplete_default(self, capsys):
         assert main(["solve"]) == 0
@@ -499,6 +521,30 @@ class TestOverflowingCost:
         captured = capsys.readouterr()
         assert "numerical failure: the offer's platform cost overflows" in captured.err
         assert captured.out == ""
+
+    # CONFIG overflows the complete-information bound before any sweep
+    # prices a cost. Here the bound's 100 * 1e306 is finite, and so are
+    # both offers, but 100 workers times a reward near 5.1e307 is not.
+    SWEEP = "1e306 50 0.012 100\ntotal_rows = 1e5\nsweep = 100\n"
+
+    @pytest.mark.parametrize("name", ["fig5", "custom"])
+    def test_sweeps_printing_a_cost_exit_3(self, tmp_path, capsys, name):
+        path = tmp_path / "cost.cfg"
+        path.write_text(self.SWEEP)
+        assert main(["experiment", name, "--config", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "numerical failure: the offer's platform cost overflows\n"
+        assert captured.out == ""
+
+    def test_fig4_prints_its_thresholds(self, tmp_path, capsys):
+        # fig4 prints no cost, so it prices none.
+        path = tmp_path / "cost.cfg"
+        path.write_text(self.SWEEP)
+        assert main(["experiment", "fig4", "--config", str(path)]) == 0
+        captured = capsys.readouterr()
+        header = "N,targeted_complete,targeted_incomplete\n"
+        assert captured.out.endswith(f"\n{header}100,1,1\n")
+        assert captured.err == ""
 
 
 class TestOverflowingStatistic:

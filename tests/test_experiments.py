@@ -92,6 +92,18 @@ class TestApportion:
             assert row == apportion_oracle(total, weights)
             assert apportion(total, weights) == apportion_oracle(total, weights)
 
+    @pytest.mark.parametrize("shift", range(10))
+    def test_equal_weight_rows_match_scalar_oracle(self, shift):
+        # The default sweep's equal weights: every remainder of a row ties,
+        # so the lower indices take the shortfall of `shift` workers.
+        spec = ExperimentSpec()
+        totals = [total + shift for total in spec.n_sweep]
+        counts = _apportion_rows(totals, spec.weights())
+        assert counts.shape == (50, spec.population.size)
+        for total, row in zip(totals, counts.tolist()):
+            assert row == apportion_oracle(total, spec.weights())
+            assert row[:shift] == [row[-1] + 1] * shift
+
 
 class TestDefaultCatalog:
     def test_ten_types_presorted(self):
@@ -487,7 +499,8 @@ def test_fig7_rows_match_recorded_bits(probabilities):
 def _fig7_pricing(monkeypatch, spec):
     """Per point of ``spec``: the realized counts matrix ``run_fig7``
     prices and the committed and informed cost rows it prices them at,
-    captured from its batched calls."""
+    captured from its batched calls: one pricing call per point, on the
+    committed rows stacked above the informed ones."""
     counts_seen, costs_seen = [], []
 
     def private_offers(counts, *args):
@@ -502,7 +515,10 @@ def _fig7_pricing(monkeypatch, spec):
     monkeypatch.setattr(experiments, "_prefix_costs", prefix_costs)
     run_fig7(spec)
     monkeypatch.undo()
-    return list(zip(counts_seen, costs_seen[0::2], costs_seen[1::2]))
+    assert len(costs_seen) == len(counts_seen) == len(spec.n_sweep)
+    return [
+        (counts, *np.split(costs, 2)) for counts, costs in zip(counts_seen, costs_seen)
+    ]
 
 
 def test_fig7_committed_costs_reuse_only_matching_runtimes(monkeypatch):
@@ -586,6 +602,37 @@ def test_sweep_rows_match_recorded_bits(name):
             for row in run_experiment(spec).rows
         ]
         assert rows == _SWEEP_GOLDEN[name][label], label
+
+
+@pytest.mark.parametrize(
+    "probabilities", [None, _FIG7_SKEWED], ids=["uniform", "skewed"]
+)
+def test_fig4_and_fig5_rows_are_custom_columns(probabilities):
+    spec = ExperimentSpec(
+        n_sweep=(1, 2, 3, 7, 13, 100, 1400, 5000), type_probabilities=probabilities
+    )
+    custom = run_custom(spec)
+    for run in (run_fig4, run_fig5):
+        table = run(spec)
+        columns = [custom.column(name) for name in table.columns]
+        assert [[v.hex() for v in row] for row in table.rows] == [
+            [v.hex() for v in row] for row in zip(*columns)
+        ]
+
+
+@pytest.mark.parametrize("name, calls", [("fig4", 0), ("fig5", 1), ("custom", 1)])
+def test_sweeps_price_costs_only_to_print_them(monkeypatch, name, calls):
+    priced = []
+
+    def prefix_costs(*args):
+        priced.append(args[0].shape)
+        return _prefix_costs(*args)
+
+    monkeypatch.setattr(experiments, "_prefix_costs", prefix_costs)
+    spec = ExperimentSpec(name=name)
+    run_experiment(spec)
+    # One pass over both scenarios' rows.
+    assert priced == [(2 * len(spec.n_sweep), spec.population.size)] * calls
 
 
 # (cost, speed, startup) per type, type probabilities and gamma_time of

@@ -125,7 +125,7 @@ class TestBestResponse:
             pop, cfg = random_hetero_instance(rng, max_types=6)
             counts = rng.integers(0, 4, size=(6, pop.size)).astype(float)
             counts[:, -1] += 1.0
-            offers = _private_offers(counts, pop, cfg)
+            offers = _private_offers(counts, pop, cfg)[:3]
             for row, payoffs in zip(counts, _best_payoffs(*offers, pop)):
                 at_row = pop.with_counts(row)
                 mech = solve_incomplete(at_row, cfg)
@@ -140,7 +140,7 @@ class TestBestResponse:
         pop = _two_class_population()
         cfg = PlatformConfig(gamma_time=500.0, gamma_pay=1.0, total_rows=200.0)
         counts = _apportion_rows(list(range(3, 60, 4)), [1.0, 2.0, 1.0])
-        offers = _private_offers(counts, pop, cfg)
+        offers = _private_offers(counts, pop, cfg)[:3]
         payoffs, feasible = _report_table(*offers, pop, False)
         best = np.where(feasible, payoffs, -np.inf).max(axis=2)
         one_pass = np.where(best >= 0, best, 0.0)
@@ -167,7 +167,7 @@ class TestBestResponse:
             )
         )
         counts = _apportion_rows(spec.n_sweep, spec.weights())
-        offers = _private_offers(counts, spec.population, spec.platform_config())
+        offers = _private_offers(counts, spec.population, spec.platform_config())[:3]
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()

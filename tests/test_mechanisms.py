@@ -376,7 +376,7 @@ class TestBatchedPrivateOffers:
     def test_rows_match_scalar_oracle(self, rows, gamma_time, gamma_pay, total_rows):
         cfg = PlatformConfig(gamma_time, gamma_pay, total_rows)
         counts = np.array(rows, dtype=float)
-        thresholds, runtimes, rewards = _private_offers(counts, self.POP, cfg)
+        thresholds, runtimes, rewards, _ = _private_offers(counts, self.POP, cfg)
         informed = _prefix_costs(counts, thresholds, rewards, self.POP, cfg)
         committed = solve_incomplete(self.POP, cfg)
         committed_rewards = committed.rewards.tolist()
@@ -418,7 +418,7 @@ class TestBatchedPrivateOffers:
         ]
         pop = build_population(types)
         cfg = PlatformConfig(gamma_time=1.0, gamma_pay=1.0, total_rows=100.0)
-        thresholds, _, _ = _private_offers(np.array([[40.0, 0.0, 40.0]]), pop, cfg)
+        thresholds = _private_offers(np.array([[40.0, 0.0, 40.0]]), pop, cfg)[0]
         assert private_offer_oracle(pop, cfg)[0] == 1
         assert thresholds.tolist() == [1]
         assert solve_incomplete(pop, cfg).threshold_type == 1
@@ -452,7 +452,7 @@ class TestBatchedCompleteOffers:
     def test_rows_match_scalar_oracle(self, rows, gamma_time, gamma_pay, total_rows):
         cfg = PlatformConfig(gamma_time, gamma_pay, total_rows)
         counts = np.array(rows, dtype=float)
-        thresholds, runtimes, rewards = _complete_offers(counts, self.POP, cfg)
+        thresholds, runtimes, rewards, _ = _complete_offers(counts, self.POP, cfg)
         priced = _prefix_costs(counts, thresholds, rewards, self.POP, cfg)
         for i, row in enumerate(rows):
             pop = self.POP.with_counts(row)
@@ -475,7 +475,7 @@ class TestBatchedCompleteOffers:
         twin = WorkerType(id=0, cost_rate=3.0, speed=20.0, startup=0.05, count=1)
         pop = build_population([twin, twin])
         cfg = PlatformConfig(gamma_time=0.0, gamma_pay=1.0, total_rows=100.0)
-        thresholds, _, _ = _complete_offers(np.array([[1.0, 1.0]]), pop, cfg)
+        thresholds = _complete_offers(np.array([[1.0, 1.0]]), pop, cfg)[0]
         assert complete_offer_oracle(pop, cfg)[0] == 2
         assert thresholds.tolist() == [2]
         assert solve_complete(pop, cfg).threshold_type == 2
@@ -866,9 +866,9 @@ class TestArrayContracts:
         counts[0, :4] = 0.0  # leading empty types
         pop, cfg = self.POP, self.CFG
         for rule in (_private_offers, _complete_offers):
-            thresholds, runtimes, rewards = rule(counts, pop, cfg)
+            thresholds, runtimes, rewards, groups = rule(counts, pop, cfg)
             costs = _prefix_costs(counts, thresholds, rewards, pop, cfg, runtimes)
-            for batch in (runtimes, costs):
+            for batch in (groups, runtimes, costs):
                 assert isinstance(batch, np.ndarray)
                 assert batch.dtype == np.float64 and batch.shape == (50,)
             for r, t in enumerate(thresholds.tolist()):
@@ -876,6 +876,7 @@ class TestArrayContracts:
                 runtime = cfg.total_rows / group
                 paid = math.fsum((counts[r] * rewards[r])[:t].tolist())
                 cost = cfg.gamma_time * runtime + cfg.gamma_pay * paid
+                assert groups[r].hex() == group.hex()
                 assert runtimes[r].hex() == runtime.hex()
                 assert costs[r].hex() == cost.hex()
 
