@@ -129,8 +129,9 @@ class Mechanism:
         scenarios = (SCENARIO_COMPLETE, SCENARIO_INCOMPLETE, SCENARIO_COST_ONLY)
         if self.scenario not in scenarios:
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        object.__setattr__(self, "rewards", _read_only(self.rewards))
-        if not ((self.rewards >= 0) & (self.rewards < np.inf)).all():
+        rewards = _read_only(self.rewards)
+        object.__setattr__(self, "rewards", rewards)
+        if rewards.size and not 0 <= rewards.min() <= rewards.max() < np.inf:
             raise ValueError("rewards must be nonnegative and finite")
         if self.rewards.shape != self.assignment.loads.shape:
             raise ValueError("rewards and loads must be rows over the same types")
@@ -200,32 +201,29 @@ def _complete_offers(
     prefix throughput)``; a populated prefix whose bound overflows
     raises NumericalError.
     """
-    cum_thru = _prefix_throughputs(counts, pop, cfg)
-    populated = cum_thru > 0
     with np.errstate(all="ignore"):
-        bound = np.divide(
-            cfg.gamma_time + cfg.gamma_pay * (counts * pop.cost_rate).cumsum(axis=1),
-            cfg.gamma_pay * cum_thru,
-            out=np.full_like(cum_thru, -np.inf),
-            where=populated,
+        rates, cum_thru = _prefix_throughputs(counts, pop, cfg)
+        populated = cum_thru > 0
+        bound = (
+            cfg.gamma_time + cfg.gamma_pay * (counts * pop.cost_rate).cumsum(axis=1)
+        ) / (cfg.gamma_pay * cum_thru)
+        bound[~populated] = -np.inf  # no ratio meets an empty prefix's bound
+        if not np.isfinite(bound[populated]).all():
+            raise NumericalError("the complete-information prefix bound overflows")
+        holds = pop.ratio <= bound
+        # The first populated prefix always satisfies its own inequality up
+        # to rounding (it reduces to gamma_time >= 0), so the fallback to it
+        # only guards against one-ulp misses when gamma_time is zero.
+        size = counts.shape[1]
+        thresholds = np.where(
+            holds.any(axis=1),
+            size - holds[:, ::-1].argmax(axis=1),
+            populated.argmax(axis=1) + 1,
         )
-    if not np.isfinite(bound[populated]).all():
-        raise NumericalError("the complete-information prefix bound overflows")
-    holds = pop.ratio <= bound
-    # The first populated prefix always satisfies its own inequality up
-    # to rounding (it reduces to gamma_time >= 0), so the fallback to it
-    # only guards against one-ulp misses when gamma_time is zero.
-    size = counts.shape[1]
-    thresholds = np.where(
-        holds.any(axis=1),
-        size - holds[:, ::-1].argmax(axis=1),
-        populated.argmax(axis=1) + 1,
-    )
-    targeted = np.arange(size) < thresholds[:, None]
-    groups = _group_throughputs(counts, pop, thresholds)
-    with np.errstate(all="ignore"):
+        groups = _group_throughputs(rates, thresholds)
         runtimes = cfg.total_rows / groups
-        rewards = np.where(targeted, pop.cost_rate * runtimes[:, None], 0.0)
+        rewards = pop.cost_rate * runtimes[:, None]
+        rewards[np.arange(size) >= thresholds[:, None]] = 0.0
     _finite_offers(runtimes, rewards)
     return thresholds, runtimes, rewards, groups
 
@@ -237,9 +235,10 @@ def _private_offers(
     over ``pop``'s types: :func:`_private_thresholds`, expected
     runtimes, ``(R, M)`` per-type rewards, and the targeted group
     throughputs the runtimes are ``total_rows`` over."""
-    thresholds = _private_thresholds(counts, pop, cfg)
-    groups = _group_throughputs(counts, pop, thresholds)
     with np.errstate(all="ignore"):
+        rates, cum_thru = _prefix_throughputs(counts, pop, cfg)
+        thresholds = _private_thresholds(cum_thru, pop, cfg)
+        groups = _group_throughputs(rates, thresholds)
         runtimes = cfg.total_rows / groups
         # Rewards proportional to throughput, grouped so the boundary type's
         # reward equals its cost bit-exactly and its payoff is exactly zero.
@@ -252,27 +251,24 @@ def _private_offers(
 
 
 def _private_thresholds(
-    counts: np.ndarray, pop: Population, cfg: PlatformConfig
+    cum_thru: np.ndarray, pop: Population, cfg: PlatformConfig
 ) -> np.ndarray:
-    """Threshold type of each counts row under the private-cost rule
-    both private-cost scenarios select with: the first populated prefix
-    minimizing ``gamma_time / cumsum(counts * throughput) + gamma_pay *
-    ratio``.  With one throughput shared by all types this is the
-    cost-only per-participator cost over it.  Where a ratio overflowed,
-    its pay term is ``gamma_pay * cost_rate / throughput``, finite
-    whenever the product is.  A row whose chosen objective is not finite
-    raises NumericalError."""
-    cum_thru = _prefix_throughputs(counts, pop, cfg)
-    with np.errstate(all="ignore"):
-        per_thru = np.divide(
-            cfg.gamma_time,
-            cum_thru,
-            out=np.full_like(cum_thru, np.inf),
-            where=cum_thru > 0,
-        )
-        pay = cfg.gamma_pay * pop.ratio
+    """Threshold type of each row of :func:`_prefix_throughputs`'
+    cumulative throughput under the private-cost rule both private-cost
+    scenarios select with: the first populated prefix minimizing
+    ``gamma_time / cum_thru + gamma_pay * ratio``.  With one throughput
+    shared by all types this is the cost-only per-participator cost over
+    it.  Where a ratio overflowed, its pay term is ``gamma_pay *
+    cost_rate / throughput``, finite whenever the product is.  A row
+    whose chosen objective is not finite raises NumericalError.  Runs
+    under its caller's ``np.errstate(all="ignore")``."""
+    per_thru = cfg.gamma_time / cum_thru
+    per_thru[~(cum_thru > 0)] = np.inf  # an empty prefix, 0/0 at gamma_time 0
+    pay = cfg.gamma_pay * pop.ratio
+    if not pop.ratio[-1] < np.inf:  # ratios ascend: an overflowed one is last
         overflowed = cfg.gamma_pay * pop.cost_rate / pop.throughput
-        objective = per_thru + np.where(pop.ratio < np.inf, pay, overflowed)
+        pay = np.where(pop.ratio < np.inf, pay, overflowed)
+    objective = per_thru + pay
     chosen = objective.argmin(axis=1)
     if not np.isfinite(objective[np.arange(chosen.size), chosen]).all():
         raise NumericalError("the private-cost prefix objective overflows")
@@ -291,18 +287,20 @@ def _finite_offers(runtimes: np.ndarray, rewards: np.ndarray) -> None:
 
 def _prefix_throughputs(
     counts: np.ndarray, pop: Population, cfg: PlatformConfig
-) -> np.ndarray:
-    """Cumulative prefix throughput of each counts row, the input both
-    batched rules start from; a row whose whole population has no
-    workers or overflows has no offer (see :func:`_checked_groups`)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-type throughput products ``counts * throughput`` of each
+    counts row and their cumulative sums, the inputs both batched rules
+    start from; a row whose whole population has no workers or overflows
+    has no offer (see :func:`_checked_groups`).  Runs under its caller's
+    ``np.errstate(all="ignore")``."""
     if not cfg.gamma_pay > 0:
         raise ConfigurationError(
             "solvers require a positive payment valuation gamma_pay"
         )
-    with np.errstate(over="ignore"):
-        cum_thru = (counts * pop.throughput).cumsum(axis=1)
+    rates = counts * pop.throughput
+    cum_thru = rates.cumsum(axis=1)
     _checked_groups(cum_thru[:, -1])
-    return cum_thru
+    return rates, cum_thru
 
 
 def _prefix_costs(
@@ -376,7 +374,9 @@ def _cost_only_offer(pop: Population, cfg: PlatformConfig) -> Mechanism:
         raise ConfigurationError(
             "cost-only solver requires all types to share speed and startup"
         )
-    threshold = int(_private_thresholds(pop.counts[None, :], pop, cfg)[0])
+    with np.errstate(all="ignore"):
+        cum_thru = _prefix_throughputs(pop.counts[None, :], pop, cfg)[1]
+        threshold = int(_private_thresholds(cum_thru, pop, cfg)[0])
     participators = int(sum(pop.counts[:threshold].tolist()))
     speed, startup = float(pop.speed[0]), float(pop.startup[0])
     fractional_k = mds_alpha(speed, startup) * participators

@@ -185,7 +185,9 @@ def row_fsums(values: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
     """
     lengths = np.asarray(lengths)
     width = int(lengths.max(initial=0))
-    head = np.where(np.arange(width) < lengths[:, None], values[:, :width], -0.0)
+    head = values[:, :width]
+    if lengths.size > 1:  # one row is its own longest prefix
+        head = np.where(np.arange(width) < lengths[:, None], head, -0.0)
     rows = head.tolist()
     try:  # a Python call per row only once some row overflows
         return np.fromiter(map(math.fsum, rows), float, len(rows))

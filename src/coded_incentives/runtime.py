@@ -51,18 +51,20 @@ class LoadAssignment:
     recovery_threshold: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "loads", _read_only(self.loads))
-        loaded = self.loads[self.loads != 0]
-        if not loaded.size:
+        loads = _read_only(self.loads)
+        object.__setattr__(self, "loads", loads)
+        if not loads.any():
             raise InfeasibleError("assignment must cover at least one type")
         if not self.total_rows > 0:
             raise ValueError("total_rows must be positive")
-        if self.loads.ndim != 1 or not ((loaded > 0) & (loaded < np.inf)).all():
+        # A NaN load makes the minimum NaN, which fails the comparison.
+        if loads.ndim != 1 or not 0 <= loads.min() <= loads.max() < np.inf:
             raise ValueError("loads must be a row of finite, nonnegative values")
         if self.recovery_threshold is not None:
             k = _whole(self.recovery_threshold, "recovery threshold", 1)
             object.__setattr__(self, "recovery_threshold", k)
             uniform = self.total_rows / k
+            loaded = loads[loads != 0]
             if (abs(loaded - uniform) > 1e-9 * uniform).any():
                 raise ValueError("uniform loads must all be rows/k")
 
@@ -98,14 +100,10 @@ def _targeted_tuple(pop: Population, targeted: Iterable[int]) -> tuple[int, ...]
     return ids
 
 
-def _group_throughputs(
-    counts: np.ndarray, pop: Population, lengths: Sequence[int]
-) -> np.ndarray:
-    """Correctly rounded total throughput (headcount times throughput
-    per type) of each ``(R, M)`` counts row's first ``lengths[r]``
-    types over ``pop``'s types, checked by :func:`_checked_groups`."""
-    with np.errstate(over="ignore"):
-        rates = counts * pop.throughput
+def _group_throughputs(rates: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
+    """Correctly rounded total of the first ``lengths[r]`` per-type
+    throughputs (headcount times throughput, the caller's product) of
+    each ``(R, M)`` row of ``rates``, checked by :func:`_checked_groups`."""
     return _checked_groups(row_fsums(rates, lengths))
 
 
@@ -123,11 +121,11 @@ def _checked_groups(groups: np.ndarray) -> np.ndarray:
 def expected_runtimes_hetero(
     counts: np.ndarray, pop: Population, lengths: Sequence[int], rows: float
 ) -> np.ndarray:
-    """Analytic expected overall runtime of each row of
-    :func:`_group_throughputs` under the heterogeneous assignment: rows
-    over the row's targeted throughput, ``inf`` where it overflows."""
-    groups = _group_throughputs(counts, pop, lengths)
+    """Analytic expected overall runtime of each ``(R, M)`` counts row's
+    prefix of ``lengths[r]`` types under the heterogeneous assignment:
+    rows over its :func:`_group_throughputs`, ``inf`` where it overflows."""
     with np.errstate(over="ignore"):
+        groups = _group_throughputs(counts * pop.throughput, lengths)
         return rows / groups
 
 
@@ -147,7 +145,9 @@ def assign_loads_hetero(pop: Population, threshold: int, rows: float) -> LoadAss
     workers of the prefix ``1..threshold``: ``rows / (row_time * total
     targeted throughput)``, 0 beyond it."""
     t = _prefix(pop, threshold, rows)
-    group = _group_throughputs(pop.counts[None, :], pop, [t])
+    with np.errstate(over="ignore"):
+        rates = pop.counts[None, :] * pop.throughput
+    group = _group_throughputs(rates, [t])
     return _prefix_loads(pop, t, rows, group)
 
 
@@ -156,11 +156,12 @@ def _prefix_loads(
 ) -> LoadAssignment:
     """:func:`assign_loads_hetero` of the prefix of length ``t``, whose
     one-entry ``group`` throughput the caller has already summed."""
-    loads = np.zeros(pop.size)
     with np.errstate(over="ignore"):
-        loads[:t] = rows / (pop.row_time[:t] * group)
-    if not loads[:t].all():
+        head = rows / (pop.row_time[:t] * group)
+    if not head.all():
         raise NumericalError("a targeted type's load rounds to zero")
+    loads = np.zeros(pop.size)
+    loads[:t] = head
     return LoadAssignment(loads=loads, total_rows=float(rows))
 
 

@@ -359,29 +359,67 @@ def _count_rows(size: int):
     return row.filter(any)
 
 
+_CATALOG = default_population(1400)
+
+
+@st.composite
+def _populations_with_rows(draw):
+    """The bundled catalog or a drawn population of 1 to 12 types, with
+    1 to 6 headcount rows over it.  A drawn population's extra types are
+    twins of a drawn type or tie its ratio exactly: doubling speed and
+    cost and halving start-up doubles the throughput bit for bit."""
+    if draw(st.booleans()):
+        pop = _CATALOG
+    else:
+        size = draw(st.integers(min_value=1, max_value=12))
+        params = draw(
+            st.lists(
+                st.tuples(
+                    st.floats(min_value=0.5, max_value=25.0),
+                    st.floats(min_value=5.0, max_value=500.0),
+                    st.floats(min_value=0.005, max_value=0.2),
+                ),
+                min_size=1,
+                max_size=size,
+            )
+        )
+        extras = st.tuples(st.integers(0, len(params) - 1), st.booleans())
+        more = size - len(params)
+        for i, twin in draw(st.lists(extras, min_size=more, max_size=more)):
+            cost, speed, startup = params[i]
+            params.append(params[i] if twin else (2 * cost, 2 * speed, startup / 2))
+        counts = draw(_count_rows(len(params)))
+        pop = build_population(
+            WorkerType(0, *type_params, count)
+            for type_params, count in zip(params, counts)
+        )
+    return pop, draw(st.lists(_count_rows(pop.size), min_size=1, max_size=6))
+
+
 class TestBatchedPrivateOffers:
     """The batched private-cost rule and cost evaluator price every
     counts row bit for bit as a plain scalar scan does, and as the
     scalar solver does."""
 
-    POP = default_population(1400)
+    POP = _CATALOG
 
     @settings(max_examples=60, deadline=None)
     @given(
-        rows=st.lists(_count_rows(10), min_size=1, max_size=6),
+        case=_populations_with_rows(),
         gamma_time=st.floats(min_value=0.0, max_value=1e4),
         gamma_pay=st.floats(min_value=0.01, max_value=10.0),
         total_rows=st.floats(min_value=1.0, max_value=5000.0),
     )
-    def test_rows_match_scalar_oracle(self, rows, gamma_time, gamma_pay, total_rows):
+    def test_rows_match_scalar_oracle(self, case, gamma_time, gamma_pay, total_rows):
+        base, rows = case
         cfg = PlatformConfig(gamma_time, gamma_pay, total_rows)
         counts = np.array(rows, dtype=float)
-        thresholds, runtimes, rewards, _ = _private_offers(counts, self.POP, cfg)
-        informed = _prefix_costs(counts, thresholds, rewards, self.POP, cfg)
-        committed = solve_incomplete(self.POP, cfg)
+        thresholds, runtimes, rewards, _ = _private_offers(counts, base, cfg)
+        informed = _prefix_costs(counts, thresholds, rewards, base, cfg)
+        committed = solve_incomplete(base, cfg)
         committed_rewards = committed.rewards.tolist()
         for i, row in enumerate(rows):
-            pop = self.POP.with_counts(row)
+            pop = base.with_counts(row)
             threshold, runtime, oracle_rewards, cost = private_offer_oracle(pop, cfg)
             assert int(thresholds[i]) == threshold
             assert float(runtimes[i]).hex() == runtime.hex()
@@ -398,7 +436,7 @@ class TestBatchedPrivateOffers:
                     counts[i : i + 1],
                     np.array([committed.threshold_type]),
                     np.array(committed_rewards),
-                    self.POP,
+                    base,
                     cfg,
                 )[0]
             except InfeasibleError:
@@ -440,22 +478,23 @@ class TestBatchedCompleteOffers:
     """The batched complete-information rule prices every counts row bit
     for bit as a plain scalar scan does, and as the scalar solver does."""
 
-    POP = default_population(1400)
+    POP = _CATALOG
 
     @settings(max_examples=60, deadline=None)
     @given(
-        rows=st.lists(_count_rows(10), min_size=1, max_size=6),
+        case=_populations_with_rows(),
         gamma_time=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e4)),
         gamma_pay=st.floats(min_value=0.01, max_value=10.0),
         total_rows=st.floats(min_value=1.0, max_value=5000.0),
     )
-    def test_rows_match_scalar_oracle(self, rows, gamma_time, gamma_pay, total_rows):
+    def test_rows_match_scalar_oracle(self, case, gamma_time, gamma_pay, total_rows):
+        base, rows = case
         cfg = PlatformConfig(gamma_time, gamma_pay, total_rows)
         counts = np.array(rows, dtype=float)
-        thresholds, runtimes, rewards, _ = _complete_offers(counts, self.POP, cfg)
-        priced = _prefix_costs(counts, thresholds, rewards, self.POP, cfg)
+        thresholds, runtimes, rewards, _ = _complete_offers(counts, base, cfg)
+        priced = _prefix_costs(counts, thresholds, rewards, base, cfg)
         for i, row in enumerate(rows):
-            pop = self.POP.with_counts(row)
+            pop = base.with_counts(row)
             threshold, runtime, oracle_rewards, cost = complete_offer_oracle(pop, cfg)
             assert int(thresholds[i]) == threshold
             assert float(runtimes[i]).hex() == runtime.hex()
@@ -507,6 +546,36 @@ class TestBatchedCompleteOffers:
         cfg = PlatformConfig(gamma_time=10.0, gamma_pay=0.0, total_rows=100.0)
         with pytest.raises(ConfigurationError):
             _complete_offers(np.full((2, 10), 140.0), self.POP, cfg)
+
+
+@pytest.mark.parametrize("rule", [_private_offers, _complete_offers])
+class TestRuleErrorOrder:
+    """Both batched rules check a batch as one: an empty row outranks an
+    overflowing one, and a prefix without workers is never chosen."""
+
+    # Each type's throughput is about 3.2e299: 5e8 workers of each give
+    # finite per-type rates whose sum overflows, 1e10 overflow NumPy's
+    # product itself.
+    POP = build_population([WorkerType(0, 1.0, 1e300, 1e-300, 1)] * 2)
+
+    @pytest.mark.parametrize("overflowing", [[5e8, 5e8], [1e10, 1e10]])
+    def test_empty_row_outranks_an_overflowing_one(
+        self, rule, overflowing, benchmark_config
+    ):
+        with pytest.raises(NumericalError, match="throughput overflows"):
+            rule(np.array([overflowing]), self.POP, benchmark_config)
+        with pytest.raises(InfeasibleError, match="targeted set has no workers"):
+            rule(np.array([overflowing, [0.0, 0.0]]), self.POP, benchmark_config)
+
+    def test_leading_empty_types_at_zero_time_weight(self, rule):
+        # At gamma_time = 0 an empty prefix's time term is 0/0: it must
+        # count as infinite, not as a NaN the private rule's argmin takes.
+        cfg = PlatformConfig(gamma_time=0.0, gamma_pay=1.0, total_rows=1000.0)
+        counts = np.array([[0.0, 0.0] + _CATALOG.counts[2:].tolist()])
+        assert rule(counts, _CATALOG, cfg)[0].tolist() == [3]
+        pop = _CATALOG.with_counts(counts[0])
+        assert private_offer_oracle(pop, cfg)[0] == 3
+        assert complete_offer_oracle(pop, cfg)[0] == 3
 
 
 class TestSolveCostOnly:

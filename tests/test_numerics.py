@@ -420,10 +420,10 @@ class TestRowFsums:
                 for _ in range(2)
             ]
         )
-        counts = np.array([[1.0, 1.0], [5e8, 5e8]])
-        assert math.isfinite(_group_throughputs(counts, pop, [2, 1])[1])
+        rates = np.array([[1.0, 1.0], [5e8, 5e8]]) * pop.throughput
+        assert math.isfinite(_group_throughputs(rates, [2, 1])[1])
         with pytest.raises(NumericalError, match="throughput overflows"):
-            _group_throughputs(counts, pop, [2, 2])
+            _group_throughputs(rates, [2, 2])
 
     def test_batched_group_throughputs_empty_row_outranks_either_overflow(self):
         # A row whose finite rates overflow math.fsum and a row whose
@@ -437,10 +437,12 @@ class TestRowFsums:
         empty = [0.0, 0.0]
         raised = []
         for overflowing in ([5e8, 5e8], [1e10, 1e10]):
+            with np.errstate(over="ignore"):
+                rates = np.array([overflowing, empty]) * pop.throughput
             with pytest.raises(NumericalError, match="throughput overflows"):
-                _group_throughputs(np.array([overflowing]), pop, [2])
+                _group_throughputs(rates[:1], [2])
             with pytest.raises(InfeasibleError) as exc:
-                _group_throughputs(np.array([overflowing, empty]), pop, [2, 2])
+                _group_throughputs(rates, [2, 2])
             raised.append(str(exc.value))
         assert raised == ["targeted set has no workers"] * 2
 
