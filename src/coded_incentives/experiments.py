@@ -500,7 +500,7 @@ def load_config(path: str) -> ExperimentSpec:
             raise ConfigurationError(f"{path}:{line_no}: {exc}") from exc
     rows = rows or default_worker_types()
     try:
-        columns = _profile_columns(rows)
+        order, population = _ranked_population(_profile_columns(rows))
     except (ValueError, ArithmeticError):  # name the first row that fails alone
         for line_no, worker in zip(lines, rows):
             try:
@@ -508,7 +508,6 @@ def load_config(path: str) -> ExperimentSpec:
             except (ValueError, ArithmeticError) as exc:
                 raise ConfigurationError(f"{path}:{line_no}: {exc}") from exc
         raise
-    order, population = _ranked_population(columns)
     probs = settings.get("type_probabilities")
     if probs is not None:
         if len(probs) != len(rows):

@@ -109,11 +109,17 @@ def _group_throughputs(rates: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
 
 def _checked_groups(groups: np.ndarray) -> np.ndarray:
     """``groups``, the one check on group throughputs: a group without workers
-    raises InfeasibleError, else one that overflows to ``inf`` NumericalError."""
-    values = groups.tolist()  # Python's min and isfinite beat NumPy's on one row
-    if not min(values) > 0:
+    (or a NaN one) raises InfeasibleError, else one that overflows to ``inf``
+    NumericalError.  One entry is checked on its list, where Python's min and
+    isfinite beat NumPy's; more are checked as an array."""
+    if groups.size > 1:
+        empty, finite = not (groups > 0).all(), np.isfinite(groups).all()
+    else:
+        values = groups.tolist()
+        empty, finite = not min(values) > 0, all(map(math.isfinite, values))
+    if empty:
         raise InfeasibleError("targeted set has no workers")
-    if not all(map(math.isfinite, values)):
+    if not finite:
         raise NumericalError("the targeted group throughput overflows")
     return groups
 

@@ -82,7 +82,9 @@ class Population:
     views built from the columns.  Construct through
     :func:`build_population`; the constructor copies each column and
     checks that there is at least one type, that the columns align,
-    that counts are nonnegative integers and that ratios ascend.
+    that counts are nonnegative integers, that the other columns are
+    positive and finite (ratios may overflow to ``inf``), and that
+    ratios ascend.
     """
 
     counts: np.ndarray
@@ -102,7 +104,16 @@ class Population:
         if not self.ratio.size:
             raise ConfigurationError("population must contain at least one type")
         _check_counts(self.counts)
-        if np.any(self.ratio[1:] < self.ratio[:-1]):
+        for name in _COLUMNS[1:-1]:  # all but counts and ratio
+            column = getattr(self, name)
+            bad = column[~((column > 0) & (column < np.inf))]
+            if bad.size:
+                raise ValueError(f"{name} must be positive and finite, got {bad[0]}")
+        # An overflowed ratio is inf; NaN fails both comparisons below.
+        bad = self.ratio[~(self.ratio > 0)]
+        if bad.size:
+            raise ValueError(f"ratio must be positive, got {bad[0]}")
+        if not (self.ratio[1:] >= self.ratio[:-1]).all():
             raise ValueError("population types must be sorted by ratio")
 
     def __eq__(self, other):

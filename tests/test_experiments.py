@@ -836,6 +836,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigurationError, match=":1"):
             load_config(str(path))
 
+    def test_ratio_that_underflows_to_zero_is_named_by_line(self, tmp_path):
+        # 1e-300 over a throughput of about 3.2e299 rounds to a zero ratio.
+        path = tmp_path / "exp.cfg"
+        path.write_text("1.0 50.0 0.012 10\n1e-300 1e300 1e-300 5\n")
+        with pytest.raises(ConfigurationError, match=":2: profile entries must be"):
+            load_config(str(path))
+
     def test_probability_count_mismatch(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text(

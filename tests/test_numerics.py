@@ -22,8 +22,8 @@ from coded_incentives import (
     solve_lambda,
 )
 from coded_incentives import numerics
-from coded_incentives.mechanisms import _prefix_costs
-from coded_incentives.runtime import _group_throughputs
+from coded_incentives.mechanisms import _finite_offers, _prefix_costs
+from coded_incentives.runtime import _checked_groups, _group_throughputs
 from oracles import (
     alpha_objective,
     alpha_oracle,
@@ -458,3 +458,123 @@ class TestRowFsums:
         )
         with pytest.raises(NumericalError, match="platform cost overflows"):
             _prefix_costs(counts, np.array([1, 2]), rewards, pop, cfg)
+
+
+class TestShortRowFsums:
+    """Several rows of at most two terms sum with one NumPy addition, bit
+    for bit the slice loop's ``math.fsum`` per row."""
+
+    @pytest.mark.parametrize("rows", [2, 200, 400])
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_mixed_lengths_match_the_slice_loop(self, rows, width):
+        rng = np.random.default_rng([rows, width])
+        values = _signed_magnitudes(rng, (rows, 3))
+        values[:, width:] = np.nan  # past every prefix
+        lengths = rng.integers(0, width + 1, size=rows)
+        lengths[0] = width
+        assert _bits(numerics.row_fsums(values, lengths)) == _bits(
+            row_fsums_oracle(values, lengths)
+        )
+
+    def test_sums_without_fsum(self, monkeypatch):
+        rng = np.random.default_rng(45)
+        values = _signed_magnitudes(rng, (200, 2))
+        lengths = rng.integers(0, 3, size=200)
+        want = row_fsums_oracle(values, lengths)
+
+        def refuse(row):
+            raise AssertionError("math.fsum called")
+
+        monkeypatch.setattr(numerics.math, "fsum", refuse)
+        assert _bits(numerics.row_fsums(values, lengths)) == _bits(want)
+
+    def test_signed_zeros_subnormals_and_ties(self):
+        tiny = 5e-324
+        pairs = [
+            [-0.0, -0.0],  # -0.0 + -0.0 is -0.0; fsum gives +0.0
+            [-0.0, 0.0],
+            [0.0, -0.0],
+            [1.0, -1.0],
+            [tiny, tiny],
+            [tiny, -tiny],
+            [2.2250738585072014e-308, -tiny],
+            [2.0**53, 1.0],  # exact ties round to even
+            [2.0**53, 3.0],
+            [1.0, 2.0**-53],
+            [1.0, 3 * 2.0**-53],
+            [0.1, 0.2],
+        ]
+        values = np.array(pairs)
+        for lengths in ([2] * len(pairs), [1] * len(pairs)):
+            got = numerics.row_fsums(values, lengths)
+            assert _bits(got) == _bits(row_fsums_oracle(values, lengths))
+
+    def test_nan_and_overflow_fall_back_to_fsum(self):
+        values = np.array(
+            [[1e308, 1e308], [-1e308, -1e308], [np.nan, 1.0], [np.inf, 1.0], [0.5, 0.25]]
+        )
+        got = numerics.row_fsums(values, [2] * 5)
+        # An overflowing row sums to +inf whatever its sign, as fsum's
+        # OverflowError is read.
+        assert _bits(got[:2]) == _bits([math.inf, math.inf])
+        assert math.isnan(got[2])
+        assert _bits(got[3:]) == _bits([math.inf, 0.75])
+        assert _bits(numerics.row_fsums(values, [1, 1, 1, 1, 1])) == _bits(
+            row_fsums_oracle(values, [1] * 5)
+        )
+
+    def test_opposite_infinities_raise_like_fsum(self):
+        values = np.array([[np.inf, -np.inf], [1.0, 2.0]])
+        with pytest.raises(ValueError):
+            row_fsums_oracle(values, [2, 2])
+        with pytest.raises(ValueError):
+            numerics.row_fsums(values, [2, 2])
+        assert numerics.row_fsums(values, [1, 2]).tolist() == [math.inf, 3.0]
+
+
+def _verdict(check, values):
+    """What ``check(values)`` gives: None, or its error's type and message."""
+    try:
+        check(values)
+    except (InfeasibleError, NumericalError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+_EMPTY = (InfeasibleError, "targeted set has no workers")
+_GROUP_OVERFLOW = (NumericalError, "the targeted group throughput overflows")
+_OFFER_OVERFLOW = (NumericalError, "offer runtime or rewards overflow")
+_OFFER_ZERO = (NumericalError, "offer runtime underflows to zero")
+
+
+class TestBatchedChecks:
+    """The batched checks give one entry and 200 the same verdict and the
+    same error: ``(entries, group verdict, offer verdict)`` per case, the
+    entries spread among finite positive ones."""
+
+    CASES = {
+        "finite": ([2.0], None, None),
+        "empty": ([0.0], _EMPTY, _OFFER_ZERO),
+        "overflowing": ([math.inf], _GROUP_OVERFLOW, _OFFER_OVERFLOW),
+        "nan": ([math.nan], _EMPTY, _OFFER_OVERFLOW),
+        "empty then overflowing": ([0.0, math.inf], _EMPTY, _OFFER_OVERFLOW),
+        "overflowing then empty": ([math.inf, 0.0], _EMPTY, _OFFER_OVERFLOW),
+        "nan then overflowing": ([math.nan, math.inf], _EMPTY, _OFFER_OVERFLOW),
+        "overflowing then nan": ([math.inf, math.nan], _EMPTY, _OFFER_OVERFLOW),
+    }
+
+    @staticmethod
+    def _arrays(entries):
+        """``entries`` spread over 200 entries, and alone if there is one."""
+        spread = np.full(200, 3.0)
+        spread[np.linspace(0, 199, len(entries)).astype(int)] = entries
+        return [spread, np.array(entries)] if len(entries) == 1 else [spread]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_verdict_alone_and_batched(self, case):
+        entries, group, offer = self.CASES[case]
+        for values in self._arrays(entries):
+            assert _verdict(_checked_groups, values) == group
+            rewards = np.ones((values.size, 3))
+            assert _verdict(lambda v: _finite_offers(v, rewards), values) == offer
+            assert numerics._all_finite(values) is all(map(math.isfinite, entries))

@@ -154,6 +154,51 @@ class TestBuildPopulation:
         with pytest.raises(ConfigurationError):
             Population(**{name: [] for name in COLUMNS})
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("cost_rate", math.nan),
+            ("cost_rate", -1.0),
+            ("cost_rate", math.inf),
+            ("speed", 0.0),
+            ("speed", math.inf),
+            ("startup", math.nan),
+            ("startup", -0.0),
+            ("row_time", math.inf),
+            ("throughput", math.nan),
+            ("throughput", 0.0),
+        ],
+    )
+    def test_constructor_names_a_column_outside_the_positive_floats(self, name, value):
+        pop = build_population([_worker(cost=1.0), _worker(cost=10.0)])
+        columns = {name: getattr(pop, name) for name in COLUMNS}
+        columns[name] = [columns[name][0], value]
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            Population(**columns)
+
+    @pytest.mark.parametrize(
+        "ratio, match",
+        [
+            ([math.inf, math.nan, 5.0], "ratio must be positive"),
+            ([1.0, math.nan, 5.0], "ratio must be positive"),
+            ([0.0, 1.0, 5.0], "ratio must be positive"),
+            ([-1.0, 1.0, 5.0], "ratio must be positive"),
+            ([math.inf, 1.0, 5.0], "sorted"),
+            ([1.0, 5.0, 2.0], "sorted"),
+        ],
+    )
+    def test_constructor_refuses_nan_nonpositive_or_unsorted_ratios(self, ratio, match):
+        pop = build_population([_worker(cost=c) for c in (1.0, 2.0, 3.0)])
+        columns = {name: getattr(pop, name) for name in COLUMNS}
+        with pytest.raises(ValueError, match=match):
+            Population(**{**columns, "ratio": ratio})
+
+    def test_constructor_takes_an_overflowed_last_ratio(self):
+        pop = build_population([_worker(cost=c) for c in (1.0, 2.0, 3.0)])
+        columns = {name: getattr(pop, name) for name in COLUMNS}
+        ratio = [1.0, math.inf, math.inf]
+        assert Population(**{**columns, "ratio": ratio}).ratio.tolist() == ratio
+
     def test_columns_are_read_only_copies(self):
         source = np.array([4.0, 6.0])
         pop = build_population([_worker(cost=1.0), _worker(cost=2.0)])
