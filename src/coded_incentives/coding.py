@@ -18,14 +18,17 @@ refused, as a condition estimate from fixed Gaussian probes says; the
 probes are rows of a cached table drawn once per power of two.
 ``simulate_round`` plays a round under a platform offer as one function
 per stage: participation by best response (``_participation``), whole-row
-loads, where the schemes differ (``_round_loads``), the race of sampled
-finish times (``_race``), the decode from the first finishers holding
-enough rows (``_decode_round``), and payment of the announced rewards.
-Participation, loads, copies and payments depend only on the offer and
-the population, so they form one plan (``_round_plan``), kept for the
-last offer and population objects (both frozen with read-only columns)
-and reused by the rounds that replay the offer.  Its race and decode
-index the racing workers, those with rows; its settlement, every worker.
+loads, where the schemes differ (``_round_loads``), the race of finish
+times drawn for the plan's loads (``_race_round``), the decode from the
+first finishers holding enough rows (``_decode_round``), and payment of
+the announced rewards.  Participation, loads, copies and payments depend
+only on the offer and the population, so they form one plan
+(``_round_plan``), kept for the last offer and population objects (both
+frozen with read-only columns) and reused by the rounds that replay the
+offer.  Its race and decode index the racing workers, those with rows;
+its settlement, every worker.  An outcome keeps its race and payoffs as
+read-only arrays and builds its per-worker tuples and dicts on first
+read.
 ``mds_encode`` and ``mds_decode`` are the block-code form of the same
 idea: k equal blocks, a caller's (n, k) generator, and any k coded
 blocks solved for the block products.
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -47,7 +50,7 @@ from .numerics import _largest_remainder, _whole
 from .runtime import _race
 # No round calls ``sample_time``; it stays imported because perfbench's
 # traced runs wrap it by name in this module.
-from .workers import Population, _read_only, sample_time, sample_times
+from .workers import Population, _draw_times, _read_only, sample_time
 
 __all__ = [
     "CodedTask",
@@ -112,22 +115,46 @@ class SimOutcome:
     sorted by completion; workers assigned zero rows are paid but never
     race.  ``contributors`` are the worker indices whose results the
     decode used, ``realized_k`` is how many there were, and ``runtime``
-    is the time the last of them finished.  ``platform_cost_realized``
+    is the time the last of them finished.  ``payments`` and
+    ``worker_payoffs`` map every worker index to its reward and to its
+    reward less its cost over the runtime.  ``platform_cost_realized``
     is exactly the runtime valuation plus the payment valuation times
     total payments.
+
+    Those four are views, each built once, on first read, from what the
+    outcome holds: read-only arrays of the racing workers' indices and
+    finish times in finish order and of every worker's payoff, and the
+    round plan's payments, which no one writes.  Each outcome's dicts
+    are its own.
     """
 
     participants: tuple[int, ...]
     worker_types: tuple[tuple[int, int], ...]
-    finish_order: tuple[tuple[int, float], ...]
-    contributors: tuple[int, ...]
     realized_k: int
     runtime: float
     decoded: np.ndarray
     max_error: float
-    payments: dict[int, float]
-    worker_payoffs: dict[int, float]
     platform_cost_realized: float
+    _finishers: np.ndarray = field(repr=False)
+    _finish_times: np.ndarray = field(repr=False)
+    _payments: dict[int, float] = field(repr=False)
+    _payoffs: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def finish_order(self) -> tuple[tuple[int, float], ...]:
+        return tuple(zip(self._finishers.tolist(), self._finish_times.tolist()))
+
+    @functools.cached_property
+    def contributors(self) -> tuple[int, ...]:
+        return tuple(self._finishers[: self.realized_k].tolist())
+
+    @functools.cached_property
+    def payments(self) -> dict[int, float]:
+        return dict(self._payments)
+
+    @functools.cached_property
+    def worker_payoffs(self) -> dict[int, float]:
+        return dict(enumerate(self._payoffs.tolist()))
 
 
 def _spot_check_generator(generator: np.ndarray, n: int, k: int):
@@ -139,7 +166,8 @@ def _spot_check_generator(generator: np.ndarray, n: int, k: int):
         if subset in seen:
             continue
         seen.add(subset)
-        _decode_received(generator[list(subset)], np.zeros(k))
+        with np.errstate(over="ignore", invalid="ignore"):
+            _decode_received(generator[list(subset)], np.zeros(k))
 
 
 def mds_encode(
@@ -208,7 +236,8 @@ def mds_decode(
                 f"worker {index} result must have {task.block_rows} entries"
             )
         stacked.append(block)
-    products = _decode_received(task.generator[chosen], np.stack(stacked))
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = _decode_received(task.generator[chosen], np.stack(stacked))
     return products.reshape(-1)[: task.source_rows]
 
 
@@ -239,19 +268,22 @@ def _decode_received(square: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     within ``_REFINED_COND_LIMIT``: on dense uniform blocks the estimate
     overstates that number 8-10x.  An exactly singular block, or one
     past the refined limit, raises NumericalError rather than return a
-    wrong decode.
+    wrong decode.  A nearly singular block overflows the probes'
+    squares, so it runs, refinement included, under the caller's
+    ``np.errstate(over="ignore", invalid="ignore")``: the estimate
+    refuses inf or NaN.
     """
     unknowns = square.shape[0]
     width = rhs.size // unknowns
+    # |B|_F is taken before the solve, while the block is still in cache.
+    norm = float(np.linalg.norm(square))
     try:
         solved = np.linalg.solve(square, np.column_stack([rhs, _probes(unknowns)]))
     except np.linalg.LinAlgError:
         raise NumericalError("the coded rows to decode from are rank-deficient")
     solution = solved[:, :width].reshape(rhs.shape)
-    # A nearly singular block overflows here; the estimate refuses inf or NaN.
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean_square = np.mean(np.sum(solved[:, width:] ** 2, axis=0))
-        estimate = float(np.linalg.norm(square)) * math.sqrt(mean_square)
+    mean_square = np.mean(np.sum(solved[:, width:] ** 2, axis=0))
+    estimate = norm * math.sqrt(mean_square)
     if estimate <= _DECODE_COND_LIMIT:
         return solution
     try:
@@ -272,9 +304,8 @@ def _refine(square: np.ndarray, rhs: np.ndarray, solution: np.ndarray) -> np.nda
     round, so the guard is one rule wherever NumPy runs: the step
     removes most of the LU solve's error, and what is left is of the
     order of what the rounding ``rhs`` arrived with makes of it."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = rhs - square @ solution
-        return solution + np.linalg.solve(square, residual)
+    residual = rhs - square @ solution
+    return solution + np.linalg.solve(square, residual)
 
 
 def _whole_rows(loads: Sequence[float]) -> np.ndarray:
@@ -409,31 +440,30 @@ def _decode_round(
     source: np.ndarray,
     vector: np.ndarray,
     exact: np.ndarray,
-    copies: np.ndarray,
+    owner: np.ndarray,
     used: np.ndarray,
 ) -> np.ndarray:
     """The product ``exact = source @ vector`` decoded from the coded
     rows of the racing workers ``used`` marks.  Racing worker w holds
     ``copies[w]`` systematic copies (each computes one entry of
-    ``exact``) and parity rows for the rest of its load.  One permutation
-    of the rows says which entry each copy is, in racing order, so with
-    ``ends = cumsum(copies)`` worker w's copies are ``perm[ends[w] -
-    copies[w]: ends[w]]``.  Arrived entries are read from ``exact`` with
+    ``exact``) and parity rows for the rest of its load; ``owner`` is
+    each copy's racing worker, ``np.repeat(arange, copies)``.  One
+    permutation of the rows says which entry each copy is, so copy j
+    is entry ``perm[j]``.  Arrived entries are read from ``exact`` with
     the others zeroed, the known values the parity system subtracts; the
     missing ones are then solved from as many parity rows, drawn after
-    the permutation."""
+    the permutation.  Finite input can still overflow, so it runs under
+    the round's ``np.errstate`` and the decode is checked for it."""
     rows = source.shape[0]
     known = np.zeros(rows, dtype=bool)
-    known[rng.permutation(rows)[np.repeat(used, copies)]] = True
+    known[rng.permutation(rows)[used[owner]]] = True
     decoded = np.where(known, exact, 0.0)
     missing = np.flatnonzero(~known)
     if missing.size:
         # The used workers hold at least rows coded rows, so at least as
         # many parity rows as missing entries; the decode reads the
-        # first of them.  Finite input can still overflow here; the
-        # decode is checked below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            square, received = _parity_system(rng, source, vector, missing, decoded)
+        # first of them.
+        square, received = _parity_system(rng, source, vector, missing, decoded)
         decoded[missing] = _decode_received(square, received)
     if not np.isfinite(decoded).all():
         raise NumericalError("the product overflows, so the decode is not finite")
@@ -445,9 +475,12 @@ class _RoundPlan:
     """The stages of a round its offer and population fix (see
     ``_round_plan``).  ``racers``, ``loads`` and ``copies`` are the
     ``racing`` workers' ``(startup, speed)``, whole rows and systematic
-    copies; ``pay`` and ``cost_rate`` are every worker's reward and cost
-    rate, and ``paid`` is the ``math.fsum`` of the payments.  Its arrays
-    are read-only; each outcome copies ``payments``."""
+    copies; ``row_loads`` are the same loads as floats, as the race
+    draws with them, and ``owner`` is each copy's racing worker, copies
+    in racing order.  ``pay`` and ``cost_rate`` are every worker's
+    reward and cost rate, ``payments`` the rewards by worker id, and
+    ``paid`` their ``math.fsum``.  Its arrays are read-only; each
+    outcome copies ``payments`` when it is read."""
 
     participants: tuple[int, ...]
     worker_types: tuple[tuple[int, int], ...]
@@ -455,7 +488,9 @@ class _RoundPlan:
     racing: np.ndarray
     racers: tuple[np.ndarray, np.ndarray]
     loads: np.ndarray
+    row_loads: np.ndarray
     copies: np.ndarray
+    owner: np.ndarray
     pay: np.ndarray
     cost_rate: np.ndarray
     payments: dict[int, float]
@@ -513,7 +548,9 @@ def _round_plan(mech: Mechanism, pop: Population) -> _RoundPlan:
         racing=_read_only(racing, int),
         racers=(_read_only(startup), _read_only(speed)),
         loads=_read_only(loads, int),
+        row_loads=_read_only(loads),
         copies=_read_only(copies, int),
+        owner=_read_only(np.repeat(np.arange(loads.size), copies), int),
         pay=_read_only(pay),
         cost_rate=_read_only(pop.cost_rate[of]),
         payments=dict(enumerate(payments)),
@@ -521,6 +558,27 @@ def _round_plan(mech: Mechanism, pop: Population) -> _RoundPlan:
     )
     _plan_memo = (mech, pop, plan)
     return plan
+
+
+def _race_round(
+    plan: _RoundPlan, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The race of a round: each racing worker's finish time for its
+    whole rows, drawn from ``rng`` by ``sample_times``'s sampler
+    without its checks (``_draw_times``), as the plan's loads are
+    checked once.  Returns the finish order by racing position (ties
+    by position), the times in that order, and the realized k: how many
+    of the first finishers hold the plan's ``need`` rows."""
+    startup, speed = plan.racers
+    times = _draw_times(startup, speed, plan.row_loads, plan.row_loads.shape, rng)
+    order, realized = _race(times, plan.loads, plan.need)
+    return order, times[order], realized
+
+
+def _owned(values: np.ndarray) -> np.ndarray:
+    """``values``, an array only one outcome holds, made read-only."""
+    values.flags.writeable = False
+    return values
 
 
 def simulate_round(
@@ -534,11 +592,12 @@ def simulate_round(
 
     The round is the composition of its stages: ``_participation``, who
     joins and what each type reports; ``_round_loads``, each worker's
-    whole rows and the rows needed; the race, ``sample_times`` and then
-    ``_race`` up to the first finishers holding those rows;
-    ``_decode_round``, the product from their coded rows; and
-    settlement, where each worker is paid its reported type's reward,
-    also a worker rounded down to zero rows, who does not compute.
+    whole rows and the rows needed; ``_race_round``, the race of the
+    plan's sampled finish times up to the first finishers holding those
+    rows; ``_decode_round``, the product from their coded rows, under
+    the round's one ``np.errstate`` scope; and settlement, where each
+    worker is paid its reported type's reward, also a worker rounded
+    down to zero rows, who does not compute.
     Participation, loads, the systematic copies, dealt to the workers
     expected to finish first (``_systematic_copies``), and payments
     depend only on the offer and the population, so they are one plan
@@ -549,6 +608,8 @@ def simulate_round(
     before the permutation of the copies and the parity rows, so the
     race, its contributors and the costs of a seeded round do not depend
     on the code.  ``seed`` is a whole number (see ``_whole``) of at least 0.
+    The outcome's ``finish_order``, ``contributors``, ``payments`` and
+    ``worker_payoffs`` are built on first read (see ``SimOutcome``).
     """
     source = np.asarray(A, dtype=float)
     vector = np.asarray(x, dtype=float)
@@ -564,33 +625,30 @@ def simulate_round(
             f"matrix has {rows} rows but the offer covers "
             f"{mech.config.total_rows:.15g}"
         )
+    rng = np.random.default_rng(np.random.SeedSequence([_whole(seed, "seed")]))
+    plan = _round_plan(mech, pop)
+    order, times, realized = _race_round(plan, rng)
+    used = np.zeros(plan.loads.size, dtype=bool)
+    used[order[:realized]] = True
     # Finite input can still overflow; the decode is checked for it.
     with np.errstate(over="ignore", invalid="ignore"):
         exact = source @ vector
-    rng = np.random.default_rng(np.random.SeedSequence([_whole(seed, "seed")]))
-    plan = _round_plan(mech, pop)
-    # The racing workers race until the finished ones hold the rows needed.
-    times = sample_times(plan.racers, plan.loads, rng)
-    order, realized = _race(times, plan.loads, plan.need)
-    finishers = plan.racing[order]
-    used = np.zeros(plan.loads.size, dtype=bool)
-    used[order[:realized]] = True
-    decoded = _decode_round(rng, source, vector, exact, plan.copies, used)
-    runtime = float(times[order[realized - 1]])
+        decoded = _decode_round(rng, source, vector, exact, plan.owner, used)
+    runtime = float(times[realized - 1])
     payoffs = plan.pay - plan.cost_rate * runtime
     cost = mech.config.gamma_time * runtime + mech.config.gamma_pay * plan.paid
     return SimOutcome(
         participants=plan.participants,
         worker_types=plan.worker_types,
-        finish_order=tuple(zip(finishers.tolist(), times[order].tolist())),
-        contributors=tuple(finishers[:realized].tolist()),
         realized_k=realized,
         runtime=runtime,
         decoded=decoded,
         max_error=float(np.max(np.abs(decoded - exact))),
-        payments=dict(plan.payments),
-        worker_payoffs=dict(enumerate(payoffs.tolist())),
         platform_cost_realized=cost,
+        _finishers=_owned(plan.racing[order]),
+        _finish_times=_owned(times),
+        _payments=plan.payments,
+        _payoffs=_owned(payoffs),
     )
 
 

@@ -55,7 +55,8 @@ class WorkerType:
             raise ValueError(
                 f"startup must be positive and finite, got {self.startup}"
             )
-        if self.count != int(self.count) or self.count < 0:
+        # NaN and the infinities fail the range test before ``int`` sees them.
+        if not 0 <= self.count < math.inf or self.count != int(self.count):
             raise ValueError(f"count must be a nonnegative integer, got {self.count}")
 
 
@@ -253,4 +254,10 @@ def sample_times(
     if not np.all(load > 0):
         raise ValueError(f"loads must be positive, got {load}")
     size = np.broadcast_shapes(load.shape, np.shape(startup), np.shape(speed))
+    return _draw_times(startup, speed, load, size, rng)
+
+
+def _draw_times(startup, speed, load, size, rng: np.random.Generator) -> np.ndarray:
+    """:func:`sample_times` without its checks: ``size`` draws for
+    positive float loads, startups and speeds that broadcast to it."""
     return load * (startup + rng.standard_exponential(size) / speed)

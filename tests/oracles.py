@@ -9,11 +9,12 @@ not tautology.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
 
 import numpy as np
 
+from coded_incentives import coding
 from coded_incentives.errors import ConfigurationError, InfeasibleError
 from coded_incentives.workers import derive_profile
 
@@ -115,6 +116,59 @@ def order_statistic_mc(
     times = load * (a + rng.standard_exponential((reps, n)) / mu)
     kth = np.partition(times, k - 1, axis=1)[:, k - 1]
     return float(kth.mean()), float(kth.std(ddof=1) / math.sqrt(reps))
+
+
+@dataclass(frozen=True, eq=False)
+class RaceEstimate:
+    """Per-round runtimes and realized k of a race-only replay, and the
+    summaries of them a runtime check reads."""
+
+    runtimes: np.ndarray
+    realized_k: np.ndarray
+    boundary_payoffs: np.ndarray
+
+    @property
+    def mean_runtime(self) -> float:
+        return float(self.runtimes.mean())
+
+    @property
+    def stderr(self) -> float:
+        return float(self.runtimes.std(ddof=1) / math.sqrt(self.runtimes.size))
+
+    @property
+    def k_distribution(self) -> dict[int, float]:
+        counts = np.bincount(self.realized_k) / self.realized_k.size
+        return {k: float(p) for k, p in enumerate(counts.tolist()) if p > 0}
+
+    @property
+    def boundary_payoff(self) -> float:
+        return float(self.boundary_payoffs.mean())
+
+
+def race_only_rounds(mech, pop, seeds) -> RaceEstimate:
+    """``simulate_round``'s rounds for ``seeds`` without their decodes.
+
+    Not independent of the package: each round is the simulator's own
+    race stage (``coding._race_round``) over the offer's round plan, on
+    the stream ``simulate_round`` opens for that seed, so round i's
+    runtime and realized k are the decoded round's, at a few percent of
+    its cost.  The boundary type is the last participating one; its
+    payoff is its reward less its cost rate times the runtime, as
+    settlement pays it."""
+    plan = coding._round_plan(mech, pop)
+    runtimes, realized = [], []
+    for seed in seeds:
+        rng = np.random.default_rng(np.random.SeedSequence([seed]))
+        _, times, k = coding._race_round(plan, rng)
+        runtimes.append(times[k - 1])
+        realized.append(k)
+    runtimes = np.array(runtimes)
+    boundary = [w for w, m in plan.worker_types if m == plan.participants[-1]][0]
+    return RaceEstimate(
+        runtimes=runtimes,
+        realized_k=np.array(realized),
+        boundary_payoffs=plan.pay[boundary] - plan.cost_rate[boundary] * runtimes,
+    )
 
 
 def row_fsums_oracle(values: np.ndarray, lengths) -> list[float]:

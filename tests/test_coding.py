@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import copy
 import hashlib
 import itertools
@@ -47,7 +48,7 @@ from coded_incentives.coding import (
     _whole_rows,
 )
 from coded_incentives.experiments import DEFAULT_TYPE_PARAMS
-from oracles import integerize_oracle, parity_system_oracle
+from oracles import integerize_oracle, parity_system_oracle, race_only_rounds
 
 
 def _gaussian_generator(n, k):
@@ -601,6 +602,104 @@ class TestRoundPlan:
             assert calls == list(pop.ids)
 
 
+def _ci_cost_only_round():
+    """The cost-only offer CI's ``cost-only.cfg`` gives: cost rates 1, 7
+    and 8 on one shared runtime (speed 50, startup 0.012), 140 workers
+    each, on the default 1000-row task."""
+    types = [
+        WorkerType(id=i + 1, cost_rate=cost, speed=50.0, startup=0.012, count=140)
+        for i, cost in enumerate([1.0, 7.0, 8.0])
+    ]
+    cfg = PlatformConfig(gamma_time=2000.0, gamma_pay=1.0, total_rows=1000.0)
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((1000, 4))
+    x = rng.standard_normal(4)
+    return solve_cost_only(types, cfg), build_population(types), A, x
+
+
+class TestRaceOnlyReplay:
+    """The race-only estimator's round i is ``simulate_round``'s round i
+    without the decode."""
+
+    @pytest.mark.parametrize(
+        "build, seeds",
+        [(_anchor_round, range(200)), (_ci_cost_only_round, range(50))],
+        ids=["anchor", "cost-only"],
+    )
+    def test_runtime_and_realized_k_match_the_decoded_rounds(self, build, seeds):
+        mech, pop, A, x = build()
+        outcomes = [simulate_round(mech, pop, A, x, seed) for seed in seeds]
+        replay = race_only_rounds(mech, pop, seeds)
+        assert [o.runtime.hex() for o in outcomes] == [
+            t.hex() for t in replay.runtimes.tolist()
+        ]
+        assert [o.realized_k for o in outcomes] == replay.realized_k.tolist()
+        boundary = [w for w, m in outcomes[0].worker_types if m == mech.targeted[-1]][0]
+        assert [o.worker_payoffs[boundary].hex() for o in outcomes] == [
+            p.hex() for p in replay.boundary_payoffs.tolist()
+        ]
+        assert replay.mean_runtime == np.mean([o.runtime for o in outcomes])
+        assert replay.boundary_payoff == np.mean(
+            [o.worker_payoffs[boundary] for o in outcomes]
+        )
+        assert replay.k_distribution == {
+            k: n / len(outcomes)
+            for k, n in sorted(collections.Counter(replay.realized_k.tolist()).items())
+        }
+        assert replay.stderr > 0
+
+    def test_the_replay_does_not_decode(self, monkeypatch):
+        def no_decode(*args):
+            raise AssertionError("a race-only round decodes nothing")
+
+        monkeypatch.setattr(coding, "_decode_round", no_decode)
+        mech, pop, _, _ = _anchor_round()
+        assert race_only_rounds(mech, pop, range(3)).realized_k.size == 3
+
+
+class TestLazyViews:
+    """An outcome's ``finish_order``, ``contributors``, ``payments`` and
+    ``worker_payoffs`` are built on first read from what it holds."""
+
+    VIEWS = ("finish_order", "contributors", "payments", "worker_payoffs")
+
+    def test_each_view_is_built_once(self):
+        mech, pop, A, x = _two_type_round()
+        outcome = simulate_round(mech, pop, A, x, 3)
+        for name in self.VIEWS:
+            assert getattr(outcome, name) is getattr(outcome, name)
+
+    def test_each_outcome_owns_its_dicts(self):
+        mech, pop, A, x = _two_type_round()
+        first = simulate_round(mech, pop, A, x, 5)
+        payments, payoffs = dict(first.payments), dict(first.worker_payoffs)
+        plan_payments = dict(coding._round_plan(mech, pop).payments)
+        first.payments[0] = -1.0
+        first.worker_payoffs[0] = -1.0
+        first.worker_payoffs.clear()
+        second = simulate_round(mech, pop, A, x, 5)
+        assert second.payments == payments
+        assert second.worker_payoffs == payoffs
+        assert coding._round_plan(mech, pop).payments == plan_payments
+        assert first.payments[0] == -1.0 and first.worker_payoffs == {}
+
+    def test_views_read_late_equal_views_read_at_once(self):
+        mech, pop, A, x = _anchor_round()
+        at_once = simulate_round(mech, pop, A, x, 7)
+        expected = {name: getattr(at_once, name) for name in self.VIEWS}
+        late = simulate_round(mech, pop, A, x, 7)
+        for seed in range(100, 120):
+            simulate_round(mech, pop, A, x, seed)
+        assert {name: getattr(late, name) for name in self.VIEWS} == expected
+
+    def test_held_arrays_are_read_only(self):
+        mech, pop, A, x = _two_type_round()
+        outcome = simulate_round(mech, pop, A, x, 2)
+        for array in (outcome._finishers, outcome._finish_times, outcome._payoffs):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+
 def _uniform_round(count, startup):
     """A cost-only offer on one type of ``count`` identical workers and a
     12-row task."""
@@ -617,9 +716,9 @@ def _record_unknowns(monkeypatch):
     unknowns = []
     decode = coding._decode_round
 
-    def recording(rng, source, vector, exact, copies, used):
-        unknowns.append(source.shape[0] - int(copies[used].sum()))
-        return decode(rng, source, vector, exact, copies, used)
+    def recording(rng, source, vector, exact, owner, used):
+        unknowns.append(source.shape[0] - int(used[owner].sum()))
+        return decode(rng, source, vector, exact, owner, used)
 
     monkeypatch.setattr(coding, "_decode_round", recording)
     return unknowns
@@ -799,13 +898,14 @@ def _record_decode(monkeypatch):
     calls = []
     decode = coding._decode_round
 
-    def recording(rng, source, vector, exact, copies, used):
+    def recording(rng, source, vector, exact, owner, used):
         rows = source.shape[0]
-        loads = coding._plan_memo[2].loads
+        plan = coding._plan_memo[2]
+        loads = plan.loads
         held = copy.deepcopy(rng).permutation(rows)
-        slots = _dealt_slots(rows, loads, copies, held)
+        slots = _dealt_slots(rows, loads, plan.copies, held)
         calls.append((slots, loads, _slots_of(slots, loads, np.flatnonzero(used))))
-        return decode(rng, source, vector, exact, copies, used)
+        return decode(rng, source, vector, exact, owner, used)
 
     monkeypatch.setattr(coding, "_decode_round", recording)
     return calls

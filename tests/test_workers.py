@@ -60,6 +60,13 @@ class TestWorkerType:
         with pytest.raises(ValueError):
             _worker(count=1.5)
 
+    @pytest.mark.parametrize("count", [math.inf, -math.inf, math.nan])
+    def test_non_finite_count_rejected_like_other_bad_counts(self, count):
+        with pytest.raises(
+            ValueError, match=rf"^count must be a nonnegative integer, got {count}$"
+        ):
+            _worker(count=count)
+
     def test_zero_count_allowed(self):
         assert _worker(count=0).count == 0
 
