@@ -16,19 +16,8 @@ received parity rows formed from their factors, never at full width.
 Their square block's LU solve is used as it is, refined once, or
 refused, as a condition estimate from fixed Gaussian probes says; the
 probes are rows of a cached table drawn once per power of two.
-``simulate_round`` plays a round under a platform offer as one function
-per stage: participation by best response (``_participation``), whole-row
-loads, where the schemes differ (``_round_loads``), the race of finish
-times drawn for the plan's loads (``_race_round``), the decode from the
-first finishers holding enough rows (``_decode_round``), and payment of
-the announced rewards.  Participation, loads, copies and payments depend
-only on the offer and the population, so they form one plan
-(``_round_plan``), kept for the last offer and population objects (both
-frozen with read-only columns) and reused by the rounds that replay the
-offer.  Its race and decode index the racing workers, those with rows;
-its settlement, every worker.  An outcome keeps its race and payoffs as
-read-only arrays and builds its per-worker tuples and dicts on first
-read.
+``simulate_round`` plays a round under a platform offer, one function
+per stage; its docstring gives the stages and the plan they share.
 ``mds_encode`` and ``mds_decode`` are the block-code form of the same
 idea: k equal blocks, a caller's (n, k) generator, and any k coded
 blocks solved for the block products.
@@ -308,15 +297,6 @@ def _refine(square: np.ndarray, rhs: np.ndarray, solution: np.ndarray) -> np.nda
     return solution + np.linalg.solve(square, residual)
 
 
-def _whole_rows(loads: Sequence[float]) -> np.ndarray:
-    """``integerize_loads`` as an array of whole-number floats."""
-    values = np.array(loads, dtype=float)
-    if not np.all(np.isfinite(values) & (values >= 0)):
-        raise ValueError("loads must be finite and nonnegative")
-    total = math.ceil(math.fsum(values.tolist()))
-    return _largest_remainder(values, total)
-
-
 def integerize_loads(loads: Sequence[float]) -> list[int]:
     """Round fractional row loads to whole rows.
 
@@ -324,7 +304,11 @@ def integerize_loads(loads: Sequence[float]) -> list[int]:
     fractional parts one extra row each (ties to the lower index), so
     no coverage is lost to rounding.
     """
-    return [int(v) for v in _whole_rows(loads).tolist()]
+    values = np.array(loads, dtype=float)
+    if not np.all(np.isfinite(values) & (values >= 0)):
+        raise ValueError("loads must be finite and nonnegative")
+    total = math.ceil(math.fsum(values.tolist()))
+    return [int(v) for v in _largest_remainder(values, total).tolist()]
 
 
 def _parity_system(
@@ -410,11 +394,12 @@ def _participation(mech: Mechanism, pop: Population) -> tuple[np.ndarray, np.nda
 def _round_loads(
     mech: Mechanism, participants: np.ndarray, counts: np.ndarray
 ) -> tuple[np.ndarray, int]:
-    """Each worker's whole rows, ``counts`` workers per participating
-    type in order, and the rows the finished workers must hold: under
-    an offer with recovery threshold k (the cost-only one), ``ceil(rows
-    / k)`` rows each and k workers' worth; under any other, each offered
-    load rounded to whole rows, and ``rows``."""
+    """Each worker's whole rows, as floats, ``counts`` workers per
+    participating type in order, and the rows the finished workers must
+    hold: under an offer with recovery threshold k (the cost-only one),
+    ``ceil(rows / k)`` rows each and k workers' worth; under any other,
+    each offered load rounded to whole rows (``integerize_loads``), and
+    ``rows``."""
     rows, threshold = int(mech.config.total_rows), mech.recovery_threshold
     if threshold is not None:
         n_workers = int(counts.sum())
@@ -424,15 +409,15 @@ def _round_loads(
                 f"threshold {threshold}"
             )
         block_rows = -(-rows // threshold)  # ceil(rows / threshold)
-        return np.full(n_workers, block_rows), threshold * block_rows
+        return np.full(n_workers, float(block_rows)), threshold * block_rows
     type_loads = mech.assignment.loads[participants - 1]
     if not type_loads.all():
         missing = participants[type_loads == 0].tolist()
         raise InfeasibleError(f"no load assigned to participating types {missing}")
-    loads = _whole_rows(np.repeat(type_loads, counts)).astype(int)
-    if loads.sum() < rows:
-        raise InfeasibleError(f"participators cover {loads.sum()} rows, need {rows}")
-    return loads, rows
+    loads = integerize_loads(np.repeat(type_loads, counts))
+    if sum(loads) < rows:
+        raise InfeasibleError(f"participators cover {sum(loads)} rows, need {rows}")
+    return np.array(loads, dtype=float), rows
 
 
 def _decode_round(
@@ -473,14 +458,14 @@ def _decode_round(
 @dataclass(frozen=True, eq=False)
 class _RoundPlan:
     """The stages of a round its offer and population fix (see
-    ``_round_plan``).  ``racers``, ``loads`` and ``copies`` are the
-    ``racing`` workers' ``(startup, speed)``, whole rows and systematic
-    copies; ``row_loads`` are the same loads as floats, as the race
-    draws with them, and ``owner`` is each copy's racing worker, copies
-    in racing order.  ``pay`` and ``cost_rate`` are every worker's
-    reward and cost rate, ``payments`` the rewards by worker id, and
-    ``paid`` their ``math.fsum``.  Its arrays are read-only; each
-    outcome copies ``payments`` when it is read."""
+    ``_round_plan``).  ``racers`` and ``loads`` are the ``racing``
+    workers' ``(startup, speed)`` and whole rows, as the floats the race
+    draws and sums them with (a cumulative sum of whole-number floats is
+    exact), and ``owner`` is each systematic copy's racing worker,
+    copies in racing order.  ``pay`` and ``cost_rate`` are every
+    worker's reward and cost rate, ``payments`` the rewards by worker
+    id, and ``paid`` their ``math.fsum``.  Its arrays are read-only;
+    each outcome copies ``payments`` when it is read."""
 
     participants: tuple[int, ...]
     worker_types: tuple[tuple[int, int], ...]
@@ -488,8 +473,6 @@ class _RoundPlan:
     racing: np.ndarray
     racers: tuple[np.ndarray, np.ndarray]
     loads: np.ndarray
-    row_loads: np.ndarray
-    copies: np.ndarray
     owner: np.ndarray
     pay: np.ndarray
     cost_rate: np.ndarray
@@ -511,7 +494,7 @@ def _systematic_copies(loads: np.ndarray, expected: np.ndarray, rows: int) -> np
     dealt; every other coded row is parity."""
     ranked = np.argsort(expected, kind="stable")
     dealt = np.cumsum(loads[ranked]) - loads[ranked]
-    copies = np.empty_like(loads)
+    copies = np.empty(loads.size, dtype=int)
     copies[ranked] = np.clip(rows - dealt, 0, loads[ranked])
     return copies
 
@@ -547,9 +530,7 @@ def _round_plan(mech: Mechanism, pop: Population) -> _RoundPlan:
         need=need,
         racing=_read_only(racing, int),
         racers=(_read_only(startup), _read_only(speed)),
-        loads=_read_only(loads, int),
-        row_loads=_read_only(loads),
-        copies=_read_only(copies, int),
+        loads=_read_only(loads),
         owner=_read_only(np.repeat(np.arange(loads.size), copies), int),
         pay=_read_only(pay),
         cost_rate=_read_only(pop.cost_rate[of]),
@@ -570,7 +551,7 @@ def _race_round(
     by position), the times in that order, and the realized k: how many
     of the first finishers hold the plan's ``need`` rows."""
     startup, speed = plan.racers
-    times = _draw_times(startup, speed, plan.row_loads, plan.row_loads.shape, rng)
+    times = _draw_times(startup, speed, plan.loads, plan.loads.shape, rng)
     order, realized = _race(times, plan.loads, plan.need)
     return order, times[order], realized
 
@@ -591,23 +572,25 @@ def simulate_round(
     """Play one full computation round under a platform offer.
 
     The round is the composition of its stages: ``_participation``, who
-    joins and what each type reports; ``_round_loads``, each worker's
-    whole rows and the rows needed; ``_race_round``, the race of the
-    plan's sampled finish times up to the first finishers holding those
-    rows; ``_decode_round``, the product from their coded rows, under
-    the round's one ``np.errstate`` scope; and settlement, where each
-    worker is paid its reported type's reward, also a worker rounded
-    down to zero rows, who does not compute.
+    joins by best response and what each type reports; ``_round_loads``,
+    each worker's whole rows and the rows needed, where the schemes
+    differ; ``_race_round``, the race of the plan's sampled finish times
+    up to the first finishers holding those rows; ``_decode_round``, the
+    product from their coded rows, under the round's one ``np.errstate``
+    scope; and settlement, where each worker is paid its reported type's
+    reward, also a worker rounded down to zero rows, who does not
+    compute.
     Participation, loads, the systematic copies, dealt to the workers
     expected to finish first (``_systematic_copies``), and payments
     depend only on the offer and the population, so they are one plan
-    (``_round_plan``) built once per offer and reused by every round
-    that replays it, as ``Mechanism`` and ``Population`` are frozen with
-    read-only columns.  The race and the decode index the plan's racing
-    workers, settlement every worker.  A round draws its finish times
-    before the permutation of the copies and the parity rows, so the
-    race, its contributors and the costs of a seeded round do not depend
-    on the code.  ``seed`` is a whole number (see ``_whole``) of at least 0.
+    (``_round_plan``), kept for the last offer and population objects
+    and reused by every round that replays the offer, as ``Mechanism``
+    and ``Population`` are frozen with read-only columns.  The race and
+    the decode index the plan's racing workers, those with rows;
+    settlement, every worker.  A round draws its finish times before the
+    permutation of the copies and the parity rows, so the race, its
+    contributors and the costs of a seeded round do not depend on the
+    code.  ``seed`` is a whole number (see ``_whole``) of at least 0.
     The outcome's ``finish_order``, ``contributors``, ``payments`` and
     ``worker_payoffs`` are built on first read (see ``SimOutcome``).
     """

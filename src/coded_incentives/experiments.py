@@ -322,7 +322,7 @@ def _sweep_table(spec: ExperimentSpec, columns: Sequence[str]) -> ResultTable:
         # stacked, complete above private.
         thresholds, runtimes, rewards = map(np.concatenate, zip(complete, private))
         stacked = np.concatenate((counts, counts))
-        costs = _prefix_costs(stacked, thresholds, rewards, pop, cfg, runtimes)
+        costs = _prefix_costs(stacked, thresholds, rewards, cfg, runtimes)
         complete_costs, private_costs = np.split(costs, 2)
         table["cost_complete"] = complete_costs.tolist()
         table["cost_incomplete"] = private_costs.tolist()
@@ -404,7 +404,6 @@ def run_fig7(spec: ExperimentSpec) -> ResultTable:
             np.concatenate((realized, realized)),
             np.concatenate((committed_thresholds, thresholds)),
             np.concatenate((np.broadcast_to(committed.rewards, rewards.shape), rewards)),
-            pop,
             cfg,
             np.concatenate((committed_runtimes, runtimes)),
         )

@@ -31,9 +31,8 @@ import numpy as np
 
 from .errors import ConfigurationError, InfeasibleError, NumericalError
 from .numerics import _all_finite, mds_alpha, row_fsums
-# No solver calls ``assign_loads_hetero`` or ``expected_runtime_hetero``;
-# they stay imported because perfbench's traced runs wrap them by name
-# in this module.
+# No solver calls ``assign_loads_hetero``; it stays imported because
+# perfbench's traced runs wrap it by name in this module.
 from .runtime import (
     LoadAssignment,
     _checked_row,
@@ -43,7 +42,6 @@ from .runtime import (
     assign_loads_hetero,
     expected_runtime_hetero,
     expected_runtime_mds,
-    expected_runtimes_hetero,
 )
 from .workers import Population, WorkerType, _read_only, build_population
 
@@ -175,7 +173,7 @@ def _hetero_mechanism(
     counts = pop.counts[None, :]
     thresholds, runtimes, rewards, groups = rule(counts, pop, cfg)
     threshold = int(thresholds[0])
-    cost = _prefix_costs(counts, thresholds, rewards, pop, cfg, runtimes).item()
+    cost = _prefix_costs(counts, thresholds, rewards, cfg, runtimes).item()
     return Mechanism(
         scenario=scenario,
         threshold_type=threshold,
@@ -305,43 +303,23 @@ def _prefix_throughputs(
 
 def _prefix_costs(
     counts: np.ndarray,
-    thresholds: np.ndarray,
+    thresholds: Sequence[int],
     rewards: np.ndarray | list[float],
-    pop: Population,
     cfg: PlatformConfig,
-    runtimes: np.ndarray | None = None,
+    runtimes: np.ndarray | float,
 ) -> np.ndarray:
     """Platform cost of each counts row when its targeted prefix
     ``1..threshold`` is paid the per-type ``rewards`` (one row for all,
-    or one row each) and finishes in the prefix's expected runtime.
-
-    ``runtimes`` passes those runtimes when the caller already has them;
-    omitted, they are the heterogeneous assignment's.  The cost-only
-    scenario always passes its exact harmonic runtime.  A cost beyond
-    the float range raises NumericalError.
+    or one row each) and finishes in the prefix's expected ``runtimes``:
+    the heterogeneous assignment's, or the cost-only scenario's exact
+    harmonic one.  A cost beyond the float range raises NumericalError.
     """
-    if runtimes is None:
-        runtimes = expected_runtimes_hetero(counts, pop, thresholds, cfg.total_rows)
     with np.errstate(over="ignore", invalid="ignore"):
         paid = counts * rewards
         costs = cfg.gamma_time * runtimes + cfg.gamma_pay * row_fsums(paid, thresholds)
     if not _all_finite(costs):
         raise NumericalError("the offer's platform cost overflows")
     return costs
-
-
-def _offer_cost(
-    pop: Population,
-    threshold: int,
-    rewards: np.ndarray,
-    cfg: PlatformConfig,
-    runtime: float | None = None,
-) -> float:
-    """:func:`_prefix_costs` of one offer on ``pop``'s headcounts, with
-    its expected ``runtime`` if the caller has it."""
-    counts, thresholds = pop.counts[None, :], np.array([threshold])
-    runtimes = None if runtime is None else np.array([runtime])
-    return _prefix_costs(counts, thresholds, rewards, pop, cfg, runtimes).item()
 
 
 def solve_cost_only(
@@ -400,7 +378,9 @@ def _cost_only_offer(pop: Population, cfg: PlatformConfig) -> Mechanism:
         rewards=rewards,
         assignment=LoadAssignment(loads, cfg.total_rows, recovery),
         expected_runtime=worker_runtime,
-        expected_cost=_offer_cost(pop, threshold, rewards, cfg, exact[recovery]),
+        expected_cost=_prefix_costs(
+            pop.counts[None, :], [threshold], rewards, cfg, exact[recovery]
+        ).item(),
         config=cfg,
     )
 
@@ -413,11 +393,14 @@ def platform_cost(mech: Mechanism, pop: Population, cfg: PlatformConfig) -> floa
     workers.  The cost-only scenario uses the exact harmonic runtime.
     """
     _checked_row(mech.rewards, pop)
-    runtime, k = None, mech.recovery_threshold
-    if k is not None:
-        participators = int(sum(pop.counts[: mech.threshold_type].tolist()))
+    threshold, k = mech.threshold_type, mech.recovery_threshold
+    if k is None:
+        runtime = expected_runtime_hetero(pop, threshold, cfg.total_rows)
+    else:
+        participators = int(sum(pop.counts[:threshold].tolist()))
         if participators < k:
             raise InfeasibleError("fewer participators than the recovery threshold")
         speed, startup = float(pop.speed[0]), float(pop.startup[0])
         runtime = expected_runtime_mds(participators, k, cfg.total_rows, speed, startup)
-    return _offer_cost(pop, mech.threshold_type, mech.rewards, cfg, runtime)
+    counts = pop.counts[None, :]
+    return _prefix_costs(counts, [threshold], mech.rewards, cfg, runtime).item()

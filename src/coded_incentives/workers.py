@@ -55,8 +55,14 @@ class WorkerType:
             raise ValueError(
                 f"startup must be positive and finite, got {self.startup}"
             )
-        # NaN and the infinities fail the range test before ``int`` sees them.
-        if not 0 <= self.count < math.inf or self.count != int(self.count):
+        # A bool is no headcount, and NaN and the infinities fail the range
+        # test before ``int`` sees them.
+        count = self.count
+        if (
+            isinstance(count, (bool, np.bool_))
+            or not 0 <= count < math.inf
+            or count != int(count)
+        ):
             raise ValueError(f"count must be a nonnegative integer, got {self.count}")
 
 

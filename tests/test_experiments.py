@@ -39,6 +39,7 @@ from coded_incentives import (
 from coded_incentives import experiments, workers
 from coded_incentives.experiments import _apportion_rows, _mean_and_stderr
 from coded_incentives.mechanisms import _prefix_costs, _private_offers
+from coded_incentives.runtime import expected_runtimes_hetero
 from oracles import apportion_oracle, best_response_oracle
 
 
@@ -531,12 +532,13 @@ def test_fig7_committed_costs_reuse_only_matching_runtimes(monkeypatch):
     committed = solve_incomplete(pop.with_counts(apportion(2100, spec.weights())), cfg)
     moved = _private_offers(realized, pop, cfg)[0] != committed.threshold_type
     assert 0 < moved.sum() < spec.replications
+    thresholds = np.full(spec.replications, committed.threshold_type)
     alone = _prefix_costs(
         realized,
-        np.full(spec.replications, committed.threshold_type),
+        thresholds,
         committed.rewards.tolist(),
-        pop,
         cfg,
+        expected_runtimes_hetero(realized, pop, thresholds, cfg.total_rows),
     )
     assert [c.hex() for c in committed_costs] == [c.hex() for c in alone]
 

@@ -44,6 +44,7 @@ from coded_incentives.mechanisms import (
     _prefix_costs,
     _private_offers,
 )
+from coded_incentives.runtime import expected_runtimes_hetero
 from conftest import random_cost_only_instance, random_hetero_instance
 from oracles import (
     brute_force_complete,
@@ -415,7 +416,7 @@ class TestBatchedPrivateOffers:
         cfg = PlatformConfig(gamma_time, gamma_pay, total_rows)
         counts = np.array(rows, dtype=float)
         thresholds, runtimes, rewards, _ = _private_offers(counts, base, cfg)
-        informed = _prefix_costs(counts, thresholds, rewards, base, cfg)
+        informed = _prefix_costs(counts, thresholds, rewards, cfg, runtimes)
         committed = solve_incomplete(base, cfg)
         committed_rewards = committed.rewards.tolist()
         for i, row in enumerate(rows):
@@ -431,13 +432,16 @@ class TestBatchedPrivateOffers:
             expected = prefix_cost_oracle(
                 pop, committed.threshold_type, committed_rewards, cfg
             )
+            committed_threshold = [committed.threshold_type]
             try:
                 priced = _prefix_costs(
                     counts[i : i + 1],
-                    np.array([committed.threshold_type]),
+                    committed_threshold,
                     np.array(committed_rewards),
-                    base,
                     cfg,
+                    expected_runtimes_hetero(
+                        counts[i : i + 1], base, committed_threshold, total_rows
+                    ),
                 )[0]
             except InfeasibleError:
                 priced = None
@@ -470,7 +474,13 @@ class TestBatchedPrivateOffers:
         counts = np.array([[0.0, 0.0] + [140.0] * 8])
         with pytest.raises(InfeasibleError):
             _prefix_costs(
-                counts, np.array([2]), np.ones(10), self.POP, benchmark_config
+                counts,
+                [2],
+                np.ones(10),
+                benchmark_config,
+                expected_runtimes_hetero(
+                    counts, self.POP, [2], benchmark_config.total_rows
+                ),
             )
 
 
@@ -492,7 +502,7 @@ class TestBatchedCompleteOffers:
         cfg = PlatformConfig(gamma_time, gamma_pay, total_rows)
         counts = np.array(rows, dtype=float)
         thresholds, runtimes, rewards, _ = _complete_offers(counts, base, cfg)
-        priced = _prefix_costs(counts, thresholds, rewards, base, cfg)
+        priced = _prefix_costs(counts, thresholds, rewards, cfg, runtimes)
         for i, row in enumerate(rows):
             pop = base.with_counts(row)
             threshold, runtime, oracle_rewards, cost = complete_offer_oracle(pop, cfg)
@@ -840,8 +850,10 @@ class TestPlatformCost:
             [WorkerType(0, 1.0, 50.0, 0.012, 1), WorkerType(0, 2.0, 60.0, 0.02, 1)]
         )
         counts = np.full((1, 2), count)
+        rows = benchmark_config.total_rows
+        runtimes = expected_runtimes_hetero(counts, pop, [2], rows)
         with pytest.raises(NumericalError, match="platform cost overflows"):
-            _prefix_costs(counts, np.array([2]), [reward] * 2, pop, benchmark_config)
+            _prefix_costs(counts, [2], [reward] * 2, benchmark_config, runtimes)
 
     def test_solver_costs_are_reproducible(
         self, benchmark_population, benchmark_config
@@ -936,7 +948,7 @@ class TestArrayContracts:
         pop, cfg = self.POP, self.CFG
         for rule in (_private_offers, _complete_offers):
             thresholds, runtimes, rewards, groups = rule(counts, pop, cfg)
-            costs = _prefix_costs(counts, thresholds, rewards, pop, cfg, runtimes)
+            costs = _prefix_costs(counts, thresholds, rewards, cfg, runtimes)
             for batch in (groups, runtimes, costs):
                 assert isinstance(batch, np.ndarray)
                 assert batch.dtype == np.float64 and batch.shape == (50,)
@@ -952,9 +964,7 @@ class TestArrayContracts:
     def test_zero_length_prefix_costs_only_its_runtime(self):
         counts = np.full((2, 10), 5.0)
         runtimes = np.array([2.0, 3.0])
-        costs = _prefix_costs(
-            counts, np.array([0, 1]), np.ones(10), self.POP, self.CFG, runtimes
-        )
+        costs = _prefix_costs(counts, [0, 1], np.ones(10), self.CFG, runtimes)
         assert costs.tolist() == [1000.0 * 2.0, 1000.0 * 3.0 + 0.5 * 5.0]
 
     def test_scalar_views_return_python_floats(self):

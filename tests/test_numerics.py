@@ -23,7 +23,11 @@ from coded_incentives import (
 )
 from coded_incentives import numerics
 from coded_incentives.mechanisms import _finite_offers, _prefix_costs
-from coded_incentives.runtime import _checked_groups, _group_throughputs
+from coded_incentives.runtime import (
+    _checked_groups,
+    _group_throughputs,
+    expected_runtimes_hetero,
+)
 from oracles import (
     alpha_objective,
     alpha_oracle,
@@ -453,11 +457,14 @@ class TestRowFsums:
         cfg = PlatformConfig(gamma_time=50.0, gamma_pay=1.0, total_rows=100.0)
         counts = np.ones((2, 2))
         rewards = [1e308, 1e308]
-        assert all(
-            map(math.isfinite, _prefix_costs(counts, np.array([1, 1]), rewards, pop, cfg))
-        )
+
+        def priced(thresholds):
+            runtimes = expected_runtimes_hetero(counts, pop, thresholds, cfg.total_rows)
+            return _prefix_costs(counts, thresholds, rewards, cfg, runtimes)
+
+        assert all(map(math.isfinite, priced([1, 1])))
         with pytest.raises(NumericalError, match="platform cost overflows"):
-            _prefix_costs(counts, np.array([1, 2]), rewards, pop, cfg)
+            priced([1, 2])
 
 
 class TestShortRowFsums:

@@ -295,6 +295,12 @@ class TestMonteCarloRuntime:
         with pytest.raises(ValueError, match="rows must be positive, got 0.0"):
             monte_carlo_runtime(pop, assignment, (1,), 0.0, 10, 0)
 
+    def test_empty_targeted_set_is_infeasible(self):
+        pop = _pop()
+        assignment = assign_loads_hetero(pop, 2, 100.0)
+        with pytest.raises(InfeasibleError, match="^targeted set must not be empty$"):
+            monte_carlo_runtime(pop, assignment, [], 100.0, 10, 0)
+
     def test_targeted_set_without_workers_is_infeasible(self):
         pop = _pop().with_counts([0, 3, 5])
         assignment = assign_loads_hetero(pop, 2, 100.0)

@@ -67,6 +67,17 @@ class TestWorkerType:
         ):
             _worker(count=count)
 
+    @pytest.mark.parametrize("count", [True, False, np.True_])
+    def test_bool_count_rejected_like_other_bad_counts(self, count):
+        with pytest.raises(
+            ValueError, match=rf"^count must be a nonnegative integer, got {count}$"
+        ):
+            _worker(count=count)
+
+    @pytest.mark.parametrize("count", [3.0, np.int64(3)])
+    def test_whole_valued_counts_accepted(self, count):
+        assert _worker(count=count).count == 3
+
     def test_zero_count_allowed(self):
         assert _worker(count=0).count == 0
 
