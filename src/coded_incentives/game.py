@@ -2,13 +2,15 @@
 
 Workers privately know their cost rate; runtime behavior (unit row
 time and startup factor) is observable by the platform, so a worker
-can only claim the identity of a type with identical runtime
-parameters, and only identities the offer actually targets.  This
-module computes individual payoffs, each worker's best feasible
-report, and checks the two properties a sound offer must satisfy:
-participation is worthwhile for every targeted type (individual
-rationality) and no feasible misreport beats an honest one (incentive
-compatibility).
+can only claim a targeted identity in its claim class: the type itself
+under complete information, otherwise every type with the same speed
+and startup.  This module computes individual payoffs, each worker's
+best feasible report, and checks the two properties a sound offer must
+satisfy: participation is worthwhile for every targeted type
+(individual rationality) and no feasible misreport beats an honest one
+(incentive compatibility).  Under one offer every claim faces the same
+runtime, so the batched sweep payoffs are per-class reward maxima less
+each type's cost.
 """
 
 from __future__ import annotations
@@ -31,9 +33,6 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-9
-# Entries of one (rows, M, M) report table _best_payoffs builds at a time
-# (32 MiB of payoffs): the bundled ten types price any sweep in one pass.
-_TABLE_ENTRIES = 1 << 22
 
 # Each kind of violation once, for every view of a report: (CSV kind,
 # text heading, text line over true type, reported type and magnitude).
@@ -111,44 +110,26 @@ class ComplianceReport:
 
 
 def _report_table(
-    thresholds: np.ndarray,
-    runtimes: np.ndarray | list[float],
-    rewards: np.ndarray,
-    pop: Population,
-    complete: bool,
-    true: slice = slice(None),
+    mech: Mechanism, pop: Population, true: slice = slice(None)
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Payoff and feasibility of every report under each row of batched
-    offers: two ``(R, T, M)`` arrays over offer rows, the true types
-    ``pop.ids[true]`` (all of them by default) and claimed identities.
+    """Payoff and feasibility of every report under ``mech``: two
+    ``(T, M)`` arrays over the true types ``pop.ids[true]`` (all of them
+    by default) and claimed identities.
 
-    Row ``r`` targets the first ``thresholds[r]`` types at ``rewards[r]``
-    with expected runtime ``runtimes[r]``.  Claiming a targeted identity
-    is feasible for the type itself and, unless information is
-    complete, for every type with the same speed and startup.
+    Entry ``(t, j)`` is j's reward less t's cost rate times the offer's
+    expected runtime.  A claim is feasible when j is targeted and in t's
+    claim class: t itself under complete information, otherwise every
+    type with t's speed and startup.
     """
-    runtimes = np.asarray(runtimes, dtype=float)[:, None, None]
-    payoffs = rewards[:, None, :] - pop.cost_rate[true, None] * runtimes
-    if complete:
+    rewards = _checked_row(mech.rewards, pop)
+    payoffs = rewards - pop.cost_rate[true, None] * mech.expected_runtime
+    if mech.scenario == SCENARIO_COMPLETE:
         claimable = np.arange(pop.size)[true, None] == np.arange(pop.size)
     else:
         claimable = (pop.speed[true, None] == pop.speed) & (
             pop.startup[true, None] == pop.startup
         )
-    targeted = np.arange(pop.size) < np.asarray(thresholds)[:, None]
-    return payoffs, claimable & targeted[:, None, :]
-
-
-def _offer_table(
-    mech: Mechanism, pop: Population, true: slice = slice(None)
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_report_table` for ``mech`` as one row, as ``(T, M)``."""
-    rewards = _checked_row(mech.rewards, pop)[None]
-    complete = mech.scenario == SCENARIO_COMPLETE
-    payoffs, feasible = _report_table(
-        [mech.threshold_type], [mech.expected_runtime], rewards, pop, complete, true
-    )
-    return payoffs[0], feasible[0]
+    return payoffs, claimable & (np.arange(pop.size) < mech.threshold_type)
 
 
 def best_response(true_m: int, mech: Mechanism, pop: Population) -> WorkerDecision:
@@ -163,7 +144,7 @@ def best_response(true_m: int, mech: Mechanism, pop: Population) -> WorkerDecisi
     if not 1 <= true_m <= pop.size:
         raise ValueError(f"unknown type id {true_m}")
     row = slice(true_m - 1, true_m)
-    payoffs, feasible = (table[0] for table in _offer_table(mech, pop, row))
+    payoffs, feasible = (table[0] for table in _report_table(mech, pop, row))
     best_value = payoffs[feasible].max(initial=-np.inf).item()
     participate = best_value >= 0
     best = feasible & (payoffs == best_value)
@@ -186,16 +167,28 @@ def _best_payoffs(
     pop: Population,
 ) -> np.ndarray:
     """:func:`best_response`'s payoff for every type under each row of
-    batched private-cost offers (see :func:`_report_table`), ``(R, M)``."""
-    best = np.empty(rewards.shape)
-    step = max(1, _TABLE_ENTRIES // pop.size**2)
-    for start in range(0, len(best), step):
-        rows = slice(start, start + step)
-        payoffs, feasible = _report_table(
-            thresholds[rows], runtimes[rows], rewards[rows], pop, False
-        )
-        payoffs[~feasible] = -np.inf
-        best[rows] = payoffs.max(axis=2)
+    batched private-cost offers, ``(R, M)``.
+
+    Row ``r`` targets the first ``thresholds[r]`` types at
+    ``rewards[r]`` with expected runtime ``runtimes[r]``.  A type's best
+    payoff is the largest targeted reward in its claim class (the types
+    with its speed and startup, as in :func:`_report_table`) less its
+    cost rate times the runtime, or 0 when that is negative or the class
+    has no targeted type.  Subtracting one cost is monotone in the
+    reward, so this is bit for bit the best feasible entry of the type's
+    :func:`_report_table` row.
+    """
+    # Sorted by (speed, startup), each class is one run of types.
+    order = np.lexsort((pop.startup, pop.speed))
+    speed, startup = pop.speed[order], pop.startup[order]
+    opens = np.ones(pop.size, dtype=bool)
+    opens[1:] = (speed[1:] != speed[:-1]) | (startup[1:] != startup[:-1])
+    classes = np.empty(pop.size, dtype=np.intp)
+    classes[order] = np.cumsum(opens) - 1
+    targeted = np.arange(pop.size) < thresholds[:, None]
+    offered = np.where(targeted, rewards, -np.inf)[:, order]
+    class_best = np.maximum.reduceat(offered, np.flatnonzero(opens), axis=1)
+    best = class_best[:, classes] - pop.cost_rate * runtimes[:, None]
     return np.where(best >= 0, best, 0.0)
 
 
@@ -209,7 +202,7 @@ def verify_ir_ic(mech: Mechanism, pop: Population) -> ComplianceReport:
     treated as ties, not violations.  The unrestricted diagnostic
     repeats the incentive scan across every identity pair.
     """
-    payoffs, feasible = _offer_table(mech, pop)
+    payoffs, feasible = _report_table(mech, pop)
     honest = payoffs.diagonal()
     targeted = np.arange(pop.size) < mech.threshold_type
     baseline = np.where(targeted, honest, 0.0)

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InfeasibleError, NumericalError
-from .numerics import _all_finite, mds_alpha, row_fsums
+from .numerics import _all_finite, _whole, mds_alpha, row_fsums
 # No solver calls ``assign_loads_hetero``; it stays imported because
 # perfbench's traced runs wrap it by name in this module.
 from .runtime import (
@@ -133,8 +133,10 @@ class Mechanism:
             raise ValueError("rewards must be nonnegative and finite")
         if self.rewards.shape != self.assignment.loads.shape:
             raise ValueError("rewards and loads must be rows over the same types")
-        if not 1 <= self.threshold_type <= self.rewards.size:
-            raise ValueError(f"threshold type {self.threshold_type} is not offered")
+        threshold = _whole(self.threshold_type, "threshold type", None)
+        object.__setattr__(self, "threshold_type", threshold)
+        if not 1 <= threshold <= self.rewards.size:
+            raise ValueError(f"threshold type {threshold} is not offered")
         if not 0 < self.expected_runtime < math.inf:
             raise ValueError("expected_runtime must be positive and finite")
         cost_only = self.scenario == SCENARIO_COST_ONLY

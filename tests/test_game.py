@@ -26,7 +26,7 @@ from coded_incentives import (
 )
 from coded_incentives import game, simulate_round
 from coded_incentives.experiments import _apportion_rows
-from coded_incentives.game import _best_payoffs, _report_table
+from coded_incentives.game import _best_payoffs
 from coded_incentives.mechanisms import _private_offers
 from conftest import random_cost_only_instance, random_hetero_instance
 from oracles import best_response_oracle, compliance_rows_oracle
@@ -136,24 +136,46 @@ class TestBestResponse:
                     v.hex() for v in expected
                 ]
 
-    def test_row_blocks_match_one_pass(self, monkeypatch):
-        pop = _two_class_population()
-        cfg = PlatformConfig(gamma_time=500.0, gamma_pay=1.0, total_rows=200.0)
-        counts = _apportion_rows(list(range(3, 60, 4)), [1.0, 2.0, 1.0])
-        offers = _private_offers(counts, pop, cfg)[:3]
-        payoffs, feasible = _report_table(*offers, pop, False)
+    def test_class_maxima_match_masked_table(self):
+        # Three claim classes interleaved by cost-performance order, two
+        # sharing a speed and two a startup, with equal-cost twins in each.
+        rng = np.random.default_rng(4806)
+        classes = [(120.0, 0.015), (300.0, 0.015), (300.0, 0.04)]
+        costs = np.repeat(rng.uniform(1.0, 20.0, 100), 2)
+        pop = build_population(
+            WorkerType(id=0, cost_rate=c, speed=speed, startup=startup, count=3)
+            for c, (speed, startup) in zip(
+                costs.tolist(), (classes[i // 2 % 3] for i in range(len(costs)))
+            )
+        )
+        assert pop.size == 200
+        cfg = PlatformConfig(gamma_time=2000.0, gamma_pay=1.0, total_rows=500.0)
+        counts = _apportion_rows(list(range(50, 3000, 60)), pop.counts.tolist())
+        thresholds, runtimes, rewards = _private_offers(counts, pop, cfg)[:3]
+        assert len(set(thresholds.tolist())) > 1
+        # Private rewards are proportional to throughput, so they tie
+        # across a class. The same rows again with rewards on a coarse
+        # grid tie across classes and make untargeted rewards matter.
+        grid = rng.integers(1, 6, rewards.shape) * (rewards.max() / 4)
+        rewards = np.concatenate((rewards, grid))
+        thresholds, runtimes = np.tile(thresholds, 2), np.tile(runtimes, 2)
+        ids = np.arange(pop.size)
+        feasible = (
+            (pop.speed[:, None] == pop.speed)
+            & (pop.startup[:, None] == pop.startup)
+            & (ids < thresholds[:, None, None])
+        )
+        payoffs = rewards[:, None, :] - pop.cost_rate[:, None] * runtimes[:, None, None]
         best = np.where(feasible, payoffs, -np.inf).max(axis=2)
         one_pass = np.where(best >= 0, best, 0.0)
-        # Two offer rows per block: the last block holds one row.
-        monkeypatch.setattr(game, "_TABLE_ENTRIES", 2 * pop.size**2)
-        assert len(counts) % 2 == 1
-        assert _bits(_best_payoffs(*offers, pop).ravel().tolist()) == _bits(
-            one_pass.ravel().tolist()
-        )
+        assert (one_pass > 0).any() and (one_pass == 0).any()
+        assert _bits(
+            _best_payoffs(thresholds, runtimes, rewards, pop).ravel().tolist()
+        ) == _bits(one_pass.ravel().tolist())
 
     def test_thousand_type_sweep_stays_within_memory(self):
         # The 1000-type catalog of CI's sweep step at the default 50
-        # points; a one-pass table of it held ~800 MiB.
+        # points: per-class maxima need a few (50, 1000) arrays (~2 MiB).
         rng = np.random.default_rng(2026)
         columns = (
             rng.uniform(1, 20, 1000),
@@ -180,7 +202,7 @@ class TestBestResponse:
             if not tracing:
                 tracemalloc.stop()
         assert payoffs.shape == (50, 1000)
-        assert peak < 100 * 2**20
+        assert peak < 8 * 2**20
 
     def test_tie_prefers_truthful_report(self):
         pop = _two_class_population()
@@ -447,4 +469,4 @@ class TestManyTypes:
             mech, pop, rng.standard_normal((500, 3)), rng.standard_normal(3), seed=0
         )
         assert len(shapes) == pop.size
-        assert all(p == f == (1, 1, pop.size) for p, f in shapes)
+        assert all(p == f == (1, pop.size) for p, f in shapes)

@@ -904,6 +904,19 @@ class TestPlatformCost:
         with pytest.raises(ValueError, match="threshold type 11 is not offered"):
             replace(mech, threshold_type=11)
 
+    def test_rejects_a_threshold_type_that_is_not_an_integer(
+        self, benchmark_population, benchmark_config
+    ):
+        mech = solve_incomplete(benchmark_population, benchmark_config)
+        # Refused where the offer is built, not later by ``targeted``.
+        with pytest.raises(
+            ConfigurationError, match="threshold type must be an integer, got 3.0"
+        ):
+            replace(mech, threshold_type=3.0)
+        offer = replace(mech, threshold_type=np.int64(3))
+        assert type(offer.threshold_type) is int
+        assert offer.targeted == (1, 2, 3)
+
     def test_rejects_cost_only_offers_without_a_feasible_threshold(self):
         types = [WorkerType(id=1, cost_rate=1.0, speed=2.0, startup=1.0, count=10)]
         cfg = PlatformConfig(gamma_time=50.0, gamma_pay=1.0, total_rows=100.0)
