@@ -69,10 +69,9 @@ _SPOT_CHECKS = 5
 # stream, so a round's realisation does not depend on them.
 _PROBES = 4
 _PROBE_SEED = 0
-# The chunk a round's parity system is formed in: the square block's
-# columns for this many missing entries, or this many parity rows'
-# received results, at a time, so its temporaries stay small however
-# many rows it solves from.
+# The bound on a round's parity system's temporaries: none holds more
+# numbers than this many parity rows at full width, however many rows
+# it solves from (see ``_parity_system``).
 _PARITY_BLOCK = 64
 
 
@@ -264,14 +263,18 @@ def _decode_received(square: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """
     unknowns = square.shape[0]
     width = rhs.size // unknowns
-    # |B|_F is taken before the solve, while the block is still in cache.
-    norm = float(np.linalg.norm(square))
+    # |B|_F is taken before the solve, while the block is still in cache,
+    # as ``np.linalg.norm`` takes it: the root of the flat block's dot.
+    flat = square.ravel(order="K")
+    norm = math.sqrt(flat.dot(flat))
+    sides = np.concatenate((rhs.reshape(unknowns, width), _probes(unknowns)), axis=1)
     try:
-        solved = np.linalg.solve(square, np.column_stack([rhs, _probes(unknowns)]))
+        solved = np.linalg.solve(square, sides)
     except np.linalg.LinAlgError:
         raise NumericalError("the coded rows to decode from are rank-deficient")
     solution = solved[:, :width].reshape(rhs.shape)
-    mean_square = np.mean(np.sum(solved[:, width:] ** 2, axis=0))
+    # The probes' mean squared norm, summed as ``np.mean`` sums it.
+    mean_square = (solved[:, width:] ** 2).sum(axis=0).sum() / _PROBES
     estimate = norm * math.sqrt(mean_square)
     if estimate <= _DECODE_COND_LIMIT:
         return solution
@@ -334,14 +337,18 @@ def _parity_system(
     grid row's or column's factor over every parity row is contiguous.
     Row c of the square block's transpose is then the left factor of
     missing entry c's grid row times the right factor of its grid
-    column, the latter gathered ``_PARITY_BLOCK`` entries at a time, and
-    the block is returned F-ordered, as LAPACK reads it.  A received
-    result applies ``left`` over the grid's full rows in one product
-    with ``source`` (its partial last row on its own), then ``right``,
-    then ``vector``: a worker's order, summed factor by factor.  It is
-    formed ``_PARITY_BLOCK`` parity rows at a time, fewer over a matrix
-    wider than its grid is high, so one reused chunk holds no more
-    numbers than ``_PARITY_BLOCK`` full-width rows would.
+    column, and the block is returned F-ordered, as LAPACK reads it.  A
+    received result applies ``left`` over the grid's full rows in one
+    product with ``source`` (its partial last row on its own), then
+    ``right``, then ``vector``: a worker's order, summed factor by
+    factor.  Both are formed under one bound: no temporary holds more
+    numbers than ``_PARITY_BLOCK`` parity rows at full width would.  The
+    right factors are gathered for ``_PARITY_BLOCK * rows // count``
+    missing entries at a time, each over all ``count`` parity rows, and
+    the received results are formed in one reused chunk of
+    ``_PARITY_BLOCK * height // cols`` parity rows of ``width * cols``
+    numbers (at least one of either).  The anchor round forms each in
+    one pass; a wide matrix or a large round chunks.
     """
     rows, cols = source.shape
     width = math.isqrt(rows - 1) + 1
@@ -355,16 +362,15 @@ def _parity_system(
     left, right = factors[:height], factors[height:]
     grid_row, grid_col = np.divmod(missing, width)
     square_t = left[grid_row]
-    for start in range(0, grid_row.size, _PARITY_BLOCK):
-        square_t[start : start + _PARITY_BLOCK] *= right[
-            grid_col[start : start + _PARITY_BLOCK]
-        ]
+    gather = max(1, _PARITY_BLOCK * rows // max(count, 1))
+    for start in range(0, count, gather):
+        square_t[start : start + gather] *= right[grid_col[start : start + gather]]
     # Its terms are only (width, count), so it takes every parity row at once.
     share = (right * (known_values[:cut].reshape(full, width).T @ left[:full])).sum(0)
     if cut < rows:
         share += left[full] * (known_values[cut:] @ right[: rows - cut])
     grid = source[:cut].reshape(full, width * cols)
-    step = min(_PARITY_BLOCK, max(1, _PARITY_BLOCK * height // cols))
+    step = max(1, _PARITY_BLOCK * height // cols)
     chunk = np.empty((min(step, count), width * cols))
     rhs = np.empty(count)
     for start in range(0, count, step):
@@ -443,7 +449,7 @@ def _decode_round(
     known = np.zeros(rows, dtype=bool)
     known[rng.permutation(rows)[used[owner]]] = True
     decoded = np.where(known, exact, 0.0)
-    missing = np.flatnonzero(~known)
+    missing = (~known).nonzero()[0]
     if missing.size:
         # The used workers hold at least rows coded rows, so at least as
         # many parity rows as missing entries; the decode reads the
@@ -626,7 +632,7 @@ def simulate_round(
         realized_k=realized,
         runtime=runtime,
         decoded=decoded,
-        max_error=float(np.max(np.abs(decoded - exact))),
+        max_error=float(abs(decoded - exact).max()),
         platform_cost_realized=cost,
         _finishers=_owned(plan.racing[order]),
         _finish_times=_owned(times),

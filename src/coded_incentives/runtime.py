@@ -200,8 +200,8 @@ def _race(
 ) -> tuple[np.ndarray, int]:
     """Finish order of one round's workers (ties by index) and how many
     of the first finishers hold ``need`` rows; ``loads`` are positive."""
-    order = np.argsort(times, kind="stable")
-    return order, int(np.searchsorted(np.cumsum(loads[order]), need)) + 1
+    order = times.argsort(kind="stable")
+    return order, int(loads[order].cumsum().searchsorted(need)) + 1
 
 
 def monte_carlo_runtime(

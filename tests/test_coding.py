@@ -1160,6 +1160,22 @@ class TestOnceRefusedRounds:
         assert outcome.max_error <= 1e-8 * scale
 
 
+def _traced_peak(call):
+    """``call()``'s result and its traced allocation peak in bytes."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak
+
+
 class TestParitySystem:
     """A round forms its parity system from the rows' factors, one
     parity row per missing entry; the square block must be the one a
@@ -1280,7 +1296,8 @@ class TestParitySystem:
     @pytest.mark.parametrize("known_share", [0.0, 1.0])
     def test_no_known_or_no_missing_entry(self, known_share):
         # With no entry known the known share is zero; with none missing
-        # the system is empty and draws nothing.
+        # the system is empty, draws nothing and sizes no chunk by its
+        # zero count.
         source, vector, missing, known_values = self._inputs(12, known_share)
         drawn, fresh = np.random.default_rng(7), np.random.default_rng(7)
         got = _parity_system(drawn, source, vector, missing, known_values)
@@ -1290,6 +1307,36 @@ class TestParitySystem:
         else:
             assert [a.shape for a in got] == [(0, 0), (0,)]
         assert drawn.random() == fresh.random()
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 10**6])
+    @pytest.mark.parametrize("cols, unknowns", [(4, 250), (256, 250)])
+    def test_chunk_rule_keeps_the_system(self, monkeypatch, block, cols, unknowns):
+        # A 1000-row grid is 32 x 32 with a partial last row.  However
+        # many missing entries or parity rows a chunk takes, from one at a
+        # time to one pass, the square block is the same bit for bit and
+        # only the received results' summation order moves.
+        inputs = self._inputs(1000, cols=cols, unknowns=unknowns)
+        one_pass = _parity_system(np.random.default_rng(7), *inputs)
+        monkeypatch.setattr(coding, "_PARITY_BLOCK", block)
+        square, rhs = _parity_system(np.random.default_rng(7), *inputs)
+        assert np.array_equal(square.view(np.uint64), one_pass[0].view(np.uint64))
+        scale = float(np.max(np.abs(one_pass[1])))
+        assert np.max(np.abs(rhs - one_pass[1])) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("rows, cols, unknowns", [(8000, 4, 1600), (1000, 256, 250)])
+    def test_temporaries_stay_within_the_block_bound(self, rows, cols, unknowns):
+        # Beside the square block it returns, the system holds its
+        # factors and a few temporaries of at most _PARITY_BLOCK parity
+        # rows at full width each; forming the 8000-row square block's
+        # gather or the wide matrix's received results in one pass
+        # would not fit.
+        inputs = self._inputs(rows, cols=cols, unknowns=unknowns)
+        (square, _), peak = _traced_peak(
+            lambda: _parity_system(np.random.default_rng(7), *inputs)
+        )
+        width = math.isqrt(rows - 1) + 1
+        height = -(-rows // width)
+        assert peak < square.nbytes + 3 * _PARITY_BLOCK * height * width * 8
 
     def test_scaled_random_is_uniform_bit_for_bit(self):
         for seed in range(2000):
@@ -1311,17 +1358,7 @@ class TestParitySystem:
         rng = np.random.default_rng(0)
         A = rng.standard_normal((rows, cols))
         x = rng.standard_normal(cols)
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            outcome = simulate_round(mech, pop, A, x, 1)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        outcome, peak = _traced_peak(lambda: simulate_round(mech, pop, A, x, 1))
         return peak, outcome.max_error / max(1.0, float(np.max(np.abs(A @ x))))
 
     def test_anchor_round_at_4000_rows_stays_small(self):
