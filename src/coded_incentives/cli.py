@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="play seeded computation rounds end to end (default 1)",
     )
     sim.set_defaults(run=cmd_simulate)
-    sim.add_argument("--reps", type=int, help="number of rounds (default 1)")
+    sim.add_argument("--reps", type=int, default=1, help="number of rounds (default 1)")
     sim.add_argument(
         "--matrix",
         help=(
@@ -136,7 +136,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a worker-count sweep and emit CSV",
     )
     exp.set_defaults(run=cmd_experiment)
-    exp.add_argument("--reps", type=int, help="replications per fig7 point")
+    exp.add_argument(
+        "--reps",
+        type=int,
+        dest="replications",
+        metavar="REPS",
+        help="replications per fig7 point",
+    )
     exp.add_argument(
         "name",
         choices=EXPERIMENT_NAMES,
@@ -158,15 +164,11 @@ def _parser() -> argparse.ArgumentParser:
 def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
     """The spec a command runs: its config file's, or the default one,
     with the command line's settings; each spec is checked once."""
-    overrides: dict[str, object] = {}
-    name = getattr(args, "name", None)
-    if name is not None:
-        overrides["name"] = name
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    # simulate reads --reps as its round count, not as replications.
-    if args.command == "experiment" and args.reps is not None:
-        overrides["replications"] = args.reps
+    overrides = {
+        key: value
+        for key in ("name", "seed", "replications")
+        if (value := getattr(args, key, None)) is not None
+    }
     if not args.config:
         return ExperimentSpec(**overrides)
     spec = load_config(args.config)
@@ -212,8 +214,7 @@ def cmd_verify(args: argparse.Namespace) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> str:
-    reps = args.reps if args.reps is not None else 1
-    if reps < 1:
+    if args.reps < 1:
         raise ConfigurationError("simulate needs at least one round")
     spec = _load_spec(args)
     mech = _solve_for(args.scenario, spec)
@@ -231,7 +232,7 @@ def cmd_simulate(args: argparse.Namespace) -> str:
         vector = rng.standard_normal(matrix.shape[1])
     lines = []
     costs = []
-    for i in range(reps):
+    for i in range(args.reps):
         seed = spec.seed + i
         # A ConfigurationError is the command's input, never one round's.
         try:
@@ -249,8 +250,8 @@ def cmd_simulate(args: argparse.Namespace) -> str:
             f"decode error {error:.3g} (relative), realized cost "
             f"{outcome.platform_cost_realized:.6g}"
         )
-    mean_cost = math.fsum(costs) / reps
-    lines.append(f"mean realized cost over {reps} round(s): {mean_cost:.6g}")
+    mean_cost = math.fsum(costs) / args.reps
+    lines.append(f"mean realized cost over {args.reps} round(s): {mean_cost:.6g}")
     lines.append(f"announced expected cost: {mech.expected_cost:.6g}")
     return "\n".join(lines)
 

@@ -112,8 +112,8 @@ class SimOutcome:
     Those four are views, each built once, on first read, from what the
     outcome holds: read-only arrays of the racing workers' indices and
     finish times in finish order and of every worker's payoff, and the
-    round plan's payments, which no one writes.  Each outcome's dicts
-    are its own.
+    round plan's read-only reward row.  Each outcome's dicts are its
+    own.
     """
 
     participants: tuple[int, ...]
@@ -125,7 +125,7 @@ class SimOutcome:
     platform_cost_realized: float
     _finishers: np.ndarray = field(repr=False)
     _finish_times: np.ndarray = field(repr=False)
-    _payments: dict[int, float] = field(repr=False)
+    _pay: np.ndarray = field(repr=False)
     _payoffs: np.ndarray = field(repr=False)
 
     @functools.cached_property
@@ -138,7 +138,7 @@ class SimOutcome:
 
     @functools.cached_property
     def payments(self) -> dict[int, float]:
-        return dict(self._payments)
+        return dict(enumerate(self._pay.tolist()))
 
     @functools.cached_property
     def worker_payoffs(self) -> dict[int, float]:
@@ -469,9 +469,9 @@ class _RoundPlan:
     draws and sums them with (a cumulative sum of whole-number floats is
     exact), and ``owner`` is each systematic copy's racing worker,
     copies in racing order.  ``pay`` and ``cost_rate`` are every
-    worker's reward and cost rate, ``payments`` the rewards by worker
-    id, and ``paid`` their ``math.fsum``.  Its arrays are read-only;
-    each outcome copies ``payments`` when it is read."""
+    worker's reward and cost rate, and ``paid`` the rewards'
+    ``math.fsum``.  Its arrays are read-only; each outcome's
+    ``payments`` view reads the ``pay`` row."""
 
     participants: tuple[int, ...]
     worker_types: tuple[tuple[int, int], ...]
@@ -482,7 +482,6 @@ class _RoundPlan:
     owner: np.ndarray
     pay: np.ndarray
     cost_rate: np.ndarray
-    payments: dict[int, float]
     paid: float
 
 
@@ -529,7 +528,6 @@ def _round_plan(mech: Mechanism, pop: Population) -> _RoundPlan:
     expected = loads * (startup + 1.0 / speed)
     copies = _systematic_copies(loads, expected, int(mech.config.total_rows))
     pay = np.repeat(mech.rewards[reported - 1], counts)
-    payments = pay.tolist()
     plan = _RoundPlan(
         participants=tuple(participants.tolist()),
         worker_types=tuple(enumerate((of + 1).tolist())),
@@ -540,8 +538,7 @@ def _round_plan(mech: Mechanism, pop: Population) -> _RoundPlan:
         owner=_read_only(np.repeat(np.arange(loads.size), copies), int),
         pay=_read_only(pay),
         cost_rate=_read_only(pop.cost_rate[of]),
-        payments=dict(enumerate(payments)),
-        paid=math.fsum(payments),
+        paid=math.fsum(pay.tolist()),
     )
     _plan_memo = (mech, pop, plan)
     return plan
@@ -636,7 +633,7 @@ def simulate_round(
         platform_cost_realized=cost,
         _finishers=_owned(plan.racing[order]),
         _finish_times=_owned(times),
-        _payments=plan.payments,
+        _pay=plan.pay,
         _payoffs=_owned(payoffs),
     )
 

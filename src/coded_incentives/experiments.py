@@ -379,11 +379,10 @@ def run_fig7(spec: ExperimentSpec) -> ResultTable:
         probs = np.full(pop.size, 1.0 / pop.size)
     else:
         probs = np.asarray(spec.type_probabilities, dtype=float)
+    counts = _apportion_rows(spec.n_sweep, spec.weights())
     rows = []
-    for total in spec.n_sweep:
-        committed = solve_incomplete(
-            pop.with_counts(apportion(total, spec.weights())), cfg
-        )
+    for total, row in zip(spec.n_sweep, counts):
+        committed = solve_incomplete(pop.with_counts(row), cfg)
         realized = np.random.default_rng(
             np.random.SeedSequence([spec.seed, total])
         ).multinomial(total, probs, size=spec.replications).astype(float)

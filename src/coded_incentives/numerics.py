@@ -21,7 +21,6 @@ only NumPy.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from typing import Sequence
@@ -160,12 +159,10 @@ def mds_alpha(mu: float, a: float) -> float:
     return scaled / (1.0 + scaled) if scaled < math.inf else 1.0
 
 
-@functools.lru_cache(maxsize=65536, typed=True)
 def harmonic(n: int) -> float:
     """Partial sum of the harmonic series, ``H_0 = 0``: the correctly rounded
     sum up to ``2**20`` terms, beyond that ``log(n) + gamma + 1/(2n) -
-    1/(12n^2)``, ``gamma`` Euler's constant, within an ulp in constant time.
-    The cache is typed, so ``5.0`` misses ``5``'s entry and is refused."""
+    1/(12n^2)``, ``gamma`` Euler's constant, within an ulp in constant time."""
     n = _whole(n, "n")
     if n > 2**20:
         return math.log(n) + np.euler_gamma + 1 / (2 * n) - 1 / (12 * n * n)

@@ -129,6 +129,18 @@ class TestParser:
             build_parser().parse_args(["experiment", "fig9"])
         capsys.readouterr()
 
+    def test_each_reps_is_stored_under_the_name_its_command_reads(self, capsys):
+        # experiment's --reps is the spec's replications; simulate's is
+        # its round count, one unless given.
+        experiment = build_parser().parse_args(["experiment", "fig7", "--reps", "4"])
+        assert experiment.replications == 4 and not hasattr(experiment, "reps")
+        simulate = build_parser().parse_args(["simulate"])
+        assert simulate.reps == 1 and not hasattr(simulate, "replications")
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["experiment", "--help"])
+        assert exc.value.code == 0
+        assert "--reps REPS" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -670,15 +670,16 @@ class TestLazyViews:
         mech, pop, A, x = _two_type_round()
         first = simulate_round(mech, pop, A, x, 5)
         payments, payoffs = dict(first.payments), dict(first.worker_payoffs)
-        plan_payments = dict(coding._round_plan(mech, pop).payments)
+        pay = coding._round_plan(mech, pop).pay.tolist()
         first.payments[0] = -1.0
         first.worker_payoffs[0] = -1.0
         first.worker_payoffs.clear()
+        first.payments.clear()
         second = simulate_round(mech, pop, A, x, 5)
-        assert second.payments == payments
+        assert second.payments == payments == dict(enumerate(pay))
         assert second.worker_payoffs == payoffs
-        assert coding._round_plan(mech, pop).payments == plan_payments
-        assert first.payments[0] == -1.0 and first.worker_payoffs == {}
+        assert coding._round_plan(mech, pop).pay.tolist() == pay
+        assert first.payments == {} and first.worker_payoffs == {}
 
     def test_views_read_late_equal_views_read_at_once(self):
         mech, pop, A, x = _anchor_round()
@@ -692,7 +693,9 @@ class TestLazyViews:
     def test_held_arrays_are_read_only(self):
         mech, pop, A, x = _two_type_round()
         outcome = simulate_round(mech, pop, A, x, 2)
-        for array in (outcome._finishers, outcome._finish_times, outcome._payoffs):
+        for array in (
+            outcome._finishers, outcome._finish_times, outcome._pay, outcome._payoffs
+        ):
             with pytest.raises(ValueError):
                 array[0] = 0
 
