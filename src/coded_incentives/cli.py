@@ -46,6 +46,7 @@ from .mechanisms import (
     solve_complete,
     solve_incomplete,
 )
+from .numerics import _sized
 from .workers import Population
 
 __all__ = ["build_parser", "main"]
@@ -225,7 +226,10 @@ def cmd_simulate(args: argparse.Namespace) -> str:
         )
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 1]))
     # simulate_round checks the matrix and vector shapes against the offer.
-    matrix = read_matrix(args.matrix) if args.matrix else rng.standard_normal((rows, 4))
+    if args.matrix:
+        matrix = read_matrix(args.matrix)
+    else:
+        matrix = rng.standard_normal(_sized((rows, 4)))
     if args.vector:
         vector = read_vector(args.vector)
     else:

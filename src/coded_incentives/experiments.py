@@ -30,7 +30,7 @@ from .mechanisms import (
     solve_complete,
     solve_incomplete,
 )
-from .numerics import _largest_remainder, _whole
+from .numerics import _largest_remainder, _sized, _whole
 from .runtime import expected_runtimes_hetero
 from .workers import (
     Population,
@@ -167,9 +167,9 @@ class ExperimentSpec:
     """Everything needed to run a sweep reproducibly.
 
     ``n_sweep`` lists the total worker counts to visit;
-    ``type_probabilities`` (aligned with the population's type ids)
-    both weighs the apportionment and drives the sampled-headcount
-    experiment, defaulting to uniform.
+    ``type_probabilities`` (aligned with the population's type ids,
+    1/M each when unset, as :meth:`weights` returns them) both weighs
+    the apportionment and drives the sampled-headcount experiment.
     """
 
     name: str = "custom"
@@ -188,6 +188,10 @@ class ExperimentSpec:
         sweep = tuple(_whole(n, "a sweep's worker count", 1) for n in self.n_sweep)
         if not sweep:
             raise ConfigurationError("sweep must list positive worker counts")
+        if max(sweep) >= 2**53:  # float64 holds every total below it exactly
+            raise ConfigurationError(
+                f"a sweep's worker count must be below 2**53, got {max(sweep)}"
+            )
         object.__setattr__(self, "n_sweep", sweep)
         for name, least in (("replications", 1), ("seed", 0)):
             object.__setattr__(self, name, _whole(getattr(self, name), name, least))
@@ -222,7 +226,7 @@ class ExperimentSpec:
     def weights(self) -> tuple[float, ...]:
         if self.type_probabilities is not None:
             return self.type_probabilities
-        return tuple([1.0] * self.population.size)
+        return (1.0 / self.population.size,) * self.population.size
 
     def to_metadata(self) -> dict[str, str]:
         """Metadata echo from which :meth:`from_metadata` rebuilds this
@@ -375,17 +379,15 @@ def run_fig7(spec: ExperimentSpec) -> ResultTable:
     """
     cfg = spec.platform_config()
     pop = spec.population
-    if spec.type_probabilities is None:
-        probs = np.full(pop.size, 1.0 / pop.size)
-    else:
-        probs = np.asarray(spec.type_probabilities, dtype=float)
-    counts = _apportion_rows(spec.n_sweep, spec.weights())
+    probs = spec.weights()
+    counts = _apportion_rows(spec.n_sweep, probs)
+    _sized((spec.replications, pop.size))  # each point's draw
     rows = []
     for total, row in zip(spec.n_sweep, counts):
         committed = solve_incomplete(pop.with_counts(row), cfg)
         realized = np.random.default_rng(
             np.random.SeedSequence([spec.seed, total])
-        ).multinomial(total, probs, size=spec.replications).astype(float)
+        ).multinomial(total, probs, size=spec.replications)
         thresholds, runtimes, rewards, _ = _private_offers(realized, pop, cfg)
         # A replicate whose informed threshold is the committed one already
         # has the committed prefix's runtime.  Only the others are priced

@@ -42,6 +42,7 @@ _MAX_ITER = 200
 _SERIES_W = 1.0
 _FLOAT_MAX = np.finfo(float).max
 _FLOAT_TINY = np.finfo(float).tiny
+_INTP_MAX = np.iinfo(np.intp).max
 
 
 def _whole(value, what: str, least: int | None = 0) -> int:
@@ -55,6 +56,19 @@ def _whole(value, what: str, least: int | None = 0) -> int:
         kind = {None: "an", 0: "a nonnegative", 1: "a positive"}[least]
         raise ConfigurationError(f"{what} must be {kind} integer, got {value!r}")
     return whole
+
+
+def _sized(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """``shape``, checked for an array of 8-byte entries: MemoryError if
+    its byte count is past what NumPy can address, where NumPy itself
+    raises ValueError, as it raises MemoryError for any smaller array
+    that does not fit."""
+    nbytes = math.prod(shape) * 8
+    if nbytes > _INTP_MAX:
+        raise MemoryError(
+            f"cannot allocate {nbytes} bytes for an array of shape {shape}"
+        )
+    return shape
 
 
 def _excess_tail(w: np.ndarray) -> np.ndarray:

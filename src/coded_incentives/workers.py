@@ -56,14 +56,17 @@ class WorkerType:
                 f"startup must be positive and finite, got {self.startup}"
             )
         # A bool is no headcount, and NaN and the infinities fail the range
-        # test before ``int`` sees them.
+        # test before ``int`` sees them.  Below 2**53 the float64 headcount
+        # column holds every whole count exactly.
         count = self.count
         if (
             isinstance(count, (bool, np.bool_))
-            or not 0 <= count < math.inf
+            or not 0 <= count < 2**53
             or count != int(count)
         ):
-            raise ValueError(f"count must be a nonnegative integer, got {self.count}")
+            raise ValueError(
+                f"count must be a nonnegative integer below 2**53, got {self.count}"
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,10 +189,13 @@ def _read_only(values, dtype=float) -> np.ndarray:
 
 
 def _check_counts(counts: np.ndarray) -> None:
-    """The headcount rule: every count is a nonnegative integer."""
-    whole = (counts == np.floor(counts)) & (counts < np.inf)
+    """The headcount rule: every count is a nonnegative integer below
+    2**53, so that float64 holds it exactly."""
+    whole = (counts == np.floor(counts)) & (counts < 2**53)
     if not np.all(whole & (counts >= 0)):
-        raise ValueError(f"counts must be nonnegative integers, got {counts}")
+        raise ValueError(
+            f"counts must be nonnegative integers below 2**53, got {counts}"
+        )
 
 
 def derive_profile(worker: WorkerType) -> PerformanceProfile:

@@ -623,6 +623,84 @@ class TestOutOfMemory:
         assert captured.out == ""
 
 
+    # Runs NumPy cannot even size (it raises ValueError for them) are
+    # refused before anything is drawn, with the same message.
+    @pytest.mark.parametrize(
+        "setting, argv",
+        [
+            ("total_rows = 1e18", ["simulate"]),
+            ("", ["experiment", "fig7", "--reps", "1000000000000000000"]),
+        ],
+        ids=["simulate-matrix", "fig7-draw"],
+    )
+    def test_unsizable_run_exits_2(self, tmp_path, capsys, setting, argv):
+        path = tmp_path / "big.cfg"
+        path.write_text(setting + "\n")
+        assert main(argv + ["--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(
+            r"configuration error: not enough memory for this run "
+            r"\(cannot allocate \d+ bytes for an array of shape \(\d+, \d+\)\)\n",
+            captured.err,
+        )
+
+
+class TestCountsBeyondFloat64:
+    # A population holds headcounts as float64, exact below 2**53: a
+    # headcount or sweep total at or past it is refused, naming the bound
+    # and, for a population row, the config line.
+    @pytest.mark.parametrize(
+        "text, argv, message",
+        [
+            (
+                "1.0 50.0 0.012 10000000000000000000\n",
+                ["solve"],
+                "{path}:1: count must be a nonnegative integer below 2**53, "
+                "got 10000000000000000000",
+            ),
+            (
+                "1.0 50.0 0.012 10000000000000000000\n",
+                ["experiment", "fig4"],
+                "{path}:1: count must be a nonnegative integer below 2**53, "
+                "got 10000000000000000000",
+            ),
+            (
+                "1.0 50.0 0.012 140\n7.0 100.0 0.024 9007199254740993\n",
+                ["solve"],
+                "{path}:2: count must be a nonnegative integer below 2**53, "
+                "got 9007199254740993",
+            ),
+            (
+                "1.0 50.0 0.012 10000000000000000000000\n",
+                ["simulate"],
+                "{path}:1: count must be a nonnegative integer below 2**53, "
+                "got 10000000000000000000000",
+            ),
+            (
+                "sweep = 10000000000000000000\n",
+                ["experiment", "fig7"],
+                "{path}: a sweep's worker count must be below 2**53, "
+                "got 10000000000000000000",
+            ),
+        ],
+        ids=["solve-1e19", "fig4-1e19", "solve-2**53+1", "simulate-1e22", "fig7-sweep"],
+    )
+    def test_exits_2(self, tmp_path, capsys, text, argv, message):
+        path = tmp_path / "big.cfg"
+        path.write_text(text)
+        assert main(argv + ["--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"configuration error: {message.format(path=path)}\n"
+
+    def test_largest_exact_headcount_solves(self, tmp_path, capsys):
+        path = tmp_path / "big.cfg"
+        path.write_text("1.0 50.0 0.012 9007199254740991\n7.0 100.0 0.024 140\n")
+        assert main(["solve", "--config", str(path)]) == 0
+        assert "   1  9007199254740991  " in capsys.readouterr().out
+
+
 class TestConfigDrivenOutputsPinned:
     """sha256 of each command's output on POOL, recorded before the
     settings table, the one row builder and the one array reader took

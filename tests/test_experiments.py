@@ -105,6 +105,18 @@ class TestApportion:
             assert row == apportion_oracle(total, spec.weights())
             assert row[:shift] == [row[-1] + 1] * shift
 
+    @pytest.mark.parametrize("size", range(1, 65))
+    def test_equal_weights_apportion_alike_whatever_their_value(self, size):
+        # Equal weights give every type the same quota, so the rows cannot
+        # depend on whether each weight is 1.0 or 1/M: the default spec's
+        # 1/M weights apportion as equal unit weights do.
+        totals = sorted({*range(3 * size + 2), *range(100, 5001, 97), 2**53 - 1})
+        ones = _apportion_rows(totals, [1.0] * size)
+        assert np.array_equal(_apportion_rows(totals, [1.0 / size] * size), ones)
+        for total, row in zip(totals, ones.tolist()):
+            quota, rest = divmod(total, size)
+            assert row == [quota + 1] * rest + [quota] * (size - rest)
+
 
 class TestDefaultCatalog:
     def test_ten_types_presorted(self):
@@ -159,7 +171,7 @@ class TestExperimentSpec:
         assert spec.n_sweep == tuple(range(100, 5001, 100))
         assert spec.replications == 200
         assert spec.type_probabilities is None
-        assert spec.weights() == tuple([1.0] * 10)
+        assert spec.weights() == (0.1,) * 10
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -168,6 +180,10 @@ class TestExperimentSpec:
             ExperimentSpec(n_sweep=())
         with pytest.raises(ConfigurationError):
             ExperimentSpec(n_sweep=(0,))
+        # A sweep total float64 cannot hold exactly is refused.
+        with pytest.raises(ConfigurationError, match=r"2\*\*53, got 9007199254740992$"):
+            ExperimentSpec(n_sweep=(100, 2**53))
+        assert ExperimentSpec(n_sweep=(2**53 - 1,)).n_sweep == (2**53 - 1,)
         with pytest.raises(ConfigurationError):
             ExperimentSpec(gamma_time=-1.0)
         with pytest.raises(ConfigurationError):
@@ -869,6 +885,10 @@ class TestLoadConfig:
             ("seed = -1", "seed must be a nonnegative integer, got -1"),
             ("replications = 0", "replications must be a positive integer, got 0"),
             ("sweep = 0,100", "a sweep's worker count must be a positive integer, got 0"),
+            (
+                "sweep = 10000000000000000000",
+                "a sweep's worker count must be below 2**53, got 10000000000000000000",
+            ),
             ("gamma_pay = -1", "gamma_pay must be nonnegative and finite, got -1.0"),
         ],
     )

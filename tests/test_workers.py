@@ -63,20 +63,36 @@ class TestWorkerType:
     @pytest.mark.parametrize("count", [math.inf, -math.inf, math.nan])
     def test_non_finite_count_rejected_like_other_bad_counts(self, count):
         with pytest.raises(
-            ValueError, match=rf"^count must be a nonnegative integer, got {count}$"
+            ValueError,
+            match=rf"^count must be a nonnegative integer below 2\*\*53, got {count}$",
         ):
             _worker(count=count)
 
     @pytest.mark.parametrize("count", [True, False, np.True_])
     def test_bool_count_rejected_like_other_bad_counts(self, count):
         with pytest.raises(
-            ValueError, match=rf"^count must be a nonnegative integer, got {count}$"
+            ValueError,
+            match=rf"^count must be a nonnegative integer below 2\*\*53, got {count}$",
         ):
             _worker(count=count)
 
     @pytest.mark.parametrize("count", [3.0, np.int64(3)])
     def test_whole_valued_counts_accepted(self, count):
         assert _worker(count=count).count == 3
+
+    # float64 holds every whole number below 2**53 exactly, and the
+    # population's headcount column is float64.
+    @pytest.mark.parametrize("count", [2**53, 2.0**53, 2**53 + 1, 10**22])
+    def test_count_of_2_to_the_53_or_more_rejected(self, count):
+        with pytest.raises(
+            ValueError,
+            match=rf"^count must be a nonnegative integer below 2\*\*53, got {count}$",
+        ):
+            _worker(count=count)
+
+    def test_largest_exact_count_accepted(self):
+        worker = _worker(count=2**53 - 1)
+        assert build_population([worker]).member(1)[0].count == 2**53 - 1
 
     def test_zero_count_allowed(self):
         assert _worker(count=0).count == 0
@@ -272,6 +288,13 @@ class TestBuildPopulation:
         pop = build_population([_worker(cost=1.0), _worker(cost=2.0)])
         with pytest.raises(ValueError, match="nonnegative integers"):
             pop.with_counts([bad, 1])
+
+    @pytest.mark.parametrize("bad", [2.0**53, 1e22])
+    def test_with_counts_rejects_counts_of_2_to_the_53_or_more(self, bad):
+        pop = build_population([_worker(cost=1.0), _worker(cost=2.0)])
+        with pytest.raises(ValueError, match=r"integers below 2\*\*53, got \["):
+            pop.with_counts([bad, 1])
+        assert pop.with_counts([2**53 - 1, 1]).counts.tolist() == [2**53 - 1, 1]
 
     # Scaling speed by s, startup by 1/s and cost by s (s a power of two)
     # scales the throughput by s exactly, so the ratio ties exactly and
