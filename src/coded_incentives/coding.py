@@ -389,11 +389,10 @@ def _parity_system(
 def _participation(mech: Mechanism, pop: Population) -> tuple[np.ndarray, np.ndarray]:
     """Each type's best response to the offer: the ids of the types with
     workers that join, ascending, and the type each of them reports."""
-    decisions = [best_response(m, mech, pop) for m in pop.ids]
-    joins = np.array([d.participate for d in decisions]) & (pop.counts > 0)
+    participate, reported, _ = best_response(mech, pop)
+    joins = participate & (pop.counts > 0)
     if not joins.any():
         raise InfeasibleError("no worker participates in this round")
-    reported = np.array([d.reported_type for d in decisions])
     return np.flatnonzero(joins) + 1, reported[joins]
 
 

@@ -116,9 +116,9 @@ def apportion(total: int, weights: Sequence[float]) -> list[int]:
 
     Largest-remainder rounding: every bin gets the floor of its quota,
     then the largest fractional parts absorb the shortfall, ties going
-    to the lower index.  The result always sums to ``total``.
+    to the lower index.  The result always sums to ``total`` (below 2**53).
     """
-    total = _whole(total, "total")
+    total = _exact(_whole(total, "total"), "total")
     return [int(c) for c in _apportion_rows([total], weights)[0].tolist()]
 
 
@@ -133,6 +133,13 @@ def _apportion_rows(totals: Sequence[int], weights: Sequence[float]) -> np.ndarr
         raise ValueError("weights must not all be zero")
     totals = np.array(totals, dtype=float)
     return _largest_remainder(totals[:, None] * np.array(values) / scale, totals)
+
+
+def _exact(total: int, what: str) -> int:
+    """``total`` if float64 holds it exactly, below 2**53, else ConfigurationError."""
+    if total >= 2**53:
+        raise ConfigurationError(f"{what} must be below 2**53, got {total}")
+    return total
 
 
 def default_worker_types(counts: Sequence[int] | None = None) -> list[WorkerType]:
@@ -188,10 +195,7 @@ class ExperimentSpec:
         sweep = tuple(_whole(n, "a sweep's worker count", 1) for n in self.n_sweep)
         if not sweep:
             raise ConfigurationError("sweep must list positive worker counts")
-        if max(sweep) >= 2**53:  # float64 holds every total below it exactly
-            raise ConfigurationError(
-                f"a sweep's worker count must be below 2**53, got {max(sweep)}"
-            )
+        _exact(max(sweep), "a sweep's worker count")
         object.__setattr__(self, "n_sweep", sweep)
         for name, least in (("replications", 1), ("seed", 0)):
             object.__setattr__(self, name, _whole(getattr(self, name), name, least))

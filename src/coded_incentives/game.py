@@ -4,13 +4,13 @@ Workers privately know their cost rate; runtime behavior (unit row
 time and startup factor) is observable by the platform, so a worker
 can only claim a targeted identity in its claim class: the type itself
 under complete information, otherwise every type with the same speed
-and startup.  This module computes individual payoffs, each worker's
-best feasible report, and checks the two properties a sound offer must
-satisfy: participation is worthwhile for every targeted type
-(individual rationality) and no feasible misreport beats an honest one
-(incentive compatibility).  Under one offer every claim faces the same
-runtime, so the batched sweep payoffs are per-class reward maxima less
-each type's cost.
+and startup.  One routine finds the classes, and every worker decision
+reads it: each type's best feasible report, all types at once, and the
+two properties a sound offer must satisfy: participation is worthwhile
+for every targeted type (individual rationality) and no feasible
+misreport beats an honest one (incentive compatibility).  Under one
+offer every claim faces the same runtime, so a type's best payoff is
+its class's largest targeted reward less its own cost.
 """
 
 from __future__ import annotations
@@ -21,12 +21,10 @@ from itertools import starmap
 import numpy as np
 
 from .mechanisms import SCENARIO_COMPLETE, Mechanism
-from .numerics import _whole
 from .runtime import _checked_row
 from .workers import Population
 
 __all__ = [
-    "WorkerDecision",
     "ComplianceReport",
     "best_response",
     "verify_ir_ic",
@@ -45,21 +43,6 @@ _VIOLATION_KINDS = (
      "diagnostic: profitable claims if identity checks were absent:",
      "  type {0} gains {2:.6g} claiming type {1}"),
 )
-
-
-@dataclass(frozen=True, slots=True)
-class WorkerDecision:
-    """Best feasible action for one worker type.
-
-    ``expected_payoff`` is the best achievable payoff over feasible
-    reports, or 0.0 when declining is strictly better or no feasible
-    report exists.
-    """
-
-    type_id: int
-    participate: bool
-    reported_type: int
-    expected_payoff: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,55 +92,75 @@ class ComplianceReport:
         return "kind,true_type,reported_type,value\n" + "".join(rows)
 
 
-def _report_table(
-    mech: Mechanism, pop: Population, true: slice = slice(None)
-) -> tuple[np.ndarray, np.ndarray]:
+def _claim_classes(complete: bool, pop: Population):
+    """Who can claim what: each type's claim class (numbered from 0),
+    the type indices class by class, ascending within each class, and
+    where each class starts in that order.
+
+    Under complete information each type is its own class; otherwise a
+    class is the types sharing a speed and a startup.
+    """
+    if complete:
+        ids = np.arange(pop.size)
+        return ids, ids, ids
+    # Sorted by (speed, startup), each class is one run of types.
+    order = np.lexsort((pop.startup, pop.speed))
+    speed, startup = pop.speed[order], pop.startup[order]
+    opens = np.ones(pop.size, dtype=bool)
+    opens[1:] = (speed[1:] != speed[:-1]) | (startup[1:] != startup[:-1])
+    classes = np.empty(pop.size, dtype=np.intp)
+    classes[order] = np.cumsum(opens) - 1
+    return classes, order, np.flatnonzero(opens)
+
+
+def _report_table(mech: Mechanism, pop: Population) -> tuple[np.ndarray, np.ndarray]:
     """Payoff and feasibility of every report under ``mech``: two
-    ``(T, M)`` arrays over the true types ``pop.ids[true]`` (all of them
-    by default) and claimed identities.
+    ``(M, M)`` arrays over true types and claimed identities.
 
     Entry ``(t, j)`` is j's reward less t's cost rate times the offer's
     expected runtime.  A claim is feasible when j is targeted and in t's
-    claim class: t itself under complete information, otherwise every
-    type with t's speed and startup.
+    claim class (:func:`_claim_classes`).
     """
     rewards = _checked_row(mech.rewards, pop)
-    payoffs = rewards - pop.cost_rate[true, None] * mech.expected_runtime
-    if mech.scenario == SCENARIO_COMPLETE:
-        claimable = np.arange(pop.size)[true, None] == np.arange(pop.size)
-    else:
-        claimable = (pop.speed[true, None] == pop.speed) & (
-            pop.startup[true, None] == pop.startup
-        )
+    payoffs = rewards - pop.cost_rate[:, None] * mech.expected_runtime
+    classes = _claim_classes(mech.scenario == SCENARIO_COMPLETE, pop)[0]
+    claimable = classes[:, None] == classes
     return payoffs, claimable & (np.arange(pop.size) < mech.threshold_type)
 
 
-def best_response(true_m: int, mech: Mechanism, pop: Population) -> WorkerDecision:
-    """The payoff-maximizing feasible action for one worker type.
+def best_response(
+    mech: Mechanism, pop: Population
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every type's payoff-maximizing feasible action, as three rows
+    indexed by type id - 1: whether the type participates, the type id
+    it reports, and its expected payoff.
 
-    Ties between reports prefer the honest one, then the smallest type
-    id.  A worker with no feasible report, or whose best payoff is
-    negative, declines and keeps payoff zero.  Participation at exactly
+    A type's best payoff is the largest targeted reward in its claim
+    class less its cost rate times the runtime.  Ties between reports
+    prefer the honest one, then the smallest type id.  A type with no
+    feasible report, or whose best payoff is negative, declines,
+    reports itself and keeps payoff zero.  Participation at exactly
     zero payoff is accepted.
     """
-    true_m = _whole(true_m, "type id", None)
-    if not 1 <= true_m <= pop.size:
-        raise ValueError(f"unknown type id {true_m}")
-    row = slice(true_m - 1, true_m)
-    payoffs, feasible = (table[0] for table in _report_table(mech, pop, row))
-    best_value = payoffs[feasible].max(initial=-np.inf).item()
-    participate = best_value >= 0
-    best = feasible & (payoffs == best_value)
-    if participate and not best[true_m - 1]:
-        reported = int(np.argmax(best)) + 1
-    else:
-        reported = true_m
-    return WorkerDecision(
-        type_id=true_m,
-        participate=participate,
-        reported_type=reported,
-        expected_payoff=best_value if participate else 0.0,
-    )
+    rewards = _checked_row(mech.rewards, pop)
+    classes, order, starts = _claim_classes(mech.scenario == SCENARIO_COMPLETE, pop)
+    targeted = np.arange(pop.size) < mech.threshold_type
+    offered = np.where(targeted, rewards, -np.inf)
+    # Per class, the smallest id among the largest targeted rewards.
+    first = np.lexsort((-offered, classes))[starts][classes]
+    cost = pop.cost_rate * mech.expected_runtime
+    best = offered[first] - cost
+    participate = best >= 0
+    claims = participate & ~(targeted & (rewards - cost == best))
+    reported = np.where(claims, first, np.arange(pop.size))
+    # Subtracting a cost is monotone in the reward, so a lower reward
+    # ties only if the class's next lower one does; then scan the class.
+    lower = np.where(offered < offered[first], offered, -np.inf)
+    below = np.maximum.reduceat(lower[order], starts)[classes]
+    for t in np.flatnonzero(claims & (below - cost == best)).tolist():
+        members = np.flatnonzero(targeted & (classes == classes[t]))
+        reported[t] = members[rewards[members] - cost[t] == best[t]][0]
+    return participate, reported + 1, np.where(participate, best, 0.0)
 
 
 def _best_payoffs(
@@ -171,23 +174,14 @@ def _best_payoffs(
 
     Row ``r`` targets the first ``thresholds[r]`` types at
     ``rewards[r]`` with expected runtime ``runtimes[r]``.  A type's best
-    payoff is the largest targeted reward in its claim class (the types
-    with its speed and startup, as in :func:`_report_table`) less its
+    payoff is the largest targeted reward in its claim class less its
     cost rate times the runtime, or 0 when that is negative or the class
-    has no targeted type.  Subtracting one cost is monotone in the
-    reward, so this is bit for bit the best feasible entry of the type's
-    :func:`_report_table` row.
+    has no targeted type.
     """
-    # Sorted by (speed, startup), each class is one run of types.
-    order = np.lexsort((pop.startup, pop.speed))
-    speed, startup = pop.speed[order], pop.startup[order]
-    opens = np.ones(pop.size, dtype=bool)
-    opens[1:] = (speed[1:] != speed[:-1]) | (startup[1:] != startup[:-1])
-    classes = np.empty(pop.size, dtype=np.intp)
-    classes[order] = np.cumsum(opens) - 1
+    classes, order, starts = _claim_classes(False, pop)
     targeted = np.arange(pop.size) < thresholds[:, None]
     offered = np.where(targeted, rewards, -np.inf)[:, order]
-    class_best = np.maximum.reduceat(offered, np.flatnonzero(opens), axis=1)
+    class_best = np.maximum.reduceat(offered, starts, axis=1)
     best = class_best[:, classes] - pop.cost_rate * runtimes[:, None]
     return np.where(best >= 0, best, 0.0)
 

@@ -140,7 +140,8 @@ class Population:
 
     @property
     def total(self) -> int:
-        return int(self.counts.sum())
+        # Python ints: a float64 sum of headcounts rounds from 2**53 on.
+        return sum(map(int, self.counts.tolist()))
 
     @property
     def ids(self) -> tuple[int, ...]:

@@ -497,13 +497,15 @@ class TestSeededRoundPinned:
 
 
 def _record_best_responses(monkeypatch):
-    """Record the type id of each ``best_response`` a round asks for."""
+    """Record how many types each ``best_response`` a round asks for
+    decides."""
     calls = []
     best_response = coding.best_response
 
-    def recording(true_m, mech, pop):
-        calls.append(true_m)
-        return best_response(true_m, mech, pop)
+    def recording(mech, pop):
+        rows = best_response(mech, pop)
+        calls.append(rows[0].size)
+        return rows
 
     monkeypatch.setattr(coding, "best_response", recording)
     return calls
@@ -517,7 +519,7 @@ class TestRoundPlan:
         calls = _record_best_responses(monkeypatch)
         mech, pop, A, x = _anchor_round()
         simulate_round(mech, pop, A, x, 1)
-        assert calls == list(pop.ids)
+        assert calls == [pop.size]
         calls.clear()
         for seed in (2, 3, 4):
             simulate_round(mech, pop, A, x, seed)
@@ -535,7 +537,7 @@ class TestRoundPlan:
         ]:
             calls.clear()
             outcome = simulate_round(offer, population, A, x, 1)
-            assert calls == list(pop.ids)
+            assert calls == [pop.size]
             assert fingerprint(outcome) == first
 
     def test_alternating_offers_replay_their_pinned_rounds(self):
@@ -596,7 +598,7 @@ class TestRoundPlan:
             calls.clear()
             with pytest.raises(InfeasibleError, match=message):
                 simulate_round(mech, pop, A, x, seed)
-            assert calls == list(pop.ids)
+            assert calls == [pop.size]
 
 
 def _ci_cost_only_round():

@@ -58,6 +58,19 @@ class TestApportion:
     def test_tie_goes_to_lower_index(self):
         assert apportion(10, [1.0, 1.0, 1.0]) == [4, 3, 3]
 
+    # Quotas are float64, which holds every whole total below 2**53.
+    @pytest.mark.parametrize(
+        "total, weights", [(2**53, [1.0]), (2**53 + 1, [1.0]), (2**60 + 1, [1.0, 1.0])]
+    )
+    def test_refuses_totals_of_2_to_the_53_or_more(self, total, weights):
+        with pytest.raises(
+            ConfigurationError, match=rf"^total must be below 2\*\*53, got {total}$"
+        ):
+            apportion(total, weights)
+        with pytest.raises(ConfigurationError, match=r"below 2\*\*53"):
+            default_population(total)
+        assert apportion(2**53 - 1, weights) == apportion_oracle(2**53 - 1, weights)
+
     def test_zero_weight_gets_nothing(self):
         assert apportion(9, [1.0, 0.0, 2.0]) == [3, 0, 6]
 

@@ -24,7 +24,7 @@ from coded_incentives import (
     solve_incomplete,
     verify_ir_ic,
 )
-from coded_incentives import game, simulate_round
+from coded_incentives import coding, game, simulate_round
 from coded_incentives.experiments import _apportion_rows
 from coded_incentives.game import _best_payoffs
 from coded_incentives.mechanisms import _private_offers
@@ -59,48 +59,53 @@ def _offer(pop, rewards, scenario, cfg=None):
     )
 
 
+def _decisions(mech, pop):
+    """``best_response``'s rows as one ``(type id, participate, reported
+    type, payoff)`` tuple per type, in Python scalars."""
+    return list(zip(pop.ids, *(row.tolist() for row in best_response(mech, pop))))
+
+
 class TestBestResponse:
-    @pytest.mark.parametrize("true_m", [0, 11])
-    def test_rejects_unknown_type(self, benchmark_population, benchmark_config, true_m):
+    def test_rows_are_indexed_by_type(self, benchmark_population, benchmark_config):
         mech = solve_incomplete(benchmark_population, benchmark_config)
-        with pytest.raises(ValueError, match=f"unknown type id {true_m}"):
-            best_response(true_m, mech, benchmark_population)
+        participate, reported, payoffs = best_response(mech, benchmark_population)
+        assert participate.dtype == bool and reported.dtype.kind == "i"
+        assert payoffs.dtype == np.float64
+        assert participate.shape == reported.shape == payoffs.shape == (10,)
 
     def test_boundary_type_participates_at_exactly_zero(
         self, benchmark_population, benchmark_config
     ):
         mech = solve_incomplete(benchmark_population, benchmark_config)
         boundary = mech.threshold_type
-        decision = best_response(boundary, mech, benchmark_population)
-        assert decision.participate
-        assert decision.reported_type == boundary
-        assert decision.expected_payoff == 0.0
+        decision = _decisions(mech, benchmark_population)[boundary - 1]
+        assert decision == (boundary, True, boundary, 0.0)
 
     def test_interior_types_keep_positive_rent(
         self, benchmark_population, benchmark_config
     ):
         mech = solve_incomplete(benchmark_population, benchmark_config)
-        for m in mech.targeted[:-1]:
-            decision = best_response(m, mech, benchmark_population)
-            assert decision.participate
-            assert decision.expected_payoff > 0.0
+        for _, participate, _, payoff in _decisions(mech, benchmark_population)[
+            : mech.threshold_type - 1
+        ]:
+            assert participate
+            assert payoff > 0.0
 
     def test_non_targeted_declines(self, benchmark_population, benchmark_config):
         mech = solve_incomplete(benchmark_population, benchmark_config)
-        outside = [m for m in benchmark_population.ids if m not in mech.targeted]
-        for m in outside:
-            decision = best_response(m, mech, benchmark_population)
-            assert not decision.participate
-            assert decision.expected_payoff == 0.0
-            assert decision.reported_type == m
+        for m, participate, reported, payoff in _decisions(mech, benchmark_population)[
+            mech.threshold_type :
+        ]:
+            assert not participate
+            assert payoff == 0.0
+            assert reported == m
 
     def test_payoff_matches_feasible_enumeration(self):
         rng = np.random.default_rng(888)
         for _ in range(25):
             pop, cfg = random_hetero_instance(rng, max_types=6)
             mech = solve_incomplete(pop, cfg)
-            for m in pop.ids:
-                decision = best_response(m, mech, pop)
+            for m, participate, _, payoff in _decisions(mech, pop):
                 feasible = [
                     r
                     for r in mech.targeted
@@ -108,16 +113,16 @@ class TestBestResponse:
                     and pop.member(r)[0].startup == pop.member(m)[0].startup
                 ]
                 if not feasible:
-                    assert not decision.participate
+                    assert not participate
                     continue
                 cost = pop.member(m)[0].cost_rate * mech.expected_runtime
                 best = max(mech.rewards[r - 1] - cost for r in feasible)
                 if best < 0:
-                    assert not decision.participate
-                    assert decision.expected_payoff == 0.0
+                    assert not participate
+                    assert payoff == 0.0
                 else:
-                    assert decision.participate
-                    assert decision.expected_payoff == best
+                    assert participate
+                    assert payoff == best
 
     def test_batched_payoffs_match_best_response(self):
         rng = np.random.default_rng(889)
@@ -208,17 +213,37 @@ class TestBestResponse:
         pop = _two_class_population()
         rewards = [40.0, 40.0, 40.0]
         mech = _offer(pop, rewards, "incomplete-hetero")
-        decision = best_response(2, mech, pop)
-        assert decision.reported_type == 2
+        assert best_response(mech, pop)[1][1] == 2
+
+    def test_lower_reward_tying_on_payoff_is_the_smallest_best_id(self):
+        # One claim class; type 3 is untargeted and can claim type 1's
+        # reward or type 2's one ulp higher.  Less type 3's cost of 2.5
+        # ulps both round to the same payoff, so the smaller id wins
+        # although its reward is lower.
+        pop = build_population(
+            WorkerType(id=0, cost_rate=c * 2.0**-53, speed=50.0, startup=0.012, count=5)
+            for c in (1, 3, 5)
+        )
+        rewards = [1.5, np.nextafter(1.5, 2.0), 0.0]
+        mech = replace(
+            _offer(pop, rewards, "incomplete-hetero"),
+            threshold_type=2,
+            expected_runtime=1.0,
+        )
+        decisions = _decisions(mech, pop)
+        assert decisions[2][3].hex() == "0x1.7fffffffffffep+0"
+        assert decisions[2][2] == 1
+        assert [_bits(d) for d in decisions] == [
+            _bits(best_response_oracle(m, mech, pop)) for m in pop.ids
+        ]
 
     def test_complete_scenario_never_misreports(
         self, benchmark_population, benchmark_config
     ):
         mech = solve_complete(benchmark_population, benchmark_config)
-        for m in benchmark_population.ids:
-            decision = best_response(m, mech, benchmark_population)
-            assert decision.reported_type == m
-            assert decision.participate == (m in mech.targeted)
+        for m, participate, reported, _ in _decisions(mech, benchmark_population):
+            assert reported == m
+            assert participate == (m in mech.targeted)
 
 
 class TestVerifyIrIc:
@@ -376,17 +401,10 @@ def test_decisions_and_violations_match_scalar_oracle(scaled):
     for mech, pop in _oracle_instances(rng):
         if scaled:
             mech = _scaled_rewards(mech, rng)
-        for m in pop.ids:
-            decision = best_response(m, mech, pop)
-            assert _bits(
-                (
-                    decision.type_id,
-                    decision.participate,
-                    decision.reported_type,
-                    decision.expected_payoff,
-                )
-            ) == _bits(best_response_oracle(m, mech, pop))
-            misreports += decision.reported_type != m
+        for decision in _decisions(mech, pop):
+            m = decision[0]
+            assert _bits(decision) == _bits(best_response_oracle(m, mech, pop))
+            misreports += decision[2] != m
         rows = verify_ir_ic(mech, pop).to_rows()
         assert [_bits(row) for row in rows] == [
             _bits(row) for row in compliance_rows_oracle(mech, pop)
@@ -418,7 +436,7 @@ def _many_types(rng, size=300, classes=30):
 
 class TestManyTypes:
     """Rounds and best responses over a population of hundreds of types,
-    where building a type's row alone matters."""
+    where deciding every type in one pass matters."""
 
     CFG = PlatformConfig(gamma_time=5000.0, gamma_pay=1.0, total_rows=500.0)
 
@@ -440,33 +458,29 @@ class TestManyTypes:
         scaled = _scaled_rewards(mech, np.random.default_rng(301))
         misreports = 0
         for offer in (mech, scaled):
-            for m in pop.ids:
-                decision = best_response(m, offer, pop)
-                assert _bits(
-                    (
-                        decision.type_id,
-                        decision.participate,
-                        decision.reported_type,
-                        decision.expected_payoff,
-                    )
-                ) == _bits(best_response_oracle(m, offer, pop))
-                misreports += decision.reported_type != m
+            for decision in _decisions(offer, pop):
+                m = decision[0]
+                assert _bits(decision) == _bits(best_response_oracle(m, offer, pop))
+                misreports += decision[2] != m
         assert misreports or scenario == "complete"
 
-    def test_round_tabulates_one_true_type_per_table(self, monkeypatch):
+    def test_round_decides_participation_in_one_call(self, monkeypatch):
         mech, pop = self._offer("incomplete")
-        shapes = []
+        calls = []
 
-        def spy(*args, **kwargs):
-            payoffs, feasible = report_table(*args, **kwargs)
-            shapes.append((payoffs.shape, feasible.shape))
-            return payoffs, feasible
+        def spy(name, wrapped):
+            def record(*args):
+                calls.append(name)
+                return wrapped(*args)
 
-        report_table = game._report_table
-        monkeypatch.setattr(game, "_report_table", spy)
+            return record
+
+        monkeypatch.setattr(coding, "best_response", spy("best_response", best_response))
+        monkeypatch.setattr(game, "_report_table", spy("table", game._report_table))
         rng = np.random.default_rng(302)
-        simulate_round(
-            mech, pop, rng.standard_normal((500, 3)), rng.standard_normal(3), seed=0
-        )
-        assert len(shapes) == pop.size
-        assert all(p == f == (1, pop.size) for p, f in shapes)
+        matrix, vector = rng.standard_normal((500, 3)), rng.standard_normal(3)
+        simulate_round(mech, pop, matrix, vector, seed=0)
+        assert calls == ["best_response"]
+        # A round replaying the offer reuses its plan.
+        simulate_round(mech, pop, matrix, vector, seed=1)
+        assert calls == ["best_response"]

@@ -887,7 +887,7 @@ class TestPlatformCost:
         rows = int(benchmark_config.total_rows)
         entry_points = [
             lambda: platform_cost(mech, smaller, benchmark_config),
-            lambda: best_response(1, mech, smaller),
+            lambda: best_response(mech, smaller),
             lambda: verify_ir_ic(mech, smaller),
             lambda: simulate_round(mech, smaller, np.ones((rows, 2)), np.ones(2), 0),
         ]

@@ -39,7 +39,6 @@ PUBLIC_NAMES = [
     "solve_incomplete",
     "solve_cost_only",
     "platform_cost",
-    "WorkerDecision",
     "ComplianceReport",
     "best_response",
     "verify_ir_ic",

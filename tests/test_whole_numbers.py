@@ -23,7 +23,6 @@ from coded_incentives import (
     PlatformConfig,
     apportion,
     assign_loads_hetero,
-    best_response,
     default_population,
     expected_runtime_mds,
     harmonic,
@@ -90,9 +89,6 @@ SITES = {
     ),
     "expected_runtime_mds k": (
         lambda v: expected_runtime_mds(5, v, 100.0, 2.0, 0.5), 3, 3.5, 0
-    ),
-    "best_response type id": (
-        lambda v: best_response(v, _round()[1], _round()[0]), 2, 1.5, None
     ),
     "Population.member type id": (lambda v: _round()[0].member(v), 2, 1.5, None),
     "LoadAssignment recovery threshold": (

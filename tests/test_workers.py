@@ -283,6 +283,12 @@ class TestBuildPopulation:
             [_worker(cost=1.0, count=3), _worker(cost=2.0, count=5)]
         )
 
+    def test_total_is_exact_past_2_to_the_53(self):
+        # Each headcount is exact in float64; their sum is not.
+        count = 2**53 - 1
+        pop = build_population([_worker(cost=c, count=count) for c in (1.0, 2.0, 3.0)])
+        assert pop.total == 3 * count == 27021597764222973
+
     @pytest.mark.parametrize("bad", [2.5, -1.0, math.nan, math.inf])
     def test_with_counts_rejects_non_integer_counts(self, bad):
         pop = build_population([_worker(cost=1.0), _worker(cost=2.0)])
