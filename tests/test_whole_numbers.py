@@ -5,13 +5,14 @@ Each site takes an int or a NumPy integer, and a NumPy integer gives the
 same result as the equal int.  A fraction, an integral float and a value
 below the site's bound each raise ConfigurationError naming the value.
 Type ids have no bound in the rule: their callers' range checks still
-name an unknown id, with the caller's own error.
+refuse an unknown id, with the caller's own error.
 """
 
 from __future__ import annotations
 
 import functools
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,8 +70,10 @@ def _encode(n=3, k=2):
     return mds_encode(np.arange(8.0).reshape(4, 2), n, k, generator)
 
 
-# site -> (its call on one whole number, a valid int, a fraction, the
-# rule's bound: 0, 1, or None for a type id).
+# site -> (its call on one whole number, a valid int, a fraction, and
+# the rule's bound, 0 or 1, or for a type id the pattern of its caller's
+# range error).
+UNKNOWN_ID = "unknown type id.*{}"
 SITES = {
     "simulate_round seed": (_simulate, 5, 5.5, 0),
     "monte_carlo_runtime seed": (lambda v: _monte_carlo(seed=v), 5, 5.5, 0),
@@ -81,6 +84,7 @@ SITES = {
     ),
     "ExperimentSpec n_sweep": (lambda v: _csv("custom", n_sweep=(v,)), 100, 100.7, 1),
     "apportion total": (lambda v: apportion(v, [1.0, 2.0]), 10, 10.5, 0),
+    "default_population total": (default_population, 10, 10.5, 0),
     "mds_encode n": (lambda v: _encode(n=v), 3, 3.5, 0),
     "mds_encode k": (lambda v: _encode(k=v), 2, 2.5, 0),
     "harmonic n": (harmonic, 5, 5.5, 0),
@@ -90,16 +94,24 @@ SITES = {
     "expected_runtime_mds k": (
         lambda v: expected_runtime_mds(5, v, 100.0, 2.0, 0.5), 3, 3.5, 0
     ),
-    "Population.member type id": (lambda v: _round()[0].member(v), 2, 1.5, None),
+    "Population.member type id": (
+        lambda v: _round()[0].member(v), 2, 1.5, UNKNOWN_ID
+    ),
+    "Mechanism threshold type": (
+        lambda v: replace(_round()[1], threshold_type=v),
+        2,
+        1.5,
+        "threshold type {} is not offered",
+    ),
     "LoadAssignment recovery threshold": (
         lambda v: LoadAssignment([250.0], 1000.0, v), 4, 253.5, 1
     ),
     "threshold type id": (
-        lambda v: assign_loads_hetero(_round()[0], v, 1000.0), 1, 1.7, None
+        lambda v: assign_loads_hetero(_round()[0], v, 1000.0), 1, 1.7, UNKNOWN_ID
     ),
-    "targeted type ids": (lambda v: _monte_carlo_type_1((v,)), 1, 1.7, None),
+    "targeted type ids": (lambda v: _monte_carlo_type_1((v,)), 1, 1.7, UNKNOWN_ID),
 }
-BOUNDED = [site for site, (*_, least) in SITES.items() if least is not None]
+BOUNDED = [site for site, (*_, least) in SITES.items() if isinstance(least, int)]
 
 
 @pytest.mark.parametrize("site", SITES)
@@ -135,7 +147,7 @@ def test_value_below_the_bound_is_refused(site):
 @pytest.mark.parametrize("site", [site for site in SITES if site not in BOUNDED])
 @pytest.mark.parametrize("type_id", [0, -1, np.int64(-1)])
 def test_type_id_out_of_range_keeps_its_callers_error(site, type_id):
-    call = SITES[site][0]
-    with pytest.raises(ValueError, match=f"unknown type id.*{int(type_id)}") as raised:
+    call, _, _, error = SITES[site]
+    with pytest.raises(ValueError, match=error.format(int(type_id))) as raised:
         call(type_id)
     assert not isinstance(raised.value, ConfigurationError)
